@@ -1,14 +1,17 @@
-//! Micro-benchmark: the execution substrate — naive vs blocked-GEMM vs
-//! packed-GETT contraction kernels, blocked vs naive permutes, and the
+//! Micro-benchmark: the execution substrate — naive vs packed-GETT
+//! contraction kernels (scalar and dispatched micro-kernel variants), blocked vs naive permutes, and the
 //! loop-program interpreter vs the array-at-a-time tree executor.
 
 use std::collections::HashMap;
 use tce_bench::harness::{black_box, BenchmarkId, Criterion};
 use tce_bench::{criterion_group, criterion_main};
-use tce_core::exec::{parallel_contract, Interpreter, NoSink};
+use tce_core::exec::{Interpreter, NoSink};
 use tce_core::ir::{IndexSpace, IndexVar};
 use tce_core::scenarios::section2_source;
-use tce_core::tensor::{contract_gemm, contract_gett, contract_naive, BinaryContraction, Tensor};
+use tce_core::tensor::kernels::KernelVariant;
+use tce_core::tensor::{
+    contract_gett, contract_gett_with_variant, contract_naive, BinaryContraction, Tensor,
+};
 use tce_core::{synthesize, SynthesisConfig};
 
 fn setup(n: usize) -> (IndexSpace, [IndexVar; 3]) {
@@ -31,25 +34,25 @@ fn bench(c: &mut Criterion) {
     let a = Tensor::random(&[n, n], 1);
     let b = Tensor::random(&[n, n], 2);
 
+    assert!(
+        contract_gett(&spec, &sp, &a, &b, 2).approx_eq(&contract_naive(&spec, &sp, &a, &b), 1e-10),
+        "gett diverged from contract_naive"
+    );
+
     let mut g = c.benchmark_group("contract_kernels_96");
     g.sample_size(20);
     g.bench_function("naive", |bch| {
         bch.iter(|| contract_naive(black_box(&spec), &sp, &a, &b))
     });
-    g.bench_function("gemm_blocked", |bch| {
-        bch.iter(|| contract_gemm(black_box(&spec), &sp, &a, &b))
-    });
-    for threads in [2usize, 4] {
-        g.bench_with_input(
-            BenchmarkId::new("parallel", threads),
-            &threads,
-            |bch, &t| bch.iter(|| parallel_contract(black_box(&spec), &sp, &a, &b, t)),
-        );
+    for threads in [1usize, 2, 4] {
+        g.bench_with_input(BenchmarkId::new("gett", threads), &threads, |bch, &t| {
+            bch.iter(|| contract_gett(black_box(&spec), &sp, &a, &b, t))
+        });
     }
     g.finish();
 
-    // Packed GETT vs the scalar blocked-GEMM path, at a size where the
-    // register blocking and panel packing pay off.
+    // Dispatched SIMD micro-kernel vs the scalar variant of the same packed
+    // engine, at a size where register blocking and panel packing pay off.
     let n2 = 192usize;
     let (sp2, [i2, j2, k2]) = setup(n2);
     let spec2 = BinaryContraction {
@@ -61,8 +64,10 @@ fn bench(c: &mut Criterion) {
     let b2 = Tensor::random(&[n2, n2], 4);
     let mut gp = c.benchmark_group("gemm_packed_vs_scalar_192");
     gp.sample_size(10);
-    gp.bench_function("scalar_blocked", |bch| {
-        bch.iter(|| contract_gemm(black_box(&spec2), &sp2, &a2, &b2))
+    gp.bench_function("gett_scalar", |bch| {
+        bch.iter(|| {
+            contract_gett_with_variant(black_box(&spec2), &sp2, &a2, &b2, 1, KernelVariant::Scalar)
+        })
     });
     for threads in [1usize, 2, 4] {
         gp.bench_with_input(

@@ -1,8 +1,9 @@
 //! `exp_kernels` — GETT contraction engine throughput sweep.
 //!
 //! Times the packed parallel GETT kernel over a grid of contraction
-//! sizes × thread counts, against the scalar blocked-GEMM baseline, and
-//! writes the measurements to `BENCH_kernels.json` (machine-readable:
+//! sizes × thread counts, against its own scalar micro-kernel variant on
+//! one thread (the bit-exact baseline every SIMD variant is diffed
+//! against), and writes the measurements to `BENCH_kernels.json` (machine-readable:
 //! seconds, GFLOP/s, speedup vs 1 thread per run).  The headline case is
 //! the CCSD-like `X[a,e,c,f] = Σ_ij T[i,j,a,e]·T[i,j,c,f]` contraction
 //! at V=48, O=8.
@@ -27,7 +28,9 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 use tce_core::ir::{IndexSpace, IndexVar};
-use tce_core::tensor::{contract_gemm, contract_gett, kernels, BinaryContraction, Tensor};
+use tce_core::tensor::{
+    contract_gett, contract_gett_with_variant, contract_naive, kernels, BinaryContraction, Tensor,
+};
 
 /// Best-of-`reps` wall time of `f`, in seconds.
 fn time_best<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
@@ -150,6 +153,19 @@ fn main() {
         }
     }
 
+    // Both case families agree with the naive oracle at a size where the
+    // oracle is affordable, before anything is timed.
+    for small in [ccsd_case(7, 3), matmul_case(33)] {
+        let naive = contract_naive(&small.spec, &small.space, &small.a, &small.b);
+        let fast = contract_gett(&small.spec, &small.space, &small.a, &small.b, max_threads);
+        assert!(
+            fast.approx_eq(&naive, 1e-10),
+            "{}: gett diverged from contract_naive by {:e}",
+            small.name,
+            fast.max_abs_diff(&naive)
+        );
+    }
+
     let cases = [
         ccsd_case(48, 8),
         ccsd_case(32, 6),
@@ -183,11 +199,18 @@ fn main() {
     for (ci, case) in cases.iter().enumerate() {
         let reps = if case.flops > 400_000_000 { 3 } else { 5 };
         let scalar_secs = time_best(reps, || {
-            contract_gemm(&case.spec, &case.space, &case.a, &case.b)
+            contract_gett_with_variant(
+                &case.spec,
+                &case.space,
+                &case.a,
+                &case.b,
+                1,
+                kernels::KernelVariant::Scalar,
+            )
         });
         let gflops = |secs: f64| case.flops as f64 / secs / 1e9;
         println!(
-            "{:<14} {:>14} flops   scalar gemm: {:>8.4}s ({:6.2} GF/s)",
+            "{:<14} {:>14} flops   scalar gett: {:>8.4}s ({:6.2} GF/s)",
             case.name,
             case.flops,
             scalar_secs,
@@ -221,10 +244,10 @@ fn main() {
             "      \"blocks\": {{\"mc\": {}, \"nc\": {}, \"kc\": {}}},",
             cfg.blocks.mc, cfg.blocks.nc, cfg.blocks.kc
         );
-        let _ = writeln!(json, "      \"scalar_gemm_secs\": {scalar_secs:.6},");
+        let _ = writeln!(json, "      \"scalar_gett_secs\": {scalar_secs:.6},");
         let _ = writeln!(
             json,
-            "      \"scalar_gemm_gflops\": {:.4},",
+            "      \"scalar_gett_gflops\": {:.4},",
             gflops(scalar_secs)
         );
         let _ = writeln!(json, "      \"runs\": [");

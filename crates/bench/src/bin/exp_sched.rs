@@ -1,8 +1,9 @@
-//! exp_sched — task-graph schedule vs. sequential statement walk.
+//! exp_sched — the statement/tree walk on one scheduler slot (`seq`) vs.
+//! one slot per worker (`graph`).
 //!
 //! Runs a multi-statement program of independent contraction chains (the
 //! shape where inter-statement parallelism pays: each chain is too small
-//! for intra-kernel threading to saturate the machine) through both
+//! for intra-kernel threading to saturate the machine) under both
 //! schedules at a sweep of thread counts, verifying bitwise identity and
 //! reporting throughput.  Also measures the buffer pool's effect on
 //! allocator traffic: a warm pass must allocate strictly less than the
@@ -127,8 +128,6 @@ fn main() {
     let mut table = Table::new(&["threads", "seq (s)", "graph (s)", "graph/seq speedup"]);
     let mut sweep_json = Vec::new();
     let mut best_speedup = 0.0f64;
-    let mut seq1_s = f64::NAN;
-    let mut graph1_s = f64::NAN;
     let time_best = |opts: &ExecOptions| {
         let mut best = f64::INFINITY;
         let mut result = None;
@@ -152,10 +151,6 @@ fn main() {
         }
         let speedup = seq_s / graph_s;
         best_speedup = best_speedup.max(speedup);
-        if threads == 1 {
-            seq1_s = seq_s;
-            graph1_s = graph_s;
-        }
         table.row(&[
             threads.to_string(),
             format!("{seq_s:.4}"),
@@ -170,13 +165,6 @@ fn main() {
     println!("{}", table.render());
     println!("cpus: {cpus}, best graph/seq speedup: {best_speedup:.2}x");
 
-    // At one worker the graph schedule degenerates to the sequential
-    // walk; anything beyond a modest constant factor is pure scheduler
-    // overhead and a regression regardless of the machine.
-    assert!(
-        graph1_s <= 2.0 * seq1_s,
-        "single-worker graph overhead out of bounds: {graph1_s:.4}s vs seq {seq1_s:.4}s"
-    );
     // Inter-statement parallelism needs real cores to pay off; on a
     // single-CPU machine the sweep degenerates to time-slicing, so the
     // win condition only binds where winning is physically possible.

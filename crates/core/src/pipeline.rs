@@ -18,9 +18,10 @@
 //! iterative loop.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 use tce_calib::CostRates;
 use tce_dist::{optimize_distribution, DistPlan, Machine};
-use tce_exec::{ExecError, ExecOptions, Schedule};
+use tce_exec::{ExecError, ExecOptions};
 use tce_fusion::{fused_program, memmin_dp, MemMinResult};
 use tce_ir::{Assignment, CostPoly, IndexSpace, OpTree, Product, Program, TensorId};
 use tce_lang::LangError;
@@ -135,6 +136,12 @@ pub struct Synthesis {
     pub machine: Option<Machine>,
 }
 
+/// How [`Synthesis::run_statements`] executes one term: given the plan and
+/// the statement's bound inputs, return the term's value (output dims in
+/// canonical ascending-id order) and whatever the executor measured.
+type TermExecutor<'a, R> =
+    dyn Fn(&TermPlan, &HashMap<TensorId, &Tensor>) -> Result<(Tensor, R), ExecError> + Sync + 'a;
+
 /// Aggregate communication/computation accounting from a distributed
 /// execution of a whole statement sequence (summed over every term's
 /// [`tce_dist::ShardExecReport`]).
@@ -225,11 +232,12 @@ pub struct CseSummary {
 }
 
 impl Synthesis {
-    /// Execute the whole statement sequence in source order: each
-    /// statement's terms run through their synthesized loop programs, are
-    /// scaled by their coefficients and summed; `=` overwrites the target
-    /// tensor, `+=` accumulates into it.  Earlier results feed later
-    /// statements — the paper's "sequence of tensor contraction
+    /// Execute the whole statement sequence: each statement's terms run
+    /// through the array-at-a-time tree executor, are scaled by their
+    /// coefficients and summed; `=` overwrites the target tensor, `+=`
+    /// accumulates onto the value an earlier statement computed for it
+    /// (zeros if none did — never an external binding).  Earlier results
+    /// feed later statements — the paper's "sequence of tensor contraction
     /// expressions".  Returns the value of every assigned tensor.
     ///
     /// # Errors
@@ -242,8 +250,10 @@ impl Synthesis {
         self.execute_opts(external_inputs, funcs, &ExecOptions::default())
     }
 
-    /// [`execute`](Self::execute) with explicit [`ExecOptions`] (thread
-    /// count etc.) forwarded to every term's contraction kernels.
+    /// [`execute`](Self::execute) with explicit [`ExecOptions`]: the thread
+    /// count is forwarded to every term's contraction kernels, and the
+    /// schedule picks how many task-graph slots statements and tree nodes
+    /// run on.  Results are bitwise identical for every choice.
     ///
     /// # Errors
     /// [`ExecError`] if an external input binding is missing or mis-shaped.
@@ -253,78 +263,53 @@ impl Synthesis {
         funcs: &HashMap<String, IntegralFn>,
         opts: &ExecOptions,
     ) -> Result<HashMap<TensorId, Tensor>, ExecError> {
-        match opts.schedule {
-            Schedule::Seq => self.execute_stmts_seq(external_inputs, funcs, opts),
-            Schedule::Graph => self.execute_stmts_graph(external_inputs, funcs, opts),
-        }
+        let space = &self.program.space;
+        let (outputs, _) =
+            self.run_statements(external_inputs, opts.slots(), &|plan, inputs| {
+                Ok((plan.execute_opts(space, inputs, funcs, opts)?, ()))
+            })?;
+        Ok(outputs)
     }
 
-    fn execute_stmts_seq(
+    /// The one statement driver behind every `execute_*` entry point: one
+    /// task per statement on [`tce_par::TaskGraph`], dependencies following
+    /// the RAW dataflow (each statement depends on the last prior writer
+    /// of every tensor it reads, including its own target under `+=`), on
+    /// `slots` scheduler slots — one slot is source order, more let
+    /// independent statements contract concurrently, never holding more
+    /// statement results live at once than source order would.
+    ///
+    /// Per statement: bind inputs (computed values shadow external
+    /// bindings), run every term through `term` — which returns the term's
+    /// value with its output dims in canonical (ascending-id) order, plus
+    /// whatever the executor measured — permute to the declared LHS order
+    /// and `axpy` into the accumulator.  Returns the assigned tensors and
+    /// the per-term measurements in (statement, term) order.
+    ///
+    /// Bitwise identical for every slot count: each statement's value is a
+    /// function of its dataflow predecessors only.  Failures surface as
+    /// the lowest-index failing statement's error — the one source order
+    /// stops at.
+    fn run_statements<R: Send + Sync>(
         &self,
         external_inputs: &HashMap<TensorId, &Tensor>,
-        funcs: &HashMap<String, IntegralFn>,
-        opts: &ExecOptions,
-    ) -> Result<HashMap<TensorId, Tensor>, ExecError> {
+        slots: usize,
+        term: &TermExecutor<'_, R>,
+    ) -> Result<(HashMap<TensorId, Tensor>, Vec<R>), ExecError> {
         let _span = tce_trace::span("stage.exec");
         let space = &self.program.space;
-        let mut computed: HashMap<TensorId, Tensor> = HashMap::new();
-        for (si, stmt) in self.program.stmts.iter().enumerate() {
-            let target = stmt.lhs.tensor;
-            let shape: Vec<usize> = stmt.lhs.indices.iter().map(|&v| space.extent(v)).collect();
-            let mut acc = if stmt.accumulate {
-                computed
-                    .get(&target)
-                    .cloned()
-                    .unwrap_or_else(|| Tensor::zeros(&shape))
-            } else {
-                Tensor::zeros(&shape)
-            };
-            for plan in self.plans.iter().filter(|p| p.stmt_index == si) {
-                // Bind inputs: computed values shadow external bindings.
-                let mut inputs: HashMap<TensorId, &Tensor> = external_inputs.clone();
-                for (id, t) in &computed {
-                    inputs.insert(*id, t);
-                }
-                let term_value = plan.execute_opts(space, &inputs, funcs, opts)?;
-                // The plan's output dims are the LHS indices in canonical
-                // (ascending-id) order; permute to the declared order.
-                let reordered = term_value.permute(&lhs_perm(stmt));
-                acc.axpy(plan.coeff, &reordered);
-            }
-            computed.insert(target, acc);
-        }
-        Ok(computed)
-    }
+        let stmts = &self.program.stmts;
 
-    /// Statement-level task-graph execution: one task per statement,
-    /// dependencies following the RAW dataflow (each statement depends on
-    /// the last prior writer of every tensor it reads, including its own
-    /// target under `+=`), so independent statements contract concurrently
-    /// on the shared pool.  Admission is bounded by the source-order
-    /// walk's peak live-set, so graph scheduling never holds more
-    /// statement results live *concurrently* than source order would.
-    /// Results are bitwise identical to [`execute_stmts_seq`]
-    /// (Self::execute_stmts_seq): each statement's value is a function of
-    /// its dataflow predecessors only, and every kernel is deterministic
-    /// in isolation.
-    fn execute_stmts_graph(
-        &self,
-        external_inputs: &HashMap<TensorId, &Tensor>,
-        funcs: &HashMap<String, IntegralFn>,
-        opts: &ExecOptions,
-    ) -> Result<HashMap<TensorId, Tensor>, ExecError> {
-        use std::cell::UnsafeCell;
-        use std::sync::Mutex;
-        let _span = tce_trace::span("stage.exec.graph");
-        let space = &self.program.space;
-        let nstmts = self.program.stmts.len();
-
-        // RAW dataflow: statement → (deps, per-read binding source).
+        // RAW dataflow: per statement, the (tensor, writer statement) pairs
+        // it reads computed values through.
         let mut last_writer: HashMap<TensorId, usize> = HashMap::new();
-        let mut deps: Vec<Vec<usize>> = Vec::with_capacity(nstmts);
-        let mut bindings: Vec<Vec<(TensorId, usize)>> = Vec::with_capacity(nstmts);
-        for (si, stmt) in self.program.stmts.iter().enumerate() {
+        let mut sources: Vec<Vec<(TensorId, usize)>> = Vec::with_capacity(stmts.len());
+        let mut graph = tce_par::TaskGraph::new();
+        for (si, stmt) in stmts.iter().enumerate() {
             let mut reads: Vec<TensorId> = Vec::new();
+            if stmt.accumulate {
+                reads.push(stmt.lhs.tensor);
+            }
             for plan in self.plans.iter().filter(|p| p.stmt_index == si) {
                 for node in &plan.tree.nodes {
                     if let tce_ir::OpKind::Leaf(tce_ir::Leaf::Input { tensor, .. }) = &node.kind {
@@ -334,103 +319,76 @@ impl Synthesis {
                     }
                 }
             }
-            if stmt.accumulate && !reads.contains(&stmt.lhs.tensor) {
-                reads.push(stmt.lhs.tensor);
-            }
-            let mut d = Vec::new();
-            let mut b = Vec::new();
-            for r in reads {
-                if let Some(&w) = last_writer.get(&r) {
-                    if !d.contains(&w) {
-                        d.push(w);
-                    }
-                    b.push((r, w));
-                }
-            }
-            deps.push(d);
-            bindings.push(b);
+            let source: Vec<(TensorId, usize)> = reads
+                .into_iter()
+                .filter_map(|r| last_writer.get(&r).map(|&w| (r, w)))
+                .collect();
+            let mut deps: Vec<usize> = source.iter().map(|&(_, w)| w).collect();
+            deps.sort_unstable();
+            deps.dedup();
+            graph.add_task(
+                &deps,
+                space.iteration_points(stmt.lhs.index_set()).max(1) as u64,
+            );
+            sources.push(source);
             last_writer.insert(stmt.lhs.tensor, si);
         }
 
-        let mut graph = tce_par::TaskGraph::new();
-        for (si, stmt) in self.program.stmts.iter().enumerate() {
-            let weight = stmt
-                .lhs
-                .indices
-                .iter()
-                .map(|&v| space.extent(v) as u64)
-                .product::<u64>()
-                .max(1);
-            graph.add_task(&deps[si], weight);
-        }
-        let cap = graph.sequential_peak();
-
-        // One result cell per statement; RAW edges serialize every access
-        // (a reader's task only starts after its writer completed).
-        struct Slots(Vec<UnsafeCell<Option<Tensor>>>);
-        unsafe impl Sync for Slots {}
-        let slots = Slots((0..nstmts).map(|_| UnsafeCell::new(None)).collect());
-        let errors: Vec<Mutex<Option<ExecError>>> = (0..nstmts).map(|_| Mutex::new(None)).collect();
-
-        // Capture the `Sync` wrapper itself (precise closure captures
-        // would otherwise grab the inner `Vec<UnsafeCell<..>>` field).
-        let slots = &slots;
-        graph.run(opts.threads, Some(cap), &|si| {
-            let stmt = &self.program.stmts[si];
+        // One write-once cell per statement: its RAW edges order the write
+        // before every read, and nothing writes a cell twice.
+        type Outcome<R> = Result<(Tensor, Vec<R>), ExecError>;
+        let cells: Vec<OnceLock<Outcome<R>>> = stmts.iter().map(|_| OnceLock::new()).collect();
+        graph.run(slots, Some(graph.sequential_peak()), &|si| {
+            let stmt = &stmts[si];
+            let mut computed: Vec<(TensorId, &Tensor)> = Vec::with_capacity(sources[si].len());
+            for &(tensor, w) in &sources[si] {
+                match cells[w].get() {
+                    Some(Ok((value, _))) => computed.push((tensor, value)),
+                    // The writer failed (or was itself skipped); its error
+                    // is surfaced after the run.
+                    _ => return,
+                }
+            }
             let mut inputs: HashMap<TensorId, &Tensor> = external_inputs.clone();
-            for &(tensor, w) in &bindings[si] {
-                // SAFETY: the RAW edge on `w` orders its write (and the
-                // scheduler's lock publishes it) before this task starts;
-                // nothing writes slot `w` afterwards.
-                match unsafe { &*slots.0[w].get() } {
-                    Some(v) => {
-                        inputs.insert(tensor, v);
-                    }
-                    // The dependency failed; its error is already recorded
-                    // and will be surfaced after the run.
-                    None => return,
+            inputs.extend(computed.iter().copied());
+            // `+=` starts from the last *computed* value of its target —
+            // never from an external binding of the same tensor.
+            let prior = computed
+                .iter()
+                .find(|(tensor, _)| stmt.accumulate && *tensor == stmt.lhs.tensor);
+            let mut acc = match prior {
+                Some((_, value)) => (*value).clone(),
+                None => {
+                    let shape: Vec<usize> =
+                        stmt.lhs.indices.iter().map(|&v| space.extent(v)).collect();
+                    Tensor::zeros(&shape)
                 }
-            }
-            let shape: Vec<usize> = stmt.lhs.indices.iter().map(|&v| space.extent(v)).collect();
-            let mut acc = if stmt.accumulate {
-                inputs
-                    .get(&stmt.lhs.tensor)
-                    .map(|t| (*t).clone())
-                    .unwrap_or_else(|| Tensor::zeros(&shape))
-            } else {
-                Tensor::zeros(&shape)
             };
-            for plan in self.plans.iter().filter(|p| p.stmt_index == si) {
-                match plan.execute_opts(space, &inputs, funcs, opts) {
-                    Ok(term_value) => {
-                        let reordered = term_value.permute(&lhs_perm(stmt));
-                        acc.axpy(plan.coeff, &reordered);
-                    }
-                    Err(e) => {
-                        *errors[si].lock().unwrap_or_else(|p| p.into_inner()) = Some(e);
-                        return;
-                    }
+            let outcome = (|| {
+                let mut measured = Vec::new();
+                for plan in self.plans.iter().filter(|p| p.stmt_index == si) {
+                    let (value, r) = term(plan, &inputs)?;
+                    // The plan's output dims are the LHS indices in
+                    // canonical order; permute to the declared order.
+                    acc.axpy(plan.coeff, &value.permute(&lhs_perm(stmt)));
+                    measured.push(r);
                 }
-            }
-            // SAFETY: each task writes only its own slot; dependents read
-            // it strictly after completion via their RAW edges.
-            unsafe { *slots.0[si].get() = Some(acc) };
+                Ok((acc, measured))
+            })();
+            let _ = cells[si].set(outcome);
         });
 
-        // Surface the lowest-index failure — the same statement the
-        // source-order walk would have stopped at.
-        for e in &errors {
-            if let Some(err) = e.lock().unwrap_or_else(|p| p.into_inner()).take() {
-                return Err(err);
+        let mut outputs = HashMap::new();
+        let mut measured = Vec::new();
+        for (stmt, cell) in stmts.iter().zip(cells) {
+            // An unset cell sits behind an earlier failure, returned first.
+            if let Some(outcome) = cell.into_inner() {
+                let (value, r) = outcome?;
+                outputs.insert(stmt.lhs.tensor, value);
+                measured.extend(r);
             }
         }
-        let mut computed = HashMap::new();
-        for (si, stmt) in self.program.stmts.iter().enumerate() {
-            if let Some(v) = unsafe { &mut *slots.0[si].get() }.take() {
-                computed.insert(stmt.lhs.tensor, v);
-            }
-        }
-        Ok(computed)
+        Ok((outputs, measured))
     }
 
     /// Execute the statement sequence through the **fused-slice
@@ -450,58 +408,42 @@ impl Synthesis {
         funcs: &HashMap<String, IntegralFn>,
         opts: &ExecOptions,
     ) -> Result<FusedExecSummary, ExecError> {
-        let _span = tce_trace::span("stage.exec.fused");
         let space = &self.program.space;
-        let mut computed: HashMap<TensorId, Tensor> = HashMap::new();
+        // Statements run in source order (one slot): terms free their
+        // temporaries in between, so the whole-run peak is the per-term
+        // maximum the summary reports.
+        let (outputs, reports) = self.run_statements(external_inputs, 1, &|plan, inputs| {
+            let mut report = tce_exec::execute_tree_fused(
+                &plan.tree,
+                space,
+                &plan.memmin.config,
+                inputs,
+                funcs,
+                opts,
+            )?;
+            let value = std::mem::replace(&mut report.result, Tensor::zeros(&[]));
+            Ok((value, (plan.stmt_index, plan.term_index, report)))
+        })?;
         let mut summary = FusedExecSummary {
-            outputs: HashMap::new(),
+            outputs,
             peak_live_elements: 0,
             modeled_elements: 0,
             sliced_contractions: 0,
             func_evals: 0,
             per_term: Vec::new(),
         };
-        for (si, stmt) in self.program.stmts.iter().enumerate() {
-            let target = stmt.lhs.tensor;
-            let shape: Vec<usize> = stmt.lhs.indices.iter().map(|&v| space.extent(v)).collect();
-            let mut acc = if stmt.accumulate {
-                computed
-                    .get(&target)
-                    .cloned()
-                    .unwrap_or_else(|| Tensor::zeros(&shape))
-            } else {
-                Tensor::zeros(&shape)
-            };
-            for plan in self.plans.iter().filter(|p| p.stmt_index == si) {
-                let mut inputs: HashMap<TensorId, &Tensor> = external_inputs.clone();
-                for (id, t) in &computed {
-                    inputs.insert(*id, t);
-                }
-                let report = tce_exec::execute_tree_fused(
-                    &plan.tree,
-                    space,
-                    &plan.memmin.config,
-                    &inputs,
-                    funcs,
-                    opts,
-                )?;
-                summary.peak_live_elements =
-                    summary.peak_live_elements.max(report.peak_live_elements);
-                summary.modeled_elements = summary.modeled_elements.max(report.modeled_elements);
-                summary.sliced_contractions += report.sliced_contractions;
-                summary.func_evals += report.func_evals;
-                summary.per_term.push(FusedTermReport {
-                    stmt_index: si,
-                    term_index: plan.term_index,
-                    peak_live_elements: report.peak_live_elements,
-                    modeled_elements: report.modeled_elements,
-                });
-                let reordered = report.result.permute(&lhs_perm(stmt));
-                acc.axpy(plan.coeff, &reordered);
-            }
-            computed.insert(target, acc);
+        for (stmt_index, term_index, report) in reports {
+            summary.peak_live_elements = summary.peak_live_elements.max(report.peak_live_elements);
+            summary.modeled_elements = summary.modeled_elements.max(report.modeled_elements);
+            summary.sliced_contractions += report.sliced_contractions;
+            summary.func_evals += report.func_evals;
+            summary.per_term.push(FusedTermReport {
+                stmt_index,
+                term_index,
+                peak_live_elements: report.peak_live_elements,
+                modeled_elements: report.modeled_elements,
+            });
         }
-        summary.outputs = computed;
         Ok(summary)
     }
 
@@ -509,8 +451,8 @@ impl Synthesis {
     /// machine**: every term that carries a [`DistPlan`] runs through
     /// `tce_exec::execute_tree_distributed` (per-rank shard buffers,
     /// block-transfer redistribution, tree reduction); terms without a
-    /// plan fall back to the sequential GETT path.  Returns the outputs
-    /// plus aggregate measured-vs-modeled communication accounting.
+    /// plan fall back to the GETT tree path.  Returns the outputs plus
+    /// aggregate measured-vs-modeled communication accounting.
     ///
     /// # Errors
     /// [`ExecError`] if an external input binding is missing or mis-shaped.
@@ -527,11 +469,23 @@ impl Synthesis {
             .machine
             .as_ref()
             .expect("distributed execution requires a machine-configured synthesis");
-        let _span = tce_trace::span("stage.exec.distributed");
         let space = &self.program.space;
-        let mut computed: HashMap<TensorId, Tensor> = HashMap::new();
+        // Statements run in source order (one slot): the sharded machine is
+        // one set of ranks, every term occupies all of it.
+        let (outputs, reports) = self.run_statements(external_inputs, 1, &|plan, inputs| {
+            Ok(match &plan.distribution {
+                Some(dist) => {
+                    let mut report = tce_exec::execute_tree_distributed(
+                        &plan.tree, space, dist, machine, inputs, funcs, opts,
+                    )?;
+                    let value = std::mem::replace(&mut report.result, Tensor::zeros(&[]));
+                    (value, Some(report))
+                }
+                None => (plan.execute_opts(space, inputs, funcs, opts)?, None),
+            })
+        })?;
         let mut summary = DistExecSummary {
-            outputs: HashMap::new(),
+            outputs,
             moved_elements: 0,
             predicted_move_elements: 0,
             reduce_words: 0,
@@ -539,49 +493,20 @@ impl Synthesis {
             redistributions: 0,
             per_rank_flops: vec![0; machine.grid.num_processors()],
         };
-        for (si, stmt) in self.program.stmts.iter().enumerate() {
-            let target = stmt.lhs.tensor;
-            let shape: Vec<usize> = stmt.lhs.indices.iter().map(|&v| space.extent(v)).collect();
-            let mut acc = if stmt.accumulate {
-                computed
-                    .get(&target)
-                    .cloned()
-                    .unwrap_or_else(|| Tensor::zeros(&shape))
-            } else {
-                Tensor::zeros(&shape)
-            };
-            for plan in self.plans.iter().filter(|p| p.stmt_index == si) {
-                let mut inputs: HashMap<TensorId, &Tensor> = external_inputs.clone();
-                for (id, t) in &computed {
-                    inputs.insert(*id, t);
-                }
-                let term_value = match &plan.distribution {
-                    Some(dist) => {
-                        let report = tce_exec::execute_tree_distributed(
-                            &plan.tree, space, dist, machine, &inputs, funcs, opts,
-                        )?;
-                        summary.moved_elements += report.moved_elements;
-                        summary.predicted_move_elements += report.predicted_move_elements;
-                        summary.reduce_words += report.reduce_words;
-                        summary.predicted_reduce_words += report.predicted_reduce_words;
-                        summary.redistributions += report.redistributions;
-                        for (slot, f) in summary
-                            .per_rank_flops
-                            .iter_mut()
-                            .zip(&report.per_rank_flops)
-                        {
-                            *slot = slot.saturating_add(*f);
-                        }
-                        report.result
-                    }
-                    None => plan.execute_opts(space, &inputs, funcs, opts)?,
-                };
-                let reordered = term_value.permute(&lhs_perm(stmt));
-                acc.axpy(plan.coeff, &reordered);
+        for report in reports.into_iter().flatten() {
+            summary.moved_elements += report.moved_elements;
+            summary.predicted_move_elements += report.predicted_move_elements;
+            summary.reduce_words += report.reduce_words;
+            summary.predicted_reduce_words += report.predicted_reduce_words;
+            summary.redistributions += report.redistributions;
+            for (slot, f) in summary
+                .per_rank_flops
+                .iter_mut()
+                .zip(&report.per_rank_flops)
+            {
+                *slot = slot.saturating_add(*f);
             }
-            computed.insert(target, acc);
         }
-        summary.outputs = computed;
         Ok(summary)
     }
 

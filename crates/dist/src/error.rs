@@ -3,22 +3,33 @@
 //! The sharded executor ([`crate::exec`]) and the element-wise simulator
 //! ([`crate::sim`]) walk an operator tree against a [`crate::dp::DistPlan`];
 //! a malformed pairing — a plan that does not assign every contraction, a
-//! missing input or function binding — used to be an `unwrap()` panic deep
-//! in the walk.  It now surfaces as a [`DistError`], which `tce-exec`
-//! converts into its `ExecError` so the pipeline and CLI report it as a
-//! one-line diagnostic (the panic-to-error convention from the fused-slice
-//! executor).
+//! missing or mis-shaped input, a missing function binding — surfaces as a
+//! [`DistError`], which `tce-exec` converts into its `ExecError` so the
+//! pipeline and CLI report it as a one-line diagnostic.  The binding checks
+//! ([`crate::exec::validate_bindings`]) are the one validation pass every
+//! executor in `tce-exec` shares.
 
 use std::fmt;
 use tce_ir::TensorId;
 
-/// A failure while executing or simulating a distribution plan.
+/// A failure while executing or simulating a distribution plan, or while
+/// validating an operator tree's bindings.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DistError {
     /// No tensor was bound for an input leaf.
     MissingInput {
         /// Id of the unbound input tensor (tce-dist has no name table).
         tensor: TensorId,
+    },
+    /// A bound input tensor's shape disagrees with its leaf's index
+    /// extents.
+    InputShapeMismatch {
+        /// Id of the mis-shaped input tensor.
+        tensor: TensorId,
+        /// Shape the leaf's index extents require.
+        expect: Vec<usize>,
+        /// Shape of the bound tensor.
+        got: Vec<usize>,
     },
     /// No implementation was bound for a function leaf.
     MissingFunction {
@@ -41,6 +52,15 @@ impl fmt::Display for DistError {
             DistError::MissingInput { tensor } => {
                 write!(f, "no binding for input tensor id {}", tensor.0)
             }
+            DistError::InputShapeMismatch {
+                tensor,
+                expect,
+                got,
+            } => write!(
+                f,
+                "input tensor id {} has shape {got:?}, expected {expect:?}",
+                tensor.0
+            ),
             DistError::MissingFunction { name } => {
                 write!(f, "no binding for function `{name}`")
             }

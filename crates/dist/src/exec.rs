@@ -37,7 +37,7 @@ use crate::tuple::{DistEntry, DistTuple};
 use std::collections::HashMap;
 use std::ops::Range;
 use tce_ir::{IndexSet, IndexSpace, IndexVar, Leaf, NodeId, OpKind, OpTree, TensorId};
-use tce_par::{myrange, owner_of, parallel_map, ProcessorGrid};
+use tce_par::{myrange, owner_of, parallel_map, ProcessorGrid, TaskGraph};
 use tce_tensor::{BinaryContraction, IntegralFn, Tensor};
 
 /// A tensor materialized as per-rank shard buffers under a distribution
@@ -537,11 +537,51 @@ impl ShardExecReport {
     }
 }
 
-/// Mutable measurement state accumulated while walking a plan.  Each
-/// graph-scheduled task owns a private `Counters` so tasks never contend;
-/// per-task counters are [`Counters::merge`]d in ascending task order
-/// afterwards, which reproduces the sequential totals exactly (every field
-/// is an order-independent sum).
+/// Check every leaf of `tree` against its bindings before any executor
+/// starts: each input tensor is bound with exactly the shape its leaf's
+/// index extents demand, and each primitive function has an
+/// implementation.  The one validation pass shared by the tree, fused and
+/// distributed executors (`tce-exec` converts the error into its
+/// `ExecError`), so walker bodies can index bindings infallibly.
+///
+/// # Errors
+/// [`DistError::MissingInput`], [`DistError::InputShapeMismatch`] or
+/// [`DistError::MissingFunction`] for the first offending leaf in postorder.
+pub fn validate_bindings(
+    tree: &OpTree,
+    space: &IndexSpace,
+    inputs: &HashMap<TensorId, &Tensor>,
+    funcs: &HashMap<String, IntegralFn>,
+) -> Result<(), DistError> {
+    for id in tree.postorder() {
+        match &tree.node(id).kind {
+            OpKind::Leaf(Leaf::Input { tensor, indices }) => {
+                let bound = inputs
+                    .get(tensor)
+                    .ok_or(DistError::MissingInput { tensor: *tensor })?;
+                let expect: Vec<usize> = indices.iter().map(|&v| space.extent(v)).collect();
+                if bound.shape() != &expect[..] {
+                    return Err(DistError::InputShapeMismatch {
+                        tensor: *tensor,
+                        expect,
+                        got: bound.shape().to_vec(),
+                    });
+                }
+            }
+            OpKind::Leaf(Leaf::Func { name, .. }) if !funcs.contains_key(name) => {
+                return Err(DistError::MissingFunction { name: name.clone() });
+            }
+            _ => {}
+        }
+    }
+    Ok(())
+}
+
+/// Measurement state accumulated while walking a plan.  Each node task
+/// owns a private `Counters`, seeded by [`Counters::merge`]-ing its
+/// children's, so tasks never contend and the root's counters are the
+/// run's totals whatever order the scheduler picked (every field is an
+/// order-independent sum).
 #[derive(Debug, Clone)]
 struct Counters {
     moved: u128,
@@ -576,8 +616,7 @@ impl Counters {
     }
 }
 
-/// The immutable execution environment shared by the sequential walk and
-/// every graph-scheduled task.
+/// The immutable execution environment shared by every node task.
 struct Env<'a> {
     tree: &'a OpTree,
     space: &'a IndexSpace,
@@ -589,45 +628,41 @@ struct Env<'a> {
 }
 
 impl Env<'_> {
-    /// Redistribute and account measured + predicted volume.
+    /// Redistribute and account measured + predicted volume (a layout
+    /// that only differs by normalization moves nothing and counts as no
+    /// redistribution).
     fn account_redistribute(
         &self,
         c: &mut Counters,
         value: &ShardedTensor,
         to: &DistTuple,
     ) -> ShardedTensor {
+        let grid = &self.machine.grid;
         let set = value.index_set();
-        if value.tuple.normalize(set) == to.normalize(set) {
-            let (out, _) = redistribute(value, to, self.space, &self.machine.grid);
-            return out;
+        if value.tuple.normalize(set) != to.normalize(set) {
+            c.predicted += move_cost(&value.dims, self.space, grid, &value.tuple, to);
+            c.redistributions += 1;
         }
-        c.predicted += move_cost(
-            &value.dims,
-            self.space,
-            &self.machine.grid,
-            &value.tuple,
-            to,
-        );
-        let (out, moved) = redistribute(value, to, self.space, &self.machine.grid);
+        let (out, moved) = redistribute(value, to, self.space, grid);
         c.moved += moved;
-        c.redistributions += 1;
         out
     }
 
-    /// Compute node `u`'s value sharded as `alpha` from already-evaluated
-    /// children (`lv`/`rv` are `Some` exactly for contraction nodes, each
-    /// sharded as γ's projection onto that child's indices).
+    /// Compute node `u`'s value sharded as `alpha` from its children's
+    /// values (`operands` is `[left, right]` for a contraction — each
+    /// sharded as γ's projection onto that child's indices — and empty for
+    /// a leaf).  Infallible: bindings and plan entries were validated
+    /// before the walk started.
     fn eval_node(
         &self,
         c: &mut Counters,
         u: NodeId,
         alpha: &DistTuple,
-        lv: Option<ShardedTensor>,
-        rv: Option<ShardedTensor>,
-    ) -> Result<ShardedTensor, DistError> {
+        operands: Vec<ShardedTensor>,
+    ) -> ShardedTensor {
         let grid = &self.machine.grid;
         let indices = self.tree.node(u).indices;
-        Ok(match &self.tree.node(u).kind {
+        match &self.tree.node(u).kind {
             OpKind::Leaf(Leaf::One) => {
                 let tuple = alpha.normalize(IndexSet::EMPTY);
                 let shards = grid
@@ -648,10 +683,7 @@ impl Env<'_> {
                 tensor,
                 indices: dims,
             }) => {
-                let global = *self
-                    .inputs
-                    .get(tensor)
-                    .ok_or(DistError::MissingInput { tensor: *tensor })?;
+                let global = self.inputs[tensor];
                 if alpha.no_replicate(indices) {
                     // Stored inputs start in any non-replicated layout for
                     // free.
@@ -673,10 +705,7 @@ impl Env<'_> {
             }) => {
                 // Computed in place under α: replicas recompute, no
                 // communication.
-                let f = self
-                    .funcs
-                    .get(name)
-                    .ok_or_else(|| DistError::MissingFunction { name: name.clone() })?;
+                let f = &self.funcs[name];
                 let p = grid.num_processors();
                 let results: Vec<(Option<Tensor>, u128)> =
                     parallel_map(p, self.threads.min(p), |id| {
@@ -709,87 +738,45 @@ impl Env<'_> {
             }
             OpKind::Contract { .. } => {
                 let (gamma, mode) = self.plan.node_gamma[u.0 as usize]
-                    .clone()
-                    .ok_or(DistError::UnassignedContraction { node: u.0 })?;
-                let lv = lv.expect("contraction children evaluated before the node");
-                let rv = rv.expect("contraction children evaluated before the node");
+                    .as_ref()
+                    .expect("assign_alphas checked every contraction's γ");
+                let [lv, rv]: [ShardedTensor; 2] = operands
+                    .try_into()
+                    .expect("a contraction task receives both children's values");
                 let out_dims: Vec<IndexVar> = indices.iter().collect();
-                let (mut value, flops) = contract_sharded(
-                    &lv,
-                    &rv,
-                    &out_dims,
-                    self.space,
-                    &self.machine.grid,
-                    &gamma,
-                    self.threads,
-                );
+                let (mut value, flops) =
+                    contract_sharded(&lv, &rv, &out_dims, self.space, grid, gamma, self.threads);
                 drop(lv);
                 drop(rv);
                 for (id, fl) in flops.into_iter().enumerate() {
                     c.per_rank_flops[id] = c.per_rank_flops[id].saturating_add(fl);
                 }
                 let sums = self.tree.sum_indices(u);
-                c.predicted_reduce +=
-                    reduce_cost(indices, sums, self.space, &self.machine.grid, &gamma, mode);
-                c.reduce_words +=
-                    reduce_partial_sums(&mut value, sums, self.space, &self.machine.grid, mode);
+                c.predicted_reduce += reduce_cost(indices, sums, self.space, grid, gamma, *mode);
+                c.reduce_words += reduce_partial_sums(&mut value, sums, self.space, grid, *mode);
                 self.account_redistribute(c, &value, alpha)
             }
-        })
-    }
-
-    /// Recursive (sequential) evaluation: children left-to-right, then the
-    /// node itself.
-    fn eval(
-        &self,
-        c: &mut Counters,
-        u: NodeId,
-        alpha: &DistTuple,
-    ) -> Result<ShardedTensor, DistError> {
-        if let OpKind::Contract { left, right } = &self.tree.node(u).kind {
-            let (l, r) = (*left, *right);
-            let (gamma, _) = self.plan.node_gamma[u.0 as usize]
-                .clone()
-                .ok_or(DistError::UnassignedContraction { node: u.0 })?;
-            let child_l = gamma.project(self.tree.node(l).indices);
-            let child_r = gamma.project(self.tree.node(r).indices);
-            let lv = self.eval(c, l, &child_l)?;
-            let rv = self.eval(c, r, &child_r)?;
-            self.eval_node(c, u, alpha, Some(lv), Some(rv))
-        } else {
-            self.eval_node(c, u, alpha, None, None)
         }
     }
 
     /// Top-down α pre-pass: the root carries the plan's root distribution,
     /// and every contraction hands each child γ's projection onto that
-    /// child's indices.  Also validates every binding and plan entry so
-    /// graph-scheduled task bodies are infallible.
+    /// child's indices.
+    ///
+    /// # Errors
+    /// [`DistError::UnassignedContraction`] for a contraction the plan
+    /// gives no γ.
     fn assign_alphas(&self, root_alpha: DistTuple) -> Result<Vec<Option<DistTuple>>, DistError> {
-        let order = self.tree.postorder();
         let mut alphas: Vec<Option<DistTuple>> = vec![None; self.tree.len()];
         alphas[self.tree.root.0 as usize] = Some(root_alpha);
         // Reverse postorder visits parents before children.
-        for &u in order.iter().rev() {
-            match &self.tree.node(u).kind {
-                OpKind::Contract { left, right } => {
-                    let (gamma, _) = self.plan.node_gamma[u.0 as usize]
-                        .clone()
-                        .ok_or(DistError::UnassignedContraction { node: u.0 })?;
-                    alphas[left.0 as usize] = Some(gamma.project(self.tree.node(*left).indices));
-                    alphas[right.0 as usize] = Some(gamma.project(self.tree.node(*right).indices));
-                }
-                OpKind::Leaf(Leaf::Input { tensor, .. }) => {
-                    if !self.inputs.contains_key(tensor) {
-                        return Err(DistError::MissingInput { tensor: *tensor });
-                    }
-                }
-                OpKind::Leaf(Leaf::Func { name, .. }) => {
-                    if !self.funcs.contains_key(name) {
-                        return Err(DistError::MissingFunction { name: name.clone() });
-                    }
-                }
-                OpKind::Leaf(Leaf::One) => {}
+        for &u in self.tree.postorder().iter().rev() {
+            if let OpKind::Contract { left, right } = &self.tree.node(u).kind {
+                let (gamma, _) = self.plan.node_gamma[u.0 as usize]
+                    .as_ref()
+                    .ok_or(DistError::UnassignedContraction { node: u.0 })?;
+                alphas[left.0 as usize] = Some(gamma.project(self.tree.node(*left).indices));
+                alphas[right.0 as usize] = Some(gamma.project(self.tree.node(*right).indices));
             }
         }
         Ok(alphas)
@@ -803,9 +790,19 @@ impl Env<'_> {
 /// combined with a reduction tree.  The root value is gathered and
 /// returned together with measured-vs-predicted communication volumes.
 ///
+/// The walk is one task per tree node on [`tce_par::TaskGraph`], children
+/// before parents, on `slots` scheduler slots: one slot is the sequential
+/// postorder walk (each node's rank-parallel kernels keep all `threads`
+/// workers), more slots evaluate independent subtrees concurrently, never
+/// holding more node values live (in global output elements) than the
+/// one-slot walk.  The gathered result and every counter are **identical**
+/// for every `threads` and `slots` value: a node's value depends only on
+/// its own subtree and plan entries, every kernel is deterministic in
+/// isolation, and counters flow child → parent along the tree.
+///
 /// # Errors
-/// [`DistError`] when a binding is missing or the plan does not cover the
-/// tree (previously a panic deep in the walk).
+/// [`DistError`] when a binding is missing or mis-shaped, or the plan does
+/// not cover the tree; everything is validated before any node runs.
 #[allow(clippy::too_many_arguments)]
 pub fn execute_plan_sharded(
     tree: &OpTree,
@@ -815,6 +812,7 @@ pub fn execute_plan_sharded(
     inputs: &HashMap<TensorId, &Tensor>,
     funcs: &HashMap<String, IntegralFn>,
     threads: usize,
+    slots: usize,
 ) -> Result<ShardExecReport, DistError> {
     let _span = tce_trace::span("dist.exec");
     let root_alpha = plan.node_dist[tree.root.0 as usize]
@@ -829,133 +827,37 @@ pub fn execute_plan_sharded(
         funcs,
         threads: threads.max(1),
     };
-    let mut counters = Counters::new(machine.grid.num_processors());
-    let sharded = env.eval(&mut counters, tree.root, &root_alpha)?;
-    let result = gather(&sharded, space, &machine.grid);
-    Ok(report_from(result, counters))
-}
+    let alphas = env.assign_alphas(root_alpha)?;
+    validate_bindings(tree, space, inputs, funcs)?;
 
-fn report_from(result: Tensor, c: Counters) -> ShardExecReport {
-    ShardExecReport {
-        result,
+    let ranks = machine.grid.num_processors();
+    let tasks = tree.postorder_tasks(space);
+    let (sharded, c) = TaskGraph::eval_tree(&tasks, slots, &|&u,
+                                                             children: Vec<(
+        ShardedTensor,
+        Counters,
+    )>| {
+        let alpha = alphas[u.0 as usize]
+            .as_ref()
+            .expect("alpha pre-pass covers every node");
+        let mut c = Counters::new(ranks);
+        let mut operands = Vec::with_capacity(children.len());
+        for (value, counted) in children {
+            c.merge(&counted);
+            operands.push(value);
+        }
+        let value = env.eval_node(&mut c, u, alpha, operands);
+        (value, c)
+    });
+    Ok(ShardExecReport {
+        result: gather(&sharded, space, &machine.grid),
         moved_elements: c.moved,
         predicted_move_elements: c.predicted,
         reduce_words: c.reduce_words,
         predicted_reduce_words: c.predicted_reduce,
         redistributions: c.redistributions,
         per_rank_flops: c.per_rank_flops,
-    }
-}
-
-/// [`execute_plan_sharded`] under the dependency-aware task-graph
-/// scheduler: one task per tree node, dependencies following the operator
-/// tree, so independent subtrees evaluate concurrently on the shared pool.
-/// Admission is bounded by the sequential walk's peak live-set (in global
-/// output elements), so graph scheduling never holds more node values live
-/// than the recursive evaluation would.
-///
-/// The gathered result is **bitwise identical** to the sequential walk for
-/// every `threads` value: each node's value depends only on its own
-/// subtree and plan entries, every kernel is deterministic in isolation,
-/// and the scheduler orders dependencies before dependents.  Measured and
-/// predicted counter totals also match the sequential walk exactly —
-/// per-task counters merge in ascending node order and every field is an
-/// order-independent sum.
-///
-/// # Errors
-/// Same conditions as [`execute_plan_sharded`]; everything is validated
-/// before any task runs.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_plan_sharded_graph(
-    tree: &OpTree,
-    space: &IndexSpace,
-    plan: &DistPlan,
-    machine: &Machine,
-    inputs: &HashMap<TensorId, &Tensor>,
-    funcs: &HashMap<String, IntegralFn>,
-    threads: usize,
-) -> Result<ShardExecReport, DistError> {
-    use std::sync::Mutex;
-    let _span = tce_trace::span("dist.exec_graph");
-    let root_alpha = plan.node_dist[tree.root.0 as usize]
-        .clone()
-        .ok_or(DistError::UnassignedRoot)?;
-    let env = Env {
-        tree,
-        space,
-        plan,
-        machine,
-        inputs,
-        funcs,
-        threads: threads.max(1),
-    };
-    let alphas = env.assign_alphas(root_alpha)?;
-
-    let order = tree.postorder();
-    let mut graph = tce_par::TaskGraph::new();
-    let mut task_of = vec![usize::MAX; tree.len()];
-    for &u in &order {
-        let deps: Vec<usize> = match &tree.node(u).kind {
-            OpKind::Contract { left, right } => {
-                vec![task_of[left.0 as usize], task_of[right.0 as usize]]
-            }
-            _ => Vec::new(),
-        };
-        let weight: u64 = tree
-            .node(u)
-            .indices
-            .iter()
-            .map(|v| space.extent(v) as u64)
-            .product::<u64>()
-            .max(1);
-        task_of[u.0 as usize] = graph.add_task(&deps, weight);
-    }
-    let cap = graph.sequential_peak();
-
-    let ranks = machine.grid.num_processors();
-    let slots: Vec<Mutex<Option<ShardedTensor>>> = order.iter().map(|_| Mutex::new(None)).collect();
-    let task_counters: Vec<Mutex<Counters>> = order
-        .iter()
-        .map(|_| Mutex::new(Counters::new(ranks)))
-        .collect();
-    graph.run(threads, Some(cap), &|t| {
-        let u = order[t];
-        let alpha = alphas[u.0 as usize]
-            .as_ref()
-            .expect("alpha pre-pass covers every node");
-        let mut c = Counters::new(ranks);
-        let (lv, rv) = match &tree.node(u).kind {
-            OpKind::Contract { left, right } => {
-                let lv = slots[task_of[left.0 as usize]]
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .take();
-                let rv = slots[task_of[right.0 as usize]]
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .take();
-                (lv, rv)
-            }
-            _ => (None, None),
-        };
-        let value = env
-            .eval_node(&mut c, u, alpha, lv, rv)
-            .expect("bindings and plan entries validated before scheduling");
-        *slots[t].lock().unwrap_or_else(|e| e.into_inner()) = Some(value);
-        *task_counters[t].lock().unwrap_or_else(|e| e.into_inner()) = c;
-    });
-
-    let mut counters = Counters::new(ranks);
-    for tc in &task_counters {
-        counters.merge(&tc.lock().unwrap_or_else(|e| e.into_inner()));
-    }
-    let sharded = slots[task_of[tree.root.0 as usize]]
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .take()
-        .expect("root task completed");
-    let result = gather(&sharded, space, &machine.grid);
-    Ok(report_from(result, counters))
+    })
 }
 
 #[cfg(test)]

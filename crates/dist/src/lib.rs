@@ -38,8 +38,8 @@ pub use cost::{after_reduction, calc_cost, move_cost, reduce_cost, ReduceMode};
 pub use dp::{optimize_distribution, state_count, DistPlan, Machine, DEFAULT_WORD_COST};
 pub use error::DistError;
 pub use exec::{
-    contract_sharded, execute_plan_sharded, execute_plan_sharded_graph, gather, redistribute,
-    reduce_partial_sums, scatter, ShardExecReport, ShardedTensor,
+    contract_sharded, execute_plan_sharded, gather, redistribute, reduce_partial_sums, scatter,
+    validate_bindings, ShardExecReport, ShardedTensor,
 };
 pub use sim::{
     move_cost_elementwise, simulate_contraction, simulate_plan, PlanSimReport, SimStats,

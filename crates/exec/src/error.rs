@@ -65,6 +65,15 @@ impl From<tce_dist::DistError> for ExecError {
             tce_dist::DistError::MissingInput { tensor } => ExecError::MissingInput {
                 name: format!("tensor id {}", tensor.0),
             },
+            tce_dist::DistError::InputShapeMismatch {
+                tensor,
+                expect,
+                got,
+            } => ExecError::InputShapeMismatch {
+                name: format!("tensor id {}", tensor.0),
+                expect,
+                got,
+            },
             tce_dist::DistError::MissingFunction { name } => ExecError::MissingFunction { name },
             other => ExecError::InvalidProgram {
                 reason: other.to_string(),

@@ -17,7 +17,10 @@
 //! memory minimization.  Parallelism instead lives *inside* each sliced
 //! kernel call (disjoint output tiles) and in function-slice
 //! materialization (disjoint element chunks), both of which are bitwise
-//! deterministic for every thread count.
+//! deterministic for every thread count.  The schedule's *top-level* steps
+//! are tasks on [`tce_par::TaskGraph`] with hazard edges between steps
+//! whose read/write sets conflict; [`ExecOptions::slots`] picks how many
+//! run at once (one slot = the schedule in source order).
 //!
 //! Slicing rules, per production of node `v` with the enclosing chain
 //! loops pinning the index set `P`:
@@ -34,7 +37,7 @@
 //!   `v`'s parent edge, so consumers always see a complete sum.
 
 use crate::error::ExecError;
-use crate::treeexec::{ExecOptions, Schedule};
+use crate::treeexec::ExecOptions;
 use std::cell::UnsafeCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -45,9 +48,8 @@ use tce_tensor::{BinaryContraction, IntegralFn, Tensor};
 
 /// The fused intermediate arrays, shared across schedule steps.
 ///
-/// In sequential execution one [`FusedCtx`] owns all access.  Under graph
-/// scheduling, top-level steps run concurrently but the task graph carries
-/// a *hazard edge* between any two steps whose read/write node-sets
+/// Top-level steps may run concurrently, but the task graph carries a
+/// *hazard edge* between any two steps whose read/write node-sets
 /// conflict, so for every array cell all writes are totally ordered with
 /// each other and with every read (dependency completion happens-before a
 /// dependent starts).  That discipline is exactly the exclusivity
@@ -67,8 +69,8 @@ impl SharedArrays {
         self.0.into_iter().map(UnsafeCell::into_inner).collect()
     }
 
-    /// SAFETY: caller must hold step-level exclusivity for cell `i` (the
-    /// sequential walk trivially does; graph tasks do via hazard edges).
+    /// SAFETY: caller must hold step-level exclusivity for cell `i` (step
+    /// tasks do via hazard edges).
     #[allow(clippy::mut_from_ref)]
     unsafe fn cell_mut(&self, i: usize) -> &mut Option<Tensor> {
         unsafe { &mut *self.0[i].get() }
@@ -122,35 +124,12 @@ pub fn execute_tree_fused(
     let _span = tce_trace::span("exec.fused");
     let traced = tce_trace::enabled();
 
-    // --- validate bindings up front (typed errors, not panics) ---
-    for id in tree.postorder() {
-        match &tree.node(id).kind {
-            OpKind::Leaf(Leaf::Input { tensor, indices }) => {
-                let t = inputs.get(tensor).ok_or_else(|| ExecError::MissingInput {
-                    name: format!("#{}", tensor.0),
-                })?;
-                let expect: Vec<usize> = indices.iter().map(|&v| space.extent(v)).collect();
-                if t.shape() != &expect[..] {
-                    return Err(ExecError::InputShapeMismatch {
-                        name: format!("#{}", tensor.0),
-                        expect,
-                        got: t.shape().to_vec(),
-                    });
-                }
-            }
-            OpKind::Leaf(Leaf::Func { name, .. }) if !funcs.contains_key(name) => {
-                return Err(ExecError::MissingFunction { name: name.clone() });
-            }
-            _ => {}
-        }
-    }
+    tce_dist::validate_bindings(tree, space, inputs, funcs)?;
 
     // A bare stored-input (or One) root has no producer nest to fuse.
     if !is_fusable_producer(tree, tree.root) {
         let result = match &tree.node(tree.root).kind {
-            OpKind::Leaf(Leaf::Input { tensor, .. }) => {
-                (*inputs.get(tensor).expect("validated above")).clone()
-            }
+            OpKind::Leaf(Leaf::Input { tensor, .. }) => inputs[tensor].clone(),
             OpKind::Leaf(Leaf::One) => Tensor::from_elem(&[], 1.0),
             _ => unreachable!("non-producer roots are leaves"),
         };
@@ -196,32 +175,8 @@ pub fn execute_tree_fused(
 
     // --- interpret the schedule ---
     let shared = SharedArrays::new(arrays);
-    let threads = opts.threads.max(1);
-    let (sliced_contractions, func_evals) = match opts.schedule {
-        Schedule::Seq => {
-            let mut ctx = FusedCtx {
-                tree,
-                space,
-                config,
-                inputs,
-                funcs,
-                arrays: &shared,
-                env: vec![0usize; 128],
-                scope: IndexSet::EMPTY,
-                threads,
-                sliced_contractions: 0,
-                func_evals: 0,
-                pinned: &schedule.pinned,
-            };
-            // SAFETY (SharedArrays): one context, sequential steps —
-            // trivially exclusive.
-            ctx.run(&schedule.steps);
-            (ctx.sliced_contractions, ctx.func_evals)
-        }
-        Schedule::Graph => run_steps_graph(
-            tree, space, config, inputs, funcs, &shared, &schedule, threads,
-        ),
-    };
+    let (sliced_contractions, func_evals) =
+        run_steps(tree, space, config, inputs, funcs, &shared, &schedule, opts);
 
     let mut arrays = shared.into_inner();
     let result = arrays[tree.root.0 as usize].take().expect("root value");
@@ -311,15 +266,15 @@ fn step_rw(tree: &OpTree, step: &ScheduleStep, rw: &mut StepRw) {
 }
 
 /// Execute the schedule's top-level steps on a [`TaskGraph`] with hazard
-/// edges: steps whose read/write sets conflict are ordered (so every
-/// array cell sees a serialized access history, upholding the
-/// [`SharedArrays`] contract); independent steps run concurrently.
-/// Interior chain loops stay sequential inside their step's task.  All
-/// arrays are preallocated before any step runs, so graph scheduling
-/// cannot change the measured peak live-set.  Returns
+/// edges, on `opts.slots()` scheduler slots: steps whose read/write sets
+/// conflict are ordered (so every array cell sees a serialized access
+/// history, upholding the [`SharedArrays`] contract); independent steps
+/// may run concurrently.  Interior chain loops stay sequential inside
+/// their step's task.  All arrays are preallocated before any step runs,
+/// so scheduling cannot change the measured peak live-set.  Returns
 /// `(sliced_contractions, func_evals)`.
 #[allow(clippy::too_many_arguments)]
-fn run_steps_graph(
+fn run_steps(
     tree: &OpTree,
     space: &IndexSpace,
     config: &FusionConfig,
@@ -327,8 +282,9 @@ fn run_steps_graph(
     funcs: &HashMap<String, IntegralFn>,
     shared: &SharedArrays,
     schedule: &tce_fusion::FusionSchedule,
-    threads: usize,
+    opts: &ExecOptions,
 ) -> (u64, u64) {
+    let threads = opts.threads.max(1);
     let rws: Vec<StepRw> = schedule
         .steps
         .iter()
@@ -350,7 +306,7 @@ fn run_steps_graph(
     }
     let sliced = AtomicU64::new(0);
     let evals = AtomicU64::new(0);
-    graph.run(threads, None, &|t| {
+    graph.run(opts.slots(), None, &|t| {
         let mut ctx = FusedCtx {
             tree,
             space,
@@ -407,8 +363,7 @@ impl FusedCtx<'_> {
                 }
                 ScheduleStep::Zero(v) => {
                     // SAFETY: this step writes `v` — exclusivity per the
-                    // SharedArrays contract (sequential walk or hazard
-                    // edges).
+                    // SharedArrays contract (hazard edges).
                     unsafe { self.arrays.cell_mut(v.0 as usize) }
                         .as_mut()
                         .expect("allocated")
@@ -590,7 +545,7 @@ impl FusedCtx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::execute_tree;
+    use crate::{execute_tree, Schedule};
     use tce_fusion::memmin_dp;
     use tce_ir::{IndexSet, TensorDecl, TensorTable};
 

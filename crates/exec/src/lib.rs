@@ -49,6 +49,5 @@ pub use error::ExecError;
 pub use fusedexec::{execute_tree_fused, FusedExecReport};
 pub use interp::{AccessSink, ExecStats, Interpreter, NoSink};
 pub use treeexec::{
-    execute_tree, execute_tree_distributed, execute_tree_graph, execute_tree_opts,
-    parallel_contract, ExecOptions, Schedule,
+    execute_tree, execute_tree_distributed, execute_tree_opts, ExecOptions, Schedule,
 };

@@ -9,25 +9,32 @@
 //! identical at every thread count.  Serves both as a second semantic
 //! oracle for the loop-program interpreter and as the default executor
 //! for the pipeline and the benchmark harnesses.
+//!
+//! There is one walker: one task per node on [`tce_par::TaskGraph`],
+//! children before parents.  A [`Schedule`] only picks how many scheduler
+//! slots the walk gets ([`ExecOptions::slots`]) — one slot *is* the
+//! sequential postorder walk.
 
 use crate::error::ExecError;
 use std::collections::HashMap;
-use std::sync::Mutex;
 use tce_ir::{IndexSpace, IndexVar, Leaf, NodeId, OpKind, OpTree, TensorId};
 use tce_par::{parallel_chunks_mut, TaskGraph};
 use tce_tensor::{BinaryContraction, IntegralFn, Tensor};
 
-/// How operation trees are walked by the executors.
+/// How many task-graph scheduler slots the executors walk statements,
+/// tree nodes and fused steps on.  A scheduling policy over the *same*
+/// walker, never a different one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Schedule {
-    /// Fixed postorder, one node at a time (parallelism lives inside each
-    /// kernel call).
+    /// One slot: source / postorder order, one task at a time, inline on
+    /// the calling thread (parallelism lives inside each kernel call,
+    /// which keeps the whole pool).
     #[default]
     Seq,
-    /// Dependency-aware task graph: independent subtrees contract
-    /// concurrently on [`tce_par::TaskGraph`], bounded by the sequential
-    /// walk's live-set peak.  Bitwise identical to [`Schedule::Seq`] for
-    /// every worker count.
+    /// One slot per worker thread: independent statements, subtrees and
+    /// fused steps run concurrently on [`tce_par::TaskGraph`], bounded by
+    /// the one-slot walk's live-set peak.  Bitwise identical to
+    /// [`Schedule::Seq`] for every worker count.
     Graph,
 }
 
@@ -65,7 +72,7 @@ pub struct ExecOptions {
     /// Worker threads for contraction kernels, permutes and function
     /// materialization.
     pub threads: usize,
-    /// Tree-walk order (see [`Schedule`]).
+    /// Scheduler-slot policy (see [`Schedule`]).
     pub schedule: Schedule,
 }
 
@@ -81,10 +88,7 @@ impl Default for ExecOptions {
 impl ExecOptions {
     /// Run everything on the calling thread.
     pub fn serial() -> Self {
-        Self {
-            threads: 1,
-            schedule: Schedule::default(),
-        }
+        Self::with_threads(1)
     }
 
     /// Use exactly `threads` workers.  **Clamps 0 to 1** — an infallible
@@ -112,10 +116,34 @@ impl ExecOptions {
         self.schedule = schedule;
         self
     }
+
+    /// The number of task-graph scheduler slots every walk under these
+    /// options runs on — the only thing the schedule decides.
+    pub fn slots(&self) -> usize {
+        match self.schedule {
+            Schedule::Seq => 1,
+            Schedule::Graph => self.threads.max(1),
+        }
+    }
 }
 
-/// [`execute_tree`] with an [`ExecOptions`] bundle; `opts.schedule`
-/// selects the sequential postorder walk or the task-graph scheduler.
+/// Evaluate `tree` bottom-up and return the root value: one task per node
+/// on [`tce_par::TaskGraph`], children before parents, on
+/// [`opts.slots()`](ExecOptions::slots) scheduler slots.  Each node has
+/// exactly one parent, so a contraction *takes* its operand values and
+/// recycles them into the buffer pool as soon as it finishes — the
+/// materialized high-water mark is the live set, not the whole formula
+/// sequence, and admission is capped at the one-slot walk's peak, so more
+/// slots never hold more.  Function materialization and the contraction
+/// kernels' output-tile loops use `opts.threads` workers.
+///
+/// Bitwise identical for every thread count and schedule: the scheduler
+/// only decides *when* a node runs, each node's kernel is deterministic in
+/// isolation, and a node starts only after its children completed.
+///
+/// # Errors
+/// Missing bindings and shape mismatches return an [`ExecError`] before
+/// any node runs.
 pub fn execute_tree_opts(
     tree: &OpTree,
     space: &IndexSpace,
@@ -123,10 +151,52 @@ pub fn execute_tree_opts(
     funcs: &HashMap<String, IntegralFn>,
     opts: &ExecOptions,
 ) -> Result<Tensor, ExecError> {
-    match opts.schedule {
-        Schedule::Seq => execute_tree(tree, space, inputs, funcs, opts.threads),
-        Schedule::Graph => execute_tree_graph(tree, space, inputs, funcs, opts.threads),
-    }
+    let _span = tce_trace::span("exec.tree");
+    tce_dist::validate_bindings(tree, space, inputs, funcs)?;
+    let threads = opts.threads.max(1);
+    let bytes_of = |t: &Tensor| (t.len() * std::mem::size_of::<f64>()) as u64;
+
+    let tasks = tree.postorder_tasks(space);
+    let root = TaskGraph::eval_tree(&tasks, opts.slots(), &|&id, operands: Vec<Tensor>| {
+        let value = match &tree.node(id).kind {
+            OpKind::Leaf(Leaf::Input { tensor, .. }) => inputs[tensor].clone(),
+            OpKind::Leaf(Leaf::One) => Tensor::from_elem(&[], 1.0),
+            OpKind::Leaf(Leaf::Func { name, indices, .. }) => {
+                materialize_func(&funcs[name], indices, space, threads)
+            }
+            OpKind::Contract { left, right } => {
+                let (lv, rv) = (&operands[0], &operands[1]);
+                let out = contract_node(tree, space, id, *left, *right, lv, rv, threads);
+                for dead in operands {
+                    tce_trace::mem_free(bytes_of(&dead));
+                    dead.recycle();
+                }
+                out
+            }
+        };
+        tce_trace::mem_alloc(bytes_of(&value));
+        value
+    });
+    tce_trace::mem_free(bytes_of(&root));
+    Ok(root)
+}
+
+/// [`execute_tree_opts`] on the sequential schedule with `threads` kernel
+/// workers.
+pub fn execute_tree(
+    tree: &OpTree,
+    space: &IndexSpace,
+    inputs: &HashMap<TensorId, &Tensor>,
+    funcs: &HashMap<String, IntegralFn>,
+    threads: usize,
+) -> Result<Tensor, ExecError> {
+    execute_tree_opts(
+        tree,
+        space,
+        inputs,
+        funcs,
+        &ExecOptions::with_threads(threads),
+    )
 }
 
 /// Evaluate `tree` on the sharded distributed machine following a §7
@@ -138,9 +208,9 @@ pub fn execute_tree_opts(
 /// [`tce_dist::ShardExecReport`]).
 ///
 /// # Errors
-/// A plan that does not cover the tree or a missing binding surfaces as an
-/// [`ExecError`] (converted from [`tce_dist::DistError`]) instead of a
-/// panic.
+/// A plan that does not cover the tree, or a missing or mis-shaped
+/// binding, surfaces as an [`ExecError`] (converted from
+/// [`tce_dist::DistError`]) instead of a panic.
 pub fn execute_tree_distributed(
     tree: &OpTree,
     space: &IndexSpace,
@@ -150,201 +220,16 @@ pub fn execute_tree_distributed(
     funcs: &HashMap<String, IntegralFn>,
     opts: &ExecOptions,
 ) -> Result<tce_dist::ShardExecReport, ExecError> {
-    Ok(match opts.schedule {
-        Schedule::Seq => {
-            tce_dist::execute_plan_sharded(tree, space, plan, machine, inputs, funcs, opts.threads)?
-        }
-        Schedule::Graph => tce_dist::execute_plan_sharded_graph(
-            tree,
-            space,
-            plan,
-            machine,
-            inputs,
-            funcs,
-            opts.threads,
-        )?,
-    })
-}
-
-/// Evaluate `tree` bottom-up; returns the root value.
-///
-/// `threads = 1` runs sequentially; larger values parallelize function
-/// materialization and the contraction kernels' output-tile loops.
-/// Missing bindings and shape mismatches return an [`ExecError`].
-pub fn execute_tree(
-    tree: &OpTree,
-    space: &IndexSpace,
-    inputs: &HashMap<TensorId, &Tensor>,
-    funcs: &HashMap<String, IntegralFn>,
-    threads: usize,
-) -> Result<Tensor, ExecError> {
-    let _span = tce_trace::span("exec.tree");
-    let traced = tce_trace::enabled();
-    let bytes_of = |t: &Tensor| (t.len() * std::mem::size_of::<f64>()) as u64;
-    let mut values: Vec<Option<Tensor>> = vec![None; tree.len()];
-    for id in tree.postorder() {
-        let value = match &tree.node(id).kind {
-            OpKind::Leaf(Leaf::Input { tensor, indices }) => {
-                let t = inputs.get(tensor).ok_or_else(|| ExecError::MissingInput {
-                    name: format!("#{}", tensor.0),
-                })?;
-                let expect: Vec<usize> = indices.iter().map(|&v| space.extent(v)).collect();
-                if t.shape() != &expect[..] {
-                    return Err(ExecError::InputShapeMismatch {
-                        name: format!("#{}", tensor.0),
-                        expect,
-                        got: t.shape().to_vec(),
-                    });
-                }
-                (*t).clone()
-            }
-            OpKind::Leaf(Leaf::One) => Tensor::from_elem(&[], 1.0),
-            OpKind::Leaf(Leaf::Func { name, indices, .. }) => {
-                let f = funcs
-                    .get(name)
-                    .ok_or_else(|| ExecError::MissingFunction { name: name.clone() })?;
-                materialize_func(f, indices, space, threads)
-            }
-            OpKind::Contract { left, right } => {
-                let lv = values[left.0 as usize].as_ref().expect("postorder");
-                let rv = values[right.0 as usize].as_ref().expect("postorder");
-                let out = contract_node(tree, space, id, *left, *right, lv, rv, threads);
-                // Each node has exactly one parent, so operand values are
-                // dead as soon as the contraction finishes; recycling them
-                // here keeps the materialized high-water mark at the live
-                // set rather than the whole formula sequence, and feeds
-                // the buffer pool instead of the allocator.
-                for child in [*left, *right] {
-                    if let Some(t) = values[child.0 as usize].take() {
-                        if traced {
-                            tce_trace::mem_free(bytes_of(&t));
-                        }
-                        t.recycle();
-                    }
-                }
-                out
-            }
-        };
-        if traced {
-            tce_trace::mem_alloc(bytes_of(&value));
-        }
-        values[id.0 as usize] = Some(value);
-    }
-    let root = values[tree.root.0 as usize].take().expect("root value");
-    if traced {
-        tce_trace::mem_free(bytes_of(&root));
-    }
-    Ok(root)
-}
-
-/// Evaluate `tree` with the dependency-aware task-graph scheduler:
-/// independent subtrees contract concurrently on up to `threads`
-/// scheduler slots, with admissions bounded by the sequential postorder
-/// walk's live-set peak (so graph scheduling never holds more
-/// intermediate storage than [`execute_tree`] would have).
-///
-/// Bitwise identical to [`execute_tree`] at every thread count: the
-/// scheduler only reorders *when* nodes run, each node's kernel is
-/// deterministic in isolation, and dependency completion happens-before a
-/// dependent starts.
-pub fn execute_tree_graph(
-    tree: &OpTree,
-    space: &IndexSpace,
-    inputs: &HashMap<TensorId, &Tensor>,
-    funcs: &HashMap<String, IntegralFn>,
-    threads: usize,
-) -> Result<Tensor, ExecError> {
-    let _span = tce_trace::span("exec.tree_graph");
-
-    // Validate every binding up front so task bodies are infallible.
-    for id in tree.postorder() {
-        match &tree.node(id).kind {
-            OpKind::Leaf(Leaf::Input { tensor, indices }) => {
-                let t = inputs.get(tensor).ok_or_else(|| ExecError::MissingInput {
-                    name: format!("#{}", tensor.0),
-                })?;
-                let expect: Vec<usize> = indices.iter().map(|&v| space.extent(v)).collect();
-                if t.shape() != &expect[..] {
-                    return Err(ExecError::InputShapeMismatch {
-                        name: format!("#{}", tensor.0),
-                        expect,
-                        got: t.shape().to_vec(),
-                    });
-                }
-            }
-            OpKind::Leaf(Leaf::Func { name, .. }) if !funcs.contains_key(name) => {
-                return Err(ExecError::MissingFunction { name: name.clone() });
-            }
-            _ => {}
-        }
-    }
-
-    // One task per node, in postorder (so dependencies precede
-    // dependents), weighted by output element count — the same accounting
-    // the sequential walk's live set follows.
-    let order: Vec<NodeId> = tree.postorder();
-    let mut task_of = vec![usize::MAX; tree.len()];
-    let mut graph = TaskGraph::new();
-    for (t, &id) in order.iter().enumerate() {
-        let deps: Vec<usize> = match &tree.node(id).kind {
-            OpKind::Contract { left, right } => {
-                vec![task_of[left.0 as usize], task_of[right.0 as usize]]
-            }
-            _ => Vec::new(),
-        };
-        let elements: u64 = tree
-            .node(id)
-            .indices
-            .iter()
-            .map(|v| space.extent(v) as u64)
-            .product::<u64>()
-            .max(1);
-        let added = graph.add_task(&deps, elements);
-        debug_assert_eq!(added, t);
-        task_of[id.0 as usize] = t;
-    }
-    let cap = graph.sequential_peak();
-
-    let slots: Vec<Mutex<Option<Tensor>>> = order.iter().map(|_| Mutex::new(None)).collect();
-    graph.run(threads.max(1), Some(cap), &|t| {
-        let id = order[t];
-        let value = match &tree.node(id).kind {
-            OpKind::Leaf(Leaf::Input { tensor, .. }) => {
-                (*inputs.get(tensor).expect("validated above")).clone()
-            }
-            OpKind::Leaf(Leaf::One) => Tensor::from_elem(&[], 1.0),
-            OpKind::Leaf(Leaf::Func { name, indices, .. }) => {
-                materialize_func(&funcs[name], indices, space, threads)
-            }
-            OpKind::Contract { left, right } => {
-                // Each node has exactly one parent, so taking the operand
-                // values here is safe — and recycling them keeps the live
-                // set at the cap's accounting.
-                let lv = slots[task_of[left.0 as usize]]
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .take()
-                    .expect("dependency completed");
-                let rv = slots[task_of[right.0 as usize]]
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .take()
-                    .expect("dependency completed");
-                let out = contract_node(tree, space, id, *left, *right, &lv, &rv, threads);
-                lv.recycle();
-                rv.recycle();
-                out
-            }
-        };
-        *slots[t].lock().unwrap_or_else(|e| e.into_inner()) = Some(value);
-    });
-
-    let root = slots[task_of[tree.root.0 as usize]]
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .take()
-        .expect("root value");
-    Ok(root)
+    Ok(tce_dist::execute_plan_sharded(
+        tree,
+        space,
+        plan,
+        machine,
+        inputs,
+        funcs,
+        opts.threads,
+        opts.slots(),
+    )?)
 }
 
 /// Materialize a function leaf over its full index space, in parallel over
@@ -357,7 +242,6 @@ fn materialize_func(
 ) -> Tensor {
     let shape: Vec<usize> = indices.iter().map(|&v| space.extent(v)).collect();
     let mut out = Tensor::zeros(&shape);
-    let total = out.len();
     let rank = shape.len();
     let shape_ref = &shape;
     parallel_chunks_mut(out.data_mut(), threads, |start, chunk| {
@@ -372,7 +256,6 @@ fn materialize_func(
             *x = f.eval(&idx);
             Tensor::advance(&mut idx, shape_ref);
         }
-        let _ = total;
     });
     out
 }
@@ -403,19 +286,6 @@ fn contract_node(
         out: tree.node(id).indices.iter().collect(),
     };
     tce_tensor::contract_gett(&spec, space, lv, rv, threads)
-}
-
-/// Parallel contraction of two tensors (historical name; now a thin
-/// wrapper over the GETT engine, which packs operands directly from
-/// their strided layouts instead of permuting them into matrix form).
-pub fn parallel_contract(
-    spec: &BinaryContraction,
-    space: &IndexSpace,
-    a: &Tensor,
-    b: &Tensor,
-    threads: usize,
-) -> Tensor {
-    tce_tensor::contract_gett(spec, space, a, b, threads)
 }
 
 #[cfg(test)]
@@ -475,25 +345,6 @@ mod tests {
         .unwrap();
         let expect = spec.eval(&space, &[&va, &vb, &vc, &vd]);
         assert!(seq.approx_eq(&expect, 1e-9));
-    }
-
-    #[test]
-    fn parallel_contract_matches_sequential() {
-        let mut space = IndexSpace::new();
-        let r = space.add_range("N", 9);
-        let i = space.add_var("i", r);
-        let j = space.add_var("j", r);
-        let k = space.add_var("k", r);
-        let spec = BinaryContraction {
-            a: vec![i, k],
-            b: vec![k, j],
-            out: vec![i, j],
-        };
-        let a = Tensor::random(&[9, 9], 21);
-        let b = Tensor::random(&[9, 9], 22);
-        let seq = tce_tensor::contract_gemm(&spec, &space, &a, &b);
-        let par = parallel_contract(&spec, &space, &a, &b, 4);
-        assert!(seq.approx_eq(&par, 1e-10));
     }
 
     #[test]
@@ -564,8 +415,8 @@ mod tests {
 
         let seq = execute_tree(&tree, &space, &inputs, &HashMap::new(), 1).unwrap();
         for threads in [1, 2, 4, 8] {
-            let graph =
-                execute_tree_graph(&tree, &space, &inputs, &HashMap::new(), threads).unwrap();
+            let opts = ExecOptions::with_threads(threads).with_schedule(Schedule::Graph);
+            let graph = execute_tree_opts(&tree, &space, &inputs, &HashMap::new(), &opts).unwrap();
             assert_eq!(seq, graph, "graph schedule diverged at {threads} threads");
         }
     }

@@ -206,6 +206,32 @@ impl OpTree {
         out
     }
 
+    /// The tree as a dependency-ordered task list — the shape every
+    /// executor hands to the task-graph scheduler: one `(node, deps,
+    /// elements)` entry per node in [`postorder`](Self::postorder), where
+    /// `deps` are the positions *in this list* of the node's children (left
+    /// then right; empty for leaves) and `elements` is the node's output
+    /// element count under `space` (at least 1), the unit the executors'
+    /// live-set accounting is in.  The root is the last entry.
+    pub fn postorder_tasks(&self, space: &IndexSpace) -> Vec<(NodeId, Vec<usize>, u64)> {
+        let order = self.postorder();
+        let mut position = vec![usize::MAX; self.nodes.len()];
+        order
+            .iter()
+            .enumerate()
+            .map(|(t, &id)| {
+                position[id.0 as usize] = t;
+                let deps = self
+                    .children(id)
+                    .iter()
+                    .map(|c| position[c.0 as usize])
+                    .collect();
+                let elements = space.iteration_points(self.node(id).indices).max(1);
+                (id, deps, u64::try_from(elements).unwrap_or(u64::MAX))
+            })
+            .collect()
+    }
+
     /// Parent of each node reachable from the root (`None` for the root).
     pub fn parents(&self) -> Vec<Option<NodeId>> {
         let mut parent = vec![None; self.nodes.len()];
@@ -411,6 +437,18 @@ mod tests {
         tree.validate().unwrap();
         assert_eq!(tree.len(), 7);
         assert_eq!(tree.internal_postorder().len(), 3);
+    }
+
+    #[test]
+    fn postorder_tasks_point_at_children_and_weigh_outputs() {
+        let (space, _, tree) = fig1_tree();
+        let tasks = tree.postorder_tasks(&space);
+        // B, D, T1, C, T2, A, S.
+        let deps: Vec<&[usize]> = tasks.iter().map(|(_, d, _)| &d[..]).collect();
+        let none: &[usize] = &[];
+        assert_eq!(deps, [none, none, &[0, 1], none, &[2, 3], none, &[4, 5]]);
+        assert!(tasks.iter().all(|&(_, _, elements)| elements == 10_000));
+        assert_eq!(tasks.last().map(|t| t.0), Some(tree.root));
     }
 
     #[test]

@@ -19,6 +19,13 @@
 //! is running, the lowest-index ready task is admitted anyway and counted
 //! in [`GraphStats::forced_admissions`].
 //!
+//! One slot is the sequential walk: `run(1, …)` admits tasks in strictly
+//! ascending index order and executes each body inline on the calling
+//! thread ([`crate::Pool::run`] does not occupy the pool for a one-task
+//! job), so kernels called from a body still parallelize over the whole
+//! pool.  The executors' `seq` schedule is exactly this — a slot count, not
+//! a second walker.
+//!
 //! Determinism: the scheduler changes only *when* tasks run, never what
 //! they compute.  Task bodies must write disjoint state (the same contract
 //! as [`crate::Pool::run`]); completion of every dependency *happens-before*
@@ -27,9 +34,10 @@
 //! count then follow from each task being deterministic in isolation.
 
 use crate::pool::Pool;
+use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex};
 
 /// Observed scheduling metrics for one [`TaskGraph::run`].
@@ -64,8 +72,8 @@ struct Sched {
     running: usize,
     completed: usize,
     forced_admissions: u64,
-    /// A task body panicked; re-raised once after the run drains.
-    panicked: bool,
+    /// The first task-body panic; re-raised once after the run drains.
+    panic: Option<Box<dyn Any + Send>>,
 }
 
 /// A directed acyclic graph of tasks with weights, executed by
@@ -139,18 +147,13 @@ impl TaskGraph {
         peak
     }
 
-    /// Execute every task on up to `threads` scheduler slots over the
+    /// Execute every task on up to `slots` scheduler slots over the
     /// shared pool, admitting a ready task only while `live + weight ≤
     /// cap` (no bound when `cap` is `None`).  `body(t)` runs exactly once
-    /// per task, after all of `t`'s dependencies completed.  Panicking
-    /// bodies are recorded and re-raised once after the run drains, like
-    /// [`Pool::run`].
-    pub fn run(
-        &self,
-        threads: usize,
-        cap: Option<u64>,
-        body: &(dyn Fn(usize) + Sync),
-    ) -> GraphStats {
+    /// per task, after all of `t`'s dependencies completed.  A panicking
+    /// body does not stop the run; the first panic is re-raised with its
+    /// original payload once the run drains.
+    pub fn run(&self, slots: usize, cap: Option<u64>, body: &(dyn Fn(usize) + Sync)) -> GraphStats {
         let n = self.len();
         let cap = cap.unwrap_or(u64::MAX);
         let mut stats = GraphStats {
@@ -180,11 +183,11 @@ impl TaskGraph {
             running: 0,
             completed: 0,
             forced_admissions: 0,
-            panicked: false,
+            panic: None,
         });
         let wake = Condvar::new();
 
-        let slots = threads.max(1).min(n);
+        let slots = slots.clamp(1, n);
         let pool = Pool::global();
         pool.ensure_workers(slots - 1);
         pool.run(slots, &|_slot| self.scheduler_slot(&sched, &wake, body));
@@ -198,10 +201,51 @@ impl TaskGraph {
             tce_trace::counter("sched.peak_live", stats.peak_live);
             tce_trace::counter("sched.forced_admissions", stats.forced_admissions);
         }
-        if s.panicked {
-            panic!("task-graph body panicked");
+        if let Some(payload) = s.panic {
+            resume_unwind(payload);
         }
         stats
+    }
+
+    /// Evaluate a tree bottom-up on `slots` scheduler slots and return its
+    /// root's value — the one node-task skeleton every tree executor walks
+    /// on.  `tasks` lists the nodes children-first (the shape of
+    /// `OpTree::postorder_tasks`): `(node, positions of its children in
+    /// this list, output weight)`, root last.  `body(node, operands)`
+    /// receives the values the node's children produced, in child order,
+    /// and returns the node's own.  Every node has one parent, so each
+    /// value *moves* to its one consumer — no clones, no shared reads — and
+    /// the body decides what becomes of it.  Admission is capped at
+    /// [`sequential_peak`](Self::sequential_peak), so more slots never hold
+    /// more weight live than the one-slot (postorder) walk would.
+    ///
+    /// # Panics
+    /// Panics if `tasks` is empty or a value has more than one consumer.
+    pub fn eval_tree<N: Sync, V: Send>(
+        tasks: &[(N, Vec<usize>, u64)],
+        slots: usize,
+        body: &(dyn Fn(&N, Vec<V>) -> V + Sync),
+    ) -> V {
+        let mut graph = TaskGraph::new();
+        for (_, children, weight) in tasks {
+            graph.add_task(children, *weight);
+        }
+        assert!(
+            graph.dependents.iter().all(|d| d.len() <= 1),
+            "eval_tree needs single-consumer values"
+        );
+        let cells: Vec<Mutex<Option<V>>> = tasks.iter().map(|_| Mutex::new(None)).collect();
+        let take = |t: usize| cells[t].lock().unwrap_or_else(|e| e.into_inner()).take();
+        graph.run(slots, Some(graph.sequential_peak()), &|t| {
+            let operands = tasks[t]
+                .1
+                .iter()
+                .map(|&c| take(c).expect("a child completes before its parent"))
+                .collect();
+            let value = body(&tasks[t].0, operands);
+            *cells[t].lock().unwrap_or_else(|e| e.into_inner()) = Some(value);
+        });
+        take(tasks.len() - 1).expect("the root is the last task and nothing consumes it")
     }
 
     /// One scheduler slot: admit → execute → retire, until all tasks have
@@ -243,8 +287,12 @@ impl TaskGraph {
             s.running += 1;
             drop(s);
 
-            if catch_unwind(AssertUnwindSafe(|| body(t))).is_err() {
-                sched.lock().unwrap_or_else(|e| e.into_inner()).panicked = true;
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| body(t))) {
+                sched
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .panic
+                    .get_or_insert(payload);
             }
 
             s = sched.lock().unwrap_or_else(|e| e.into_inner());
@@ -392,6 +440,63 @@ mod tests {
             let got: Vec<u64> = slots.iter().map(|s| s.load(Ordering::SeqCst)).collect();
             assert_eq!(got, expect, "threads={threads}");
         }
+    }
+
+    #[test]
+    fn one_slot_is_the_sequential_walk_on_the_calling_thread() {
+        // The property `--schedule seq` rests on: one slot runs bodies in
+        // strictly ascending index order, inline on the caller (a one-task
+        // `Pool::run` never occupies the pool, so a kernel called from a
+        // body can still fan out over it), holding exactly the sequential
+        // peak live.
+        let mut g = TaskGraph::new();
+        let a = g.add_task(&[], 10);
+        let b = g.add_task(&[], 10);
+        let c = g.add_task(&[a], 4);
+        let d = g.add_task(&[b, c], 2);
+        g.add_task(&[d], 1);
+        let caller = std::thread::current().id();
+        let order = Mutex::new(Vec::new());
+        let stats = g.run(1, Some(g.sequential_peak()), &|t| {
+            assert_eq!(
+                std::thread::current().id(),
+                caller,
+                "task {t} left the caller"
+            );
+            order.lock().unwrap().push(t);
+        });
+        assert_eq!(order.into_inner().unwrap(), vec![0, 1, 2, 3, 4]);
+        assert_eq!(stats.peak_live, g.sequential_peak());
+        assert_eq!(stats.forced_admissions, 0);
+    }
+
+    #[test]
+    fn eval_tree_moves_each_value_to_its_single_consumer() {
+        // A small tree in postorder: (0, 1) → 2, (2, 3) → 4.  Values are
+        // deliberately not `Clone`: they can only move.
+        struct Val(u64);
+        let leaf = |digit: u64| (Some(digit), Vec::new(), 1);
+        let tasks = [
+            leaf(1),
+            leaf(2),
+            (None, vec![0, 1], 1),
+            leaf(4),
+            (None, vec![2, 3], 1),
+        ];
+        for slots in [1, 2, 8] {
+            let root = TaskGraph::eval_tree(&tasks, slots, &|digit, operands: Vec<Val>| {
+                Val(digit.unwrap_or_else(|| 10 * operands[0].0 + operands[1].0))
+            });
+            // ((1, 2) → 12, 4) → 124.
+            assert_eq!(root.0, 124, "slots={slots}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "single-consumer")]
+    fn eval_tree_rejects_shared_values() {
+        let tasks = [((), vec![], 1), ((), vec![0], 1), ((), vec![0, 1], 1)];
+        TaskGraph::eval_tree(&tasks, 1, &|_, _: Vec<u8>| 0);
     }
 
     #[test]

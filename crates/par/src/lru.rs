@@ -1,12 +1,17 @@
 //! A generic sharded LRU cache.
 //!
-//! The same layout as the GETT plan cache in `tce-tensor`: the key hashes
+//! The one cache behind the GETT plan cache in `tce-tensor` and the
+//! response-memo / compiled-synthesis caches of `tce serve`: the key hashes
 //! to one of `S` shards, each shard is an independently locked LRU of
 //! capacity `total/S` (the remainder spread one-per-shard from shard 0),
 //! so concurrent requests for *different* expressions never contend on
 //! one mutex.  The shard lock is held across the miss closure on purpose:
 //! two threads racing on the *same* key run the (expensive) fill once,
 //! while fills for other keys proceed on other shards.
+//!
+//! Recency is a `u64` stamp per entry (bumped on every hit); eviction scans
+//! for the minimum stamp — O(capacity), which is trivial next to any fill
+//! worth caching and keeps each shard a plain `HashMap`.
 //!
 //! Values are handed out as `Arc<V>` so a hit never clones the payload
 //! and eviction never invalidates an in-flight user.
@@ -47,6 +52,8 @@ impl<K: Hash + Eq + Clone, V> LruStore<K, V> {
     }
 }
 
+/// One independently locked slice of the cache.  The counters are relaxed
+/// atomics: statistics, read off the hot path.
 struct Shard<K, V> {
     store: Mutex<LruStore<K, V>>,
     hits: AtomicU64,
@@ -57,6 +64,13 @@ struct Shard<K, V> {
 /// A sharded LRU mapping `K` to `Arc<V>`.
 pub struct ShardedLru<K, V> {
     shards: Vec<Shard<K, V>>,
+    /// `[hits, misses, evictions]` trace-counter names, when mirrored.
+    trace: Option<[&'static str; 3]>,
+}
+
+/// Shard `i`'s share of a total `capacity` split over `shards` shards.
+fn shard_capacity(capacity: usize, shards: usize, i: usize) -> usize {
+    capacity / shards + usize::from(i < capacity % shards)
 }
 
 impl<K: Hash + Eq + Clone, V> ShardedLru<K, V> {
@@ -72,14 +86,33 @@ impl<K: Hash + Eq + Clone, V> ShardedLru<K, V> {
                 store: Mutex::new(LruStore {
                     map: HashMap::new(),
                     stamp: 0,
-                    capacity: capacity / shards + usize::from(i < capacity % shards),
+                    capacity: shard_capacity(capacity, shards, i),
                 }),
                 hits: AtomicU64::new(0),
                 misses: AtomicU64::new(0),
                 evictions: AtomicU64::new(0),
             })
             .collect();
-        Self { shards: built }
+        Self {
+            shards: built,
+            trace: None,
+        }
+    }
+
+    /// Mirror every hit, miss and eviction into the named `tce-trace`
+    /// counters (`[hits, misses, evictions]`), so a traced run's profile
+    /// shows this cache's traffic.
+    #[must_use]
+    pub fn with_trace_counters(mut self, names: [&'static str; 3]) -> Self {
+        self.trace = Some(names);
+        self
+    }
+
+    fn count(&self, counter: &AtomicU64, which: usize) {
+        counter.fetch_add(1, Ordering::Relaxed);
+        if let Some(names) = self.trace {
+            tce_trace::counter(names[which], 1);
+        }
     }
 
     fn shard_for(&self, key: &K) -> &Shard<K, V> {
@@ -97,7 +130,7 @@ impl<K: Hash + Eq + Clone, V> ShardedLru<K, V> {
         let stamp = store.stamp;
         if let Some((value, last)) = store.map.get_mut(key) {
             *last = stamp;
-            shard.hits.fetch_add(1, Ordering::Relaxed);
+            self.count(&shard.hits, 0);
             return (Arc::clone(value), true);
         }
         // Count the miss only once `fill` has produced a value: a
@@ -107,20 +140,37 @@ impl<K: Hash + Eq + Clone, V> ShardedLru<K, V> {
         // access (`unwrap_or_else(into_inner)` above) and the store itself
         // was not modified, so the shard keeps serving.
         let value = Arc::new(fill());
-        shard.misses.fetch_add(1, Ordering::Relaxed);
+        self.count(&shard.misses, 1);
         if store.capacity == 0 {
             // This shard got no share of the capacity: the fresh value is
             // handed to the caller but not retained, which counts as an
             // eviction so `len == misses - evictions` stays an invariant.
-            shard.evictions.fetch_add(1, Ordering::Relaxed);
+            self.count(&shard.evictions, 2);
             return (value, false);
         }
         if store.map.len() >= store.capacity {
             store.evict_oldest();
-            shard.evictions.fetch_add(1, Ordering::Relaxed);
+            self.count(&shard.evictions, 2);
         }
         store.map.insert(key.clone(), (Arc::clone(&value), stamp));
         (value, false)
+    }
+
+    /// Re-split a new total `capacity` over the shards, evicting
+    /// least-recently-used entries immediately where a shard is over its
+    /// new share; returns the previous total.
+    pub fn set_capacity(&self, capacity: usize) -> usize {
+        let mut old_total = 0;
+        for (i, shard) in self.shards.iter().enumerate() {
+            let mut store = shard.store.lock().unwrap_or_else(|e| e.into_inner());
+            old_total += store.capacity;
+            store.capacity = shard_capacity(capacity, self.shards.len(), i);
+            while store.map.len() > store.capacity {
+                store.evict_oldest();
+                self.count(&shard.evictions, 2);
+            }
+        }
+        old_total
     }
 
     /// Current number of cached entries across all shards.
@@ -226,6 +276,21 @@ mod tests {
     }
 
     #[test]
+    fn set_capacity_evicts_down_to_the_new_bound_and_reports_the_old() {
+        let cache: ShardedLru<u64, u64> = ShardedLru::new(16, 4);
+        for k in 0..16u64 {
+            cache.get_or_insert_with(&k, || k);
+        }
+        let before = cache.len();
+        assert_eq!(cache.set_capacity(3), 16);
+        assert!(cache.len() <= 3);
+        let s = cache.stats();
+        assert!(s.evictions >= (before - cache.len()) as u64);
+        assert_eq!(s.misses - s.evictions, cache.len() as u64);
+        assert_eq!(cache.set_capacity(16), 3);
+    }
+
+    #[test]
     fn lru_keeps_the_recently_used_entry() {
         // One shard so the recency order is deterministic.
         let cache: ShardedLru<u64, u64> = ShardedLru::new(2, 1);
@@ -247,12 +312,20 @@ mod tests {
         // serving hits and misses afterwards.
         let cache: Arc<ShardedLru<u64, u64>> = Arc::new(ShardedLru::new(8, 2));
         let panics = Arc::new(AtomicUsize::new(0));
+        // The filling (odd) threads start only once every panicking (even)
+        // thread has made its first lookup, so at least one fill always
+        // panics however the threads are scheduled.
+        let first_lookups_done = std::sync::Barrier::new(8);
         std::thread::scope(|s| {
             for t in 0..8u64 {
                 let cache = Arc::clone(&cache);
                 let panics = Arc::clone(&panics);
+                let first_lookups_done = &first_lookups_done;
                 s.spawn(move || {
                     for i in 0..50u64 {
+                        if i == u64::from(t % 2 == 0) {
+                            first_lookups_done.wait();
+                        }
                         let k = i % 4;
                         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                             cache.get_or_insert_with(&k, || {

@@ -6,8 +6,8 @@
 //! for the same expression skips the whole Fig. 5 pipeline.
 //!
 //! The crate is deliberately **core-agnostic**: it knows the line protocol
-//! ([`protocol`]), a generic sharded LRU ([`cache`]), and the threaded
-//! server loop ([`server`]) — what a `run` request *means* is injected as
+//! ([`protocol`]), the generic sharded LRU it re-exports from `tce-par`
+//! ([`ShardedLru`]), and the threaded server loop ([`server`]) — what a `run` request *means* is injected as
 //! a [`Handler`].  `tce-core` wires its `synthesize` pipeline in (see
 //! `tce_core::serve`), and the `tce serve` subcommand exposes it on the
 //! command line.  This direction keeps the dependency graph acyclic:
@@ -43,11 +43,10 @@
 
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod client;
 pub mod protocol;
 pub mod server;
 
-pub use cache::{CacheStats, ShardedLru};
 pub use protocol::{escape, parse_request, unescape, Request};
 pub use server::{Handler, ServeConfig, Server, ServerHandle, ServerStats};
+pub use tce_par::{CacheStats, ShardedLru};

@@ -1,15 +1,10 @@
 //! Binary contraction kernels.
 //!
 //! A contraction node of an operator tree multiplies two operands and sums
-//! over their shared "contracted" indices.  Two implementations are
-//! provided:
-//!
-//! * [`contract_naive`] — direct nested loops over the combined iteration
-//!   space (oracle);
-//! * [`contract_gemm`] — permute both operands so the contraction becomes a
-//!   matrix multiplication `[M×K]·[K×N]`, run a cache-blocked GEMM, and
-//!   reshape back.  This is how the synthesized code's innermost
-//!   contractions are executed efficiently.
+//! over their shared "contracted" indices.  This module holds the
+//! contraction description ([`BinaryContraction`]) and the oracle
+//! [`contract_naive`] — direct nested loops over the combined iteration
+//! space; the engine every executor runs is [`crate::gett::contract_gett`].
 //!
 //! Index bookkeeping uses `tce-ir` index variables so kernels plug directly
 //! into operator trees.
@@ -152,138 +147,10 @@ pub(crate) fn reduce_exclusive(
     (out, keep)
 }
 
-/// Cache-blocked `C += A·B` on row-major buffers, `A: m×k`, `B: k×n`.
-/// Block size chosen so three blocks fit comfortably in a typical L1.
-pub fn gemm_blocked(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
-    assert_eq!(a.len(), m * k);
-    assert_eq!(b.len(), k * n);
-    assert_eq!(c.len(), m * n);
-    const BLK: usize = 48;
-    for i0 in (0..m).step_by(BLK) {
-        let i1 = (i0 + BLK).min(m);
-        for k0 in (0..k).step_by(BLK) {
-            let k1 = (k0 + BLK).min(k);
-            for j0 in (0..n).step_by(BLK) {
-                let j1 = (j0 + BLK).min(n);
-                for i in i0..i1 {
-                    for kk in k0..k1 {
-                        let aik = a[i * k + kk];
-                        if aik == 0.0 {
-                            continue;
-                        }
-                        let brow = &b[kk * n + j0..kk * n + j1];
-                        let crow = &mut c[i * n + j0..i * n + j1];
-                        for (cv, bv) in crow.iter_mut().zip(brow) {
-                            *cv += aik * bv;
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// GEMM-based contraction: permutes `a` to `[M, K]`, `b` to `[K, N]` where
-/// `M` are `a`-only output indices, `N` are `b`-only output indices and `K`
-/// the contracted indices; "batch" indices (output indices present in both
-/// operands) are looped outermost.
-pub fn contract_gemm(
-    spec: &BinaryContraction,
-    space: &IndexSpace,
-    a: &Tensor,
-    b: &Tensor,
-) -> Tensor {
-    spec.validate().expect("invalid contraction");
-    // Pre-reduce summation indices that appear in only one operand (they
-    // cannot enter the shared K dimension of the GEMM view).
-    let (a, spec_a) = reduce_exclusive(spec, space, a, true);
-    let (b, spec_b) = reduce_exclusive(spec, space, b, false);
-    let spec = &BinaryContraction {
-        a: spec_a,
-        b: spec_b,
-        out: spec.out.clone(),
-    };
-    let (a, b) = (&a, &b);
-    let sa = IndexSet::from_vars(spec.a.iter().copied());
-    let sb = IndexSet::from_vars(spec.b.iter().copied());
-    let so = IndexSet::from_vars(spec.out.iter().copied());
-    let contracted = spec.contracted();
-    let batch = so.inter(sa).inter(sb);
-    let m_set = so.inter(sa).minus(batch);
-    let n_set = so.inter(sb).minus(batch);
-
-    let batch_v: Vec<IndexVar> = batch.iter().collect();
-    let m_v: Vec<IndexVar> = m_set.iter().collect();
-    let n_v: Vec<IndexVar> = n_set.iter().collect();
-    let k_v: Vec<IndexVar> = contracted.iter().collect();
-
-    let perm_for = |dims: &[IndexVar], order: &[IndexVar]| -> Vec<usize> {
-        order
-            .iter()
-            .map(|v| {
-                dims.iter()
-                    .position(|d| d == v)
-                    .expect("index not in operand")
-            })
-            .collect()
-    };
-
-    // Permute a to [batch…, m…, k…] and b to [batch…, k…, n…].
-    let a_order: Vec<IndexVar> = batch_v
-        .iter()
-        .chain(m_v.iter())
-        .chain(k_v.iter())
-        .copied()
-        .collect();
-    let b_order: Vec<IndexVar> = batch_v
-        .iter()
-        .chain(k_v.iter())
-        .chain(n_v.iter())
-        .copied()
-        .collect();
-    let ap = a.permute(&perm_for(&spec.a, &a_order));
-    let bp = b.permute(&perm_for(&spec.b, &b_order));
-
-    let ext = |vs: &[IndexVar]| -> usize {
-        vs.iter()
-            .map(|&v| space.extent(v))
-            .product::<usize>()
-            .max(1)
-    };
-    let (nb, m, n, k) = (ext(&batch_v), ext(&m_v), ext(&n_v), ext(&k_v));
-
-    // C in [batch…, m…, n…] order.
-    let mut c_flat = vec![0.0f64; nb * m * n];
-    for bi in 0..nb {
-        gemm_blocked(
-            &ap.data()[bi * m * k..(bi + 1) * m * k],
-            &bp.data()[bi * k * n..(bi + 1) * k * n],
-            &mut c_flat[bi * m * n..(bi + 1) * m * n],
-            m,
-            k,
-            n,
-        );
-    }
-    let c_order: Vec<IndexVar> = batch_v
-        .iter()
-        .chain(m_v.iter())
-        .chain(n_v.iter())
-        .copied()
-        .collect();
-    let c_shape: Vec<usize> = c_order.iter().map(|&v| space.extent(v)).collect();
-    let c = Tensor::from_vec(&c_shape, c_flat);
-    // Permute from [batch,m,n] order to the requested output order.
-    let out_perm: Vec<usize> = spec
-        .out
-        .iter()
-        .map(|v| c_order.iter().position(|d| d == v).unwrap())
-        .collect();
-    c.permute(&out_perm)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gett::contract_gett;
 
     fn space(extents: &[(&str, usize)]) -> IndexSpace {
         let mut sp = IndexSpace::new();
@@ -299,38 +166,6 @@ mod tests {
     }
 
     #[test]
-    fn gemm_blocked_matches_naive() {
-        let (m, k, n) = (17, 23, 31);
-        let a: Vec<f64> = (0..m * k).map(|i| (i % 7) as f64 - 3.0).collect();
-        let b: Vec<f64> = (0..k * n).map(|i| (i % 5) as f64 - 2.0).collect();
-        let mut c = vec![0.0; m * n];
-        gemm_blocked(&a, &b, &mut c, m, k, n);
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = 0.0;
-                for kk in 0..k {
-                    acc += a[i * k + kk] * b[kk * n + j];
-                }
-                assert!((c[i * n + j] - acc).abs() < 1e-9);
-            }
-        }
-    }
-
-    #[test]
-    fn gemm_accumulates_into_c() {
-        let mut c = vec![1.0; 4];
-        gemm_blocked(
-            &[1.0, 0.0, 0.0, 1.0],
-            &[2.0, 0.0, 0.0, 2.0],
-            &mut c,
-            2,
-            2,
-            2,
-        );
-        assert_eq!(c, vec![3.0, 1.0, 1.0, 3.0]);
-    }
-
-    #[test]
     fn contract_matmul_both_paths_agree() {
         let sp = space(&[("i", 5), ("j", 6), ("k", 7)]);
         let spec = BinaryContraction {
@@ -341,7 +176,7 @@ mod tests {
         let a = Tensor::random(&[5, 7], 1);
         let b = Tensor::random(&[7, 6], 2);
         let naive = contract_naive(&spec, &sp, &a, &b);
-        let fast = contract_gemm(&spec, &sp, &a, &b);
+        let fast = contract_gett(&spec, &sp, &a, &b, 2);
         assert!(naive.approx_eq(&fast, 1e-10));
     }
 
@@ -357,7 +192,7 @@ mod tests {
         let a = Tensor::random(&[3, 4, 6], 3);
         let b = Tensor::random(&[3, 6, 5], 4);
         let naive = contract_naive(&spec, &sp, &a, &b);
-        let fast = contract_gemm(&spec, &sp, &a, &b);
+        let fast = contract_gett(&spec, &sp, &a, &b, 2);
         assert!(naive.approx_eq(&fast, 1e-10));
     }
 
@@ -372,7 +207,7 @@ mod tests {
         let a = Tensor::random(&[4, 5], 5);
         let b = Tensor::random(&[4, 5], 6);
         let naive = contract_naive(&spec, &sp, &a, &b);
-        let fast = contract_gemm(&spec, &sp, &a, &b);
+        let fast = contract_gett(&spec, &sp, &a, &b, 2);
         assert_eq!(naive.rank(), 0);
         assert!((naive.get(&[]) - fast.get(&[])).abs() < 1e-10);
     }
@@ -388,7 +223,7 @@ mod tests {
         let a = Tensor::random(&[3], 7);
         let b = Tensor::random(&[4], 8);
         let naive = contract_naive(&spec, &sp, &a, &b);
-        let fast = contract_gemm(&spec, &sp, &a, &b);
+        let fast = contract_gett(&spec, &sp, &a, &b, 2);
         assert_eq!(naive.shape(), &[4, 3]);
         assert!(naive.approx_eq(&fast, 1e-12));
     }
@@ -406,7 +241,7 @@ mod tests {
         let a = Tensor::random(&[3, 3, 3, 3], 9);
         let b = Tensor::random(&[3, 3, 3, 3], 10);
         let naive = contract_naive(&spec, &sp, &a, &b);
-        let fast = contract_gemm(&spec, &sp, &a, &b);
+        let fast = contract_gett(&spec, &sp, &a, &b, 2);
         assert!(naive.approx_eq(&fast, 1e-10));
         assert_eq!(spec.flops(&sp), 2 * 3u128.pow(6));
         assert_eq!(spec.contracted().len(), 2);

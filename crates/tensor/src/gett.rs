@@ -1,14 +1,13 @@
 //! GETT-style contraction engine: packed micro-kernel GEMM over strided
 //! tensor operands, parallel over disjoint output tiles.
 //!
-//! The executor's previous fast path (`contract_gemm`) followed the TTGT
-//! recipe: permute both operands into matrix layout, multiply, permute the
-//! result back.  For the high-dimensional contractions the paper targets,
-//! the transposes cost as much memory traffic as the multiply.  This
-//! module instead packs operands directly from their strided source
-//! layouts into contiguous panels *inside* the GEMM macro-loops (the GETT
-//! scheme of Springer & Bientinesi), so no full-size transpose is ever
-//! materialized:
+//! The TTGT recipe — permute both operands into matrix layout, multiply,
+//! permute the result back — spends as much memory traffic on the
+//! transposes as on the multiply for the high-dimensional contractions the
+//! paper targets.  This module instead packs operands directly from their
+//! strided source layouts into contiguous panels *inside* the GEMM
+//! macro-loops (the GETT scheme of Springer & Bientinesi), so no full-size
+//! transpose is ever materialized:
 //!
 //! * a [`ContractionPlan`] classifies the contraction's indices into
 //!   batch/M/N/K groups and precomputes flat-offset tables mapping each
@@ -34,10 +33,9 @@
 use crate::contract::{reduce_exclusive, BinaryContraction};
 use crate::dense::Tensor;
 use crate::kernels::{self, KernelConfig, KernelVariant};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use tce_ir::{IndexSpace, IndexVar};
+use tce_par::ShardedLru;
 
 /// Upper bound on `MR*NR` across all kernel variants (accumulator
 /// scratch size).
@@ -449,106 +447,6 @@ impl PlanKey {
     }
 }
 
-/// A capacity-bounded plan store with LRU eviction.  Recency is a u64
-/// stamp per entry (bumped on every hit); eviction scans for the minimum
-/// stamp — O(capacity), which is trivial next to plan construction and
-/// keeps the structure a plain `HashMap`.
-struct PlanStore {
-    map: HashMap<PlanKey, (Arc<ContractionPlan>, u64)>,
-    capacity: usize,
-    clock: u64,
-}
-
-impl PlanStore {
-    fn get(&mut self, key: &PlanKey) -> Option<Arc<ContractionPlan>> {
-        self.clock += 1;
-        let clock = self.clock;
-        self.map.get_mut(key).map(|(plan, stamp)| {
-            *stamp = clock;
-            Arc::clone(plan)
-        })
-    }
-
-    /// Insert, evicting least-recently-used entries down to `capacity`.
-    /// A zero-capacity store rejects the entry outright (counted as an
-    /// eviction so `len == misses - evictions` stays an invariant).
-    fn insert(&mut self, key: PlanKey, plan: Arc<ContractionPlan>, stats: &ShardStats) {
-        if self.capacity == 0 {
-            stats.evictions.fetch_add(1, Ordering::Relaxed);
-            PLAN_EVICTIONS.fetch_add(1, Ordering::Relaxed);
-            tce_trace::counter("plan_cache.evictions", 1);
-            return;
-        }
-        while self.map.len() >= self.capacity {
-            let oldest = self
-                .map
-                .iter()
-                .min_by_key(|(_, (_, stamp))| *stamp)
-                .map(|(k, _)| k.clone())
-                .expect("non-empty map over capacity");
-            self.map.remove(&oldest);
-            stats.evictions.fetch_add(1, Ordering::Relaxed);
-            PLAN_EVICTIONS.fetch_add(1, Ordering::Relaxed);
-            tce_trace::counter("plan_cache.evictions", 1);
-        }
-        self.clock += 1;
-        self.map.insert(key, (plan, self.clock));
-    }
-}
-
-/// Per-shard hit/miss/eviction accounting (relaxed atomics: read by the
-/// `stats` endpoint of `tce serve`, never on the contraction hot path).
-#[derive(Default)]
-struct ShardStats {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-}
-
-/// One independently locked slice of the plan cache.
-struct Shard {
-    store: Mutex<PlanStore>,
-    stats: ShardStats,
-}
-
-/// The sharded plan cache: signatures are hashed onto `shards.len()`
-/// independently locked LRU stores, so concurrent requests with distinct
-/// signatures contend only 1/S of the time instead of serializing on one
-/// process-wide mutex.  The configured total capacity is split across
-/// shards (shard `i` gets `cap/S` plus one of the `cap % S` remainders),
-/// so the global entry count never exceeds the configured bound.
-struct ShardedPlanCache {
-    shards: Vec<Shard>,
-}
-
-impl ShardedPlanCache {
-    fn new(capacity: usize, shard_count: usize) -> Self {
-        let shard_count = shard_count.clamp(1, 64);
-        let shards = (0..shard_count)
-            .map(|i| Shard {
-                store: Mutex::new(PlanStore {
-                    map: HashMap::new(),
-                    capacity: Self::shard_capacity(capacity, shard_count, i),
-                    clock: 0,
-                }),
-                stats: ShardStats::default(),
-            })
-            .collect();
-        Self { shards }
-    }
-
-    fn shard_capacity(total: usize, shards: usize, i: usize) -> usize {
-        total / shards + usize::from(i < total % shards)
-    }
-
-    fn shard_for(&self, key: &PlanKey) -> &Shard {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % self.shards.len()]
-    }
-}
-
 /// Default plan-cache capacity; override with `TCE_PLAN_CACHE_CAP` or
 /// [`set_plan_cache_capacity`].  Plans are small (offset tables), so a few
 /// hundred distinct signatures cover any realistic program while bounding
@@ -561,10 +459,12 @@ const DEFAULT_PLAN_CACHE_CAP: usize = 512;
 /// mutex while leaving per-shard capacities meaningful at small totals.
 const DEFAULT_PLAN_CACHE_SHARDS: usize = 8;
 
-static PLAN_CACHE: OnceLock<ShardedPlanCache> = OnceLock::new();
-static PLAN_HITS: AtomicU64 = AtomicU64::new(0);
-static PLAN_MISSES: AtomicU64 = AtomicU64::new(0);
-static PLAN_EVICTIONS: AtomicU64 = AtomicU64::new(0);
+/// The process-wide plan cache: signatures hash onto independently
+/// locked LRU shards ([`tce_par::ShardedLru`]), so concurrent requests with
+/// distinct signatures contend only 1/S of the time, and the configured
+/// total capacity is split across shards so the global entry count never
+/// exceeds it.
+static PLAN_CACHE: OnceLock<ShardedLru<PlanKey, ContractionPlan>> = OnceLock::new();
 
 /// Validate `TCE_PLAN_CACHE_CAP` / `TCE_PLAN_CACHE_SHARDS` up front: the
 /// CLI calls this so a malformed value is a one-line diagnostic rather
@@ -588,19 +488,21 @@ pub fn plan_cache_env_requested() -> Result<Option<usize>, String> {
     Ok(requested)
 }
 
-fn plan_cache() -> &'static ShardedPlanCache {
+fn plan_cache() -> &'static ShardedLru<PlanKey, ContractionPlan> {
     PLAN_CACHE.get_or_init(|| {
-        let capacity = std::env::var("TCE_PLAN_CACHE_CAP")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-            .filter(|&c| c > 0)
-            .unwrap_or(DEFAULT_PLAN_CACHE_CAP);
-        let shards = std::env::var("TCE_PLAN_CACHE_SHARDS")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-            .filter(|&s| s > 0)
-            .unwrap_or(DEFAULT_PLAN_CACHE_SHARDS);
-        ShardedPlanCache::new(capacity, shards)
+        // Malformed values fall back to the defaults here; front ends that
+        // must reject them call `plan_cache_env_requested` first.
+        let positive = |name: &str| {
+            let parsed = std::env::var(name).ok()?.parse::<usize>().ok()?;
+            (parsed > 0).then_some(parsed)
+        };
+        let capacity = positive("TCE_PLAN_CACHE_CAP").unwrap_or(DEFAULT_PLAN_CACHE_CAP);
+        let shards = positive("TCE_PLAN_CACHE_SHARDS").unwrap_or(DEFAULT_PLAN_CACHE_SHARDS);
+        ShardedLru::new(capacity, shards.clamp(1, 64)).with_trace_counters([
+            "plan_cache.hits",
+            "plan_cache.misses",
+            "plan_cache.evictions",
+        ])
     })
 }
 
@@ -609,11 +511,12 @@ fn plan_cache() -> &'static ShardedPlanCache {
 /// contraction shapes thousands of times (once per tile / per term), so
 /// plan construction — index classification, offset tables, block-size
 /// autotuning — is paid once per signature.  The cache is LRU-bounded and
-/// sharded by signature hash (see [`set_plan_cache_capacity`]), so
-/// concurrent callers with distinct signatures do not serialize on one
-/// mutex; each shard lock recovers from poisoning because the store holds
-/// only immutable plans — a worker that panicked mid-lookup cannot leave
-/// it inconsistent.
+/// sharded by signature hash (see [`set_plan_cache_capacity`]); the shard
+/// lock is held across plan construction on a miss, so two concurrent
+/// requests for the same signature build it once while requests hashing to
+/// other shards proceed unimpeded.  Shard locks recover from poisoning: the
+/// store holds only immutable plans, so a worker that panicked mid-lookup
+/// cannot leave it inconsistent.
 pub fn plan_for(spec: &BinaryContraction, space: &IndexSpace) -> Arc<ContractionPlan> {
     plan_for_variant(spec, space, kernels::active())
 }
@@ -625,98 +528,51 @@ pub fn plan_for_variant(
     variant: KernelVariant,
 ) -> Arc<ContractionPlan> {
     let key = PlanKey::new(spec, space, variant);
-    let shard = plan_cache().shard_for(&key);
-    // The shard lock is held across plan construction on a miss: two
-    // concurrent requests for the same signature build it once, and
-    // requests hashing to other shards proceed unimpeded.
-    let mut store = shard.store.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(plan) = store.get(&key) {
-        shard.stats.hits.fetch_add(1, Ordering::Relaxed);
-        PLAN_HITS.fetch_add(1, Ordering::Relaxed);
-        tce_trace::counter("plan_cache.hits", 1);
-        return plan;
-    }
-    shard.stats.misses.fetch_add(1, Ordering::Relaxed);
-    PLAN_MISSES.fetch_add(1, Ordering::Relaxed);
-    tce_trace::counter("plan_cache.misses", 1);
-    let plan = Arc::new(ContractionPlan::new_with_variant(spec, space, variant));
-    store.insert(key, Arc::clone(&plan), &shard.stats);
-    plan
+    plan_cache()
+        .get_or_insert_with(&key, || {
+            ContractionPlan::new_with_variant(spec, space, variant)
+        })
+        .0
 }
 
 /// `(hits, misses, evictions)` of the process-wide plan cache, summed
 /// over all shards.
 pub fn plan_cache_stats() -> (u64, u64, u64) {
-    (
-        PLAN_HITS.load(Ordering::Relaxed),
-        PLAN_MISSES.load(Ordering::Relaxed),
-        PLAN_EVICTIONS.load(Ordering::Relaxed),
-    )
+    let s = plan_cache().stats();
+    (s.hits, s.misses, s.evictions)
 }
 
 /// Per-shard `(hits, misses, evictions)` — the `tce serve` `stats`
 /// endpoint reports these so shard imbalance is observable.
 pub fn plan_cache_shard_stats() -> Vec<(u64, u64, u64)> {
     plan_cache()
-        .shards
-        .iter()
-        .map(|s| {
-            (
-                s.stats.hits.load(Ordering::Relaxed),
-                s.stats.misses.load(Ordering::Relaxed),
-                s.stats.evictions.load(Ordering::Relaxed),
-            )
-        })
+        .shard_stats()
+        .into_iter()
+        .map(|s| (s.hits, s.misses, s.evictions))
         .collect()
 }
 
 /// Number of plans currently cached (summed over all shards).
 pub fn plan_cache_len() -> usize {
-    plan_cache()
-        .shards
-        .iter()
-        .map(|s| s.store.lock().unwrap_or_else(|e| e.into_inner()).map.len())
-        .sum()
+    plan_cache().len()
 }
 
 /// Number of shards the plan cache is split into.
 pub fn plan_cache_shards() -> usize {
-    plan_cache().shards.len()
+    plan_cache().shard_count()
 }
 
 /// Set the plan-cache total capacity (evicting immediately if over the
 /// new bound) and return the previous total.  The capacity is split
 /// across shards, so the summed entry count never exceeds `capacity`.
 pub fn set_plan_cache_capacity(capacity: usize) -> usize {
-    let capacity = capacity.max(1);
-    let cache = plan_cache();
-    let shard_count = cache.shards.len();
-    let mut old_total = 0;
-    for (i, shard) in cache.shards.iter().enumerate() {
-        let mut store = shard.store.lock().unwrap_or_else(|e| e.into_inner());
-        old_total += store.capacity;
-        let cap = ShardedPlanCache::shard_capacity(capacity, shard_count, i);
-        store.capacity = cap;
-        while store.map.len() > cap {
-            let oldest = store
-                .map
-                .iter()
-                .min_by_key(|(_, (_, stamp))| *stamp)
-                .map(|(k, _)| k.clone())
-                .expect("non-empty map over capacity");
-            store.map.remove(&oldest);
-            shard.stats.evictions.fetch_add(1, Ordering::Relaxed);
-            PLAN_EVICTIONS.fetch_add(1, Ordering::Relaxed);
-            tce_trace::counter("plan_cache.evictions", 1);
-        }
-    }
-    old_total
+    plan_cache().set_capacity(capacity.max(1))
 }
 
 /// Contract `a` and `b` with the packed GETT engine using `threads`
 /// workers and the process-wide active kernel variant.  Handles every
 /// valid [`BinaryContraction`] (summation indices exclusive to one
-/// operand are pre-reduced, as in `contract_gemm`).  Output is bitwise
+/// operand are pre-reduced before planning).  Output is bitwise
 /// identical for every `threads` value.
 pub fn contract_gett(
     spec: &BinaryContraction,
@@ -754,6 +610,7 @@ pub fn contract_gett_with_variant(
 mod tests {
     use super::*;
     use crate::contract::contract_naive;
+    use std::sync::Mutex;
 
     fn space(extents: &[(&str, usize)]) -> IndexSpace {
         let mut sp = IndexSpace::new();

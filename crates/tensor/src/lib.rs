@@ -2,13 +2,14 @@
 //!
 //! Storage and kernels the synthesized tensor-contraction programs execute
 //! on: dense row-major tensors ([`dense`]), a naive reference einsum used
-//! as the correctness oracle ([`einsum`]), binary-contraction kernels
-//! including a cache-blocked GEMM path ([`contract`]), and the synthetic
+//! as the correctness oracle ([`einsum`]), the binary-contraction
+//! description and its naive oracle ([`contract`]), the packed GETT engine
+//! every executor contracts on ([`gett`]), and the synthetic
 //! expensive-integral functions standing in for the paper's `f1`/`f2`
 //! two-electron integrals ([`integrals`]).
 //!
 //! ```
-//! use tce_tensor::{contract_gemm, BinaryContraction, Tensor};
+//! use tce_tensor::{contract_gett, contract_naive, BinaryContraction, Tensor};
 //! use tce_ir::IndexSpace;
 //!
 //! let mut sp = IndexSpace::new();
@@ -19,8 +20,8 @@
 //! let spec = BinaryContraction { a: vec![i, k], b: vec![k, j], out: vec![i, j] };
 //! let a = Tensor::random(&[4, 4], 1);
 //! let b = Tensor::random(&[4, 4], 2);
-//! let c = contract_gemm(&spec, &sp, &a, &b);
-//! assert_eq!(c.shape(), &[4, 4]);
+//! let c = contract_gett(&spec, &sp, &a, &b, 2);
+//! assert!(c.approx_eq(&contract_naive(&spec, &sp, &a, &b), 1e-10));
 //! ```
 
 #![warn(missing_docs)]
@@ -39,7 +40,7 @@ pub use bufpool::{
     bufpool_env_requested, bufpool_len, bufpool_retained_elements, bufpool_shard_stats,
     bufpool_stats, set_bufpool_capacity,
 };
-pub use contract::{contract_gemm, contract_naive, gemm_blocked, BinaryContraction};
+pub use contract::{contract_naive, BinaryContraction};
 pub use dense::Tensor;
 pub use einsum::EinsumSpec;
 pub use gett::{

@@ -155,7 +155,11 @@ fn main() {
         b: vec![jj, kk],
         out: vec![i, kk],
     };
-    let expect = tce_core::tensor::contract_gemm(&spec, &space, &a, &b);
+    let expect = tce_core::tensor::contract_gett(&spec, &space, &a, &b, 2);
+    assert!(expect.approx_eq(
+        &tce_core::tensor::contract_naive(&spec, &space, &a, &b),
+        1e-10
+    ));
     println!(
         "  max local iterations {} (sequential would be {}), result max diff {:.2e}",
         stats.max_local_iterations,

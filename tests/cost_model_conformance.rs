@@ -156,49 +156,79 @@ fn interpreter_accesses_match_locality_model_on_untiled_section2() {
 
 #[test]
 fn full_pipeline_trace_has_all_stage_and_kernel_spans() {
+    // One statement driver and one walker per executor: every execution
+    // mode reports the same six stages — exactly one `stage.exec` — and
+    // accounts materialized intermediates.
     let n = 6;
     let cfg = SynthesisConfig {
         cache_elements: Some(4096),
+        machine: Some(tce_core::dist::Machine::new(
+            tce_core::par::ProcessorGrid::new(vec![2, 2]),
+        )),
         ..SynthesisConfig::default()
     };
-    let ((), trace) = traced(|| {
-        let syn = synthesize(&section2_source(n), &cfg).unwrap();
-        let owned = section2_inputs(&syn, n);
-        let inputs: HashMap<TensorId, &Tensor> = owned.iter().map(|(id, t)| (*id, t)).collect();
-        syn.execute_opts(&inputs, &HashMap::new(), &ExecOptions::with_threads(2))
-            .unwrap();
-    });
-    for stage in [
-        "stage.opmin",
-        "stage.fusion",
-        "stage.spacetime",
-        "stage.locality",
-        "stage.distribution",
-        "stage.exec",
-    ] {
-        assert!(trace.span_count(stage) >= 1, "missing span {stage}");
-    }
-    assert!(trace.span_count("gett.pack") >= 1);
-    assert!(trace.span_count("gett.kernel") >= 1);
-    // Counters that must accompany a traced pipeline run.
-    assert!(trace.counter_total("opmin.pareto_points") >= 1);
-    assert!(trace.counter_total("fusion.memmin_states") >= 1);
-    // The fused §2 program has no perfect nest to tile, but the hierarchy
-    // access model always runs under the locality stage when tracing.
-    assert!(trace
-        .names()
-        .iter()
-        .any(|n| n.starts_with("locality.accesses.")));
-    assert!(trace.counter_total("gett.flops") > 0);
-    assert!(trace.mem_peak_bytes > 0);
+    let graph = ExecOptions::with_threads(2).with_schedule(tce_core::Schedule::Graph);
+    for mode in ["seq", "graph", "fused", "distributed"] {
+        let ((), trace) = traced(|| {
+            let syn = synthesize(&section2_source(n), &cfg).unwrap();
+            let owned = section2_inputs(&syn, n);
+            let inputs: HashMap<TensorId, &Tensor> = owned.iter().map(|(id, t)| (*id, t)).collect();
+            let funcs = HashMap::new();
+            match mode {
+                "seq" => drop(syn.execute_opts(&inputs, &funcs, &ExecOptions::with_threads(2))),
+                "graph" => drop(syn.execute_opts(&inputs, &funcs, &graph)),
+                "fused" => drop(syn.execute_fused_opts(&inputs, &funcs, &graph)),
+                _ => drop(syn.execute_distributed_opts(&inputs, &funcs, &graph)),
+            }
+        });
+        for stage in [
+            "stage.opmin",
+            "stage.fusion",
+            "stage.spacetime",
+            "stage.locality",
+            "stage.distribution",
+        ] {
+            assert!(trace.span_count(stage) >= 1, "{mode}: missing span {stage}");
+        }
+        assert_eq!(
+            trace.span_count("stage.exec"),
+            1,
+            "{mode}: stage.exec spans"
+        );
+        assert!(
+            !trace.names().iter().any(|n| n.starts_with("stage.exec.")),
+            "{mode}: a second exec stage name appeared"
+        );
+        assert!(trace.span_count("gett.pack") >= 1, "{mode}");
+        assert!(trace.span_count("gett.kernel") >= 1, "{mode}");
+        // Counters that must accompany a traced pipeline run.
+        assert!(trace.counter_total("opmin.pareto_points") >= 1);
+        assert!(trace.counter_total("fusion.memmin_states") >= 1);
+        // The fused §2 program has no perfect nest to tile, but the
+        // hierarchy access model always runs under the locality stage when
+        // tracing.
+        assert!(trace
+            .names()
+            .iter()
+            .any(|n| n.starts_with("locality.accesses.")));
+        assert!(trace.counter_total("gett.flops") > 0, "{mode}");
+        if mode != "distributed" {
+            // (The sharded walker's per-rank buffers are accounted by the
+            // communication counters, not the intermediate high-water mark.)
+            assert!(
+                trace.mem_peak_bytes > 0,
+                "{mode}: no intermediate accounted"
+            );
+        }
 
-    let json = trace.to_chrome_json();
-    assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-    assert!(json.contains("\"traceEvents\""));
-    let report = trace.report().to_string();
-    assert!(report.contains("profile report"));
-    assert!(report.contains("opmin"));
-    assert!(report.contains("exec"));
+        let json = trace.to_chrome_json();
+        assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
+        assert!(json.contains("\"traceEvents\""));
+        let report = trace.report().to_string();
+        assert!(report.contains("profile report"));
+        assert!(report.contains("opmin"));
+        assert!(report.contains("exec"));
+    }
 }
 
 #[test]

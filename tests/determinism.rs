@@ -7,7 +7,7 @@
 //! fixed, so not a single ulp may move.
 
 use std::collections::HashMap;
-use tce_core::exec::{execute_tree, execute_tree_graph, ExecOptions, Schedule};
+use tce_core::exec::{execute_tree, execute_tree_opts, ExecOptions, Schedule};
 use tce_core::ir::rng::Rng;
 use tce_core::scenarios::{section2_source, A3AScenario};
 use tce_core::tensor::{contract_gett, BinaryContraction, Tensor};
@@ -15,8 +15,9 @@ use tce_core::{synthesize, SynthesisConfig};
 
 const THREADS: [usize; 3] = [2, 3, 7];
 
-/// Worker counts for the task-graph schedule sweep (1 exercises the
-/// inline fallback, the rest the concurrent ready-queue).
+/// Worker counts for the task-graph schedule sweep: `seq` is the walk on
+/// one scheduler slot, `graph` at `w` workers the same walk on `w` slots
+/// (1 runs inline, the rest exercise the concurrent ready-queue).
 const GRAPH_WORKERS: [usize; 4] = [1, 2, 4, 8];
 
 #[test]
@@ -79,7 +80,8 @@ fn a3a_graph_schedule_is_bitwise_deterministic() {
     inputs.insert(t_id, &amp);
     let seq = execute_tree(&sc.tree, &sc.space, &inputs, &funcs, 1).unwrap();
     for workers in GRAPH_WORKERS {
-        let got = execute_tree_graph(&sc.tree, &sc.space, &inputs, &funcs, workers).unwrap();
+        let opts = ExecOptions::with_threads(workers).with_schedule(Schedule::Graph);
+        let got = execute_tree_opts(&sc.tree, &sc.space, &inputs, &funcs, &opts).unwrap();
         assert_eq!(seq, got, "graph schedule changed bits at {workers} workers");
     }
 }
@@ -120,6 +122,75 @@ fn multi_statement_graph_schedule_is_bitwise_deterministic() {
                 "tensor {:?} changed bits under the graph schedule at {workers} workers",
                 syn.program.tensors.get(*id).name
             );
+        }
+    }
+}
+
+#[test]
+fn accumulate_onto_externally_bound_target_starts_from_zeros_on_every_path() {
+    // `S` is read by the first statement, so it carries an external
+    // binding; the `+=` has no prior writer.  The oracle's rule — a `+=`
+    // starts from the last *computed* value of its target, else zeros,
+    // never from an external binding — must hold under every schedule and
+    // on every executor (the graph statement walker used to accumulate
+    // onto the bound value).
+    let n = 5;
+    let src = "
+        range N = 5;
+        index i, j, k : N;
+        tensor A(N, N); tensor B(N, N); tensor R(N, N); tensor S(N, N);
+        R[i,j] = sum[k] S[i,k] * B[k,j];
+        S[i,j] += sum[k] A[i,k] * B[k,j];
+    ";
+    let cfg = SynthesisConfig {
+        machine: Some(tce_core::dist::Machine::new(
+            tce_core::par::ProcessorGrid::new(vec![2, 2]),
+        )),
+        ..SynthesisConfig::default()
+    };
+    let syn = synthesize(src, &cfg).unwrap();
+    let id = |name: &str| syn.program.tensors.by_name(name).unwrap();
+    let (ta, tb, ts) = (
+        Tensor::random(&[n, n], 21),
+        Tensor::random(&[n, n], 22),
+        Tensor::random(&[n, n], 23),
+    );
+    let mut ext = HashMap::new();
+    ext.insert(id("A"), &ta);
+    ext.insert(id("B"), &tb);
+    ext.insert(id("S"), &ts);
+    let funcs = HashMap::new();
+
+    // By hand: S = A·B from zeros, R = S_bound·B.
+    let matmul = |x: &Tensor, y: &Tensor| {
+        Tensor::from_fn(&[n, n], |ix| {
+            (0..n)
+                .map(|k| x.get(&[ix[0], k]) * y.get(&[k, ix[1]]))
+                .sum()
+        })
+    };
+    let seq = syn
+        .execute_opts(&ext, &funcs, &ExecOptions::serial())
+        .unwrap();
+    assert!(seq[&id("S")].approx_eq(&matmul(&ta, &tb), 1e-10));
+    assert!(seq[&id("R")].approx_eq(&matmul(&ts, &tb), 1e-10));
+
+    for workers in GRAPH_WORKERS {
+        let opts = ExecOptions::with_threads(workers).with_schedule(Schedule::Graph);
+        let graph = syn.execute_opts(&ext, &funcs, &opts).unwrap();
+        let fused = syn.execute_fused_opts(&ext, &funcs, &opts).unwrap().outputs;
+        let dist = syn
+            .execute_distributed_opts(&ext, &funcs, &opts)
+            .unwrap()
+            .outputs;
+        for (tensor, want) in &seq {
+            let name = &syn.program.tensors.get(*tensor).name;
+            assert_eq!(
+                &graph[tensor], want,
+                "`{name}` differs between seq and graph at {workers} workers"
+            );
+            assert!(fused[tensor].approx_eq(want, 1e-10), "fused `{name}`");
+            assert!(dist[tensor].approx_eq(want, 1e-10), "distributed `{name}`");
         }
     }
 }

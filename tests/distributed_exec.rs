@@ -97,8 +97,9 @@ fn output_partitioned_sharding_is_bitwise_identical() {
         for dims in GRIDS {
             let machine = Machine::new(ProcessorGrid::new(dims.to_vec()));
             let plan = output_partitioned_plan(&tree, machine.grid.rank());
-            let report = execute_plan_sharded(&tree, &space, &plan, &machine, &inputs, &funcs, 4)
-                .expect("plan covers tree");
+            let report =
+                execute_plan_sharded(&tree, &space, &plan, &machine, &inputs, &funcs, 4, 1)
+                    .expect("plan covers tree");
             assert_eq!(
                 report.result, expect,
                 "{name} on grid {dims:?}: sharded result changed bits"
@@ -127,8 +128,9 @@ fn dp_plans_agree_with_simulator_and_cost_model() {
         for dims in [&[2usize, 2][..], &[2, 4]] {
             let machine = Machine::new(ProcessorGrid::new(dims.to_vec()));
             let plan = optimize_distribution(&tree, &space, &machine);
-            let report = execute_plan_sharded(&tree, &space, &plan, &machine, &inputs, &funcs, 4)
-                .expect("plan covers tree");
+            let report =
+                execute_plan_sharded(&tree, &space, &plan, &machine, &inputs, &funcs, 4, 1)
+                    .expect("plan covers tree");
             assert_eq!(
                 report.moved_elements, report.predicted_move_elements,
                 "{name} on grid {dims:?}"
@@ -158,10 +160,8 @@ fn dp_plans_agree_with_simulator_and_cost_model() {
 fn graph_schedule_matches_sequential_walk_bitwise_with_exact_counters() {
     // Task-graph scheduling only changes *when* independent subtrees run,
     // never what each node computes: results must be bit-identical to the
-    // recursive walk and every measured/predicted counter must agree, for
-    // every worker count.
-    use tce_core::dist::execute_plan_sharded_graph;
-
+    // one-slot (sequential) walk and every measured/predicted counter must
+    // agree, for every worker count.
     for (name, (tree, space, owned, funcs)) in
         [("section2", section2_fixture()), ("a3a", a3a_fixture())]
     {
@@ -172,11 +172,12 @@ fn graph_schedule_matches_sequential_walk_bitwise_with_exact_counters() {
                 output_partitioned_plan(&tree, machine.grid.rank()),
                 optimize_distribution(&tree, &space, &machine),
             ] {
-                let seq = execute_plan_sharded(&tree, &space, &plan, &machine, &inputs, &funcs, 1)
-                    .expect("plan covers tree");
+                let seq =
+                    execute_plan_sharded(&tree, &space, &plan, &machine, &inputs, &funcs, 1, 1)
+                        .expect("plan covers tree");
                 for threads in [1, 2, 4, 8] {
-                    let g = execute_plan_sharded_graph(
-                        &tree, &space, &plan, &machine, &inputs, &funcs, threads,
+                    let g = execute_plan_sharded(
+                        &tree, &space, &plan, &machine, &inputs, &funcs, threads, threads,
                     )
                     .expect("plan covers tree");
                     assert_eq!(
@@ -297,7 +298,7 @@ fn malformed_plans_surface_typed_errors_not_panics() {
     for (label, err) in [
         (
             "exec",
-            execute_plan_sharded(&tree, &space, &no_root, &machine, &inputs, &funcs, 2)
+            execute_plan_sharded(&tree, &space, &no_root, &machine, &inputs, &funcs, 2, 1)
                 .expect_err("unassigned root must error"),
         ),
         (
@@ -317,16 +318,81 @@ fn malformed_plans_surface_typed_errors_not_panics() {
         .position(|n| matches!(n.kind, OpKind::Contract { .. }))
         .expect("fixture has a contraction") as u32;
     no_gamma.node_gamma[cnode as usize] = None;
-    let err = execute_plan_sharded(&tree, &space, &no_gamma, &machine, &inputs, &funcs, 2)
+    let err = execute_plan_sharded(&tree, &space, &no_gamma, &machine, &inputs, &funcs, 2, 1)
         .expect_err("unassigned contraction must error");
     assert_eq!(err, DistError::UnassignedContraction { node: cnode });
 
     // An input binding withheld.
     let (missing_id, _) = owned[0];
     let partial: HashMap<TensorId, &Tensor> = owned[1..].iter().map(|(id, t)| (*id, t)).collect();
-    let err = execute_plan_sharded(&tree, &space, &good, &machine, &partial, &funcs, 2)
+    let err = execute_plan_sharded(&tree, &space, &good, &machine, &partial, &funcs, 2, 1)
         .expect_err("missing input must error");
     assert_eq!(err, DistError::MissingInput { tensor: missing_id });
     // Display strings are the CLI-facing diagnostics; keep them one-line.
     assert!(!err.to_string().contains('\n'));
+}
+
+#[test]
+fn mis_shaped_bindings_are_typed_errors_not_panics_or_truncation() {
+    // Bugfix acceptance: the distributed walker shares the tree and fused
+    // executors' binding validation, so a too-small binding (used to panic
+    // in `scatter` → `extract_block`), a too-large one (used to be silently
+    // truncated) and a wrong-rank one all come back as
+    // `InputShapeMismatch` — from `execute_tree_distributed` and from the
+    // pipeline's `execute_distributed_opts`.
+    use tce_core::exec::{execute_tree_distributed, ExecError};
+
+    let (tree, space, owned, funcs) = section2_fixture();
+    let machine = Machine::new(ProcessorGrid::new(vec![2, 2]));
+    let plan = optimize_distribution(&tree, &space, &machine);
+    let (bad_id, good) = (owned[0].0, owned[0].1.shape().to_vec());
+    let smaller: Vec<usize> = good.iter().map(|&e| e - 1).collect();
+    let larger: Vec<usize> = good.iter().map(|&e| e + 1).collect();
+    let wrong_rank = &good[1..];
+
+    let syn = synthesize(
+        &section2_source(good[0]),
+        &SynthesisConfig {
+            machine: Some(machine.clone()),
+            ..SynthesisConfig::default()
+        },
+    )
+    .unwrap();
+
+    for (label, shape) in [
+        ("too small", &smaller[..]),
+        ("too large", &larger[..]),
+        ("wrong rank", wrong_rank),
+    ] {
+        let bad = Tensor::random(shape, 99);
+        let mut inputs: HashMap<TensorId, &Tensor> = owned.iter().map(|(id, t)| (*id, t)).collect();
+        inputs.insert(bad_id, &bad);
+        for opts in [
+            ExecOptions::serial(),
+            ExecOptions::with_threads(4).with_schedule(tce_core::Schedule::Graph),
+        ] {
+            let err =
+                execute_tree_distributed(&tree, &space, &plan, &machine, &inputs, &funcs, &opts)
+                    .expect_err("mis-shaped binding must error");
+            assert!(
+                matches!(
+                    &err,
+                    ExecError::InputShapeMismatch { expect, got, .. }
+                        if expect == &good && got == shape
+                ),
+                "{label}: {err}"
+            );
+            assert!(!err.to_string().contains('\n'));
+        }
+
+        // The same bindings through the pipeline entry point (the same
+        // source text lowers to the same tensor ids).
+        let err = syn
+            .execute_distributed_opts(&inputs, &funcs, &ExecOptions::serial())
+            .expect_err("mis-shaped binding must error");
+        assert!(
+            matches!(err, ExecError::InputShapeMismatch { .. }),
+            "{label} via pipeline: {err}"
+        );
+    }
 }
