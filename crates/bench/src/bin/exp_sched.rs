@@ -165,15 +165,9 @@ fn main() {
     println!("{}", table.render());
     println!("cpus: {cpus}, best graph/seq speedup: {best_speedup:.2}x");
 
-    // Inter-statement parallelism needs real cores to pay off; on a
-    // single-CPU machine the sweep degenerates to time-slicing, so the
-    // win condition only binds where winning is physically possible.
-    if cpus > 1 {
-        assert!(
-            best_speedup >= 1.0,
-            "graph schedule never matched seq on a {cpus}-cpu machine"
-        );
-    }
+    // The speedup is reported, never asserted: a wall-clock gate on a
+    // shared 2-vCPU runner is noise (performance gates belong to
+    // `exp_perf --compare`).
 
     let mut json = String::new();
     let _ = writeln!(json, "{{");

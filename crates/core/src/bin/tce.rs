@@ -618,7 +618,7 @@ fn main() -> ExitCode {
                 summary.sliced_contractions, summary.func_evals
             );
             if !summary.peak_matches_model() {
-                eprintln!("measured peak live-set diverged from the memmin model");
+                eprintln!("measured peak live-set diverged from the selected plan's memory model");
                 return ExitCode::FAILURE;
             }
             summary.outputs

@@ -179,14 +179,15 @@ pub struct FusedTermReport {
     pub term_index: usize,
     /// Measured peak intermediate storage, in elements.
     pub peak_live_elements: u128,
-    /// The memmin DP's predicted element count for this term.
+    /// The selected plan's predicted element count for this term (memmin,
+    /// or the untiled space-time configuration when that stage engaged).
     pub modeled_elements: u128,
 }
 
 /// Result of executing a whole statement sequence through the fused-slice
 /// executor ([`tce_exec::execute_tree_fused`]): outputs plus the
 /// measured-vs-modeled peak intermediate storage — the §5 discipline of
-/// checking the memory-minimization model against reality.
+/// checking the memory model against reality.
 #[derive(Debug, Clone)]
 pub struct FusedExecSummary {
     /// Value of every assigned tensor (same as [`Synthesis::execute`]).
@@ -195,7 +196,7 @@ pub struct FusedExecSummary {
     /// run one at a time, freeing their temporaries in between, so the
     /// whole-run peak is the per-term maximum).
     pub peak_live_elements: u128,
-    /// The memmin model's prediction for the same maximum.
+    /// The selected plans' prediction for the same maximum.
     pub modeled_elements: u128,
     /// Sliced GETT contraction calls issued.
     pub sliced_contractions: u64,
@@ -206,7 +207,7 @@ pub struct FusedExecSummary {
 }
 
 impl FusedExecSummary {
-    /// True when every term's measured peak equals the memmin model.
+    /// True when every term's measured peak equals its plan's model.
     pub fn peak_matches_model(&self) -> bool {
         self.per_term
             .iter()
@@ -268,6 +269,26 @@ impl Synthesis {
             self.run_statements(external_inputs, opts.slots(), &|plan, inputs| {
                 Ok((plan.execute_opts(space, inputs, funcs, opts)?, ()))
             })?;
+        Ok(outputs)
+    }
+
+    /// Execute the statement sequence through the **scalar interpreter**:
+    /// every term runs its emitted fused loop program
+    /// ([`TermPlan::execute_interpreted`]) — the instrumented verification
+    /// path (exact op counts), statement semantics as in
+    /// [`execute`](Self::execute).
+    ///
+    /// # Errors
+    /// [`ExecError`] if an external input binding is missing or mis-shaped.
+    pub fn execute_interpreted(
+        &self,
+        external_inputs: &HashMap<TensorId, &Tensor>,
+        funcs: &HashMap<String, IntegralFn>,
+    ) -> Result<HashMap<TensorId, Tensor>, ExecError> {
+        let space = &self.program.space;
+        let (outputs, _) = self.run_statements(external_inputs, 1, &|plan, inputs| {
+            Ok((plan.execute_interpreted(space, inputs, funcs)?, ()))
+        })?;
         Ok(outputs)
     }
 
@@ -392,12 +413,15 @@ impl Synthesis {
     }
 
     /// Execute the statement sequence through the **fused-slice
-    /// executor**: every term realizes its memory-minimization
-    /// [`tce_fusion::FusionConfig`] by allocating each fused intermediate
-    /// at its reduced shape and streaming sliced GETT contractions through
-    /// it.  Returns the outputs plus measured-vs-modeled peak-live-set
-    /// accounting; [`FusedExecSummary::peak_matches_model`] asserts the
-    /// memmin DP's `elements` prediction is met exactly.
+    /// executor**: every term realizes the configuration synthesis
+    /// selected for it — its memory-minimization
+    /// [`tce_fusion::FusionConfig`], or its space-time
+    /// fusion/recomputation configuration when a memory limit engaged that
+    /// stage — by allocating each fused intermediate at its reduced shape
+    /// and streaming sliced GETT contractions through it.  Returns the
+    /// outputs plus measured-vs-modeled peak-live-set accounting;
+    /// [`FusedExecSummary::peak_matches_model`] asserts the selected plan's
+    /// element count is met exactly.
     ///
     /// # Errors
     /// [`ExecError`] if a binding is missing/mis-shaped or a term's fusion
@@ -413,14 +437,30 @@ impl Synthesis {
         // temporaries in between, so the whole-run peak is the per-term
         // maximum the summary reports.
         let (outputs, reports) = self.run_statements(external_inputs, 1, &|plan, inputs| {
-            let mut report = tce_exec::execute_tree_fused(
-                &plan.tree,
-                space,
-                &plan.memmin.config,
-                inputs,
-                funcs,
-                opts,
-            )?;
+            let mut report = match &plan.spacetime {
+                Some((st_cfg, _)) => {
+                    let (chain_labels, array_config) = st_cfg
+                        .lowering_configs(&plan.tree)
+                        .map_err(|reason| ExecError::InvalidProgram { reason })?;
+                    tce_exec::execute_tree_fused_with_labels(
+                        &plan.tree,
+                        space,
+                        &chain_labels,
+                        &array_config,
+                        inputs,
+                        funcs,
+                        opts,
+                    )?
+                }
+                None => tce_exec::execute_tree_fused(
+                    &plan.tree,
+                    space,
+                    &plan.memmin.config,
+                    inputs,
+                    funcs,
+                    opts,
+                )?,
+            };
             let value = std::mem::replace(&mut report.result, Tensor::zeros(&[]));
             Ok((value, (plan.stmt_index, plan.term_index, report)))
         })?;

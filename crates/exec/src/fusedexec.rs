@@ -2,10 +2,13 @@
 //!
 //! [`execute_tree_fused`] compiles a [`FusionConfig`] + [`OpTree`] into a
 //! [`tce_fusion::FusionSchedule`] — the fused chain loops of the
-//! configuration's laminar scopes — and executes it on real tensors.
+//! configuration's laminar scopes — and executes it on real tensors
+//! ([`execute_tree_fused_with_labels`] takes the chain labels and the array
+//! configuration separately, which is how a space-time plan with
+//! *redundant* recomputation loops runs).
 //! Each fused intermediate is allocated **once** at its *reduced*
 //! (fusion-shrunk) shape, so the measured peak intermediate storage equals
-//! the memory-minimization DP's predicted element count exactly; inside
+//! the plan's predicted element count exactly; inside
 //! the chain loops, every node's contraction runs per outer-iteration on
 //! tensor *slices* through the packed GETT micro-kernel (the BLAS-slicing
 //! strategy of Peise et al.: loop over fused outer indices, call a
@@ -38,48 +41,32 @@
 
 use crate::error::ExecError;
 use crate::treeexec::ExecOptions;
-use std::cell::UnsafeCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use tce_fusion::{fusion_schedule, is_fusable_producer, FusionConfig, ScheduleStep};
+use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+use tce_fusion::schedule::fusion_schedule_with_labels;
+use tce_fusion::{is_fusable_producer, FusionConfig, ScheduleStep};
 use tce_ir::{IndexSet, IndexSpace, IndexVar, Leaf, NodeId, OpKind, OpTree, TensorId};
 use tce_par::{parallel_chunks_mut, TaskGraph};
 use tce_tensor::{BinaryContraction, IntegralFn, Tensor};
 
-/// The fused intermediate arrays, shared across schedule steps.
+/// The fused intermediate arrays, shared across schedule steps: one lock
+/// per node, taken once per top-level step (never per slice).
 ///
 /// Top-level steps may run concurrently, but the task graph carries a
 /// *hazard edge* between any two steps whose read/write node-sets
-/// conflict, so for every array cell all writes are totally ordered with
-/// each other and with every read (dependency completion happens-before a
-/// dependent starts).  That discipline is exactly the exclusivity
-/// `UnsafeCell` access requires.
-struct SharedArrays(Vec<UnsafeCell<Option<Tensor>>>);
+/// conflict, so for every array all writes are totally ordered with each
+/// other and with every read.  A step therefore always finds its locks
+/// free: it takes them with `try_write` / `try_read` and treats contention
+/// as a broken invariant.
+type SharedArrays = [RwLock<Option<Tensor>>];
 
-// SAFETY: concurrent access to distinct cells is safe; same-cell access is
-// serialized by the task graph's hazard edges (see type docs).
-unsafe impl Sync for SharedArrays {}
-
-impl SharedArrays {
-    fn new(arrays: Vec<Option<Tensor>>) -> Self {
-        Self(arrays.into_iter().map(UnsafeCell::new).collect())
-    }
-
-    fn into_inner(self) -> Vec<Option<Tensor>> {
-        self.0.into_iter().map(UnsafeCell::into_inner).collect()
-    }
-
-    /// SAFETY: caller must hold step-level exclusivity for cell `i` (step
-    /// tasks do via hazard edges).
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn cell_mut(&self, i: usize) -> &mut Option<Tensor> {
-        unsafe { &mut *self.0[i].get() }
-    }
-
-    /// SAFETY: no concurrent writer for cell `i` (see [`Self::cell_mut`]).
-    unsafe fn cell(&self, i: usize) -> &Option<Tensor> {
-        unsafe { &*self.0[i].get() }
-    }
+/// A step's hold on one node's array for the duration of its task.
+enum Held<'a> {
+    /// The step neither reads nor writes this node.
+    No,
+    Read(RwLockReadGuard<'a, Option<Tensor>>),
+    Write(RwLockWriteGuard<'a, Option<Tensor>>),
 }
 
 /// Result of a fused-slice execution, with the measured-vs-modeled
@@ -93,8 +80,8 @@ pub struct FusedExecReport {
     /// Measured peak intermediate storage: total elements of all fused
     /// intermediate arrays, which live for the whole execution.
     pub peak_live_elements: u128,
-    /// The memmin model's prediction for the same quantity
-    /// ([`FusionConfig::temp_memory`]).
+    /// The model's prediction for the same quantity: the array
+    /// configuration's [`FusionConfig::temp_memory`].
     pub modeled_elements: u128,
     /// Sliced GETT kernel invocations.
     pub sliced_contractions: u64,
@@ -121,10 +108,36 @@ pub fn execute_tree_fused(
     funcs: &HashMap<String, IntegralFn>,
     opts: &ExecOptions,
 ) -> Result<FusedExecReport, ExecError> {
+    config
+        .check(tree)
+        .map_err(|e| ExecError::InvalidProgram { reason: e })?;
+    execute_tree_fused_with_labels(tree, space, config, config, inputs, funcs, opts)
+}
+
+/// Generalized fused execution: `chain_labels` defines the chain loops
+/// (its per-edge sets may include *redundant* indices, whose loops wrap
+/// and re-execute the child's production — the space-time transformation
+/// of paper Fig. 3), while `array_config` defines the array shapes (only
+/// genuinely fused dimensions are eliminated) and therefore the modeled
+/// live-set.  For plain fusion both are the same configuration.
+///
+/// The caller is responsible for legality: the chain scopes of
+/// `chain_labels` must be nested or disjoint
+/// ([`tce_fusion::chains::check_scopes`]).
+pub fn execute_tree_fused_with_labels(
+    tree: &OpTree,
+    space: &IndexSpace,
+    chain_labels: &FusionConfig,
+    array_config: &FusionConfig,
+    inputs: &HashMap<TensorId, &Tensor>,
+    funcs: &HashMap<String, IntegralFn>,
+    opts: &ExecOptions,
+) -> Result<FusedExecReport, ExecError> {
     let _span = tce_trace::span("exec.fused");
     let traced = tce_trace::enabled();
 
     tce_dist::validate_bindings(tree, space, inputs, funcs)?;
+    let modeled_elements = array_config.temp_memory(tree, space);
 
     // A bare stored-input (or One) root has no producer nest to fuse.
     if !is_fusable_producer(tree, tree.root) {
@@ -136,14 +149,13 @@ pub fn execute_tree_fused(
         return Ok(FusedExecReport {
             result,
             peak_live_elements: 0,
-            modeled_elements: config.temp_memory(tree, space),
+            modeled_elements,
             sliced_contractions: 0,
             func_evals: 0,
         });
     }
 
-    let schedule =
-        fusion_schedule(tree, config).map_err(|e| ExecError::InvalidProgram { reason: e })?;
+    let schedule = fusion_schedule_with_labels(tree, chain_labels);
 
     // --- allocate every fused intermediate once, at its reduced shape ---
     let bytes_of = |t: &Tensor| (t.len() * std::mem::size_of::<f64>()) as u64;
@@ -153,7 +165,7 @@ pub fn execute_tree_fused(
         if !is_fusable_producer(tree, id) {
             continue;
         }
-        let shape: Vec<usize> = config
+        let shape: Vec<usize> = array_config
             .array_indices(tree, id)
             .iter()
             .map(|v| space.extent(v))
@@ -167,18 +179,31 @@ pub fn execute_tree_fused(
         }
         arrays[id.0 as usize] = Some(t);
     }
-    let modeled_elements = config.temp_memory(tree, space);
     debug_assert_eq!(
         peak_live_elements, modeled_elements,
-        "fused allocation diverged from the memmin model"
+        "fused allocation diverged from the plan's memory model"
     );
 
     // --- interpret the schedule ---
-    let shared = SharedArrays::new(arrays);
-    let (sliced_contractions, func_evals) =
-        run_steps(tree, space, config, inputs, funcs, &shared, &schedule, opts);
+    let shared: Vec<RwLock<Option<Tensor>>> = arrays.into_iter().map(RwLock::new).collect();
+    let (sliced_contractions, func_evals) = run_steps(
+        tree,
+        space,
+        array_config,
+        inputs,
+        funcs,
+        &shared,
+        &schedule,
+        opts,
+    );
 
-    let mut arrays = shared.into_inner();
+    let mut arrays: Vec<Option<Tensor>> = shared
+        .into_iter()
+        .map(|cell| {
+            cell.into_inner()
+                .expect("TaskGraph::run re-raises step panics")
+        })
+        .collect();
     let result = arrays[tree.root.0 as usize].take().expect("root value");
     if traced {
         tce_trace::counter_u128("fused.live_elements", peak_live_elements);
@@ -267,17 +292,17 @@ fn step_rw(tree: &OpTree, step: &ScheduleStep, rw: &mut StepRw) {
 
 /// Execute the schedule's top-level steps on a [`TaskGraph`] with hazard
 /// edges, on `opts.slots()` scheduler slots: steps whose read/write sets
-/// conflict are ordered (so every array cell sees a serialized access
-/// history, upholding the [`SharedArrays`] contract); independent steps
-/// may run concurrently.  Interior chain loops stay sequential inside
-/// their step's task.  All arrays are preallocated before any step runs,
-/// so scheduling cannot change the measured peak live-set.  Returns
-/// `(sliced_contractions, func_evals)`.
+/// conflict are ordered (so every array sees a serialized access history
+/// and each step finds the locks of its read/write sets free — see
+/// [`SharedArrays`]); independent steps may run concurrently.  Interior
+/// chain loops stay sequential inside their step's task.  All arrays are
+/// preallocated before any step runs, so scheduling cannot change the
+/// measured peak live-set.  Returns `(sliced_contractions, func_evals)`.
 #[allow(clippy::too_many_arguments)]
 fn run_steps(
     tree: &OpTree,
     space: &IndexSpace,
-    config: &FusionConfig,
+    array_config: &FusionConfig,
     inputs: &HashMap<TensorId, &Tensor>,
     funcs: &HashMap<String, IntegralFn>,
     shared: &SharedArrays,
@@ -307,13 +332,27 @@ fn run_steps(
     let sliced = AtomicU64::new(0);
     let evals = AtomicU64::new(0);
     graph.run(opts.slots(), None, &|t| {
+        let rw = &rws[t];
+        let held = shared
+            .iter()
+            .enumerate()
+            .map(|(n, cell)| {
+                if rw.writes[n] {
+                    Held::Write(cell.try_write().expect("hazard edges serialize access"))
+                } else if rw.reads[n] {
+                    Held::Read(cell.try_read().expect("hazard edges serialize access"))
+                } else {
+                    Held::No
+                }
+            })
+            .collect();
         let mut ctx = FusedCtx {
             tree,
             space,
-            config,
+            array_config,
             inputs,
             funcs,
-            arrays: shared,
+            arrays: held,
             env: vec![0usize; 128],
             scope: IndexSet::EMPTY,
             threads,
@@ -334,10 +373,12 @@ fn run_steps(
 struct FusedCtx<'a> {
     tree: &'a OpTree,
     space: &'a IndexSpace,
-    config: &'a FusionConfig,
+    /// Which dimensions each node's array keeps (see the entry point).
+    array_config: &'a FusionConfig,
     inputs: &'a HashMap<TensorId, &'a Tensor>,
     funcs: &'a HashMap<String, IntegralFn>,
-    arrays: &'a SharedArrays,
+    /// This step's holds on the arrays of its read/write sets, by node.
+    arrays: Vec<Held<'a>>,
     /// Current value of each pinned index, by `IndexVar.0`.
     env: Vec<usize>,
     /// Indices pinned by the enclosing chain loops.
@@ -349,6 +390,25 @@ struct FusedCtx<'a> {
 }
 
 impl FusedCtx<'_> {
+    /// The array of a node in this step's read or write set.
+    fn array(&self, n: NodeId) -> &Tensor {
+        match &self.arrays[n.0 as usize] {
+            Held::Read(guard) => guard.as_ref(),
+            Held::Write(guard) => guard.as_ref(),
+            Held::No => None,
+        }
+        .expect("allocated and in the step's read/write set")
+    }
+
+    /// The array of a node in this step's write set.
+    fn array_mut(&mut self, n: NodeId) -> &mut Tensor {
+        match &mut self.arrays[n.0 as usize] {
+            Held::Write(guard) => guard.as_mut(),
+            _ => None,
+        }
+        .expect("allocated and in the step's write set")
+    }
+
     fn run(&mut self, steps: &[ScheduleStep]) {
         for step in steps {
             match step {
@@ -361,14 +421,7 @@ impl FusedCtx<'_> {
                     }
                     self.scope = outer_scope;
                 }
-                ScheduleStep::Zero(v) => {
-                    // SAFETY: this step writes `v` — exclusivity per the
-                    // SharedArrays contract (hazard edges).
-                    unsafe { self.arrays.cell_mut(v.0 as usize) }
-                        .as_mut()
-                        .expect("allocated")
-                        .fill_zero();
-                }
+                ScheduleStep::Zero(v) => self.array_mut(*v).fill_zero(),
                 ScheduleStep::Produce(v) => self.produce(*v),
             }
         }
@@ -392,7 +445,7 @@ impl FusedCtx<'_> {
     /// Run `v`'s contraction for the current pinned-index values on
     /// operand slices, accumulating the kernel result into `v`'s slice.
     fn produce_contract(&mut self, v: NodeId, left: NodeId, right: NodeId) {
-        let out_set = self.config.array_indices(self.tree, v);
+        let out_set = self.array_config.array_indices(self.tree, v);
         let res = {
             let a = self.operand_slice(left);
             let b = self.operand_slice(right);
@@ -431,12 +484,7 @@ impl FusedCtx<'_> {
             })
             .collect();
         let block = res.reshaped(&block_shape);
-        // SAFETY: this step writes `v`; no concurrent reader or writer per
-        // the SharedArrays contract.
-        unsafe { self.arrays.cell_mut(v.0 as usize) }
-            .as_mut()
-            .expect("allocated")
-            .add_block(&starts, &block);
+        self.array_mut(v).add_block(&starts, &block);
     }
 
     /// The slice of child `c`'s value visible at the current pinned-index
@@ -448,13 +496,12 @@ impl FusedCtx<'_> {
             OpKind::Leaf(Leaf::One) => {
                 return Operand::Owned(Tensor::from_elem(&[], 1.0), Vec::new())
             }
-            // SAFETY: this step reads producer operand `c`; writers of `c`
-            // are ordered before it per the SharedArrays contract.
             _ => (
-                unsafe { self.arrays.cell(c.0 as usize) }
-                    .as_ref()
-                    .expect("allocated"),
-                self.config.array_indices(self.tree, c).iter().collect(),
+                self.array(c),
+                self.array_config
+                    .array_indices(self.tree, c)
+                    .iter()
+                    .collect(),
             ),
         };
         if !dims.iter().any(|d| self.scope.contains(*d)) {
@@ -498,7 +545,11 @@ impl FusedCtx<'_> {
             Fixed(usize),
             Dim(usize),
         }
-        let arr_dims: Vec<IndexVar> = self.config.array_indices(self.tree, v).iter().collect();
+        let arr_dims: Vec<IndexVar> = self
+            .array_config
+            .array_indices(self.tree, v)
+            .iter()
+            .collect();
         let args: Vec<Arg> = indices
             .iter()
             .map(|iv| {
@@ -510,17 +561,15 @@ impl FusedCtx<'_> {
             })
             .collect();
         let shape: Vec<usize> = arr_dims.iter().map(|&d| self.space.extent(d)).collect();
-        let f = &self.funcs[name];
-        // SAFETY: this step writes `v`; exclusivity per the SharedArrays
-        // contract.
-        let out = unsafe { self.arrays.cell_mut(v.0 as usize) }
-            .as_mut()
-            .expect("allocated");
-        self.func_evals += out.len() as u64;
+        let funcs = self.funcs;
+        let f = &funcs[name];
+        let threads = self.threads;
+        let out = self.array_mut(v);
+        let evals = out.len() as u64;
         let rank = shape.len();
         let shape_ref = &shape;
         let args_ref = &args;
-        parallel_chunks_mut(out.data_mut(), self.threads, |start, chunk| {
+        parallel_chunks_mut(out.data_mut(), threads, |start, chunk| {
             let mut idx = vec![0usize; rank];
             let mut rem = start;
             for d in (0..rank).rev() {
@@ -539,6 +588,7 @@ impl FusedCtx<'_> {
                 Tensor::advance(&mut idx, shape_ref);
             }
         });
+        self.func_evals += evals;
     }
 }
 

@@ -46,7 +46,7 @@ pub mod treeexec;
 
 pub use cache::{CacheSink, LruCache};
 pub use error::ExecError;
-pub use fusedexec::{execute_tree_fused, FusedExecReport};
+pub use fusedexec::{execute_tree_fused, execute_tree_fused_with_labels, FusedExecReport};
 pub use interp::{AccessSink, ExecStats, Interpreter, NoSink};
 pub use treeexec::{
     execute_tree, execute_tree_distributed, execute_tree_opts, ExecOptions, Schedule,

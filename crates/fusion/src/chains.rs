@@ -129,34 +129,12 @@ pub fn check_chainwise(tree: &OpTree, config: &FusionConfig) -> Result<(), Strin
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::tests::fig1;
     use tce_ir::{IndexSpace, TensorDecl, TensorTable};
-
-    fn fig1() -> (IndexSpace, OpTree, NodeId, NodeId) {
-        let mut space = IndexSpace::new();
-        let n = space.add_range("N", 4);
-        let vs = space.add_vars("a b c d e f i j k l", n);
-        let (a, b, c, d, e, f, i, j, k, l) = (
-            vs[0], vs[1], vs[2], vs[3], vs[4], vs[5], vs[6], vs[7], vs[8], vs[9],
-        );
-        let mut tensors = TensorTable::new();
-        let ta = tensors.add(TensorDecl::dense("A", vec![n; 4]));
-        let tb = tensors.add(TensorDecl::dense("B", vec![n; 4]));
-        let tc = tensors.add(TensorDecl::dense("C", vec![n; 4]));
-        let td = tensors.add(TensorDecl::dense("D", vec![n; 4]));
-        let mut tree = OpTree::new();
-        let lb = tree.leaf_input(tb, vec![b, e, f, l]);
-        let ld = tree.leaf_input(td, vec![c, d, e, l]);
-        let t1 = tree.contract(lb, ld, IndexSet::from_vars([b, c, d, f]));
-        let lc = tree.leaf_input(tc, vec![d, f, j, k]);
-        let t2 = tree.contract(t1, lc, IndexSet::from_vars([b, c, j, k]));
-        let la = tree.leaf_input(ta, vec![a, c, i, k]);
-        tree.contract(t2, la, IndexSet::from_vars([a, b, i, j]));
-        (space, tree, t1, t2)
-    }
 
     #[test]
     fn chains_of_fig1c() {
-        let (space, tree, t1, t2) = fig1();
+        let (space, tree, t1, t2) = fig1(4);
         let mut cfg = FusionConfig::unfused(&tree);
         cfg.set(t1, space.parse_set("b,c,d,f").unwrap());
         cfg.set(t2, space.parse_set("b,c").unwrap());
@@ -179,7 +157,7 @@ mod tests {
 
     #[test]
     fn partially_overlapping_scopes_rejected() {
-        let (space, tree, t1, t2) = fig1();
+        let (space, tree, t1, t2) = fig1(4);
         let mut cfg = FusionConfig::unfused(&tree);
         // T2 fused on j,k with S; T1 fused on d,f with T2: d/f chains span
         // {T1,T2}, j/k chains span {T2,S} — partial overlap at T2.

@@ -7,24 +7,18 @@
 //! Fig. 1(c)).  Unfused producers become separate top-level nests emitted
 //! in evaluation order.
 //!
-//! Placement rules (derived in the module tests and verified end-to-end by
-//! the `tce-exec` interpreter against the reference einsum):
-//!
-//! * a node's statement sits inside every chain whose scope contains the
-//!   node, plus its own *private* loops (its loop indices not covered by
-//!   those chains);
-//! * the zero-initialization of a fused intermediate sits inside exactly
-//!   the chains running through the node's parent edge — i.e. it re-zeroes
-//!   once per iteration of the fused loops, just before the producer's
-//!   material;
-//! * within any loop body, components are ordered by the highest
-//!   evaluation rank they contain, which places every producer (and every
-//!   initialization) before its consumers.
+//! *Where* each initialization and production sits is decided once, by
+//! [`crate::schedule`]; this module declares the loop variables and the
+//! (dimension-reduced) arrays and then lowers the schedule's step tree to
+//! loop-IR statements: a chain loop becomes a `Stmt::Loop`, a `Zero` an
+//! `Stmt::Init`, and a `Produce` the node's scalar statement wrapped in
+//! its *private* loops (its loop indices not covered by the enclosing
+//! chains).
 
-use crate::chains::{chains_of, Chain};
-use crate::config::{is_fusable_producer, FusionConfig};
+use crate::config::FusionConfig;
+use crate::schedule::{fusion_schedule_with_labels, FusionSchedule, ScheduleStep};
 use std::collections::HashMap;
-use tce_ir::{IndexSet, IndexSpace, IndexVar, Leaf, NodeId, OpKind, OpTree, TensorTable};
+use tce_ir::{IndexSet, IndexSpace, Leaf, NodeId, OpKind, OpTree, TensorTable};
 use tce_loops::{
     ARef, ArrayId, ArrayKind, BuiltProgram, LoopProgram, LoopVarId, Stmt, Sub, VarRange,
 };
@@ -64,18 +58,9 @@ pub fn fused_program_with_labels(
     array_config: &FusionConfig,
     result_name: &str,
 ) -> BuiltProgram {
-    let config = chain_labels;
     let mut p = LoopProgram::new();
     let mut index_var: HashMap<u8, LoopVarId> = HashMap::new();
     let mut node_array: Vec<ArrayId> = vec![ArrayId(u32::MAX); tree.len()];
-    let parents = tree.parents();
-    let rank: Vec<usize> = {
-        let mut r = vec![0usize; tree.len()];
-        for (i, id) in tree.postorder().into_iter().enumerate() {
-            r[id.0 as usize] = i;
-        }
-        r
-    };
 
     // --- declare loop variables (one per source index in use) ---
     let mut all_indices = IndexSet::EMPTY;
@@ -125,56 +110,17 @@ pub fn fused_program_with_labels(
         }
     }
 
-    // --- fusion groups: connected components over fused edges ---
-    let mut group_of: Vec<usize> = (0..tree.len()).collect();
-    fn find(uf: &mut [usize], mut i: usize) -> usize {
-        while uf[i] != i {
-            uf[i] = uf[uf[i]];
-            i = uf[i];
-        }
-        i
+    // --- body: the placement's step tree, lowered to statements ---
+    let schedule = fusion_schedule_with_labels(tree, chain_labels);
+    p.body = Lowering {
+        tree,
+        array_config,
+        schedule: &schedule,
+        index_var: &index_var,
+        node_array: &node_array,
+        func_of: &func_of,
     }
-    for id in tree.postorder() {
-        if id != tree.root && !config.get(id).is_empty() {
-            let u = parents[id.0 as usize].unwrap();
-            let (a, b) = (
-                find(&mut group_of, id.0 as usize),
-                find(&mut group_of, u.0 as usize),
-            );
-            group_of[a] = b;
-        }
-    }
-
-    // Producers (nodes that emit code) grouped; group key = representative.
-    let mut groups: HashMap<usize, Vec<NodeId>> = HashMap::new();
-    for id in tree.postorder() {
-        if is_fusable_producer(tree, id) {
-            let g = find(&mut group_of, id.0 as usize);
-            groups.entry(g).or_default().push(id);
-        }
-    }
-    // Emit groups in order of their highest-rank member (the group's
-    // consumer-most node), which respects producer→consumer dependencies
-    // between groups.
-    let mut group_list: Vec<Vec<NodeId>> = groups.into_values().collect();
-    group_list.sort_by_key(|g| g.iter().map(|n| rank[n.0 as usize]).max().unwrap());
-
-    let chains = chains_of(tree, config);
-    for group in group_list {
-        emit_group(
-            tree,
-            space,
-            array_config,
-            &chains,
-            &group,
-            &rank,
-            &parents,
-            &index_var,
-            &node_array,
-            &func_of,
-            &mut p,
-        );
-    }
+    .lower(&schedule.steps);
 
     let built = BuiltProgram {
         program: p,
@@ -195,237 +141,74 @@ fn remaining_dims(tree: &OpTree, config: &FusionConfig, id: NodeId) -> Vec<VarRa
         .collect()
 }
 
-/// An emission item: a statement (with private loops) or an array
-/// initialization, placed at a laminar position.
-struct Item {
-    /// (evaluation rank, 0 = init / 1 = statement) — unique, and ordering
-    /// by it places initializations and producers before consumers.
-    key: (usize, u8),
-    /// Chains that must be open around this item (indices).
-    chain_set: Vec<usize>,
-    /// Statement to emit (already including private loops).
-    stmt: Stmt,
+/// Lowering of a [`FusionSchedule`] to loop-IR statements.
+struct Lowering<'a> {
+    tree: &'a OpTree,
+    array_config: &'a FusionConfig,
+    schedule: &'a FusionSchedule,
+    index_var: &'a HashMap<u8, LoopVarId>,
+    node_array: &'a [ArrayId],
+    func_of: &'a HashMap<u32, tce_loops::FuncId>,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn emit_group(
-    tree: &OpTree,
-    space: &IndexSpace,
-    config: &FusionConfig,
-    all_chains: &[Chain],
-    group: &[NodeId],
-    rank: &[usize],
-    parents: &[Option<NodeId>],
-    index_var: &HashMap<u8, LoopVarId>,
-    node_array: &[ArrayId],
-    func_of: &HashMap<u32, tce_loops::FuncId>,
-    p: &mut LoopProgram,
-) {
-    let in_group = |n: NodeId| group.contains(&n);
-    // Chains relevant to this group (scope within the group's node set —
-    // chains never straddle groups because fused edges define both).
-    let chains: Vec<(usize, &Chain)> = all_chains
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| c.scope.iter().any(|&n| in_group(n)))
-        .collect();
-
-    let chain_contains = |ci: usize, n: NodeId| all_chains[ci].scope.contains(&n);
-
-    // --- build items ---
-    let mut items: Vec<Item> = Vec::new();
-    for &v in group {
-        let cv: Vec<usize> = chains
+impl Lowering<'_> {
+    fn lower(&self, steps: &[ScheduleStep]) -> Vec<Stmt> {
+        steps
             .iter()
-            .filter(|(ci, _)| chain_contains(*ci, v))
-            .map(|(ci, _)| *ci)
-            .collect();
-        let chain_indices: IndexSet =
-            IndexSet::from_vars(cv.iter().map(|&ci| all_chains[ci].index));
-        let private: Vec<IndexVar> = tree.loop_indices(v).minus(chain_indices).iter().collect();
+            .map(|step| match step {
+                ScheduleStep::Loop { index, body } => Stmt::Loop {
+                    var: self.index_var[&index.0],
+                    body: self.lower(body),
+                },
+                ScheduleStep::Zero(v) => Stmt::Init {
+                    array: self.node_array[v.0 as usize],
+                },
+                ScheduleStep::Produce(v) => self.produce(*v),
+            })
+            .collect()
+    }
 
-        // Statement.
-        let stmt = match &tree.node(v).kind {
+    /// `v`'s scalar statement inside its private loops: its loop indices
+    /// not already pinned by the enclosing chain loops.
+    fn produce(&self, v: NodeId) -> Stmt {
+        let aref = |id| {
+            ref_for(
+                self.tree,
+                self.array_config,
+                id,
+                self.node_array,
+                self.index_var,
+            )
+        };
+        let stmt = match &self.tree.node(v).kind {
             OpKind::Contract { left, right } => Stmt::Accum {
-                lhs: ref_for(tree, config, v, node_array, index_var),
-                rhs: vec![
-                    ref_for(tree, config, *left, node_array, index_var),
-                    ref_for(tree, config, *right, node_array, index_var),
-                ],
+                lhs: aref(v),
+                rhs: vec![aref(*left), aref(*right)],
                 coeff: 1.0,
             },
             OpKind::Leaf(Leaf::Func { indices, .. }) => Stmt::Eval {
-                lhs: ref_for(tree, config, v, node_array, index_var),
-                func: func_of[&v.0],
+                lhs: aref(v),
+                func: self.func_of[&v.0],
                 args: indices
                     .iter()
-                    .map(|iv| Sub::Var(index_var[&iv.0]))
+                    .map(|iv| Sub::Var(self.index_var[&iv.0]))
                     .collect(),
             },
-            OpKind::Leaf(_) => unreachable!("only producers are group members"),
+            OpKind::Leaf(_) => unreachable!("only producers are scheduled"),
         };
-        let nested = if private.is_empty() {
+        let private: Vec<LoopVarId> = self
+            .tree
+            .loop_indices(v)
+            .minus(self.schedule.pinned[v.0 as usize])
+            .iter()
+            .map(|iv| self.index_var[&iv.0])
+            .collect();
+        if private.is_empty() {
             stmt
         } else {
-            tce_loops::nest(
-                private.iter().map(|iv| index_var[&iv.0]).collect(),
-                vec![stmt],
-            )
-        };
-        items.push(Item {
-            key: (rank[v.0 as usize], 1),
-            chain_set: cv.clone(),
-            stmt: nested,
-        });
-
-        // Initialization for accumulating intermediates (contractions).
-        if matches!(tree.node(v).kind, OpKind::Contract { .. }) {
-            // The chains through v's parent edge (those containing both
-            // endpoints) — the array is re-zeroed once per their
-            // iteration.  Empty (top of a group, or the root) → a single
-            // zero-fill before the group.
-            let init_chains: Vec<usize> = match parents[v.0 as usize] {
-                Some(u) if v != tree.root => cv
-                    .iter()
-                    .copied()
-                    .filter(|&ci| chain_contains(ci, u))
-                    .collect(),
-                _ => Vec::new(),
-            };
-            items.push(Item {
-                key: (rank[v.0 as usize], 0),
-                chain_set: init_chains,
-                stmt: Stmt::Init {
-                    array: node_array[v.0 as usize],
-                },
-            });
+            tce_loops::nest(private, vec![stmt])
         }
     }
-    let _ = space;
-
-    // --- laminar forest over the group's chains ---
-    // Sort by descending scope size, then index id; each chain's parent is
-    // the smallest already-placed chain whose scope contains it.
-    let mut order: Vec<usize> = chains.iter().map(|(ci, _)| *ci).collect();
-    order.sort_by_key(|&ci| {
-        (
-            std::cmp::Reverse(all_chains[ci].scope.len()),
-            all_chains[ci].index,
-        )
-    });
-    // forest_parent[ci] = Some(parent chain) or None (root level).
-    let mut forest_parent: HashMap<usize, Option<usize>> = HashMap::new();
-    for (pos, &ci) in order.iter().enumerate() {
-        let mut best: Option<usize> = None;
-        for &cj in order[..pos].iter() {
-            let scope_i = &all_chains[ci].scope;
-            let scope_j = &all_chains[cj].scope;
-            if scope_i.iter().all(|n| scope_j.contains(n)) {
-                // cj contains ci; prefer the smallest container, breaking
-                // equal-scope ties toward the most recently placed (so
-                // equal scopes form a path, not siblings).
-                best = Some(match best {
-                    None => cj,
-                    // Later-placed equal scopes win, so equal scopes form a
-                    // path rather than siblings.
-                    Some(b) if scope_j.len() <= all_chains[b].scope.len() => cj,
-                    Some(b) => b,
-                });
-            }
-        }
-        forest_parent.insert(ci, best);
-    }
-
-    // Depth of each chain in the forest (for picking an item's innermost
-    // position).
-    let mut depth: HashMap<usize, usize> = HashMap::new();
-    for &ci in &order {
-        let mut d = 0;
-        let mut cur = forest_parent[&ci];
-        while let Some(c) = cur {
-            d += 1;
-            cur = forest_parent[&c];
-        }
-        depth.insert(ci, d);
-    }
-
-    // --- attach items and emit recursively ---
-    enum Node {
-        Chain(usize),
-        Item(usize),
-    }
-    // children of laminar position: key None = group root, Some(ci) = chain.
-    let mut children: HashMap<Option<usize>, Vec<Node>> = HashMap::new();
-    for &ci in &order {
-        children
-            .entry(forest_parent[&ci])
-            .or_default()
-            .push(Node::Chain(ci));
-    }
-    for (ii, item) in items.iter().enumerate() {
-        let pos = item.chain_set.iter().copied().max_by_key(|ci| depth[ci]);
-        children.entry(pos).or_default().push(Node::Item(ii));
-    }
-
-    // Max item key under each laminar position, for ordering.
-    fn max_key(
-        pos: Option<usize>,
-        children: &HashMap<Option<usize>, Vec<Node>>,
-        items: &[Item],
-    ) -> (usize, u8) {
-        let mut best = (0usize, 0u8);
-        if let Some(nodes) = children.get(&pos) {
-            for n in nodes {
-                let k = match n {
-                    Node::Item(ii) => items[*ii].key,
-                    Node::Chain(ci) => max_key(Some(*ci), children, items),
-                };
-                if k > best {
-                    best = k;
-                }
-            }
-        }
-        best
-    }
-
-    fn emit(
-        pos: Option<usize>,
-        children: &HashMap<Option<usize>, Vec<Node>>,
-        items: &[Item],
-        all_chains: &[Chain],
-        index_var: &HashMap<u8, LoopVarId>,
-    ) -> Vec<Stmt> {
-        let mut ordered: Vec<(&Node, (usize, u8))> = children
-            .get(&pos)
-            .map(|ns| {
-                ns.iter()
-                    .map(|n| {
-                        let k = match n {
-                            Node::Item(ii) => items[*ii].key,
-                            Node::Chain(ci) => max_key(Some(*ci), children, items),
-                        };
-                        (n, k)
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
-        ordered.sort_by_key(|&(_, k)| k);
-        let mut out = Vec::new();
-        for (n, _) in ordered {
-            match n {
-                Node::Item(ii) => out.push(items[*ii].stmt.clone()),
-                Node::Chain(ci) => {
-                    let var = index_var[&all_chains[*ci].index.0];
-                    let body = emit(Some(*ci), children, items, all_chains, index_var);
-                    out.push(Stmt::Loop { var, body });
-                }
-            }
-        }
-        out
-    }
-
-    let stmts = emit(None, &children, &items, all_chains, index_var);
-    p.body.extend(stmts);
 }
 
 /// Reference to the (possibly dimension-reduced) array of `id`, subscripted
@@ -458,32 +241,10 @@ fn ref_for(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::tests::fig1_with_tensors as fig1;
     use crate::memmin::memmin_dp;
     use tce_ir::TensorDecl;
     use tce_loops::{memory_report, op_counts, pretty, unfused_program};
-
-    fn fig1(n_ext: usize) -> (IndexSpace, TensorTable, OpTree, NodeId, NodeId) {
-        let mut space = IndexSpace::new();
-        let n = space.add_range("N", n_ext);
-        let vs = space.add_vars("a b c d e f i j k l", n);
-        let (a, b, c, d, e, f, i, j, k, l) = (
-            vs[0], vs[1], vs[2], vs[3], vs[4], vs[5], vs[6], vs[7], vs[8], vs[9],
-        );
-        let mut tensors = TensorTable::new();
-        let ta = tensors.add(TensorDecl::dense("A", vec![n; 4]));
-        let tb = tensors.add(TensorDecl::dense("B", vec![n; 4]));
-        let tc = tensors.add(TensorDecl::dense("C", vec![n; 4]));
-        let td = tensors.add(TensorDecl::dense("D", vec![n; 4]));
-        let mut tree = OpTree::new();
-        let lb = tree.leaf_input(tb, vec![b, e, f, l]);
-        let ld = tree.leaf_input(td, vec![c, d, e, l]);
-        let t1 = tree.contract(lb, ld, IndexSet::from_vars([b, c, d, f]));
-        let lc = tree.leaf_input(tc, vec![d, f, j, k]);
-        let t2 = tree.contract(t1, lc, IndexSet::from_vars([b, c, j, k]));
-        let la = tree.leaf_input(ta, vec![a, c, i, k]);
-        tree.contract(t2, la, IndexSet::from_vars([a, b, i, j]));
-        (space, tensors, tree, t1, t2)
-    }
 
     #[test]
     fn fig1c_structure_matches_paper() {

@@ -179,6 +179,14 @@ pub(crate) mod tests {
 
     /// Fig 1(a) tree at extent `n`; returns (space, tree, [t1, t2] node ids).
     pub(crate) fn fig1(n_ext: usize) -> (IndexSpace, OpTree, NodeId, NodeId) {
+        let (space, _, tree, t1, t2) = fig1_with_tensors(n_ext);
+        (space, tree, t1, t2)
+    }
+
+    /// [`fig1`] plus the tensor table its stored inputs are declared in.
+    pub(crate) fn fig1_with_tensors(
+        n_ext: usize,
+    ) -> (IndexSpace, TensorTable, OpTree, NodeId, NodeId) {
         let mut space = IndexSpace::new();
         let n = space.add_range("N", n_ext);
         let vs = space.add_vars("a b c d e f i j k l", n);
@@ -198,7 +206,7 @@ pub(crate) mod tests {
         let t2 = tree.contract(t1, lc, IndexSet::from_vars([b, c, j, k]));
         let la = tree.leaf_input(ta, vec![a, c, i, k]);
         tree.contract(t2, la, IndexSet::from_vars([a, b, i, j]));
-        (space, tree, t1, t2)
+        (space, tensors, tree, t1, t2)
     }
 
     #[test]

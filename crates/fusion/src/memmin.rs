@@ -189,30 +189,8 @@ pub fn memmin_bruteforce(tree: &OpTree, space: &IndexSpace) -> MemMinResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::tests::fig1;
     use tce_ir::{TensorDecl, TensorTable};
-
-    fn fig1(n_ext: usize) -> (IndexSpace, OpTree, NodeId, NodeId) {
-        let mut space = IndexSpace::new();
-        let n = space.add_range("N", n_ext);
-        let vs = space.add_vars("a b c d e f i j k l", n);
-        let (a, b, c, d, e, f, i, j, k, l) = (
-            vs[0], vs[1], vs[2], vs[3], vs[4], vs[5], vs[6], vs[7], vs[8], vs[9],
-        );
-        let mut tensors = TensorTable::new();
-        let ta = tensors.add(TensorDecl::dense("A", vec![n; 4]));
-        let tb = tensors.add(TensorDecl::dense("B", vec![n; 4]));
-        let tc = tensors.add(TensorDecl::dense("C", vec![n; 4]));
-        let td = tensors.add(TensorDecl::dense("D", vec![n; 4]));
-        let mut tree = OpTree::new();
-        let lb = tree.leaf_input(tb, vec![b, e, f, l]);
-        let ld = tree.leaf_input(td, vec![c, d, e, l]);
-        let t1 = tree.contract(lb, ld, IndexSet::from_vars([b, c, d, f]));
-        let lc = tree.leaf_input(tc, vec![d, f, j, k]);
-        let t2 = tree.contract(t1, lc, IndexSet::from_vars([b, c, j, k]));
-        let la = tree.leaf_input(ta, vec![a, c, i, k]);
-        tree.contract(t2, la, IndexSet::from_vars([a, b, i, j]));
-        (space, tree, t1, t2)
-    }
 
     #[test]
     fn fig1_memmin_reduces_t1_to_scalar_t2_to_2d() {

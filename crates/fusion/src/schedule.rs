@@ -1,26 +1,41 @@
-//! Executable schedules for fused trees: the loop/zero/produce skeleton of
+//! Placement of a fusion configuration: the loop/zero/produce skeleton of
 //! the fused program, without scalar statements.
 //!
-//! [`crate::codegen`] lowers a [`FusionConfig`] all the way to a scalar
-//! loop program for the interpreter.  The fused *executor*
-//! (`tce_exec::fusedexec`) instead wants only the outer fused chain loops —
-//! each node's private loops stay inside a single high-performance sliced
-//! GETT call (the BLAS-slicing strategy of Peise et al.).  This module
-//! compiles a configuration into that skeleton: a [`FusionSchedule`] whose
-//! steps are the fused chain loops ([`ScheduleStep::Loop`]), per-iteration
+//! This module is the only place that decides *where*, in the laminar
+//! family of fusion-chain scopes, each node's initialization and
+//! production sit.  The result is a [`FusionSchedule`] whose steps are the
+//! fused chain loops ([`ScheduleStep::Loop`]), per-iteration
 //! re-initializations of accumulating intermediates ([`ScheduleStep::Zero`])
-//! and node productions ([`ScheduleStep::Produce`]).
+//! and node productions ([`ScheduleStep::Produce`]).  It has two lowerings:
 //!
-//! The placement rules are identical to codegen (and therefore validated
-//! transitively by the interpreter differential tests):
+//! * [`crate::codegen`] expands every `Produce` into the node's scalar
+//!   statement wrapped in its *private* loops — the loop IR the
+//!   interpreter and the locality stage consume;
+//! * the fused *executor* (`tce_exec::fusedexec`) keeps each node's private
+//!   loops inside one sliced GETT call and walks only the chain loops (the
+//!   BLAS-slicing strategy of Peise et al.).
+//!
+//! Placement rules (verified end-to-end by the interpreter and executor
+//! differential tests against the reference einsum):
 //!
 //! * a node's production sits inside every chain whose scope contains the
 //!   node — those chain indices are the node's *pinned* set, fixed by the
-//!   surrounding loops while the production runs on slices;
+//!   surrounding loops while the production runs on slices; its remaining
+//!   loop indices are private to the production;
 //! * the zero-initialization of an accumulating intermediate sits inside
-//!   exactly the chains running through the node's parent edge;
+//!   exactly the chains running through the node's parent edge — it
+//!   re-zeroes once per iteration of those loops, just before the
+//!   producer's material;
 //! * within any loop body, components are ordered by the highest
-//!   evaluation rank they contain (producers before consumers).
+//!   evaluation rank they contain, which places every producer (and every
+//!   initialization) before its consumers.
+//!
+//! Placement depends on the per-edge *chain labels* only.  A label may
+//! include *redundant* indices that are not indices of the child: their
+//! chains wrap the child's whole nest and re-execute it (the space-time
+//! transformation of paper Fig. 3).  Which array dimensions a label
+//! eliminates is a separate question answered by the lowerings' array
+//! configuration.
 
 use crate::chains::{chains_of, Chain};
 use crate::config::{is_fusable_producer, FusionConfig};
@@ -61,236 +76,118 @@ pub struct FusionSchedule {
 /// Returns an error if the configuration is illegal for the tree.
 pub fn fusion_schedule(tree: &OpTree, config: &FusionConfig) -> Result<FusionSchedule, String> {
     config.check(tree)?;
+    Ok(fusion_schedule_with_labels(tree, config))
+}
+
+/// Ordering key of a step: (evaluation rank, 0 = init / 1 = production).
+/// Unique per item; a chain loop carries the largest key beneath it.
+type Key = (usize, u8);
+
+/// What sits at one laminar position before ordering.
+enum Entry {
+    /// A nested chain (index into the chain list).
+    Chain(usize),
+    /// A `Zero` or `Produce` step.
+    Item(Key, ScheduleStep),
+}
+
+/// Placement proper: `chain_labels` gives the per-edge chain labels
+/// (possibly including redundant indices, see the module docs).
+///
+/// The caller is responsible for legality: the chain scopes of
+/// `chain_labels` must be nested or disjoint
+/// ([`crate::chains::check_scopes`]).
+pub fn fusion_schedule_with_labels(tree: &OpTree, chain_labels: &FusionConfig) -> FusionSchedule {
     let parents = tree.parents();
-    let rank: Vec<usize> = {
-        let mut r = vec![0usize; tree.len()];
-        for (i, id) in tree.postorder().into_iter().enumerate() {
-            r[id.0 as usize] = i;
-        }
-        r
-    };
+    let chains = chains_of(tree, chain_labels);
+    let contains = |ci: usize, n: NodeId| chains[ci].scope.contains(&n);
 
-    // Fusion groups: connected components over fused edges.
-    let mut group_of: Vec<usize> = (0..tree.len()).collect();
-    fn find(uf: &mut [usize], mut i: usize) -> usize {
-        while uf[i] != i {
-            uf[i] = uf[uf[i]];
-            i = uf[i];
-        }
-        i
-    }
-    for id in tree.postorder() {
-        if id != tree.root && !config.get(id).is_empty() {
-            let u = parents[id.0 as usize].unwrap();
-            let (a, b) = (
-                find(&mut group_of, id.0 as usize),
-                find(&mut group_of, u.0 as usize),
-            );
-            group_of[a] = b;
-        }
-    }
-    let mut groups: HashMap<usize, Vec<NodeId>> = HashMap::new();
-    for id in tree.postorder() {
-        if is_fusable_producer(tree, id) {
-            let g = find(&mut group_of, id.0 as usize);
-            groups.entry(g).or_default().push(id);
-        }
-    }
-    let mut group_list: Vec<Vec<NodeId>> = groups.into_values().collect();
-    group_list.sort_by_key(|g| g.iter().map(|n| rank[n.0 as usize]).max().unwrap());
-
-    let chains = chains_of(tree, config);
-    let mut pinned = vec![IndexSet::EMPTY; tree.len()];
-    for chain in &chains {
-        for &n in &chain.scope {
-            pinned[n.0 as usize] = pinned[n.0 as usize].union(chain.index.singleton());
-        }
-    }
-
-    let mut steps = Vec::new();
-    for group in group_list {
-        schedule_group(tree, &chains, &group, &rank, &parents, &mut steps);
-    }
-    Ok(FusionSchedule { steps, pinned })
-}
-
-/// An emission item: a production or initialization at a laminar position.
-struct Item {
-    /// (evaluation rank, 0 = init / 1 = production) — ordering by it places
-    /// initializations and producers before consumers.
-    key: (usize, u8),
-    /// Chains that must be open around this item.
-    chain_set: Vec<usize>,
-    step: ScheduleStep,
-}
-
-fn schedule_group(
-    tree: &OpTree,
-    all_chains: &[Chain],
-    group: &[NodeId],
-    rank: &[usize],
-    parents: &[Option<NodeId>],
-    out: &mut Vec<ScheduleStep>,
-) {
-    let in_group = |n: NodeId| group.contains(&n);
-    let chains: Vec<usize> = all_chains
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| c.scope.iter().any(|&n| in_group(n)))
-        .map(|(ci, _)| ci)
-        .collect();
-    let chain_contains = |ci: usize, n: NodeId| all_chains[ci].scope.contains(&n);
-
-    // --- build items ---
-    let mut items: Vec<Item> = Vec::new();
-    for &v in group {
-        let cv: Vec<usize> = chains
+    // --- laminar forest over the chains ---
+    // Placed by descending scope size, then index id; a chain's parent is
+    // the last chain placed before it whose scope contains its own — the
+    // smallest container, with equal scopes forming a path rather than
+    // siblings.  `depth` picks an item's innermost position.
+    let mut order: Vec<usize> = (0..chains.len()).collect();
+    order.sort_by_key(|&ci| (std::cmp::Reverse(chains[ci].scope.len()), chains[ci].index));
+    let mut depth = vec![0usize; chains.len()];
+    let mut children: HashMap<Option<usize>, Vec<Entry>> = HashMap::new();
+    for (pos, &ci) in order.iter().enumerate() {
+        let forest_parent = order[..pos]
             .iter()
             .copied()
-            .filter(|&ci| chain_contains(ci, v))
-            .collect();
-        items.push(Item {
-            key: (rank[v.0 as usize], 1),
-            chain_set: cv.clone(),
-            step: ScheduleStep::Produce(v),
-        });
-        // Initialization of accumulating intermediates (contractions): the
-        // chains through v's parent edge.  Empty (top of a group, or the
-        // root) → a single zero-fill before the group.
-        if matches!(tree.node(v).kind, OpKind::Contract { .. }) {
-            let init_chains: Vec<usize> = match parents[v.0 as usize] {
-                Some(u) if v != tree.root => cv
-                    .iter()
-                    .copied()
-                    .filter(|&ci| chain_contains(ci, u))
-                    .collect(),
-                _ => Vec::new(),
-            };
-            items.push(Item {
-                key: (rank[v.0 as usize], 0),
-                chain_set: init_chains,
-                step: ScheduleStep::Zero(v),
-            });
-        }
-    }
-
-    // --- laminar forest over the group's chains (same rules as codegen) ---
-    let mut order: Vec<usize> = chains.clone();
-    order.sort_by_key(|&ci| {
-        (
-            std::cmp::Reverse(all_chains[ci].scope.len()),
-            all_chains[ci].index,
-        )
-    });
-    let mut forest_parent: HashMap<usize, Option<usize>> = HashMap::new();
-    for (pos, &ci) in order.iter().enumerate() {
-        let mut best: Option<usize> = None;
-        for &cj in order[..pos].iter() {
-            let scope_i = &all_chains[ci].scope;
-            let scope_j = &all_chains[cj].scope;
-            if scope_i.iter().all(|n| scope_j.contains(n)) {
-                best = Some(match best {
-                    None => cj,
-                    // Later-placed equal scopes win, so equal scopes form a
-                    // path rather than siblings.
-                    Some(b) if scope_j.len() <= all_chains[b].scope.len() => cj,
-                    Some(b) => b,
-                });
-            }
-        }
-        forest_parent.insert(ci, best);
-    }
-    let mut depth: HashMap<usize, usize> = HashMap::new();
-    for &ci in &order {
-        let mut d = 0;
-        let mut cur = forest_parent[&ci];
-        while let Some(c) = cur {
-            d += 1;
-            cur = forest_parent[&c];
-        }
-        depth.insert(ci, d);
-    }
-
-    // --- attach items and emit recursively ---
-    enum Node {
-        Chain(usize),
-        Item(usize),
-    }
-    let mut children: HashMap<Option<usize>, Vec<Node>> = HashMap::new();
-    for &ci in &order {
+            .rfind(|&cj| chains[ci].scope.iter().all(|&n| contains(cj, n)));
+        depth[ci] = forest_parent.map_or(0, |cj| depth[cj] + 1);
         children
-            .entry(forest_parent[&ci])
+            .entry(forest_parent)
             .or_default()
-            .push(Node::Chain(ci));
-    }
-    for (ii, item) in items.iter().enumerate() {
-        let pos = item.chain_set.iter().copied().max_by_key(|ci| depth[ci]);
-        children.entry(pos).or_default().push(Node::Item(ii));
+            .push(Entry::Chain(ci));
     }
 
-    fn max_key(
-        pos: Option<usize>,
-        children: &HashMap<Option<usize>, Vec<Node>>,
-        items: &[Item],
-    ) -> (usize, u8) {
-        let mut best = (0usize, 0u8);
-        if let Some(nodes) = children.get(&pos) {
-            for n in nodes {
-                let k = match n {
-                    Node::Item(ii) => items[*ii].key,
-                    Node::Chain(ci) => max_key(Some(*ci), children, items),
-                };
-                if k > best {
-                    best = k;
-                }
-            }
+    // --- attach every producer's steps at their innermost chain ---
+    let mut pinned = vec![IndexSet::EMPTY; tree.len()];
+    let innermost = |set: &[usize]| set.iter().copied().max_by_key(|&ci| depth[ci]);
+    for (rank, v) in tree.postorder().into_iter().enumerate() {
+        if !is_fusable_producer(tree, v) {
+            continue;
         }
-        best
-    }
-
-    fn emit(
-        pos: Option<usize>,
-        children: &HashMap<Option<usize>, Vec<Node>>,
-        items: &[Item],
-        all_chains: &[Chain],
-    ) -> Vec<ScheduleStep> {
-        let mut ordered: Vec<(&Node, (usize, u8))> = children
-            .get(&pos)
-            .map(|ns| {
-                ns.iter()
-                    .map(|n| {
-                        let k = match n {
-                            Node::Item(ii) => items[*ii].key,
-                            Node::Chain(ci) => max_key(Some(*ci), children, items),
-                        };
-                        (n, k)
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
-        ordered.sort_by_key(|&(_, k)| k);
-        let mut out = Vec::new();
-        for (n, _) in ordered {
-            match n {
-                Node::Item(ii) => out.push(items[*ii].step.clone()),
-                Node::Chain(ci) => out.push(ScheduleStep::Loop {
-                    index: all_chains[*ci].index,
-                    body: emit(Some(*ci), children, items, all_chains),
-                }),
-            }
+        let around: Vec<usize> = (0..chains.len()).filter(|&ci| contains(ci, v)).collect();
+        pinned[v.0 as usize] = IndexSet::from_vars(around.iter().map(|&ci| chains[ci].index));
+        children
+            .entry(innermost(&around))
+            .or_default()
+            .push(Entry::Item((rank, 1), ScheduleStep::Produce(v)));
+        // Accumulating intermediates (contractions) are zeroed inside the
+        // chains through their parent edge; none (an unfused edge, or the
+        // root) means a single zero-fill at top level.
+        if matches!(tree.node(v).kind, OpKind::Contract { .. }) {
+            let through: Vec<usize> = match parents[v.0 as usize] {
+                Some(u) => around.into_iter().filter(|&ci| contains(ci, u)).collect(),
+                None => Vec::new(),
+            };
+            children
+                .entry(innermost(&through))
+                .or_default()
+                .push(Entry::Item((rank, 0), ScheduleStep::Zero(v)));
         }
-        out
     }
 
-    out.extend(emit(None, &children, &items, all_chains));
+    let (steps, _) = emit(None, &children, &chains);
+    FusionSchedule { steps, pinned }
+}
+
+/// The steps at laminar position `pos` (`None` = top level) in key order,
+/// and the largest key among them.
+fn emit(
+    pos: Option<usize>,
+    children: &HashMap<Option<usize>, Vec<Entry>>,
+    chains: &[Chain],
+) -> (Vec<ScheduleStep>, Key) {
+    let mut keyed: Vec<(Key, ScheduleStep)> = children
+        .get(&pos)
+        .into_iter()
+        .flatten()
+        .map(|entry| match entry {
+            Entry::Item(key, step) => (*key, step.clone()),
+            Entry::Chain(ci) => {
+                let (body, key) = emit(Some(*ci), children, chains);
+                let index = chains[*ci].index;
+                (key, ScheduleStep::Loop { index, body })
+            }
+        })
+        .collect();
+    keyed.sort_by_key(|&(key, _)| key);
+    let max = keyed.last().map_or((0, 0), |&(key, _)| key);
+    (keyed.into_iter().map(|(_, step)| step).collect(), max)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::tests::fig1;
-    use crate::memmin::memmin_dp;
-    use tce_ir::IndexSpace;
+    use crate::codegen::fused_program;
+    use crate::config::tests::{fig1, fig1_with_tensors};
+    use crate::memmin::{enumerate_legal_configs, memmin_dp};
+    use tce_ir::{IndexSpace, TensorDecl, TensorTable};
+    use tce_loops::{ArrayId, BuiltProgram, Stmt};
 
     /// Render a schedule compactly for structural assertions.
     fn render(steps: &[ScheduleStep], space: &IndexSpace, out: &mut String) {
@@ -316,7 +213,7 @@ mod tests {
         let sched = fusion_schedule(&tree, &cfg).unwrap();
         let mut text = String::new();
         render(&sched.steps, &space, &mut text);
-        // Mirror of codegen's Fig 1(c) program, private loops elided:
+        // Paper Fig 1(c), private loops elided:
         //   S = 0; for b,c { T2 = 0; for d,f { T1 = 0; T1 += …; T2 += … };
         //   S += … }
         let expect = format!(
@@ -339,6 +236,115 @@ mod tests {
             sched.pinned[tree.root.0 as usize],
             space.parse_set("b,c").unwrap()
         );
+    }
+
+    /// The node whose array is `array`.
+    fn node_of(built: &BuiltProgram, array: ArrayId) -> NodeId {
+        let node = built.node_array.iter().position(|&a| a == array).unwrap();
+        NodeId(node as u32)
+    }
+
+    /// The node a (possibly loop-wrapped) single statement produces.
+    fn produced(built: &BuiltProgram, stmt: &Stmt) -> Option<NodeId> {
+        match stmt {
+            Stmt::Loop { body, .. } => match body.as_slice() {
+                [only] => produced(built, only),
+                _ => None,
+            },
+            Stmt::Init { .. } => None,
+            Stmt::Accum { lhs, .. } | Stmt::Eval { lhs, .. } => Some(node_of(built, lhs.array)),
+        }
+    }
+
+    /// Invert codegen's lowering: collapse every production's private loop
+    /// nest (a loop over an index its node does not have pinned) back into
+    /// a `Produce` step.
+    fn skeleton(built: &BuiltProgram, sched: &FusionSchedule, stmts: &[Stmt]) -> Vec<ScheduleStep> {
+        stmts
+            .iter()
+            .map(|stmt| match stmt {
+                Stmt::Init { array } => ScheduleStep::Zero(node_of(built, *array)),
+                Stmt::Accum { .. } | Stmt::Eval { .. } => {
+                    ScheduleStep::Produce(produced(built, stmt).unwrap())
+                }
+                Stmt::Loop { var, body } => {
+                    let (&index, _) = built.index_var.iter().find(|(_, v)| *v == var).unwrap();
+                    let index = IndexVar(index);
+                    match produced(built, stmt) {
+                        Some(v) if !sched.pinned[v.0 as usize].contains(index) => {
+                            ScheduleStep::Produce(v)
+                        }
+                        _ => ScheduleStep::Loop {
+                            index,
+                            body: skeleton(built, sched, body),
+                        },
+                    }
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn stripping_private_loops_from_the_fused_program_yields_the_schedule() {
+        let (space, tensors, tree, _, _) = fig1_with_tensors(3);
+        let configs = enumerate_legal_configs(&tree, &space);
+        assert!(configs.len() > 10);
+        for (cfg, _) in &configs {
+            let sched = fusion_schedule(&tree, cfg).unwrap();
+            let built = fused_program(&tree, &space, &tensors, cfg, "S");
+            assert_eq!(
+                skeleton(&built, &sched, &built.program.body),
+                sched.steps,
+                "config {:?}",
+                cfg.fused
+            );
+        }
+    }
+
+    #[test]
+    fn redundant_label_wraps_the_childs_zero_and_produce() {
+        // R = Σ_xy (Σ_z A[x,z]·B[z]) · C[x,y].  Labelling mid's edge with
+        // {y} — a loop index of the root that is *not* an index of mid — is
+        // the space-time transformation: the y chain wraps mid's whole
+        // nest, so mid is re-zeroed and recomputed once per y iteration.
+        let mut space = IndexSpace::new();
+        let n = space.add_range("N", 3);
+        let x = space.add_var("x", n);
+        let y = space.add_var("y", n);
+        let z = space.add_var("z", n);
+        let mut tensors = TensorTable::new();
+        let ta = tensors.add(TensorDecl::dense("A", vec![n, n]));
+        let tb = tensors.add(TensorDecl::dense("B", vec![n]));
+        let tc = tensors.add(TensorDecl::dense("C", vec![n, n]));
+        let mut tree = OpTree::new();
+        let la = tree.leaf_input(ta, vec![x, z]);
+        let lb = tree.leaf_input(tb, vec![z]);
+        let mid = tree.contract(la, lb, x.singleton());
+        let lc = tree.leaf_input(tc, vec![x, y]);
+        let root = tree.contract(mid, lc, IndexSet::EMPTY);
+        assert!(!tree.loop_indices(mid).contains(y));
+
+        let mut labels = FusionConfig::unfused(&tree);
+        labels.set(mid, y.singleton());
+        // Not a fusion configuration (y is not fusable on that edge) …
+        assert!(fusion_schedule(&tree, &labels).is_err());
+        // … but a legal set of chain labels.
+        crate::chains::check_scopes(&tree, &labels).unwrap();
+        let sched = fusion_schedule_with_labels(&tree, &labels);
+        let expect = vec![
+            ScheduleStep::Zero(root),
+            ScheduleStep::Loop {
+                index: y,
+                body: vec![
+                    ScheduleStep::Zero(mid),
+                    ScheduleStep::Produce(mid),
+                    ScheduleStep::Produce(root),
+                ],
+            },
+        ];
+        assert_eq!(sched.steps, expect);
+        assert_eq!(sched.pinned[mid.0 as usize], y.singleton());
+        assert_eq!(sched.pinned[root.0 as usize], y.singleton());
     }
 
     #[test]

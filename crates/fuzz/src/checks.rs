@@ -27,11 +27,9 @@
 use std::collections::HashMap;
 use std::sync::Mutex;
 
-use tce_core::{
-    synthesize_program, ExecOptions, Schedule, Synthesis, SynthesisConfig, SynthesisError,
-};
+use tce_core::{synthesize_program, ExecOptions, Schedule, SynthesisConfig, SynthesisError};
 use tce_ir::rng::{split_seed, Rng};
-use tce_ir::{Assignment, Factor, IndexSet, IndexVar, Program, TensorId};
+use tce_ir::{Factor, IndexSet, IndexVar, Program, TensorId};
 use tce_tensor::{
     contract_naive, contract_sparse_dense, kernels, BinaryContraction, EinsumSpec, IntegralFn,
     SparseTensor, Tensor,
@@ -280,17 +278,6 @@ fn rel_close(got: &Tensor, expect: &Tensor, tol: f64) -> bool {
     got.max_abs_diff(expect) <= tol * scale
 }
 
-/// Permutation taking a term plan's canonical output order to the declared
-/// LHS order (mirrors the pipeline's internal `lhs_perm`).
-fn lhs_perm(stmt: &Assignment) -> Vec<usize> {
-    let canon: Vec<IndexVar> = stmt.lhs.index_set().iter().collect();
-    stmt.lhs
-        .indices
-        .iter()
-        .map(|v| canon.iter().position(|c| c == v).unwrap())
-        .collect()
-}
-
 /// External inputs: every tensor read before it is assigned, bound to
 /// deterministic (optionally zero-structured) data.
 fn make_inputs(program: &Program, ck: &CheckConfig) -> HashMap<TensorId, Tensor> {
@@ -449,41 +436,6 @@ fn reference_outputs(
     Ok((computed, sparse_jobs))
 }
 
-/// Mirror of `Synthesis::execute_opts` driving each term plan through the
-/// scalar interpreter instead of the GETT engine.
-fn execute_interpreted_sequence(
-    syn: &Synthesis,
-    inputs: &HashMap<TensorId, Tensor>,
-    funcs: &HashMap<String, IntegralFn>,
-) -> Result<HashMap<TensorId, Tensor>, Failure> {
-    let space = &syn.program.space;
-    let mut computed: HashMap<TensorId, Tensor> = HashMap::new();
-    for (si, stmt) in syn.program.stmts.iter().enumerate() {
-        let shape: Vec<usize> = stmt.lhs.indices.iter().map(|&v| space.extent(v)).collect();
-        let mut acc = if stmt.accumulate {
-            computed
-                .get(&stmt.lhs.tensor)
-                .cloned()
-                .unwrap_or_else(|| Tensor::zeros(&shape))
-        } else {
-            Tensor::zeros(&shape)
-        };
-        for plan in syn.plans.iter().filter(|p| p.stmt_index == si) {
-            let mut bound: HashMap<TensorId, &Tensor> =
-                inputs.iter().map(|(id, t)| (*id, t)).collect();
-            for (id, t) in &computed {
-                bound.insert(*id, t);
-            }
-            let value = plan
-                .execute_interpreted(space, &bound, funcs)
-                .map_err(|e| Failure::new(CheckKind::ExecDiff, format!("interp: {e}")))?;
-            acc.axpy(plan.coeff, &value.permute(&lhs_perm(stmt)));
-        }
-        computed.insert(stmt.lhs.tensor, acc);
-    }
-    Ok(computed)
-}
-
 /// Compare every assigned tensor against the oracle.
 fn compare_outputs(
     program: &Program,
@@ -604,7 +556,9 @@ pub fn check_program(program: &Program, ck: &CheckConfig) -> Result<CaseStats, F
         }
 
         // Scalar interpreter over the fused loop programs.
-        let interp = execute_interpreted_sequence(&syn, &inputs, &funcs)?;
+        let interp = syn
+            .execute_interpreted(&input_refs, &funcs)
+            .map_err(|e| Failure::new(CheckKind::ExecDiff, format!("interp: {e}")))?;
         compare_outputs(
             program,
             &interp,
@@ -718,10 +672,10 @@ pub fn check_program(program: &Program, ck: &CheckConfig) -> Result<CaseStats, F
         let _guard = GLOBAL_STATE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         tce_trace::reset();
         tce_trace::set_enabled(true);
-        let run = execute_interpreted_sequence(&syn, &inputs, &funcs);
+        let run = syn.execute_interpreted(&input_refs, &funcs);
         tce_trace::set_enabled(false);
         let trace = tce_trace::take();
-        run?;
+        run.map_err(|e| Failure::new(CheckKind::ExecDiff, format!("interp: {e}")))?;
         let measured = trace.counter_total("exec.interp.flops") as u128;
         let predicted: u128 = syn.plans.iter().map(|p| p.tree_ops).sum();
         if measured != predicted {

@@ -13,9 +13,7 @@
 //! *optimization* of tile sizes is fully general (see [`crate::tiling`]).
 
 use crate::dp::SpaceTimeConfig;
-use tce_fusion::chains::check_scopes;
 use tce_fusion::codegen::fused_program_with_labels;
-use tce_fusion::FusionConfig;
 use tce_ir::{IndexSpace, OpTree, TensorTable};
 use tce_loops::BuiltProgram;
 
@@ -31,14 +29,7 @@ pub fn spacetime_program(
     cfg: &SpaceTimeConfig,
     result_name: &str,
 ) -> Result<BuiltProgram, String> {
-    let mut chain_labels = FusionConfig::unfused(tree);
-    let mut array_config = FusionConfig::unfused(tree);
-    for id in tree.postorder() {
-        let i = id.0 as usize;
-        chain_labels.set(id, cfg.fused[i].union(cfg.redundant[i]));
-        array_config.set(id, cfg.fused[i]);
-    }
-    check_scopes(tree, &chain_labels)?;
+    let (chain_labels, array_config) = cfg.lowering_configs(tree)?;
     let built = fused_program_with_labels(
         tree,
         space,

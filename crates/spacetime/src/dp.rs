@@ -19,7 +19,8 @@
 
 use crate::pareto::Pareto;
 use std::collections::HashMap;
-use tce_fusion::config::{fusable_set, is_fusable_producer};
+use tce_fusion::chains::check_scopes;
+use tce_fusion::config::{fusable_set, is_fusable_producer, FusionConfig};
 use tce_fusion::nest::{derive_child_state_options, encode_state, NestState};
 use tce_ir::{IndexSet, IndexSpace, NodeId, OpKind, OpTree};
 
@@ -47,6 +48,31 @@ impl SpaceTimeConfig {
         self.redundant
             .iter()
             .fold(IndexSet::EMPTY, |s, &r| s.union(r))
+    }
+
+    /// The configuration as the two inputs every lowering takes
+    /// (`fused_program_with_labels`, `execute_tree_fused_with_labels`):
+    /// the *chain labels* — fused ∪ redundant per edge, which define the
+    /// loop structure — and the *array configuration* — the fused part
+    /// alone, which defines the array shapes and the modeled memory.
+    ///
+    /// # Errors
+    /// Returns an error when the chain scopes are not nested (an illegal
+    /// configuration — the DPs never produce one).
+    pub fn lowering_configs(&self, tree: &OpTree) -> Result<(FusionConfig, FusionConfig), String> {
+        let chain_labels = FusionConfig {
+            fused: self
+                .fused
+                .iter()
+                .zip(&self.redundant)
+                .map(|(&f, &r)| f.union(r))
+                .collect(),
+        };
+        let array_config = FusionConfig {
+            fused: self.fused.clone(),
+        };
+        check_scopes(tree, &chain_labels)?;
+        Ok((chain_labels, array_config))
     }
 
     /// Remaining array dimensions of node `id` (fused dims eliminated).

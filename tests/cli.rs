@@ -159,6 +159,44 @@ fn fused_execution_reports_exact_peak_live_set() {
 }
 
 #[test]
+fn fused_execution_honours_a_binding_memory_limit() {
+    // Fusion alone needs 37 elements on the §2 scenario; under a limit of
+    // 10 synthesis selects a recomputing space-time plan, and `--fused`
+    // must run *that* plan: measured == modeled, and within the limit.
+    let out = tce()
+        .args([
+            &spec("ccsd_section2.tce"),
+            "--fused",
+            "--memory-limit",
+            "10",
+        ])
+        .output()
+        .expect("spawn tce");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "failed:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        stdout.contains("space-time: memory"),
+        "limit not binding:\n{stdout}"
+    );
+    let line = stdout
+        .lines()
+        .find(|l| l.contains("peak intermediate live-set"))
+        .unwrap_or_else(|| panic!("no live-set line:\n{stdout}"));
+    assert!(line.ends_with("(exact)"), "{line}");
+    let measured: u128 = line
+        .split("measured ")
+        .nth(1)
+        .and_then(|rest| rest.split(' ').next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("unparsable live-set line: {line}"));
+    assert!(measured <= 10, "limit 10 exceeded: {line}");
+}
+
+#[test]
 fn comm_volume_mismatch_exits_nonzero() {
     // When measured communication diverges from the cost model the CLI
     // must flag the line as a MISMATCH *and* exit nonzero — exact model
@@ -206,7 +244,7 @@ fn peak_live_set_mismatch_exits_nonzero() {
         "mismatch not reported:\n{stdout}"
     );
     assert!(
-        stderr.contains("diverged from the memmin model"),
+        stderr.contains("diverged from the selected plan's memory model"),
         "missing diagnostic:\n{stderr}"
     );
     assert!(!stderr.contains("panicked"), "panicked:\n{stderr}");

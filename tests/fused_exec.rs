@@ -6,13 +6,18 @@
 //! thread count, while the measured peak intermediate live-set equals the
 //! memory-minimization model's `temp_memory` prediction **exactly**.
 //! Exercised on the paper's §2 CCSD term and the A3A scenario behind
-//! Figs. 2–4.
+//! Figs. 2–4.  The same holds for every point of the space-time frontier
+//! (fusion plus recomputation), whose model is the DP's memory for that
+//! point.
 
 use std::collections::HashMap;
-use tce_core::exec::{execute_tree_fused, execute_tree_opts, ExecOptions};
+use tce_core::exec::{
+    execute_tree_fused, execute_tree_fused_with_labels, execute_tree_opts, ExecOptions,
+};
 use tce_core::fusion::{memmin_dp, FusionConfig};
-use tce_core::ir::{IndexSet, OpTree, TensorId};
+use tce_core::ir::{IndexSet, IndexSpace, OpTree, TensorId};
 use tce_core::scenarios::{section2_source, A3AScenario};
+use tce_core::spacetime::spacetime_dp;
 use tce_core::tensor::{IntegralFn, Tensor};
 use tce_core::{synthesize, SynthesisConfig};
 
@@ -24,10 +29,26 @@ fn rel_close(got: &Tensor, expect: &Tensor, tol: f64) -> bool {
     got.max_abs_diff(expect) <= tol * scale
 }
 
+/// Random values for the §2 term's four inputs at extent `n`, by tensor id.
+fn section2_values(syn: &tce_core::Synthesis, n: usize, seed: u64) -> Vec<(TensorId, Tensor)> {
+    ["A", "B", "C", "D"]
+        .iter()
+        .enumerate()
+        .map(|(q, nm)| {
+            let id = syn.program.tensors.by_name(nm).unwrap();
+            (id, Tensor::random(&[n; 4], seed + q as u64))
+        })
+        .collect()
+}
+
+fn bind(values: &[(TensorId, Tensor)]) -> HashMap<TensorId, &Tensor> {
+    values.iter().map(|(id, t)| (*id, t)).collect()
+}
+
 /// The memmin optimum, the unfused baseline, and every legal variant
 /// obtained by clearing one producer's fused set from the optimum —
 /// a spread of configurations from scalar temporaries to full arrays.
-fn config_spread(tree: &OpTree, space: &tce_core::ir::IndexSpace) -> Vec<FusionConfig> {
+fn config_spread(tree: &OpTree, space: &IndexSpace) -> Vec<FusionConfig> {
     let memmin = memmin_dp(tree, space);
     let mut configs = vec![FusionConfig::unfused(tree), memmin.config.clone()];
     for id in tree.postorder() {
@@ -109,16 +130,8 @@ fn section2_memmin_peak_equals_dp_prediction() {
     let plan = &syn.plans[0];
     let space = &syn.program.space;
     assert_eq!(plan.memmin.memory, 1 + (n as u128).pow(2));
-    let shape = [n; 4];
-    let tensors: Vec<(&str, Tensor)> = ["A", "B", "C", "D"]
-        .iter()
-        .enumerate()
-        .map(|(q, nm)| (*nm, Tensor::random(&shape, 50 + q as u64)))
-        .collect();
-    let mut inputs: HashMap<TensorId, &Tensor> = HashMap::new();
-    for (nm, t) in &tensors {
-        inputs.insert(syn.program.tensors.by_name(nm).unwrap(), t);
-    }
+    let values = section2_values(&syn, n, 50);
+    let inputs = bind(&values);
     let report = execute_tree_fused(
         &plan.tree,
         space,
@@ -179,6 +192,103 @@ fn a3a_fused_matches_reference_across_configs_and_threads() {
     )
     .unwrap();
     assert_eq!(report.peak_live_elements, memmin.memory);
+}
+
+/// Every point of the space-time frontier of `tree` — fusion *and*
+/// recomputation configurations — runs through the fused executor to the
+/// tree executor's value, bitwise identically at every thread count, with
+/// the measured peak live-set equal to the DP's memory for that point.
+fn frontier_points_execute_exactly(
+    tree: &OpTree,
+    space: &IndexSpace,
+    inputs: &HashMap<TensorId, &Tensor>,
+    funcs: &HashMap<String, IntegralFn>,
+) {
+    let expect = execute_tree_opts(tree, space, inputs, funcs, &ExecOptions::serial()).unwrap();
+    let front = spacetime_dp(tree, space, usize::MAX).unwrap();
+    assert!(front.len() >= 3, "need several regimes to exercise");
+    let mut recomputing = 0;
+    for point in front.points() {
+        let (chain_labels, array_config) = point.tag.lowering_configs(tree).unwrap();
+        recomputing += usize::from(chain_labels != array_config);
+        let mut per_thread = Vec::new();
+        for threads in THREADS {
+            let report = execute_tree_fused_with_labels(
+                tree,
+                space,
+                &chain_labels,
+                &array_config,
+                inputs,
+                funcs,
+                &ExecOptions::with_threads(threads),
+            )
+            .unwrap();
+            assert!(
+                rel_close(&report.result, &expect, 1e-9),
+                "mem {} ops {} threads {threads}: diff {:e}",
+                point.mem,
+                point.ops,
+                report.result.max_abs_diff(&expect)
+            );
+            assert_eq!(report.peak_live_elements, point.mem, "threads {threads}");
+            assert!(report.peak_matches_model());
+            per_thread.push(report.result);
+        }
+        for r in &per_thread[1..] {
+            assert_eq!(*r, per_thread[0], "mem {} ops {}", point.mem, point.ops);
+        }
+    }
+    assert!(recomputing > 0, "no frontier point recomputes");
+}
+
+#[test]
+fn a3a_spacetime_frontier_executes_exactly() {
+    let sc = A3AScenario::new(3, 2, 20);
+    let amps = sc.amplitudes(9);
+    let mut inputs: HashMap<TensorId, &Tensor> = HashMap::new();
+    inputs.insert(sc.tensors.by_name("T").unwrap(), &amps);
+    frontier_points_execute_exactly(&sc.tree, &sc.space, &inputs, &sc.functions());
+}
+
+#[test]
+fn section2_spacetime_frontier_executes_exactly() {
+    let syn = synthesize(&section2_source(4), &SynthesisConfig::default()).unwrap();
+    let values = section2_values(&syn, 4, 70);
+    frontier_points_execute_exactly(
+        &syn.plans[0].tree,
+        &syn.program.space,
+        &bind(&values),
+        &HashMap::new(),
+    );
+}
+
+#[test]
+fn pipeline_fused_execution_honours_a_binding_memory_limit() {
+    // Under a limit that memmin alone (1 + N² = 17) exceeds, synthesis
+    // selects a recomputing configuration — and that, not the memmin one,
+    // is what the fused executor runs.
+    let cfg = SynthesisConfig {
+        memory_limit: 10,
+        ..SynthesisConfig::default()
+    };
+    let syn = synthesize(&section2_source(4), &cfg).unwrap();
+    assert!(syn.plans[0].spacetime.is_some());
+    let values = section2_values(&syn, 4, 80);
+    let ext = bind(&values);
+    let funcs = HashMap::new();
+    let direct = syn.execute(&ext, &funcs).unwrap();
+    let fused = syn
+        .execute_fused_opts(&ext, &funcs, &ExecOptions::serial())
+        .unwrap();
+    assert!(fused.peak_matches_model());
+    assert!(
+        fused.peak_live_elements <= 10,
+        "{}",
+        fused.peak_live_elements
+    );
+    for (id, t) in &direct {
+        assert!(rel_close(&fused.outputs[id], t, 1e-9), "tensor #{}", id.0);
+    }
 }
 
 #[test]
