@@ -495,10 +495,8 @@ impl Synthesis {
     /// aggregate measured-vs-modeled communication accounting.
     ///
     /// # Errors
-    /// [`ExecError`] if an external input binding is missing or mis-shaped.
-    ///
-    /// # Panics
-    /// Panics if the synthesis was not configured with a machine.
+    /// [`ExecError`] if an external input binding is missing or mis-shaped,
+    /// or if the synthesis was not configured with a machine.
     pub fn execute_distributed_opts(
         &self,
         external_inputs: &HashMap<TensorId, &Tensor>,
@@ -508,7 +506,9 @@ impl Synthesis {
         let machine = self
             .machine
             .as_ref()
-            .expect("distributed execution requires a machine-configured synthesis");
+            .ok_or_else(|| ExecError::InvalidProgram {
+                reason: "distributed execution requires a machine-configured synthesis".into(),
+            })?;
         let space = &self.program.space;
         // Statements run in source order (one slot): the sharded machine is
         // one set of ranks, every term occupies all of it.

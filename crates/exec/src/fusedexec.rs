@@ -25,6 +25,15 @@
 //! whose read/write sets conflict; [`ExecOptions::slots`] picks how many
 //! run at once (one slot = the schedule in source order).
 //!
+//! Arrays live by the schedule's lifetimes
+//! ([`tce_fusion::schedule::StepLifetime`]): a top-level step brings the
+//! arrays it first writes to life and returns the ones it last touches to
+//! the buffer pool.  The walker has one buffer rule — whatever it takes
+//! from the pool (arrays, operand slices, per-slice kernel results) it
+//! gives back — and this is the only operator-tree walker in the crate:
+//! [`crate::execute_tree_opts`] is this executor on the configuration with
+//! no edge fused, where every production is one whole-array GETT call.
+//!
 //! Slicing rules, per production of node `v` with the enclosing chain
 //! loops pinning the index set `P`:
 //!
@@ -32,42 +41,40 @@
 //!   position and dropped (a free reshape — block extraction yields a
 //!   fresh contiguous tensor);
 //! * output dimensions of `v`'s reduced array in `P` address the slice
-//!   the kernel result is accumulated into ([`Tensor::add_block`]);
+//!   the kernel result is accumulated into ([`Tensor::add_block`]) — or,
+//!   when the result covers the whole of a still-unmaterialized array,
+//!   *is* the array;
 //! * summation indices of `v` in `P` disappear from the kernel spec
 //!   entirely: each outer iteration contributes one partial product,
 //!   accumulated across iterations into `v`'s array — which is re-zeroed
 //!   by the schedule exactly once per iteration of the chains through
-//!   `v`'s parent edge, so consumers always see a complete sum.
+//!   `v`'s parent edge (an unmaterialized array reads as zero, so `Zero`
+//!   just returns the buffer to the pool), so consumers always see a
+//!   complete sum.
 
 use crate::error::ExecError;
 use crate::treeexec::ExecOptions;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Mutex, MutexGuard};
 use tce_fusion::schedule::fusion_schedule_with_labels;
-use tce_fusion::{is_fusable_producer, FusionConfig, ScheduleStep};
+use tce_fusion::{is_fusable_producer, FusionConfig, FusionSchedule, ScheduleStep};
 use tce_ir::{IndexSet, IndexSpace, IndexVar, Leaf, NodeId, OpKind, OpTree, TensorId};
 use tce_par::{parallel_chunks_mut, TaskGraph};
 use tce_tensor::{BinaryContraction, IntegralFn, Tensor};
 
 /// The fused intermediate arrays, shared across schedule steps: one lock
-/// per node, taken once per top-level step (never per slice).
+/// per node, taken once per top-level step (never per slice).  A cell is
+/// `None` outside its node's lifetime.
 ///
 /// Top-level steps may run concurrently, but the task graph carries a
-/// *hazard edge* between any two steps whose read/write node-sets
-/// conflict, so for every array all writes are totally ordered with each
-/// other and with every read.  A step therefore always finds its locks
-/// free: it takes them with `try_write` / `try_read` and treats contention
-/// as a broken invariant.
-type SharedArrays = [RwLock<Option<Tensor>>];
-
-/// A step's hold on one node's array for the duration of its task.
-enum Held<'a> {
-    /// The step neither reads nor writes this node.
-    No,
-    Read(RwLockReadGuard<'a, Option<Tensor>>),
-    Write(RwLockWriteGuard<'a, Option<Tensor>>),
-}
+/// *hazard edge* between any two steps that touch a common array
+/// ([`tce_fusion::schedule::StepLifetime::conflicts_with`]), so every
+/// array sees a totally ordered access history.  A step therefore always
+/// finds its locks free: it takes them with `try_lock` and treats
+/// contention as a broken invariant.
+type SharedArrays = [Mutex<Option<Tensor>>];
 
 /// Result of a fused-slice execution, with the measured-vs-modeled
 /// live-set accounting (the same discipline the distributed executor
@@ -77,8 +84,11 @@ pub struct FusedExecReport {
     /// The root value (dimensions in canonical ascending index order, the
     /// same layout [`crate::execute_tree`] produces).
     pub result: Tensor,
-    /// Measured peak intermediate storage: total elements of all fused
-    /// intermediate arrays, which live for the whole execution.
+    /// Measured intermediate storage: total elements of all fused
+    /// intermediate arrays the run allocated, each once at its reduced
+    /// shape.  An upper bound on what is live at any instant — arrays
+    /// follow the schedule's lifetimes, and the instantaneous high-water
+    /// mark is what `tce_trace::mem_peak_bytes` records.
     pub peak_live_elements: u128,
     /// The model's prediction for the same quantity: the array
     /// configuration's [`FusionConfig::temp_memory`].
@@ -134,7 +144,6 @@ pub fn execute_tree_fused_with_labels(
     opts: &ExecOptions,
 ) -> Result<FusedExecReport, ExecError> {
     let _span = tce_trace::span("exec.fused");
-    let traced = tce_trace::enabled();
 
     tce_dist::validate_bindings(tree, space, inputs, funcs)?;
     let modeled_elements = array_config.temp_memory(tree, space);
@@ -157,61 +166,49 @@ pub fn execute_tree_fused_with_labels(
 
     let schedule = fusion_schedule_with_labels(tree, chain_labels);
 
-    // --- allocate every fused intermediate once, at its reduced shape ---
-    let bytes_of = |t: &Tensor| (t.len() * std::mem::size_of::<f64>()) as u64;
-    let mut arrays: Vec<Option<Tensor>> = vec![None; tree.len()];
-    let mut peak_live_elements = 0u128;
-    for id in tree.postorder() {
-        if !is_fusable_producer(tree, id) {
-            continue;
-        }
-        let shape: Vec<usize> = array_config
-            .array_indices(tree, id)
-            .iter()
-            .map(|v| space.extent(v))
-            .collect();
-        let t = Tensor::zeros(&shape);
-        if id != tree.root {
-            peak_live_elements += t.len() as u128;
-        }
-        if traced {
-            tce_trace::mem_alloc(bytes_of(&t));
-        }
-        arrays[id.0 as usize] = Some(t);
-    }
+    // Every producer's array keeps its reduced dimensions; allocation
+    // itself follows the schedule's lifetimes, step by step.
+    let dims: Vec<Vec<IndexVar>> = (0..tree.len())
+        .map(|n| match NodeId(n as u32) {
+            id if is_fusable_producer(tree, id) => {
+                array_config.array_indices(tree, id).iter().collect()
+            }
+            _ => Vec::new(),
+        })
+        .collect();
+    let extents = |dims: &Vec<IndexVar>| dims.iter().map(|&v| space.extent(v)).collect();
+    let walk = Walk {
+        tree,
+        space,
+        shapes: dims.iter().map(extents).collect(),
+        dims: &dims,
+        inputs,
+        funcs,
+        schedule: &schedule,
+        threads: opts.threads.max(1),
+    };
+    let temporaries: Vec<NodeId> = (tree.postorder().into_iter())
+        .filter(|&id| id != tree.root && is_fusable_producer(tree, id))
+        .collect();
+    let peak_live_elements = walk.elements(&temporaries) as u128;
     debug_assert_eq!(
         peak_live_elements, modeled_elements,
         "fused allocation diverged from the plan's memory model"
     );
 
-    // --- interpret the schedule ---
-    let shared: Vec<RwLock<Option<Tensor>>> = arrays.into_iter().map(RwLock::new).collect();
-    let (sliced_contractions, func_evals) = run_steps(
-        tree,
-        space,
-        array_config,
-        inputs,
-        funcs,
-        &shared,
-        &schedule,
-        opts,
-    );
+    let shared: Vec<Mutex<Option<Tensor>>> = (0..tree.len()).map(|_| Mutex::new(None)).collect();
+    let (sliced_contractions, func_evals) = walk.run_steps(&shared, opts.slots());
 
-    let mut arrays: Vec<Option<Tensor>> = shared
+    let result = shared
         .into_iter()
-        .map(|cell| {
-            cell.into_inner()
-                .expect("TaskGraph::run re-raises step panics")
-        })
-        .collect();
-    let result = arrays[tree.root.0 as usize].take().expect("root value");
-    if traced {
+        .nth(tree.root.0 as usize)
+        .and_then(|cell| cell.into_inner().ok())
+        .flatten()
+        .expect("the root is produced and never released");
+    if tce_trace::enabled() {
         tce_trace::counter_u128("fused.live_elements", peak_live_elements);
         tce_trace::counter_u128("fused.sliced_contractions", sliced_contractions as u128);
-        tce_trace::mem_free(bytes_of(&result));
-        for t in arrays.iter().flatten() {
-            tce_trace::mem_free(bytes_of(t));
-        }
+        tce_trace::mem_free(bytes_of(result.len()));
     }
     Ok(FusedExecReport {
         result,
@@ -222,191 +219,159 @@ pub fn execute_tree_fused_with_labels(
     })
 }
 
-/// An operand slice for a sliced GETT call: the tensor (borrowed when no
-/// slicing is needed) and its remaining dimension variables.
-enum Operand<'t> {
-    Borrowed(&'t Tensor, Vec<IndexVar>),
-    Owned(Tensor, Vec<IndexVar>),
+fn bytes_of(elements: usize) -> u64 {
+    (elements * std::mem::size_of::<f64>()) as u64
 }
 
-impl<'t> Operand<'t> {
-    fn tensor(&self) -> &Tensor {
-        match self {
-            Operand::Borrowed(t, _) => t,
-            Operand::Owned(t, _) => t,
-        }
-    }
-    fn dims(&self) -> &[IndexVar] {
-        match self {
-            Operand::Borrowed(_, d) => d,
-            Operand::Owned(_, d) => d,
-        }
+/// An operand slice for a sliced GETT call — the tensor and its remaining
+/// dimension variables, borrowed when no slicing is needed and pool-drawn
+/// otherwise.
+type Operand<'t> = (Cow<'t, Tensor>, Cow<'t, [IndexVar]>);
+
+/// Return a pool-drawn operand slice to the pool.
+fn recycle_slice((tensor, _): Operand<'_>) {
+    if let Cow::Owned(slice) = tensor {
+        slice.recycle();
     }
 }
 
-/// The nodes a schedule step reads and writes, as node-id masks over the
-/// tree — the hazard information graph scheduling serializes on.
-#[derive(Clone)]
-struct StepRw {
-    reads: Vec<bool>,
-    writes: Vec<bool>,
-}
-
-impl StepRw {
-    fn conflicts_with(&self, later: &StepRw) -> bool {
-        self.writes
-            .iter()
-            .zip(later.reads.iter().zip(&later.writes))
-            .any(|(&w_i, (&r_j, &w_j))| w_i && (r_j || w_j))
-            || self
-                .reads
-                .iter()
-                .zip(&later.writes)
-                .any(|(&r_i, &w_j)| r_i && w_j)
-    }
-}
-
-/// Accumulate the read/write node-sets of `step` (recursing through chain
-/// loops).  Reads cover producer operands only — stored inputs are
-/// immutable and never hazard.
-fn step_rw(tree: &OpTree, step: &ScheduleStep, rw: &mut StepRw) {
-    match step {
-        ScheduleStep::Loop { body, .. } => {
-            for s in body {
-                step_rw(tree, s, rw);
-            }
-        }
-        ScheduleStep::Zero(v) => rw.writes[v.0 as usize] = true,
-        ScheduleStep::Produce(v) => {
-            rw.writes[v.0 as usize] = true;
-            if let OpKind::Contract { left, right } = &tree.node(*v).kind {
-                for c in [*left, *right] {
-                    if is_fusable_producer(tree, c) {
-                        rw.reads[c.0 as usize] = true;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Execute the schedule's top-level steps on a [`TaskGraph`] with hazard
-/// edges, on `opts.slots()` scheduler slots: steps whose read/write sets
-/// conflict are ordered (so every array sees a serialized access history
-/// and each step finds the locks of its read/write sets free — see
-/// [`SharedArrays`]); independent steps may run concurrently.  Interior
-/// chain loops stay sequential inside their step's task.  All arrays are
-/// preallocated before any step runs, so scheduling cannot change the
-/// measured peak live-set.  Returns `(sliced_contractions, func_evals)`.
-#[allow(clippy::too_many_arguments)]
-fn run_steps(
-    tree: &OpTree,
-    space: &IndexSpace,
-    array_config: &FusionConfig,
-    inputs: &HashMap<TensorId, &Tensor>,
-    funcs: &HashMap<String, IntegralFn>,
-    shared: &SharedArrays,
-    schedule: &tce_fusion::FusionSchedule,
-    opts: &ExecOptions,
-) -> (u64, u64) {
-    let threads = opts.threads.max(1);
-    let rws: Vec<StepRw> = schedule
-        .steps
-        .iter()
-        .map(|step| {
-            let mut rw = StepRw {
-                reads: vec![false; tree.len()],
-                writes: vec![false; tree.len()],
-            };
-            step_rw(tree, step, &mut rw);
-            rw
-        })
-        .collect();
-    let mut graph = TaskGraph::new();
-    for (j, rw_j) in rws.iter().enumerate() {
-        let deps: Vec<usize> = (0..j).filter(|&i| rws[i].conflicts_with(rw_j)).collect();
-        // Weight 0: every array is already allocated, so steps add no live
-        // storage — the cap is irrelevant here by construction.
-        graph.add_task(&deps, 0);
-    }
-    let sliced = AtomicU64::new(0);
-    let evals = AtomicU64::new(0);
-    graph.run(opts.slots(), None, &|t| {
-        let rw = &rws[t];
-        let held = shared
-            .iter()
-            .enumerate()
-            .map(|(n, cell)| {
-                if rw.writes[n] {
-                    Held::Write(cell.try_write().expect("hazard edges serialize access"))
-                } else if rw.reads[n] {
-                    Held::Read(cell.try_read().expect("hazard edges serialize access"))
-                } else {
-                    Held::No
-                }
-            })
-            .collect();
-        let mut ctx = FusedCtx {
-            tree,
-            space,
-            array_config,
-            inputs,
-            funcs,
-            arrays: held,
-            env: vec![0usize; 128],
-            scope: IndexSet::EMPTY,
-            threads,
-            sliced_contractions: 0,
-            func_evals: 0,
-            pinned: &schedule.pinned,
-        };
-        ctx.run(std::slice::from_ref(&schedule.steps[t]));
-        sliced.fetch_add(ctx.sliced_contractions, Ordering::Relaxed);
-        evals.fetch_add(ctx.func_evals, Ordering::Relaxed);
-    });
-    (
-        sliced.load(Ordering::Relaxed),
-        evals.load(Ordering::Relaxed),
-    )
-}
-
-struct FusedCtx<'a> {
+/// What every step of one execution shares.
+struct Walk<'a> {
     tree: &'a OpTree,
     space: &'a IndexSpace,
-    /// Which dimensions each node's array keeps (see the entry point).
-    array_config: &'a FusionConfig,
+    /// The dimensions each producer's array keeps, by node (ascending
+    /// index order; empty for non-producers).
+    dims: &'a [Vec<IndexVar>],
+    /// The shape of each producer's array: the extents of its `dims`.
+    shapes: Vec<Vec<usize>>,
     inputs: &'a HashMap<TensorId, &'a Tensor>,
     funcs: &'a HashMap<String, IntegralFn>,
+    schedule: &'a FusionSchedule,
+    threads: usize,
+}
+
+impl Walk<'_> {
+    /// Total elements of the arrays of `nodes`.
+    fn elements(&self, nodes: &[NodeId]) -> usize {
+        let len = |n: &NodeId| self.shapes[n.0 as usize].iter().product::<usize>();
+        nodes.iter().map(len).sum()
+    }
+
+    /// Execute the schedule's top-level steps on a [`TaskGraph`] with
+    /// hazard edges, on `slots` scheduler slots: steps whose lifetimes
+    /// conflict are ordered (so every array sees a serialized access
+    /// history and each step finds the locks of its read/write sets free —
+    /// see [`SharedArrays`]); independent steps may run concurrently.
+    /// Interior chain loops stay sequential inside their step's task.
+    ///
+    /// A step's arrays follow its [`tce_fusion::schedule::StepLifetime`]:
+    /// `allocs` come to life on entry (zeroed from the buffer pool on
+    /// first touch, or as the kernel's own result when production is
+    /// whole) and `releases` go back to the pool on exit.  A task weighs
+    /// the elements it allocates and admission is capped at the one-slot
+    /// walk's peak, so more slots never hold more.  Returns
+    /// `(sliced_contractions, func_evals)`.
+    fn run_steps(&self, shared: &SharedArrays, slots: usize) -> (u64, u64) {
+        let lifetimes = &self.schedule.lifetimes;
+        let mut graph = TaskGraph::new();
+        for (j, life) in lifetimes.iter().enumerate() {
+            let deps: Vec<usize> = (0..j)
+                .filter(|&i| lifetimes[i].conflicts_with(life))
+                .collect();
+            graph.add_task(&deps, self.elements(&life.allocs) as u64);
+        }
+        let sliced = AtomicU64::new(0);
+        let evals = AtomicU64::new(0);
+        graph.run(slots, Some(graph.sequential_peak()), &|t| {
+            let life = &lifetimes[t];
+            // A top-level `Zero`: arrays are born zeroed.
+            if life.writes.is_empty() {
+                return;
+            }
+            let touched = |n: usize| {
+                let id = NodeId(n as u32);
+                life.writes.contains(&id) || life.reads.contains(&id)
+            };
+            let held = shared
+                .iter()
+                .enumerate()
+                .map(|(n, cell)| {
+                    touched(n).then(|| cell.try_lock().expect("hazard edges serialize access"))
+                })
+                .collect();
+            tce_trace::mem_alloc(bytes_of(self.elements(&life.allocs)));
+            let mut ctx = FusedCtx {
+                walk: self,
+                arrays: held,
+                one: Tensor::from_elem(&[], 1.0),
+                env: vec![0usize; 128],
+                scope: IndexSet::EMPTY,
+                sliced_contractions: 0,
+                func_evals: 0,
+            };
+            ctx.run(std::slice::from_ref(&self.schedule.steps[t]));
+            for n in &life.releases {
+                if let Some(dead) = ctx.cell_mut(*n).take() {
+                    dead.recycle();
+                }
+            }
+            tce_trace::mem_free(bytes_of(self.elements(&life.releases)));
+            sliced.fetch_add(ctx.sliced_contractions, Ordering::Relaxed);
+            evals.fetch_add(ctx.func_evals, Ordering::Relaxed);
+        });
+        (
+            sliced.load(Ordering::Relaxed),
+            evals.load(Ordering::Relaxed),
+        )
+    }
+}
+
+/// One top-level step's execution state.
+struct FusedCtx<'a> {
+    walk: &'a Walk<'a>,
     /// This step's holds on the arrays of its read/write sets, by node.
-    arrays: Vec<Held<'a>>,
+    arrays: Vec<Option<MutexGuard<'a, Option<Tensor>>>>,
+    /// The value of a `One` leaf.
+    one: Tensor,
     /// Current value of each pinned index, by `IndexVar.0`.
     env: Vec<usize>,
     /// Indices pinned by the enclosing chain loops.
     scope: IndexSet,
-    threads: usize,
     sliced_contractions: u64,
     func_evals: u64,
-    pinned: &'a [IndexSet],
 }
 
 impl FusedCtx<'_> {
     /// The array of a node in this step's read or write set.
     fn array(&self, n: NodeId) -> &Tensor {
-        match &self.arrays[n.0 as usize] {
-            Held::Read(guard) => guard.as_ref(),
-            Held::Write(guard) => guard.as_ref(),
-            Held::No => None,
-        }
-        .expect("allocated and in the step's read/write set")
+        let cell = self.arrays[n.0 as usize].as_deref();
+        cell.and_then(Option::as_ref)
+            .expect("produced by this or an earlier step")
     }
 
-    /// The array of a node in this step's write set.
+    /// The cell of a node in this step's read or write set.
+    fn cell_mut(&mut self, n: NodeId) -> &mut Option<Tensor> {
+        self.arrays[n.0 as usize]
+            .as_mut()
+            .expect("in the step's read or write set")
+    }
+
+    /// The array of a node this step writes, zeroed from the buffer pool on
+    /// first touch.
     fn array_mut(&mut self, n: NodeId) -> &mut Tensor {
-        match &mut self.arrays[n.0 as usize] {
-            Held::Write(guard) => guard.as_mut(),
-            _ => None,
+        let shape = &self.walk.shapes[n.0 as usize];
+        self.cell_mut(n)
+            .get_or_insert_with(|| Tensor::zeros_pooled(shape))
+    }
+
+    /// The current position and extent of dimension `d` under the pinned
+    /// scope: `(env[d], 1)` when pinned, the whole range otherwise.
+    fn window(&self, d: IndexVar) -> (usize, usize) {
+        if self.scope.contains(d) {
+            (self.env[d.0 as usize], 1)
+        } else {
+            (0, self.walk.space.extent(d))
         }
-        .expect("allocated and in the step's write set")
     }
 
     fn run(&mut self, steps: &[ScheduleStep]) {
@@ -415,13 +380,18 @@ impl FusedCtx<'_> {
                 ScheduleStep::Loop { index, body } => {
                     let outer_scope = self.scope;
                     self.scope = self.scope.union(index.singleton());
-                    for i in 0..self.space.extent(*index) {
+                    for i in 0..self.walk.space.extent(*index) {
                         self.env[index.0 as usize] = i;
                         self.run(body);
                     }
                     self.scope = outer_scope;
                 }
-                ScheduleStep::Zero(v) => self.array_mut(*v).fill_zero(),
+                // An unmaterialized array reads as zero: hand the buffer back.
+                ScheduleStep::Zero(v) => {
+                    if let Some(stale) = self.cell_mut(*v).take() {
+                        stale.recycle();
+                    }
+                }
                 ScheduleStep::Produce(v) => self.produce(*v),
             }
         }
@@ -429,11 +399,12 @@ impl FusedCtx<'_> {
 
     fn produce(&mut self, v: NodeId) {
         debug_assert_eq!(
-            self.scope, self.pinned[v.0 as usize],
+            self.scope, self.walk.schedule.pinned[v.0 as usize],
             "schedule scope disagrees with pinned set at node {}",
             v.0
         );
-        match &self.tree.node(v).kind {
+        let tree = self.walk.tree;
+        match &tree.node(v).kind {
             OpKind::Contract { left, right } => self.produce_contract(v, *left, *right),
             OpKind::Leaf(Leaf::Func { name, indices, .. }) => {
                 self.produce_func_slice(v, name, indices)
@@ -443,98 +414,74 @@ impl FusedCtx<'_> {
     }
 
     /// Run `v`'s contraction for the current pinned-index values on
-    /// operand slices, accumulating the kernel result into `v`'s slice.
+    /// operand slices — the one site contraction nodes are issued from.
+    /// A result covering the whole of a still-unmaterialized (≡ zero)
+    /// array *becomes* the array — with nothing pinned that is one
+    /// whole-array GETT call per node, the unfused case; otherwise it is
+    /// accumulated into `v`'s slice and returned to the pool.
     fn produce_contract(&mut self, v: NodeId, left: NodeId, right: NodeId) {
-        let out_set = self.array_config.array_indices(self.tree, v);
+        let walk = self.walk;
+        let out_dims = &walk.dims[v.0 as usize];
         let res = {
             let a = self.operand_slice(left);
             let b = self.operand_slice(right);
             let spec = BinaryContraction {
-                a: a.dims().to_vec(),
-                b: b.dims().to_vec(),
-                out: out_set.minus(self.scope).iter().collect(),
+                a: a.1.to_vec(),
+                b: b.1.to_vec(),
+                out: out_dims
+                    .iter()
+                    .copied()
+                    .filter(|d| !self.scope.contains(*d))
+                    .collect(),
             };
-            tce_tensor::contract_gett(&spec, self.space, a.tensor(), b.tensor(), self.threads)
+            let res = tce_tensor::contract_gett(&spec, walk.space, &a.0, &b.0, walk.threads);
+            recycle_slice(a);
+            recycle_slice(b);
+            res
         };
         self.sliced_contractions += 1;
 
-        // Accumulate into the (possibly pinned-addressed) output slice.
-        // Pinned *summation* indices of `v` are absent from both the spec
-        // and the output address: each outer iteration adds one partial
+        // The output block: pinned dimensions of `v`'s array address one
+        // position.  Pinned *summation* indices of `v` are absent from both
+        // the spec and the address: each outer iteration adds one partial
         // product, summed across iterations by `add_block`.
-        let full_dims: Vec<IndexVar> = out_set.iter().collect();
-        let starts: Vec<usize> = full_dims
-            .iter()
-            .map(|d| {
-                if self.scope.contains(*d) {
-                    self.env[d.0 as usize]
-                } else {
-                    0
-                }
-            })
-            .collect();
-        let block_shape: Vec<usize> = full_dims
-            .iter()
-            .map(|d| {
-                if self.scope.contains(*d) {
-                    1
-                } else {
-                    self.space.extent(*d)
-                }
-            })
-            .collect();
+        let (starts, block_shape): (Vec<usize>, Vec<usize>) =
+            out_dims.iter().map(|&d| self.window(d)).unzip();
         let block = res.reshaped(&block_shape);
+        let whole = !out_dims.iter().any(|d| self.scope.contains(*d));
+        let cell = self.cell_mut(v);
+        if whole && cell.is_none() {
+            *cell = Some(block);
+            return;
+        }
         self.array_mut(v).add_block(&starts, &block);
+        block.recycle();
     }
 
     /// The slice of child `c`'s value visible at the current pinned-index
     /// values: pinned dimensions are extracted at length 1 and dropped.
     /// Borrows the full tensor when nothing is pinned.
     fn operand_slice(&self, c: NodeId) -> Operand<'_> {
-        let (src, dims): (&Tensor, Vec<IndexVar>) = match &self.tree.node(c).kind {
-            OpKind::Leaf(Leaf::Input { tensor, indices }) => (self.inputs[tensor], indices.clone()),
-            OpKind::Leaf(Leaf::One) => {
-                return Operand::Owned(Tensor::from_elem(&[], 1.0), Vec::new())
-            }
-            _ => (
-                self.array(c),
-                self.array_config
-                    .array_indices(self.tree, c)
-                    .iter()
-                    .collect(),
-            ),
+        let walk = self.walk;
+        let (src, dims): (&Tensor, &[IndexVar]) = match &walk.tree.node(c).kind {
+            OpKind::Leaf(Leaf::Input { tensor, indices }) => (walk.inputs[tensor], indices),
+            OpKind::Leaf(Leaf::One) => (&self.one, &[]),
+            _ => (self.array(c), &walk.dims[c.0 as usize]),
         };
         if !dims.iter().any(|d| self.scope.contains(*d)) {
-            return Operand::Borrowed(src, dims);
+            return (Cow::Borrowed(src), Cow::Borrowed(dims));
         }
-        let starts: Vec<usize> = dims
-            .iter()
-            .map(|d| {
-                if self.scope.contains(*d) {
-                    self.env[d.0 as usize]
-                } else {
-                    0
-                }
-            })
-            .collect();
-        let lens: Vec<usize> = dims
-            .iter()
-            .map(|d| {
-                if self.scope.contains(*d) {
-                    1
-                } else {
-                    self.space.extent(*d)
-                }
-            })
-            .collect();
+        let (starts, lens): (Vec<usize>, Vec<usize>) = dims.iter().map(|&d| self.window(d)).unzip();
         let kept: Vec<IndexVar> = dims
             .iter()
             .copied()
             .filter(|d| !self.scope.contains(*d))
             .collect();
-        let kept_shape: Vec<usize> = kept.iter().map(|&d| self.space.extent(d)).collect();
-        let slice = src.extract_block(&starts, &lens).reshaped(&kept_shape);
-        Operand::Owned(slice, kept)
+        let kept_shape: Vec<usize> = kept.iter().map(|&d| walk.space.extent(d)).collect();
+        let slice = src
+            .extract_block_into(&starts, Tensor::zeros_pooled(&lens))
+            .reshaped(&kept_shape);
+        (Cow::Owned(slice), Cow::Owned(kept))
     }
 
     /// Materialize a function leaf's reduced array for the current pinned
@@ -545,11 +492,8 @@ impl FusedCtx<'_> {
             Fixed(usize),
             Dim(usize),
         }
-        let arr_dims: Vec<IndexVar> = self
-            .array_config
-            .array_indices(self.tree, v)
-            .iter()
-            .collect();
+        let walk = self.walk;
+        let arr_dims = &walk.dims[v.0 as usize];
         let args: Vec<Arg> = indices
             .iter()
             .map(|iv| {
@@ -560,21 +504,18 @@ impl FusedCtx<'_> {
                 }
             })
             .collect();
-        let shape: Vec<usize> = arr_dims.iter().map(|&d| self.space.extent(d)).collect();
-        let funcs = self.funcs;
-        let f = &funcs[name];
-        let threads = self.threads;
+        let shape = &walk.shapes[v.0 as usize];
+        let f = &walk.funcs[name];
         let out = self.array_mut(v);
         let evals = out.len() as u64;
         let rank = shape.len();
-        let shape_ref = &shape;
         let args_ref = &args;
-        parallel_chunks_mut(out.data_mut(), threads, |start, chunk| {
+        parallel_chunks_mut(out.data_mut(), walk.threads, |start, chunk| {
             let mut idx = vec![0usize; rank];
             let mut rem = start;
             for d in (0..rank).rev() {
-                idx[d] = rem % shape_ref[d];
-                rem /= shape_ref[d];
+                idx[d] = rem % shape[d];
+                rem /= shape[d];
             }
             let mut argv = vec![0usize; args_ref.len()];
             for x in chunk.iter_mut() {
@@ -585,7 +526,7 @@ impl FusedCtx<'_> {
                     };
                 }
                 *x = f.eval(&argv);
-                Tensor::advance(&mut idx, shape_ref);
+                Tensor::advance(&mut idx, shape);
             }
         });
         self.func_evals += evals;
@@ -695,8 +636,8 @@ mod tests {
                 rep.result, seq.result,
                 "graph schedule diverged at {threads} threads"
             );
-            // All intermediates are still preallocated up front, so the
-            // measured peak equals the model regardless of scheduling.
+            // Every intermediate is allocated exactly once whatever the
+            // schedule, so the measured total equals the model.
             assert_eq!(rep.peak_live_elements, seq.peak_live_elements);
             assert!(rep.peak_matches_model());
             assert_eq!(rep.sliced_contractions, seq.sliced_contractions);

@@ -3,11 +3,13 @@
 //! Runs synthesized programs on real data: the loop-program interpreter
 //! with operation/access counters ([`interp`]) — the semantic oracle every
 //! transformation is verified against — the LRU memory-hierarchy simulator
-//! validating the §6 locality cost model ([`cache`]), the direct
-//! (array-at-a-time, optionally parallel) operator-tree executor
-//! ([`treeexec`]), and the fused-slice executor ([`fusedexec`]) that
-//! realizes memory-minimization configurations with sliced GETT kernel
-//! calls at the model-predicted peak live-set.  Binding and validation
+//! validating the §6 locality cost model ([`cache`]), and the one
+//! operator-tree walker: the fused-slice executor ([`fusedexec`]) that
+//! realizes a fusion configuration with sliced GETT kernel calls at the
+//! model-predicted live-set, its arrays living by the schedule's
+//! lifetimes.  Direct (array-at-a-time) execution ([`treeexec`]) is a
+//! lowering onto it — the configuration with no edge fused — and also
+//! owns the [`ExecOptions`] every executor takes.  Binding and validation
 //! failures are reported as typed [`ExecError`]s.
 //!
 //! ```

@@ -1,25 +1,27 @@
-//! Direct (array-at-a-time) execution of operator trees.
+//! Direct (array-at-a-time) execution of operator trees — a *lowering*,
+//! not a walker.
 //!
-//! Evaluates a formula sequence bottom-up, materializing every
-//! intermediate at full size — the execution model of the *unfused*
-//! operation-minimal form.  Every contraction node runs on the packed
-//! GETT engine (`tce_tensor::contract_gett`): plans are pulled from the
-//! process-wide cache and the macro-loops parallelize over disjoint
-//! output tiles on the shared worker pool, so results are bitwise
-//! identical at every thread count.  Serves both as a second semantic
+//! The unfused operation-minimal form (paper Fig. 1(a)/(b)) is the fusion
+//! configuration with no edge fused: no chain loops, every production at
+//! top level with nothing pinned.  [`execute_tree_opts`] builds exactly
+//! that configuration and hands it to the one fused walker
+//! ([`crate::fusedexec`]), where a `Produce` step under an empty pinned
+//! set is one whole-array GETT call whose result *is* the node's array,
+//! and the schedule's lifetimes hold each intermediate only from its
+//! production to its one consumer.  Results are bitwise identical at
+//! every thread count and schedule.  Serves both as a second semantic
 //! oracle for the loop-program interpreter and as the default executor
 //! for the pipeline and the benchmark harnesses.
 //!
-//! There is one walker: one task per node on [`tce_par::TaskGraph`],
-//! children before parents.  A [`Schedule`] only picks how many scheduler
-//! slots the walk gets ([`ExecOptions::slots`]) — one slot *is* the
-//! sequential postorder walk.
+//! This module also owns the knobs every executor shares: a [`Schedule`]
+//! only picks how many scheduler slots a walk gets
+//! ([`ExecOptions::slots`]) — one slot *is* the sequential walk.
 
 use crate::error::ExecError;
 use std::collections::HashMap;
-use tce_ir::{IndexSpace, IndexVar, Leaf, NodeId, OpKind, OpTree, TensorId};
-use tce_par::{parallel_chunks_mut, TaskGraph};
-use tce_tensor::{BinaryContraction, IntegralFn, Tensor};
+use tce_fusion::FusionConfig;
+use tce_ir::{IndexSpace, OpTree, TensorId};
+use tce_tensor::{IntegralFn, Tensor};
 
 /// How many task-graph scheduler slots the executors walk statements,
 /// tree nodes and fused steps on.  A scheduling policy over the *same*
@@ -127,15 +129,16 @@ impl ExecOptions {
     }
 }
 
-/// Evaluate `tree` bottom-up and return the root value: one task per node
-/// on [`tce_par::TaskGraph`], children before parents, on
-/// [`opts.slots()`](ExecOptions::slots) scheduler slots.  Each node has
-/// exactly one parent, so a contraction *takes* its operand values and
-/// recycles them into the buffer pool as soon as it finishes — the
-/// materialized high-water mark is the live set, not the whole formula
-/// sequence, and admission is capped at the one-slot walk's peak, so more
-/// slots never hold more.  Function materialization and the contraction
-/// kernels' output-tile loops use `opts.threads` workers.
+/// Evaluate `tree` bottom-up and return the root value, every
+/// intermediate at full size: the fused walker
+/// ([`crate::execute_tree_fused_with_labels`]) on the empty fusion
+/// configuration (see the module docs).  Each contraction node is one task
+/// on [`tce_par::TaskGraph`], after its children, on
+/// [`opts.slots()`](ExecOptions::slots) scheduler slots; a node's value
+/// returns to the buffer pool as soon as its one consumer finishes, and
+/// admission is capped at the one-slot walk's peak.  Function
+/// materialization and the contraction kernels' output-tile loops use
+/// `opts.threads` workers.
 ///
 /// Bitwise identical for every thread count and schedule: the scheduler
 /// only decides *when* a node runs, each node's kernel is deterministic in
@@ -152,33 +155,11 @@ pub fn execute_tree_opts(
     opts: &ExecOptions,
 ) -> Result<Tensor, ExecError> {
     let _span = tce_trace::span("exec.tree");
-    tce_dist::validate_bindings(tree, space, inputs, funcs)?;
-    let threads = opts.threads.max(1);
-    let bytes_of = |t: &Tensor| (t.len() * std::mem::size_of::<f64>()) as u64;
-
-    let tasks = tree.postorder_tasks(space);
-    let root = TaskGraph::eval_tree(&tasks, opts.slots(), &|&id, operands: Vec<Tensor>| {
-        let value = match &tree.node(id).kind {
-            OpKind::Leaf(Leaf::Input { tensor, .. }) => inputs[tensor].clone(),
-            OpKind::Leaf(Leaf::One) => Tensor::from_elem(&[], 1.0),
-            OpKind::Leaf(Leaf::Func { name, indices, .. }) => {
-                materialize_func(&funcs[name], indices, space, threads)
-            }
-            OpKind::Contract { left, right } => {
-                let (lv, rv) = (&operands[0], &operands[1]);
-                let out = contract_node(tree, space, id, *left, *right, lv, rv, threads);
-                for dead in operands {
-                    tce_trace::mem_free(bytes_of(&dead));
-                    dead.recycle();
-                }
-                out
-            }
-        };
-        tce_trace::mem_alloc(bytes_of(&value));
-        value
-    });
-    tce_trace::mem_free(bytes_of(&root));
-    Ok(root)
+    let unfused = FusionConfig::unfused(tree);
+    let report = crate::execute_tree_fused_with_labels(
+        tree, space, &unfused, &unfused, inputs, funcs, opts,
+    )?;
+    Ok(report.result)
 }
 
 /// [`execute_tree_opts`] on the sequential schedule with `threads` kernel
@@ -230,62 +211,6 @@ pub fn execute_tree_distributed(
         opts.threads,
         opts.slots(),
     )?)
-}
-
-/// Materialize a function leaf over its full index space, in parallel over
-/// the leading dimension blocks.
-fn materialize_func(
-    f: &IntegralFn,
-    indices: &[IndexVar],
-    space: &IndexSpace,
-    threads: usize,
-) -> Tensor {
-    let shape: Vec<usize> = indices.iter().map(|&v| space.extent(v)).collect();
-    let mut out = Tensor::zeros(&shape);
-    let rank = shape.len();
-    let shape_ref = &shape;
-    parallel_chunks_mut(out.data_mut(), threads, |start, chunk| {
-        let mut idx = vec![0usize; rank];
-        // Decode the starting flat offset.
-        let mut rem = start;
-        for d in (0..rank).rev() {
-            idx[d] = rem % shape_ref[d];
-            rem /= shape_ref[d];
-        }
-        for x in chunk.iter_mut() {
-            *x = f.eval(&idx);
-            Tensor::advance(&mut idx, shape_ref);
-        }
-    });
-    out
-}
-
-/// Contract two materialized child values into the node's result on the
-/// packed GETT kernel (plan-cached, parallel over output tiles).
-#[allow(clippy::too_many_arguments)]
-fn contract_node(
-    tree: &OpTree,
-    space: &IndexSpace,
-    id: NodeId,
-    left: NodeId,
-    right: NodeId,
-    lv: &Tensor,
-    rv: &Tensor,
-    threads: usize,
-) -> Tensor {
-    let dims_of = |n: NodeId| -> Vec<IndexVar> {
-        match &tree.node(n).kind {
-            OpKind::Leaf(Leaf::Input { indices, .. })
-            | OpKind::Leaf(Leaf::Func { indices, .. }) => indices.clone(),
-            _ => tree.node(n).indices.iter().collect(),
-        }
-    };
-    let spec = BinaryContraction {
-        a: dims_of(left),
-        b: dims_of(right),
-        out: tree.node(id).indices.iter().collect(),
-    };
-    tce_tensor::contract_gett(&spec, space, lv, rv, threads)
 }
 
 #[cfg(test)]
@@ -349,15 +274,24 @@ mod tests {
 
     #[test]
     fn func_materialization_parallel_matches_sequential() {
+        // Σ_e f(c,e)·1 through the public entry: the function leaf is
+        // materialized over disjoint element chunks, so 1 and 4 threads
+        // agree bit for bit.
         let mut space = IndexSpace::new();
         let r = space.add_range("N", 7);
         let c = space.add_var("c", r);
         let e = space.add_var("e", r);
+        let mut tree = OpTree::new();
+        let lf = tree.leaf_func("f", vec![c, e], 50);
+        let one = tree.leaf_one();
+        tree.contract(lf, one, c.singleton());
         let f = IntegralFn::new(50, 5);
-        let seq = materialize_func(&f, &[c, e], &space, 1);
-        let par = materialize_func(&f, &[c, e], &space, 4);
-        assert!(seq.approx_eq(&par, 0.0));
-        assert_eq!(seq.get(&[2, 3]), f.eval(&[2, 3]));
+        let funcs = HashMap::from([("f".to_string(), f.clone())]);
+        let seq = execute_tree(&tree, &space, &HashMap::new(), &funcs, 1).unwrap();
+        let par = execute_tree(&tree, &space, &HashMap::new(), &funcs, 4).unwrap();
+        assert_eq!(seq, par);
+        let row2: f64 = (0..7).map(|e| f.eval(&[2, e])).sum();
+        assert!((seq.get(&[2]) - row2).abs() < 1e-12);
     }
 
     #[test]

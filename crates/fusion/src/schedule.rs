@@ -36,6 +36,19 @@
 //! transformation of paper Fig. 3).  Which array dimensions a label
 //! eliminates is a separate question answered by the lowerings' array
 //! configuration.
+//!
+//! Placement also fixes **lifetimes**, at top-level-step granularity
+//! ([`StepLifetime`]): which node arrays each top-level step reads and
+//! writes — the hazards an executor may overlap steps under — and which
+//! it brings to life on entry (first write) and may drop on exit (last
+//! access; never the root).  Nothing is born or dies inside a chain loop.
+//! Arrays are born zeroed, so a *top-level* `Zero`, which precedes every
+//! other access to its node and runs once, touches nothing: the
+//! allocation at the node's first producing step already is that
+//! initialization.  Code generation has no allocation and ignores
+//! lifetimes (it lowers every `Zero` to an `Init`); the executor obeys
+//! them, so an unfused tree — the configuration with no chain at all —
+//! holds each intermediate only from its production to its one consumer.
 
 use crate::chains::{chains_of, Chain};
 use crate::config::{is_fusable_producer, FusionConfig};
@@ -59,8 +72,34 @@ pub enum ScheduleStep {
     Produce(NodeId),
 }
 
+/// The node arrays one top-level step touches (see the module docs).
+/// Stored inputs are immutable and appear nowhere.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct StepLifetime {
+    /// Producer nodes whose arrays the step reads.
+    pub reads: Vec<NodeId>,
+    /// Nodes whose arrays the step writes.
+    pub writes: Vec<NodeId>,
+    /// Arrays born (zeroed) on entry: this step is their first writer.
+    pub allocs: Vec<NodeId>,
+    /// Arrays dead on exit: this step is their last accessor.  Never
+    /// contains the root.
+    pub releases: Vec<NodeId>,
+}
+
+impl StepLifetime {
+    /// Whether `later` must wait for this (earlier) step: they touch a
+    /// common array.  Every node has one consumer, so two steps never
+    /// merely share a read — any common array is a RAW, WAW or WAR hazard.
+    pub fn conflicts_with(&self, later: &StepLifetime) -> bool {
+        let touched = |v| later.reads.contains(v) || later.writes.contains(v);
+        self.reads.iter().chain(&self.writes).any(touched)
+    }
+}
+
 /// A compiled fused schedule: the step tree plus, per node, the set of
-/// indices pinned by enclosing fused loops at its production site.
+/// indices pinned by enclosing fused loops at its production site, and
+/// per top-level step the arrays it touches, allocates and releases.
 #[derive(Debug, Clone)]
 pub struct FusionSchedule {
     /// Top-level steps, in execution order.
@@ -69,6 +108,26 @@ pub struct FusionSchedule {
     /// (empty for nodes that are not fusable producers).  These are
     /// exactly the loop variables in scope at the node's `Produce` step.
     pub pinned: Vec<IndexSet>,
+    /// `lifetimes[k]` = what `steps[k]` reads, writes, allocates and
+    /// releases.
+    pub lifetimes: Vec<StepLifetime>,
+}
+
+impl FusionSchedule {
+    /// Peak live storage of running the top-level steps one at a time in
+    /// order, allocating on entry and releasing on exit, when node `n`'s
+    /// array holds `elements(n)` — the static counterpart of what an
+    /// executor obeying the lifetimes measures on one scheduler slot.
+    pub fn sequential_peak(&self, elements: impl Fn(NodeId) -> u128) -> u128 {
+        let total = |nodes: &[NodeId]| nodes.iter().map(|&n| elements(n)).sum::<u128>();
+        let (mut live, mut peak) = (0u128, 0u128);
+        for life in &self.lifetimes {
+            live += total(&life.allocs);
+            peak = peak.max(live);
+            live -= total(&life.releases);
+        }
+        peak
+    }
 }
 
 /// Compile `config` into an executable fused schedule for `tree`.
@@ -152,7 +211,58 @@ pub fn fusion_schedule_with_labels(tree: &OpTree, chain_labels: &FusionConfig) -
     }
 
     let (steps, _) = emit(None, &children, &chains);
-    FusionSchedule { steps, pinned }
+    let lifetimes = lifetimes(tree, &steps);
+    FusionSchedule {
+        steps,
+        pinned,
+        lifetimes,
+    }
+}
+
+/// Per top-level step: the arrays it reads and writes, then — from the
+/// first and last step touching each node — the ones it allocates and
+/// releases.
+fn lifetimes(tree: &OpTree, steps: &[ScheduleStep]) -> Vec<StepLifetime> {
+    let mut lives: Vec<StepLifetime> = steps
+        .iter()
+        .map(|step| {
+            let mut life = StepLifetime::default();
+            // A top-level `Zero` touches nothing: arrays are born zeroed.
+            if !matches!(step, ScheduleStep::Zero(_)) {
+                touch(tree, step, &mut life);
+            }
+            for set in [&mut life.reads, &mut life.writes] {
+                set.sort_unstable();
+                set.dedup();
+            }
+            life
+        })
+        .collect();
+    for n in (0..tree.len()).map(|n| NodeId(n as u32)) {
+        let touches = |life: &StepLifetime| life.writes.contains(&n) || life.reads.contains(&n);
+        if let Some(first) = lives.iter().position(|life| life.writes.contains(&n)) {
+            lives[first].allocs.push(n);
+        }
+        if let Some(last) = lives.iter().rposition(touches).filter(|_| n != tree.root) {
+            lives[last].releases.push(n);
+        }
+    }
+    lives
+}
+
+/// Accumulate the read/write node-sets of `step`, recursing through chain
+/// loops.  Reads cover producer operands only.
+fn touch(tree: &OpTree, step: &ScheduleStep, life: &mut StepLifetime) {
+    match step {
+        ScheduleStep::Loop { body, .. } => body.iter().for_each(|s| touch(tree, s, life)),
+        ScheduleStep::Zero(v) => life.writes.push(*v),
+        ScheduleStep::Produce(v) => {
+            life.writes.push(*v);
+            let operands = tree.children(*v).into_iter();
+            life.reads
+                .extend(operands.filter(|&c| is_fusable_producer(tree, c)));
+        }
+    }
 }
 
 /// The steps at laminar position `pos` (`None` = top level) in key order,
@@ -186,7 +296,7 @@ mod tests {
     use crate::codegen::fused_program;
     use crate::config::tests::{fig1, fig1_with_tensors};
     use crate::memmin::{enumerate_legal_configs, memmin_dp};
-    use tce_ir::{IndexSpace, TensorDecl, TensorTable};
+    use tce_ir::{IndexSpace, TensorDecl, TensorId, TensorTable};
     use tce_loops::{ArrayId, BuiltProgram, Stmt};
 
     /// Render a schedule compactly for structural assertions.
@@ -362,6 +472,61 @@ mod tests {
         ];
         assert_eq!(sched.steps, expect);
         assert!(sched.pinned.iter().all(|s| s.is_empty()));
+    }
+
+    #[test]
+    fn lifetimes_allocate_at_first_write_and_release_after_the_last_reader() {
+        // root = x · y with x = A·B produced first and y = (C·D)·E produced
+        // in between: x is written in one top-level group and read two
+        // groups later.
+        let mut space = IndexSpace::new();
+        let n = space.add_range("N", 2);
+        let vs = space.add_vars("i j k l p q", n);
+        let (i, j, k, l, p, q) = (vs[0], vs[1], vs[2], vs[3], vs[4], vs[5]);
+        let mut tree = OpTree::new();
+        let pair = |tree: &mut OpTree, a: [IndexVar; 2], b: [IndexVar; 2]| {
+            let la = tree.leaf_input(TensorId(0), a.to_vec());
+            let lb = tree.leaf_input(TensorId(0), b.to_vec());
+            tree.contract(la, lb, IndexSet::from_vars([a[0], b[1]]))
+        };
+        let x = pair(&mut tree, [i, j], [j, k]);
+        let m = pair(&mut tree, [k, l], [l, p]);
+        let le = tree.leaf_input(TensorId(0), vec![p, q]);
+        let y = tree.contract(m, le, IndexSet::from_vars([k, q]));
+        let root = tree.contract(x, y, IndexSet::from_vars([i, q]));
+
+        // Unfused: Zero/Produce pairs in rank order; a top-level Zero
+        // touches nothing, so each array is born at its Produce.
+        let sched = fusion_schedule(&tree, &FusionConfig::unfused(&tree)).unwrap();
+        let life = &sched.lifetimes;
+        assert_eq!(sched.steps.len(), 8);
+        for zero in [0, 2, 4, 6] {
+            assert_eq!(life[zero], StepLifetime::default(), "step {zero}");
+        }
+        let born_and_dead = |k: usize| (life[k].allocs.clone(), life[k].releases.clone());
+        assert_eq!(born_and_dead(1), (vec![x], vec![]));
+        assert_eq!(born_and_dead(3), (vec![m], vec![]));
+        assert_eq!(born_and_dead(5), (vec![y], vec![m]));
+        // x outlives the two groups in between and dies with its reader;
+        // the root is never released.
+        assert_eq!(life[7].reads, vec![x, y]);
+        assert_eq!(born_and_dead(7), (vec![root], vec![x, y]));
+        // Hazards are the tree's producer → consumer edges.
+        assert!(life[1].conflicts_with(&life[7]) && life[3].conflicts_with(&life[5]));
+        assert!(!life[1].conflicts_with(&life[3]) && !life[1].conflicts_with(&life[5]));
+        // x | x m | x m y → x y | x y root.
+        assert_eq!(sched.sequential_peak(|_| 1), 3);
+
+        // Fusing m into y over k makes them one group: m is born and dies
+        // inside it.
+        let mut cfg = FusionConfig::unfused(&tree);
+        cfg.set(m, k.singleton());
+        let sched = fusion_schedule(&tree, &cfg).unwrap();
+        let is_loop = |s: &ScheduleStep| matches!(s, ScheduleStep::Loop { .. });
+        let group = &sched.lifetimes[sched.steps.iter().position(is_loop).unwrap()];
+        assert_eq!((&group.allocs, &group.releases), (&vec![m, y], &vec![m]));
+        assert_eq!(sched.lifetimes.last().unwrap().releases, vec![x, y]);
+        assert_eq!(sched.sequential_peak(|v| if v == m { 5 } else { 1 }), 7);
     }
 
     #[test]

@@ -237,70 +237,72 @@ fn candidates(extent: usize) -> Vec<usize> {
     out
 }
 
+/// The one tile search: every doubling block-size vector of `nest` (first
+/// loop slowest), keeping the first of the cheapest under `cost`.
+/// Untileable nests (already tiled, or degenerate — see
+/// [`nest_is_tileable`]) are skipped gracefully: the untiled program
+/// itself is the search result.
+fn search_tiles_by<C: PartialOrd>(
+    p: &LoopProgram,
+    space: &IndexSpace,
+    nest: &PerfectNest,
+    cost: impl Fn(&LoopProgram) -> C,
+) -> (HashMap<LoopVarId, usize>, LoopProgram, C) {
+    if !nest_is_tileable(p, nest) {
+        return (HashMap::new(), p.clone(), cost(p));
+    }
+    let sizes: Vec<Vec<usize>> = nest
+        .vars
+        .iter()
+        .map(|&v| candidates(p.var(v).extent(space)))
+        .collect();
+    let mut pick = vec![0usize; sizes.len()];
+    let mut best: Option<(HashMap<LoopVarId, usize>, LoopProgram, C)> = None;
+    loop {
+        tce_trace::counter("locality.tile_candidates", 1);
+        let blocks: HashMap<LoopVarId, usize> = nest
+            .vars
+            .iter()
+            .zip(sizes.iter().zip(&pick))
+            .map(|(&v, (sizes, &i))| (v, sizes[i]))
+            .collect();
+        let tiled = tile_nest(p, space, nest, &blocks);
+        let c = cost(&tiled);
+        if best.as_ref().is_none_or(|(_, _, b)| c < *b) {
+            best = Some((blocks, tiled, c));
+        }
+        // Odometer over the candidate lists, last loop fastest.
+        let mut d = pick.len();
+        loop {
+            if d == 0 {
+                return best.expect("a tileable nest has at least one candidate");
+            }
+            d -= 1;
+            pick[d] += 1;
+            if pick[d] < sizes[d].len() {
+                break;
+            }
+            pick[d] = 0;
+        }
+    }
+}
+
 /// Search tile sizes for one perfect nest, minimizing the §6 cost model
-/// for a cache of `cache_elements`.  Untileable nests (already tiled, or
-/// degenerate — see [`nest_is_tileable`]) are skipped gracefully: the
-/// untiled program itself is the search result.
+/// for a cache of `cache_elements`.
 pub fn search_nest_tiles(
     p: &LoopProgram,
     space: &IndexSpace,
     nest: &PerfectNest,
     cache_elements: u128,
 ) -> TileSearchResult {
-    if !nest_is_tileable(p, nest) {
-        return TileSearchResult {
-            blocks: HashMap::new(),
-            program: p.clone(),
-            cost: access_cost(p, space, cache_elements),
-        };
+    let (blocks, program, cost) = search_tiles_by(p, space, nest, |candidate| {
+        access_cost(candidate, space, cache_elements)
+    });
+    TileSearchResult {
+        blocks,
+        program,
+        cost,
     }
-    let extents: Vec<usize> = nest.vars.iter().map(|&v| p.var(v).extent(space)).collect();
-    let mut best: Option<TileSearchResult> = None;
-    let mut blocks: HashMap<LoopVarId, usize> = HashMap::new();
-
-    #[allow(clippy::too_many_arguments)]
-    fn rec(
-        p: &LoopProgram,
-        space: &IndexSpace,
-        nest: &PerfectNest,
-        cache: u128,
-        extents: &[usize],
-        i: usize,
-        blocks: &mut HashMap<LoopVarId, usize>,
-        best: &mut Option<TileSearchResult>,
-    ) {
-        if i == nest.vars.len() {
-            tce_trace::counter("locality.tile_candidates", 1);
-            let tiled = tile_nest(p, space, nest, blocks);
-            let cost = access_cost(&tiled, space, cache);
-            let better = best.as_ref().map(|b| cost < b.cost).unwrap_or(true);
-            if better {
-                *best = Some(TileSearchResult {
-                    blocks: blocks.clone(),
-                    program: tiled,
-                    cost,
-                });
-            }
-            return;
-        }
-        for b in candidates(extents[i]) {
-            blocks.insert(nest.vars[i], b);
-            rec(p, space, nest, cache, extents, i + 1, blocks, best);
-        }
-        blocks.remove(&nest.vars[i]);
-    }
-
-    rec(
-        p,
-        space,
-        nest,
-        cache_elements,
-        &extents,
-        0,
-        &mut blocks,
-        &mut best,
-    );
-    best.expect("search space is never empty")
 }
 
 /// Reorder the loops of a perfect nest (loop interchange).  All loops in
@@ -407,60 +409,13 @@ pub fn search_nest_tiles_hierarchy(
     nest: &PerfectNest,
     hierarchy: &crate::model::MemoryHierarchy,
 ) -> HierarchyTileResult {
-    if !nest_is_tileable(p, nest) {
-        return HierarchyTileResult {
-            blocks: HashMap::new(),
-            program: p.clone(),
-            cost: hierarchy.cost(p, space),
-        };
+    let (blocks, program, cost) =
+        search_tiles_by(p, space, nest, |candidate| hierarchy.cost(candidate, space));
+    HierarchyTileResult {
+        blocks,
+        program,
+        cost,
     }
-    let extents: Vec<usize> = nest.vars.iter().map(|&v| p.var(v).extent(space)).collect();
-    let mut best: Option<HierarchyTileResult> = None;
-    let mut blocks: HashMap<LoopVarId, usize> = HashMap::new();
-
-    #[allow(clippy::too_many_arguments)]
-    fn rec(
-        p: &LoopProgram,
-        space: &IndexSpace,
-        nest: &PerfectNest,
-        hierarchy: &crate::model::MemoryHierarchy,
-        extents: &[usize],
-        i: usize,
-        blocks: &mut HashMap<LoopVarId, usize>,
-        best: &mut Option<HierarchyTileResult>,
-    ) {
-        if i == nest.vars.len() {
-            tce_trace::counter("locality.tile_candidates", 1);
-            let tiled = tile_nest(p, space, nest, blocks);
-            let cost = hierarchy.cost(&tiled, space);
-            let better = best.as_ref().map(|b| cost < b.cost).unwrap_or(true);
-            if better {
-                *best = Some(HierarchyTileResult {
-                    blocks: blocks.clone(),
-                    program: tiled,
-                    cost,
-                });
-            }
-            return;
-        }
-        for b in candidates(extents[i]) {
-            blocks.insert(nest.vars[i], b);
-            rec(p, space, nest, hierarchy, extents, i + 1, blocks, best);
-        }
-        blocks.remove(&nest.vars[i]);
-    }
-
-    rec(
-        p,
-        space,
-        nest,
-        hierarchy,
-        &extents,
-        0,
-        &mut blocks,
-        &mut best,
-    );
-    best.expect("search space is never empty")
 }
 
 #[cfg(test)]

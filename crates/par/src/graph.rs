@@ -208,8 +208,8 @@ impl TaskGraph {
     }
 
     /// Evaluate a tree bottom-up on `slots` scheduler slots and return its
-    /// root's value — the one node-task skeleton every tree executor walks
-    /// on.  `tasks` lists the nodes children-first (the shape of
+    /// root's value — the node-task skeleton the sharded tree executor
+    /// walks on.  `tasks` lists the nodes children-first (the shape of
     /// `OpTree::postorder_tasks`): `(node, positions of its children in
     /// this list, output weight)`, root last.  `body(node, operands)`
     /// receives the values the node's children produced, in child order,

@@ -244,16 +244,6 @@ pub fn spacetime_dp(
         out
     }
 
-    /// Drop transparent (redundant) indices from a derived state, keeping
-    /// only the fused part `c`; empty classes vanish.
-    fn strip_transparent(state: &NestState, c: IndexSet) -> NestState {
-        state
-            .iter()
-            .map(|cl| cl.inter(c))
-            .filter(|cl| !cl.is_empty())
-            .collect()
-    }
-
     /// All (fused, redundant) label pairs for an edge.
     fn edge_labels(tree: &OpTree, child: NodeId, parent: NodeId) -> Vec<(IndexSet, IndexSet)> {
         if !is_fusable_producer(tree, child) {
@@ -299,9 +289,9 @@ pub fn spacetime_dp(
     Ok(result)
 }
 
-/// Drop transparent (redundant) indices from a derived state (duplicate of
-/// the inner helper, for the traceback path).
-fn strip(state: &NestState, c: IndexSet) -> NestState {
+/// Drop transparent (redundant) indices from a derived state, keeping
+/// only the fused part `c`; empty classes vanish.
+fn strip_transparent(state: &NestState, c: IndexSet) -> NestState {
     state
         .iter()
         .map(|cl| cl.inter(c))
@@ -360,7 +350,7 @@ fn trace(
         // The tag records the labels but not which nesting refinement the
         // point came from; try each candidate against the memo.
         for (s1, s2) in candidates {
-            let (s1, s2) = (strip(&s1, c1), strip(&s2, c2));
+            let (s1, s2) = (strip_transparent(&s1, c1), strip_transparent(&s2, c2));
             let (Some(p1), Some(p2)) = (
                 memo.get(&(left.0, encode_state(&s1))),
                 memo.get(&(right.0, encode_state(&s2))),

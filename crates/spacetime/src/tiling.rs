@@ -154,35 +154,33 @@ pub fn search_tiles(
     best
 }
 
-/// The complete space-time trade-off (paper §5): run the
-/// fusion/recomputation pareto DP, tile every frontier configuration, and
-/// return the feasible combination with the fewest operations.
-/// `Ok(None)` when no configuration fits in `mem_limit` even fully fused
-/// and untiled; `Err` when the DP traceback cannot reconstruct a frontier
-/// configuration.
-pub fn spacetime_optimize(
+/// The one frontier selection behind both objectives: run the
+/// fusion/recomputation pareto DP, tile every frontier configuration under
+/// `mem_limit`, and keep the feasible combination with the smallest
+/// `cost`, ties broken by fewer operations, then less memory.
+fn select_frontier<C: PartialOrd>(
     tree: &OpTree,
     space: &IndexSpace,
     mem_limit: u128,
-) -> Result<Option<(SpaceTimeConfig, TilingResult)>, String> {
+    cost: impl Fn(&TilingResult) -> C,
+) -> Result<Option<(C, SpaceTimeConfig, TilingResult)>, String> {
     let front = spacetime_dp(tree, space, usize::MAX)?;
-    let mut best: Option<(SpaceTimeConfig, TilingResult)> = None;
-    let mut frontier_points = 0u64;
+    let mut best: Option<(C, SpaceTimeConfig, TilingResult)> = None;
     for point in front.points() {
-        frontier_points += 1;
         if let Some(t) = search_tiles(tree, space, &point.tag, mem_limit) {
+            let c = cost(&t);
             let better = match &best {
                 None => true,
-                Some((_, b)) => t.ops < b.ops || (t.ops == b.ops && t.memory < b.memory),
+                Some((bc, _, b)) => c < *bc || (c == *bc && (t.ops, t.memory) < (b.ops, b.memory)),
             };
             if better {
-                best = Some((point.tag.clone(), t));
+                best = Some((c, point.tag.clone(), t));
             }
         }
     }
     if tce_trace::enabled() {
-        tce_trace::counter("spacetime.frontier_points", frontier_points);
-        if let Some((cfg, t)) = &best {
+        tce_trace::counter("spacetime.frontier_points", front.points().len() as u64);
+        if let Some((_, cfg, t)) = &best {
             // Recomputation cost: operations beyond the configuration's
             // recomputation-free baseline (B = N everywhere).
             let base = cfg.total_ops_with(tree, space, &|_| 1);
@@ -191,6 +189,23 @@ pub fn spacetime_optimize(
         }
     }
     Ok(best)
+}
+
+/// The complete space-time trade-off (paper §5): run the
+/// fusion/recomputation pareto DP, tile every frontier configuration, and
+/// return the feasible combination with the fewest operations — the unit
+/// cost model, i.e. the rated one at `(flop_ns, mem_ns) = (1, 0)`, where
+/// only the tie-break is left.
+/// `Ok(None)` when no configuration fits in `mem_limit` even fully fused
+/// and untiled; `Err` when the DP traceback cannot reconstruct a frontier
+/// configuration.
+pub fn spacetime_optimize(
+    tree: &OpTree,
+    space: &IndexSpace,
+    mem_limit: u128,
+) -> Result<Option<(SpaceTimeConfig, TilingResult)>, String> {
+    let best = select_frontier(tree, space, mem_limit, |_| ())?;
+    Ok(best.map(|((), cfg, t)| (cfg, t)))
 }
 
 /// [`spacetime_optimize`] under a calibrated objective: instead of the
@@ -208,36 +223,13 @@ pub fn spacetime_optimize_rated(
     flop_ns: f64,
     mem_ns: f64,
 ) -> Result<Option<(SpaceTimeConfig, TilingResult)>, String> {
-    let front = spacetime_dp(tree, space, usize::MAX)?;
-    let mut best: Option<(f64, SpaceTimeConfig, TilingResult)> = None;
-    let mut frontier_points = 0u64;
-    for point in front.points() {
-        frontier_points += 1;
-        if let Some(t) = search_tiles(tree, space, &point.tag, mem_limit) {
-            let time = t.ops as f64 * flop_ns + t.memory as f64 * mem_ns;
-            let better = match &best {
-                None => true,
-                Some((bt, _, b)) => {
-                    time < *bt
-                        || (time == *bt
-                            && (t.ops < b.ops || (t.ops == b.ops && t.memory < b.memory)))
-                }
-            };
-            if better {
-                best = Some((time, point.tag.clone(), t));
-            }
-        }
-    }
-    if tce_trace::enabled() {
-        tce_trace::counter("spacetime.frontier_points", frontier_points);
-        if let Some((time, cfg, t)) = &best {
-            let base = cfg.total_ops_with(tree, space, &|_| 1);
-            tce_trace::counter_u128("spacetime.recomputation_ops", t.ops.saturating_sub(base));
-            tce_trace::counter_u128("spacetime.memory", t.memory);
-            tce_trace::counter("spacetime.rated_ns", time.round().max(0.0) as u64);
-        }
-    }
-    Ok(best.map(|(_, cfg, t)| (cfg, t)))
+    let best = select_frontier(tree, space, mem_limit, |t| {
+        t.ops as f64 * flop_ns + t.memory as f64 * mem_ns
+    })?;
+    Ok(best.map(|(time, cfg, t)| {
+        tce_trace::counter("spacetime.rated_ns", time.round().max(0.0) as u64);
+        (cfg, t)
+    }))
 }
 
 #[cfg(test)]

@@ -426,12 +426,22 @@ impl Tensor {
     /// # Panics
     /// Panics if the box exceeds the tensor bounds.
     pub fn extract_block(&self, starts: &[usize], lens: &[usize]) -> Tensor {
+        self.extract_block_into(starts, Tensor::zeros(lens))
+    }
+
+    /// [`extract_block`](Self::extract_block) into the caller's tensor
+    /// `out`, whose shape is the block's `lens` — e.g. a pooled buffer the
+    /// caller will [`recycle`](Self::recycle).
+    ///
+    /// # Panics
+    /// Panics if the box exceeds the tensor bounds.
+    pub fn extract_block_into(&self, starts: &[usize], mut out: Tensor) -> Tensor {
+        let lens = out.shape.clone();
         assert_eq!(starts.len(), self.rank(), "block rank mismatch");
         assert_eq!(lens.len(), self.rank(), "block rank mismatch");
-        for (d, (&s, &l)) in starts.iter().zip(lens).enumerate() {
+        for (d, (&s, &l)) in starts.iter().zip(&lens).enumerate() {
             assert!(s + l <= self.shape[d], "block out of bounds");
         }
-        let mut out = Tensor::zeros(lens);
         if self.rank() == 0 {
             out.data[0] = self.data[0];
             return out;

@@ -9,8 +9,11 @@
 use std::collections::HashMap;
 use tce_core::exec::{execute_tree, execute_tree_opts, ExecOptions, Schedule};
 use tce_core::ir::rng::Rng;
+use tce_core::ir::{
+    IndexSet, IndexSpace, IndexVar, Leaf, NodeId, OpKind, OpTree, TensorDecl, TensorId, TensorTable,
+};
 use tce_core::scenarios::{section2_source, A3AScenario};
-use tce_core::tensor::{contract_gett, BinaryContraction, Tensor};
+use tce_core::tensor::{contract_gett, BinaryContraction, IntegralFn, Tensor};
 use tce_core::{synthesize, SynthesisConfig};
 
 const THREADS: [usize; 3] = [2, 3, 7];
@@ -254,4 +257,113 @@ fn random_contractions_are_bitwise_deterministic() {
             assert_eq!(base, contract_gett(&spec, &sp, &ta, &tb, threads));
         }
     }
+}
+
+/// The direct form written out by hand: one `contract_gett` call per
+/// contraction node in postorder, every leaf materialized in its declared
+/// dimension order — what `execute_tree_opts` must reproduce bit for bit.
+fn postorder_chain(
+    tree: &OpTree,
+    space: &IndexSpace,
+    inputs: &HashMap<TensorId, &Tensor>,
+    funcs: &HashMap<String, IntegralFn>,
+) -> Tensor {
+    let dims = |n: NodeId| -> Vec<IndexVar> {
+        match &tree.node(n).kind {
+            OpKind::Leaf(Leaf::Input { indices, .. })
+            | OpKind::Leaf(Leaf::Func { indices, .. }) => indices.clone(),
+            _ => tree.node(n).indices.iter().collect(),
+        }
+    };
+    let mut values: Vec<Option<Tensor>> = vec![None; tree.len()];
+    for id in tree.postorder() {
+        let value = match &tree.node(id).kind {
+            OpKind::Leaf(Leaf::Input { tensor, .. }) => inputs[tensor].clone(),
+            OpKind::Leaf(Leaf::One) => Tensor::from_elem(&[], 1.0),
+            OpKind::Leaf(Leaf::Func { name, indices, .. }) => {
+                let shape: Vec<usize> = indices.iter().map(|&v| space.extent(v)).collect();
+                Tensor::from_fn(&shape, |idx| funcs[name].eval(idx))
+            }
+            OpKind::Contract { left, right } => {
+                let spec = BinaryContraction {
+                    a: dims(*left),
+                    b: dims(*right),
+                    out: dims(id),
+                };
+                let lv = values[left.0 as usize].take().unwrap();
+                let rv = values[right.0 as usize].take().unwrap();
+                contract_gett(&spec, space, &lv, &rv, 1)
+            }
+        };
+        values[id.0 as usize] = Some(value);
+    }
+    values[tree.root.0 as usize].take().unwrap()
+}
+
+fn assert_tree_executor_is_the_postorder_chain(
+    tree: &OpTree,
+    space: &IndexSpace,
+    inputs: &HashMap<TensorId, &Tensor>,
+    funcs: &HashMap<String, IntegralFn>,
+) {
+    let expect = postorder_chain(tree, space, inputs, funcs);
+    let bits = |t: &Tensor| -> Vec<u64> { t.data().iter().map(|x| x.to_bits()).collect() };
+    for threads in [1, 2, 4] {
+        for schedule in [Schedule::Seq, Schedule::Graph] {
+            let opts = ExecOptions::with_threads(threads).with_schedule(schedule);
+            let got = execute_tree_opts(tree, space, inputs, funcs, &opts).unwrap();
+            assert_eq!(got.shape(), expect.shape());
+            assert_eq!(
+                bits(&got),
+                bits(&expect),
+                "{schedule} at {threads} threads diverged from the postorder chain"
+            );
+        }
+    }
+}
+
+#[test]
+fn unfused_lowering_is_bitwise_the_hand_rolled_postorder_chain() {
+    // `execute_tree_opts` lowers the tree onto the fused walker as the
+    // empty fusion configuration; the value must be exactly what one
+    // whole-array GETT call per node computes.
+    let syn = synthesize(&section2_source(5), &SynthesisConfig::default()).unwrap();
+    let owned: Vec<(TensorId, Tensor)> = ["A", "B", "C", "D"]
+        .iter()
+        .enumerate()
+        .map(|(q, nm)| {
+            let id = syn.program.tensors.by_name(nm).unwrap();
+            (id, Tensor::random(&[5; 4], 90 + q as u64))
+        })
+        .collect();
+    let inputs: HashMap<TensorId, &Tensor> = owned.iter().map(|(id, t)| (*id, t)).collect();
+    assert_tree_executor_is_the_postorder_chain(
+        &syn.plans[0].tree,
+        &syn.program.space,
+        &inputs,
+        &HashMap::new(),
+    );
+
+    // Two independent subtrees: Σ_k A[i,k]·g(k,j) — a function leaf whose
+    // declared order is not the canonical one — and the copy term
+    // Σ_l B[j,l]·1, joined over j.
+    let mut space = IndexSpace::new();
+    let n = space.add_range("N", 5);
+    let vs = space.add_vars("i j k l", n);
+    let (i, j, k, l) = (vs[0], vs[1], vs[2], vs[3]);
+    let mut tensors = TensorTable::new();
+    let ta = tensors.add(TensorDecl::dense("A", vec![n, n]));
+    let tb = tensors.add(TensorDecl::dense("B", vec![n, n]));
+    let mut tree = OpTree::new();
+    let la = tree.leaf_input(ta, vec![i, k]);
+    let lg = tree.leaf_func("g", vec![k, j], 10);
+    let left = tree.contract(la, lg, IndexSet::from_vars([i, j]));
+    let lb = tree.leaf_input(tb, vec![j, l]);
+    let one = tree.leaf_one();
+    let copy = tree.contract(lb, one, j.singleton());
+    tree.contract(left, copy, i.singleton());
+    let (va, vb) = (Tensor::random(&[5, 5], 7), Tensor::random(&[5, 5], 8));
+    let inputs = HashMap::from([(ta, &va), (tb, &vb)]);
+    let funcs = HashMap::from([("g".to_string(), IntegralFn::new(10, 0x6))]);
+    assert_tree_executor_is_the_postorder_chain(&tree, &space, &inputs, &funcs);
 }

@@ -396,3 +396,21 @@ fn mis_shaped_bindings_are_typed_errors_not_panics_or_truncation() {
         );
     }
 }
+
+#[test]
+fn distributed_execution_without_a_machine_is_a_typed_error() {
+    // A synthesis configured without a machine has no grid to run on:
+    // `execute_distributed_opts` used to `expect` one and panic.
+    use tce_core::exec::ExecError;
+
+    let syn = synthesize(&section2_source(3), &SynthesisConfig::default()).unwrap();
+    let err = syn
+        .execute_distributed_opts(&HashMap::new(), &HashMap::new(), &ExecOptions::serial())
+        .expect_err("no machine must error");
+    assert!(
+        matches!(&err, ExecError::InvalidProgram { reason }
+            if reason == "distributed execution requires a machine-configured synthesis"),
+        "{err}"
+    );
+    assert!(!err.to_string().contains('\n'));
+}

@@ -11,10 +11,12 @@
 //! point.
 
 use std::collections::HashMap;
+use std::sync::{RwLock, RwLockReadGuard};
 use tce_core::exec::{
     execute_tree_fused, execute_tree_fused_with_labels, execute_tree_opts, ExecOptions,
 };
-use tce_core::fusion::{memmin_dp, FusionConfig};
+use tce_core::fusion::schedule::fusion_schedule_with_labels;
+use tce_core::fusion::{enumerate_legal_configs, memmin_dp, FusionConfig};
 use tce_core::ir::{IndexSet, IndexSpace, OpTree, TensorId};
 use tce_core::scenarios::{section2_source, A3AScenario};
 use tce_core::spacetime::spacetime_dp;
@@ -22,6 +24,15 @@ use tce_core::tensor::{IntegralFn, Tensor};
 use tce_core::{synthesize, SynthesisConfig};
 
 const THREADS: [usize; 3] = [1, 2, 4];
+
+/// `tce_trace`'s memory high-water mark is process-wide: the live-set test
+/// measures under the write lock, every other test executes under a read
+/// lock so its arrays never land in that measurement.
+static TRACED_MEMORY: RwLock<()> = RwLock::new(());
+
+fn untraced() -> RwLockReadGuard<'static, ()> {
+    TRACED_MEMORY.read().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Relative agreement within `tol` (scale = max |expect|, at least 1).
 fn rel_close(got: &Tensor, expect: &Tensor, tol: f64) -> bool {
@@ -71,6 +82,7 @@ fn config_spread(tree: &OpTree, space: &IndexSpace) -> Vec<FusionConfig> {
 
 #[test]
 fn section2_fused_matches_oracles_across_configs_and_threads() {
+    let _untraced = untraced();
     let syn = synthesize(&section2_source(4), &SynthesisConfig::default()).unwrap();
     let plan = &syn.plans[0];
     let space = &syn.program.space;
@@ -123,6 +135,7 @@ fn section2_fused_matches_oracles_across_configs_and_threads() {
 
 #[test]
 fn section2_memmin_peak_equals_dp_prediction() {
+    let _untraced = untraced();
     // Paper Fig. 1(c): at extent N, fused memory = 1 (T1 scalar) + N²
     // (T2 reduced to {j,k}).
     let n = 4usize;
@@ -147,6 +160,7 @@ fn section2_memmin_peak_equals_dp_prediction() {
 
 #[test]
 fn a3a_fused_matches_reference_across_configs_and_threads() {
+    let _untraced = untraced();
     // The scenario behind paper Figs. 2–4: E = (Σ T·T)·(Σ f1·f2).
     let sc = A3AScenario::new(4, 2, 50);
     let amps = sc.amplitudes(7);
@@ -243,6 +257,7 @@ fn frontier_points_execute_exactly(
 
 #[test]
 fn a3a_spacetime_frontier_executes_exactly() {
+    let _untraced = untraced();
     let sc = A3AScenario::new(3, 2, 20);
     let amps = sc.amplitudes(9);
     let mut inputs: HashMap<TensorId, &Tensor> = HashMap::new();
@@ -252,6 +267,7 @@ fn a3a_spacetime_frontier_executes_exactly() {
 
 #[test]
 fn section2_spacetime_frontier_executes_exactly() {
+    let _untraced = untraced();
     let syn = synthesize(&section2_source(4), &SynthesisConfig::default()).unwrap();
     let values = section2_values(&syn, 4, 70);
     frontier_points_execute_exactly(
@@ -264,6 +280,7 @@ fn section2_spacetime_frontier_executes_exactly() {
 
 #[test]
 fn pipeline_fused_execution_honours_a_binding_memory_limit() {
+    let _untraced = untraced();
     // Under a limit that memmin alone (1 + N² = 17) exceeds, synthesis
     // selects a recomputing configuration — and that, not the memmin one,
     // is what the fused executor runs.
@@ -293,6 +310,7 @@ fn pipeline_fused_execution_honours_a_binding_memory_limit() {
 
 #[test]
 fn pipeline_fused_execution_agrees_with_direct_on_sequences() {
+    let _untraced = untraced();
     // Statement sequences with dataflow, coefficients and accumulation run
     // identically through the fused and direct whole-program executors.
     let src = "
@@ -330,5 +348,92 @@ fn pipeline_fused_execution_agrees_with_direct_on_sequences() {
                 term.stmt_index, term.term_index
             );
         }
+    }
+}
+
+/// Run one configuration traced and return the real high-water mark of
+/// its intermediate arrays, in elements.
+fn traced_peak_elements(
+    tree: &OpTree,
+    space: &IndexSpace,
+    (chain_labels, array_config): (&FusionConfig, &FusionConfig),
+    inputs: &HashMap<TensorId, &Tensor>,
+    funcs: &HashMap<String, IntegralFn>,
+    opts: &ExecOptions,
+) -> u128 {
+    tce_trace::reset();
+    tce_trace::set_enabled(true);
+    let report = execute_tree_fused_with_labels(
+        tree,
+        space,
+        chain_labels,
+        array_config,
+        inputs,
+        funcs,
+        opts,
+    );
+    tce_trace::set_enabled(false);
+    report.unwrap();
+    u128::from(tce_trace::take().mem_peak_bytes) / 8
+}
+
+#[test]
+fn traced_high_water_is_the_schedules_static_peak() {
+    // Arrays live by the schedule's lifetimes, so the *real* high-water
+    // mark is a static property of the schedule: on one slot the traced
+    // peak equals `FusionSchedule::sequential_peak`, never more than all
+    // arrays at once (`temp_memory` + the root).
+    let _exclusive = TRACED_MEMORY.write().unwrap_or_else(|e| e.into_inner());
+    let serial = ExecOptions::serial();
+    let graph4 = ExecOptions::with_threads(4).with_schedule(tce_core::Schedule::Graph);
+    let check = |tree: &OpTree,
+                 space: &IndexSpace,
+                 configs: (&FusionConfig, &FusionConfig),
+                 inputs: &HashMap<TensorId, &Tensor>,
+                 funcs: &HashMap<String, IntegralFn>|
+     -> (u128, u128) {
+        let elements = |n| space.iteration_points(configs.1.array_indices(tree, n));
+        let static_peak = fusion_schedule_with_labels(tree, configs.0).sequential_peak(elements);
+        let all = configs.1.temp_memory(tree, space) + elements(tree.root);
+        let one_slot = traced_peak_elements(tree, space, configs, inputs, funcs, &serial);
+        assert_eq!(one_slot, static_peak, "labels {:?}", configs.0.fused);
+        assert!(static_peak <= all);
+        let four_slots = traced_peak_elements(tree, space, configs, inputs, funcs, &graph4);
+        assert!(four_slots <= all, "{four_slots} > {all}");
+        (static_peak, four_slots)
+    };
+
+    // Every legal fusion configuration of the §2 tree, unfused included.
+    // Its steps form a chain, so more slots change nothing at all.
+    let n = 3usize;
+    let syn = synthesize(&section2_source(n), &SynthesisConfig::default()).unwrap();
+    let (tree, space) = (&syn.plans[0].tree, &syn.program.space);
+    let values = section2_values(&syn, n, 60);
+    let inputs = bind(&values);
+    let configs = enumerate_legal_configs(tree, space);
+    assert!(configs.len() > 10);
+    for (config, _) in &configs {
+        let (static_peak, four_slots) =
+            check(tree, space, (config, config), &inputs, &HashMap::new());
+        assert_eq!(four_slots, static_peak);
+        if *config == FusionConfig::unfused(tree) {
+            // T1 + T2, then T2 + S: two full arrays, and no input copies.
+            assert_eq!(static_peak, 2 * (n as u128).pow(4));
+        }
+    }
+
+    // Every space-time frontier point of the A3A tree (independent
+    // subtrees; recomputing chain labels).
+    let sc = A3AScenario::new(3, 2, 20);
+    let amps = sc.amplitudes(9);
+    let inputs = HashMap::from([(sc.tensors.by_name("T").unwrap(), &amps)]);
+    let funcs = sc.functions();
+    for point in spacetime_dp(&sc.tree, &sc.space, usize::MAX)
+        .unwrap()
+        .points()
+    {
+        let (chain_labels, array_config) = point.tag.lowering_configs(&sc.tree).unwrap();
+        let configs = (&chain_labels, &array_config);
+        check(&sc.tree, &sc.space, configs, &inputs, &funcs);
     }
 }

@@ -5,12 +5,12 @@
 //! traffic, and `shutdown` must drain gracefully.
 
 use std::process::Command;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 use tce_core::serve::PipelineHandler;
 use tce_serve::client;
 use tce_serve::protocol::{format_run, unescape};
-use tce_serve::{ServeConfig, Server, ServerHandle};
+use tce_serve::{Handler, ServeConfig, Server, ServerHandle};
 
 /// These tests are registered from `crates/core`, so the examples live
 /// two levels up.
@@ -91,11 +91,22 @@ fn eight_concurrent_clients_match_the_one_shot_cli_bitwise() {
     handle.join();
 }
 
+/// A handler whose `run` blocks until the test releases its latch, so a
+/// request against it outlives any budget without a wall-clock assumption.
+struct Latched(Mutex<mpsc::Receiver<()>>);
+
+impl Handler for Latched {
+    fn run(&self, _program: &str, _opts: &[(String, String)]) -> Result<String, String> {
+        // Returns once the test sends, or drops its sender.
+        let _ = self.0.lock().unwrap().recv();
+        Ok("late".to_string())
+    }
+}
+
 #[test]
 fn error_paths_reply_cleanly_and_server_keeps_serving() {
     let cfg = ServeConfig {
         workers: 2,
-        timeout: Duration::from_millis(1),
         ..ServeConfig::default()
     };
     let (handle, addr) = start(&cfg);
@@ -109,21 +120,32 @@ fn error_paths_reply_cleanly_and_server_keeps_serving() {
     // Bad numeric option.
     let reply = client::request(&addr, &format_run("x", &[("threads", "banana")])).unwrap();
     assert!(reply.starts_with("err "), "{reply}");
-    // Oversized work against the 1 ms budget: wall-clock timeout.
-    let big = "
-        range N = 160;
-        index i, j, k, l : N;
-        tensor A(N, N); tensor B(N, N); tensor C(N, N); tensor OUT(N, N);
-        OUT[i,l] = sum[j,k] A[i,j] * B[j,k] * C[k,l];
-    ";
-    let reply = client::request(&addr, &format_run(big, &[])).unwrap();
-    assert_eq!(reply, "timeout");
 
     // After all of that the server still answers.
     assert_eq!(client::request(&addr, "ping").unwrap(), "ok pong");
     let stats = handle.stats();
     assert!(stats.errors >= 3, "errors {}", stats.errors);
-    assert_eq!(stats.timeouts, 1);
+    handle.shutdown();
+    handle.join();
+
+    // Work that outlives its budget: the handler stays blocked on the
+    // latch until the reply has been read, so the reply can only be the
+    // wall-clock timeout — however slow or loaded the host is.
+    let cfg = ServeConfig {
+        workers: 2,
+        timeout: Duration::from_millis(1),
+        ..ServeConfig::default()
+    };
+    let (release, latch) = mpsc::channel();
+    let server = Server::bind(&cfg, Arc::new(Latched(Mutex::new(latch)))).unwrap();
+    let addr = server.local_addr().to_string();
+    let handle = server.spawn();
+    let reply = client::request(&addr, &format_run("x", &[])).unwrap();
+    assert_eq!(reply, "timeout");
+    drop(release);
+
+    assert_eq!(client::request(&addr, "ping").unwrap(), "ok pong");
+    assert_eq!(handle.stats().timeouts, 1);
 
     handle.shutdown();
     handle.join();
