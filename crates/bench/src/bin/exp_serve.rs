@@ -3,8 +3,8 @@
 //! Starts an in-process `tce-serve` server backed by the real pipeline
 //! handler, measures (a) cold vs. warm-cache throughput on repeat
 //! expressions — a warm repeat is answered from the deterministic
-//! response memo without re-synthesizing or re-executing, so it must be
-//! much faster — and (b) a worker-count sweep under 8 concurrent
+//! response memo without re-synthesizing or re-executing; the ratio is
+//! reported, not asserted — and (b) a worker-count sweep under 8 concurrent
 //! clients reporting throughput and p50/p99 request latency.  Clients
 //! hold persistent connections, as a real caller batching requests
 //! would.  Writes the measurements to `BENCH_serve.json`.
@@ -130,10 +130,9 @@ fn main() {
         speedup
     );
     println!("server stats: {stats_line}\n");
-    assert!(
-        speedup >= 3.0,
-        "warm-cache throughput must be at least 3x cold, got {speedup:.2}x"
-    );
+    // The warm/cold ratio is reported, never asserted: a wall-clock gate
+    // on a shared CI runner is noise (performance gates belong to
+    // `exp_perf --compare`).
 
     // ---- Worker sweep under concurrent clients ------------------------
     let mut table = Table::new(&[

@@ -1,7 +1,7 @@
 //! `tce-fuzz` — run a seeded conformance campaign from the command line.
 //!
 //! ```text
-//! tce-fuzz [--seed S] [--budget N] [--check all|exec,cost,dist,sparse,roundtrip,sched]
+//! tce-fuzz [--seed S] [--budget N] [--check all|exec,cost,dist,roundtrip,sched]
 //!          [--grids 1x1,2x2] [--extended] [--out DIR] [--corpus DIR] [--quiet]
 //! ```
 //!
@@ -81,7 +81,7 @@ fn parse_args() -> Result<Args, String> {
             "--quiet" => args.quiet = true,
             "--help" | "-h" => {
                 println!(
-                    "usage: tce-fuzz [--seed S] [--budget N] [--check all|exec,cost,dist,sparse,roundtrip,sched]\n\
+                    "usage: tce-fuzz [--seed S] [--budget N] [--check all|exec,cost,dist,roundtrip,sched]\n\
                      \x20               [--grids 1x1,2x2] [--extended] [--out DIR] [--corpus DIR] [--quiet]"
                 );
                 std::process::exit(0);
@@ -125,12 +125,11 @@ fn main() -> ExitCode {
     });
 
     println!(
-        "tce-fuzz: {} cases — {} executor runs, {} kernel-variant runs, {} grids, {} sparse pairs, {} model checks",
+        "tce-fuzz: {} cases — {} executor runs, {} kernel-variant runs, {} grids, {} model checks",
         report.cases,
         report.stats.executor_runs,
         report.stats.kernel_variants,
         report.stats.grids,
-        report.stats.sparse_pairs,
         report.stats.model_checks,
     );
     if report.passed() {

@@ -16,10 +16,6 @@
 //! * **dist** — on each configured processor grid, distributed execution
 //!   agrees with the oracle and its measured redistribution/reduction
 //!   traffic equals the closed-form `move_cost`/`reduce_cost` predictions;
-//! * **sparse** — for each ≥2-factor term, the leading binary contraction
-//!   evaluated through `tce_tensor::sparse::contract_sparse_dense` (with
-//!   the zero-structured left operand converted to sparse form) agrees
-//!   with the dense contraction;
 //! * **sched** — the dependency-aware task-graph schedule
 //!   (`--schedule graph`) agrees with the oracle and is bitwise identical
 //!   to the sequential schedule at every configured thread count.
@@ -29,11 +25,8 @@ use std::sync::Mutex;
 
 use tce_core::{synthesize_program, ExecOptions, Schedule, SynthesisConfig, SynthesisError};
 use tce_ir::rng::{split_seed, Rng};
-use tce_ir::{Factor, IndexSet, IndexVar, Program, TensorId};
-use tce_tensor::{
-    contract_naive, contract_sparse_dense, kernels, BinaryContraction, EinsumSpec, IntegralFn,
-    SparseTensor, Tensor,
-};
+use tce_ir::{Factor, Program, TensorId};
+use tce_tensor::{kernels, EinsumSpec, IntegralFn, Tensor};
 
 /// Which invariant families to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,8 +37,6 @@ pub struct CheckSet {
     pub cost: bool,
     /// Distributed execution + communication-volume conformance.
     pub dist: bool,
-    /// Sparse-vs-dense differential check.
-    pub sparse: bool,
     /// Unparse→parse structural round trip.
     pub roundtrip: bool,
     /// Task-graph schedule: graph execution agrees with the oracle and is
@@ -60,7 +51,6 @@ impl CheckSet {
             exec: true,
             cost: true,
             dist: true,
-            sparse: true,
             roundtrip: true,
             sched: true,
         }
@@ -72,14 +62,13 @@ impl CheckSet {
             exec: false,
             cost: false,
             dist: false,
-            sparse: false,
             roundtrip: false,
             sched: false,
         }
     }
 
     /// Parse a `--check` argument: `all` or a comma-separated subset of
-    /// `exec,cost,dist,sparse,roundtrip,sched`.
+    /// `exec,cost,dist,roundtrip,sched`.
     pub fn parse(text: &str) -> Result<Self, String> {
         if text == "all" {
             return Ok(Self::all());
@@ -90,7 +79,6 @@ impl CheckSet {
                 "exec" => set.exec = true,
                 "cost" => set.cost = true,
                 "dist" => set.dist = true,
-                "sparse" => set.sparse = true,
                 "roundtrip" => set.roundtrip = true,
                 "sched" => set.sched = true,
                 other => return Err(format!("unknown check `{other}`")),
@@ -127,8 +115,8 @@ pub struct CheckConfig {
     pub tol: f64,
     /// Seed for input data and integral functions.
     pub data_seed: u64,
-    /// Probability an external input is zero-structured (for the sparse
-    /// path and general numerics).
+    /// Probability an external input is zero-structured (general
+    /// numerics: exact zeros and cancellation).
     pub zero_prob: f64,
     /// Fraction of entries zeroed in a zero-structured input.
     pub zero_fraction: f64,
@@ -166,8 +154,6 @@ pub enum CheckKind {
     CostModel,
     /// Distributed execution diverged (values or communication volume).
     DistComm,
-    /// Sparse-vs-dense contraction diverged.
-    Sparse,
     /// A non-finite value appeared.
     NonFinite,
     /// A pipeline stage or executor panicked.
@@ -182,7 +168,6 @@ impl std::fmt::Display for CheckKind {
             CheckKind::ExecDiff => "exec-diff",
             CheckKind::CostModel => "cost-model",
             CheckKind::DistComm => "dist-comm",
-            CheckKind::Sparse => "sparse",
             CheckKind::NonFinite => "non-finite",
             CheckKind::Panic => "panic",
         };
@@ -217,8 +202,6 @@ pub struct CaseStats {
     pub kernel_variants: usize,
     /// Grids the dist family covered.
     pub grids: usize,
-    /// Sparse-vs-dense contractions compared.
-    pub sparse_pairs: usize,
     /// Cost-model equalities asserted.
     pub model_checks: usize,
 }
@@ -229,7 +212,6 @@ impl CaseStats {
         self.executor_runs += o.executor_runs;
         self.kernel_variants += o.kernel_variants;
         self.grids += o.grids;
-        self.sparse_pairs += o.sparse_pairs;
         self.model_checks += o.model_checks;
     }
 }
@@ -336,28 +318,17 @@ fn make_funcs(program: &Program, ck: &CheckConfig) -> HashMap<String, IntegralFn
     funcs
 }
 
-/// A sparse-vs-dense job captured while the oracle runs (operand values at
-/// the statement's point in the dataflow).
-struct SparseJob {
-    spec: BinaryContraction,
-    a: Tensor,
-    b: Tensor,
-}
-
 /// The independent oracle: direct per-term einsum over the statement
 /// sequence, mirroring the executors' dataflow conventions (computed
 /// values shadow external bindings; `+=` starts from the previously
-/// *computed* value or zeros, never from an external binding).  Also
-/// collects sparse-vs-dense jobs for ≥2-factor terms.
+/// *computed* value or zeros, never from an external binding).
 fn reference_outputs(
     program: &Program,
     inputs: &HashMap<TensorId, Tensor>,
     funcs: &HashMap<String, IntegralFn>,
-    collect_sparse: bool,
-) -> Result<(HashMap<TensorId, Tensor>, Vec<SparseJob>), Failure> {
+) -> Result<HashMap<TensorId, Tensor>, Failure> {
     let space = &program.space;
     let mut computed: HashMap<TensorId, Tensor> = HashMap::new();
-    let mut sparse_jobs = Vec::new();
     for stmt in &program.stmts {
         let shape: Vec<usize> = stmt.lhs.indices.iter().map(|&v| space.extent(v)).collect();
         let mut acc = if stmt.accumulate {
@@ -400,27 +371,6 @@ fn reference_outputs(
             let refs: Vec<&Tensor> = operands.iter().collect();
             let value = spec.eval(space, &refs);
             acc.axpy(term.coeff, &value);
-
-            if collect_sparse && term.factors.len() >= 2 {
-                let a_idx = term.factors[0].indices().to_vec();
-                let b_idx = term.factors[1].indices().to_vec();
-                let sa = IndexSet::from_vars(a_idx.iter().copied());
-                let sb = IndexSet::from_vars(b_idx.iter().copied());
-                // Keep whatever later factors or the LHS still need.
-                let needed = term.factors[2..]
-                    .iter()
-                    .fold(lhs_set, |s, f| s.union(f.index_set()));
-                let out: Vec<IndexVar> = sa.union(sb).inter(needed).iter().collect();
-                sparse_jobs.push(SparseJob {
-                    spec: BinaryContraction {
-                        a: a_idx,
-                        b: b_idx,
-                        out,
-                    },
-                    a: operands[0].clone(),
-                    b: operands[1].clone(),
-                });
-            }
         }
         if !acc.data().iter().all(|v| v.is_finite()) {
             return Err(Failure::new(
@@ -433,7 +383,7 @@ fn reference_outputs(
         }
         computed.insert(stmt.lhs.tensor, acc);
     }
-    Ok((computed, sparse_jobs))
+    Ok(computed)
 }
 
 /// Compare every assigned tensor against the oracle.
@@ -517,7 +467,7 @@ pub fn check_program(program: &Program, ck: &CheckConfig) -> Result<CaseStats, F
     let inputs = make_inputs(program, ck);
     let funcs = make_funcs(program, ck);
     let input_refs: HashMap<TensorId, &Tensor> = inputs.iter().map(|(id, t)| (*id, t)).collect();
-    let (expect, sparse_jobs) = reference_outputs(program, &inputs, &funcs, ck.set.sparse)?;
+    let expect = reference_outputs(program, &inputs, &funcs)?;
 
     if ck.set.exec {
         // GETT tree executor, serial baseline.
@@ -730,27 +680,6 @@ pub fn check_program(program: &Program, ck: &CheckConfig) -> Result<CaseStats, F
                 ));
             }
             stats.grids += 1;
-        }
-    }
-
-    if ck.set.sparse {
-        for job in &sparse_jobs {
-            if job.spec.validate().is_err() {
-                continue;
-            }
-            let dense = contract_naive(&job.spec, &program.space, &job.a, &job.b);
-            let sparse_a = SparseTensor::from_dense(&job.a, 0.0);
-            let via_sparse = contract_sparse_dense(&job.spec, &program.space, &sparse_a, &job.b);
-            if !rel_close(&via_sparse, &dense, ck.tol) {
-                return Err(Failure::new(
-                    CheckKind::Sparse,
-                    format!(
-                        "sparse×dense diverges from dense by {:e}",
-                        via_sparse.max_abs_diff(&dense)
-                    ),
-                ));
-            }
-            stats.sparse_pairs += 1;
         }
     }
 

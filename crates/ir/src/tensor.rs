@@ -1,10 +1,12 @@
-//! Tensor declarations: names, dimension signatures, symmetry and sparsity.
+//! Tensor declarations: names, dimension signatures and symmetry.
 //!
 //! The high-level language of the synthesis system (paper §4) declares each
 //! tensor with its index ranges plus optional *symmetry* (groups of
 //! interchangeable dimension positions, e.g. the antisymmetrized two-electron
-//! integrals `⟨pq‖rs⟩`) and *sparsity* annotations.  The optimization
-//! passes only consume the structural information collected here.
+//! integrals `⟨pq‖rs⟩`).  Every tensor is stored and executed densely; the
+//! paper's sparsity declarations are not accepted (DESIGN §1).  The
+//! optimization passes only consume the structural information collected
+//! here.
 
 use crate::index::{IndexSpace, RangeId};
 
@@ -31,10 +33,6 @@ pub struct TensorDecl {
     pub dims: Vec<RangeId>,
     /// Symmetry groups over dimension positions (disjoint).
     pub symmetry: Vec<SymmetryGroup>,
-    /// Whether the tensor is declared sparse.  Sparsity is carried through
-    /// to reports; the dense cost models here treat sparse tensors as dense
-    /// with a density factor supplied at analysis time.
-    pub sparse: bool,
 }
 
 impl TensorDecl {
@@ -44,7 +42,6 @@ impl TensorDecl {
             name: name.to_string(),
             dims,
             symmetry: Vec::new(),
-            sparse: false,
         }
     }
 

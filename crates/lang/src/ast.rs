@@ -14,7 +14,7 @@ pub enum Item {
     Range(RangeDecl),
     /// `index a, b : V;`
     Index(IndexDecl),
-    /// `tensor A(V, O) symmetric(0,1) sparse;`
+    /// `tensor A(V, O) symmetric(0,1);`
     Tensor(TensorDeclAst),
     /// `function f1(V, O) cost 1000;`
     Function(FuncDecl),
@@ -53,7 +53,7 @@ pub struct SymmetryAst {
     pub antisymmetric: bool,
 }
 
-/// `tensor A(V, O, V, O) [symmetric(p,..)] [antisymmetric(p,..)] [sparse];`
+/// `tensor A(V, O, V, O) [symmetric(p,..)] [antisymmetric(p,..)];`
 #[derive(Debug, Clone, PartialEq)]
 pub struct TensorDeclAst {
     /// Tensor name.
@@ -62,8 +62,6 @@ pub struct TensorDeclAst {
     pub dims: Vec<String>,
     /// Symmetry annotations.
     pub symmetry: Vec<SymmetryAst>,
-    /// Sparsity flag.
-    pub sparse: bool,
     /// Source line.
     pub line: u32,
 }

@@ -1,9 +1,11 @@
 //! # tce-lang — the high-level specification language
 //!
 //! Front end of the synthesis system (paper §4): a small declarative
-//! language for tensor contraction expressions with index-range, symmetry
-//! and sparsity declarations.  [`compile`] takes source text to a validated
-//! [`tce_ir::Program`] ready for the optimization pipeline.
+//! language for tensor contraction expressions with index-range and
+//! symmetry declarations.  [`compile`] takes source text to a validated
+//! [`tce_ir::Program`] ready for the optimization pipeline.  The paper's
+//! sparsity declarations are not part of the language: nothing downstream
+//! would execute them, so such an annotation is a parse error (DESIGN §1).
 //!
 //! ```
 //! let prog = tce_lang::compile("

@@ -68,7 +68,6 @@ pub fn lower(file: &SourceFile) -> Result<Program, LangError> {
                             antisymmetric: s.antisymmetric,
                         })
                         .collect(),
-                    sparse: t.sparse,
                 };
                 decl.validate().map_err(|e| LangError::at(t.line, 1, e))?;
                 prog.tensors.add(decl);

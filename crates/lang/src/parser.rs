@@ -130,37 +130,29 @@ impl Parser {
         let dims = self.comma_idents(&TokenKind::RParen)?;
         self.expect(&TokenKind::RParen)?;
         let mut symmetry = Vec::new();
-        let mut sparse = false;
-        loop {
-            match &self.peek().kind {
-                TokenKind::Ident(kw) if kw == "symmetric" || kw == "antisymmetric" => {
-                    let anti = kw == "antisymmetric";
-                    self.next();
-                    self.expect(&TokenKind::LParen)?;
-                    let mut positions = vec![self.int()? as usize];
-                    while self.peek().kind == TokenKind::Comma {
-                        self.next();
-                        positions.push(self.int()? as usize);
-                    }
-                    self.expect(&TokenKind::RParen)?;
-                    symmetry.push(SymmetryAst {
-                        positions,
-                        antisymmetric: anti,
-                    });
-                }
-                TokenKind::Ident(kw) if kw == "sparse" => {
-                    self.next();
-                    sparse = true;
-                }
-                _ => break,
+        while let TokenKind::Ident(kw) = &self.peek().kind {
+            if kw != "symmetric" && kw != "antisymmetric" {
+                break;
             }
+            let anti = kw == "antisymmetric";
+            self.next();
+            self.expect(&TokenKind::LParen)?;
+            let mut positions = vec![self.int()? as usize];
+            while self.peek().kind == TokenKind::Comma {
+                self.next();
+                positions.push(self.int()? as usize);
+            }
+            self.expect(&TokenKind::RParen)?;
+            symmetry.push(SymmetryAst {
+                positions,
+                antisymmetric: anti,
+            });
         }
         self.expect(&TokenKind::Semi)?;
         Ok(Item::Tensor(TensorDeclAst {
             name,
             dims,
             symmetry,
-            sparse,
             line,
         }))
     }
@@ -359,10 +351,10 @@ mod tests {
     }
 
     #[test]
-    fn parses_symmetry_and_sparse() {
+    fn parses_symmetry() {
         let src = "
             range V = 8;
-            tensor X(V, V, V, V) symmetric(0,1) antisymmetric(2,3) sparse;
+            tensor X(V, V, V, V) symmetric(0,1) antisymmetric(2,3);
         ";
         let file = parse(src).unwrap();
         match &file.items[1] {
@@ -371,7 +363,6 @@ mod tests {
                 assert!(!t.symmetry[0].antisymmetric);
                 assert!(t.symmetry[1].antisymmetric);
                 assert_eq!(t.symmetry[1].positions, vec![2, 3]);
-                assert!(t.sparse);
             }
             other => panic!("expected tensor, got {other:?}"),
         }

@@ -9,8 +9,8 @@ use tce_ir::{Factor, Program};
 /// Render `program` as specification source text.
 ///
 /// Function declarations are reconstructed from the function factors in
-/// use (name, argument ranges, cost); symmetry and sparsity annotations
-/// are emitted on tensor declarations.
+/// use (name, argument ranges, cost); symmetry annotations are emitted on
+/// tensor declarations.
 pub fn unparse(program: &Program) -> String {
     let sp = &program.space;
     let mut out = String::new();
@@ -49,9 +49,6 @@ pub fn unparse(program: &Program) -> String {
                 "symmetric"
             };
             let _ = write!(out, " {kw}({})", pos.join(","));
-        }
-        if decl.sparse {
-            let _ = write!(out, " sparse");
         }
         let _ = writeln!(out, ";");
     }
@@ -105,7 +102,6 @@ mod tests {
             assert_eq!(d1.name, d2.name);
             assert_eq!(d1.dims, d2.dims);
             assert_eq!(d1.symmetry, d2.symmetry);
-            assert_eq!(d1.sparse, d2.sparse);
         }
     }
 
@@ -127,7 +123,7 @@ mod tests {
             "range V = 8; range O = 4;
              index a, b1, c : V; index i, k : O;
              tensor X(V, V) symmetric(0,1);
-             tensor Y(V, V, O, O) antisymmetric(2,3) sparse;
+             tensor Y(V, V, O, O) antisymmetric(2,3);
              tensor S(V);
              function f1(V, V, O) cost 750;
              S[a] = sum[b1,c,i,k] 2 * X[a,b1] * Y[b1,c,i,k] * f1(a, c, k)

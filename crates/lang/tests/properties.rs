@@ -149,7 +149,6 @@ fn assert_roundtrip(src: &str) {
         assert_eq!(d1.name, d2.name);
         assert_eq!(d1.dims, d2.dims);
         assert_eq!(d1.symmetry, d2.symmetry);
-        assert_eq!(d1.sparse, d2.sparse);
     }
 }
 

@@ -10,6 +10,7 @@
 //! into operator trees.
 
 use crate::dense::Tensor;
+use std::borrow::Cow;
 use tce_ir::{IndexSet, IndexSpace, IndexVar};
 
 /// Description of one binary contraction: `out[o…] = Σ_{contracted}
@@ -105,13 +106,14 @@ pub fn contract_naive(
 
 /// Sum a tensor over the dims of `spec.a` (or `.b`) that appear neither in
 /// the other operand nor in the output; returns the reduced tensor and its
-/// remaining index list.
-pub(crate) fn reduce_exclusive(
+/// remaining index list.  With no such dim the operand is borrowed, not
+/// copied — the common case, hit on every GETT call.
+pub(crate) fn reduce_exclusive<'t>(
     spec: &BinaryContraction,
     space: &IndexSpace,
-    t: &Tensor,
+    t: &'t Tensor,
     is_a: bool,
-) -> (Tensor, Vec<IndexVar>) {
+) -> (Cow<'t, Tensor>, Vec<IndexVar>) {
     let (own, other) = if is_a {
         (&spec.a, &spec.b)
     } else {
@@ -126,7 +128,7 @@ pub(crate) fn reduce_exclusive(
         .filter(|v| keep_set.contains(*v))
         .collect();
     if keep.len() == own.len() {
-        return (t.clone(), keep);
+        return (Cow::Borrowed(t), keep);
     }
     let keep_shape: Vec<usize> = keep.iter().map(|&v| space.extent(v)).collect();
     let mut out = Tensor::zeros(&keep_shape);
@@ -144,7 +146,7 @@ pub(crate) fn reduce_exclusive(
         out.add_assign_at(&kidx, t.data()[off]);
         Tensor::advance(&mut idx, &full_shape);
     }
-    (out, keep)
+    (Cow::Owned(out), keep)
 }
 
 #[cfg(test)]
@@ -245,6 +247,31 @@ mod tests {
         assert!(naive.approx_eq(&fast, 1e-10));
         assert_eq!(spec.flops(&sp), 2 * 3u128.pow(6));
         assert_eq!(spec.contracted().len(), 2);
+    }
+
+    #[test]
+    fn reduce_exclusive_borrows_when_nothing_is_exclusive() {
+        // Matmul: every operand dim is shared or output — no copy.
+        let sp = space(&[("i", 3), ("j", 4), ("k", 5), ("x", 2)]);
+        let spec = BinaryContraction {
+            a: vec![v(&sp, "i"), v(&sp, "k")],
+            b: vec![v(&sp, "k"), v(&sp, "j")],
+            out: vec![v(&sp, "i"), v(&sp, "j")],
+        };
+        let a = Tensor::random(&[3, 5], 1);
+        let (ar, dims) = reduce_exclusive(&spec, &sp, &a, true);
+        assert!(matches!(ar, Cow::Borrowed(t) if std::ptr::eq(t, &a)));
+        assert_eq!(dims, spec.a);
+        // `x` appears only in `a`: summed out into a fresh tensor.
+        let spec = BinaryContraction {
+            a: vec![v(&sp, "i"), v(&sp, "x"), v(&sp, "k")],
+            ..spec
+        };
+        let a = Tensor::random(&[3, 2, 5], 2);
+        let (ar, dims) = reduce_exclusive(&spec, &sp, &a, true);
+        assert!(matches!(ar, Cow::Owned(_)));
+        assert_eq!(dims, vec![v(&sp, "i"), v(&sp, "k")]);
+        assert_eq!(ar.shape(), &[3, 5]);
     }
 
     #[test]

@@ -34,7 +34,6 @@ pub mod gett;
 pub mod integrals;
 pub mod kernels;
 pub mod packed;
-pub mod sparse;
 
 pub use bufpool::{
     bufpool_env_requested, bufpool_len, bufpool_retained_elements, bufpool_shard_stats,
@@ -51,4 +50,3 @@ pub use gett::{
 pub use integrals::IntegralFn;
 pub use kernels::{BlockSizes, CacheInfo, KernelConfig, KernelVariant};
 pub use packed::PackedSymmetric;
-pub use sparse::{contract_sparse_dense, sparse_contraction_ops, SparseTensor};

@@ -53,6 +53,38 @@ fn malformed_inputs_fail_cleanly() {
 }
 
 #[test]
+fn sparse_declaration_is_a_one_line_parse_error() {
+    // Sparsity declarations are not part of the language: `sparse` after a
+    // tensor's dimensions hits the parser's ordinary "expected `;`" error.
+    let dir = std::env::temp_dir().join(format!("tce-cli-sparse-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("sparse.tce");
+    std::fs::write(
+        &path,
+        "range N = 4;\nindex i, j, k : N;\ntensor H(N, N) sparse;\n\
+         tensor A(N, N); tensor S(N, N);\nS[i,j] = sum[k] H[i,k] * A[k,j];\n",
+    )
+    .unwrap();
+    let out = tce()
+        .args([path.to_str().unwrap(), "--execute"])
+        .output()
+        .expect("spawn tce");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(!out.status.success(), "`sparse` must exit nonzero");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "panicked:\n{stderr}");
+    assert_eq!(
+        stderr.trim().lines().count(),
+        1,
+        "diagnostic should be one line:\n{stderr}"
+    );
+    assert!(
+        stderr.contains("3:") && stderr.contains("expected `;`, found `sparse`"),
+        "diagnostic should name line 3 and the stray keyword:\n{stderr}"
+    );
+}
+
+#[test]
 fn bad_tce_kernel_env_fails_cleanly() {
     let out = tce()
         .arg(spec("matrix_chain.tce"))
