@@ -10,9 +10,12 @@
 //! (fusion-shrunk) shape, so the measured peak intermediate storage equals
 //! the plan's predicted element count exactly; inside
 //! the chain loops, every node's contraction runs per outer-iteration on
-//! tensor *slices* through the packed GETT micro-kernel (the BLAS-slicing
-//! strategy of Peise et al.: loop over fused outer indices, call a
-//! high-performance kernel on the slices, rather than scalar loops).
+//! tensor *slices* through the GETT engine (the BLAS-slicing strategy of
+//! Peise et al.: loop over fused outer indices, call a high-performance
+//! kernel on the slices, rather than scalar loops).  The slice geometry
+//! depends only on the schedule, so it is resolved once per execution —
+//! one strided [`ContractionPlan`] per contraction producer — and an
+//! iteration costs three base offsets and one kernel call.
 //!
 //! The chain loops themselves run sequentially: parallelizing them would
 //! require one private copy of each fused intermediate per worker, which
@@ -29,40 +32,46 @@
 //! ([`tce_fusion::schedule::StepLifetime`]): a top-level step brings the
 //! arrays it first writes to life and returns the ones it last touches to
 //! the buffer pool.  The walker has one buffer rule — whatever it takes
-//! from the pool (arrays, operand slices, per-slice kernel results) it
-//! gives back — and this is the only operator-tree walker in the crate:
-//! [`crate::execute_tree_opts`] is this executor on the configuration with
-//! no edge fused, where every production is one whole-array GETT call.
+//! from the pool (arrays, reduction scratch) it gives back — and this is
+//! the only operator-tree walker in the crate: [`crate::execute_tree_opts`]
+//! is this executor on the configuration with no edge fused, where every
+//! production is one whole-array GETT call.
 //!
 //! Slicing rules, per production of node `v` with the enclosing chain
-//! loops pinning the index set `P`:
+//! loops pinning the index set `P = schedule.pinned[v]`.  Nothing is
+//! extracted or copied: the plan addresses the full operand and output
+//! arrays through their own strides, and `P` only moves where it starts.
 //!
-//! * operand dimensions in `P` are sliced to length 1 at the pinned
-//!   position and dropped (a free reshape — block extraction yields a
-//!   fresh contiguous tensor);
-//! * output dimensions of `v`'s reduced array in `P` address the slice
-//!   the kernel result is accumulated into ([`Tensor::add_block`]) — or,
-//!   when the result covers the whole of a still-unmaterialized array,
-//!   *is* the array;
+//! * operand dimensions in `P` are fixed at the pinned position: each
+//!   contributes `env[d]·stride` to the operand's base offset, and the
+//!   plan's spec keeps only the unpinned dimensions;
+//! * output dimensions of `v`'s reduced array in `P` likewise set the
+//!   output base offset, and the kernel accumulates into that block of
+//!   the array in place ([`ContractionPlan::execute_into`]);
 //! * summation indices of `v` in `P` disappear from the kernel spec
 //!   entirely: each outer iteration contributes one partial product,
 //!   accumulated across iterations into `v`'s array — which is re-zeroed
 //!   by the schedule exactly once per iteration of the chains through
-//!   `v`'s parent edge (an unmaterialized array reads as zero, so `Zero`
-//!   just returns the buffer to the pool), so consumers always see a
-//!   complete sum.
+//!   `v`'s parent edge (in place; an array not yet materialized is born
+//!   zeroed), so consumers always see a complete sum;
+//! * a summation index left in only one operand's kept dimensions is
+//!   summed out first: [`reduce_exclusive`] reads that operand through
+//!   its base and strides into a pooled scratch, which the plan then
+//!   reads densely.
 
 use crate::error::ExecError;
 use crate::treeexec::ExecOptions;
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use tce_fusion::schedule::fusion_schedule_with_labels;
 use tce_fusion::{is_fusable_producer, FusionConfig, FusionSchedule, ScheduleStep};
 use tce_ir::{IndexSet, IndexSpace, IndexVar, Leaf, NodeId, OpKind, OpTree, TensorId};
 use tce_par::{parallel_chunks_mut, TaskGraph};
-use tce_tensor::{BinaryContraction, IntegralFn, Tensor};
+use tce_tensor::dense::row_major_strides;
+use tce_tensor::{
+    plan_for_strided, reduce_exclusive, BinaryContraction, ContractionPlan, IntegralFn, Tensor,
+};
 
 /// The fused intermediate arrays, shared across schedule steps: one lock
 /// per node, taken once per top-level step (never per slice).  A cell is
@@ -177,14 +186,41 @@ pub fn execute_tree_fused_with_labels(
         })
         .collect();
     let extents = |dims: &Vec<IndexVar>| dims.iter().map(|&v| space.extent(v)).collect();
+    let shapes: Vec<Vec<usize>> = dims.iter().map(extents).collect();
+    let contractions = (0..tree.len())
+        .map(|n| {
+            let v = NodeId(n as u32);
+            let OpKind::Contract { left, right } = tree.node(v).kind else {
+                return None;
+            };
+            let site = |c: NodeId| match &tree.node(c).kind {
+                OpKind::Leaf(Leaf::Input { tensor, indices }) => {
+                    (indices.as_slice(), inputs[tensor].shape())
+                }
+                OpKind::Leaf(Leaf::One) => (&[][..], &[][..]),
+                _ => (
+                    dims[c.0 as usize].as_slice(),
+                    shapes[c.0 as usize].as_slice(),
+                ),
+            };
+            let out = (dims[n].as_slice(), shapes[n].as_slice());
+            let pinned = schedule.pinned[n];
+            Some(SlicedContraction::resolve(
+                space,
+                pinned,
+                [site(left), site(right), out],
+            ))
+        })
+        .collect();
     let walk = Walk {
         tree,
         space,
-        shapes: dims.iter().map(extents).collect(),
+        shapes,
         dims: &dims,
         inputs,
         funcs,
         schedule: &schedule,
+        contractions,
         threads: opts.threads.max(1),
     };
     let temporaries: Vec<NodeId> = (tree.postorder().into_iter())
@@ -223,15 +259,83 @@ fn bytes_of(elements: usize) -> u64 {
     (elements * std::mem::size_of::<f64>()) as u64
 }
 
-/// An operand slice for a sliced GETT call — the tensor and its remaining
-/// dimension variables, borrowed when no slicing is needed and pool-drawn
-/// otherwise.
-type Operand<'t> = (Cow<'t, Tensor>, Cow<'t, [IndexVar]>);
+/// A contraction producer resolved once per execution: one GETT plan over
+/// its kept (unpinned) dimensions, addressing the full operand and output
+/// arrays through their own strides, plus where each pinned index moves
+/// the three base offsets.
+struct SlicedContraction {
+    /// The contraction over kept dimensions (the plan runs its
+    /// [`BinaryContraction::pre_reduced`] form).
+    spec: BinaryContraction,
+    /// Left operand, right operand, output.
+    sites: [Site; 3],
+    plan: Arc<ContractionPlan>,
+}
 
-/// Return a pool-drawn operand slice to the pool.
-fn recycle_slice((tensor, _): Operand<'_>) {
-    if let Cow::Owned(slice) = tensor {
-        slice.recycle();
+/// How one array of a sliced contraction is addressed.
+struct Site {
+    /// `(index, stride)` of each pinned dimension: the slice starts at
+    /// `Σ env[index]·stride`.
+    pinned: Vec<(IndexVar, usize)>,
+    /// Strides of the kept dimensions, in the spec's order.
+    kept_strides: Vec<usize>,
+    /// A summation index of the spec lives in this operand alone, so the
+    /// operand is reduced into a dense scratch before the kernel reads it.
+    reduce: bool,
+}
+
+impl Site {
+    fn base(&self, env: &[usize]) -> usize {
+        self.pinned
+            .iter()
+            .map(|&(d, s)| env[d.0 as usize] * s)
+            .sum()
+    }
+}
+
+impl SlicedContraction {
+    /// Resolve the production of a contraction whose chain loops pin
+    /// `pinned`, given each array's `(dims, shape)` — left, right, output.
+    fn resolve(space: &IndexSpace, pinned: IndexSet, arrays: [(&[IndexVar], &[usize]); 3]) -> Self {
+        let [(a, a_site), (b, b_site), (out, out_site)] = arrays.map(|(dims, shape)| {
+            let mut site = Site {
+                pinned: Vec::new(),
+                kept_strides: Vec::new(),
+                reduce: false,
+            };
+            let mut kept = Vec::new();
+            for (&d, s) in dims.iter().zip(row_major_strides(shape)) {
+                if pinned.contains(d) {
+                    site.pinned.push((d, s));
+                } else {
+                    kept.push(d);
+                    site.kept_strides.push(s);
+                }
+            }
+            (kept, site)
+        });
+        let spec = BinaryContraction { a, b, out };
+        let reduced = spec.pre_reduced();
+        let mut sites = [a_site, b_site, out_site];
+        sites[0].reduce = reduced.a.len() < spec.a.len();
+        sites[1].reduce = reduced.b.len() < spec.b.len();
+        // A reduced operand is read from its dense scratch.
+        let plan_strides = |site: &Site, dims: &[IndexVar]| {
+            if site.reduce {
+                let shape: Vec<usize> = dims.iter().map(|&d| space.extent(d)).collect();
+                row_major_strides(&shape)
+            } else {
+                site.kept_strides.clone()
+            }
+        };
+        let a_strides = plan_strides(&sites[0], &reduced.a);
+        let b_strides = plan_strides(&sites[1], &reduced.b);
+        let plan = plan_for_strided(
+            &reduced,
+            space,
+            [&a_strides, &b_strides, &sites[2].kept_strides],
+        );
+        Self { spec, sites, plan }
     }
 }
 
@@ -247,6 +351,8 @@ struct Walk<'a> {
     inputs: &'a HashMap<TensorId, &'a Tensor>,
     funcs: &'a HashMap<String, IntegralFn>,
     schedule: &'a FusionSchedule,
+    /// Each contraction producer's resolved slicing, by node.
+    contractions: Vec<Option<SlicedContraction>>,
     threads: usize,
 }
 
@@ -266,8 +372,7 @@ impl Walk<'_> {
     ///
     /// A step's arrays follow its [`tce_fusion::schedule::StepLifetime`]:
     /// `allocs` come to life on entry (zeroed from the buffer pool on
-    /// first touch, or as the kernel's own result when production is
-    /// whole) and `releases` go back to the pool on exit.  A task weighs
+    /// first touch) and `releases` go back to the pool on exit.  A task weighs
     /// the elements it allocates and admission is capped at the one-slot
     /// walk's peak, so more slots never hold more.  Returns
     /// `(sliced_contractions, func_evals)`.
@@ -303,7 +408,6 @@ impl Walk<'_> {
             let mut ctx = FusedCtx {
                 walk: self,
                 arrays: held,
-                one: Tensor::from_elem(&[], 1.0),
                 env: vec![0usize; 128],
                 scope: IndexSet::EMPTY,
                 sliced_contractions: 0,
@@ -331,8 +435,6 @@ struct FusedCtx<'a> {
     walk: &'a Walk<'a>,
     /// This step's holds on the arrays of its read/write sets, by node.
     arrays: Vec<Option<MutexGuard<'a, Option<Tensor>>>>,
-    /// The value of a `One` leaf.
-    one: Tensor,
     /// Current value of each pinned index, by `IndexVar.0`.
     env: Vec<usize>,
     /// Indices pinned by the enclosing chain loops.
@@ -364,16 +466,6 @@ impl FusedCtx<'_> {
             .get_or_insert_with(|| Tensor::zeros_pooled(shape))
     }
 
-    /// The current position and extent of dimension `d` under the pinned
-    /// scope: `(env[d], 1)` when pinned, the whole range otherwise.
-    fn window(&self, d: IndexVar) -> (usize, usize) {
-        if self.scope.contains(d) {
-            (self.env[d.0 as usize], 1)
-        } else {
-            (0, self.walk.space.extent(d))
-        }
-    }
-
     fn run(&mut self, steps: &[ScheduleStep]) {
         for step in steps {
             match step {
@@ -386,10 +478,11 @@ impl FusedCtx<'_> {
                     }
                     self.scope = outer_scope;
                 }
-                // An unmaterialized array reads as zero: hand the buffer back.
+                // Re-zero in place: the array is produced into again at
+                // once, so a pool round trip would buy nothing.
                 ScheduleStep::Zero(v) => {
-                    if let Some(stale) = self.cell_mut(*v).take() {
-                        stale.recycle();
+                    if let Some(stale) = self.cell_mut(*v) {
+                        stale.fill_zero();
                     }
                 }
                 ScheduleStep::Produce(v) => self.produce(*v),
@@ -413,75 +506,65 @@ impl FusedCtx<'_> {
         }
     }
 
-    /// Run `v`'s contraction for the current pinned-index values on
-    /// operand slices — the one site contraction nodes are issued from.
-    /// A result covering the whole of a still-unmaterialized (≡ zero)
-    /// array *becomes* the array — with nothing pinned that is one
-    /// whole-array GETT call per node, the unfused case; otherwise it is
-    /// accumulated into `v`'s slice and returned to the pool.
+    /// Run `v`'s contraction for the current pinned-index values — the one
+    /// site contraction nodes are issued from.  The plan was resolved for
+    /// this production, so an iteration only computes three base offsets
+    /// from `env` and accumulates into `v`'s array in place (zeroed from
+    /// the pool on first touch).  Pinned *summation* indices of `v` are in
+    /// no base: each outer iteration adds one partial product into the
+    /// same block.  With nothing pinned this is one whole-array GETT call
+    /// per node, the unfused case.
     fn produce_contract(&mut self, v: NodeId, left: NodeId, right: NodeId) {
         let walk = self.walk;
-        let out_dims = &walk.dims[v.0 as usize];
-        let res = {
-            let a = self.operand_slice(left);
-            let b = self.operand_slice(right);
-            let spec = BinaryContraction {
-                a: a.1.to_vec(),
-                b: b.1.to_vec(),
-                out: out_dims
-                    .iter()
-                    .copied()
-                    .filter(|d| !self.scope.contains(*d))
-                    .collect(),
-            };
-            let res = tce_tensor::contract_gett(&spec, walk.space, &a.0, &b.0, walk.threads);
-            recycle_slice(a);
-            recycle_slice(b);
-            res
+        let sliced = walk.contractions[v.0 as usize]
+            .as_ref()
+            .expect("resolved for every contraction producer");
+        let mut out = self
+            .cell_mut(v)
+            .take()
+            .unwrap_or_else(|| Tensor::zeros_pooled(&walk.shapes[v.0 as usize]));
+        let [a_site, b_site, out_site] = &sliced.sites;
+        let (a, b) = (self.operand(left), self.operand(right));
+        let (a_base, b_base) = (a_site.base(&self.env), b_site.base(&self.env));
+        let reduce = |site: &Site, data: &[f64], base: usize, is_a: bool| {
+            let scratch = reduce_exclusive(
+                &sliced.spec,
+                walk.space,
+                data,
+                base,
+                &site.kept_strides,
+                is_a,
+            );
+            scratch.expect("the site has an exclusive summation index")
         };
-        self.sliced_contractions += 1;
-
-        // The output block: pinned dimensions of `v`'s array address one
-        // position.  Pinned *summation* indices of `v` are absent from both
-        // the spec and the address: each outer iteration adds one partial
-        // product, summed across iterations by `add_block`.
-        let (starts, block_shape): (Vec<usize>, Vec<usize>) =
-            out_dims.iter().map(|&d| self.window(d)).unzip();
-        let block = res.reshaped(&block_shape);
-        let whole = !out_dims.iter().any(|d| self.scope.contains(*d));
-        let cell = self.cell_mut(v);
-        if whole && cell.is_none() {
-            *cell = Some(block);
-            return;
+        let ar = a_site.reduce.then(|| reduce(a_site, a, a_base, true));
+        let br = b_site.reduce.then(|| reduce(b_site, b, b_base, false));
+        let (a, a_base) = ar.as_ref().map_or((a, a_base), |t| (t.data(), 0));
+        let (b, b_base) = br.as_ref().map_or((b, b_base), |t| (t.data(), 0));
+        sliced.plan.execute_into(
+            a,
+            a_base,
+            b,
+            b_base,
+            out.data_mut(),
+            out_site.base(&self.env),
+            walk.threads,
+        );
+        for scratch in [ar, br].into_iter().flatten() {
+            scratch.recycle();
         }
-        self.array_mut(v).add_block(&starts, &block);
-        block.recycle();
+        *self.cell_mut(v) = Some(out);
+        self.sliced_contractions += 1;
     }
 
-    /// The slice of child `c`'s value visible at the current pinned-index
-    /// values: pinned dimensions are extracted at length 1 and dropped.
-    /// Borrows the full tensor when nothing is pinned.
-    fn operand_slice(&self, c: NodeId) -> Operand<'_> {
-        let walk = self.walk;
-        let (src, dims): (&Tensor, &[IndexVar]) = match &walk.tree.node(c).kind {
-            OpKind::Leaf(Leaf::Input { tensor, indices }) => (walk.inputs[tensor], indices),
-            OpKind::Leaf(Leaf::One) => (&self.one, &[]),
-            _ => (self.array(c), &walk.dims[c.0 as usize]),
-        };
-        if !dims.iter().any(|d| self.scope.contains(*d)) {
-            return (Cow::Borrowed(src), Cow::Borrowed(dims));
+    /// The elements of child `c`'s value: an input, the `One` leaf, or an
+    /// array produced by this or an earlier step.
+    fn operand(&self, c: NodeId) -> &[f64] {
+        match &self.walk.tree.node(c).kind {
+            OpKind::Leaf(Leaf::Input { tensor, .. }) => self.walk.inputs[tensor].data(),
+            OpKind::Leaf(Leaf::One) => &[1.0],
+            _ => self.array(c).data(),
         }
-        let (starts, lens): (Vec<usize>, Vec<usize>) = dims.iter().map(|&d| self.window(d)).unzip();
-        let kept: Vec<IndexVar> = dims
-            .iter()
-            .copied()
-            .filter(|d| !self.scope.contains(*d))
-            .collect();
-        let kept_shape: Vec<usize> = kept.iter().map(|&d| walk.space.extent(d)).collect();
-        let slice = src
-            .extract_block_into(&starts, Tensor::zeros_pooled(&lens))
-            .reshaped(&kept_shape);
-        (Cow::Owned(slice), Cow::Owned(kept))
     }
 
     /// Materialize a function leaf's reduced array for the current pinned

@@ -10,7 +10,6 @@
 //! into operator trees.
 
 use crate::dense::Tensor;
-use std::borrow::Cow;
 use tce_ir::{IndexSet, IndexSpace, IndexVar};
 
 /// Description of one binary contraction: `out[o…] = Σ_{contracted}
@@ -48,6 +47,24 @@ impl BinaryContraction {
             return Err("output index missing from both operands".into());
         }
         Ok(())
+    }
+
+    /// The contraction GETT plans: each operand without its summation
+    /// indices exclusive to it, which [`reduce_exclusive`] sums out first.
+    pub fn pre_reduced(&self) -> BinaryContraction {
+        let out = IndexSet::from_vars(self.out.iter().copied());
+        let keep = |own: &[IndexVar], other: &[IndexVar]| {
+            let keep_set = IndexSet::from_vars(other.iter().copied()).union(out);
+            own.iter()
+                .copied()
+                .filter(|v| keep_set.contains(*v))
+                .collect()
+        };
+        BinaryContraction {
+            a: keep(&self.a, &self.b),
+            b: keep(&self.b, &self.a),
+            out: self.out.clone(),
+        }
     }
 
     /// Flop count (multiply + add per combined iteration point).
@@ -104,34 +121,35 @@ pub fn contract_naive(
     out
 }
 
-/// Sum a tensor over the dims of `spec.a` (or `.b`) that appear neither in
-/// the other operand nor in the output; returns the reduced tensor and its
-/// remaining index list.  With no such dim the operand is borrowed, not
-/// copied — the common case, hit on every GETT call.
-pub(crate) fn reduce_exclusive<'t>(
+/// Sum operand `a` (or `b`) of `spec` — element `idx` read at
+/// `data[base + Σ idx·strides]` — over its dims that appear neither in
+/// the other operand nor in the output, into a pooled tensor over the
+/// dims [`BinaryContraction::pre_reduced`] keeps (recycle it after use).
+/// Elements are summed in row-major order of the operand's dims.  `None`
+/// when there is no such dim: the caller reads the operand in place — the
+/// common case, hit on almost every GETT call.
+///
+/// # Panics
+/// Panics if an addressed element lies outside `data`.
+pub fn reduce_exclusive(
     spec: &BinaryContraction,
     space: &IndexSpace,
-    t: &'t Tensor,
+    data: &[f64],
+    base: usize,
+    strides: &[usize],
     is_a: bool,
-) -> (Cow<'t, Tensor>, Vec<IndexVar>) {
-    let (own, other) = if is_a {
-        (&spec.a, &spec.b)
+) -> Option<Tensor> {
+    let reduced = spec.pre_reduced();
+    let (own, keep) = if is_a {
+        (&spec.a, reduced.a)
     } else {
-        (&spec.b, &spec.a)
+        (&spec.b, reduced.b)
     };
-    let other_set = IndexSet::from_vars(other.iter().copied());
-    let out_set = IndexSet::from_vars(spec.out.iter().copied());
-    let keep_set = other_set.union(out_set);
-    let keep: Vec<IndexVar> = own
-        .iter()
-        .copied()
-        .filter(|v| keep_set.contains(*v))
-        .collect();
     if keep.len() == own.len() {
-        return (Cow::Borrowed(t), keep);
+        return None;
     }
     let keep_shape: Vec<usize> = keep.iter().map(|&v| space.extent(v)).collect();
-    let mut out = Tensor::zeros(&keep_shape);
+    let mut out = Tensor::zeros_pooled(&keep_shape);
     let full_shape: Vec<usize> = own.iter().map(|&v| space.extent(v)).collect();
     let keep_pos: Vec<usize> = keep
         .iter()
@@ -139,14 +157,15 @@ pub(crate) fn reduce_exclusive<'t>(
         .collect();
     let mut idx = vec![0usize; own.len()];
     let mut kidx = vec![0usize; keep.len()];
-    for off in 0..t.len() {
+    for _ in 0..full_shape.iter().product::<usize>() {
         for (d, &p) in keep_pos.iter().enumerate() {
             kidx[d] = idx[p];
         }
-        out.add_assign_at(&kidx, t.data()[off]);
+        let off: usize = idx.iter().zip(strides).map(|(&i, &s)| i * s).sum();
+        out.add_assign_at(&kidx, data[base + off]);
         Tensor::advance(&mut idx, &full_shape);
     }
-    (Cow::Owned(out), keep)
+    Some(out)
 }
 
 #[cfg(test)]
@@ -259,19 +278,30 @@ mod tests {
             out: vec![v(&sp, "i"), v(&sp, "j")],
         };
         let a = Tensor::random(&[3, 5], 1);
-        let (ar, dims) = reduce_exclusive(&spec, &sp, &a, true);
-        assert!(matches!(ar, Cow::Borrowed(t) if std::ptr::eq(t, &a)));
-        assert_eq!(dims, spec.a);
+        assert!(reduce_exclusive(&spec, &sp, a.data(), 0, a.strides(), true).is_none());
+        assert_eq!(spec.pre_reduced().a, spec.a);
         // `x` appears only in `a`: summed out into a fresh tensor.
         let spec = BinaryContraction {
             a: vec![v(&sp, "i"), v(&sp, "x"), v(&sp, "k")],
             ..spec
         };
         let a = Tensor::random(&[3, 2, 5], 2);
-        let (ar, dims) = reduce_exclusive(&spec, &sp, &a, true);
-        assert!(matches!(ar, Cow::Owned(_)));
-        assert_eq!(dims, vec![v(&sp, "i"), v(&sp, "k")]);
+        let ar = reduce_exclusive(&spec, &sp, a.data(), 0, a.strides(), true).unwrap();
+        assert_eq!(spec.pre_reduced().a, vec![v(&sp, "i"), v(&sp, "k")]);
         assert_eq!(ar.shape(), &[3, 5]);
+        assert_eq!(ar.get(&[2, 4]), a.get(&[2, 0, 4]) + a.get(&[2, 1, 4]));
+        // Read through a base offset and strides: the same operand as the
+        // `p = 1` slice of a larger [p, i, x, k] array.
+        let big = Tensor::from_fn(&[2, 3, 2, 5], |ix| {
+            if ix[0] == 1 {
+                a.get(&ix[1..])
+            } else {
+                f64::NAN
+            }
+        });
+        let strides = &big.strides()[1..];
+        let sliced = reduce_exclusive(&spec, &sp, big.data(), big.strides()[0], strides, true);
+        assert_eq!(sliced.unwrap(), ar);
     }
 
     #[test]

@@ -17,7 +17,8 @@ pub struct Tensor {
     data: Vec<f64>,
 }
 
-fn row_major_strides(shape: &[usize]) -> Vec<usize> {
+/// Row-major element strides of `shape` (the last dimension has stride 1).
+pub fn row_major_strides(shape: &[usize]) -> Vec<usize> {
     let mut strides = vec![1usize; shape.len()];
     for i in (0..shape.len().saturating_sub(1)).rev() {
         strides[i] = strides[i + 1] * shape[i + 1];
@@ -426,22 +427,12 @@ impl Tensor {
     /// # Panics
     /// Panics if the box exceeds the tensor bounds.
     pub fn extract_block(&self, starts: &[usize], lens: &[usize]) -> Tensor {
-        self.extract_block_into(starts, Tensor::zeros(lens))
-    }
-
-    /// [`extract_block`](Self::extract_block) into the caller's tensor
-    /// `out`, whose shape is the block's `lens` — e.g. a pooled buffer the
-    /// caller will [`recycle`](Self::recycle).
-    ///
-    /// # Panics
-    /// Panics if the box exceeds the tensor bounds.
-    pub fn extract_block_into(&self, starts: &[usize], mut out: Tensor) -> Tensor {
-        let lens = out.shape.clone();
         assert_eq!(starts.len(), self.rank(), "block rank mismatch");
         assert_eq!(lens.len(), self.rank(), "block rank mismatch");
-        for (d, (&s, &l)) in starts.iter().zip(&lens).enumerate() {
+        for (d, (&s, &l)) in starts.iter().zip(lens).enumerate() {
             assert!(s + l <= self.shape[d], "block out of bounds");
         }
+        let mut out = Tensor::zeros(lens);
         if self.rank() == 0 {
             out.data[0] = self.data[0];
             return out;
@@ -501,49 +492,9 @@ impl Tensor {
         }
     }
 
-    /// Accumulate `block` into the rectangular region starting at
-    /// `starts` (`self[region] += block`) — the write side of a sliced
-    /// contraction whose outer fused loops carry partial sums.
-    ///
-    /// # Panics
-    /// Panics if the box exceeds the tensor bounds.
-    pub fn add_block(&mut self, starts: &[usize], block: &Tensor) {
-        assert_eq!(starts.len(), self.rank(), "block rank mismatch");
-        assert_eq!(block.rank(), self.rank(), "block rank mismatch");
-        for (d, (&s, &l)) in starts.iter().zip(&block.shape).enumerate() {
-            assert!(s + l <= self.shape[d], "block out of bounds");
-        }
-        if self.rank() == 0 {
-            self.data[0] += block.data[0];
-            return;
-        }
-        if block.shape.contains(&0) {
-            return;
-        }
-        let last = self.rank() - 1;
-        let row = block.shape[last];
-        let outer: usize = block.shape[..last].iter().product();
-        let mut idx = vec![0usize; last];
-        let mut src = 0usize;
-        for _ in 0..outer.max(1) {
-            let mut dst = starts[last] * self.strides[last];
-            for d in 0..last {
-                dst += (starts[d] + idx[d]) * self.strides[d];
-            }
-            for (a, b) in self.data[dst..dst + row]
-                .iter_mut()
-                .zip(&block.data[src..src + row])
-            {
-                *a += b;
-            }
-            src += row;
-            Self::advance(&mut idx, &block.shape[..last]);
-        }
-    }
-
     /// Reinterpret this (contiguous, row-major) tensor under a new shape
-    /// with the same element count — used to drop or insert unit
-    /// dimensions around sliced kernel calls without copying data.
+    /// with the same element count — drops or inserts unit dimensions
+    /// without copying data.
     ///
     /// # Panics
     /// Panics if the element counts differ.
@@ -764,37 +715,6 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn extract_block_rejects_overflow() {
         Tensor::zeros(&[3, 3]).extract_block(&[2, 0], &[2, 3]);
-    }
-
-    #[test]
-    fn add_block_accumulates_into_region() {
-        let mut t = Tensor::from_elem(&[4, 5, 3], 1.0);
-        let b = Tensor::from_fn(&[2, 3, 3], |i| (i[0] * 100 + i[1] * 10 + i[2]) as f64);
-        t.add_block(&[1, 2, 0], &b);
-        t.add_block(&[1, 2, 0], &b);
-        for x in 0..4 {
-            for y in 0..5 {
-                for z in 0..3 {
-                    let inside = (1..3).contains(&x) && (2..5).contains(&y);
-                    let expect = if inside {
-                        1.0 + 2.0 * b.get(&[x - 1, y - 2, z])
-                    } else {
-                        1.0
-                    };
-                    assert_eq!(t.get(&[x, y, z]), expect, "at {x},{y},{z}");
-                }
-            }
-        }
-        // Scalar accumulation.
-        let mut s = Tensor::from_elem(&[], 1.5);
-        s.add_block(&[], &Tensor::from_elem(&[], 2.0));
-        assert_eq!(s.get(&[]), 3.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn add_block_rejects_overflow() {
-        Tensor::zeros(&[3]).add_block(&[2], &Tensor::zeros(&[2]));
     }
 
     #[test]

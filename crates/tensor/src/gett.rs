@@ -11,9 +11,16 @@
 //!
 //! * a [`ContractionPlan`] classifies the contraction's indices into
 //!   batch/M/N/K groups and precomputes flat-offset tables mapping each
-//!   group coordinate to element offsets in `a`, `b` and the output — all
-//!   shape-dependent work happens once per (spec, extents, kernel)
-//!   signature and is memoized in a process-wide cache ([`plan_for`]);
+//!   group coordinate to element offsets in `a`, `b` and the output,
+//!   built against caller-given strides ([`ContractionPlan::with_strides`])
+//!   so one plan can address a slice of a larger array in place — all
+//!   shape-dependent work happens once per (spec, extents, strides,
+//!   kernel) signature and is memoized in a process-wide cache
+//!   ([`plan_for`], [`plan_for_strided`]);
+//! * [`ContractionPlan::execute_into`] accumulates into the caller's
+//!   buffer at base offsets, after asserting that each base plus the
+//!   plan's span fits its slice ([`ContractionPlan::execute`] is that on a
+//!   fresh zero tensor);
 //! * the plan also selects its [`kernels::KernelConfig`]: the
 //!   runtime-dispatched SIMD micro-kernel variant (AVX2+FMA / SSE2 /
 //!   scalar, see [`crate::kernels`]) and cache-derived MC/NC/KC macro
@@ -22,17 +29,26 @@
 //!   B panels for one K-block at a time — vectorized contiguous copies
 //!   when the M/N group is unit-stride in the operand, gather otherwise —
 //!   and feeds the variant's register-blocked micro-kernel;
+//! * a plan whose register tile would be mostly zero padding — `m < MR`
+//!   or `n < NR`, with `nb·m·n·k ≤ (MC+NC)·KC` under the plan's own
+//!   clamped blocks, i.e. no more work than one pair of its pack panels
+//!   holds — skips packing and runs `kernels::direct` on the calling
+//!   thread.  The direct kernel repeats the packed path's arithmetic
+//!   operation for operation (per output element and K-block: `acc = 0`,
+//!   the variant's multiply-add, `c += acc`), so which path a plan takes
+//!   never changes a bit;
 //! * parallelism partitions the *output* tiles: every task owns a
 //!   disjoint block of C and accumulates K-blocks in a fixed ascending
 //!   order, so the result is bitwise identical for every thread count
 //!   (for a fixed kernel variant; variants differ in rounding by design).
 //!
-//! [`contract_gett`] is the entry point the executor uses for every
-//! contraction node.
+//! [`contract_gett`] is the whole-tensor entry point; the fused executor
+//! resolves a strided plan per contraction node and calls
+//! [`ContractionPlan::execute_into`] on every slice.
 
 use crate::contract::{reduce_exclusive, BinaryContraction};
-use crate::dense::Tensor;
-use crate::kernels::{self, KernelConfig, KernelVariant};
+use crate::dense::{row_major_strides, Tensor};
+use crate::kernels::{self, DirectGemm, KernelConfig, KernelVariant};
 use std::sync::{Arc, OnceLock};
 use tce_ir::{IndexSpace, IndexVar};
 use tce_par::ShardedLru;
@@ -40,15 +56,6 @@ use tce_par::ShardedLru;
 /// Upper bound on `MR*NR` across all kernel variants (accumulator
 /// scratch size).
 const MAX_ACC: usize = 64;
-
-/// Row-major strides for a shape (same convention as [`Tensor`]).
-fn strides_of(shape: &[usize]) -> Vec<usize> {
-    let mut s = vec![1usize; shape.len()];
-    for i in (0..shape.len().saturating_sub(1)).rev() {
-        s[i] = s[i + 1] * shape[i + 1];
-    }
-    s
-}
 
 /// Flat-offset table for an index group: entry `g` is the element offset
 /// contributed by the group's `g`-th coordinate (row-major over `vars`)
@@ -93,14 +100,43 @@ fn is_unit_stride(table: &[usize]) -> bool {
     table.iter().enumerate().all(|(i, &o)| o == i)
 }
 
+/// Whether distinct coordinates of `shape` land on distinct offsets under
+/// `strides`: sorted by stride, every dimension must step past the reach
+/// of all smaller ones (row-major arrays and their sub-blocks qualify).
+fn non_overlapping(shape: &[usize], strides: &[usize]) -> bool {
+    let mut dims: Vec<(usize, usize)> = strides
+        .iter()
+        .copied()
+        .zip(shape.iter().copied())
+        .filter(|&(_, e)| e > 1)
+        .collect();
+    dims.sort_unstable();
+    let mut reach = 0;
+    dims.iter().all(|&(s, e)| {
+        let steps_past = s > reach;
+        reach += s * (e - 1);
+        steps_past
+    })
+}
+
+/// Row-major strides of `spec`'s operands and output, each stored whole.
+fn dense_strides(spec: &BinaryContraction, space: &IndexSpace) -> [Vec<usize>; 3] {
+    [&spec.a, &spec.b, &spec.out].map(|dims| {
+        let shape: Vec<usize> = dims.iter().map(|&v| space.extent(v)).collect();
+        row_major_strides(&shape)
+    })
+}
+
 /// Precomputed execution plan for one binary contraction signature.
 ///
 /// Holds the batch/M/N/K classification and, for each group, the flat
-/// element offsets into `a`, `b` and the output array.  With these tables
-/// the kernel addresses arbitrary-rank strided operands as if they were
-/// matrices, without materializing any transpose.  The plan also carries
-/// its kernel configuration — dispatched SIMD variant plus cache-derived
-/// MC/NC/KC — chosen once at construction and reused on every execution.
+/// element offsets into `a`, `b` and the output array under the plan's
+/// strides.  With these tables the kernel addresses arbitrary-rank
+/// strided operands as if they were matrices, without materializing any
+/// transpose.  The plan also carries its kernel configuration —
+/// dispatched SIMD variant plus cache-derived MC/NC/KC — and whether it
+/// takes the no-pack direct path, chosen once at construction and reused
+/// on every execution.
 #[derive(Debug)]
 pub struct ContractionPlan {
     /// Batch extent (output indices shared by both operands).
@@ -113,7 +149,7 @@ pub struct ContractionPlan {
     pub k: usize,
     /// Output shape in the spec's declared `out` order.
     pub out_shape: Vec<usize>,
-    /// Expected operand shapes (validated at execution time).
+    /// Expected operand shapes (validated by [`ContractionPlan::execute`]).
     a_shape: Vec<usize>,
     b_shape: Vec<usize>,
     a_batch_off: Vec<usize>,
@@ -125,19 +161,24 @@ pub struct ContractionPlan {
     c_batch_off: Vec<usize>,
     c_m_off: Vec<usize>,
     c_n_off: Vec<usize>,
+    /// Elements of `a`, `b` and the output the plan addresses past a base
+    /// offset: the largest offset plus one.
+    spans: [usize; 3],
     /// M group is unit-stride in `a` (pack A by vector copy).
     a_m_unit: bool,
     /// N group is unit-stride in `b` (pack B by vector copy).
     b_n_unit: bool,
+    /// Skip packing: the register tile would be mostly zero padding.
+    direct: bool,
     /// Dispatched micro-kernel and macro-block sizes.
     kernel: KernelConfig,
 }
 
 impl ContractionPlan {
-    /// Build a plan for `spec` using the process-wide active kernel
-    /// variant (see [`kernels::active`]).  `spec` must already be free
-    /// of summation indices exclusive to one operand —
-    /// [`contract_gett`] pre-reduces those.
+    /// Build a plan for `spec` over dense row-major operands using the
+    /// process-wide active kernel variant (see [`kernels::active`]).
+    /// `spec` must already be free of summation indices exclusive to one
+    /// operand — [`contract_gett`] pre-reduces those.
     pub fn new(spec: &BinaryContraction, space: &IndexSpace) -> Self {
         Self::new_with_variant(spec, space, kernels::active())
     }
@@ -149,7 +190,34 @@ impl ContractionPlan {
         space: &IndexSpace,
         variant: KernelVariant,
     ) -> Self {
+        let [a, b, out] = dense_strides(spec, space);
+        Self::with_strides(spec, space, variant, [&a, &b, &out])
+    }
+
+    /// Build a plan whose offset tables address `a`, `b` and the output
+    /// through caller-given element strides — `strides` holds one stride
+    /// per dimension of `spec.a`, `spec.b` and `spec.out` — so it can read
+    /// and write slices of larger arrays in place
+    /// ([`ContractionPlan::execute_into`]).
+    ///
+    /// # Panics
+    /// Panics on an invalid spec, on exclusive summation indices, on a
+    /// stride list of the wrong length, or when two output coordinates
+    /// share an offset (parallel tiles could not own their elements).
+    pub fn with_strides(
+        spec: &BinaryContraction,
+        space: &IndexSpace,
+        variant: KernelVariant,
+        strides: [&[usize]; 3],
+    ) -> Self {
         spec.validate().expect("invalid contraction");
+        let [a_strides, b_strides, c_strides] = strides;
+        assert!(
+            a_strides.len() == spec.a.len()
+                && b_strides.len() == spec.b.len()
+                && c_strides.len() == spec.out.len(),
+            "one stride per operand dimension"
+        );
         let sa = tce_ir::IndexSet::from_vars(spec.a.iter().copied());
         let sb = tce_ir::IndexSet::from_vars(spec.b.iter().copied());
         let so = tce_ir::IndexSet::from_vars(spec.out.iter().copied());
@@ -172,36 +240,59 @@ impl ContractionPlan {
                 .product::<usize>()
                 .max(1)
         };
-        let a_shape: Vec<usize> = spec.a.iter().map(|&v| space.extent(v)).collect();
-        let b_shape: Vec<usize> = spec.b.iter().map(|&v| space.extent(v)).collect();
-        let out_shape: Vec<usize> = spec.out.iter().map(|&v| space.extent(v)).collect();
-        let a_strides = strides_of(&a_shape);
-        let b_strides = strides_of(&b_shape);
-        let c_strides = strides_of(&out_shape);
+        let shape =
+            |vs: &[IndexVar]| -> Vec<usize> { vs.iter().map(|&v| space.extent(v)).collect() };
+        let out_shape = shape(&spec.out);
+        assert!(
+            non_overlapping(&out_shape, c_strides),
+            "output strides overlap"
+        );
 
         let (nb, m, n, k) = (ext(&batch_v), ext(&m_v), ext(&n_v), ext(&k_v));
-        let a_m_off = offset_table(&m_v, space, &spec.a, &a_strides);
-        let b_n_off = offset_table(&n_v, space, &spec.b, &b_strides);
+        let a_table = |vs: &[IndexVar]| offset_table(vs, space, &spec.a, a_strides);
+        let b_table = |vs: &[IndexVar]| offset_table(vs, space, &spec.b, b_strides);
+        let c_table = |vs: &[IndexVar]| offset_table(vs, space, &spec.out, c_strides);
+        let (a_batch_off, a_m_off, a_k_off) = (a_table(&batch_v), a_table(&m_v), a_table(&k_v));
+        let (b_batch_off, b_k_off, b_n_off) = (b_table(&batch_v), b_table(&k_v), b_table(&n_v));
+        let (c_batch_off, c_m_off, c_n_off) = (c_table(&batch_v), c_table(&m_v), c_table(&n_v));
+        let span = |tables: [&[usize]; 3]| -> usize {
+            tables
+                .iter()
+                .map(|t| t.iter().copied().max().unwrap_or(0))
+                .sum::<usize>()
+                + 1
+        };
+        let spans = [
+            span([&a_batch_off, &a_m_off, &a_k_off]),
+            span([&b_batch_off, &b_k_off, &b_n_off]),
+            span([&c_batch_off, &c_m_off, &c_n_off]),
+        ];
+        let kernel = KernelConfig::select(variant, m, n, k);
+        let blocks = kernel.blocks;
+        let direct = (m < kernel.mr || n < kernel.nr)
+            && nb * m * n * k <= (blocks.mc + blocks.nc) * blocks.kc;
         Self {
             nb,
             m,
             n,
             k,
-            a_batch_off: offset_table(&batch_v, space, &spec.a, &a_strides),
-            a_k_off: offset_table(&k_v, space, &spec.a, &a_strides),
-            b_batch_off: offset_table(&batch_v, space, &spec.b, &b_strides),
-            b_k_off: offset_table(&k_v, space, &spec.b, &b_strides),
-            c_batch_off: offset_table(&batch_v, space, &spec.out, &c_strides),
-            c_m_off: offset_table(&m_v, space, &spec.out, &c_strides),
-            c_n_off: offset_table(&n_v, space, &spec.out, &c_strides),
             a_m_unit: is_unit_stride(&a_m_off),
             b_n_unit: is_unit_stride(&b_n_off),
+            a_batch_off,
             a_m_off,
+            a_k_off,
+            b_batch_off,
+            b_k_off,
             b_n_off,
-            kernel: KernelConfig::select(variant, m, n, k),
+            c_batch_off,
+            c_m_off,
+            c_n_off,
+            spans,
+            direct,
+            kernel,
+            a_shape: shape(&spec.a),
+            b_shape: shape(&spec.b),
             out_shape,
-            a_shape,
-            b_shape,
         }
     }
 
@@ -210,27 +301,112 @@ impl ContractionPlan {
         &self.kernel
     }
 
-    /// Execute the plan: `out[o…] = Σ_K a·b` with `threads`-way
-    /// parallelism over output tiles.  Bitwise deterministic in the
-    /// thread count: each task owns disjoint output tiles and walks
-    /// K-blocks in ascending order.
+    /// Execute the plan on dense operands into a fresh output:
+    /// `out[o…] = Σ_K a·b` with `threads`-way parallelism over output
+    /// tiles — [`ContractionPlan::execute_into`] on a zero tensor.  The
+    /// plan must have been built for row-major operands.
     pub fn execute(&self, a: &Tensor, b: &Tensor, threads: usize) -> Tensor {
         assert_eq!(a.shape(), &self.a_shape[..], "operand a shape mismatch");
         assert_eq!(b.shape(), &self.b_shape[..], "operand b shape mismatch");
+        let mut out = Tensor::zeros_pooled(&self.out_shape);
+        self.execute_into(a.data(), 0, b.data(), 0, out.data_mut(), 0, threads);
+        out
+    }
+
+    /// Accumulate the contraction into `c` in place:
+    /// `c[c_base + o…] += Σ_K a[a_base + …]·b[b_base + …]`, every element
+    /// addressed through the plan's strides.  Bitwise deterministic in the
+    /// thread count: each task owns disjoint output tiles and walks
+    /// K-blocks in ascending order, adding each block's partial sum into
+    /// `c`.
+    ///
+    /// # Panics
+    /// Panics unless each base plus the plan's span fits its slice.
+    #[allow(clippy::too_many_arguments)]
+    pub fn execute_into(
+        &self,
+        a: &[f64],
+        a_base: usize,
+        b: &[f64],
+        b_base: usize,
+        c: &mut [f64],
+        c_base: usize,
+        threads: usize,
+    ) {
+        // Every offset the kernels touch is below its span, so these bounds
+        // are what keep the packed path's raw output writes in `c`.
+        let bounds = [
+            (a_base, a.len(), "a"),
+            (b_base, b.len(), "b"),
+            (c_base, c.len(), "c"),
+        ];
+        for ((base, len, name), span) in bounds.into_iter().zip(self.spans) {
+            let fits = base.checked_add(span).is_some_and(|end| end <= len);
+            assert!(
+                fits,
+                "{name}: base {base} + span {span} exceeds {len} elements"
+            );
+        }
+        let (a, b, c) = (&a[a_base..], &b[b_base..], &mut c[c_base..]);
         // Tracing is decided once per execution and passed down as a plain
         // bool: tiles never touch the atomic flag.
         let traced = tce_trace::enabled();
         let _exec_span = tce_trace::span("gett.execute");
-        let mut out = Tensor::zeros_pooled(&self.out_shape);
-        let (nb, m, n) = (self.nb, self.m, self.n);
         let cfg = self.kernel;
-        let (mc, nc, kc) = (cfg.blocks.mc, cfg.blocks.nc, cfg.blocks.kc);
+        if self.direct {
+            let g = DirectGemm {
+                a_rows: &self.a_m_off,
+                a_k: &self.a_k_off,
+                b_cols: &self.b_n_off,
+                b_k: &self.b_k_off,
+                c_rows: &self.c_m_off,
+                c_cols: &self.c_n_off,
+                kc: cfg.blocks.kc,
+            };
+            for bi in 0..self.nb {
+                kernels::direct(
+                    cfg.variant,
+                    &g,
+                    &a[self.a_batch_off[bi]..],
+                    &b[self.b_batch_off[bi]..],
+                    &mut c[self.c_batch_off[bi]..],
+                );
+            }
+        } else {
+            self.execute_packed(a, b, c, threads, traced);
+        }
+        if traced {
+            tce_trace::counter_u128("gett.flops", self.flops());
+            tce_trace::counter(
+                match cfg.variant {
+                    KernelVariant::Scalar => "gett.kernel_variant.scalar",
+                    KernelVariant::Sse2 => "gett.kernel_variant.sse2",
+                    KernelVariant::Avx2 => "gett.kernel_variant.avx2",
+                },
+                1,
+            );
+            if self.direct {
+                tce_trace::counter("gett.direct", 1);
+            }
+            tce_trace::counter("gett.mc", cfg.blocks.mc as u64);
+            tce_trace::counter("gett.nc", cfg.blocks.nc as u64);
+            tce_trace::counter("gett.kc", cfg.blocks.kc as u64);
+        }
+    }
+
+    /// The packed path: `threads`-way parallel over (batch, M-tile,
+    /// N-tile) tasks, on operands and output already rebased.
+    fn execute_packed(&self, a: &[f64], b: &[f64], c: &mut [f64], threads: usize, traced: bool) {
+        let (nb, m, n) = (self.nb, self.m, self.n);
+        let (mc, nc, kc) = (
+            self.kernel.blocks.mc,
+            self.kernel.blocks.nc,
+            self.kernel.blocks.kc,
+        );
         let mt = m.div_ceil(mc);
         let nt = n.div_ceil(nc);
         let tasks = nb * mt * nt;
-        let a_data = a.data();
-        let b_data = b.data();
-        let c_ptr = SendPtr(out.data_mut().as_mut_ptr());
+        let c_ptr = SendPtr(c.as_mut_ptr());
         tce_par::parallel_for(tasks, threads, |range| {
             // Panel buffers are reused across the tiles this worker owns
             // and recycled through the buffer pool across kernel calls.
@@ -244,8 +420,8 @@ impl ContractionPlan {
                 let r = t % (mt * nt);
                 let (it, jt) = (r / nt, r % nt);
                 self.run_tile(
-                    a_data,
-                    b_data,
+                    a,
+                    b,
                     &c_ptr,
                     bi,
                     it * mc..((it + 1) * mc).min(m),
@@ -263,21 +439,6 @@ impl ContractionPlan {
             crate::bufpool::release(apack);
             crate::bufpool::release(bpack);
         });
-        if traced {
-            tce_trace::counter_u128("gett.flops", self.flops());
-            tce_trace::counter(
-                match cfg.variant {
-                    KernelVariant::Scalar => "gett.kernel_variant.scalar",
-                    KernelVariant::Sse2 => "gett.kernel_variant.sse2",
-                    KernelVariant::Avx2 => "gett.kernel_variant.avx2",
-                },
-                1,
-            );
-            tce_trace::counter("gett.mc", mc as u64);
-            tce_trace::counter("gett.nc", nc as u64);
-            tce_trace::counter("gett.kc", kc as u64);
-        }
-        out
     }
 
     /// Compute one (batch, M-tile, N-tile) block of the output.
@@ -380,8 +541,12 @@ impl ContractionPlan {
                             if j >= j1 {
                                 break;
                             }
-                            // SAFETY: (bi, i, j) is owned by exactly this
-                            // task; offsets are within the output buffer.
+                            // SAFETY: the offset is below the output span,
+                            // which `execute_into` asserted fits the slice
+                            // behind `c_ptr`; (bi, i, j) belongs to this
+                            // task alone and `with_strides` asserted that
+                            // distinct coordinates have distinct offsets,
+                            // so no other task writes this element.
                             unsafe {
                                 *c_ptr.0.add(row_base + self.c_n_off[j]) += v;
                             }
@@ -410,25 +575,36 @@ impl ContractionPlan {
     }
 }
 
-/// Raw output pointer wrapper; tasks write provably disjoint elements.
+/// Raw output pointer wrapper shared by the packed path's tasks, which
+/// write provably disjoint elements.
 struct SendPtr(*mut f64);
-unsafe impl Send for SendPtr {}
+// SAFETY: tasks only write through the pointer, each to output offsets no
+// other task owns (`with_strides` asserts the output offsets distinct) and
+// all below the span `execute_into` asserted fits the output slice; the
+// slice outlives `parallel_for`, which joins every task before returning.
 unsafe impl Sync for SendPtr {}
 
 /// Cache key: the contraction signature (index ids per operand slot),
-/// every involved extent, and the kernel variant the plan was tuned for
-/// (block sizes depend on it, and overrides can change mid-process).
+/// every involved extent, the operand and output strides, and the kernel
+/// variant the plan was tuned for (block sizes depend on it, and
+/// overrides can change mid-process).
 #[derive(Clone, PartialEq, Eq, Hash)]
 struct PlanKey {
     a: Vec<u8>,
     b: Vec<u8>,
     out: Vec<u8>,
     extents: Vec<usize>,
+    strides: Vec<usize>,
     variant: KernelVariant,
 }
 
 impl PlanKey {
-    fn new(spec: &BinaryContraction, space: &IndexSpace, variant: KernelVariant) -> Self {
+    fn new(
+        spec: &BinaryContraction,
+        space: &IndexSpace,
+        variant: KernelVariant,
+        strides: [&[usize]; 3],
+    ) -> Self {
         let ids = |vs: &[IndexVar]| vs.iter().map(|v| v.0).collect::<Vec<u8>>();
         let extents = spec
             .a
@@ -442,6 +618,7 @@ impl PlanKey {
             b: ids(&spec.b),
             out: ids(&spec.out),
             extents,
+            strides: strides.concat(),
             variant,
         }
     }
@@ -527,10 +704,33 @@ pub fn plan_for_variant(
     space: &IndexSpace,
     variant: KernelVariant,
 ) -> Arc<ContractionPlan> {
-    let key = PlanKey::new(spec, space, variant);
+    let [a, b, out] = dense_strides(spec, space);
+    cached_plan(spec, space, variant, [&a, &b, &out])
+}
+
+/// [`plan_for`] over caller-given strides (one per dimension of `spec.a`,
+/// `spec.b` and `spec.out`, as in [`ContractionPlan::with_strides`]): the
+/// plan for reading and writing slices of larger arrays in place.  It
+/// lives in the same cache — strides are part of the key — so a dense
+/// signature resolves to the same plan either way.
+pub fn plan_for_strided(
+    spec: &BinaryContraction,
+    space: &IndexSpace,
+    strides: [&[usize]; 3],
+) -> Arc<ContractionPlan> {
+    cached_plan(spec, space, kernels::active(), strides)
+}
+
+fn cached_plan(
+    spec: &BinaryContraction,
+    space: &IndexSpace,
+    variant: KernelVariant,
+    strides: [&[usize]; 3],
+) -> Arc<ContractionPlan> {
+    let key = PlanKey::new(spec, space, variant, strides);
     plan_cache()
         .get_or_insert_with(&key, || {
-            ContractionPlan::new_with_variant(spec, space, variant)
+            ContractionPlan::with_strides(spec, space, variant, strides)
         })
         .0
 }
@@ -595,15 +795,14 @@ pub fn contract_gett_with_variant(
     variant: KernelVariant,
 ) -> Tensor {
     spec.validate().expect("invalid contraction");
-    let (ar, a_dims) = reduce_exclusive(spec, space, a, true);
-    let (br, b_dims) = reduce_exclusive(spec, space, b, false);
-    let reduced = BinaryContraction {
-        a: a_dims,
-        b: b_dims,
-        out: spec.out.clone(),
-    };
-    let plan = plan_for_variant(&reduced, space, variant);
-    plan.execute(&ar, &br, threads)
+    let ar = reduce_exclusive(spec, space, a.data(), 0, a.strides(), true);
+    let br = reduce_exclusive(spec, space, b.data(), 0, b.strides(), false);
+    let plan = plan_for_variant(&spec.pre_reduced(), space, variant);
+    let out = plan.execute(ar.as_ref().unwrap_or(a), br.as_ref().unwrap_or(b), threads);
+    for scratch in [ar, br].into_iter().flatten() {
+        scratch.recycle();
+    }
+    out
 }
 
 #[cfg(test)]
@@ -779,6 +978,13 @@ mod tests {
         let first = plan_for(&spec, &sp);
         let again = plan_for(&spec, &sp);
         assert!(Arc::ptr_eq(&first, &again), "a repeat signature must hit");
+        // Strides are part of the key: dense ones name the same plan, a
+        // column-major `a` does not.
+        let [sa, sb, so] = dense_strides(&spec, &sp);
+        let strided = plan_for_strided(&spec, &sp, [&sa, &sb, &so]);
+        assert!(Arc::ptr_eq(&first, &strided));
+        let transposed = plan_for_strided(&spec, &sp, [&[1, 11], &sb, &so]);
+        assert!(!Arc::ptr_eq(&first, &transposed));
         // Same var ids under different extents must NOT hit.
         let sp2 = space(&[("x", 11), ("y", 13), ("z", 5)]);
         let spec2 = BinaryContraction {
@@ -789,7 +995,7 @@ mod tests {
         let resized = plan_for(&spec2, &sp2);
         assert!(!Arc::ptr_eq(&first, &resized));
         assert_eq!(resized.k, 5);
-        let mut misses = 2;
+        let mut misses = 3;
         // Same signature under a different kernel variant must NOT hit:
         // block sizes (and thus results' rounding) are variant-tuned.
         let other = kernels::supported_variants()
@@ -873,5 +1079,175 @@ mod tests {
         let b = Tensor::zeros(&[6, 5]);
         let r = std::panic::catch_unwind(|| plan.execute(&bad, &b, 1));
         assert!(r.is_err());
+    }
+
+    fn bits(c: &[f64]) -> Vec<u64> {
+        c.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `plan` forced onto the direct or the packed path.
+    fn on_path(mut plan: ContractionPlan, direct: bool) -> ContractionPlan {
+        plan.direct = direct;
+        plan
+    }
+
+    /// Run `spec`'s plan on both paths into the same random output
+    /// (`out_strides` `None`: dense row-major) and require identical bits,
+    /// and the oracle's value at every output coordinate.
+    fn check_direct_against_packed(
+        variant: KernelVariant,
+        extents: &[(&str, usize)],
+        [da, db, dout]: [&str; 3],
+        out_strides: Option<Vec<usize>>,
+    ) {
+        let sp = space(extents);
+        let dims =
+            |s: &str| -> Vec<IndexVar> { s.chars().map(|c| v(&sp, &c.to_string())).collect() };
+        let spec = BinaryContraction {
+            a: dims(da),
+            b: dims(db),
+            out: dims(dout),
+        };
+        let [a_str, b_str, dense_out] = dense_strides(&spec, &sp);
+        let c_str = out_strides.unwrap_or(dense_out);
+        let plan = || ContractionPlan::with_strides(&spec, &sp, variant, [&a_str, &b_str, &c_str]);
+        assert!(
+            plan().direct,
+            "{variant} {extents:?}: expected the direct path"
+        );
+        let shape = |s: &str| -> Vec<usize> { dims(s).iter().map(|&d| sp.extent(d)).collect() };
+        let a = Tensor::random(&shape(da), 1);
+        let b = Tensor::random(&shape(db), 2);
+        let c0 = Tensor::random(&[plan().spans[2]], 3);
+        let run = |direct: bool, threads: usize| {
+            let mut c = c0.data().to_vec();
+            on_path(plan(), direct).execute_into(a.data(), 0, b.data(), 0, &mut c, 0, threads);
+            c
+        };
+        let direct = run(true, 1);
+        assert_eq!(bits(&direct), bits(&run(false, 1)), "{variant} {extents:?}");
+        assert_eq!(bits(&direct), bits(&run(false, 3)), "{variant} {extents:?}");
+        let naive = contract_naive(&spec, &sp, &a, &b);
+        let mut idx = vec![0usize; naive.rank()];
+        for _ in 0..naive.len() {
+            let off: usize = idx.iter().zip(&c_str).map(|(&i, &s)| i * s).sum();
+            let want = c0.data()[off] + naive.get(&idx);
+            assert!((direct[off] - want).abs() < 1e-10, "{variant} {extents:?}");
+            Tensor::advance(&mut idx, naive.shape());
+        }
+    }
+
+    #[test]
+    fn direct_path_matches_packed_path_bitwise() {
+        for variant in kernels::supported_variants() {
+            let check = |extents: &[(&str, usize)], dims, out_strides| {
+                check_direct_against_packed(variant, extents, dims, out_strides)
+            };
+            // m = n = k = 1; m = 1 (a dot product per column); n = 1.
+            check(&[("i", 1), ("j", 1), ("k", 1)], ["ik", "kj", "ij"], None);
+            check(&[("i", 1), ("j", 7), ("k", 3)], ["ik", "kj", "ij"], None);
+            check(&[("i", 5), ("j", 1), ("k", 9)], ["ki", "kj", "ij"], None);
+            // k > KC: two K-blocks accumulate into each element.
+            let kc = kernels::BlockSizes::derive(variant, &kernels::cache_info()).kc;
+            check(
+                &[("i", 5), ("j", 1), ("k", kc + 5)],
+                ["ik", "kj", "ij"],
+                None,
+            );
+            // A batch index, in the middle of `a` and last in `b`.
+            let batched = [("p", 3), ("i", 1), ("j", 5), ("k", 4)];
+            check(&batched, ["ipk", "kjp", "pji"], None);
+            // Transposed output at non-unit strides in both dims.
+            let transposed = [("i", 2), ("j", 3), ("k", 6)];
+            check(&transposed, ["ik", "kj", "ji"], Some(vec![7, 3]));
+        }
+    }
+
+    #[test]
+    fn execute_into_sub_block_matches_extract_execute_add() {
+        // out[i,j] = Σ_k a[i,k]·b[k,j] on interior slices of larger arrays:
+        // a = A[p=1, i, k], b = B[k, q=1, j], out = C[i, p=1, j].  k ≤ KC,
+        // so a single K-block per element rounds the same either way.
+        let sp = space(&[("i", 6), ("j", 9), ("k", 5)]);
+        let spec = BinaryContraction {
+            a: vec![v(&sp, "i"), v(&sp, "k")],
+            b: vec![v(&sp, "k"), v(&sp, "j")],
+            out: vec![v(&sp, "i"), v(&sp, "j")],
+        };
+        let big_a = Tensor::random(&[3, 6, 5], 11);
+        let big_b = Tensor::random(&[5, 2, 9], 12);
+        let big_c = Tensor::random(&[6, 3, 9], 13);
+        let (sa, sb, sc) = (big_a.strides(), big_b.strides(), big_c.strides());
+        let a = big_a
+            .extract_block(&[1, 0, 0], &[1, 6, 5])
+            .reshaped(&[6, 5]);
+        let b = big_b
+            .extract_block(&[0, 1, 0], &[5, 1, 9])
+            .reshaped(&[5, 9]);
+        for variant in kernels::supported_variants() {
+            let strided = || {
+                let kept = [&sa[1..], &[sb[0], sb[2]], &[sc[0], sc[2]]];
+                ContractionPlan::with_strides(&spec, &sp, variant, kept)
+            };
+            let dense = || ContractionPlan::new_with_variant(&spec, &sp, variant);
+            // The strided plan spans exactly the block it addresses.
+            assert_eq!(strided().spans, [30, 4 * 18 + 8 + 1, 5 * 27 + 8 + 1]);
+            assert_eq!(dense().spans, [30, 45, 54]);
+            for direct in [true, false] {
+                let res = on_path(dense(), direct).execute(&a, &b, 2);
+                let mut want = big_c.clone();
+                for i in 0..6 {
+                    for j in 0..9 {
+                        want.add_assign_at(&[i, 1, j], res.get(&[i, j]));
+                    }
+                }
+                let mut got = big_c.clone();
+                on_path(strided(), direct).execute_into(
+                    big_a.data(),
+                    sa[0],
+                    big_b.data(),
+                    sb[1],
+                    got.data_mut(),
+                    sc[1],
+                    2,
+                );
+                assert_eq!(
+                    bits(got.data()),
+                    bits(want.data()),
+                    "{variant} direct={direct}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn execute_into_rejects_a_base_past_the_slice() {
+        let sp = space(&[("i", 4), ("j", 5), ("k", 6)]);
+        let spec = BinaryContraction {
+            a: vec![v(&sp, "i"), v(&sp, "k")],
+            b: vec![v(&sp, "k"), v(&sp, "j")],
+            out: vec![v(&sp, "i"), v(&sp, "j")],
+        };
+        let plan = ContractionPlan::new(&spec, &sp);
+        let (a, b) = (vec![0.0; 24], vec![0.0; 30]);
+        // The output spans 20 elements: base 1 needs 21.
+        let mut c = vec![0.0; 20];
+        let r = std::panic::catch_unwind(move || {
+            plan.execute_into(&a, 0, &b, 0, &mut c, 1, 1);
+        });
+        assert!(
+            r.is_err(),
+            "a base that pushes the span past the output must panic"
+        );
+        // Overlapping output strides cannot be planned at all.
+        let overlap = std::panic::catch_unwind(|| {
+            ContractionPlan::with_strides(
+                &spec,
+                &sp,
+                kernels::active(),
+                [&[6, 1], &[5, 1], &[1, 1]],
+            )
+        });
+        assert!(overlap.is_err());
     }
 }

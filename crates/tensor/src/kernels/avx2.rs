@@ -55,6 +55,17 @@ pub unsafe fn microkernel_8x6(ap: &[f64], bp: &[f64], kb: usize, acc: &mut [f64]
     }
 }
 
+/// The no-pack kernel ([`super::direct`]) with each step a fused
+/// multiply-add — `_mm256_fmadd_pd`'s rounding, one element at a time.
+///
+/// # Safety
+/// Caller must ensure the host supports AVX2 and FMA (CPUID-checked by
+/// the dispatcher); indexing is bounds-checked.
+#[target_feature(enable = "avx2,fma")]
+pub(crate) fn direct_fma(g: &super::DirectGemm, a: &[f64], b: &[f64], c: &mut [f64]) {
+    super::direct_with(g, a, b, c, f64::mul_add)
+}
+
 /// Vectorized equal-length copy (`_mm256_loadu/storeu_pd`, 16 elements
 /// per step) — the unit-stride pack fast path.
 ///

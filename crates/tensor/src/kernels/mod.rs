@@ -1,6 +1,7 @@
 //! Runtime-dispatched micro-kernels and cache-aware block sizing.
 //!
 //! The GETT engine's inner loops — the register-blocked GEMM kernel, the
+//! no-pack direct kernel for shapes smaller than a register tile, the
 //! panel packing copies, and the blocked permute — come in three
 //! implementations selected once per process by CPUID:
 //!
@@ -438,6 +439,68 @@ pub fn microkernel(cfg: &KernelConfig, ap: &[f64], bp: &[f64], kb: usize, acc: &
         KernelVariant::Avx2 => unsafe { avx2::microkernel_8x6(ap, bp, kb, acc) },
         #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
         _ => scalar::microkernel_8x4(ap, bp, kb, acc),
+    }
+}
+
+/// Offset tables of one no-pack GEMM call ([`direct`]): element `(i, j)`
+/// of the output sits at `c_rows[i] + c_cols[j]` and sums
+/// `a[a_rows[i] + a_k[p]] · b[b_cols[j] + b_k[p]]` over `p`, in K-blocks
+/// of `kc` steps.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DirectGemm<'t> {
+    /// Offset of each M coordinate in `a`.
+    pub a_rows: &'t [usize],
+    /// Offset of each K coordinate in `a`.
+    pub a_k: &'t [usize],
+    /// Offset of each N coordinate in `b`.
+    pub b_cols: &'t [usize],
+    /// Offset of each K coordinate in `b`.
+    pub b_k: &'t [usize],
+    /// Offset of each M coordinate in `c`.
+    pub c_rows: &'t [usize],
+    /// Offset of each N coordinate in `c`.
+    pub c_cols: &'t [usize],
+    /// K-block depth: the packed path's KC for the same plan.
+    pub kc: usize,
+}
+
+/// `c[i, j] += Σ_p a·b` without packing — for shapes whose register tile
+/// would be mostly zero padding.  Per output element and per K-block the
+/// arithmetic is the packed path's, operation for operation: `acc = 0`,
+/// one multiply-add per step (fused on AVX2, mul-then-add otherwise),
+/// then `c += acc`.  So both paths round identically, and a plan may take
+/// either without changing a bit.
+#[inline]
+pub(crate) fn direct(variant: KernelVariant, g: &DirectGemm, a: &[f64], b: &[f64], c: &mut [f64]) {
+    match variant {
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        // SAFETY: the variant was CPUID-checked at selection time.
+        KernelVariant::Avx2 => unsafe { avx2::direct_fma(g, a, b, c) },
+        _ => direct_with(g, a, b, c, |x, y, acc| acc + x * y),
+    }
+}
+
+/// The [`direct`] loop nest over a variant's multiply-add step.  K-blocks
+/// are the outer loop — each element still adds its block sums in
+/// ascending order, as the packed path does.
+#[inline(always)]
+pub(crate) fn direct_with(
+    g: &DirectGemm,
+    a: &[f64],
+    b: &[f64],
+    c: &mut [f64],
+    madd: impl Fn(f64, f64, f64) -> f64,
+) {
+    for (ak, bk) in g.a_k.chunks(g.kc).zip(g.b_k.chunks(g.kc)) {
+        for (&ci, &ai) in g.c_rows.iter().zip(g.a_rows) {
+            for (&cj, &bj) in g.c_cols.iter().zip(g.b_cols) {
+                let mut acc = 0.0;
+                for (&pa, &pb) in ak.iter().zip(bk) {
+                    acc = madd(a[ai + pa], b[bj + pb], acc);
+                }
+                c[ci + cj] += acc;
+            }
+        }
     }
 }
 

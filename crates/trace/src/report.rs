@@ -44,6 +44,9 @@ pub struct ProfileReport {
     /// GETT executions per dispatched kernel variant, `(name, count)`;
     /// normally one entry, more when variants were mixed in-process.
     pub kernel_variants: Vec<(String, u64)>,
+    /// GETT executions that took the no-pack direct path (counted in
+    /// `kernel_variants` too).
+    pub gett_direct: u64,
     /// Largest GETT macro-tile blocks seen, `(mc, nc, kc)`; zero when no
     /// traced GETT execution ran.
     pub gett_blocks: (u64, u64, u64),
@@ -148,6 +151,7 @@ impl ProfileReport {
                 vs.sort_by_key(|v| std::cmp::Reverse(v.1));
                 vs
             },
+            gett_direct: t.counter_total("gett.direct"),
             gett_blocks: (
                 t.counter_max("gett.mc"),
                 t.counter_max("gett.nc"),
@@ -251,7 +255,11 @@ impl fmt::Display for ProfileReport {
                 .collect::<Vec<_>>()
                 .join(", ");
             let (mc, nc, kc) = self.gett_blocks;
-            writeln!(f, "  gett kernel:     {variants} (MC={mc} NC={nc} KC={kc})")?;
+            write!(f, "  gett kernel:     {variants} (MC={mc} NC={nc} KC={kc})")?;
+            if self.gett_direct > 0 {
+                write!(f, ", direct x{}", self.gett_direct)?;
+            }
+            writeln!(f)?;
         }
         if self.plan_cache_hits + self.plan_cache_misses > 0 {
             writeln!(
@@ -342,6 +350,7 @@ mod tests {
                 counter_ev("gett.kernel_variant.avx2", 1),
                 counter_ev("gett.kernel_variant.avx2", 1),
                 counter_ev("gett.kernel_variant.scalar", 1),
+                counter_ev("gett.direct", 1),
                 counter_ev("gett.mc", 64),
                 counter_ev("gett.mc", 512),
                 counter_ev("gett.nc", 1020),
@@ -385,7 +394,8 @@ mod tests {
         assert!(text.contains("opmin"));
         assert!(text.contains("GFLOP/s"));
         assert!(text.contains("4.00 KiB"));
-        assert!(text.contains("avx2 x2, scalar x1 (MC=512 NC=1020 KC=256)"));
+        assert_eq!(r.gett_direct, 1);
+        assert!(text.contains("avx2 x2, scalar x1 (MC=512 NC=1020 KC=256), direct x1\n"));
         assert!(text.contains("3 hits / 1 misses / 2 evictions"));
         assert!(text.contains("7 tasks / 6 edges, peak live 37 elements, 0 forced"));
         assert!(text.contains("5 hits / 2 misses / 1 evictions"));

@@ -70,6 +70,30 @@ fn gett_flops_counter_equals_opmin_prediction_on_section2() {
 }
 
 #[test]
+fn gett_flops_counter_equals_opmin_prediction_on_fused_section2() {
+    // The memmin-fused §2 term runs 2·N⁴ + N² sliced contractions, most of
+    // them on GETT's no-pack direct path; every call still counts its
+    // flops and its kernel variant, so the total stays the opmin count.
+    let n = 6;
+    let syn = synthesize(&section2_source(n), &SynthesisConfig::default()).unwrap();
+    let predicted = syn.plans[0].tree_ops;
+    let owned = section2_inputs(&syn, n);
+    let inputs: HashMap<TensorId, &Tensor> = owned.iter().map(|(id, t)| (*id, t)).collect();
+    let funcs = HashMap::new();
+    let (summary, trace) = traced(|| {
+        syn.execute_fused_opts(&inputs, &funcs, &ExecOptions::with_threads(2))
+            .unwrap()
+    });
+    let slices = 2 * (n as u64).pow(4) + (n as u64).pow(2);
+    assert_eq!(summary.sliced_contractions, slices);
+    assert_eq!(trace.counter_total("gett.flops") as u128, predicted);
+    let report = trace.report();
+    let calls: u64 = report.kernel_variants.iter().map(|(_, c)| c).sum();
+    assert_eq!(calls, slices);
+    assert!(report.gett_direct > 0 && report.gett_direct < slices);
+}
+
+#[test]
 fn interpreter_flops_counter_equals_opmin_prediction_on_section2() {
     let n = 6;
     let syn = synthesize(&section2_source(n), &SynthesisConfig::default()).unwrap();

@@ -17,7 +17,7 @@ use tce_core::exec::{
 };
 use tce_core::fusion::schedule::fusion_schedule_with_labels;
 use tce_core::fusion::{enumerate_legal_configs, memmin_dp, FusionConfig};
-use tce_core::ir::{IndexSet, IndexSpace, OpTree, TensorId};
+use tce_core::ir::{IndexSet, IndexSpace, OpTree, TensorDecl, TensorId, TensorTable};
 use tce_core::scenarios::{section2_source, A3AScenario};
 use tce_core::spacetime::spacetime_dp;
 use tce_core::tensor::{IntegralFn, Tensor};
@@ -348,6 +348,80 @@ fn pipeline_fused_execution_agrees_with_direct_on_sequences() {
                 term.stmt_index, term.term_index
             );
         }
+    }
+}
+
+#[test]
+fn exclusive_summation_index_under_a_fusing_config() {
+    let _untraced = untraced();
+    // S[i,j] = Σ_k A[i,k]·Y[i,j] with Y[i,j] = B[i,j]·E[j] fused into S's
+    // loop over i.  At every iteration A's slice keeps only `k`, which S
+    // sums and Y lacks: an index exclusive to one operand, summed out of
+    // A read in place through its base offset and strides.
+    let mut space = IndexSpace::new();
+    let (ri, rj, rk) = (
+        space.add_range("I", 5),
+        space.add_range("J", 4),
+        space.add_range("K", 6),
+    );
+    let (i, j, k) = (
+        space.add_var("i", ri),
+        space.add_var("j", rj),
+        space.add_var("k", rk),
+    );
+    let mut tensors = TensorTable::new();
+    let ta = tensors.add(TensorDecl::dense("A", vec![ri, rk]));
+    let tb = tensors.add(TensorDecl::dense("B", vec![ri, rj]));
+    let te = tensors.add(TensorDecl::dense("E", vec![rj]));
+    let mut tree = OpTree::new();
+    let lb = tree.leaf_input(tb, vec![i, j]);
+    let le = tree.leaf_input(te, vec![j]);
+    let y = tree.contract(lb, le, IndexSet::from_vars([i, j]));
+    let la = tree.leaf_input(ta, vec![i, k]);
+    tree.contract(la, y, IndexSet::from_vars([i, j]));
+    let (a, b, e) = (
+        Tensor::random(&[5, 6], 91),
+        Tensor::random(&[5, 4], 92),
+        Tensor::random(&[4], 93),
+    );
+    let inputs = HashMap::from([(ta, &a), (tb, &b), (te, &e)]);
+    let funcs = HashMap::new();
+
+    let expect = execute_tree_opts(&tree, &space, &inputs, &funcs, &ExecOptions::serial()).unwrap();
+    let oracle = Tensor::from_fn(&[5, 4], |ix| {
+        let row: f64 = (0..6).map(|kk| a.get(&[ix[0], kk])).sum();
+        row * b.get(ix) * e.get(&ix[1..])
+    });
+    assert!(rel_close(&expect, &oracle, 1e-12));
+
+    let mut config = FusionConfig::unfused(&tree);
+    config.set(y, i.singleton());
+    let mut results = Vec::new();
+    for threads in THREADS {
+        for schedule in [tce_core::Schedule::Seq, tce_core::Schedule::Graph] {
+            let opts = ExecOptions::with_threads(threads).with_schedule(schedule);
+            let report =
+                execute_tree_fused(&tree, &space, &config, &inputs, &funcs, &opts).unwrap();
+            assert!(
+                rel_close(&report.result, &expect, 1e-12),
+                "threads {threads} {schedule:?}: diff {:e}",
+                report.result.max_abs_diff(&expect)
+            );
+            // Y keeps only `j`: 4 elements, as the model says.
+            assert_eq!(report.peak_live_elements, 4);
+            assert!(
+                report.peak_matches_model(),
+                "threads {threads} {schedule:?}"
+            );
+            assert_eq!(report.sliced_contractions, 2 * 5);
+            results.push(report.result);
+        }
+    }
+    for r in &results[1..] {
+        assert_eq!(
+            *r, results[0],
+            "fused results differ across threads or schedules"
+        );
     }
 }
 
