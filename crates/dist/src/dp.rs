@@ -88,14 +88,41 @@ enum Choice {
     None,
 }
 
+/// One way to produce a contraction node's value: loop distribution
+/// `gamma` and reduce `mode`, costed (`pre`: children, computation,
+/// reduction) up to the distribution `after` it leaves the result in —
+/// everything of `Cost(u, α)` except the final move to `α`.
+struct Candidate {
+    /// Position in `(γ, mode)` enumeration order.
+    index: usize,
+    pre: u128,
+    after: DistTuple,
+    gamma: DistTuple,
+    mode: ReduceMode,
+}
+
 struct Dp<'a> {
     tree: &'a OpTree,
     space: &'a IndexSpace,
     machine: &'a Machine,
     memo: HashMap<(u32, DistTuple), (u128, Choice)>,
+    /// Per contraction node, the α-independent part of `Cost(u, α)`: the
+    /// cheapest candidate per `after` distribution (earliest on ties),
+    /// ordered by enumeration index.
+    candidates: HashMap<u32, Vec<Candidate>>,
 }
 
-impl Dp<'_> {
+impl<'a> Dp<'a> {
+    fn new(tree: &'a OpTree, space: &'a IndexSpace, machine: &'a Machine) -> Self {
+        Self {
+            tree,
+            space,
+            machine,
+            memo: HashMap::new(),
+            candidates: HashMap::new(),
+        }
+    }
+
     fn cost(&mut self, u: NodeId, alpha: &DistTuple) -> u128 {
         let key = (u.0, alpha.clone());
         if let Some(&(c, _)) = self.memo.get(&key) {
@@ -134,52 +161,23 @@ impl Dp<'_> {
                 ),
                 Choice::None,
             ),
-            OpKind::Contract { left, right } => {
-                let (l, r) = (*left, *right);
-                let loops = self.tree.loop_indices(u);
-                let sums = self.tree.sum_indices(u);
+            OpKind::Contract { .. } => {
+                if !self.candidates.contains_key(&u.0) {
+                    let candidates = self.contraction_candidates(u);
+                    self.candidates.insert(u.0, candidates);
+                }
+                // Candidates sharing `after` differ only in `pre`, so the
+                // first strict minimum over the kept ones is the first
+                // strict minimum over all `(γ, mode)`.
                 let dims = dims_of(self.tree, u);
                 let mut best = (u128::MAX, Choice::None);
-                for gamma in enumerate_tuples(loops, rank) {
-                    let child_l = gamma.project(self.tree.node(l).indices);
-                    let child_r = gamma.project(self.tree.node(r).indices);
-                    let base = self
-                        .cost(l, &child_l)
-                        .saturating_add(self.cost(r, &child_r))
-                        .saturating_add(calc_cost(
-                            loops,
-                            2,
-                            self.space,
-                            &self.machine.grid,
-                            &gamma,
-                        ));
-                    let has_dist_sum = gamma.vars().inter(sums) != IndexSet::EMPTY;
-                    let modes: &[ReduceMode] = if has_dist_sum {
-                        &[ReduceMode::Combine, ReduceMode::Replicate]
-                    } else {
-                        &[ReduceMode::Combine]
-                    };
-                    for &mode in modes {
-                        let after = after_reduction(&gamma, indices, sums, mode);
-                        let c = base
-                            .saturating_add(
-                                reduce_cost(
-                                    indices,
-                                    sums,
-                                    self.space,
-                                    &self.machine.grid,
-                                    &gamma,
-                                    mode,
-                                )
-                                .saturating_mul(self.machine.word_cost),
-                            )
-                            .saturating_add(
-                                move_cost(&dims, self.space, &self.machine.grid, &after, alpha)
-                                    .saturating_mul(self.machine.word_cost),
-                            );
-                        if c < best.0 {
-                            best = (c, Choice::Compute(gamma.clone(), mode));
-                        }
+                for cand in &self.candidates[&u.0] {
+                    let c = cand.pre.saturating_add(
+                        move_cost(&dims, self.space, &self.machine.grid, &cand.after, alpha)
+                            .saturating_mul(self.machine.word_cost),
+                    );
+                    if c < best.0 {
+                        best = (c, Choice::Compute(cand.gamma.clone(), cand.mode));
                     }
                 }
                 best
@@ -188,28 +186,81 @@ impl Dp<'_> {
         self.memo.insert(key, result.clone());
         result.0
     }
+
+    /// Every `(γ, mode)` of contraction node `u` costed once, then reduced
+    /// to the cheapest per `after` distribution.
+    fn contraction_candidates(&mut self, u: NodeId) -> Vec<Candidate> {
+        let OpKind::Contract { left: l, right: r } = self.tree.node(u).kind else {
+            unreachable!("contraction node");
+        };
+        let rank = self.machine.grid.rank();
+        let indices = self.tree.node(u).indices;
+        let loops = self.tree.loop_indices(u);
+        let sums = self.tree.sum_indices(u);
+        let mut kept: Vec<Candidate> = Vec::new();
+        let mut by_after: HashMap<DistTuple, usize> = HashMap::new();
+        let mut index = 0;
+        for gamma in enumerate_tuples(loops, rank) {
+            let child_l = gamma.project(self.tree.node(l).indices);
+            let child_r = gamma.project(self.tree.node(r).indices);
+            let base = self
+                .cost(l, &child_l)
+                .saturating_add(self.cost(r, &child_r))
+                .saturating_add(calc_cost(loops, 2, self.space, &self.machine.grid, &gamma));
+            let has_dist_sum = gamma.vars().inter(sums) != IndexSet::EMPTY;
+            let modes: &[ReduceMode] = if has_dist_sum {
+                &[ReduceMode::Combine, ReduceMode::Replicate]
+            } else {
+                &[ReduceMode::Combine]
+            };
+            for &mode in modes {
+                let after = after_reduction(&gamma, indices, sums, mode);
+                let pre = base.saturating_add(
+                    reduce_cost(indices, sums, self.space, &self.machine.grid, &gamma, mode)
+                        .saturating_mul(self.machine.word_cost),
+                );
+                let cand = Candidate {
+                    index,
+                    pre,
+                    after,
+                    gamma: gamma.clone(),
+                    mode,
+                };
+                index += 1;
+                match by_after.get(&cand.after) {
+                    Some(&k) if kept[k].pre <= cand.pre => {}
+                    Some(&k) => kept[k] = cand,
+                    None => {
+                        by_after.insert(cand.after.clone(), kept.len());
+                        kept.push(cand);
+                    }
+                }
+            }
+        }
+        kept.sort_by_key(|c| c.index);
+        kept
+    }
 }
 
 /// Run the distribution DP and trace back the optimal assignment.
 pub fn optimize_distribution(tree: &OpTree, space: &IndexSpace, machine: &Machine) -> DistPlan {
-    let mut dp = Dp {
-        tree,
-        space,
-        machine,
-        memo: HashMap::new(),
-    };
-    let rank = machine.grid.rank();
-    // Step 3: minimal total over root distributions.
+    plan(&mut Dp::new(tree, space, machine), Dp::cost)
+}
+
+/// Step 3 — the cheapest root distribution under `cost` — and the
+/// top-down traceback of `Dist(u, α)` from the states `cost` memoised.
+fn plan<'a>(dp: &mut Dp<'a>, cost: fn(&mut Dp<'a>, NodeId, &DistTuple) -> u128) -> DistPlan {
+    let tree = dp.tree;
+    let rank = dp.machine.grid.rank();
     let mut best: Option<(u128, DistTuple)> = None;
     for alpha in enumerate_tuples(tree.node(tree.root).indices, rank) {
-        let c = dp.cost(tree.root, &alpha);
+        let c = cost(dp, tree.root, &alpha);
         if best.as_ref().map(|(b, _)| c < *b).unwrap_or(true) {
             best = Some((c, alpha));
         }
     }
     let (total_cost, root_alpha) = best.expect("at least one tuple exists");
 
-    // Top-down traceback of Dist(u, α).
     let mut node_dist: Vec<Option<DistTuple>> = vec![None; tree.len()];
     let mut node_gamma: Vec<Option<(DistTuple, ReduceMode)>> = vec![None; tree.len()];
     let mut node_input_source: Vec<Option<DistTuple>> = vec![None; tree.len()];
@@ -372,6 +423,77 @@ mod tests {
         let m1 = Machine::new(ProcessorGrid::new(vec![2]));
         let m2 = Machine::new(ProcessorGrid::new(vec![2, 2]));
         assert!(state_count(&tree, &m2) > state_count(&tree, &m1));
+    }
+
+    /// `Cost(u, α)` before the α-independent part was hoisted: every
+    /// `(γ, mode)` of a contraction re-costed for every α.
+    fn oracle_cost(dp: &mut Dp, u: NodeId, alpha: &DistTuple) -> u128 {
+        let OpKind::Contract { left: l, right: r } = dp.tree.node(u).kind else {
+            return dp.cost(u, alpha);
+        };
+        let key = (u.0, alpha.clone());
+        if let Some(&(c, _)) = dp.memo.get(&key) {
+            return c;
+        }
+        let (space, grid, word_cost) = (dp.space, &dp.machine.grid, dp.machine.word_cost);
+        let indices = dp.tree.node(u).indices;
+        let loops = dp.tree.loop_indices(u);
+        let sums = dp.tree.sum_indices(u);
+        let dims = dims_of(dp.tree, u);
+        let mut best = (u128::MAX, Choice::None);
+        for gamma in enumerate_tuples(loops, grid.rank()) {
+            let child_l = gamma.project(dp.tree.node(l).indices);
+            let child_r = gamma.project(dp.tree.node(r).indices);
+            let base = oracle_cost(dp, l, &child_l)
+                .saturating_add(oracle_cost(dp, r, &child_r))
+                .saturating_add(calc_cost(loops, 2, space, grid, &gamma));
+            let modes: &[ReduceMode] = if gamma.vars().inter(sums) != IndexSet::EMPTY {
+                &[ReduceMode::Combine, ReduceMode::Replicate]
+            } else {
+                &[ReduceMode::Combine]
+            };
+            for &mode in modes {
+                let after = after_reduction(&gamma, indices, sums, mode);
+                let c = base
+                    .saturating_add(
+                        reduce_cost(indices, sums, space, grid, &gamma, mode)
+                            .saturating_mul(word_cost),
+                    )
+                    .saturating_add(
+                        move_cost(&dims, space, grid, &after, alpha).saturating_mul(word_cost),
+                    );
+                if c < best.0 {
+                    best = (c, Choice::Compute(gamma.clone(), mode));
+                }
+            }
+        }
+        dp.memo.insert(key, best.clone());
+        best.0
+    }
+
+    #[test]
+    fn hoisted_candidates_match_the_per_alpha_recursion() {
+        for name in ["ccsd_section2", "cc_doubles"] {
+            let path = format!(
+                "{}/../../examples/specs/{name}.tce",
+                env!("CARGO_MANIFEST_DIR")
+            );
+            let src = std::fs::read_to_string(&path).unwrap();
+            let syn = tce_core::synthesize(&src, &Default::default()).unwrap();
+            let space = &syn.program.space;
+            for term in &syn.plans {
+                for dims in [vec![2, 2], vec![2, 4], vec![2, 2, 2]] {
+                    let machine = Machine::new(ProcessorGrid::new(dims.clone()));
+                    let got = optimize_distribution(&term.tree, space, &machine);
+                    let want = plan(&mut Dp::new(&term.tree, space, &machine), oracle_cost);
+                    let at = format!("{name} term {} grid {dims:?}", term.stmt_index);
+                    assert_eq!(got.total_cost, want.total_cost, "{at}");
+                    assert_eq!(got.node_dist, want.node_dist, "{at}");
+                    assert_eq!(got.node_gamma, want.node_gamma, "{at}");
+                    assert_eq!(got.node_input_source, want.node_input_source, "{at}");
+                }
+            }
+        }
     }
 
     #[test]

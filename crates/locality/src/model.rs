@@ -20,7 +20,7 @@ use tce_loops::{distinct_accesses, LoopProgram, Stmt};
 
 /// Number of distinct elements accessed by one execution of a statement
 /// (leaf case of the model).
-fn stmt_accesses(s: &Stmt, p: &LoopProgram, space: &IndexSpace) -> u128 {
+pub(crate) fn stmt_accesses(s: &Stmt, p: &LoopProgram, space: &IndexSpace) -> u128 {
     match s {
         Stmt::Loop { .. } => unreachable!("handled by cost_stmt"),
         // An Init streams over the whole array once.
@@ -32,7 +32,7 @@ fn stmt_accesses(s: &Stmt, p: &LoopProgram, space: &IndexSpace) -> u128 {
 
 /// The paper's `Cost` for one statement (loop or leaf) with all enclosing
 /// loops fixed.
-fn cost_stmt(s: &Stmt, p: &LoopProgram, space: &IndexSpace, cache: u128) -> u128 {
+pub(crate) fn cost_stmt(s: &Stmt, p: &LoopProgram, space: &IndexSpace, cache: u128) -> u128 {
     match s {
         Stmt::Loop { var, body } => {
             let mut varying = vec![false; p.vars.len()];
@@ -103,16 +103,31 @@ impl MemoryHierarchy {
     /// applying the paper's model per level, disk misses dominating when a
     /// working set exceeds physical memory.
     pub fn cost(&self, p: &LoopProgram, space: &IndexSpace) -> f64 {
+        let costs: Vec<u128> = self
+            .levels
+            .iter()
+            .map(|l| access_cost(p, space, l.capacity_elements))
+            .collect();
+        self.record_accesses(&costs);
+        self.weigh(&costs)
+    }
+
+    /// `Σ_level miss_cost · cost`, summed in level order.
+    pub(crate) fn weigh(&self, costs: &[u128]) -> f64 {
         self.levels
             .iter()
-            .map(|l| {
-                let accesses = access_cost(p, space, l.capacity_elements);
-                if tce_trace::enabled() {
-                    tce_trace::counter_u128(format!("locality.accesses.{}", l.name), accesses);
-                }
-                l.miss_cost * accesses as f64
-            })
+            .zip(costs)
+            .map(|(l, &c)| l.miss_cost * c as f64)
             .sum()
+    }
+
+    /// One `locality.accesses.<level>` trace counter per level.
+    pub(crate) fn record_accesses(&self, costs: &[u128]) {
+        if tce_trace::enabled() {
+            for (l, &c) in self.levels.iter().zip(costs) {
+                tce_trace::counter_u128(format!("locality.accesses.{}", l.name), c);
+            }
+        }
     }
 }
 

@@ -14,7 +14,7 @@
 //! to `tile·B + intra`.  The transformation is semantics-preserving
 //! (verified against the interpreter in `tce-exec` integration tests).
 
-use crate::model::access_cost;
+use crate::model::{access_cost, cost_stmt, stmt_accesses};
 use std::collections::HashMap;
 use tce_ir::IndexSpace;
 use tce_loops::{ARef, LoopProgram, LoopVarId, Stmt, Sub, VarRange};
@@ -237,45 +237,223 @@ fn candidates(extent: usize) -> Vec<usize> {
     out
 }
 
+/// The §6 cost of a program with one perfect nest blocked, evaluated from
+/// the block sizes alone instead of building and re-costing the blocked
+/// program with [`tile_nest`] and [`access_cost`].
+///
+/// Blocking only changes the nest's loops, so every other top-level
+/// statement is costed once.  Inside the nest, `tile_nest` rewrites each
+/// subscript injectively, so the distinct references of the innermost
+/// statements are the same set before and after it; at each depth of the
+/// blocked nest a reference then touches `Π_subs span` elements, where a
+/// subscript's span is `⌈N/B⌉` for a varying tile loop, `B` for a varying
+/// intra-tile loop, `N` for a varying untiled loop and 1 otherwise — the
+/// `Sub::Tiled` rule of `tce_loops::distinct_accesses`, including the
+/// `⌈N/B⌉·B > N` overshoot of a ragged last tile.
+struct BlockedNest {
+    /// Extent of each nest loop, outermost first.
+    extents: Vec<usize>,
+    /// Distinct references of the innermost statements, each as the nest
+    /// positions of its subscripts.
+    refs: Vec<Vec<usize>>,
+    /// `Cost` of one execution of the innermost statements.
+    leaf: u128,
+    /// `Cost` of every other top-level statement, per cache level.
+    others: Vec<u128>,
+}
+
+impl BlockedNest {
+    /// The model of a tileable `nest`, or `None` when it cannot be
+    /// evaluated analytically: a loop inside the innermost statements, a
+    /// subscript that is not a plain nest variable, or more than 64 loops.
+    fn new(
+        p: &LoopProgram,
+        space: &IndexSpace,
+        nest: &PerfectNest,
+        caches: &[u128],
+    ) -> Option<Self> {
+        if nest.vars.len() > 64 {
+            return None;
+        }
+        let mut inner = std::slice::from_ref(&p.body[nest.body_index]);
+        for _ in &nest.vars {
+            let Stmt::Loop { body, .. } = &inner[0] else {
+                unreachable!("a tileable nest is a loop chain");
+            };
+            inner = body;
+        }
+        let mut refs: Vec<(u32, Vec<usize>)> = Vec::new();
+        for s in inner {
+            let accessed: Vec<&ARef> = match s {
+                Stmt::Loop { .. } => return None,
+                Stmt::Init { .. } => Vec::new(),
+                Stmt::Accum { lhs, rhs, .. } => std::iter::once(lhs).chain(rhs).collect(),
+                Stmt::Eval { lhs, .. } => vec![lhs],
+            };
+            for r in accessed {
+                let subs = r
+                    .subs
+                    .iter()
+                    .map(|s| match *s {
+                        Sub::Var(v) => nest.vars.iter().position(|&n| n == v),
+                        Sub::Tiled { .. } => None,
+                    })
+                    .collect::<Option<Vec<usize>>>()?;
+                let key = (r.array.0, subs);
+                if !refs.contains(&key) {
+                    refs.push(key);
+                }
+            }
+        }
+        let leaf = inner
+            .iter()
+            .map(|s| stmt_accesses(s, p, space))
+            .fold(0, u128::saturating_add);
+        let others = caches
+            .iter()
+            .map(|&cache| {
+                p.body
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, _)| i != nest.body_index)
+                    .map(|(_, s)| cost_stmt(s, p, space, cache))
+                    .fold(0, u128::saturating_add)
+            })
+            .collect();
+        Some(Self {
+            extents: nest.vars.iter().map(|&v| p.var(v).extent(space)).collect(),
+            refs: refs.into_iter().map(|(_, subs)| subs).collect(),
+            leaf,
+            others,
+        })
+    }
+
+    /// `access_cost` per cache level of the program blocked by `blocks`
+    /// (one size per nest loop, outermost first).
+    fn costs(&self, blocks: &[usize], caches: &[u128]) -> Vec<u128> {
+        let n = self.extents.len();
+        let tiled = |k: usize| blocks[k] > 1 && blocks[k] < self.extents[k];
+        let (mut tile_on, mut inner_on) = (0u64, 0u64);
+        // Subscript span of nest position `k` with the loops marked in
+        // `tile_on` / `inner_on` varying.
+        let span = |k: usize, tile_on: u64, inner_on: u64| -> u128 {
+            let (n, b) = (self.extents[k] as u128, blocks[k] as u128);
+            let inner = inner_on >> k & 1 == 1;
+            if tiled(k) {
+                let t = if tile_on >> k & 1 == 1 {
+                    n.div_ceil(b)
+                } else {
+                    1
+                };
+                t.saturating_mul(if inner { b } else { 1 })
+            } else if inner {
+                n
+            } else {
+                1
+            }
+        };
+        // Blocked loop order innermost first: the intra/untiled loops, then
+        // the tile loops, each `(nest position, is a tile loop)`.
+        let order = (0..n)
+            .rev()
+            .map(|k| (k, false))
+            .chain((0..n).rev().filter(|&k| tiled(k)).map(|k| (k, true)));
+        let mut cost = vec![self.leaf; caches.len()];
+        for (k, is_tile) in order {
+            let extent = if is_tile {
+                tile_on |= 1 << k;
+                self.extents[k].div_ceil(blocks[k])
+            } else {
+                inner_on |= 1 << k;
+                if tiled(k) {
+                    blocks[k]
+                } else {
+                    self.extents[k]
+                }
+            } as u128;
+            let accesses = self
+                .refs
+                .iter()
+                .map(|r| {
+                    r.iter()
+                        .fold(1u128, |a, &k| a.saturating_mul(span(k, tile_on, inner_on)))
+                })
+                .fold(0, u128::saturating_add);
+            for (c, &cache) in cost.iter_mut().zip(caches) {
+                *c = if accesses <= cache {
+                    accesses
+                } else {
+                    extent.saturating_mul(*c)
+                };
+            }
+        }
+        for (c, &o) in cost.iter_mut().zip(&self.others) {
+            *c = o.saturating_add(*c);
+        }
+        cost
+    }
+}
+
 /// The one tile search: every doubling block-size vector of `nest` (first
-/// loop slowest), keeping the first of the cheapest under `cost`.
-/// Untileable nests (already tiled, or degenerate — see
-/// [`nest_is_tileable`]) are skipped gracefully: the untiled program
-/// itself is the search result.
+/// loop slowest), keeping the first of the cheapest under `weigh` of the
+/// per-level costs for cache capacities `caches`.  Candidates are costed
+/// by [`BlockedNest`] where it applies and by blocking and costing the
+/// program otherwise; the winner alone is built.  Untileable nests
+/// (already tiled, or degenerate — see [`nest_is_tileable`]) are skipped
+/// gracefully: the untiled program itself is the search result.  Returns
+/// the blocks, the blocked program and its cost per level.
 fn search_tiles_by<C: PartialOrd>(
     p: &LoopProgram,
     space: &IndexSpace,
     nest: &PerfectNest,
-    cost: impl Fn(&LoopProgram) -> C,
-) -> (HashMap<LoopVarId, usize>, LoopProgram, C) {
+    caches: &[u128],
+    weigh: impl Fn(&[u128]) -> C,
+) -> (HashMap<LoopVarId, usize>, LoopProgram, Vec<u128>) {
+    let level_costs = |q: &LoopProgram| -> Vec<u128> {
+        caches.iter().map(|&c| access_cost(q, space, c)).collect()
+    };
     if !nest_is_tileable(p, nest) {
-        return (HashMap::new(), p.clone(), cost(p));
+        return (HashMap::new(), p.clone(), level_costs(p));
     }
+    let block_map = |blocks: &[usize]| -> HashMap<LoopVarId, usize> {
+        nest.vars
+            .iter()
+            .copied()
+            .zip(blocks.iter().copied())
+            .collect()
+    };
     let sizes: Vec<Vec<usize>> = nest
         .vars
         .iter()
         .map(|&v| candidates(p.var(v).extent(space)))
         .collect();
-    let mut pick = vec![0usize; sizes.len()];
-    let mut best: Option<(HashMap<LoopVarId, usize>, LoopProgram, C)> = None;
-    loop {
-        tce_trace::counter("locality.tile_candidates", 1);
-        let blocks: HashMap<LoopVarId, usize> = nest
-            .vars
+    tce_trace::counter(
+        "locality.tile_candidates",
+        sizes
             .iter()
-            .zip(sizes.iter().zip(&pick))
-            .map(|(&v, (sizes, &i))| (v, sizes[i]))
-            .collect();
-        let tiled = tile_nest(p, space, nest, &blocks);
-        let c = cost(&tiled);
+            .fold(1u64, |a, s| a.saturating_mul(s.len() as u64)),
+    );
+    let model = BlockedNest::new(p, space, nest, caches);
+    let mut pick = vec![0usize; sizes.len()];
+    let mut best: Option<(Vec<usize>, Vec<u128>, C)> = None;
+    loop {
+        let blocks: Vec<usize> = sizes.iter().zip(&pick).map(|(s, &i)| s[i]).collect();
+        let costs = match &model {
+            Some(m) => m.costs(&blocks, caches),
+            None => level_costs(&tile_nest(p, space, nest, &block_map(&blocks))),
+        };
+        let c = weigh(&costs);
         if best.as_ref().is_none_or(|(_, _, b)| c < *b) {
-            best = Some((blocks, tiled, c));
+            best = Some((blocks, costs, c));
         }
         // Odometer over the candidate lists, last loop fastest.
         let mut d = pick.len();
         loop {
             if d == 0 {
-                return best.expect("a tileable nest has at least one candidate");
+                let (blocks, costs, _) = best.expect("a tileable nest has at least one candidate");
+                let blocks = block_map(&blocks);
+                let program = tile_nest(p, space, nest, &blocks);
+                return (blocks, program, costs);
             }
             d -= 1;
             pick[d] += 1;
@@ -295,13 +473,11 @@ pub fn search_nest_tiles(
     nest: &PerfectNest,
     cache_elements: u128,
 ) -> TileSearchResult {
-    let (blocks, program, cost) = search_tiles_by(p, space, nest, |candidate| {
-        access_cost(candidate, space, cache_elements)
-    });
+    let (blocks, program, costs) = search_tiles_by(p, space, nest, &[cache_elements], |c| c[0]);
     TileSearchResult {
         blocks,
         program,
-        cost,
+        cost: costs[0],
     }
 }
 
@@ -402,19 +578,25 @@ pub struct HierarchyTileResult {
 /// physical memory, disk) simultaneously, each level's misses weighted by
 /// its latency.  A single tiling must serve all levels; the optimum
 /// typically blocks for the small level while keeping footprints within
-/// the large one.
+/// the large one.  The winner's per-level costs are recorded as the
+/// `locality.accesses.<level>` trace counters.
 pub fn search_nest_tiles_hierarchy(
     p: &LoopProgram,
     space: &IndexSpace,
     nest: &PerfectNest,
     hierarchy: &crate::model::MemoryHierarchy,
 ) -> HierarchyTileResult {
-    let (blocks, program, cost) =
-        search_tiles_by(p, space, nest, |candidate| hierarchy.cost(candidate, space));
+    let caches: Vec<u128> = hierarchy
+        .levels
+        .iter()
+        .map(|l| l.capacity_elements)
+        .collect();
+    let (blocks, program, costs) = search_tiles_by(p, space, nest, &caches, |c| hierarchy.weigh(c));
+    hierarchy.record_accesses(&costs);
     HierarchyTileResult {
         blocks,
         program,
-        cost,
+        cost: hierarchy.weigh(&costs),
     }
 }
 
@@ -614,6 +796,189 @@ mod tests {
                 vars: nest.vars.clone()
             }
         ));
+    }
+
+    /// The clone-and-cost search the analytic evaluator replaced: block
+    /// the program for every candidate and cost the whole blocked copy.
+    fn oracle_search<C: PartialOrd>(
+        p: &LoopProgram,
+        space: &IndexSpace,
+        nest: &PerfectNest,
+        cost: impl Fn(&LoopProgram) -> C,
+    ) -> (HashMap<LoopVarId, usize>, LoopProgram, C) {
+        if !nest_is_tileable(p, nest) {
+            return (HashMap::new(), p.clone(), cost(p));
+        }
+        let mut best: Option<(HashMap<LoopVarId, usize>, LoopProgram, C)> = None;
+        for blocks in all_candidates(p, space, nest) {
+            let blocks: HashMap<LoopVarId, usize> = nest.vars.iter().copied().zip(blocks).collect();
+            let tiled = tile_nest(p, space, nest, &blocks);
+            let c = cost(&tiled);
+            if best.as_ref().is_none_or(|(_, _, b)| c < *b) {
+                best = Some((blocks, tiled, c));
+            }
+        }
+        best.unwrap()
+    }
+
+    /// Every doubling block vector of `nest`, first loop slowest.
+    fn all_candidates(p: &LoopProgram, space: &IndexSpace, nest: &PerfectNest) -> Vec<Vec<usize>> {
+        nest.vars.iter().fold(vec![vec![]], |acc, &v| {
+            let sizes = candidates(p.var(v).extent(space));
+            acc.into_iter()
+                .flat_map(|prefix| {
+                    sizes.iter().map(move |&b| {
+                        let mut next = prefix.clone();
+                        next.push(b);
+                        next
+                    })
+                })
+                .collect()
+        })
+    }
+
+    /// `X[i,j,k] += A[i,j,k]·B[j,k]` at extents near `usize::MAX / 2`:
+    /// `2⁶³−1` is not a power of two, and the reference counts overflow
+    /// `u128`, so every sum and product saturates.
+    fn saturating_nest() -> (IndexSpace, LoopProgram, PerfectNest) {
+        let mut space = IndexSpace::new();
+        let big = space.add_range("N", (1usize << 63) - 1);
+        let pow = space.add_range("M", 1usize << 63);
+        let small = space.add_range("K", 5);
+        let (i, j, k) = (
+            space.add_var("i", big),
+            space.add_var("j", pow),
+            space.add_var("k", small),
+        );
+        let mut p = LoopProgram::new();
+        let vi = p.add_var("i", VarRange::Full(i));
+        let vj = p.add_var("j", VarRange::Full(j));
+        let vk = p.add_var("k", VarRange::Full(k));
+        let full = |vs: &[tce_ir::IndexVar]| vs.iter().map(|&v| VarRange::Full(v)).collect();
+        let x = p.add_array("X", full(&[i, j, k]), ArrayKind::Output);
+        let a = p.add_array("A", full(&[i, j, k]), ArrayKind::Intermediate);
+        let b = p.add_array("B", full(&[j, k]), ArrayKind::Intermediate);
+        let r = |array, vs: &[LoopVarId]| ARef {
+            array,
+            subs: vs.iter().map(|&v| Sub::Var(v)).collect(),
+        };
+        let stmt = Stmt::Accum {
+            lhs: r(x, &[vi, vj, vk]),
+            rhs: vec![r(a, &[vi, vj, vk]), r(b, &[vj, vk])],
+            coeff: 1.0,
+        };
+        p.body.push(tce_loops::nest(vec![vi, vj, vk], vec![stmt]));
+        let nest = PerfectNest {
+            body_index: 0,
+            vars: vec![vi, vj, vk],
+        };
+        (space, p, nest)
+    }
+
+    /// Every perfect nest the pipeline emits for `ccsd_section2`,
+    /// `cc_doubles` and `a3a_energy` (V=6, O=3: ragged tiles of 4) — A3A
+    /// also under a 20-element memory limit, which sends its integral
+    /// statement through space-time — plus matmul at N=12 and the
+    /// saturating nest.
+    fn fixtures() -> Vec<(IndexSpace, LoopProgram, PerfectNest)> {
+        let specs = [
+            ("ccsd_section2", u128::MAX),
+            ("cc_doubles", u128::MAX),
+            ("a3a_energy", u128::MAX),
+            ("a3a_energy", 20),
+        ];
+        let mut out = Vec::new();
+        for (name, memory_limit) in specs {
+            let path = format!(
+                "{}/../../examples/specs/{name}.tce",
+                env!("CARGO_MANIFEST_DIR")
+            );
+            let src = std::fs::read_to_string(&path).unwrap();
+            let cfg = tce_core::SynthesisConfig {
+                memory_limit,
+                ..Default::default()
+            };
+            let syn = tce_core::synthesize(&src, &cfg).unwrap();
+            for plan in syn.plans {
+                let p = plan.built.program;
+                for nest in perfect_nests(&p) {
+                    out.push((syn.program.space.clone(), p.clone(), nest));
+                }
+            }
+        }
+        out.push(matmul(12));
+        out.push(saturating_nest());
+        out
+    }
+
+    const CACHES: [u128; 4] = [16, 64, 4096, 8192];
+
+    #[test]
+    fn analytic_cost_matches_the_blocked_program_for_every_candidate() {
+        let mut modeled = 0;
+        for (space, p, nest) in fixtures() {
+            if !nest_is_tileable(&p, &nest) {
+                continue;
+            }
+            let model = BlockedNest::new(&p, &space, &nest, &CACHES).expect("plain nest");
+            for blocks in all_candidates(&p, &space, &nest) {
+                let map = nest
+                    .vars
+                    .iter()
+                    .copied()
+                    .zip(blocks.iter().copied())
+                    .collect();
+                let tiled = tile_nest(&p, &space, &nest, &map);
+                let built: Vec<u128> = CACHES
+                    .iter()
+                    .map(|&c| access_cost(&tiled, &space, c))
+                    .collect();
+                assert_eq!(model.costs(&blocks, &CACHES), built, "blocks {blocks:?}");
+            }
+            modeled += 1;
+        }
+        // A3A 2 + 2 (both limits), cc_doubles 5, matmul, saturating.
+        assert_eq!(modeled, 11);
+        let (space, p, nest) = saturating_nest();
+        let top = [u128::MAX - 1];
+        assert_eq!(
+            BlockedNest::new(&p, &space, &nest, &top)
+                .unwrap()
+                .costs(&[1, 1, 1], &top),
+            [u128::MAX]
+        );
+    }
+
+    #[test]
+    fn searches_match_the_clone_and_cost_oracle() {
+        use crate::model::MemoryHierarchy;
+        let (mspace, mp, mnest) = matmul(8);
+        // A nest over the two outer loops only keeps a loop in its body:
+        // the search falls back to building and costing every candidate.
+        let outer = PerfectNest {
+            body_index: 0,
+            vars: mnest.vars[..2].to_vec(),
+        };
+        assert!(nest_is_tileable(&mp, &outer));
+        assert!(BlockedNest::new(&mp, &mspace, &outer, &CACHES).is_none());
+        let mut cases = fixtures();
+        cases.push((mspace, mp, outer));
+        for (space, p, nest) in &cases {
+            for cache in CACHES {
+                let r = search_nest_tiles(p, space, nest, cache);
+                let (blocks, program, cost) =
+                    oracle_search(p, space, nest, |q| access_cost(q, space, cache));
+                assert_eq!((&r.blocks, &r.program, r.cost), (&blocks, &program, cost));
+            }
+            for (cache, memory) in [(16, 4096), (64, 8192)] {
+                let hier = MemoryHierarchy::cache_and_disk(cache, memory);
+                let r = search_nest_tiles_hierarchy(p, space, nest, &hier);
+                let (blocks, program, cost) =
+                    oracle_search(p, space, nest, |q| hier.cost(q, space));
+                assert_eq!((&r.blocks, &r.program), (&blocks, &program));
+                assert_eq!(r.cost.to_bits(), cost.to_bits());
+            }
+        }
     }
 
     #[test]
