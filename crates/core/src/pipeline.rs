@@ -296,9 +296,11 @@ impl Synthesis {
     /// task per statement on [`tce_par::TaskGraph`], dependencies following
     /// the RAW dataflow (each statement depends on the last prior writer
     /// of every tensor it reads, including its own target under `+=`), on
-    /// `slots` scheduler slots — one slot is source order, more let
-    /// independent statements contract concurrently, never holding more
-    /// statement results live at once than source order would.
+    /// at most `slots` scheduler slots — as many as the statements' flops
+    /// can fill ([`tce_par::TaskGraph::useful_slots`]).  One slot is source
+    /// order; more let independent statements contract concurrently, never
+    /// holding more statement results live at once than source order
+    /// would.
     ///
     /// Per statement: bind inputs (computed values shadow external
     /// bindings), run every term through `term` — which returns the term's
@@ -331,7 +333,9 @@ impl Synthesis {
             if stmt.accumulate {
                 reads.push(stmt.lhs.tensor);
             }
+            let mut flops = 0u128;
             for plan in self.plans.iter().filter(|p| p.stmt_index == si) {
+                flops = flops.saturating_add(plan.tree_ops);
                 for node in &plan.tree.nodes {
                     if let tce_ir::OpKind::Leaf(tce_ir::Leaf::Input { tensor, .. }) = &node.kind {
                         if !reads.contains(tensor) {
@@ -350,6 +354,7 @@ impl Synthesis {
             graph.add_task(
                 &deps,
                 space.iteration_points(stmt.lhs.index_set()).max(1) as u64,
+                flops,
             );
             sources.push(source);
             last_writer.insert(stmt.lhs.tensor, si);
@@ -359,6 +364,7 @@ impl Synthesis {
         // before every read, and nothing writes a cell twice.
         type Outcome<R> = Result<(Tensor, Vec<R>), ExecError>;
         let cells: Vec<OnceLock<Outcome<R>>> = stmts.iter().map(|_| OnceLock::new()).collect();
+        let slots = graph.useful_slots(slots);
         graph.run(slots, Some(graph.sequential_peak()), &|si| {
             let stmt = &stmts[si];
             let mut computed: Vec<(TensorId, &Tensor)> = Vec::with_capacity(sources[si].len());

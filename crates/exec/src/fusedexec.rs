@@ -25,8 +25,9 @@
 //! materialization (disjoint element chunks), both of which are bitwise
 //! deterministic for every thread count.  The schedule's *top-level* steps
 //! are tasks on [`tce_par::TaskGraph`] with hazard edges between steps
-//! whose read/write sets conflict; [`ExecOptions::slots`] picks how many
-//! run at once (one slot = the schedule in source order).
+//! whose read/write sets conflict; [`ExecOptions::slots`] caps how many
+//! run at once and [`TaskGraph::useful_slots`] takes only as many as the
+//! steps' flops can fill (one slot = the schedule in source order).
 //!
 //! Arrays live by the schedule's lifetimes
 //! ([`tce_fusion::schedule::StepLifetime`]): a top-level step brings the
@@ -363,12 +364,35 @@ impl Walk<'_> {
         nodes.iter().map(len).sum()
     }
 
+    /// Modeled flops of one schedule step: each production inside it —
+    /// its kernel's flops, or a function slice's evaluations times their
+    /// cost — once per iteration of the loops around it.
+    fn step_flops(&self, step: &ScheduleStep) -> u128 {
+        match step {
+            ScheduleStep::Loop { index, body } => {
+                let per_iteration = body.iter().map(|s| self.step_flops(s)).sum::<u128>();
+                per_iteration.saturating_mul(self.space.extent(*index) as u128)
+            }
+            ScheduleStep::Zero(_) => 0,
+            ScheduleStep::Produce(v) => match &self.tree.node(*v).kind {
+                OpKind::Leaf(Leaf::Func { cost_per_eval, .. }) => {
+                    self.elements(&[*v]) as u128 * *cost_per_eval as u128
+                }
+                _ => self.contractions[v.0 as usize]
+                    .as_ref()
+                    .map_or(0, |c| c.plan.flops()),
+            },
+        }
+    }
+
     /// Execute the schedule's top-level steps on a [`TaskGraph`] with
-    /// hazard edges, on `slots` scheduler slots: steps whose lifetimes
-    /// conflict are ordered (so every array sees a serialized access
-    /// history and each step finds the locks of its read/write sets free —
-    /// see [`SharedArrays`]); independent steps may run concurrently.
-    /// Interior chain loops stay sequential inside their step's task.
+    /// hazard edges, on at most `slots` scheduler slots — as many as the
+    /// steps' flops can fill ([`TaskGraph::useful_slots`]): steps whose
+    /// lifetimes conflict are ordered (so every array sees a serialized
+    /// access history and each step finds the locks of its read/write sets
+    /// free — see [`SharedArrays`]); independent steps may run
+    /// concurrently.  Interior chain loops stay sequential inside their
+    /// step's task.
     ///
     /// A step's arrays follow its [`tce_fusion::schedule::StepLifetime`]:
     /// `allocs` come to life on entry (zeroed from the buffer pool on
@@ -383,10 +407,12 @@ impl Walk<'_> {
             let deps: Vec<usize> = (0..j)
                 .filter(|&i| lifetimes[i].conflicts_with(life))
                 .collect();
-            graph.add_task(&deps, self.elements(&life.allocs) as u64);
+            let flops = self.step_flops(&self.schedule.steps[j]);
+            graph.add_task(&deps, self.elements(&life.allocs) as u64, flops);
         }
         let sliced = AtomicU64::new(0);
         let evals = AtomicU64::new(0);
+        let slots = graph.useful_slots(slots);
         graph.run(slots, Some(graph.sequential_peak()), &|t| {
             let life = &lifetimes[t];
             // A top-level `Zero`: arrays are born zeroed.

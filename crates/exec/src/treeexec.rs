@@ -14,7 +14,7 @@
 //! for the pipeline and the benchmark harnesses.
 //!
 //! This module also owns the knobs every executor shares: a [`Schedule`]
-//! only picks how many scheduler slots a walk gets
+//! only picks the most scheduler slots a walk may use
 //! ([`ExecOptions::slots`]) — one slot *is* the sequential walk.
 
 use crate::error::ExecError;
@@ -33,10 +33,14 @@ pub enum Schedule {
     /// which keeps the whole pool).
     #[default]
     Seq,
-    /// One slot per worker thread: independent statements, subtrees and
-    /// fused steps run concurrently on [`tce_par::TaskGraph`], bounded by
-    /// the one-slot walk's live-set peak.  Bitwise identical to
-    /// [`Schedule::Seq`] for every worker count.
+    /// Up to one slot per worker thread: independent statements, subtrees
+    /// and fused steps run concurrently on [`tce_par::TaskGraph`], bounded
+    /// by the one-slot walk's live-set peak.  Each walk takes only the
+    /// slots its work can fill ([`tce_par::TaskGraph::useful_slots`]: total
+    /// flops over the heaviest dependency path), so a chain, or a walk one
+    /// contraction dominates, still runs on one slot with kernels over the
+    /// whole pool.  Bitwise identical to [`Schedule::Seq`] for every worker
+    /// count.
     Graph,
 }
 
@@ -119,8 +123,10 @@ impl ExecOptions {
         self
     }
 
-    /// The number of task-graph scheduler slots every walk under these
-    /// options runs on — the only thing the schedule decides.
+    /// The most task-graph scheduler slots a walk under these options may
+    /// use — the only thing the schedule decides.  Each walk takes
+    /// [`tce_par::TaskGraph::useful_slots`] of them: no more than its work
+    /// can fill.
     pub fn slots(&self) -> usize {
         match self.schedule {
             Schedule::Seq => 1,
@@ -133,7 +139,7 @@ impl ExecOptions {
 /// intermediate at full size: the fused walker
 /// ([`crate::execute_tree_fused_with_labels`]) on the empty fusion
 /// configuration (see the module docs).  Each contraction node is one task
-/// on [`tce_par::TaskGraph`], after its children, on
+/// on [`tce_par::TaskGraph`], after its children, on at most
 /// [`opts.slots()`](ExecOptions::slots) scheduler slots; a node's value
 /// returns to the buffer pool as soon as its one consumer finishes, and
 /// admission is capped at the one-slot walk's peak.  Function

@@ -26,6 +26,14 @@
 //! pool.  The executors' `seq` schedule is exactly this — a slot count, not
 //! a second walker.
 //!
+//! More slots only pay when independent work can fill them: a body running
+//! beside another slot finds the pool busy, so its kernels run inline on
+//! one thread.  [`TaskGraph::useful_slots`] prices that from per-task
+//! modeled flops — total work over the heaviest dependency path — and the
+//! executors run every walk on `useful_slots(requested)` slots: a chain,
+//! or a graph one task dominates, stays on one slot and keeps the pool for
+//! its kernels.
+//!
 //! Determinism: the scheduler changes only *when* tasks run, never what
 //! they compute.  Task bodies must write disjoint state (the same contract
 //! as [`crate::Pool::run`]); completion of every dependency *happens-before*
@@ -84,6 +92,8 @@ pub struct TaskGraph {
     deps: Vec<Vec<usize>>,
     dependents: Vec<Vec<usize>>,
     weight: Vec<u64>,
+    /// Modeled flops per task ([`TaskGraph::useful_slots`]).
+    work: Vec<u128>,
 }
 
 impl TaskGraph {
@@ -93,12 +103,13 @@ impl TaskGraph {
     }
 
     /// Add a task depending on `deps` (indices of previously added tasks)
-    /// whose output occupies `weight` live units; returns its index.
+    /// whose output occupies `weight` live units and which performs `work`
+    /// modeled flops; returns its index.
     ///
     /// # Panics
     /// Panics if a dependency index is not smaller than the new task's —
     /// tasks must be added in topological order.
-    pub fn add_task(&mut self, deps: &[usize], weight: u64) -> usize {
+    pub fn add_task(&mut self, deps: &[usize], weight: u64, work: u128) -> usize {
         let id = self.deps.len();
         for &d in deps {
             assert!(d < id, "dependency {d} of task {id} not yet added");
@@ -107,7 +118,28 @@ impl TaskGraph {
         self.deps.push(deps.to_vec());
         self.dependents.push(Vec::new());
         self.weight.push(weight);
+        self.work.push(work);
         id
+    }
+
+    /// The most scheduler slots this graph's work can keep busy, at most
+    /// `max`: `⌊W / C⌋` for total work `W` and critical-path work `C` (the
+    /// heaviest dependency chain), at least 1.  A chain, or a graph one
+    /// task dominates, gets one slot — the walk runs inline and its
+    /// kernels keep the whole pool — while `k` independent equal tasks
+    /// get `k`.  A graph without work gets one slot.
+    pub fn useful_slots(&self, max: usize) -> usize {
+        let mut path: Vec<u128> = Vec::with_capacity(self.len());
+        for (deps, &work) in self.deps.iter().zip(&self.work) {
+            let before = deps.iter().map(|&d| path[d]).max().unwrap_or(0);
+            path.push(before.saturating_add(work));
+        }
+        let critical = path.iter().copied().max().unwrap_or(0);
+        if critical == 0 {
+            return 1;
+        }
+        let total = self.work.iter().fold(0u128, |w, &t| w.saturating_add(t));
+        (total / critical).clamp(1, max.max(1) as u128) as usize
     }
 
     /// Number of tasks.
@@ -200,6 +232,7 @@ impl TaskGraph {
             tce_trace::counter("sched.edges", stats.edges);
             tce_trace::counter("sched.peak_live", stats.peak_live);
             tce_trace::counter("sched.forced_admissions", stats.forced_admissions);
+            tce_trace::counter("sched.slots", slots as u64);
         }
         if let Some(payload) = s.panic {
             resume_unwind(payload);
@@ -228,7 +261,7 @@ impl TaskGraph {
     ) -> V {
         let mut graph = TaskGraph::new();
         for (_, children, weight) in tasks {
-            graph.add_task(children, *weight);
+            graph.add_task(children, *weight, 0);
         }
         assert!(
             graph.dependents.iter().all(|d| d.len() <= 1),
@@ -325,10 +358,10 @@ mod tests {
     /// A diamond: 0 and 1 independent, 2 reads both, 3 reads 2.
     fn diamond() -> TaskGraph {
         let mut g = TaskGraph::new();
-        let a = g.add_task(&[], 10);
-        let b = g.add_task(&[], 10);
-        let c = g.add_task(&[a, b], 5);
-        g.add_task(&[c], 1);
+        let a = g.add_task(&[], 10, 0);
+        let b = g.add_task(&[], 10, 0);
+        let c = g.add_task(&[a, b], 5, 0);
+        g.add_task(&[c], 1, 0);
         g
     }
 
@@ -359,9 +392,9 @@ mod tests {
         assert_eq!(diamond().sequential_peak(), 25);
         // A chain frees each operand as soon as its one consumer finishes.
         let mut chain = TaskGraph::new();
-        let mut prev = chain.add_task(&[], 7);
+        let mut prev = chain.add_task(&[], 7, 0);
         for _ in 0..5 {
-            prev = chain.add_task(&[prev], 7);
+            prev = chain.add_task(&[prev], 7, 0);
         }
         assert_eq!(chain.sequential_peak(), 14);
     }
@@ -372,16 +405,16 @@ mod tests {
         // all leaves can be live at once (80); under the sequential-peak
         // cap the observed peak must stay at or below it.
         let mut g = TaskGraph::new();
-        let leaves: Vec<usize> = (0..8).map(|_| g.add_task(&[], 10)).collect();
-        g.add_task(&leaves, 1);
+        let leaves: Vec<usize> = (0..8).map(|_| g.add_task(&[], 10, 0)).collect();
+        g.add_task(&leaves, 1, 0);
         let cap = g.sequential_peak();
         assert_eq!(cap, 81); // all leaves live until the sink retires them
         let mut narrow = TaskGraph::new();
-        let a = narrow.add_task(&[], 10);
-        let b = narrow.add_task(&[a], 10);
-        let c = narrow.add_task(&[], 10);
-        let d = narrow.add_task(&[c], 10);
-        narrow.add_task(&[b, d], 1);
+        let a = narrow.add_task(&[], 10, 0);
+        let b = narrow.add_task(&[a], 10, 0);
+        let c = narrow.add_task(&[], 10, 0);
+        let d = narrow.add_task(&[c], 10, 0);
+        narrow.add_task(&[b, d], 1, 0);
         // Ascending order: a(10), b(20, frees a→10), c(20), d(30, frees
         // c→20), sink(21, frees b,d→1) — peak 30.
         let seq_cap = narrow.sequential_peak();
@@ -398,10 +431,46 @@ mod tests {
     }
 
     #[test]
+    fn useful_slots_is_total_work_over_the_critical_path() {
+        // A chain: the critical path is all the work.
+        let mut chain = TaskGraph::new();
+        let mut prev = chain.add_task(&[], 1, 50);
+        for _ in 0..3 {
+            prev = chain.add_task(&[prev], 1, 50);
+        }
+        assert_eq!(chain.useful_slots(8), 1);
+        // Two independent equal tasks fill two slots, never more than asked.
+        let mut pair = TaskGraph::new();
+        pair.add_task(&[], 1, 100);
+        pair.add_task(&[], 1, 100);
+        assert_eq!((pair.useful_slots(8), pair.useful_slots(1)), (2, 1));
+        // A diamond whose sink carries work: (10 + 10 + 5) / (10 + 5) → 1.
+        let mut d = TaskGraph::new();
+        let (a, b) = (d.add_task(&[], 1, 10), d.add_task(&[], 1, 10));
+        d.add_task(&[a, b], 1, 5);
+        assert_eq!(d.useful_slots(4), 1);
+        // One dominant task among small ones: 130 / 100 → 1.
+        let mut dominant = TaskGraph::new();
+        dominant.add_task(&[], 1, 100);
+        for _ in 0..3 {
+            dominant.add_task(&[], 1, 10);
+        }
+        assert_eq!(dominant.useful_slots(4), 1);
+        // Eight equal leaves, a free sink: 8 slots, capped at the request.
+        let mut fan = TaskGraph::new();
+        let leaves: Vec<usize> = (0..8).map(|_| fan.add_task(&[], 1, 7)).collect();
+        fan.add_task(&leaves, 1, 0);
+        assert_eq!((fan.useful_slots(16), fan.useful_slots(3)), (8, 3));
+        // No work, or no tasks: one slot.
+        assert_eq!(diamond().useful_slots(4), 1);
+        assert_eq!(TaskGraph::new().useful_slots(4), 1);
+    }
+
+    #[test]
     fn undersized_cap_forces_progress_instead_of_deadlocking() {
         let mut g = TaskGraph::new();
-        let a = g.add_task(&[], 100);
-        g.add_task(&[a], 100);
+        let a = g.add_task(&[], 100, 0);
+        g.add_task(&[a], 100, 0);
         let stats = g.run(4, Some(1), &|_| {});
         assert_eq!(stats.tasks, 2);
         assert!(stats.forced_admissions >= 1);
@@ -415,7 +484,7 @@ mod tests {
         let mut g = TaskGraph::new();
         for t in 0..n {
             let deps: Vec<usize> = (0..t).filter(|d| t % (d + 2) == 0).collect();
-            g.add_task(&deps, 1);
+            g.add_task(&deps, 1, 0);
         }
         let expect: Vec<u64> = {
             let mut v = vec![0u64; n];
@@ -450,11 +519,11 @@ mod tests {
         // body can still fan out over it), holding exactly the sequential
         // peak live.
         let mut g = TaskGraph::new();
-        let a = g.add_task(&[], 10);
-        let b = g.add_task(&[], 10);
-        let c = g.add_task(&[a], 4);
-        let d = g.add_task(&[b, c], 2);
-        g.add_task(&[d], 1);
+        let a = g.add_task(&[], 10, 0);
+        let b = g.add_task(&[], 10, 0);
+        let c = g.add_task(&[a], 4, 0);
+        let d = g.add_task(&[b, c], 2, 0);
+        g.add_task(&[d], 1, 0);
         let caller = std::thread::current().id();
         let order = Mutex::new(Vec::new());
         let stats = g.run(1, Some(g.sequential_peak()), &|t| {
@@ -509,9 +578,9 @@ mod tests {
     #[test]
     fn panicking_body_propagates_and_completes_the_run() {
         let mut g = TaskGraph::new();
-        let a = g.add_task(&[], 1);
-        g.add_task(&[a], 1);
-        g.add_task(&[], 1);
+        let a = g.add_task(&[], 1, 0);
+        g.add_task(&[a], 1, 0);
+        g.add_task(&[], 1, 0);
         let hits = AtomicUsize::new(0);
         let r = catch_unwind(AssertUnwindSafe(|| {
             g.run(2, None, &|t| {
@@ -529,6 +598,6 @@ mod tests {
     #[should_panic(expected = "not yet added")]
     fn forward_dependency_is_rejected() {
         let mut g = TaskGraph::new();
-        g.add_task(&[3], 1);
+        g.add_task(&[3], 1, 0);
     }
 }

@@ -37,10 +37,20 @@
 //!   operation for operation (per output element and K-block: `acc = 0`,
 //!   the variant's multiply-add, `c += acc`), so which path a plan takes
 //!   never changes a bit;
-//! * parallelism partitions the *output* tiles: every task owns a
-//!   disjoint block of C and accumulates K-blocks in a fixed ascending
-//!   order, so the result is bitwise identical for every thread count
-//!   (for a fixed kernel variant; variants differ in rounding by design).
+//! * parallelism partitions the *output*, decided per call at execute
+//!   time (the plan and its blocks do not depend on the thread count).
+//!   MC/NC stay cache blocks; the tasks are register-aligned chunks
+//!   inside them, BLIS-style (Matthews).  A call with at least
+//!   `WORK_FLOOR_FLOPS` per worker becomes a multiple of `threads`
+//!   equal tasks: batch groups first (they duplicate no packing), then
+//!   MR/NR-aligned M and N chunks, no taller than MC and no wider than
+//!   NC, counted to duplicate the fewest packed panel elements (an extra
+//!   M chunk re-packs B, an extra N chunk re-packs A, so the longer axis
+//!   is split).  A smaller call runs as one task on the caller.  Every
+//!   task owns a disjoint block of C and accumulates K-blocks in a fixed
+//!   ascending order, so the result is bitwise identical for every
+//!   thread count (for a fixed kernel variant; variants differ in
+//!   rounding by design).
 //!
 //! [`contract_gett`] is the whole-tensor entry point; the fused executor
 //! resolves a strided plan per contraction node and calls
@@ -48,14 +58,133 @@
 
 use crate::contract::{reduce_exclusive, BinaryContraction};
 use crate::dense::{row_major_strides, Tensor};
-use crate::kernels::{self, DirectGemm, KernelConfig, KernelVariant};
+use crate::kernels::{self, BlockSizes, DirectGemm, KernelConfig, KernelVariant};
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 use tce_ir::{IndexSpace, IndexVar};
-use tce_par::ShardedLru;
+use tce_par::{block_ranges, Pool, ShardedLru};
 
 /// Upper bound on `MR*NR` across all kernel variants (accumulator
 /// scratch size).
 const MAX_ACC: usize = 64;
+
+/// Flops each worker must get before a packed call fans out: below
+/// `threads` times this, the call runs as one task on the calling thread,
+/// because waking the pool would cost more than the smaller share saves
+/// (about 10 µs of kernel time per worker at 25 GF/s).
+const WORK_FLOOR_FLOPS: u128 = 1 << 18;
+
+/// How one packed call divides its output among tasks: the blocks are
+/// every (batch group, M chunk, N chunk) combination, N fastest.
+#[derive(Debug)]
+struct TaskSplit {
+    batches: Vec<Range<usize>>,
+    rows: Vec<Range<usize>>,
+    cols: Vec<Range<usize>>,
+    /// Each block is its own task; otherwise one task runs them all.
+    fan_out: bool,
+}
+
+impl TaskSplit {
+    fn blocks(&self) -> usize {
+        self.batches.len() * self.rows.len() * self.cols.len()
+    }
+
+    fn tasks(&self) -> usize {
+        if self.fan_out {
+            self.blocks()
+        } else {
+            1
+        }
+    }
+
+    /// Block `i`: its batch range, rows and columns.
+    fn block(&self, i: usize) -> [Range<usize>; 3] {
+        let (rows, cols) = (self.rows.len(), self.cols.len());
+        [
+            self.batches[i / (rows * cols)].clone(),
+            self.rows[i / cols % rows].clone(),
+            self.cols[i % cols].clone(),
+        ]
+    }
+}
+
+/// `0..extent` cut into `parts` runs of whole `unit`-wide strips (the
+/// last strip may be ragged).  The longer runs come last, so the ragged
+/// strip lands in a long one and all lengths differ by at most `unit`.
+fn strip_chunks(extent: usize, unit: usize, parts: usize) -> Vec<Range<usize>> {
+    let strips = extent.div_ceil(unit);
+    let (base, extra) = (strips / parts, strips % parts);
+    let mut start = 0;
+    (0..parts)
+        .map(|i| {
+            let len = (base + usize::from(i >= parts - extra)) * unit;
+            let chunk = start..(start + len).min(extent);
+            start += len;
+            chunk
+        })
+        .collect()
+}
+
+fn gcd(a: usize, b: usize) -> usize {
+    if b == 0 {
+        a
+    } else {
+        gcd(b, a % b)
+    }
+}
+
+/// The task split of a packed `nb`×`m`×`n`×`k` call under `blocks` and an
+/// `mr`×`nr` register tile on `threads` workers (see the module docs).
+///
+/// Below `threads · WORK_FLOOR_FLOPS` it is one task.  Above, the task
+/// count is a multiple of `threads`: `gcd(nb, threads)` equal batch
+/// groups, times M×N chunk counts whose product the rest of `threads`
+/// divides, searched from the fewest chunks that fit MC/NC for the pair
+/// that re-packs the fewest panel elements (`chunks_n·m + chunks_m·n`).
+/// When the output has too few register strips for any such pair, `nb ≥
+/// threads` batch groups of near-equal size are taken instead, and
+/// failing that the call stays one task.
+#[allow(clippy::too_many_arguments)]
+fn task_split(
+    nb: usize,
+    m: usize,
+    n: usize,
+    k: usize,
+    blocks: BlockSizes,
+    mr: usize,
+    nr: usize,
+    threads: usize,
+) -> TaskSplit {
+    let (m_strips, n_strips) = (m.div_ceil(mr), n.div_ceil(nr));
+    // The fewest chunks that keep every chunk within MC and NC.
+    let (mt, nt) = (
+        m_strips.div_ceil(blocks.mc / mr),
+        n_strips.div_ceil(blocks.nc / nr),
+    );
+    let split = |groups, chunks_m, chunks_n, fan_out| TaskSplit {
+        batches: block_ranges(nb, groups),
+        rows: strip_chunks(m, mr, chunks_m),
+        cols: strip_chunks(n, nr, chunks_n),
+        fan_out,
+    };
+    let flops = 2 * (nb * m * n) as u128 * k as u128;
+    if threads <= 1 || flops < WORK_FLOOR_FLOPS * threads as u128 {
+        return split(1, mt, nt, false);
+    }
+    let groups = gcd(nb, threads);
+    let rest = threads / groups;
+    let pairs = (mt..(mt + rest).min(m_strips + 1))
+        .flat_map(|cm| (nt..(nt + rest).min(n_strips + 1)).map(move |cn| (cm, cn)));
+    let cheapest = pairs
+        .filter(|&(cm, cn)| (cm * cn).is_multiple_of(rest))
+        .min_by_key(|&(cm, cn)| (cn * m + cm * n, cm * cn));
+    match cheapest {
+        Some((cm, cn)) => split(groups, cm, cn, true),
+        None if nb >= threads => split(threads, mt, nt, true),
+        None => split(1, mt, nt, false),
+    }
+}
 
 /// Flat-offset table for an index group: entry `g` is the element offset
 /// contributed by the group's `g`-th coordinate (row-major over `vars`)
@@ -302,8 +431,8 @@ impl ContractionPlan {
     }
 
     /// Execute the plan on dense operands into a fresh output:
-    /// `out[o…] = Σ_K a·b` with `threads`-way parallelism over output
-    /// tiles — [`ContractionPlan::execute_into`] on a zero tensor.  The
+    /// `out[o…] = Σ_K a·b` on up to `threads` workers —
+    /// [`ContractionPlan::execute_into`] on a zero tensor.  The
     /// plan must have been built for row-major operands.
     pub fn execute(&self, a: &Tensor, b: &Tensor, threads: usize) -> Tensor {
         assert_eq!(a.shape(), &self.a_shape[..], "operand a shape mismatch");
@@ -353,7 +482,8 @@ impl ContractionPlan {
         let traced = tce_trace::enabled();
         let _exec_span = tce_trace::span("gett.execute");
         let cfg = self.kernel;
-        if self.direct {
+        // The direct path is one task on the caller.
+        let tasks = if self.direct {
             let g = DirectGemm {
                 a_rows: &self.a_m_off,
                 a_k: &self.a_k_off,
@@ -372,11 +502,16 @@ impl ContractionPlan {
                     &mut c[self.c_batch_off[bi]..],
                 );
             }
+            1
         } else {
-            self.execute_packed(a, b, c, threads, traced);
-        }
+            self.execute_packed(a, b, c, threads, traced)
+        };
         if traced {
             tce_trace::counter_u128("gett.flops", self.flops());
+            tce_trace::counter("gett.tasks", tasks as u64);
+            if tasks > 1 {
+                tce_trace::counter("gett.parallel", 1);
+            }
             tce_trace::counter(
                 match cfg.variant {
                     KernelVariant::Scalar => "gett.kernel_variant.scalar",
@@ -394,43 +529,46 @@ impl ContractionPlan {
         }
     }
 
-    /// The packed path: `threads`-way parallel over (batch, M-tile,
-    /// N-tile) tasks, on operands and output already rebased.
-    fn execute_packed(&self, a: &[f64], b: &[f64], c: &mut [f64], threads: usize, traced: bool) {
-        let (nb, m, n) = (self.nb, self.m, self.n);
-        let (mc, nc, kc) = (
-            self.kernel.blocks.mc,
-            self.kernel.blocks.nc,
-            self.kernel.blocks.kc,
+    /// The packed path on operands and output already rebased, split into
+    /// tasks by [`task_split`]; returns the task count.
+    fn execute_packed(
+        &self,
+        a: &[f64],
+        b: &[f64],
+        c: &mut [f64],
+        threads: usize,
+        traced: bool,
+    ) -> usize {
+        let cfg = &self.kernel;
+        let (mc, nc, kc) = (cfg.blocks.mc, cfg.blocks.nc, cfg.blocks.kc);
+        let split = task_split(
+            self.nb, self.m, self.n, self.k, cfg.blocks, cfg.mr, cfg.nr, threads,
         );
-        let mt = m.div_ceil(mc);
-        let nt = n.div_ceil(nc);
-        let tasks = nb * mt * nt;
         let c_ptr = SendPtr(c.as_mut_ptr());
-        tce_par::parallel_for(tasks, threads, |range| {
-            // Panel buffers are reused across the tiles this worker owns
-            // and recycled through the buffer pool across kernel calls.
+        let run_blocks = |blocks: Range<usize>| {
+            // Panel buffers are reused across the blocks of one task and
+            // recycled through the buffer pool across kernel calls.
             let mut apack = crate::bufpool::acquire(mc * kc);
             let mut bpack = crate::bufpool::acquire(kc * nc);
             let mut acc = [0.0f64; MAX_ACC];
-            // Per-worker pack/kernel nanoseconds, flushed once per range.
+            // Per-task pack/kernel nanoseconds, flushed once.
             let mut phase_ns = [0u64; 2];
-            for t in range {
-                let bi = t / (mt * nt);
-                let r = t % (mt * nt);
-                let (it, jt) = (r / nt, r % nt);
-                self.run_tile(
-                    a,
-                    b,
-                    &c_ptr,
-                    bi,
-                    it * mc..((it + 1) * mc).min(m),
-                    jt * nc..((jt + 1) * nc).min(n),
-                    &mut apack,
-                    &mut bpack,
-                    &mut acc,
-                    traced.then_some(&mut phase_ns),
-                );
+            for i in blocks {
+                let [batches, rows, cols] = split.block(i);
+                for bi in batches {
+                    self.run_tile(
+                        a,
+                        b,
+                        &c_ptr,
+                        bi,
+                        rows.clone(),
+                        cols.clone(),
+                        &mut apack,
+                        &mut bpack,
+                        &mut acc,
+                        traced.then_some(&mut phase_ns),
+                    );
+                }
             }
             if traced {
                 tce_trace::counter("gett.pack_ns", phase_ns[0]);
@@ -438,10 +576,20 @@ impl ContractionPlan {
             }
             crate::bufpool::release(apack);
             crate::bufpool::release(bpack);
-        });
+        };
+        let tasks = split.tasks();
+        if tasks == 1 {
+            run_blocks(0..split.blocks());
+        } else {
+            let pool = Pool::global();
+            pool.ensure_workers(threads - 1);
+            pool.run(tasks, &|t| run_blocks(t..t + 1));
+        }
+        tasks
     }
 
-    /// Compute one (batch, M-tile, N-tile) block of the output.
+    /// Compute one block of the output: batch `bi`, rows `mi`, columns
+    /// `nj`, at most MC×NC.
     #[allow(clippy::too_many_arguments)]
     fn run_tile(
         &self,
@@ -581,7 +729,8 @@ struct SendPtr(*mut f64);
 // SAFETY: tasks only write through the pointer, each to output offsets no
 // other task owns (`with_strides` asserts the output offsets distinct) and
 // all below the span `execute_into` asserted fits the output slice; the
-// slice outlives `parallel_for`, which joins every task before returning.
+// slice outlives `Pool::run`, which joins every task before returning (a
+// one-task call runs on the caller).
 unsafe impl Sync for SendPtr {}
 
 /// Cache key: the contraction signature (index ids per operand slot),
@@ -954,6 +1103,206 @@ mod tests {
             for threads in [2, 3, 7, 16] {
                 let tn = contract_gett_with_variant(&spec, &sp, &a, &b, threads, variant);
                 assert_eq!(t1, tn, "{variant}: threads={threads} changed bits");
+            }
+        }
+    }
+
+    /// `chunks` cut `0..extent` in order, none empty.
+    fn assert_cover(chunks: &[Range<usize>], extent: usize, what: &str) {
+        assert_eq!(chunks.first().map(|c| c.start), Some(0), "{what}");
+        assert_eq!(chunks.last().map(|c| c.end), Some(extent), "{what}");
+        assert!(chunks.windows(2).all(|w| w[0].end == w[1].start), "{what}");
+        assert!(chunks.iter().all(|c| !c.is_empty()), "{what}");
+    }
+
+    /// Chunks of whole `unit` strips (the last may end ragged at
+    /// `extent`), each within `block`, lengths at most `unit` apart.
+    fn assert_strips(
+        chunks: &[Range<usize>],
+        extent: usize,
+        unit: usize,
+        block: usize,
+        what: &str,
+    ) {
+        assert_cover(chunks, extent, what);
+        for c in chunks {
+            assert_eq!(c.start % unit, 0, "{what}: {c:?} unaligned");
+            assert!(c.len() % unit == 0 || c.end == extent, "{what}: {c:?}");
+            assert!(c.len() <= block, "{what}: {c:?} exceeds {block}");
+        }
+        let lens = chunks.iter().map(|c| c.len());
+        let spread = lens.clone().max().unwrap() - lens.min().unwrap();
+        assert!(spread <= unit, "{what}: lengths {spread} apart");
+    }
+
+    #[test]
+    fn task_split_covers_the_output_in_balanced_aligned_chunks() {
+        let shapes: [(usize, usize, usize, usize); 11] = [
+            (1, 576, 576, 576),
+            (1, 2304, 2304, 64),
+            (5, 37, 29, 200),
+            (3, 61, 50, 120),
+            (1, 520, 64, 300),
+            (1, 1, 1, 1),
+            (64, 8, 8, 64),
+            (101, 8, 6, 300),
+            (1, 8, 6, 100_000),
+            (7, 100, 3, 500),
+            (2, 1000, 13, 1000),
+        ];
+        for (mr, nr) in [(8, 6), (4, 4), (8, 4)] {
+            for (mc, nc) in [(512, 1020), (64, 64), (mr, nr)] {
+                for (nb, m, n, k) in shapes {
+                    // Blocks as `BlockSizes::clamp_to` leaves them.
+                    let blocks = BlockSizes {
+                        mc: mc.min(m.div_ceil(mr) * mr),
+                        nc: nc.min(n.div_ceil(nr) * nr),
+                        kc: 64,
+                    };
+                    for threads in 1..=8 {
+                        let what = format!("{nb}x{m}x{n}x{k} {mr}x{nr} {blocks:?} p={threads}");
+                        let s = task_split(nb, m, n, k, blocks, mr, nr, threads);
+                        assert_cover(&s.batches, nb, &what);
+                        assert_strips(&s.rows, m, mr, blocks.mc, &what);
+                        assert_strips(&s.cols, n, nr, blocks.nc, &what);
+                        let group = s.batches.iter().map(Range::len);
+                        assert!(group.clone().max().unwrap() - group.min().unwrap() <= 1);
+                        // Every output element lies in exactly one block.
+                        if nb * m * n <= 1 << 16 {
+                            let mut hits = vec![0u8; nb * m * n];
+                            for i in 0..s.blocks() {
+                                let [bs, rows, cols] = s.block(i);
+                                for bi in bs {
+                                    for r in rows.clone() {
+                                        for c in cols.clone() {
+                                            hits[(bi * m + r) * n + c] += 1;
+                                        }
+                                    }
+                                }
+                            }
+                            assert!(hits.iter().all(|&h| h == 1), "{what}");
+                        }
+                        let flops = 2 * (nb * m * n * k) as u128;
+                        if threads == 1 || flops < WORK_FLOOR_FLOPS * threads as u128 {
+                            assert_eq!(s.tasks(), 1, "{what}: below the floor");
+                            continue;
+                        }
+                        assert!(
+                            s.tasks() == 1 || s.tasks().is_multiple_of(threads),
+                            "{what}"
+                        );
+                        // Enough strips on one axis, or batches, always fan out.
+                        let (mt, nt) = (m.div_ceil(blocks.mc), n.div_ceil(blocks.nc));
+                        let roomy = m.div_ceil(mr) >= threads * mt
+                            || n.div_ceil(nr) >= threads * nt
+                            || nb >= threads;
+                        if roomy {
+                            assert!(s.tasks() > 1 && s.tasks().is_multiple_of(threads), "{what}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn task_split_splits_the_axis_that_repacks_less() {
+        // The §2 step at N=24 under AVX2 blocks: m = n = k = 576, MC = 512.
+        // The old grid was 512 + 64 rows; two 288-row tasks re-pack B once
+        // more and A never.
+        let blocks = BlockSizes {
+            mc: 512,
+            nc: 576,
+            kc: 64,
+        };
+        let s = task_split(1, 576, 576, 576, blocks, 8, 6, 2);
+        assert_eq!(s.rows, [0..288, 288..576]);
+        assert_eq!((s.cols.len(), s.cols[0].clone()), (1, 0..576));
+        // A wide, short output splits N instead.
+        let s = task_split(
+            1,
+            64,
+            4096,
+            64,
+            BlockSizes {
+                mc: 64,
+                nc: 1020,
+                kc: 64,
+            },
+            8,
+            6,
+            2,
+        );
+        assert_eq!((s.rows.len(), s.cols.len()), (1, 6));
+        // Batches split first: they re-pack nothing.
+        let s = task_split(
+            4,
+            48,
+            40,
+            64,
+            BlockSizes {
+                mc: 48,
+                nc: 42,
+                kc: 64,
+            },
+            8,
+            6,
+            2,
+        );
+        assert_eq!(s.batches, vec![0..2, 2..4]);
+        assert_eq!(s.tasks(), 2);
+    }
+
+    #[test]
+    fn split_calls_are_bitwise_identical_across_thread_counts() {
+        // Shapes above the work floor at every thread count, so the split
+        // really fans out: a plain GEMM whose m is one register strip past
+        // MC (the old 512 + 8 lopsided grid), and a batched contraction
+        // with a transposed output and gathered operands.
+        for variant in kernels::supported_variants() {
+            let probe = space(&[("i", 4096), ("j", 64), ("k", 300)]);
+            let gemm = |sp: &IndexSpace| BinaryContraction {
+                a: vec![v(sp, "i"), v(sp, "k")],
+                b: vec![v(sp, "k"), v(sp, "j")],
+                out: vec![v(sp, "i"), v(sp, "j")],
+            };
+            let mc = ContractionPlan::new_with_variant(&gemm(&probe), &probe, variant)
+                .kernel_config()
+                .blocks
+                .mc;
+            let lopsided = space(&[("i", mc + variant.mr()), ("j", 64), ("k", 300)]);
+            let batched = space(&[("p", 3), ("i", 61), ("j", 50), ("k", 120)]);
+            let batched_spec = BinaryContraction {
+                a: vec![v(&batched, "i"), v(&batched, "p"), v(&batched, "k")],
+                b: vec![v(&batched, "k"), v(&batched, "j"), v(&batched, "p")],
+                out: vec![v(&batched, "p"), v(&batched, "j"), v(&batched, "i")],
+            };
+            for (spec, sp) in [(gemm(&lopsided), &lopsided), (batched_spec, &batched)] {
+                let plan = ContractionPlan::new_with_variant(&spec, sp, variant);
+                let shape = |dims: &[IndexVar]| -> Vec<usize> {
+                    dims.iter().map(|&d| sp.extent(d)).collect()
+                };
+                let a = Tensor::random(&shape(&spec.a), 21);
+                let b = Tensor::random(&shape(&spec.b), 22);
+                let one = plan.execute(&a, &b, 1);
+                for threads in [2, 3, 4, 7] {
+                    let cfg = plan.kernel_config();
+                    let split = task_split(
+                        plan.nb, plan.m, plan.n, plan.k, cfg.blocks, cfg.mr, cfg.nr, threads,
+                    );
+                    assert!(
+                        split.tasks() > 1 && split.tasks().is_multiple_of(threads),
+                        "{variant} {:?} threads={threads}: {split:?}",
+                        plan.out_shape
+                    );
+                    let many = plan.execute(&a, &b, threads);
+                    assert_eq!(
+                        bits(one.data()),
+                        bits(many.data()),
+                        "{variant} {:?}: threads={threads} changed bits",
+                        plan.out_shape
+                    );
+                }
             }
         }
     }

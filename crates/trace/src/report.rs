@@ -47,6 +47,10 @@ pub struct ProfileReport {
     /// GETT executions that took the no-pack direct path (counted in
     /// `kernel_variants` too).
     pub gett_direct: u64,
+    /// Tasks GETT executions ran as, summed (a call on one task counts 1).
+    pub gett_tasks: u64,
+    /// GETT executions that fanned out over more than one task.
+    pub gett_parallel: u64,
     /// Largest GETT macro-tile blocks seen, `(mc, nc, kc)`; zero when no
     /// traced GETT execution ran.
     pub gett_blocks: (u64, u64, u64),
@@ -69,6 +73,8 @@ pub struct ProfileReport {
     pub sched_peak_live: u64,
     /// Forced admissions (cap too small for any ready task while idle).
     pub sched_forced_admissions: u64,
+    /// Most scheduler slots any one graph run used.
+    pub sched_slots: u64,
     /// Buffer-pool acquires served from retained buffers.
     pub bufpool_hits: u64,
     /// Buffer-pool acquires that allocated fresh.
@@ -152,6 +158,8 @@ impl ProfileReport {
                 vs
             },
             gett_direct: t.counter_total("gett.direct"),
+            gett_tasks: t.counter_total("gett.tasks"),
+            gett_parallel: t.counter_total("gett.parallel"),
             gett_blocks: (
                 t.counter_max("gett.mc"),
                 t.counter_max("gett.nc"),
@@ -166,6 +174,7 @@ impl ProfileReport {
             sched_edges: t.counter_total("sched.edges"),
             sched_peak_live: t.counter_max("sched.peak_live"),
             sched_forced_admissions: t.counter_total("sched.forced_admissions"),
+            sched_slots: t.counter_max("sched.slots"),
             bufpool_hits: t.counter_total("bufpool.hits"),
             bufpool_misses: t.counter_total("bufpool.misses"),
             bufpool_evictions: t.counter_total("bufpool.evictions"),
@@ -255,7 +264,11 @@ impl fmt::Display for ProfileReport {
                 .collect::<Vec<_>>()
                 .join(", ");
             let (mc, nc, kc) = self.gett_blocks;
-            write!(f, "  gett kernel:     {variants} (MC={mc} NC={nc} KC={kc})")?;
+            write!(
+                f,
+                "  gett kernel:     {variants} (MC={mc} NC={nc} KC={kc}), tasks x{}, parallel x{}",
+                self.gett_tasks, self.gett_parallel
+            )?;
             if self.gett_direct > 0 {
                 write!(f, ", direct x{}", self.gett_direct)?;
             }
@@ -271,11 +284,13 @@ impl fmt::Display for ProfileReport {
         if self.sched_tasks > 0 {
             writeln!(
                 f,
-                "  task graph:      {} tasks / {} edges, peak live {} elements, {} forced",
+                "  task graph:      {} tasks / {} edges, peak live {} elements, {} forced, {} slot{}",
                 self.sched_tasks,
                 self.sched_edges,
                 self.sched_peak_live,
-                self.sched_forced_admissions
+                self.sched_forced_admissions,
+                self.sched_slots,
+                if self.sched_slots == 1 { "" } else { "s" }
             )?;
         }
         if self.bufpool_hits + self.bufpool_misses > 0 {
@@ -351,6 +366,10 @@ mod tests {
                 counter_ev("gett.kernel_variant.avx2", 1),
                 counter_ev("gett.kernel_variant.scalar", 1),
                 counter_ev("gett.direct", 1),
+                counter_ev("gett.tasks", 1),
+                counter_ev("gett.tasks", 4),
+                counter_ev("gett.tasks", 1),
+                counter_ev("gett.parallel", 1),
                 counter_ev("gett.mc", 64),
                 counter_ev("gett.mc", 512),
                 counter_ev("gett.nc", 1020),
@@ -360,6 +379,8 @@ mod tests {
                 counter_ev("sched.peak_live", 37),
                 counter_ev("sched.peak_live", 21),
                 counter_ev("sched.forced_admissions", 0),
+                counter_ev("sched.slots", 2),
+                counter_ev("sched.slots", 1),
                 counter_ev("bufpool.hits", 5),
                 counter_ev("bufpool.misses", 2),
                 counter_ev("bufpool.evictions", 1),
@@ -395,9 +416,13 @@ mod tests {
         assert!(text.contains("GFLOP/s"));
         assert!(text.contains("4.00 KiB"));
         assert_eq!(r.gett_direct, 1);
-        assert!(text.contains("avx2 x2, scalar x1 (MC=512 NC=1020 KC=256), direct x1\n"));
+        assert_eq!((r.gett_tasks, r.gett_parallel), (6, 1));
+        assert!(text.contains(
+            "avx2 x2, scalar x1 (MC=512 NC=1020 KC=256), tasks x6, parallel x1, direct x1\n"
+        ));
         assert!(text.contains("3 hits / 1 misses / 2 evictions"));
-        assert!(text.contains("7 tasks / 6 edges, peak live 37 elements, 0 forced"));
+        assert_eq!(r.sched_slots, 2, "slots is a max, not a sum");
+        assert!(text.contains("7 tasks / 6 edges, peak live 37 elements, 0 forced, 2 slots\n"));
         assert!(text.contains("5 hits / 2 misses / 1 evictions"));
     }
 
