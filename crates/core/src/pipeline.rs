@@ -752,6 +752,18 @@ fn plan_term(
             cfg.memory_limit
         )));
     };
+    // The tree executor materializes every node whole, so each must fit
+    // one `f64` buffer (declared tensors were checked by `validate`).
+    for node in &tree.nodes {
+        let elements = space.iteration_points(node.indices);
+        if !tce_ir::fits_f64_buffer(elements) {
+            return Err(SynthesisError::Stage(format!(
+                "statement {stmt_index} term {term_index}: intermediate over `{}` has \
+                 {elements} elements, more than one f64 buffer holds",
+                space.set_to_string(node.indices)
+            )));
+        }
+    }
 
     // Executable code: the memory-minimal pure-fusion program when it
     // fits; otherwise the chosen fusion/recomputation configuration,
@@ -889,22 +901,6 @@ impl TermPlan {
                 tiles.ops,
                 space.set_to_string(st.recomputation_indices())
             );
-        }
-        // Symmetry-aware input storage (the high-level language's symmetry
-        // declarations reduce what must be stored/read).
-        for node in &self.tree.nodes {
-            if let tce_ir::OpKind::Leaf(tce_ir::Leaf::Input { tensor, .. }) = &node.kind {
-                let decl = program.tensors.get(*tensor);
-                if !decl.symmetry.is_empty() {
-                    let _ = writeln!(
-                        out,
-                        "input `{}`: {} dense elements, {} unique under its declared symmetry",
-                        decl.name,
-                        decl.dense_elements(space),
-                        decl.unique_elements(space)
-                    );
-                }
-            }
         }
         let mem = memory_report(&self.built.program, space);
         let ops = op_counts(&self.built.program, space);

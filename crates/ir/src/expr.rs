@@ -301,10 +301,11 @@ pub struct Program {
 }
 
 impl Program {
-    /// Validate every statement.
+    /// Validate every declaration (each fits one `f64` buffer) and every
+    /// statement.
     pub fn validate(&self) -> Result<(), String> {
         for (_, decl) in self.tensors.iter() {
-            decl.validate()?;
+            decl.validate(&self.space)?;
         }
         for (i, stmt) in self.stmts.iter().enumerate() {
             stmt.validate(&self.space, &self.tensors)

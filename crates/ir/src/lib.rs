@@ -7,7 +7,7 @@
 //!
 //! * [`index`] — index variables, ranges and interned index sets;
 //! * [`poly`] — symbolic cost polynomials over range extents;
-//! * [`tensor`] — tensor declarations with symmetry/sparsity annotations;
+//! * [`tensor`] — dense tensor declarations (names and dimension ranges);
 //! * [`expr`] — sum-of-products input expressions (the high-level language
 //!   AST after semantic analysis);
 //! * [`optree`] — operator trees (formula sequences of binary
@@ -28,4 +28,4 @@ pub use expr::{Assignment, Factor, FuncEval, Product, Program, TensorRef};
 pub use index::{IndexSet, IndexSpace, IndexVar, RangeId};
 pub use optree::{Leaf, NodeId, OpKind, OpNode, OpTree};
 pub use poly::CostPoly;
-pub use tensor::{SymmetryGroup, TensorDecl, TensorId, TensorTable};
+pub use tensor::{fits_f64_buffer, TensorDecl, TensorId, TensorTable};

@@ -1,28 +1,16 @@
-//! Tensor declarations: names, dimension signatures and symmetry.
+//! Tensor declarations: names and dimension signatures.
 //!
 //! The high-level language of the synthesis system (paper §4) declares each
-//! tensor with its index ranges plus optional *symmetry* (groups of
-//! interchangeable dimension positions, e.g. the antisymmetrized two-electron
-//! integrals `⟨pq‖rs⟩`).  Every tensor is stored and executed densely; the
-//! paper's sparsity declarations are not accepted (DESIGN §1).  The
-//! optimization passes only consume the structural information collected
-//! here.
+//! tensor with its index ranges.  Every tensor is stored and executed
+//! densely; the paper's symmetry and sparsity declarations are not accepted
+//! (DESIGN §1).  The optimization passes only consume the structural
+//! information collected here.
 
 use crate::index::{IndexSpace, RangeId};
 
 /// Identifier of a declared tensor within a [`TensorTable`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TensorId(pub u32);
-
-/// A symmetry group: a set of dimension *positions* (0-based) of a tensor
-/// that may be permuted freely (possibly with a sign change).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SymmetryGroup {
-    /// Dimension positions that are mutually symmetric.
-    pub positions: Vec<usize>,
-    /// `true` for antisymmetric groups (odd permutations flip the sign).
-    pub antisymmetric: bool,
-}
 
 /// Declaration of one tensor.
 #[derive(Debug, Clone)]
@@ -31,17 +19,14 @@ pub struct TensorDecl {
     pub name: String,
     /// Range of each dimension, in order.
     pub dims: Vec<RangeId>,
-    /// Symmetry groups over dimension positions (disjoint).
-    pub symmetry: Vec<SymmetryGroup>,
 }
 
 impl TensorDecl {
-    /// A dense declaration without symmetry.
+    /// A dense declaration.
     pub fn dense(name: &str, dims: Vec<RangeId>) -> Self {
         Self {
             name: name.to_string(),
             dims,
-            symmetry: Vec::new(),
         }
     }
 
@@ -57,92 +42,25 @@ impl TensorDecl {
         })
     }
 
-    /// Validate symmetry groups: positions in range, disjoint across groups,
-    /// each group ≥ 2 positions, and all positions of a group over the same
-    /// range (symmetric dimensions must be interchangeable).
-    pub fn validate(&self) -> Result<(), String> {
-        let mut seen = vec![false; self.dims.len()];
-        for g in &self.symmetry {
-            if g.positions.len() < 2 {
-                return Err(format!(
-                    "tensor `{}`: symmetry group needs ≥2 positions",
-                    self.name
-                ));
-            }
-            let r0 = match g.positions.first() {
-                Some(&p) if p < self.dims.len() => self.dims[p],
-                _ => {
-                    return Err(format!(
-                        "tensor `{}`: symmetry position out of range",
-                        self.name
-                    ))
-                }
-            };
-            for &p in &g.positions {
-                if p >= self.dims.len() {
-                    return Err(format!(
-                        "tensor `{}`: symmetry position {p} out of range",
-                        self.name
-                    ));
-                }
-                if seen[p] {
-                    return Err(format!(
-                        "tensor `{}`: dimension {p} in two symmetry groups",
-                        self.name
-                    ));
-                }
-                seen[p] = true;
-                if self.dims[p] != r0 {
-                    return Err(format!(
-                        "tensor `{}`: symmetric dims {p} have different ranges",
-                        self.name
-                    ));
-                }
-            }
+    /// Check that the tensor fits one `f64` buffer (see
+    /// [`fits_f64_buffer`]); a larger declaration could only fail at
+    /// allocation time or wrap a `usize` element count.
+    pub fn validate(&self, space: &IndexSpace) -> Result<(), String> {
+        let elements = self.dense_elements(space);
+        if !fits_f64_buffer(elements) {
+            return Err(format!(
+                "tensor `{}` has {elements} elements, more than one f64 buffer holds",
+                self.name
+            ));
         }
         Ok(())
     }
-
-    /// Unique elements when symmetry is exploited: each symmetric group of
-    /// `k` positions over a range of extent `n` stores `C(n+k-1, k)` (for
-    /// symmetric) or `C(n, k)` (for antisymmetric) combinations instead of
-    /// `n^k`.
-    pub fn unique_elements(&self, space: &IndexSpace) -> u128 {
-        let mut grouped = vec![false; self.dims.len()];
-        let mut total = 1u128;
-        for g in &self.symmetry {
-            let n = space.range_extent(self.dims[g.positions[0]]) as u128;
-            let k = g.positions.len() as u128;
-            for &p in &g.positions {
-                grouped[p] = true;
-            }
-            let combos = if g.antisymmetric {
-                binomial(n, k)
-            } else {
-                binomial(n + k - 1, k)
-            };
-            total = total.saturating_mul(combos);
-        }
-        for (p, &r) in self.dims.iter().enumerate() {
-            if !grouped[p] {
-                total = total.saturating_mul(space.range_extent(r) as u128);
-            }
-        }
-        total
-    }
 }
 
-/// `C(n, k)` with saturation.
-fn binomial(n: u128, k: u128) -> u128 {
-    if k > n {
-        return 0;
-    }
-    let k = k.min(n - k);
-    let mut out = 1u128;
-    for i in 0..k {
-        out = out.saturating_mul(n - i) / (i + 1);
-    }
-    out
+/// Whether `elements` doubles fit one `Vec<f64>`, which holds at most
+/// `isize::MAX` bytes.
+pub fn fits_f64_buffer(elements: u128) -> bool {
+    elements.saturating_mul(8) <= isize::MAX as u128
 }
 
 /// The collection of tensors declared in a program.
@@ -225,6 +143,19 @@ mod tests {
     }
 
     #[test]
+    fn validate_rejects_tensors_past_one_f64_buffer() {
+        let mut sp = IndexSpace::new();
+        let n = sp.add_range("N", 1 << 29);
+        assert!(TensorDecl::dense("A", vec![n, n]).validate(&sp).is_ok());
+        let err = TensorDecl::dense("B", vec![n, n, n])
+            .validate(&sp)
+            .unwrap_err();
+        assert!(err.contains("`B`") && err.contains("f64 buffer"), "{err}");
+        assert!(fits_f64_buffer(isize::MAX as u128 / 8));
+        assert!(!fits_f64_buffer(isize::MAX as u128 / 8 + 1));
+    }
+
+    #[test]
     fn table_add_lookup() {
         let (_, v, o) = space();
         let mut tab = TensorTable::new();
@@ -246,79 +177,5 @@ mod tests {
         let mut tab = TensorTable::new();
         tab.add(TensorDecl::dense("A", vec![v]));
         tab.add(TensorDecl::dense("A", vec![v]));
-    }
-
-    #[test]
-    fn symmetry_validation() {
-        let (_, v, o) = space();
-        let mut t = TensorDecl::dense("X", vec![v, v, o, o]);
-        t.symmetry.push(SymmetryGroup {
-            positions: vec![0, 1],
-            antisymmetric: false,
-        });
-        assert!(t.validate().is_ok());
-        // overlapping groups rejected
-        t.symmetry.push(SymmetryGroup {
-            positions: vec![1, 2],
-            antisymmetric: false,
-        });
-        assert!(t.validate().is_err());
-        // mismatched ranges rejected
-        let mut t2 = TensorDecl::dense("Y", vec![v, o]);
-        t2.symmetry.push(SymmetryGroup {
-            positions: vec![0, 1],
-            antisymmetric: false,
-        });
-        assert!(t2.validate().is_err());
-        // out-of-range position rejected
-        let mut t3 = TensorDecl::dense("Z", vec![v, v]);
-        t3.symmetry.push(SymmetryGroup {
-            positions: vec![0, 5],
-            antisymmetric: false,
-        });
-        assert!(t3.validate().is_err());
-        // single-position group rejected
-        let mut t4 = TensorDecl::dense("W", vec![v]);
-        t4.symmetry.push(SymmetryGroup {
-            positions: vec![0],
-            antisymmetric: false,
-        });
-        assert!(t4.validate().is_err());
-    }
-
-    #[test]
-    fn unique_elements_symmetric_pair() {
-        let (sp, v, _) = space();
-        let mut t = TensorDecl::dense("X", vec![v, v]);
-        t.symmetry.push(SymmetryGroup {
-            positions: vec![0, 1],
-            antisymmetric: false,
-        });
-        // C(10+1, 2) = 55 for symmetric pair over extent 10
-        assert_eq!(t.unique_elements(&sp), 55);
-        t.symmetry[0].antisymmetric = true;
-        // C(10, 2) = 45
-        assert_eq!(t.unique_elements(&sp), 45);
-    }
-
-    #[test]
-    fn unique_elements_mixed() {
-        let (sp, v, o) = space();
-        let mut t = TensorDecl::dense("X", vec![v, v, o]);
-        t.symmetry.push(SymmetryGroup {
-            positions: vec![0, 1],
-            antisymmetric: false,
-        });
-        assert_eq!(t.unique_elements(&sp), 55 * 4);
-        // no symmetry: full product
-        let plain = TensorDecl::dense("Y", vec![v, v, o]);
-        assert_eq!(plain.unique_elements(&sp), 400);
-    }
-
-    #[test]
-    fn binomial_saturates_and_edges() {
-        assert_eq!(super::binomial(5, 0), 1);
-        assert_eq!(super::binomial(5, 6), 0);
-        assert_eq!(super::binomial(6, 3), 20);
     }
 }

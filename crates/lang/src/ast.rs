@@ -14,7 +14,7 @@ pub enum Item {
     Range(RangeDecl),
     /// `index a, b : V;`
     Index(IndexDecl),
-    /// `tensor A(V, O) symmetric(0,1);`
+    /// `tensor A(V, O);`
     Tensor(TensorDeclAst),
     /// `function f1(V, O) cost 1000;`
     Function(FuncDecl),
@@ -44,24 +44,13 @@ pub struct IndexDecl {
     pub line: u32,
 }
 
-/// A symmetry annotation on a tensor declaration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SymmetryAst {
-    /// Dimension positions.
-    pub positions: Vec<usize>,
-    /// Whether antisymmetric.
-    pub antisymmetric: bool,
-}
-
-/// `tensor A(V, O, V, O) [symmetric(p,..)] [antisymmetric(p,..)];`
+/// `tensor A(V, O, V, O);`
 #[derive(Debug, Clone, PartialEq)]
 pub struct TensorDeclAst {
     /// Tensor name.
     pub name: String,
     /// Range name of each dimension.
     pub dims: Vec<String>,
-    /// Symmetry annotations.
-    pub symmetry: Vec<SymmetryAst>,
     /// Source line.
     pub line: u32,
 }

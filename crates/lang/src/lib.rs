@@ -1,11 +1,12 @@
 //! # tce-lang — the high-level specification language
 //!
 //! Front end of the synthesis system (paper §4): a small declarative
-//! language for tensor contraction expressions with index-range and
-//! symmetry declarations.  [`compile`] takes source text to a validated
-//! [`tce_ir::Program`] ready for the optimization pipeline.  The paper's
-//! sparsity declarations are not part of the language: nothing downstream
-//! would execute them, so such an annotation is a parse error (DESIGN §1).
+//! language for tensor contraction expressions with index-range
+//! declarations.  [`compile`] takes source text to a validated
+//! [`tce_ir::Program`] ready for the optimization pipeline; a range extent
+//! of 0 is rejected.  The paper's symmetry and sparsity declarations are
+//! not part of the language: nothing downstream would execute them, so
+//! such an annotation is a parse error (DESIGN §1).
 //!
 //! ```
 //! let prog = tce_lang::compile("

@@ -4,8 +4,7 @@ use crate::ast::*;
 use crate::token::LangError;
 use std::collections::HashMap;
 use tce_ir::{
-    Assignment, Factor, FuncEval, IndexSet, IndexSpace, Product, Program, SymmetryGroup,
-    TensorDecl, TensorRef,
+    Assignment, Factor, FuncEval, IndexSet, IndexSpace, Product, Program, TensorDecl, TensorRef,
 };
 
 /// Lower a parsed source file to the IR, checking all references.
@@ -21,6 +20,16 @@ pub fn lower(file: &SourceFile) -> Result<Program, LangError> {
                         r.line,
                         1,
                         format!("range `{}` already declared", r.name),
+                    ));
+                }
+                if r.extent == 0 {
+                    return Err(LangError::at(
+                        r.line,
+                        1,
+                        format!(
+                            "range `{}` has extent 0; extents must be at least 1",
+                            r.name
+                        ),
                     ));
                 }
                 prog.space.add_range(&r.name, r.extent as usize);
@@ -57,20 +66,7 @@ pub fn lower(file: &SourceFile) -> Result<Program, LangError> {
                             .ok_or_else(|| LangError::at(t.line, 1, format!("unknown range `{d}`")))
                     })
                     .collect::<Result<Vec<_>, _>>()?;
-                let decl = TensorDecl {
-                    name: t.name.clone(),
-                    dims,
-                    symmetry: t
-                        .symmetry
-                        .iter()
-                        .map(|s| SymmetryGroup {
-                            positions: s.positions.clone(),
-                            antisymmetric: s.antisymmetric,
-                        })
-                        .collect(),
-                };
-                decl.validate().map_err(|e| LangError::at(t.line, 1, e))?;
-                prog.tensors.add(decl);
+                prog.tensors.add(TensorDecl::dense(&t.name, dims));
             }
             Item::Function(f) => {
                 if funcs.contains_key(&f.name) {
@@ -317,18 +313,6 @@ mod tests {
         let src2 = "range N = 2; index i, j : N; tensor A(N, N); tensor S(N);
                     S[i] = A[i,j];";
         assert!(compile(src2).is_err());
-    }
-
-    #[test]
-    fn lowers_symmetry_to_ir() {
-        let src = "range V = 4; tensor X(V, V) antisymmetric(0, 1);";
-        let prog = compile(src).unwrap();
-        let (_, decl) = prog.tensors.iter().next().unwrap();
-        assert_eq!(decl.symmetry.len(), 1);
-        assert!(decl.symmetry[0].antisymmetric);
-        // Invalid symmetry (mixed ranges) rejected at lowering.
-        let bad = "range V = 4; range O = 2; tensor X(V, O) symmetric(0, 1);";
-        assert!(compile(bad).is_err());
     }
 
     #[test]

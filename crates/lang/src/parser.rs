@@ -129,32 +129,8 @@ impl Parser {
         self.expect(&TokenKind::LParen)?;
         let dims = self.comma_idents(&TokenKind::RParen)?;
         self.expect(&TokenKind::RParen)?;
-        let mut symmetry = Vec::new();
-        while let TokenKind::Ident(kw) = &self.peek().kind {
-            if kw != "symmetric" && kw != "antisymmetric" {
-                break;
-            }
-            let anti = kw == "antisymmetric";
-            self.next();
-            self.expect(&TokenKind::LParen)?;
-            let mut positions = vec![self.int()? as usize];
-            while self.peek().kind == TokenKind::Comma {
-                self.next();
-                positions.push(self.int()? as usize);
-            }
-            self.expect(&TokenKind::RParen)?;
-            symmetry.push(SymmetryAst {
-                positions,
-                antisymmetric: anti,
-            });
-        }
         self.expect(&TokenKind::Semi)?;
-        Ok(Item::Tensor(TensorDeclAst {
-            name,
-            dims,
-            symmetry,
-            line,
-        }))
+        Ok(Item::Tensor(TensorDeclAst { name, dims, line }))
     }
 
     fn func_decl(&mut self) -> Result<Item, LangError> {
@@ -348,24 +324,6 @@ mod tests {
             .unwrap();
         assert_eq!(func.cost, 1000);
         assert_eq!(func.args.len(), 4);
-    }
-
-    #[test]
-    fn parses_symmetry() {
-        let src = "
-            range V = 8;
-            tensor X(V, V, V, V) symmetric(0,1) antisymmetric(2,3);
-        ";
-        let file = parse(src).unwrap();
-        match &file.items[1] {
-            Item::Tensor(t) => {
-                assert_eq!(t.symmetry.len(), 2);
-                assert!(!t.symmetry[0].antisymmetric);
-                assert!(t.symmetry[1].antisymmetric);
-                assert_eq!(t.symmetry[1].positions, vec![2, 3]);
-            }
-            other => panic!("expected tensor, got {other:?}"),
-        }
     }
 
     #[test]

@@ -9,8 +9,7 @@ use tce_ir::{Factor, Program};
 /// Render `program` as specification source text.
 ///
 /// Function declarations are reconstructed from the function factors in
-/// use (name, argument ranges, cost); symmetry annotations are emitted on
-/// tensor declarations.
+/// use (name, argument ranges, cost).
 pub fn unparse(program: &Program) -> String {
     let sp = &program.space;
     let mut out = String::new();
@@ -40,17 +39,7 @@ pub fn unparse(program: &Program) -> String {
     // Tensors.
     for (_, decl) in program.tensors.iter() {
         let dims: Vec<&str> = decl.dims.iter().map(|&d| sp.range_name(d)).collect();
-        let _ = write!(out, "tensor {}({})", decl.name, dims.join(", "));
-        for g in &decl.symmetry {
-            let pos: Vec<String> = g.positions.iter().map(|p| p.to_string()).collect();
-            let kw = if g.antisymmetric {
-                "antisymmetric"
-            } else {
-                "symmetric"
-            };
-            let _ = write!(out, " {kw}({})", pos.join(","));
-        }
-        let _ = writeln!(out, ";");
+        let _ = writeln!(out, "tensor {}({});", decl.name, dims.join(", "));
     }
     // Functions (deduplicated from use sites).
     let mut seen_funcs: Vec<String> = Vec::new();
@@ -101,7 +90,6 @@ mod tests {
             let d2 = p2.tensors.get(id);
             assert_eq!(d1.name, d2.name);
             assert_eq!(d1.dims, d2.dims);
-            assert_eq!(d1.symmetry, d2.symmetry);
         }
     }
 
@@ -118,12 +106,12 @@ mod tests {
     }
 
     #[test]
-    fn roundtrips_functions_symmetry_and_multiterm() {
+    fn roundtrips_functions_and_multiterm() {
         roundtrip(
             "range V = 8; range O = 4;
              index a, b1, c : V; index i, k : O;
-             tensor X(V, V) symmetric(0,1);
-             tensor Y(V, V, O, O) antisymmetric(2,3);
+             tensor X(V, V);
+             tensor Y(V, V, O, O);
              tensor S(V);
              function f1(V, V, O) cost 750;
              S[a] = sum[b1,c,i,k] 2 * X[a,b1] * Y[b1,c,i,k] * f1(a, c, k)

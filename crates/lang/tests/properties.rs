@@ -148,7 +148,6 @@ fn assert_roundtrip(src: &str) {
         let d2 = p2.tensors.get(id);
         assert_eq!(d1.name, d2.name);
         assert_eq!(d1.dims, d2.dims);
-        assert_eq!(d1.symmetry, d2.symmetry);
     }
 }
 
@@ -179,6 +178,10 @@ fn random_spec_prefixes_never_panic() {
 fn malformed_inputs_are_rejected() {
     let cases: &[(&str, &str)] = &[
         ("empty range extent", "range N = ;"),
+        (
+            "zero range extent",
+            "range N = 0; index i : N; tensor A(N);",
+        ),
         ("undeclared range in index", "range N = 4; index i : M;"),
         (
             "unbalanced tensor parens",

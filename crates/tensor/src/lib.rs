@@ -6,7 +6,8 @@
 //! description and its naive oracle ([`contract`]), the packed GETT engine
 //! every executor contracts on ([`gett`]), and the synthetic
 //! expensive-integral functions standing in for the paper's `f1`/`f2`
-//! two-electron integrals ([`integrals`]).
+//! two-electron integrals ([`integrals`]).  Every tensor is stored
+//! densely: there is no packed-symmetric or sparse storage (DESIGN §1).
 //!
 //! ```
 //! use tce_tensor::{contract_gett, contract_naive, BinaryContraction, Tensor};
@@ -33,7 +34,6 @@ pub mod einsum;
 pub mod gett;
 pub mod integrals;
 pub mod kernels;
-pub mod packed;
 
 pub use bufpool::{
     bufpool_env_requested, bufpool_len, bufpool_retained_elements, bufpool_shard_stats,
@@ -49,4 +49,3 @@ pub use gett::{
 };
 pub use integrals::IntegralFn;
 pub use kernels::{BlockSizes, CacheInfo, KernelConfig, KernelVariant};
-pub use packed::PackedSymmetric;

@@ -117,6 +117,12 @@ fn error_paths_reply_cleanly_and_server_keeps_serving() {
     // Program that does not parse.
     let reply = client::request(&addr, &format_run("range N = ;", &[])).unwrap();
     assert!(reply.starts_with("err "), "{reply}");
+    // Program whose range is empty.
+    let zero = "range N = 0; index i, j, k : N; tensor A(N, N); tensor B(N, N); \
+                tensor C(N, N); C[i,j] = sum[k] A[i,k] * B[k,j];";
+    let reply = client::request(&addr, &format_run(zero, &[])).unwrap();
+    let msg = reply.strip_prefix("err ").expect(&reply);
+    assert!(unescape(msg).unwrap().contains("extent 0"), "{reply}");
     // Bad numeric option.
     let reply = client::request(&addr, &format_run("x", &[("threads", "banana")])).unwrap();
     assert!(reply.starts_with("err "), "{reply}");
@@ -124,7 +130,7 @@ fn error_paths_reply_cleanly_and_server_keeps_serving() {
     // After all of that the server still answers.
     assert_eq!(client::request(&addr, "ping").unwrap(), "ok pong");
     let stats = handle.stats();
-    assert!(stats.errors >= 3, "errors {}", stats.errors);
+    assert!(stats.errors >= 4, "errors {}", stats.errors);
     handle.shutdown();
     handle.join();
 
