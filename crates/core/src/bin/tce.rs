@@ -113,6 +113,12 @@ fn parse_args() -> Result<Args, String> {
                         "bad --grid `{spec}`: every dimension must be at least 1"
                     ));
                 }
+                if dims.len() > tce_core::MAX_GRID_RANK {
+                    return Err(format!(
+                        "bad --grid `{spec}`: at most {} dimensions",
+                        tce_core::MAX_GRID_RANK
+                    ));
+                }
                 args.grid = Some(dims);
             }
             "--word-cost" => {

@@ -29,7 +29,7 @@ pub mod serve;
 pub use pipeline::{
     hierarchy_from_rates, record_prediction, synthesize, synthesize_program, CseSummary,
     DistExecSummary, FusedExecSummary, FusedTermReport, Synthesis, SynthesisConfig, SynthesisError,
-    TermPlan,
+    TermPlan, MAX_GRID_RANK,
 };
 pub use tce_exec::{ExecError, ExecOptions, Schedule};
 

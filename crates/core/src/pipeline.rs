@@ -640,12 +640,24 @@ pub fn synthesize(src: &str, cfg: &SynthesisConfig) -> Result<Synthesis, Synthes
     synthesize_program(program, cfg)
 }
 
+/// The most processor-grid dimensions synthesis accepts.  The distribution
+/// DP enumerates `(m+2)ⁿ` tuples per node on an n-dimensional grid, so a
+/// rank of 5 already takes seconds and 6 more than a minute; no workload
+/// needs more than 3.
+pub const MAX_GRID_RANK: usize = 4;
+
 /// Run the pipeline on an already-lowered program.
 pub fn synthesize_program(
     program: Program,
     cfg: &SynthesisConfig,
 ) -> Result<Synthesis, SynthesisError> {
     program.validate().map_err(SynthesisError::Stage)?;
+    let rank = cfg.machine.as_ref().map_or(0, |m| m.grid.rank());
+    if rank > MAX_GRID_RANK {
+        return Err(SynthesisError::Stage(format!(
+            "a {rank}-dimensional processor grid is more than the {MAX_GRID_RANK} supported"
+        )));
+    }
     let mut plans = Vec::new();
     let mut cse = Vec::new();
     for (si, stmt) in program.stmts.iter().enumerate() {

@@ -40,14 +40,22 @@ fn parse_grids(text: &str) -> Result<Vec<Vec<usize>>, String> {
     text.split(',')
         .filter(|s| !s.is_empty())
         .map(|g| {
-            g.split('x')
+            let dims: Vec<usize> = g
+                .split('x')
                 .map(|d| {
                     d.parse::<usize>()
                         .ok()
                         .filter(|&n| n > 0)
                         .ok_or_else(|| format!("bad grid `{g}`"))
                 })
-                .collect()
+                .collect::<Result<_, _>>()?;
+            if dims.len() > tce_core::MAX_GRID_RANK {
+                return Err(format!(
+                    "bad grid `{g}`: at most {} dimensions",
+                    tce_core::MAX_GRID_RANK
+                ));
+            }
+            Ok(dims)
         })
         .collect()
 }

@@ -222,8 +222,12 @@ pub struct TileSearchResult {
     pub cost: u128,
 }
 
-/// Doubling candidates for one loop (`1, 2, 4, …, N`), per §6; for small
+/// Doubling candidates for one loop (`1, 2, 4, … < N`), per §6; for small
 /// extents this degenerates into the exhaustive search the paper mentions.
+/// The paper's last candidate, `B = N`, is left out: it is the same untiled
+/// loop as `B = 1` ([`tile_nest`] leaves `B ≥ N` untiled), so it costs the
+/// same and, coming later in the search order, can never be the first of
+/// the cheapest.
 fn candidates(extent: usize) -> Vec<usize> {
     let mut out = vec![1usize];
     let mut b = 2usize;
@@ -231,10 +235,18 @@ fn candidates(extent: usize) -> Vec<usize> {
         out.push(b);
         b *= 2;
     }
-    if extent > 1 {
-        out.push(extent);
-    }
     out
+}
+
+/// The extents of the loops that block size `b` makes of a loop of extent
+/// `n`: `(B, ⌈N/B⌉)` for an intra-tile and a tile loop when `1 < B < N`,
+/// and `(N, 1)` — the untiled loop and no tile loop — otherwise.
+fn blocked_extents(n: usize, b: usize) -> (u128, u128) {
+    if b > 1 && b < n {
+        (b as u128, n.div_ceil(b) as u128)
+    } else {
+        (n as u128, 1)
+    }
 }
 
 /// The §6 cost of a program with one perfect nest blocked, evaluated from
@@ -246,16 +258,24 @@ fn candidates(extent: usize) -> Vec<usize> {
 /// subscript injectively, so the distinct references of the innermost
 /// statements are the same set before and after it; at each depth of the
 /// blocked nest a reference then touches `Π_subs span` elements, where a
-/// subscript's span is `⌈N/B⌉` for a varying tile loop, `B` for a varying
-/// intra-tile loop, `N` for a varying untiled loop and 1 otherwise — the
-/// `Sub::Tiled` rule of `tce_loops::distinct_accesses`, including the
-/// `⌈N/B⌉·B > N` overshoot of a ragged last tile.
+/// subscript's span is `⌈N/B⌉·B` below a varying tile loop, `B` below a
+/// varying intra-tile loop, `N` below a varying untiled loop and 1
+/// otherwise — the `Sub::Tiled` rule of `tce_loops::distinct_accesses`,
+/// including the `⌈N/B⌉·B > N` overshoot of a ragged last tile.
+///
+/// Each span factor is the extent of the loop that brings it into scope,
+/// so walking the blocked loops innermost first, a reference's element
+/// count is a running product: multiplied by the loop's extent once per
+/// subscript on that loop.  Every extent is at least 1, so a saturating
+/// product equals `min(true product, u128::MAX)` in any order, and the
+/// running product is exactly the per-depth `Π_subs span`.
 struct BlockedNest {
-    /// Extent of each nest loop, outermost first.
-    extents: Vec<usize>,
-    /// Distinct references of the innermost statements, each as the nest
-    /// positions of its subscripts.
-    refs: Vec<Vec<usize>>,
+    /// Per nest position, the index of each distinct reference of the
+    /// innermost statements once per subscript on that position's loop.
+    users: Vec<Vec<usize>>,
+    /// Running element count of each reference (scratch for
+    /// [`BlockedNest::costs`]).
+    products: Vec<u128>,
     /// `Cost` of one execution of the innermost statements.
     leaf: u128,
     /// `Cost` of every other top-level statement, per cache level.
@@ -264,17 +284,14 @@ struct BlockedNest {
 
 impl BlockedNest {
     /// The model of a tileable `nest`, or `None` when it cannot be
-    /// evaluated analytically: a loop inside the innermost statements, a
-    /// subscript that is not a plain nest variable, or more than 64 loops.
+    /// evaluated analytically: a loop inside the innermost statements or
+    /// a subscript that is not a plain nest variable.
     fn new(
         p: &LoopProgram,
         space: &IndexSpace,
         nest: &PerfectNest,
         caches: &[u128],
     ) -> Option<Self> {
-        if nest.vars.len() > 64 {
-            return None;
-        }
         let mut inner = std::slice::from_ref(&p.body[nest.body_index]);
         for _ in &nest.vars {
             let Stmt::Loop { body, .. } = &inner[0] else {
@@ -320,65 +337,35 @@ impl BlockedNest {
                     .fold(0, u128::saturating_add)
             })
             .collect();
+        let mut users = vec![Vec::new(); nest.vars.len()];
+        for (r, (_, subs)) in refs.iter().enumerate() {
+            for &k in subs {
+                users[k].push(r);
+            }
+        }
         Some(Self {
-            extents: nest.vars.iter().map(|&v| p.var(v).extent(space)).collect(),
-            refs: refs.into_iter().map(|(_, subs)| subs).collect(),
+            users,
+            products: vec![1; refs.len()],
             leaf,
             others,
         })
     }
 
-    /// `access_cost` per cache level of the program blocked by `blocks`
-    /// (one size per nest loop, outermost first).
-    fn costs(&self, blocks: &[usize], caches: &[u128]) -> Vec<u128> {
-        let n = self.extents.len();
-        let tiled = |k: usize| blocks[k] > 1 && blocks[k] < self.extents[k];
-        let (mut tile_on, mut inner_on) = (0u64, 0u64);
-        // Subscript span of nest position `k` with the loops marked in
-        // `tile_on` / `inner_on` varying.
-        let span = |k: usize, tile_on: u64, inner_on: u64| -> u128 {
-            let (n, b) = (self.extents[k] as u128, blocks[k] as u128);
-            let inner = inner_on >> k & 1 == 1;
-            if tiled(k) {
-                let t = if tile_on >> k & 1 == 1 {
-                    n.div_ceil(b)
-                } else {
-                    1
-                };
-                t.saturating_mul(if inner { b } else { 1 })
-            } else if inner {
-                n
-            } else {
-                1
-            }
-        };
+    /// Write into `cost` the `access_cost` per cache level of the program
+    /// blocked into `loops` — per nest position, outermost first, the
+    /// [`blocked_extents`] of its block size.
+    fn costs(&mut self, loops: &[(u128, u128)], caches: &[u128], cost: &mut [u128]) {
+        self.products.fill(1);
+        cost.fill(self.leaf);
         // Blocked loop order innermost first: the intra/untiled loops, then
-        // the tile loops, each `(nest position, is a tile loop)`.
-        let order = (0..n)
-            .rev()
-            .map(|k| (k, false))
-            .chain((0..n).rev().filter(|&k| tiled(k)).map(|k| (k, true)));
-        let mut cost = vec![self.leaf; caches.len()];
-        for (k, is_tile) in order {
-            let extent = if is_tile {
-                tile_on |= 1 << k;
-                self.extents[k].div_ceil(blocks[k])
-            } else {
-                inner_on |= 1 << k;
-                if tiled(k) {
-                    blocks[k]
-                } else {
-                    self.extents[k]
-                }
-            } as u128;
-            let accesses = self
-                .refs
-                .iter()
-                .map(|r| {
-                    r.iter()
-                        .fold(1u128, |a, &k| a.saturating_mul(span(k, tile_on, inner_on)))
-                })
-                .fold(0, u128::saturating_add);
+        // the tile loops, each `(nest position, extent)`.
+        let intra = loops.iter().map(|&(b, _)| b).enumerate().rev();
+        let tile = loops.iter().map(|&(_, t)| t).enumerate().rev();
+        for (k, extent) in intra.chain(tile.filter(|&(_, t)| t > 1)) {
+            for &r in &self.users[k] {
+                self.products[r] = self.products[r].saturating_mul(extent);
+            }
+            let accesses = self.products.iter().copied().fold(0, u128::saturating_add);
             for (c, &cache) in cost.iter_mut().zip(caches) {
                 *c = if accesses <= cache {
                     accesses
@@ -390,7 +377,6 @@ impl BlockedNest {
         for (c, &o) in cost.iter_mut().zip(&self.others) {
             *c = o.saturating_add(*c);
         }
-        cost
     }
 }
 
@@ -409,23 +395,21 @@ fn search_tiles_by<C: PartialOrd>(
     caches: &[u128],
     weigh: impl Fn(&[u128]) -> C,
 ) -> (HashMap<LoopVarId, usize>, LoopProgram, Vec<u128>) {
-    let level_costs = |q: &LoopProgram| -> Vec<u128> {
-        caches.iter().map(|&c| access_cost(q, space, c)).collect()
-    };
     if !nest_is_tileable(p, nest) {
-        return (HashMap::new(), p.clone(), level_costs(p));
+        let costs = caches.iter().map(|&c| access_cost(p, space, c)).collect();
+        return (HashMap::new(), p.clone(), costs);
     }
-    let block_map = |blocks: &[usize]| -> HashMap<LoopVarId, usize> {
-        nest.vars
-            .iter()
-            .copied()
-            .zip(blocks.iter().copied())
-            .collect()
-    };
-    let sizes: Vec<Vec<usize>> = nest
+    // Per loop, each candidate block size and its `blocked_extents`.
+    let sizes: Vec<Vec<(usize, (u128, u128))>> = nest
         .vars
         .iter()
-        .map(|&v| candidates(p.var(v).extent(space)))
+        .map(|&v| {
+            let n = p.var(v).extent(space);
+            candidates(n)
+                .into_iter()
+                .map(|b| (b, blocked_extents(n, b)))
+                .collect()
+        })
         .collect();
     tce_trace::counter(
         "locality.tile_candidates",
@@ -433,34 +417,52 @@ fn search_tiles_by<C: PartialOrd>(
             .iter()
             .fold(1u64, |a, s| a.saturating_mul(s.len() as u64)),
     );
-    let model = BlockedNest::new(p, space, nest, caches);
+    let block_map = |pick: &[usize]| -> HashMap<LoopVarId, usize> {
+        nest.vars
+            .iter()
+            .zip(sizes.iter().zip(pick))
+            .map(|(&v, (s, &i))| (v, s[i].0))
+            .collect()
+    };
+    let mut model = BlockedNest::new(p, space, nest, caches);
     let mut pick = vec![0usize; sizes.len()];
-    let mut best: Option<(Vec<usize>, Vec<u128>, C)> = None;
+    let mut loops: Vec<(u128, u128)> = sizes.iter().map(|s| s[0].1).collect();
+    let mut costs = vec![0u128; caches.len()];
+    let (mut best_pick, mut best_costs) = (pick.clone(), costs.clone());
+    let mut best: Option<C> = None;
     loop {
-        let blocks: Vec<usize> = sizes.iter().zip(&pick).map(|(s, &i)| s[i]).collect();
-        let costs = match &model {
-            Some(m) => m.costs(&blocks, caches),
-            None => level_costs(&tile_nest(p, space, nest, &block_map(&blocks))),
-        };
+        match &mut model {
+            Some(m) => m.costs(&loops, caches, &mut costs),
+            None => {
+                let tiled = tile_nest(p, space, nest, &block_map(&pick));
+                for (c, &cache) in costs.iter_mut().zip(caches) {
+                    *c = access_cost(&tiled, space, cache);
+                }
+            }
+        }
         let c = weigh(&costs);
-        if best.as_ref().is_none_or(|(_, _, b)| c < *b) {
-            best = Some((blocks, costs, c));
+        if best.as_ref().is_none_or(|b| c < *b) {
+            best = Some(c);
+            best_pick.copy_from_slice(&pick);
+            best_costs.copy_from_slice(&costs);
         }
         // Odometer over the candidate lists, last loop fastest.
         let mut d = pick.len();
         loop {
             if d == 0 {
-                let (blocks, costs, _) = best.expect("a tileable nest has at least one candidate");
-                let blocks = block_map(&blocks);
+                let blocks = block_map(&best_pick);
                 let program = tile_nest(p, space, nest, &blocks);
-                return (blocks, program, costs);
+                return (blocks, program, best_costs);
             }
             d -= 1;
             pick[d] += 1;
-            if pick[d] < sizes[d].len() {
+            if pick[d] == sizes[d].len() {
+                pick[d] = 0;
+            }
+            loops[d] = sizes[d][pick[d]].1;
+            if pick[d] != 0 {
                 break;
             }
-            pick[d] = 0;
         }
     }
 }
@@ -821,10 +823,21 @@ mod tests {
         best.unwrap()
     }
 
-    /// Every doubling block vector of `nest`, first loop slowest.
+    /// The paper's doubling list for one loop, `1, 2, 4, …, N`: the
+    /// search's [`candidates`] plus the `B = N` it leaves out.
+    fn paper_candidates(extent: usize) -> Vec<usize> {
+        (0..usize::BITS)
+            .map(|e| 1usize << e)
+            .take_while(|&b| b < extent.max(2))
+            .chain((extent > 1).then_some(extent))
+            .collect()
+    }
+
+    /// Every block vector of the paper's doubling lists for `nest`, first
+    /// loop slowest.
     fn all_candidates(p: &LoopProgram, space: &IndexSpace, nest: &PerfectNest) -> Vec<Vec<usize>> {
         nest.vars.iter().fold(vec![vec![]], |acc, &v| {
-            let sizes = candidates(p.var(v).extent(space));
+            let sizes = paper_candidates(p.var(v).extent(space));
             acc.into_iter()
                 .flat_map(|prefix| {
                     sizes.iter().map(move |&b| {
@@ -913,6 +926,26 @@ mod tests {
 
     const CACHES: [u128; 4] = [16, 64, 4096, 8192];
 
+    /// [`BlockedNest::costs`] of `nest` blocked by `blocks`.
+    fn model_costs(
+        model: &mut BlockedNest,
+        p: &LoopProgram,
+        space: &IndexSpace,
+        nest: &PerfectNest,
+        blocks: &[usize],
+        caches: &[u128],
+    ) -> Vec<u128> {
+        let loops: Vec<(u128, u128)> = nest
+            .vars
+            .iter()
+            .zip(blocks)
+            .map(|(&v, &b)| blocked_extents(p.var(v).extent(space), b))
+            .collect();
+        let mut cost = vec![0; caches.len()];
+        model.costs(&loops, caches, &mut cost);
+        cost
+    }
+
     #[test]
     fn analytic_cost_matches_the_blocked_program_for_every_candidate() {
         let mut modeled = 0;
@@ -920,7 +953,7 @@ mod tests {
             if !nest_is_tileable(&p, &nest) {
                 continue;
             }
-            let model = BlockedNest::new(&p, &space, &nest, &CACHES).expect("plain nest");
+            let mut model = BlockedNest::new(&p, &space, &nest, &CACHES).expect("plain nest");
             for blocks in all_candidates(&p, &space, &nest) {
                 let map = nest
                     .vars
@@ -933,7 +966,11 @@ mod tests {
                     .iter()
                     .map(|&c| access_cost(&tiled, &space, c))
                     .collect();
-                assert_eq!(model.costs(&blocks, &CACHES), built, "blocks {blocks:?}");
+                assert_eq!(
+                    model_costs(&mut model, &p, &space, &nest, &blocks, &CACHES),
+                    built,
+                    "blocks {blocks:?}"
+                );
             }
             modeled += 1;
         }
@@ -941,12 +978,32 @@ mod tests {
         assert_eq!(modeled, 11);
         let (space, p, nest) = saturating_nest();
         let top = [u128::MAX - 1];
+        let mut model = BlockedNest::new(&p, &space, &nest, &top).unwrap();
         assert_eq!(
-            BlockedNest::new(&p, &space, &nest, &top)
-                .unwrap()
-                .costs(&[1, 1, 1], &top),
+            model_costs(&mut model, &p, &space, &nest, &[1, 1, 1], &top),
             [u128::MAX]
         );
+    }
+
+    #[test]
+    fn a_cache_that_holds_everything_leaves_every_loop_untiled_at_b_1() {
+        assert_eq!(candidates(1), [1]);
+        assert_eq!(candidates(6), [1, 2, 4]);
+        assert_eq!(candidates(8), [1, 2, 4]);
+        assert_eq!(paper_candidates(8), [1, 2, 4, 8]);
+        // Every candidate fits, so the cheapest cost is the footprint: met
+        // first by `B = 1` everywhere, and again by `B = N` (dropped) and
+        // by every block size that divides its extent.
+        let (space, p, nest) = matmul(8);
+        let everything = u128::MAX;
+        let r = search_nest_tiles(&p, &space, &nest, everything);
+        assert_eq!(r.blocks.len(), 3);
+        assert!(r.blocks.values().all(|&b| b == 1), "{:?}", r.blocks);
+        assert_eq!((&r.program, r.cost), (&p, 3 * 64));
+        let hier = crate::model::MemoryHierarchy::cache_and_disk(everything, everything);
+        let h = search_nest_tiles_hierarchy(&p, &space, &nest, &hier);
+        assert!(h.blocks.values().all(|&b| b == 1), "{:?}", h.blocks);
+        assert_eq!(h.program, p);
     }
 
     #[test]

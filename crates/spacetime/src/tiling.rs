@@ -99,6 +99,12 @@ pub fn search_tiles(
     mem_limit: u128,
 ) -> Option<TilingResult> {
     let indices: Vec<IndexVar> = cfg.recomputation_indices().iter().collect();
+    tce_trace::counter(
+        "spacetime.tile_candidates",
+        indices.iter().fold(1u64, |a, &x| {
+            a.saturating_mul(doubling_candidates(space.extent(x)).len() as u64)
+        }),
+    );
     let mut best: Option<TilingResult> = None;
     let mut blocks = Blocks::new();
 
@@ -114,7 +120,6 @@ pub fn search_tiles(
         best: &mut Option<TilingResult>,
     ) {
         if i == indices.len() {
-            tce_trace::counter("spacetime.tile_candidates", 1);
             let memory = tiled_memory(tree, space, cfg, blocks);
             if memory > mem_limit {
                 return;

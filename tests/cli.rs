@@ -187,6 +187,115 @@ fn synthesis_stdout_matches_golden_files() {
     }
 }
 
+/// Run `tce` with `args` plus `--trace` into a temporary file; returns the
+/// run's stdout and the trace file's contents.
+fn traced_run(tag: &str, args: &[&str]) -> (String, String) {
+    let path = std::env::temp_dir().join(format!("tce-cli-{tag}-{}.json", std::process::id()));
+    let out = tce()
+        .args(args)
+        .arg("--trace")
+        .arg(&path)
+        .output()
+        .expect("spawn tce");
+    assert!(
+        out.status.success(),
+        "{args:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let trace = std::fs::read_to_string(&path).expect("trace written");
+    let _ = std::fs::remove_file(&path);
+    (String::from_utf8_lossy(&out.stdout).into_owned(), trace)
+}
+
+#[test]
+fn tile_search_costs_the_pinned_number_of_candidates() {
+    // Exact work counts, not times: the sum of every `locality.tile_candidates`
+    // event (one per searched nest).  The paper's doubling lists without the
+    // duplicate `B = N` give 300 and 405; with it they were 2,040 and 2,560.
+    for (name, expected) in [("cc_doubles.tce", 300u64), ("a3a_energy.tce", 405)] {
+        let file = spec(name);
+        let (_, trace) = traced_run(
+            "candidates",
+            &[&file, "--cache", "64", "--grid", "2x2", "--threads", "1"],
+        );
+        let total: u64 = trace
+            .split("\"name\":\"locality.tile_candidates\"")
+            .skip(1)
+            .map(|event| {
+                let value = event.split("\"value\":").nth(1).expect("counter value");
+                let digits: String = value.chars().take_while(char::is_ascii_digit).collect();
+                digits.parse::<u64>().expect("integer counter")
+            })
+            .sum();
+        assert_eq!(total, expected, "{name}");
+    }
+}
+
+#[test]
+fn grids_of_more_than_four_dimensions_are_rejected_before_synthesis() {
+    for grid in ["1x1x1x1x1", "1x1x1x1x1x1x1"] {
+        let out = tce()
+            .args([&spec("cc_doubles.tce"), "--grid", grid])
+            .output()
+            .expect("spawn tce");
+        let line = one_line_failure(&out, grid);
+        assert!(line.contains("at most 4 dimensions"), "{grid}: {line}");
+        assert!(out.stdout.is_empty(), "{grid}: printed a report");
+    }
+    // The library refuses the same grids instead of enumerating (m+2)^n
+    // distribution tuples per node.
+    use tce_core::dist::Machine;
+    use tce_core::par::ProcessorGrid;
+    use tce_core::{synthesize, SynthesisConfig, MAX_GRID_RANK};
+    let src = std::fs::read_to_string(spec("cc_doubles.tce")).unwrap();
+    let cfg = SynthesisConfig {
+        machine: Some(Machine::new(ProcessorGrid::new(vec![1; MAX_GRID_RANK + 1]))),
+        ..Default::default()
+    };
+    let err = synthesize(&src, &cfg).unwrap_err().to_string();
+    assert!(
+        err.starts_with("synthesis error") && err.contains("5-dimensional"),
+        "{err}"
+    );
+}
+
+#[test]
+fn section2_live_set_pool_and_plan_cache_stay_within_bounds() {
+    // The profile block of a one-thread traced run on the §2 term.  Unfused,
+    // T1 and T2 then T2 and S are live: 2 × 6⁴ doubles, no input copies.
+    // Fused, every pool buffer is returned, so misses are the working set,
+    // and one strided plan per contraction producer is resolved once per
+    // run (not once per slice): 3 lookups.
+    let section2 = spec("ccsd_section2.tce");
+    let field = |stdout: &str, label: &str| -> Vec<String> {
+        let line = stdout
+            .lines()
+            .find(|l| l.trim_start().starts_with(label))
+            .unwrap_or_else(|| panic!("no `{label}` line:\n{stdout}"));
+        line.trim_start()[label.len()..]
+            .split_whitespace()
+            .map(str::to_string)
+            .collect()
+    };
+    let kib = |stdout: &str| -> f64 {
+        let words = field(stdout, "mem high-water:");
+        assert_eq!(words[1], "KiB", "{words:?}");
+        words[0].parse().unwrap()
+    };
+    let count = |words: &[String], i: usize| -> u64 { words[i].parse().unwrap() };
+
+    let (unfused, _) = traced_run("exec", &[&section2, "--execute", "--threads", "1"]);
+    assert!(kib(&unfused) <= 20.25, "{unfused}");
+
+    let (fused, _) = traced_run("fused", &[&section2, "--fused", "--threads", "1"]);
+    assert!(kib(&fused) <= 10.41, "{fused}");
+    // `N hits / M misses / E evictions`
+    let pool = field(&fused, "buffer pool:");
+    assert!(count(&pool, 3) < 10, "{pool:?}");
+    let plans = field(&fused, "plan cache:");
+    assert!(count(&plans, 0) + count(&plans, 3) <= 3, "{plans:?}");
+}
+
 #[test]
 fn bad_tce_kernel_env_fails_cleanly() {
     let out = tce()

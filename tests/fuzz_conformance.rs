@@ -215,3 +215,17 @@ fn check_parsing_matches_cli_contract() {
     assert!(CheckSet::parse("exec,sparse").is_err());
     let _ = CheckConfig::default();
 }
+
+#[test]
+fn grids_past_the_synthesis_bound_are_rejected_by_the_cli() {
+    for grids in ["1x1,1x1x1x1x1", "2x2x2x2x2x2"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_tce-fuzz"))
+            .args(["--budget", "1", "--grids", grids])
+            .output()
+            .expect("spawn tce-fuzz");
+        assert!(!out.status.success(), "--grids {grids} must exit nonzero");
+        assert!(out.stdout.is_empty(), "--grids {grids} ran a campaign");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("at most 4 dimensions"), "{stderr}");
+    }
+}
