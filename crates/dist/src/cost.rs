@@ -20,9 +20,49 @@ use crate::tuple::{DistEntry, DistTuple};
 use tce_ir::{IndexSet, IndexSpace, IndexVar};
 use tce_par::ProcessorGrid;
 
+/// Most grid dimensions of extent > 1: a grid with more has more
+/// processors than a `usize` counts.
+const MAX_AXES: usize = usize::BITS as usize - 1;
+
+/// Block ownership of one array dimension along one odometer axis — the
+/// paper's `myrange(z, n, p)` with `n / p` and `n mod p` divided once.  A
+/// whole dimension is the one block of `n` on the axis that stays at 0.
+#[derive(Clone, Copy)]
+struct Split {
+    axis: usize,
+    base: usize,
+    extra: usize,
+}
+
+impl Split {
+    fn whole(n: usize) -> Split {
+        Split {
+            axis: MAX_AXES,
+            base: n,
+            extra: 0,
+        }
+    }
+
+    /// `(start, end)` of the owned range at odometer coordinates `z`.
+    fn range(self, z: &[usize; MAX_AXES + 1]) -> (usize, usize) {
+        let z = z[self.axis];
+        let start = z * self.base + z.min(self.extra);
+        (start, start + self.base + usize::from(z < self.extra))
+    }
+}
+
 /// Exact redistribution volume (total elements received over all
-/// processors) for an array with ordered dims `dims`, moving from
-/// distribution `beta` to `alpha`.
+/// processors) for an array with ordered dims `dims` (distinct index
+/// variables), moving from distribution `beta` to `alpha`.
+///
+/// Per processor, the elements needed under α minus those already held
+/// under β, each a product of per-dimension range lengths.  Grid
+/// dimensions of extent 1 change nothing and are skipped; dimensions
+/// neither tuple reads repeat one contribution, which is multiplied
+/// instead of re-walked; the rest are walked with an odometer.  Products
+/// and sums saturate in `u128`; a saturating product of the same factors
+/// does not depend on their order, so hoisting factors out of the walk
+/// keeps every processor's count as it was.
 pub fn move_cost(
     dims: &[IndexVar],
     space: &IndexSpace,
@@ -31,32 +71,92 @@ pub fn move_cost(
     alpha: &DistTuple,
 ) -> u128 {
     let set = IndexSet::from_vars(dims.iter().copied());
-    let mut total = 0u128;
-    for id in grid.processors() {
-        let z = grid.coords(id);
-        if !alpha.holds(set, &z) {
+    let reads = |e: DistEntry| match e {
+        DistEntry::One => true,
+        DistEntry::Idx(v) => set.contains(v),
+        DistEntry::Replicate => false,
+    };
+    let p = grid.dims();
+    // Odometer axes are the grid dimensions of extent > 1 that either tuple
+    // reads; on every other dimension all coordinates see the same blocks.
+    let is_axis = |d: usize| p[d] > 1 && (reads(alpha.0[d]) || reads(beta.0[d]));
+    let mut extent = [1usize; MAX_AXES];
+    let mut axes = 0;
+    let mut beta_one = 0u64;
+    let mut copies = 1u128;
+    for (d, &pd) in p.iter().enumerate() {
+        if !is_axis(d) {
+            copies *= pd as u128;
             continue;
         }
-        let mut need = 1u128;
-        for &v in dims {
-            need = need.saturating_mul(alpha.owned_range(v, space, grid, &z).len() as u128);
+        // Extent 1 where α holds data only at coordinate 0.
+        if alpha.0[d] != DistEntry::One {
+            extent[axes] = pd;
         }
-        let have = if beta.holds(set, &z) {
-            let mut inter = 1u128;
-            for &v in dims {
-                let a = alpha.owned_range(v, space, grid, &z);
-                let b = beta.owned_range(v, space, grid, &z);
-                let lo = a.start.max(b.start);
-                let hi = a.end.min(b.end);
-                inter = inter.saturating_mul(hi.saturating_sub(lo) as u128);
-            }
-            inter
-        } else {
-            0
-        };
-        total = total.saturating_add(need.saturating_sub(have));
+        if beta.0[d] == DistEntry::One {
+            beta_one |= 1 << axes;
+        }
+        axes += 1;
     }
-    total
+    let split = |t: &DistTuple, v: IndexVar, n: usize| match t
+        .0
+        .iter()
+        .position(|&e| e == DistEntry::Idx(v))
+    {
+        Some(d) if is_axis(d) => Split {
+            axis: (0..d).filter(|&e| is_axis(e)).count(),
+            base: n / p[d],
+            extra: n % p[d],
+        },
+        _ => Split::whole(n),
+    };
+    // Dimensions neither tuple splits add the same factor to need and have.
+    let mut whole = 1u128;
+    let mut owned = [(Split::whole(0), Split::whole(0)); IndexSet::MAX_VARS];
+    let mut split_dims = 0;
+    for &v in dims {
+        let n = space.extent(v);
+        let (a, b) = (split(alpha, v, n), split(beta, v, n));
+        if a.axis == MAX_AXES && b.axis == MAX_AXES {
+            whole = whole.saturating_mul(n as u128);
+        } else {
+            owned[split_dims] = (a, b);
+            split_dims += 1;
+        }
+    }
+    let owned = &owned[..split_dims];
+
+    let mut total = 0u128;
+    let mut z = [0usize; MAX_AXES + 1];
+    let mut nonzero = 0u64;
+    loop {
+        let holds = nonzero & beta_one == 0;
+        let (mut need, mut have) = (whole, if holds { whole } else { 0 });
+        for &(a, b) in owned {
+            let (a0, a1) = a.range(&z);
+            need = need.saturating_mul((a1 - a0) as u128);
+            if holds {
+                let (b0, b1) = b.range(&z);
+                have = have.saturating_mul(a1.min(b1).saturating_sub(a0.max(b0)) as u128);
+            }
+        }
+        total = total.saturating_add(need.saturating_sub(have));
+        // Advance the odometer, last axis fastest.
+        let mut k = axes;
+        loop {
+            if k == 0 {
+                return total.saturating_mul(copies);
+            }
+            k -= 1;
+            z[k] += 1;
+            if z[k] < extent[k] {
+                nonzero |= 1 << k;
+                break;
+            }
+            z[k] = 0;
+            nonzero &= !(1 << k);
+        }
+    }
 }
 
 /// Per-processor iteration points of a loop space `loops` under the
@@ -165,6 +265,115 @@ pub fn after_reduction(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::move_cost_elementwise;
+    use crate::tuple::enumerate_tuples;
+
+    /// `move_cost` as one saturating `u128` product per processor over
+    /// every dimension's owned range — the rule the hoisted walk must
+    /// reproduce, including where it saturates.
+    fn move_cost_u128(
+        dims: &[IndexVar],
+        space: &IndexSpace,
+        grid: &ProcessorGrid,
+        beta: &DistTuple,
+        alpha: &DistTuple,
+    ) -> u128 {
+        let set = IndexSet::from_vars(dims.iter().copied());
+        let mut total = 0u128;
+        for id in grid.processors() {
+            let z = grid.coords(id);
+            if !alpha.holds(set, &z) {
+                continue;
+            }
+            let mut need = 1u128;
+            for &v in dims {
+                need = need.saturating_mul(alpha.owned_range(v, space, grid, &z).len() as u128);
+            }
+            let have = if beta.holds(set, &z) {
+                let mut inter = 1u128;
+                for &v in dims {
+                    let a = alpha.owned_range(v, space, grid, &z);
+                    let b = beta.owned_range(v, space, grid, &z);
+                    inter = inter.saturating_mul(
+                        a.end.min(b.end).saturating_sub(a.start.max(b.start)) as u128,
+                    );
+                }
+                inter
+            } else {
+                0
+            };
+            total = total.saturating_add(need.saturating_sub(have));
+        }
+        total
+    }
+
+    /// An array whose dimensions have the given extents, one range each.
+    fn array(extents: &[usize]) -> (IndexSpace, Vec<IndexVar>) {
+        let mut sp = IndexSpace::new();
+        let vars = extents
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| {
+                let r = sp.add_range(&format!("R{i}"), n);
+                sp.add_var(&format!("x{i}"), r)
+            })
+            .collect();
+        (sp, vars)
+    }
+
+    #[test]
+    fn move_cost_matches_elementwise_on_ragged_extents_and_grids() {
+        // Extents 1, 5 and 7 split unevenly (or not at all) over grids
+        // with unit, odd and mixed dimensions.
+        let (sp, dims) = array(&[1, 5, 7]);
+        for shape in [
+            vec![3],
+            vec![1, 4],
+            vec![2, 3],
+            vec![2, 2, 2],
+            vec![3, 1, 2, 2],
+        ] {
+            let grid = ProcessorGrid::new(shape.clone());
+            let tuples = enumerate_tuples(IndexSet::from_vars(dims.iter().copied()), grid.rank());
+            for beta in &tuples {
+                for alpha in &tuples {
+                    assert_eq!(
+                        move_cost(&dims, &sp, &grid, beta, alpha),
+                        move_cost_elementwise(&dims, &sp, &grid, beta, alpha),
+                        "grid {shape:?} β={} α={}",
+                        beta.display(&sp),
+                        alpha.display(&sp)
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hoisted_walk_matches_the_saturating_rule_near_two_to_the_forty() {
+        // Per-processor products of extents near 2⁴⁰: three dimensions fit
+        // in u128, four overflow it and saturate.
+        let n = (1usize << 40) + 3;
+        for extents in [vec![n, 7, n + 1], vec![n, n, n, n]] {
+            let (sp, dims) = array(&extents);
+            for shape in [vec![2, 3], vec![3, 1, 2]] {
+                let grid = ProcessorGrid::new(shape.clone());
+                let tuples =
+                    enumerate_tuples(IndexSet::from_vars(dims.iter().copied()), grid.rank());
+                for beta in &tuples {
+                    for alpha in &tuples {
+                        assert_eq!(
+                            move_cost(&dims, &sp, &grid, beta, alpha),
+                            move_cost_u128(&dims, &sp, &grid, beta, alpha),
+                            "extents {extents:?} grid {shape:?} β={} α={}",
+                            beta.display(&sp),
+                            alpha.display(&sp)
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     fn setup() -> (IndexSpace, ProcessorGrid, IndexVar, IndexVar) {
         let mut sp = IndexSpace::new();

@@ -76,15 +76,46 @@ impl DistPlan {
     }
 }
 
-/// Canonical dimension order of a node's array.
-fn dims_of(tree: &OpTree, u: NodeId) -> Vec<IndexVar> {
-    tree.node(u).indices.iter().collect()
+/// A node's distribution tuples, enumerated once: a tuple's id is its
+/// position in [`enumerate_tuples`] order.
+#[derive(Default)]
+struct Tuples {
+    list: Vec<DistTuple>,
+    ids: HashMap<DistTuple, u32>,
 }
 
-#[derive(Clone)]
+impl Tuples {
+    fn new(vars: IndexSet, rank: usize) -> Self {
+        let list = enumerate_tuples(vars, rank);
+        let ids = (0..).zip(&list).map(|(i, t)| (t.clone(), i)).collect();
+        Self { list, ids }
+    }
+
+    fn id(&self, tuple: &DistTuple) -> u32 {
+        self.ids[tuple]
+    }
+}
+
+/// `move_cost` between tuple ids of one array shape, each pair priced on
+/// first use and kept.  [`enumerate_tuples`] places variables by their
+/// position in the array's dimension order, so nodes whose extent lists
+/// agree map id-for-id onto one table.  Only priced pairs are stored: the
+/// DP prices a small share of the q² pairs, and q grows like
+/// `(n + 2)^rank` for an `n`-index array.
+struct MoveTable {
+    /// The dims of the first node of this shape, whose tuples are priced.
+    node: NodeId,
+    dims: Vec<IndexVar>,
+    /// `(β, α)` → elements moved.
+    cells: HashMap<(u32, u32), u128>,
+}
+
+#[derive(Clone, Copy)]
 enum Choice {
-    InputFrom(DistTuple),
-    Compute(DistTuple, ReduceMode),
+    /// Read in this non-replicated tuple id, then broadcast.
+    InputFrom(u32),
+    /// Candidate index of the contraction.
+    Compute(u32),
     None,
 }
 
@@ -96,145 +127,216 @@ struct Candidate {
     /// Position in `(γ, mode)` enumeration order.
     index: usize,
     pre: u128,
-    after: DistTuple,
+    after: u32,
     gamma: DistTuple,
     mode: ReduceMode,
+    /// γ's projections onto the left and right operands.
+    left: u32,
+    right: u32,
 }
 
+/// `Cost(u, α)` for every node and tuple id, computed bottom-up.
 struct Dp<'a> {
     tree: &'a OpTree,
     space: &'a IndexSpace,
     machine: &'a Machine,
-    memo: HashMap<(u32, DistTuple), (u128, Choice)>,
+    tuples: Vec<Tuples>,
+    /// Per node, the index of its [`MoveTable`]; 0, never read, for nodes
+    /// whose array never moves.
+    table_of: Vec<usize>,
+    tables: Vec<MoveTable>,
+    /// Per node and tuple id: the cost and the choice that realizes it.
+    states: Vec<Vec<(u128, Choice)>>,
     /// Per contraction node, the α-independent part of `Cost(u, α)`: the
     /// cheapest candidate per `after` distribution (earliest on ties),
     /// ordered by enumeration index.
-    candidates: HashMap<u32, Vec<Candidate>>,
+    candidates: Vec<Vec<Candidate>>,
 }
 
 impl<'a> Dp<'a> {
     fn new(tree: &'a OpTree, space: &'a IndexSpace, machine: &'a Machine) -> Self {
+        let rank = machine.grid.rank();
+        let mut tuples: Vec<Tuples> = (0..tree.len()).map(|_| Tuples::default()).collect();
+        let mut table_of = vec![0; tree.len()];
+        let mut tables: Vec<MoveTable> = Vec::new();
+        let mut by_shape: HashMap<Vec<usize>, usize> = HashMap::new();
+        for u in tree.postorder() {
+            let node = tree.node(u);
+            tuples[u.0 as usize] = Tuples::new(node.indices, rank);
+            if !matches!(
+                node.kind,
+                OpKind::Contract { .. } | OpKind::Leaf(Leaf::Input { .. })
+            ) {
+                continue;
+            }
+            let dims: Vec<IndexVar> = node.indices.iter().collect();
+            let shape = dims.iter().map(|&v| space.extent(v)).collect();
+            table_of[u.0 as usize] = *by_shape.entry(shape).or_insert_with(|| {
+                tables.push(MoveTable {
+                    node: u,
+                    dims,
+                    cells: HashMap::new(),
+                });
+                tables.len() - 1
+            });
+        }
         Self {
             tree,
             space,
             machine,
-            memo: HashMap::new(),
-            candidates: HashMap::new(),
+            tuples,
+            table_of,
+            tables,
+            states: vec![Vec::new(); tree.len()],
+            candidates: (0..tree.len()).map(|_| Vec::new()).collect(),
         }
     }
 
-    fn cost(&mut self, u: NodeId, alpha: &DistTuple) -> u128 {
-        let key = (u.0, alpha.clone());
-        if let Some(&(c, _)) = self.memo.get(&key) {
-            return c;
-        }
-        let rank = self.machine.grid.rank();
-        let indices = self.tree.node(u).indices;
-        let result: (u128, Choice) = match &self.tree.node(u).kind {
-            OpKind::Leaf(Leaf::One) => (0, Choice::None),
+    /// `MoveCost` of node `u`'s array from tuple id `beta` to `alpha`, in
+    /// flop units.
+    fn moved(&mut self, u: NodeId, beta: u32, alpha: u32) -> u128 {
+        let (space, grid) = (self.space, &self.machine.grid);
+        let table = &mut self.tables[self.table_of[u.0 as usize]];
+        let list = &self.tuples[table.node.0 as usize].list;
+        let elements = *table.cells.entry((beta, alpha)).or_insert_with(|| {
+            let (b, a) = (&list[beta as usize], &list[alpha as usize]);
+            move_cost(&table.dims, space, grid, b, a)
+        });
+        elements.saturating_mul(self.machine.word_cost)
+    }
+
+    /// `move_cost` evaluations so far: the pairs priced over all tables.
+    fn move_cost_evals(&self) -> u64 {
+        self.tables.iter().map(|t| t.cells.len() as u64).sum()
+    }
+
+    /// Fill `Cost(u, α)` for every α of `u`; its children are done.
+    fn solve(&mut self, u: NodeId) {
+        let tree = self.tree;
+        let indices = tree.node(u).indices;
+        let q = self.tuples[u.0 as usize].list.len() as u32;
+        let states: Vec<(u128, Choice)> = match &tree.node(u).kind {
+            OpKind::Leaf(Leaf::One) => vec![(0, Choice::None); q as usize],
             OpKind::Leaf(Leaf::Input { .. }) => {
-                if alpha.no_replicate(indices) {
-                    (0, Choice::None)
-                } else {
-                    let dims = dims_of(self.tree, u);
-                    let mut best = (u128::MAX, Choice::None);
-                    for beta in enumerate_tuples(indices, rank) {
-                        if !beta.no_replicate(indices) {
-                            continue;
+                let list = &self.tuples[u.0 as usize].list;
+                let plain: Vec<bool> = list.iter().map(|t| t.no_replicate(indices)).collect();
+                let sources: Vec<u32> = (0..q).filter(|&b| plain[b as usize]).collect();
+                (0..q)
+                    .map(|alpha| {
+                        if plain[alpha as usize] {
+                            return (0, Choice::None);
                         }
-                        let c = move_cost(&dims, self.space, &self.machine.grid, &beta, alpha)
-                            .saturating_mul(self.machine.word_cost);
-                        if c < best.0 {
-                            best = (c, Choice::InputFrom(beta));
+                        let mut best = (u128::MAX, Choice::None);
+                        for &beta in &sources {
+                            let c = self.moved(u, beta, alpha);
+                            if c < best.0 {
+                                best = (c, Choice::InputFrom(beta));
+                            }
                         }
-                    }
-                    best
-                }
+                        best
+                    })
+                    .collect()
             }
-            OpKind::Leaf(Leaf::Func { cost_per_eval, .. }) => (
-                calc_cost(
-                    indices,
-                    *cost_per_eval as u128,
-                    self.space,
-                    &self.machine.grid,
-                    alpha,
-                ),
-                Choice::None,
-            ),
-            OpKind::Contract { .. } => {
-                if !self.candidates.contains_key(&u.0) {
-                    let candidates = self.contraction_candidates(u);
-                    self.candidates.insert(u.0, candidates);
-                }
+            OpKind::Leaf(Leaf::Func { cost_per_eval, .. }) => self.tuples[u.0 as usize]
+                .list
+                .iter()
+                .map(|alpha| {
+                    let c = calc_cost(
+                        indices,
+                        *cost_per_eval as u128,
+                        self.space,
+                        &self.machine.grid,
+                        alpha,
+                    );
+                    (c, Choice::None)
+                })
+                .collect(),
+            &OpKind::Contract { left, right } => {
+                let candidates = self.contraction_candidates(u, left, right);
                 // Candidates sharing `after` differ only in `pre`, so the
                 // first strict minimum over the kept ones is the first
-                // strict minimum over all `(γ, mode)`.
-                let dims = dims_of(self.tree, u);
-                let mut best = (u128::MAX, Choice::None);
-                for cand in &self.candidates[&u.0] {
-                    let c = cand.pre.saturating_add(
-                        move_cost(&dims, self.space, &self.machine.grid, &cand.after, alpha)
-                            .saturating_mul(self.machine.word_cost),
-                    );
-                    if c < best.0 {
-                        best = (c, Choice::Compute(cand.gamma.clone(), cand.mode));
-                    }
-                }
-                best
+                // strict minimum over all `(γ, mode)`: the least total,
+                // earliest index on ties.  Visiting them cheapest `pre`
+                // first, a `pre` above the best total ends the search.
+                let mut by_pre: Vec<u32> = (0..candidates.len() as u32).collect();
+                by_pre.sort_by_key(|&k| candidates[k as usize].pre);
+                let states = (0..q)
+                    .map(|alpha| {
+                        let mut best = (u128::MAX, Choice::None);
+                        for &k in &by_pre {
+                            let cand = &candidates[k as usize];
+                            let earlier = matches!(best.1, Choice::Compute(b) if k < b);
+                            if cand.pre > best.0 {
+                                break;
+                            }
+                            if cand.pre == best.0 && !earlier {
+                                continue;
+                            }
+                            let c = cand.pre.saturating_add(self.moved(u, cand.after, alpha));
+                            if c < best.0 || (c == best.0 && earlier) {
+                                best = (c, Choice::Compute(k));
+                            }
+                        }
+                        best
+                    })
+                    .collect();
+                self.candidates[u.0 as usize] = candidates;
+                states
             }
         };
-        self.memo.insert(key, result.clone());
-        result.0
+        self.states[u.0 as usize] = states;
     }
 
     /// Every `(γ, mode)` of contraction node `u` costed once, then reduced
     /// to the cheapest per `after` distribution.
-    fn contraction_candidates(&mut self, u: NodeId) -> Vec<Candidate> {
-        let OpKind::Contract { left: l, right: r } = self.tree.node(u).kind else {
-            unreachable!("contraction node");
-        };
-        let rank = self.machine.grid.rank();
+    fn contraction_candidates(&self, u: NodeId, l: NodeId, r: NodeId) -> Vec<Candidate> {
+        let (space, grid, word_cost) = (self.space, &self.machine.grid, self.machine.word_cost);
         let indices = self.tree.node(u).indices;
         let loops = self.tree.loop_indices(u);
         let sums = self.tree.sum_indices(u);
+        let at = |w: NodeId| (&self.tuples[w.0 as usize], &self.states[w.0 as usize]);
+        let ((lt, ls), (rt, rs)) = (at(l), at(r));
+        let own = &self.tuples[u.0 as usize];
         let mut kept: Vec<Candidate> = Vec::new();
-        let mut by_after: HashMap<DistTuple, usize> = HashMap::new();
+        let mut by_after: Vec<Option<usize>> = vec![None; own.list.len()];
         let mut index = 0;
-        for gamma in enumerate_tuples(loops, rank) {
-            let child_l = gamma.project(self.tree.node(l).indices);
-            let child_r = gamma.project(self.tree.node(r).indices);
-            let base = self
-                .cost(l, &child_l)
-                .saturating_add(self.cost(r, &child_r))
-                .saturating_add(calc_cost(loops, 2, self.space, &self.machine.grid, &gamma));
-            let has_dist_sum = gamma.vars().inter(sums) != IndexSet::EMPTY;
-            let modes: &[ReduceMode] = if has_dist_sum {
+        for gamma in enumerate_tuples(loops, grid.rank()) {
+            let left = lt.id(&gamma.project(self.tree.node(l).indices));
+            let right = rt.id(&gamma.project(self.tree.node(r).indices));
+            let base = ls[left as usize]
+                .0
+                .saturating_add(rs[right as usize].0)
+                .saturating_add(calc_cost(loops, 2, space, grid, &gamma));
+            let modes: &[ReduceMode] = if gamma.vars().inter(sums) != IndexSet::EMPTY {
                 &[ReduceMode::Combine, ReduceMode::Replicate]
             } else {
                 &[ReduceMode::Combine]
             };
             for &mode in modes {
-                let after = after_reduction(&gamma, indices, sums, mode);
+                let after = own.id(&after_reduction(&gamma, indices, sums, mode));
                 let pre = base.saturating_add(
-                    reduce_cost(indices, sums, self.space, &self.machine.grid, &gamma, mode)
-                        .saturating_mul(self.machine.word_cost),
+                    reduce_cost(indices, sums, space, grid, &gamma, mode).saturating_mul(word_cost),
                 );
-                let cand = Candidate {
-                    index,
-                    pre,
-                    after,
-                    gamma: gamma.clone(),
-                    mode,
-                };
-                index += 1;
-                match by_after.get(&cand.after) {
-                    Some(&k) if kept[k].pre <= cand.pre => {}
-                    Some(&k) => kept[k] = cand,
-                    None => {
-                        by_after.insert(cand.after.clone(), kept.len());
-                        kept.push(cand);
+                let slot = by_after[after as usize];
+                if slot.is_none_or(|k| pre < kept[k].pre) {
+                    let cand = Candidate {
+                        index,
+                        pre,
+                        after,
+                        gamma: gamma.clone(),
+                        mode,
+                        left,
+                        right,
+                    };
+                    match slot {
+                        Some(k) => kept[k] = cand,
+                        None => {
+                            by_after[after as usize] = Some(kept.len());
+                            kept.push(cand);
+                        }
                     }
                 }
+                index += 1;
             }
         }
         kept.sort_by_key(|c| c.index);
@@ -244,40 +346,40 @@ impl<'a> Dp<'a> {
 
 /// Run the distribution DP and trace back the optimal assignment.
 pub fn optimize_distribution(tree: &OpTree, space: &IndexSpace, machine: &Machine) -> DistPlan {
-    plan(&mut Dp::new(tree, space, machine), Dp::cost)
-}
+    let mut dp = Dp::new(tree, space, machine);
+    for u in tree.postorder() {
+        dp.solve(u);
+    }
+    tce_trace::counter("dist.move_cost_evals", dp.move_cost_evals());
 
-/// Step 3 — the cheapest root distribution under `cost` — and the
-/// top-down traceback of `Dist(u, α)` from the states `cost` memoised.
-fn plan<'a>(dp: &mut Dp<'a>, cost: fn(&mut Dp<'a>, NodeId, &DistTuple) -> u128) -> DistPlan {
-    let tree = dp.tree;
-    let rank = dp.machine.grid.rank();
-    let mut best: Option<(u128, DistTuple)> = None;
-    for alpha in enumerate_tuples(tree.node(tree.root).indices, rank) {
-        let c = cost(dp, tree.root, &alpha);
-        if best.as_ref().map(|(b, _)| c < *b).unwrap_or(true) {
-            best = Some((c, alpha));
+    // Step 3: the cheapest root distribution, then the top-down traceback
+    // of `Dist(u, α)`.
+    let root = &dp.states[tree.root.0 as usize];
+    let mut best = 0;
+    for (alpha, state) in root.iter().enumerate() {
+        if state.0 < root[best].0 {
+            best = alpha;
         }
     }
-    let (total_cost, root_alpha) = best.expect("at least one tuple exists");
-
+    let total_cost = root[best].0;
     let mut node_dist: Vec<Option<DistTuple>> = vec![None; tree.len()];
     let mut node_gamma: Vec<Option<(DistTuple, ReduceMode)>> = vec![None; tree.len()];
     let mut node_input_source: Vec<Option<DistTuple>> = vec![None; tree.len()];
-    let mut stack = vec![(tree.root, root_alpha)];
+    let mut stack = vec![(tree.root, best as u32)];
     while let Some((u, alpha)) = stack.pop() {
-        let (_, choice) = dp.memo[&(u.0, alpha.clone())].clone();
-        node_dist[u.0 as usize] = Some(alpha);
-        match choice {
-            Choice::Compute(gamma, mode) => {
+        let (i, a) = (u.0 as usize, alpha as usize);
+        node_dist[i] = Some(dp.tuples[i].list[a].clone());
+        match dp.states[i][a].1 {
+            Choice::Compute(k) => {
+                let cand = &dp.candidates[i][k as usize];
                 if let OpKind::Contract { left, right } = tree.node(u).kind {
-                    stack.push((left, gamma.project(tree.node(left).indices)));
-                    stack.push((right, gamma.project(tree.node(right).indices)));
+                    stack.push((left, cand.left));
+                    stack.push((right, cand.right));
                 }
-                node_gamma[u.0 as usize] = Some((gamma, mode));
+                node_gamma[i] = Some((cand.gamma.clone(), cand.mode));
             }
             Choice::InputFrom(beta) => {
-                node_input_source[u.0 as usize] = Some(beta);
+                node_input_source[i] = Some(dp.tuples[i].list[beta as usize].clone());
             }
             Choice::None => {}
         }
@@ -303,7 +405,7 @@ pub fn state_count(tree: &OpTree, machine: &Machine) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tce_ir::{TensorDecl, TensorTable};
+    use tce_ir::{TensorDecl, TensorId, TensorTable};
 
     /// C[i,j] = Σ_k A[i,k]·B[k,j].
     fn matmul(n: usize) -> (IndexSpace, OpTree) {
@@ -425,9 +527,183 @@ mod tests {
         assert!(state_count(&tree, &m2) > state_count(&tree, &m1));
     }
 
+    #[test]
+    fn move_table_stores_only_the_pairs_it_prices() {
+        // A 6-index array on a 4-D grid has over 2,000 tuples, so a dense
+        // q×q table of u128 would take tens of MB per shape.
+        let mut space = IndexSpace::new();
+        let r = space.add_range("N", 8);
+        let vars: Vec<IndexVar> = (0..6).map(|i| space.add_var(&format!("x{i}"), r)).collect();
+        let mut tree = OpTree::new();
+        let leaf = tree.leaf_input(TensorId(0), vars.clone());
+        let one = tree.leaf_one();
+        let root = tree.contract(leaf, one, IndexSet::from_vars(vars.iter().copied()));
+        let machine = Machine::new(ProcessorGrid::new(vec![2, 2, 2, 2]));
+        let mut dp = Dp::new(&tree, &space, &machine);
+        let q = dp.tuples[leaf.0 as usize].list.len() as u32;
+        assert!(q > 2000, "q = {q}");
+        let list = dp.tuples[leaf.0 as usize].list.clone();
+        for k in 0..100 {
+            let (beta, alpha) = (k * 7, q - 1 - k);
+            let want = move_cost(
+                &vars,
+                &space,
+                &machine.grid,
+                &list[beta as usize],
+                &list[alpha as usize],
+            );
+            // The root shares the leaf's shape, and so its table.
+            for u in [leaf, root, leaf] {
+                assert_eq!(dp.moved(u, beta, alpha), want * DEFAULT_WORD_COST);
+            }
+        }
+        assert_eq!(dp.tables.len(), 1);
+        assert_eq!(dp.move_cost_evals(), 100);
+        let bytes = dp.tables[0].cells.capacity() * std::mem::size_of::<((u32, u32), u128)>();
+        assert!(bytes < 64 << 10, "{bytes} bytes for 100 pairs");
+    }
+
+    /// The DP as a top-down recursion memoized on `(node, tuple)`, each
+    /// `move_cost` computed on demand — the reference the interned DP must
+    /// reproduce plan for plan.
+    struct MemoDp<'a> {
+        tree: &'a OpTree,
+        space: &'a IndexSpace,
+        machine: &'a Machine,
+        memo: HashMap<(u32, DistTuple), (u128, MemoChoice)>,
+        /// Per contraction node, the cheapest candidate per `after`
+        /// distribution, in enumeration order.
+        candidates: HashMap<u32, Vec<MemoCandidate>>,
+    }
+
+    /// `(index, pre, after, γ, mode)` of one `(γ, mode)` candidate.
+    type MemoCandidate = (usize, u128, DistTuple, DistTuple, ReduceMode);
+
+    #[derive(Clone)]
+    enum MemoChoice {
+        InputFrom(DistTuple),
+        Compute(DistTuple, ReduceMode),
+        None,
+    }
+
+    fn dims_of(tree: &OpTree, u: NodeId) -> Vec<IndexVar> {
+        tree.node(u).indices.iter().collect()
+    }
+
+    impl<'a> MemoDp<'a> {
+        fn new(tree: &'a OpTree, space: &'a IndexSpace, machine: &'a Machine) -> Self {
+            Self {
+                tree,
+                space,
+                machine,
+                memo: HashMap::new(),
+                candidates: HashMap::new(),
+            }
+        }
+
+        /// `Cost(u, α)` with the α-independent part of a contraction
+        /// hoisted into its candidates.
+        fn cost(&mut self, u: NodeId, alpha: &DistTuple) -> u128 {
+            let key = (u.0, alpha.clone());
+            if let Some(&(c, _)) = self.memo.get(&key) {
+                return c;
+            }
+            let (space, grid, word_cost) = (self.space, &self.machine.grid, self.machine.word_cost);
+            let indices = self.tree.node(u).indices;
+            let dims = dims_of(self.tree, u);
+            let result = match &self.tree.node(u).kind {
+                OpKind::Leaf(Leaf::One) => (0, MemoChoice::None),
+                OpKind::Leaf(Leaf::Input { .. }) if alpha.no_replicate(indices) => {
+                    (0, MemoChoice::None)
+                }
+                OpKind::Leaf(Leaf::Input { .. }) => {
+                    let mut best = (u128::MAX, MemoChoice::None);
+                    for beta in enumerate_tuples(indices, grid.rank()) {
+                        if !beta.no_replicate(indices) {
+                            continue;
+                        }
+                        let c =
+                            move_cost(&dims, space, grid, &beta, alpha).saturating_mul(word_cost);
+                        if c < best.0 {
+                            best = (c, MemoChoice::InputFrom(beta));
+                        }
+                    }
+                    best
+                }
+                OpKind::Leaf(Leaf::Func { cost_per_eval, .. }) => (
+                    calc_cost(indices, *cost_per_eval as u128, space, grid, alpha),
+                    MemoChoice::None,
+                ),
+                OpKind::Contract { .. } => {
+                    if !self.candidates.contains_key(&u.0) {
+                        let candidates = self.contraction_candidates(u);
+                        self.candidates.insert(u.0, candidates);
+                    }
+                    let mut best = (u128::MAX, MemoChoice::None);
+                    for (_, pre, after, gamma, mode) in &self.candidates[&u.0] {
+                        let c = pre.saturating_add(
+                            move_cost(&dims, space, grid, after, alpha).saturating_mul(word_cost),
+                        );
+                        if c < best.0 {
+                            best = (c, MemoChoice::Compute(gamma.clone(), *mode));
+                        }
+                    }
+                    best
+                }
+            };
+            self.memo.insert(key, result.clone());
+            result.0
+        }
+
+        fn contraction_candidates(&mut self, u: NodeId) -> Vec<MemoCandidate> {
+            let OpKind::Contract { left: l, right: r } = self.tree.node(u).kind else {
+                unreachable!("contraction node");
+            };
+            let (space, grid, word_cost) = (self.space, &self.machine.grid, self.machine.word_cost);
+            let indices = self.tree.node(u).indices;
+            let loops = self.tree.loop_indices(u);
+            let sums = self.tree.sum_indices(u);
+            let mut kept: Vec<MemoCandidate> = Vec::new();
+            let mut by_after: HashMap<DistTuple, usize> = HashMap::new();
+            let mut index = 0;
+            for gamma in enumerate_tuples(loops, grid.rank()) {
+                let child_l = gamma.project(self.tree.node(l).indices);
+                let child_r = gamma.project(self.tree.node(r).indices);
+                let base = self
+                    .cost(l, &child_l)
+                    .saturating_add(self.cost(r, &child_r))
+                    .saturating_add(calc_cost(loops, 2, space, grid, &gamma));
+                let modes: &[ReduceMode] = if gamma.vars().inter(sums) != IndexSet::EMPTY {
+                    &[ReduceMode::Combine, ReduceMode::Replicate]
+                } else {
+                    &[ReduceMode::Combine]
+                };
+                for &mode in modes {
+                    let after = after_reduction(&gamma, indices, sums, mode);
+                    let pre = base.saturating_add(
+                        reduce_cost(indices, sums, space, grid, &gamma, mode)
+                            .saturating_mul(word_cost),
+                    );
+                    let cand = (index, pre, after.clone(), gamma.clone(), mode);
+                    index += 1;
+                    match by_after.get(&after) {
+                        Some(&k) if kept[k].1 <= pre => {}
+                        Some(&k) => kept[k] = cand,
+                        None => {
+                            by_after.insert(after, kept.len());
+                            kept.push(cand);
+                        }
+                    }
+                }
+            }
+            kept.sort_by_key(|c| c.0);
+            kept
+        }
+    }
+
     /// `Cost(u, α)` before the α-independent part was hoisted: every
     /// `(γ, mode)` of a contraction re-costed for every α.
-    fn oracle_cost(dp: &mut Dp, u: NodeId, alpha: &DistTuple) -> u128 {
+    fn oracle_cost(dp: &mut MemoDp, u: NodeId, alpha: &DistTuple) -> u128 {
         let OpKind::Contract { left: l, right: r } = dp.tree.node(u).kind else {
             return dp.cost(u, alpha);
         };
@@ -440,7 +716,7 @@ mod tests {
         let loops = dp.tree.loop_indices(u);
         let sums = dp.tree.sum_indices(u);
         let dims = dims_of(dp.tree, u);
-        let mut best = (u128::MAX, Choice::None);
+        let mut best = (u128::MAX, MemoChoice::None);
         for gamma in enumerate_tuples(loops, grid.rank()) {
             let child_l = gamma.project(dp.tree.node(l).indices);
             let child_r = gamma.project(dp.tree.node(r).indices);
@@ -463,7 +739,7 @@ mod tests {
                         move_cost(&dims, space, grid, &after, alpha).saturating_mul(word_cost),
                     );
                 if c < best.0 {
-                    best = (c, Choice::Compute(gamma.clone(), mode));
+                    best = (c, MemoChoice::Compute(gamma.clone(), mode));
                 }
             }
         }
@@ -471,28 +747,158 @@ mod tests {
         best.0
     }
 
-    #[test]
-    fn hoisted_candidates_match_the_per_alpha_recursion() {
-        for name in ["ccsd_section2", "cc_doubles"] {
+    /// Step 3 and the traceback over the states `cost` memoised.
+    fn memo_plan<'a>(
+        dp: &mut MemoDp<'a>,
+        cost: fn(&mut MemoDp<'a>, NodeId, &DistTuple) -> u128,
+    ) -> DistPlan {
+        let tree = dp.tree;
+        let mut best: Option<(u128, DistTuple)> = None;
+        for alpha in enumerate_tuples(tree.node(tree.root).indices, dp.machine.grid.rank()) {
+            let c = cost(dp, tree.root, &alpha);
+            if best.as_ref().map(|(b, _)| c < *b).unwrap_or(true) {
+                best = Some((c, alpha));
+            }
+        }
+        let (total_cost, root_alpha) = best.expect("at least one tuple exists");
+        let mut node_dist: Vec<Option<DistTuple>> = vec![None; tree.len()];
+        let mut node_gamma: Vec<Option<(DistTuple, ReduceMode)>> = vec![None; tree.len()];
+        let mut node_input_source: Vec<Option<DistTuple>> = vec![None; tree.len()];
+        let mut stack = vec![(tree.root, root_alpha)];
+        while let Some((u, alpha)) = stack.pop() {
+            let (_, choice) = dp.memo[&(u.0, alpha.clone())].clone();
+            node_dist[u.0 as usize] = Some(alpha);
+            match choice {
+                MemoChoice::Compute(gamma, mode) => {
+                    if let OpKind::Contract { left, right } = tree.node(u).kind {
+                        stack.push((left, gamma.project(tree.node(left).indices)));
+                        stack.push((right, gamma.project(tree.node(right).indices)));
+                    }
+                    node_gamma[u.0 as usize] = Some((gamma, mode));
+                }
+                MemoChoice::InputFrom(beta) => node_input_source[u.0 as usize] = Some(beta),
+                MemoChoice::None => {}
+            }
+        }
+        DistPlan {
+            total_cost,
+            node_dist,
+            node_gamma,
+            node_input_source,
+        }
+    }
+
+    /// Every term tree the pipeline plans for each shipped spec.
+    fn spec_trees(names: &[&str]) -> Vec<(String, IndexSpace, OpTree)> {
+        let mut out = Vec::new();
+        for name in names {
             let path = format!(
                 "{}/../../examples/specs/{name}.tce",
                 env!("CARGO_MANIFEST_DIR")
             );
             let src = std::fs::read_to_string(&path).unwrap();
             let syn = tce_core::synthesize(&src, &Default::default()).unwrap();
-            let space = &syn.program.space;
             for term in &syn.plans {
-                for dims in [vec![2, 2], vec![2, 4], vec![2, 2, 2]] {
-                    let machine = Machine::new(ProcessorGrid::new(dims.clone()));
-                    let got = optimize_distribution(&term.tree, space, &machine);
-                    let want = plan(&mut Dp::new(&term.tree, space, &machine), oracle_cost);
-                    let at = format!("{name} term {} grid {dims:?}", term.stmt_index);
-                    assert_eq!(got.total_cost, want.total_cost, "{at}");
-                    assert_eq!(got.node_dist, want.node_dist, "{at}");
-                    assert_eq!(got.node_gamma, want.node_gamma, "{at}");
-                    assert_eq!(got.node_input_source, want.node_input_source, "{at}");
+                let at = format!("{name} term {}", term.stmt_index);
+                out.push((at, syn.program.space.clone(), term.tree.clone()));
+            }
+        }
+        out
+    }
+
+    fn assert_same_plan(got: &DistPlan, want: &DistPlan, at: &str) {
+        assert_eq!(got.total_cost, want.total_cost, "{at}");
+        assert_eq!(got.node_dist, want.node_dist, "{at}");
+        assert_eq!(got.node_gamma, want.node_gamma, "{at}");
+        assert_eq!(got.node_input_source, want.node_input_source, "{at}");
+    }
+
+    #[test]
+    fn hoisted_candidates_match_the_per_alpha_recursion() {
+        for (at, space, tree) in spec_trees(&["ccsd_section2", "cc_doubles"]) {
+            for dims in [vec![2, 2], vec![2, 4], vec![2, 2, 2]] {
+                let machine = Machine::new(ProcessorGrid::new(dims.clone()));
+                let got = optimize_distribution(&tree, &space, &machine);
+                let want = memo_plan(&mut MemoDp::new(&tree, &space, &machine), oracle_cost);
+                assert_same_plan(&got, &want, &format!("{at} grid {dims:?}"));
+            }
+        }
+    }
+
+    #[test]
+    fn interned_dp_matches_the_memoized_recursion_on_every_spec() {
+        // Rank 4 is left out: the memoized recursion takes seconds there.
+        // Cheap words make many totals tie, so the earliest-index rule is
+        // exercised as well as the minimum.
+        let specs = ["a3a_energy", "cc_doubles", "ccsd_section2", "matrix_chain"];
+        for (at, space, tree) in spec_trees(&specs) {
+            for dims in [vec![2, 2], vec![2, 4], vec![2, 2, 2], vec![4]] {
+                for word_cost in [DEFAULT_WORD_COST, 1, 0] {
+                    let grid = ProcessorGrid::new(dims.clone());
+                    let machine = Machine { grid, word_cost };
+                    let got = optimize_distribution(&tree, &space, &machine);
+                    let want = memo_plan(&mut MemoDp::new(&tree, &space, &machine), MemoDp::cost);
+                    let at = format!("{at} grid {dims:?} word cost {word_cost}");
+                    assert_same_plan(&got, &want, &at);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn interned_dp_matches_the_memoized_recursion_on_random_trees() {
+        // Ragged extents, unit and odd grid dimensions and word costs of a
+        // few flops: many totals tie, so the earliest-index rule decides.
+        use tce_ir::rng::Rng;
+        let mut rng = Rng::new(0x7d15);
+        let grids = [
+            vec![2],
+            vec![3],
+            vec![2, 2],
+            vec![1, 3],
+            vec![2, 3],
+            vec![2, 1, 2],
+        ];
+        for trial in 0..60 {
+            let mut space = IndexSpace::new();
+            let vars: Vec<IndexVar> = (0..4)
+                .map(|q| {
+                    let r = space.add_range(&format!("R{q}"), rng.usize_in(1..6));
+                    space.add_var(&format!("x{q}"), r)
+                })
+                .collect();
+            let mut tree = OpTree::new();
+            let mut nodes: Vec<NodeId> = (0..3)
+                .map(|t| {
+                    let idxs: Vec<IndexVar> = vars
+                        .iter()
+                        .copied()
+                        .filter(|_| rng.bool_with(0.6))
+                        .collect();
+                    if rng.bool_with(0.3) {
+                        tree.leaf_func(&format!("f{t}"), idxs, rng.usize_in(1..4) as u64)
+                    } else {
+                        tree.leaf_input(TensorId(t), idxs)
+                    }
+                })
+                .collect();
+            while nodes.len() > 1 {
+                let a = nodes.swap_remove(rng.usize_in(0..nodes.len()));
+                let b = nodes.swap_remove(rng.usize_in(0..nodes.len()));
+                let both = tree.node(a).indices.union(tree.node(b).indices);
+                let keep = IndexSet::from_vars(both.iter().filter(|_| rng.bool_with(0.5)));
+                nodes.push(tree.contract(a, b, keep));
+            }
+            let dims = grids[rng.usize_in(0..grids.len())].clone();
+            let word_cost = rng.usize_in(0..4) as u128;
+            let machine = Machine {
+                grid: ProcessorGrid::new(dims.clone()),
+                word_cost,
+            };
+            let got = optimize_distribution(&tree, &space, &machine);
+            let want = memo_plan(&mut MemoDp::new(&tree, &space, &machine), MemoDp::cost);
+            let at = format!("trial {trial} grid {dims:?} word cost {word_cost}");
+            assert_same_plan(&got, &want, &at);
         }
     }
 

@@ -34,6 +34,7 @@ use crate::cost::{after_reduction, move_cost, reduce_cost, ReduceMode};
 use crate::dp::{DistPlan, Machine};
 use crate::error::DistError;
 use crate::tuple::{DistEntry, DistTuple};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::ops::Range;
 use tce_ir::{IndexSet, IndexSpace, IndexVar, Leaf, NodeId, OpKind, OpTree, TensorId};
@@ -190,17 +191,23 @@ pub fn redistribute(
     space: &IndexSpace,
     grid: &ProcessorGrid,
 ) -> (ShardedTensor, u128) {
+    relayout(Cow::Borrowed(src), to, space, grid)
+}
+
+/// [`redistribute`] of a borrowed or an owned value: an owned one whose
+/// layout already matches keeps its shard buffers instead of copying them.
+fn relayout(
+    src: Cow<'_, ShardedTensor>,
+    to: &DistTuple,
+    space: &IndexSpace,
+    grid: &ProcessorGrid,
+) -> (ShardedTensor, u128) {
     let set = src.index_set();
-    // Identical layouts (up to normalization) share the same shards.
+    // Identical layouts (up to normalization) hold the same shards.
     if src.tuple.normalize(set) == to.normalize(set) {
-        return (
-            ShardedTensor {
-                dims: src.dims.clone(),
-                tuple: to.clone(),
-                shards: src.shards.clone(),
-            },
-            0,
-        );
+        let mut out = src.into_owned();
+        out.tuple = to.clone();
+        return (out, 0);
     }
     let _span = tce_trace::span("dist.redistribute");
     let from = &src.tuple;
@@ -634,7 +641,7 @@ impl Env<'_> {
     fn account_redistribute(
         &self,
         c: &mut Counters,
-        value: &ShardedTensor,
+        value: ShardedTensor,
         to: &DistTuple,
     ) -> ShardedTensor {
         let grid = &self.machine.grid;
@@ -643,7 +650,7 @@ impl Env<'_> {
             c.predicted += move_cost(&value.dims, self.space, grid, &value.tuple, to);
             c.redistributions += 1;
         }
-        let (out, moved) = redistribute(value, to, self.space, grid);
+        let (out, moved) = relayout(Cow::Owned(value), to, self.space, grid);
         c.moved += moved;
         out
     }
@@ -695,7 +702,7 @@ impl Env<'_> {
                         .clone()
                         .unwrap_or_else(|| DistTuple::all_one(grid.rank()));
                     let staged = scatter(global, dims, &beta, self.space, grid);
-                    self.account_redistribute(c, &staged, alpha)
+                    self.account_redistribute(c, staged, alpha)
                 }
             }
             OpKind::Leaf(Leaf::Func {
@@ -754,7 +761,7 @@ impl Env<'_> {
                 let sums = self.tree.sum_indices(u);
                 c.predicted_reduce += reduce_cost(indices, sums, self.space, grid, gamma, *mode);
                 c.reduce_words += reduce_partial_sums(&mut value, sums, self.space, grid, *mode);
-                self.account_redistribute(c, &value, alpha)
+                self.account_redistribute(c, value, alpha)
             }
         }
     }
@@ -911,6 +918,34 @@ mod tests {
                 assert_eq!(gather(&re, &sp, &grid), t);
             }
         }
+    }
+
+    #[test]
+    fn owned_relayout_to_an_identical_layout_keeps_the_shard_buffers() {
+        // ⟨i,k⟩ and ⟨i,*⟩ normalize alike for an array over (i, j).
+        let (sp, i, j, k) = setup(5);
+        let grid = ProcessorGrid::new(vec![2, 3]);
+        let dims = [i, j];
+        let from = DistTuple(vec![DistEntry::Idx(i), DistEntry::Idx(k)]);
+        let to = DistTuple(vec![DistEntry::Idx(i), DistEntry::Replicate]);
+        let sharded = scatter(&Tensor::random(&[5, 5], 6), &dims, &from, &sp, &grid);
+        let buffers: Vec<_> = sharded
+            .shards
+            .iter()
+            .map(|s| s.as_ref().map(|t| t.data().as_ptr()))
+            .collect();
+        let (copied, _) = redistribute(&sharded, &to, &sp, &grid);
+        let (re, moved) = relayout(Cow::Owned(sharded), &to, &sp, &grid);
+        assert_eq!(moved, 0);
+        assert_eq!(re.tuple, to);
+        let kept: Vec<_> = re
+            .shards
+            .iter()
+            .map(|s| s.as_ref().map(|t| t.data().as_ptr()))
+            .collect();
+        assert_eq!(kept, buffers);
+        assert!(buffers.iter().any(Option::is_some));
+        assert_eq!(gather(&re, &sp, &grid), gather(&copied, &sp, &grid));
     }
 
     #[test]

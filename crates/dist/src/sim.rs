@@ -12,14 +12,15 @@
 
 use crate::error::DistError;
 use crate::tuple::{DistEntry, DistTuple};
-use std::collections::HashSet;
+use std::ops::Range;
 use tce_ir::{IndexSet, IndexSpace, IndexVar};
 use tce_par::ProcessorGrid;
 use tce_tensor::Tensor;
 
 /// Element-by-element redistribution count: for every processor, enumerate
-/// the element multi-indices it needs under `alpha` and subtract those it
-/// holds under `beta`.  Exponential in array size — use at test extents.
+/// every element multi-index and count those it needs under `alpha` but
+/// does not hold under `beta`.  Exponential in array size — use at test
+/// extents.
 pub fn move_cost_elementwise(
     dims: &[IndexVar],
     space: &IndexSpace,
@@ -33,27 +34,29 @@ pub fn move_cost_elementwise(
     let mut count = 0u128;
     for id in grid.processors() {
         let z = grid.coords(id);
-        let owned_set = |tup: &DistTuple| -> HashSet<Vec<usize>> {
-            let mut out = HashSet::new();
-            if !tup.holds(set, &z) {
-                return out;
-            }
-            let mut idx = vec![0usize; dims.len()];
-            for _ in 0..total {
-                let mine = dims
-                    .iter()
-                    .zip(&idx)
-                    .all(|(&v, &i)| tup.owned_range(v, space, grid, &z).contains(&i));
-                if mine {
-                    out.insert(idx.clone());
-                }
-                Tensor::advance(&mut idx, &shape);
-            }
-            out
+        // The block a tuple gives this processor; `None` when it holds
+        // nothing.
+        let owned = |tup: &DistTuple| -> Option<Vec<Range<usize>>> {
+            tup.holds(set, &z).then(|| {
+                dims.iter()
+                    .map(|&v| tup.owned_range(v, space, grid, &z))
+                    .collect()
+            })
         };
-        let need = owned_set(alpha);
-        let have = owned_set(beta);
-        count += need.difference(&have).count() as u128;
+        let inside = |block: &[Range<usize>], idx: &[usize]| {
+            block.iter().zip(idx).all(|(r, i)| r.contains(i))
+        };
+        let Some(need) = owned(alpha) else {
+            continue;
+        };
+        let have = owned(beta);
+        let mut idx = vec![0usize; dims.len()];
+        for _ in 0..total {
+            if inside(&need, &idx) && !have.as_deref().is_some_and(|h| inside(h, &idx)) {
+                count += 1;
+            }
+            Tensor::advance(&mut idx, &shape);
+        }
     }
     count
 }

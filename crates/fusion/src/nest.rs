@@ -16,7 +16,8 @@
 //! local characterization of the chain condition (validated against the
 //! brute-force chain checker in tests).
 
-use tce_ir::IndexSet;
+use std::ops::ControlFlow;
+use tce_ir::{IndexSet, IndexVar};
 
 /// Ordered partition of a fused set: classes outermost-first.
 pub type NestState = Vec<IndexSet>;
@@ -28,6 +29,23 @@ pub fn encode_state(state: &NestState) -> Vec<u64> {
 
 /// All legal pairs of child nesting states for the choices `(c1, c2)` at a
 /// node whose parent-edge fused set has nesting `state`.  Empty when the
+/// combination is illegal.  Collects [`for_each_child_state_option`].
+pub fn derive_child_state_options(
+    state: &NestState,
+    c1: IndexSet,
+    c2: IndexSet,
+) -> Vec<(NestState, NestState)> {
+    let mut out = Vec::new();
+    for_each_child_state_option(state, c1, c2, |s1, s2| {
+        out.push((s1.to_vec(), s2.to_vec()));
+        ControlFlow::Continue(())
+    });
+    out
+}
+
+/// Visit every legal pair of child nesting states for the choices
+/// `(c1, c2)` at a node whose parent-edge fused set has nesting `state`,
+/// without allocating, until `visit` breaks.  Nothing is visited when the
 /// combination is illegal.
 ///
 /// Legality:
@@ -47,121 +65,146 @@ pub fn encode_state(state: &NestState) -> Vec<u64> {
 /// merely bounded by the outer one's — equality stays reachable.  Groups
 /// entering a single child stay whole: any later divergence is confined to
 /// that subtree, where it is checked recursively.
-pub fn derive_child_state_options(
-    state: &NestState,
+///
+/// Candidates come in a fixed order: member orders lexicographic by
+/// variable id, the first (outermost) group varying fastest.
+pub fn for_each_child_state_option(
+    state: &[IndexSet],
     c1: IndexSet,
     c2: IndexSet,
-) -> Vec<(NestState, NestState)> {
+    mut visit: impl FnMut(&[IndexSet], &[IndexSet]) -> ControlFlow<()>,
+) {
+    const MAX: usize = IndexSet::MAX_VARS;
     let p = state.iter().fold(IndexSet::EMPTY, |s, &c| s.union(c));
     let all = p.union(c1).union(c2);
     // Pattern bits: 1 = parent, 2 = left, 4 = right.
-    // Inherit index: class position for members of p, usize::MAX otherwise.
-    let mut vars: Vec<(tce_ir::IndexVar, u8, usize)> = Vec::with_capacity(all.len());
+    // Inherit index: class position for members of p (fewer than 64
+    // classes), u8::MAX otherwise.
+    let mut vars = [(IndexVar(0), 0u8, u8::MAX); MAX];
+    let mut n = 0;
     for x in all.iter() {
         let pat =
             (p.contains(x) as u8) | ((c1.contains(x) as u8) << 1) | ((c2.contains(x) as u8) << 2);
         let inherit = state
             .iter()
             .position(|cl| cl.contains(x))
-            .unwrap_or(usize::MAX);
-        vars.push((x, pat, inherit));
+            .map_or(u8::MAX, |i| i as u8);
+        vars[n] = (x, pat, inherit);
+        n += 1;
     }
+    let vars = &vars[..n];
     for (i, &(_, pa, ia)) in vars.iter().enumerate() {
         for &(_, pb, ib) in &vars[i + 1..] {
             // Comparability.
             if pa & pb != pa && pa & pb != pb {
-                return Vec::new();
+                return;
             }
             // Inherited nesting: outer class (smaller index) must have a
             // superset pattern.
             if ia < ib && pa & pb != pb {
-                return Vec::new(); // pb ⊄ pa
+                return; // pb ⊄ pa
             }
             if ib < ia && pa & pb != pa {
-                return Vec::new();
+                return;
             }
         }
     }
     // Group the chains continuing into at least one child by
     // (pattern, inherited class); order groups outermost-first = by
-    // pattern superset (popcount descending — patterns are comparable)
-    // then by inherited class.
-    let mut groups: Vec<(u8, usize, Vec<tce_ir::IndexVar>)> = Vec::new();
-    for &(x, pat, inherit) in &vars {
+    // pattern superset (popcount descending — patterns are comparable, so
+    // no two groups tie) then by inherited class.
+    let mut groups = [(0u8, 0u8, IndexSet::EMPTY); MAX];
+    let mut ng = 0;
+    for &(x, pat, inherit) in vars {
         if pat & 0b110 == 0 {
             continue; // chain ends at this node
         }
-        if let Some(g) = groups
+        match groups[..ng]
             .iter_mut()
             .find(|(gp, gi, _)| *gp == pat && *gi == inherit)
         {
-            g.2.push(x);
-        } else {
-            groups.push((pat, inherit, vec![x]));
+            Some(g) => g.2.insert(x),
+            None => {
+                groups[ng] = (pat, inherit, x.singleton());
+                ng += 1;
+            }
         }
     }
-    groups.sort_by_key(|&(pat, inherit, _)| (std::cmp::Reverse(pat.count_ones()), inherit));
-    // Refinement options per group: both-children groups split into one
-    // singleton class per member, in every strict order; others stay as a
-    // single class.
-    let options: Vec<Vec<Vec<IndexSet>>> = groups
-        .iter()
-        .map(|(pat, _, members)| {
-            if pat & 0b110 == 0b110 && members.len() >= 2 {
-                permutations(members)
-                    .into_iter()
-                    .map(|perm| perm.into_iter().map(|x| x.singleton()).collect())
-                    .collect()
-            } else {
-                vec![vec![IndexSet::from_vars(members.iter().copied())]]
+    let groups = &mut groups[..ng];
+    groups
+        .sort_unstable_by_key(|&(pat, inherit, _)| (std::cmp::Reverse(pat.count_ones()), inherit));
+    // A group entering both children with two or more members is refined
+    // into one singleton class per member, in every strict order: its
+    // members are permuted in place.  Others stay one class.
+    let mut members = [IndexVar(0); MAX];
+    let mut span = [(0, 0); MAX];
+    let mut used = 0;
+    for (g, &(pat, _, set)) in groups.iter().enumerate() {
+        if pat & 0b110 == 0b110 && set.len() >= 2 {
+            for x in set.iter() {
+                members[used] = x;
+                used += 1;
             }
-        })
-        .collect();
-    // Cartesian product over the per-group choices; each combination is
-    // applied identically to both child states.
-    let mut out = Vec::new();
-    let mut choice = vec![0usize; groups.len()];
+            span[g] = (used - set.len(), used);
+        }
+    }
+    let (mut s1, mut s2) = ([IndexSet::EMPTY; MAX], [IndexSet::EMPTY; MAX]);
     loop {
-        let build = |edge_bit: u8| -> NestState {
-            let mut s = Vec::new();
-            for (g, (pat, _, _)) in groups.iter().enumerate() {
-                if pat & edge_bit != 0 {
-                    s.extend(options[g][choice[g]].iter().copied());
+        // Apply the current combination identically to both child states.
+        let (mut n1, mut n2) = (0, 0);
+        for (g, &(pat, _, set)) in groups.iter().enumerate() {
+            let (lo, hi) = span[g];
+            let push = |s: &mut [IndexSet; MAX], n: &mut usize| {
+                if lo == hi {
+                    s[*n] = set;
+                    *n += 1;
+                } else {
+                    for &x in &members[lo..hi] {
+                        s[*n] = x.singleton();
+                        *n += 1;
+                    }
                 }
+            };
+            if pat & 2 != 0 {
+                push(&mut s1, &mut n1);
             }
-            s
-        };
-        out.push((build(2), build(4)));
+            if pat & 4 != 0 {
+                push(&mut s2, &mut n2);
+            }
+        }
+        if visit(&s1[..n1], &s2[..n2]).is_break() {
+            return;
+        }
+        // Advance the first group that has another order left; the ones
+        // before it wrap back to ascending.
         let mut g = 0;
         loop {
             if g == groups.len() {
-                return out;
+                return;
             }
-            choice[g] += 1;
-            if choice[g] < options[g].len() {
+            let (lo, hi) = span[g];
+            if next_permutation(&mut members[lo..hi]) {
                 break;
             }
-            choice[g] = 0;
             g += 1;
         }
     }
 }
 
-/// All orderings of `items` (small groups only — factorial).
-fn permutations(items: &[tce_ir::IndexVar]) -> Vec<Vec<tce_ir::IndexVar>> {
-    if items.len() <= 1 {
-        return vec![items.to_vec()];
-    }
-    let mut out = Vec::new();
-    for i in 0..items.len() {
-        let mut rest = items.to_vec();
-        let head = rest.remove(i);
-        for mut tail in permutations(&rest) {
-            tail.insert(0, head);
-            out.push(tail);
-        }
-    }
-    out
+/// Step `items` to the lexicographically next ordering; at the last one,
+/// restore ascending order and return false.
+fn next_permutation(items: &mut [IndexVar]) -> bool {
+    let Some(i) = items.windows(2).rposition(|w| w[0] < w[1]) else {
+        items.reverse();
+        return false;
+    };
+    let j = items
+        .iter()
+        .rposition(|&x| x > items[i])
+        .expect("items[i + 1] is larger");
+    items.swap(i, j);
+    items[i + 1..].reverse();
+    true
 }
 
 /// First legal child-state pair for `(c1, c2)`, or `None` when illegal —
@@ -178,7 +221,6 @@ pub fn derive_child_states(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tce_ir::IndexVar;
 
     fn set(vars: &[u8]) -> IndexSet {
         IndexSet::from_vars(vars.iter().map(|&v| IndexVar(v)))
@@ -254,6 +296,31 @@ mod tests {
         // A class entering a single child stays whole.
         let opts = derive_child_state_options(&state, set(&[0, 1]), IndexSet::EMPTY);
         assert_eq!(opts, vec![(vec![set(&[0, 1])], vec![])]);
+    }
+
+    #[test]
+    fn shared_groups_are_refined_in_lexicographic_order_outermost_fastest() {
+        // Two inherited classes, both entering both children: every order of
+        // {x0, x1, x2} inside every order of {x3, x4}, the outer class
+        // varying fastest, each order lexicographic by variable id.
+        let state = vec![set(&[0, 1, 2]), set(&[3, 4])];
+        let all = set(&[0, 1, 2, 3, 4]);
+        let opts = derive_child_state_options(&state, all, all);
+        let mut want = Vec::new();
+        for inner in [[3, 4], [4, 3]] {
+            for outer in [
+                [0, 1, 2],
+                [0, 2, 1],
+                [1, 0, 2],
+                [1, 2, 0],
+                [2, 0, 1],
+                [2, 1, 0],
+            ] {
+                let s: NestState = outer.iter().chain(&inner).map(|&x| set(&[x])).collect();
+                want.push((s.clone(), s));
+            }
+        }
+        assert_eq!(opts, want);
     }
 
     #[test]

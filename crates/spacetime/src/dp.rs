@@ -19,9 +19,10 @@
 
 use crate::pareto::Pareto;
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 use tce_fusion::chains::check_scopes;
 use tce_fusion::config::{fusable_set, is_fusable_producer, FusionConfig};
-use tce_fusion::nest::{derive_child_state_options, encode_state, NestState};
+use tce_fusion::nest::for_each_child_state_option;
 use tce_ir::{IndexSet, IndexSpace, NodeId, OpKind, OpTree};
 
 /// A fusion/recomputation configuration: per node, the fused and redundant
@@ -160,122 +161,25 @@ pub fn spacetime_dp(
     space: &IndexSpace,
     max_points: usize,
 ) -> Result<SpaceTimeFrontier, String> {
-    // State = (node, nesting state over the *fused* part of the parent
-    // label).  The parent's redundant part is transparent (it wraps the
-    // whole subtree emission) and enters only through the ops factor the
-    // parent applies; the nesting state threads chain-scope legality (see
-    // tce-fusion::nest).
-    type Tag = (IndexSet, IndexSet, IndexSet, IndexSet);
-    type Key = (u32, Vec<u64>);
-    let mut memo: HashMap<Key, Pareto<Tag>> = HashMap::new();
-
-    fn solve(
-        tree: &OpTree,
-        space: &IndexSpace,
-        memo: &mut HashMap<(u32, Vec<u64>), Pareto<(IndexSet, IndexSet, IndexSet, IndexSet)>>,
-        u: NodeId,
-        state: &NestState,
-        max_points: usize,
-    ) -> Pareto<(IndexSet, IndexSet, IndexSet, IndexSet)> {
-        let key = (u.0, encode_state(state));
-        if let Some(p) = memo.get(&key) {
-            return p.clone();
-        }
-        let fused = state.iter().fold(IndexSet::EMPTY, |s, &c| s.union(c));
-        let own_mem = if u == tree.root || !is_fusable_producer(tree, u) {
-            0
-        } else {
-            space.iteration_points(tree.node(u).indices.minus(fused))
-        };
-        let own_ops = tree.node_ops(u, space);
-        let mut out: Pareto<(IndexSet, IndexSet, IndexSet, IndexSet)> = Pareto::new();
-        match &tree.node(u).kind {
-            OpKind::Leaf(_) => {
-                out.insert(own_mem, own_ops, Default::default());
-            }
-            OpKind::Contract { left, right } => {
-                let (l, r) = (*left, *right);
-                for (c1, r1) in edge_labels(tree, l, u) {
-                    for (c2, r2) in edge_labels(tree, r, u) {
-                        // Legality over the structural labels c ∪ r; a
-                        // label pair can admit several nesting refinements
-                        // (shared classes ordered at this node), each a
-                        // separate DP branch.
-                        for (s1, s2) in
-                            derive_child_state_options(state, c1.union(r1), c2.union(r2))
-                        {
-                            // Children see only the fused part of their
-                            // label; redundant loops are transparent below.
-                            let s1 = strip_transparent(&s1, c1);
-                            let s2 = strip_transparent(&s2, c2);
-                            let f1 = space.iteration_points(r1).max(1);
-                            let f2 = space.iteration_points(r2).max(1);
-                            let p1 = solve(tree, space, memo, l, &s1, max_points);
-                            let p2 = solve(tree, space, memo, r, &s2, max_points);
-                            for a in p1.points() {
-                                for b in p2.points() {
-                                    let mem = own_mem.saturating_add(a.mem).saturating_add(b.mem);
-                                    let ops = own_ops
-                                        .saturating_add(f1.saturating_mul(a.ops))
-                                        .saturating_add(f2.saturating_mul(b.ops));
-                                    out.insert(mem, ops, (c1, r1, c2, r2));
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        // Optional width bound: keep the lowest-memory and lowest-ops ends.
-        let out = if out.len() > max_points {
-            let pts = out.points().to_vec();
-            let mut trimmed = Pareto::new();
-            let stride = pts.len().div_ceil(max_points);
-            for (i, p) in pts.iter().enumerate() {
-                if i % stride == 0 || i == pts.len() - 1 {
-                    trimmed.insert(p.mem, p.ops, p.tag);
-                }
-            }
-            trimmed
-        } else {
-            out
-        };
-        memo.insert(key, out.clone());
-        out
-    }
-
-    /// All (fused, redundant) label pairs for an edge.
-    fn edge_labels(tree: &OpTree, child: NodeId, parent: NodeId) -> Vec<(IndexSet, IndexSet)> {
-        if !is_fusable_producer(tree, child) {
-            return vec![(IndexSet::EMPTY, IndexSet::EMPTY)];
-        }
-        let fs = fusable_set(tree, child, parent);
-        let rs = redundant_candidates(tree, child, parent);
-        let mut out = Vec::new();
-        for c in fs.subsets() {
-            for r in rs.subsets() {
-                // Redundant loops only pay off when they enable fusion —
-                // but enumerate all; pareto pruning discards useless ones.
-                out.push((c, r));
-            }
-        }
-        out
-    }
-
-    let root_state: NestState = Vec::new();
-    let root_front = solve(tree, space, &mut memo, tree.root, &root_state, max_points);
+    let mut dp = Dp {
+        tree,
+        space,
+        max_points,
+        keys: vec![HashMap::new(); tree.len()],
+        frontiers: Vec::new(),
+        label_pairs: 0,
+    };
+    let root = dp.solve(tree.root, &[]);
+    tce_trace::counter("spacetime.label_pairs", dp.label_pairs);
 
     // Reconstruct a full configuration for each root point by replaying
     // the DP choices.  (Frontiers are small; replay is cheap.)
     let mut result: SpaceTimeFrontier = Pareto::new();
-    for point in root_front.points() {
+    for point in dp.frontiers[root].points() {
         let mut cfg = SpaceTimeConfig::unfused(tree);
-        trace(
-            tree,
-            space,
-            &memo,
+        dp.trace(
             tree.root,
-            &root_state,
+            &[],
             IndexSet::EMPTY,
             point.mem,
             point.ops,
@@ -289,37 +193,170 @@ pub fn spacetime_dp(
     Ok(result)
 }
 
-/// Drop transparent (redundant) indices from a derived state, keeping
-/// only the fused part `c`; empty classes vanish.
-fn strip_transparent(state: &NestState, c: IndexSet) -> NestState {
-    state
-        .iter()
-        .map(|cl| cl.inter(c))
-        .filter(|cl| !cl.is_empty())
-        .collect()
+/// The child labels `(c1, r1, c2, r2)` a frontier point was built from.
+type Tag = (IndexSet, IndexSet, IndexSet, IndexSet);
+
+/// State = (node, nesting state over the *fused* part of the parent
+/// label).  The parent's redundant part is transparent (it wraps the whole
+/// subtree emission) and enters only through the ops factor the parent
+/// applies; the nesting state threads chain-scope legality (see
+/// tce-fusion::nest).
+struct Dp<'a> {
+    tree: &'a OpTree,
+    space: &'a IndexSpace,
+    max_points: usize,
+    /// Per node, memo key → index into `frontiers`.  A contraction's key is
+    /// its nesting state; a leaf's is its fused set alone, since nothing
+    /// below it reads the nesting.
+    keys: Vec<HashMap<Vec<IndexSet>, usize>>,
+    frontiers: Vec<Pareto<Tag>>,
+    /// `(left, right)` edge-label pairs walked.
+    label_pairs: u64,
 }
 
-/// Replay the DP to find the child labels that realize `(mem, ops)` at
-/// state `(u, state, redundant)`, filling `cfg`.  Errors (naming the
-/// offending node) instead of panicking when no consistent replay exists.
-#[allow(clippy::too_many_arguments)]
-fn trace(
-    tree: &OpTree,
-    space: &IndexSpace,
-    memo: &HashMap<(u32, Vec<u64>), Pareto<(IndexSet, IndexSet, IndexSet, IndexSet)>>,
-    u: NodeId,
-    state: &NestState,
-    redundant: IndexSet,
-    mem: u128,
-    ops: u128,
-    cfg: &mut SpaceTimeConfig,
-) -> Result<(), String> {
-    let fused = state.iter().fold(IndexSet::EMPTY, |s, &c| s.union(c));
-    cfg.fused[u.0 as usize] = fused;
-    cfg.redundant[u.0 as usize] = redundant;
-    if let OpKind::Contract { left, right } = tree.node(u).kind {
-        let front = memo
-            .get(&(u.0, encode_state(state)))
+impl Dp<'_> {
+    /// The memo key of node `u` at nesting `state`.
+    fn key<'s>(&self, u: NodeId, state: &'s [IndexSet], fused: &'s IndexSet) -> &'s [IndexSet] {
+        match self.tree.node(u).kind {
+            OpKind::Contract { .. } => state,
+            OpKind::Leaf(_) => std::slice::from_ref(fused),
+        }
+    }
+
+    /// Memory of `u`'s own result array with `fused` dims eliminated.
+    fn own_mem(&self, u: NodeId, fused: IndexSet) -> u128 {
+        if u == self.tree.root || !is_fusable_producer(self.tree, u) {
+            0
+        } else {
+            self.space
+                .iteration_points(self.tree.node(u).indices.minus(fused))
+        }
+    }
+
+    /// The frontier of `u` at nesting `state`, as an index into
+    /// `frontiers`.
+    fn solve(&mut self, u: NodeId, state: &[IndexSet]) -> usize {
+        let (tree, space) = (self.tree, self.space);
+        let fused = union(state);
+        if let Some(&i) = self.keys[u.0 as usize].get(self.key(u, state, &fused)) {
+            return i;
+        }
+        let own_mem = self.own_mem(u, fused);
+        let own_ops = tree.node_ops(u, space);
+        let mut out: Pareto<Tag> = Pareto::new();
+        match tree.node(u).kind {
+            OpKind::Leaf(_) => out.insert(own_mem, own_ops, Default::default()),
+            OpKind::Contract { left: l, right: r } => {
+                let right_labels: Vec<_> = edge_labels(tree, r, u)
+                    .into_iter()
+                    .map(|(c2, r2)| (c2, r2, self.leaf_frontier(r, c2)))
+                    .collect();
+                // Child frontier pairs already combined under the current
+                // labels: refinements that lead to the same two keys add
+                // the same points, which `Pareto::insert` would reject.
+                let mut expanded: Vec<(usize, usize)> = Vec::new();
+                for (c1, r1) in edge_labels(tree, l, u) {
+                    let leaf1 = self.leaf_frontier(l, c1);
+                    for &(c2, r2, leaf2) in &right_labels {
+                        self.label_pairs += 1;
+                        expanded.clear();
+                        let f1 = space.iteration_points(r1).max(1);
+                        let f2 = space.iteration_points(r2).max(1);
+                        // Legality over the structural labels c ∪ r; a
+                        // label pair can admit several nesting refinements
+                        // (shared classes ordered at this node), each a
+                        // separate DP branch.
+                        for_each_child_state_option(state, c1.union(r1), c2.union(r2), |s1, s2| {
+                            // Children see only the fused part of their
+                            // label; redundant loops are transparent below.
+                            let mut buf = [IndexSet::EMPTY; MAX];
+                            let p1 = leaf1.unwrap_or_else(|| {
+                                self.solve(l, strip_transparent(s1, c1, &mut buf))
+                            });
+                            let p2 = leaf2.unwrap_or_else(|| {
+                                self.solve(r, strip_transparent(s2, c2, &mut buf))
+                            });
+                            if !expanded.contains(&(p1, p2)) {
+                                expanded.push((p1, p2));
+                                for a in self.frontiers[p1].points() {
+                                    for b in self.frontiers[p2].points() {
+                                        let mem =
+                                            own_mem.saturating_add(a.mem).saturating_add(b.mem);
+                                        let ops = own_ops
+                                            .saturating_add(f1.saturating_mul(a.ops))
+                                            .saturating_add(f2.saturating_mul(b.ops));
+                                        out.insert(mem, ops, (c1, r1, c2, r2));
+                                    }
+                                }
+                            }
+                            // Two leaves meet the same two frontiers under
+                            // every refinement.
+                            if leaf1.is_some() && leaf2.is_some() {
+                                ControlFlow::Break(())
+                            } else {
+                                ControlFlow::Continue(())
+                            }
+                        });
+                    }
+                }
+            }
+        }
+        // Optional width bound: keep the lowest-memory and lowest-ops ends.
+        if out.len() > self.max_points {
+            let pts = out.points().to_vec();
+            let mut trimmed = Pareto::new();
+            let stride = pts.len().div_ceil(self.max_points);
+            for (i, p) in pts.iter().enumerate() {
+                if i % stride == 0 || i == pts.len() - 1 {
+                    trimmed.insert(p.mem, p.ops, p.tag);
+                }
+            }
+            out = trimmed;
+        }
+        let key = self.key(u, state, &fused).to_vec();
+        self.frontiers.push(out);
+        self.keys[u.0 as usize].insert(key, self.frontiers.len() - 1);
+        self.frontiers.len() - 1
+    }
+
+    /// The frontier of child `u` under an edge whose fused part is `c`
+    /// when `u` is a leaf: its key is `c` whatever nesting the refinement
+    /// derives.
+    fn leaf_frontier(&mut self, u: NodeId, c: IndexSet) -> Option<usize> {
+        match self.tree.node(u).kind {
+            OpKind::Leaf(_) => Some(self.solve(u, std::slice::from_ref(&c))),
+            OpKind::Contract { .. } => None,
+        }
+    }
+
+    /// The memoized frontier of `u` at nesting `state`, if solved.
+    fn frontier(&self, u: NodeId, state: &[IndexSet]) -> Option<&Pareto<Tag>> {
+        let fused = union(state);
+        let i = self.keys[u.0 as usize].get(self.key(u, state, &fused))?;
+        Some(&self.frontiers[*i])
+    }
+
+    /// Replay the DP to find the child labels that realize `(mem, ops)` at
+    /// state `(u, state, redundant)`, filling `cfg`.  Errors (naming the
+    /// offending node) instead of panicking when no consistent replay
+    /// exists.
+    fn trace(
+        &self,
+        u: NodeId,
+        state: &[IndexSet],
+        redundant: IndexSet,
+        mem: u128,
+        ops: u128,
+        cfg: &mut SpaceTimeConfig,
+    ) -> Result<(), String> {
+        let fused = union(state);
+        cfg.fused[u.0 as usize] = fused;
+        cfg.redundant[u.0 as usize] = redundant;
+        let OpKind::Contract { left, right } = self.tree.node(u).kind else {
+            return Ok(());
+        };
+        let front = self
+            .frontier(u, state)
             .ok_or_else(|| format!("spacetime traceback: no memoized frontier at node #{}", u.0))?;
         let point = front
             .points()
@@ -332,30 +369,22 @@ fn trace(
                 )
             })?;
         let (c1, r1, c2, r2) = point.tag;
-        let own_mem = if u == tree.root || !is_fusable_producer(tree, u) {
-            0
-        } else {
-            space.iteration_points(tree.node(u).indices.minus(fused))
-        };
-        let own_ops = tree.node_ops(u, space);
-        let f1 = space.iteration_points(r1).max(1);
-        let f2 = space.iteration_points(r2).max(1);
-        let candidates = derive_child_state_options(state, c1.union(r1), c2.union(r2));
-        if candidates.is_empty() {
-            return Err(format!(
-                "spacetime traceback: chosen labels not derivable at node #{}",
-                u.0
-            ));
-        }
+        let own_mem = self.own_mem(u, fused);
+        let own_ops = self.tree.node_ops(u, self.space);
+        let f1 = self.space.iteration_points(r1).max(1);
+        let f2 = self.space.iteration_points(r2).max(1);
         // The tag records the labels but not which nesting refinement the
         // point came from; try each candidate against the memo.
-        for (s1, s2) in candidates {
-            let (s1, s2) = (strip_transparent(&s1, c1), strip_transparent(&s2, c2));
-            let (Some(p1), Some(p2)) = (
-                memo.get(&(left.0, encode_state(&s1))),
-                memo.get(&(right.0, encode_state(&s2))),
-            ) else {
-                continue;
+        let (mut derivable, mut traced) = (false, None);
+        for_each_child_state_option(state, c1.union(r1), c2.union(r2), |s1, s2| {
+            derivable = true;
+            let (mut b1, mut b2) = ([IndexSet::EMPTY; MAX], [IndexSet::EMPTY; MAX]);
+            let (s1, s2) = (
+                strip_transparent(s1, c1, &mut b1),
+                strip_transparent(s2, c2, &mut b2),
+            );
+            let (Some(p1), Some(p2)) = (self.frontier(left, s1), self.frontier(right, s2)) else {
+                return ControlFlow::Continue(());
             };
             // Find the child points consistent with this total.
             for a in p1.points() {
@@ -366,23 +395,75 @@ fn trace(
                             .saturating_add(f2.saturating_mul(b.ops))
                             == ops
                     {
-                        trace(tree, space, memo, left, &s1, r1, a.mem, a.ops, cfg)?;
-                        trace(tree, space, memo, right, &s2, r2, b.mem, b.ops, cfg)?;
-                        return Ok(());
+                        traced = Some(
+                            self.trace(left, s1, r1, a.mem, a.ops, cfg)
+                                .and_then(|()| self.trace(right, s2, r2, b.mem, b.ops, cfg)),
+                        );
+                        return ControlFlow::Break(());
                     }
                 }
             }
+            ControlFlow::Continue(())
+        });
+        if !derivable {
+            return Err(format!(
+                "spacetime traceback: chosen labels not derivable at node #{}",
+                u.0
+            ));
         }
-        return Err(format!(
-            "spacetime traceback: no consistent child points for (mem={mem}, ops={ops}) \
-             at contraction node #{} (children #{}, #{}) — frontier pruning may have \
-             dropped the realizing points; retry with a larger max_points",
-            u.0, left.0, right.0
-        ));
+        traced.unwrap_or_else(|| {
+            Err(format!(
+                "spacetime traceback: no consistent child points for (mem={mem}, ops={ops}) \
+                 at contraction node #{} (children #{}, #{}) — frontier pruning may have \
+                 dropped the realizing points; retry with a larger max_points",
+                u.0, left.0, right.0
+            ))
+        })
     }
-    // Leaves: nothing further.
-    let _ = space;
-    Ok(())
+}
+
+/// Most classes a nesting state can hold: one per index variable.
+const MAX: usize = IndexSet::MAX_VARS;
+
+/// The fused set a nesting state orders.
+fn union(state: &[IndexSet]) -> IndexSet {
+    state.iter().fold(IndexSet::EMPTY, |s, &c| s.union(c))
+}
+
+/// All (fused, redundant) label pairs for an edge.
+fn edge_labels(tree: &OpTree, child: NodeId, parent: NodeId) -> Vec<(IndexSet, IndexSet)> {
+    if !is_fusable_producer(tree, child) {
+        return vec![(IndexSet::EMPTY, IndexSet::EMPTY)];
+    }
+    let fs = fusable_set(tree, child, parent);
+    let rs = redundant_candidates(tree, child, parent);
+    let mut out = Vec::new();
+    for c in fs.subsets() {
+        for r in rs.subsets() {
+            // Redundant loops only pay off when they enable fusion — but
+            // enumerate all; pareto pruning discards useless ones.
+            out.push((c, r));
+        }
+    }
+    out
+}
+
+/// Drop transparent (redundant) indices from a derived state, keeping
+/// only the fused part `c`; empty classes vanish.  Writes into `buf`.
+fn strip_transparent<'b>(
+    state: &[IndexSet],
+    c: IndexSet,
+    buf: &'b mut [IndexSet; MAX],
+) -> &'b [IndexSet] {
+    let mut n = 0;
+    for cl in state {
+        let kept = cl.inter(c);
+        if !kept.is_empty() {
+            buf[n] = kept;
+            n += 1;
+        }
+    }
+    &buf[..n]
 }
 
 /// Brute-force oracle: enumerate every `(fused, redundant)` label
@@ -597,10 +678,12 @@ mod tests {
         }
     }
 
-    #[test]
-    fn dp_frontier_matches_bruteforce_on_random_trees() {
+    /// The seeded random trees of up to three function leaves the DP is
+    /// checked on against brute force and the per-state memo.
+    fn random_trees() -> Vec<(IndexSpace, OpTree)> {
         use tce_ir::rng::Rng;
         let mut rng = Rng::new(99_2002);
+        let mut out = Vec::new();
         for trial in 0..16 {
             let mut space = IndexSpace::new();
             let r1 = space.add_range("P", rng.usize_in(2..4));
@@ -637,11 +720,225 @@ mod tests {
                 }
                 nodes.push(tree.contract(a, b, keep));
             }
+            out.push((space, tree));
+        }
+        out
+    }
+
+    #[test]
+    fn dp_frontier_matches_bruteforce_on_random_trees() {
+        for (trial, (space, tree)) in random_trees().into_iter().enumerate() {
             let dp = spacetime_dp(&tree, &space, usize::MAX).unwrap();
             let bf = spacetime_bruteforce(&tree, &space);
             let dpp: Vec<(u128, u128)> = dp.points().iter().map(|p| (p.mem, p.ops)).collect();
             let bfp: Vec<(u128, u128)> = bf.points().iter().map(|p| (p.mem, p.ops)).collect();
             assert_eq!(dpp, bfp, "trial {trial}");
+        }
+    }
+
+    type MemoFrontier = Pareto<(IndexSet, IndexSet, IndexSet, IndexSet)>;
+    type Memo = HashMap<(u32, Vec<u64>), MemoFrontier>;
+
+    /// The DP memoized on every `(node, nesting state)`, leaves included,
+    /// expanding every refinement of every label pair — the reference the
+    /// keyed DP must reproduce point for point and configuration for
+    /// configuration.
+    fn memo_spacetime_dp(
+        tree: &OpTree,
+        space: &IndexSpace,
+        max_points: usize,
+    ) -> Result<SpaceTimeFrontier, String> {
+        use tce_fusion::nest::{derive_child_state_options, encode_state, NestState};
+        fn own_mem(tree: &OpTree, space: &IndexSpace, u: NodeId, fused: IndexSet) -> u128 {
+            if u == tree.root || !is_fusable_producer(tree, u) {
+                0
+            } else {
+                space.iteration_points(tree.node(u).indices.minus(fused))
+            }
+        }
+        fn strip(state: &NestState, c: IndexSet) -> NestState {
+            state
+                .iter()
+                .map(|cl| cl.inter(c))
+                .filter(|cl| !cl.is_empty())
+                .collect()
+        }
+        fn solve(
+            tree: &OpTree,
+            space: &IndexSpace,
+            memo: &mut Memo,
+            u: NodeId,
+            state: &NestState,
+            max_points: usize,
+        ) -> MemoFrontier {
+            let key = (u.0, encode_state(state));
+            if let Some(p) = memo.get(&key) {
+                return p.clone();
+            }
+            let own = own_mem(tree, space, u, union(state));
+            let own_ops = tree.node_ops(u, space);
+            let mut out = MemoFrontier::new();
+            match tree.node(u).kind {
+                OpKind::Leaf(_) => out.insert(own, own_ops, Default::default()),
+                OpKind::Contract { left: l, right: r } => {
+                    for (c1, r1) in edge_labels(tree, l, u) {
+                        for (c2, r2) in edge_labels(tree, r, u) {
+                            for (s1, s2) in
+                                derive_child_state_options(state, c1.union(r1), c2.union(r2))
+                            {
+                                let (s1, s2) = (strip(&s1, c1), strip(&s2, c2));
+                                let f1 = space.iteration_points(r1).max(1);
+                                let f2 = space.iteration_points(r2).max(1);
+                                let p1 = solve(tree, space, memo, l, &s1, max_points);
+                                let p2 = solve(tree, space, memo, r, &s2, max_points);
+                                for a in p1.points() {
+                                    for b in p2.points() {
+                                        out.insert(
+                                            own.saturating_add(a.mem).saturating_add(b.mem),
+                                            own_ops
+                                                .saturating_add(f1.saturating_mul(a.ops))
+                                                .saturating_add(f2.saturating_mul(b.ops)),
+                                            (c1, r1, c2, r2),
+                                        );
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            if out.len() > max_points {
+                let pts = out.points().to_vec();
+                let stride = pts.len().div_ceil(max_points);
+                out = MemoFrontier::new();
+                for (i, p) in pts.iter().enumerate() {
+                    if i % stride == 0 || i == pts.len() - 1 {
+                        out.insert(p.mem, p.ops, p.tag);
+                    }
+                }
+            }
+            memo.insert(key, out.clone());
+            out
+        }
+        #[allow(clippy::too_many_arguments)]
+        fn trace(
+            tree: &OpTree,
+            space: &IndexSpace,
+            memo: &Memo,
+            u: NodeId,
+            state: &NestState,
+            redundant: IndexSet,
+            mem: u128,
+            ops: u128,
+            cfg: &mut SpaceTimeConfig,
+        ) -> Result<(), String> {
+            let fused = union(state);
+            cfg.fused[u.0 as usize] = fused;
+            cfg.redundant[u.0 as usize] = redundant;
+            let OpKind::Contract { left, right } = tree.node(u).kind else {
+                return Ok(());
+            };
+            let front = memo
+                .get(&(u.0, encode_state(state)))
+                .ok_or_else(|| format!("no memoized frontier at node #{}", u.0))?;
+            let point = front
+                .points()
+                .iter()
+                .find(|p| p.mem == mem && p.ops == ops)
+                .ok_or_else(|| format!("no frontier point at node #{}", u.0))?;
+            let (c1, r1, c2, r2) = point.tag;
+            let own = own_mem(tree, space, u, fused);
+            let own_ops = tree.node_ops(u, space);
+            let f1 = space.iteration_points(r1).max(1);
+            let f2 = space.iteration_points(r2).max(1);
+            for (s1, s2) in derive_child_state_options(state, c1.union(r1), c2.union(r2)) {
+                let (s1, s2) = (strip(&s1, c1), strip(&s2, c2));
+                let (Some(p1), Some(p2)) = (
+                    memo.get(&(left.0, encode_state(&s1))),
+                    memo.get(&(right.0, encode_state(&s2))),
+                ) else {
+                    continue;
+                };
+                for a in p1.points() {
+                    for b in p2.points() {
+                        if own.saturating_add(a.mem).saturating_add(b.mem) == mem
+                            && own_ops
+                                .saturating_add(f1.saturating_mul(a.ops))
+                                .saturating_add(f2.saturating_mul(b.ops))
+                                == ops
+                        {
+                            trace(tree, space, memo, left, &s1, r1, a.mem, a.ops, cfg)?;
+                            trace(tree, space, memo, right, &s2, r2, b.mem, b.ops, cfg)?;
+                            return Ok(());
+                        }
+                    }
+                }
+            }
+            Err(format!("no consistent child points at node #{}", u.0))
+        }
+        let mut memo = Memo::new();
+        let root_front = solve(tree, space, &mut memo, tree.root, &Vec::new(), max_points);
+        let mut result = SpaceTimeFrontier::new();
+        for point in root_front.points() {
+            let mut cfg = SpaceTimeConfig::unfused(tree);
+            let (mem, ops) = (point.mem, point.ops);
+            trace(
+                tree,
+                space,
+                &memo,
+                tree.root,
+                &Vec::new(),
+                IndexSet::EMPTY,
+                mem,
+                ops,
+                &mut cfg,
+            )?;
+            result.insert(mem, ops, cfg);
+        }
+        Ok(result)
+    }
+
+    /// Every term tree the pipeline plans for a shipped spec, after `edit`.
+    fn spec_trees(name: &str, edit: impl Fn(String) -> String) -> Vec<(IndexSpace, OpTree)> {
+        let path = format!(
+            "{}/../../examples/specs/{name}.tce",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        let src = edit(std::fs::read_to_string(&path).unwrap());
+        let syn = tce_core::synthesize(&src, &Default::default()).unwrap();
+        let space = &syn.program.space;
+        syn.plans
+            .iter()
+            .map(|term| (space.clone(), term.tree.clone()))
+            .collect()
+    }
+
+    #[test]
+    fn keyed_dp_matches_the_per_state_memo() {
+        let (space, tree, ..) = a3a_like(4, 2, 100);
+        let mut cases = vec![("a3a_like".to_string(), space, tree)];
+        let specs = [
+            spec_trees("a3a_energy", |s| s),
+            spec_trees("ccsd_section2", |s| {
+                s.replace("range N = 6;", "range N = 4;")
+            }),
+            spec_trees("cc_doubles", |s| s),
+        ];
+        for (i, (space, tree)) in specs.into_iter().flatten().enumerate() {
+            cases.push((format!("spec term {i}"), space, tree));
+        }
+        for (i, (space, tree)) in random_trees().into_iter().enumerate() {
+            cases.push((format!("random trial {i}"), space, tree));
+        }
+        for (at, space, tree) in &cases {
+            for width in [usize::MAX, 3, 2] {
+                let got = spacetime_dp(tree, space, width).map(|f| f.points().to_vec());
+                let want = memo_spacetime_dp(tree, space, width).map(|f| f.points().to_vec());
+                match (got, want) {
+                    (Ok(got), Ok(want)) => assert_eq!(got, want, "{at} width {width}"),
+                    (got, want) => assert_eq!(got.is_ok(), want.is_ok(), "{at} width {width}"),
+                }
+            }
         }
     }
 }

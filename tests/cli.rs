@@ -207,6 +207,19 @@ fn traced_run(tag: &str, args: &[&str]) -> (String, String) {
     (String::from_utf8_lossy(&out.stdout).into_owned(), trace)
 }
 
+/// The sum of every event of counter `name` in a trace file.
+fn counter_total(trace: &str, name: &str) -> u64 {
+    trace
+        .split(&format!("\"name\":\"{name}\""))
+        .skip(1)
+        .map(|event| {
+            let value = event.split("\"value\":").nth(1).expect("counter value");
+            let digits: String = value.chars().take_while(char::is_ascii_digit).collect();
+            digits.parse::<u64>().expect("integer counter")
+        })
+        .sum()
+}
+
 #[test]
 fn tile_search_costs_the_pinned_number_of_candidates() {
     // Exact work counts, not times: the sum of every `locality.tile_candidates`
@@ -218,16 +231,39 @@ fn tile_search_costs_the_pinned_number_of_candidates() {
             "candidates",
             &[&file, "--cache", "64", "--grid", "2x2", "--threads", "1"],
         );
-        let total: u64 = trace
-            .split("\"name\":\"locality.tile_candidates\"")
-            .skip(1)
-            .map(|event| {
-                let value = event.split("\"value\":").nth(1).expect("counter value");
-                let digits: String = value.chars().take_while(char::is_ascii_digit).collect();
-                digits.parse::<u64>().expect("integer counter")
-            })
-            .sum();
-        assert_eq!(total, expected, "{name}");
+        assert_eq!(
+            counter_total(&trace, "locality.tile_candidates"),
+            expected,
+            "{name}"
+        );
+    }
+}
+
+#[test]
+fn distribution_and_spacetime_dps_do_the_pinned_work() {
+    // Exact work counts, not times: `move_cost` evaluations summed over
+    // every term's distribution DP (one table cell each), and edge-label
+    // pairs over every space-time DP (only A3A's integral term is over the
+    // memory limit).
+    let cases: [(&str, &[&str], u64, u64); 2] = [
+        ("cc_doubles.tce", &[], 1194, 0),
+        ("a3a_energy.tce", &["--memory-limit", "20"], 1332, 4096),
+    ];
+    for (name, limit, evals, pairs) in cases {
+        let file = spec(name);
+        let mut args = vec![file.as_str(), "--cache", "64", "--grid", "2x2"];
+        args.extend_from_slice(limit);
+        let (_, trace) = traced_run("dp-work", &args);
+        assert_eq!(
+            counter_total(&trace, "dist.move_cost_evals"),
+            evals,
+            "{name}"
+        );
+        assert_eq!(
+            counter_total(&trace, "spacetime.label_pairs"),
+            pairs,
+            "{name}"
+        );
     }
 }
 
