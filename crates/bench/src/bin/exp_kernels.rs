@@ -6,7 +6,9 @@
 //! against), and writes the measurements to `BENCH_kernels.json` (machine-readable:
 //! seconds, GFLOP/s, speedup vs 1 thread per run).  The headline case is
 //! the CCSD-like `X[a,e,c,f] = Σ_ij T[i,j,a,e]·T[i,j,c,f]` contraction
-//! at V=48, O=8.
+//! at V=48, O=8; `dot_v40_o10` and `gemv_v40_o10` are the thin energy
+//! and singles nodes of `cc_doubles.tce` at V=40, O=10, which run the
+//! no-pack direct kernel.
 //!
 //! ```text
 //! cargo run --release --bin exp_kernels [-- --max-threads T] [--out PATH]
@@ -103,6 +105,58 @@ fn matmul_case(n: usize) -> Case {
     }
 }
 
+/// The CC energy node `E = Σ_abij R2[a,b,i,j]·T2[a,b,i,j]`: a dot product
+/// of two V²O² tensors (M = N = 1, K = V²O²).
+fn dot_case(v: usize, o: usize) -> Case {
+    let mut sp = IndexSpace::new();
+    let rv = sp.add_range("V", v);
+    let ro = sp.add_range("O", o);
+    let a = sp.add_var("a", rv);
+    let b = sp.add_var("b", rv);
+    let i = sp.add_var("i", ro);
+    let j = sp.add_var("j", ro);
+    let spec = BinaryContraction {
+        a: vec![a, b, i, j],
+        b: vec![a, b, i, j],
+        out: vec![],
+    };
+    let flops = spec.flops(&sp);
+    Case {
+        name: format!("dot_v{v}_o{o}"),
+        spec,
+        space: sp,
+        a: Tensor::random(&[v, v, o, o], 5),
+        b: Tensor::random(&[v, v, o, o], 6),
+        flops,
+    }
+}
+
+/// The CC singles node `R1[a,i] = Σ_bj W[a,b,i,j]·T1[b,j]`: a GEMV (N = 1)
+/// whose M group `(a, i)` and K group `(b, j)` are both strided in `W`.
+fn gemv_case(v: usize, o: usize) -> Case {
+    let mut sp = IndexSpace::new();
+    let rv = sp.add_range("V", v);
+    let ro = sp.add_range("O", o);
+    let a = sp.add_var("a", rv);
+    let b = sp.add_var("b", rv);
+    let i = sp.add_var("i", ro);
+    let j = sp.add_var("j", ro);
+    let spec = BinaryContraction {
+        a: vec![a, b, i, j],
+        b: vec![b, j],
+        out: vec![a, i],
+    };
+    let flops = spec.flops(&sp);
+    Case {
+        name: format!("gemv_v{v}_o{o}"),
+        spec,
+        space: sp,
+        a: Tensor::random(&[v, v, o, o], 7),
+        b: Tensor::random(&[v, o], 8),
+        flops,
+    }
+}
+
 fn main() {
     let mut max_threads = tce_core::par::default_threads().max(8);
     let mut out_path = "BENCH_kernels.json".to_string();
@@ -153,9 +207,14 @@ fn main() {
         }
     }
 
-    // Both case families agree with the naive oracle at a size where the
+    // Every case family agrees with the naive oracle at a size where the
     // oracle is affordable, before anything is timed.
-    for small in [ccsd_case(7, 3), matmul_case(33)] {
+    for small in [
+        ccsd_case(7, 3),
+        matmul_case(33),
+        dot_case(7, 3),
+        gemv_case(7, 3),
+    ] {
         let naive = contract_naive(&small.spec, &small.space, &small.a, &small.b);
         let fast = contract_gett(&small.spec, &small.space, &small.a, &small.b, max_threads);
         assert!(
@@ -171,6 +230,8 @@ fn main() {
         ccsd_case(32, 6),
         matmul_case(256),
         matmul_case(384),
+        dot_case(40, 10),
+        gemv_case(40, 10),
     ];
 
     let variant = kernels::active();

@@ -522,6 +522,10 @@ fn main() -> ExitCode {
         // Bind deterministic inputs and integrals via the same helpers
         // `tce serve` uses, so served answers diff clean against this
         // one-shot path.
+        if let Err(e) = tce_core::serve::check_memory_budget(&syn, args.fused) {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
         let owned = tce_core::serve::bind_random_inputs(&syn, args.seed);
         let inputs: HashMap<_, _> = owned.iter().map(|(id, t)| (*id, t)).collect();
         let funcs = tce_core::serve::bind_functions(&syn, args.seed);

@@ -447,7 +447,9 @@ impl Synthesis {
                 Some((st_cfg, _)) => {
                     let (chain_labels, array_config) = st_cfg
                         .lowering_configs(&plan.tree)
-                        .map_err(|reason| ExecError::InvalidProgram { reason })?;
+                        .map_err(|overlap| ExecError::InvalidProgram {
+                            reason: overlap.describe(space),
+                        })?;
                     tce_exec::execute_tree_fused_with_labels(
                         &plan.tree,
                         space,
@@ -581,6 +583,72 @@ impl Synthesis {
             }
         }
         total
+    }
+
+    /// The tensors a run binds: every tensor some term reads before any
+    /// statement writes it, in first-read order.
+    pub fn bound_inputs(&self) -> Vec<TensorId> {
+        let mut written: Vec<bool> = vec![false; self.program.tensors.len()];
+        let mut needed: Vec<TensorId> = Vec::new();
+        for stmt in &self.program.stmts {
+            for term in &stmt.terms {
+                for f in &term.factors {
+                    if let tce_ir::Factor::Tensor(r) = f {
+                        if !written[r.tensor.0 as usize] && !needed.contains(&r.tensor) {
+                            needed.push(r.tensor);
+                        }
+                    }
+                }
+            }
+            written[stmt.lhs.tensor.0 as usize] = true;
+        }
+        needed
+    }
+
+    /// Elements a run holds before any temporary is freed, computed
+    /// without allocating: every bound input, every assigned tensor, and
+    /// the largest intermediate peak of one term (terms run one at a time)
+    /// under the schedule the run executes — the unfused tree's
+    /// `sequential_peak`, or under `fused` the selected fusion plan's
+    /// reduced arrays.  A distributed run's shards together hold at least
+    /// as much, since all ranks live in this process.
+    pub fn static_elements(&self, fused: bool) -> u128 {
+        let space = &self.program.space;
+        let tensor_elements = |id: TensorId| -> u128 {
+            let dims = &self.program.tensors.get(id).dims;
+            dims.iter().fold(1u128, |acc, &r| {
+                acc.saturating_mul(space.range_extent(r) as u128)
+            })
+        };
+        let mut assigned: Vec<TensorId> = self.program.stmts.iter().map(|s| s.lhs.tensor).collect();
+        assigned.sort_unstable();
+        assigned.dedup();
+        let peak = self.plans.iter().map(|plan| {
+            let tree = &plan.tree;
+            match (&plan.spacetime, fused) {
+                (Some((st, _)), true) => tce_fusion::FusionConfig {
+                    fused: st.fused.clone(),
+                }
+                .temp_memory(tree, space),
+                (None, true) => plan.memmin.memory,
+                (_, false) => {
+                    let unfused = tce_fusion::FusionConfig::unfused(tree);
+                    tce_fusion::schedule::fusion_schedule_with_labels(tree, &unfused)
+                        .sequential_peak(|n| {
+                            if n != tree.root && tce_fusion::config::is_fusable_producer(tree, n) {
+                                space.iteration_points(tree.node(n).indices)
+                            } else {
+                                0
+                            }
+                        })
+                }
+            }
+        });
+        (self.bound_inputs().into_iter())
+            .chain(assigned)
+            .map(tensor_elements)
+            .chain(peak.max())
+            .fold(0u128, u128::saturating_add)
     }
 }
 

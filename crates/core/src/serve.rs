@@ -101,21 +101,7 @@ pub fn parse_run_options(
 /// declaration, seed `seed ^ id`.
 #[must_use]
 pub fn bind_random_inputs(syn: &Synthesis, seed: u64) -> Vec<(TensorId, Tensor)> {
-    let mut written: Vec<bool> = vec![false; syn.program.tensors.len()];
-    let mut needed: Vec<TensorId> = Vec::new();
-    for stmt in &syn.program.stmts {
-        for term in &stmt.terms {
-            for f in &term.factors {
-                if let tce_ir::Factor::Tensor(r) = f {
-                    if !written[r.tensor.0 as usize] && !needed.contains(&r.tensor) {
-                        needed.push(r.tensor);
-                    }
-                }
-            }
-        }
-        written[stmt.lhs.tensor.0 as usize] = true;
-    }
-    needed
+    syn.bound_inputs()
         .into_iter()
         .map(|id| {
             let decl = syn.program.tensors.get(id);
@@ -127,6 +113,44 @@ pub fn bind_random_inputs(syn: &Synthesis, seed: u64) -> Vec<(TensorId, Tensor)>
             (id, Tensor::random(&shape, seed ^ id.0 as u64))
         })
         .collect()
+}
+
+/// Static storage above which [`check_memory_budget`] consults the host;
+/// smaller runs never read `/proc/meminfo`.
+const MEMORY_CHECK_FLOOR_BYTES: u128 = 1 << 30;
+
+/// Refuse, before anything is allocated, a run whose static storage
+/// ([`Synthesis::static_elements`]) exceeds the memory this host has
+/// available — a failed allocation aborts the process, which no caller
+/// can catch.  Runs under 1 GiB pass without a look at the host, and so
+/// does every run when `MemAvailable` cannot be read.
+///
+/// # Errors
+/// A one-line diagnostic with both sizes.
+pub fn check_memory_budget(syn: &Synthesis, fused: bool) -> Result<(), String> {
+    let bytes = syn
+        .static_elements(fused)
+        .saturating_mul(std::mem::size_of::<f64>() as u128);
+    if bytes <= MEMORY_CHECK_FLOOR_BYTES {
+        return Ok(());
+    }
+    match mem_available_bytes() {
+        Some(available) if bytes > available => Err(format!(
+            "execution needs {:.2} GiB of static storage, more than the {:.2} GiB available",
+            bytes as f64 / (1u64 << 30) as f64,
+            available as f64 / (1u64 << 30) as f64
+        )),
+        _ => Ok(()),
+    }
+}
+
+/// `MemAvailable` from `/proc/meminfo`, in bytes; `None` when the file or
+/// the line cannot be read.
+fn mem_available_bytes() -> Option<u128> {
+    let info = std::fs::read_to_string("/proc/meminfo").ok()?;
+    let line = info.lines().find(|l| l.starts_with("MemAvailable:"))?;
+    let kib: u128 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kib * 1024)
 }
 
 /// Bind every declared function leaf to a deterministic [`IntegralFn`],
@@ -246,6 +270,35 @@ impl PipelineHandler {
         self.cache
             .get_or_insert_with(&key, || synthesize(program, cfg).map_err(|e| e.to_string()))
     }
+
+    /// Compile (memoized) and run `program`.  The inner result is the
+    /// reply, which depends only on the request; the outer `Err` is a
+    /// refusal by [`check_memory_budget`], which depends on the host.
+    fn reply(
+        &self,
+        program: &str,
+        cfg: &SynthesisConfig,
+        run: &RunOptions,
+    ) -> Result<Result<String, String>, String> {
+        let (synth, _hit) = self.synthesis(program, cfg);
+        let syn = match synth.as_ref() {
+            Ok(s) => s,
+            Err(e) => return Ok(Err(e.clone())),
+        };
+        check_memory_budget(syn, false)?;
+        let owned = bind_random_inputs(syn, run.seed);
+        let inputs: HashMap<TensorId, &Tensor> = owned.iter().map(|(id, t)| (*id, t)).collect();
+        let funcs = bind_functions(syn, run.seed);
+        let exec_opts = match run.threads {
+            Some(t) => ExecOptions::with_threads(t),
+            None => ExecOptions::default(),
+        }
+        .with_schedule(run.schedule);
+        Ok(syn
+            .execute_opts(&inputs, &funcs, &exec_opts)
+            .map_err(|e| format!("execution failed: {e}"))
+            .map(|results| format_results(syn, &results)))
+    }
 }
 
 impl Handler for PipelineHandler {
@@ -263,24 +316,11 @@ impl Handler for PipelineHandler {
             cfg.calibration.as_ref().map(tce_calib::CostRates::canon)
         );
         let response_key = (program.to_string(), canon);
-        let (reply, _hit) = self.responses.get_or_insert_with(&response_key, || {
-            let (synth, _hit) = self.synthesis(program, &cfg);
-            let syn = match synth.as_ref() {
-                Ok(s) => s,
-                Err(e) => return Err(e.clone()),
-            };
-            let owned = bind_random_inputs(syn, run.seed);
-            let inputs: HashMap<TensorId, &Tensor> = owned.iter().map(|(id, t)| (*id, t)).collect();
-            let funcs = bind_functions(syn, run.seed);
-            let exec_opts = match run.threads {
-                Some(t) => ExecOptions::with_threads(t),
-                None => ExecOptions::default(),
-            }
-            .with_schedule(run.schedule);
-            syn.execute_opts(&inputs, &funcs, &exec_opts)
-                .map_err(|e| format!("execution failed: {e}"))
-                .map(|results| format_results(syn, &results))
-        });
+        // A memory refusal depends on the host at the time, not on the
+        // key, so it is not memoized.
+        let (reply, _hit) = self
+            .responses
+            .try_get_or_insert_with(&response_key, || self.reply(program, &cfg, &run))?;
         reply.as_ref().clone()
     }
 

@@ -12,7 +12,7 @@
 //! [`crate::config::FusionConfig::check`] is validated against.
 
 use crate::config::{fusable_set, FusionConfig};
-use tce_ir::{IndexSet, IndexVar, NodeId, OpTree};
+use tce_ir::{IndexSet, IndexSpace, IndexVar, NodeId, OpTree};
 
 /// One fusion chain: a maximal connected set of tree edges fused on the
 /// same index.
@@ -82,10 +82,37 @@ pub fn chains_of(tree: &OpTree, config: &FusionConfig) -> Vec<Chain> {
     out
 }
 
+/// Two chains, on these indices, whose scopes partially overlap: the
+/// configuration breaks the paper's global feasibility condition.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ScopeOverlap(pub IndexVar, pub IndexVar);
+
+impl ScopeOverlap {
+    /// The one-line diagnostic, naming both indices.
+    pub fn describe(self, space: &IndexSpace) -> String {
+        format!(
+            "chains on `{}` and `{}` have partially overlapping scopes",
+            space.var_name(self.0),
+            space.var_name(self.1)
+        )
+    }
+}
+
+/// Without an index space to name them, the indices print as ids.
+impl std::fmt::Display for ScopeOverlap {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "chains on index ids {} and {} have partially overlapping scopes",
+            self.0 .0, self.1 .0
+        )
+    }
+}
+
 /// Scope-nesting part of the feasibility condition only (no basic
 /// well-formedness): every pair of chain scopes must be disjoint or
 /// nested.
-pub fn check_scopes(tree: &OpTree, config: &FusionConfig) -> Result<(), String> {
+pub fn check_scopes(tree: &OpTree, config: &FusionConfig) -> Result<(), ScopeOverlap> {
     let chains = chains_of(tree, config);
     for (i, a) in chains.iter().enumerate() {
         let ma = a.scope_mask();
@@ -93,10 +120,7 @@ pub fn check_scopes(tree: &OpTree, config: &FusionConfig) -> Result<(), String> 
             let mb = b.scope_mask();
             let inter = ma & mb;
             if inter != 0 && inter != ma && inter != mb {
-                return Err(format!(
-                    "chains on `{}` and `{}` have partially overlapping scopes",
-                    a.index.0, b.index.0
-                ));
+                return Err(ScopeOverlap(a.index, b.index));
             }
         }
     }
@@ -105,8 +129,13 @@ pub fn check_scopes(tree: &OpTree, config: &FusionConfig) -> Result<(), String> 
 
 /// The paper's global feasibility condition, checked directly: every pair
 /// of chain scopes must be disjoint or nested.  Also re-checks that each
-/// fused set is within the edge's fusable set.
-pub fn check_chainwise(tree: &OpTree, config: &FusionConfig) -> Result<(), String> {
+/// fused set is within the edge's fusable set.  Diagnostics name indices
+/// from `space`.
+pub fn check_chainwise(
+    tree: &OpTree,
+    config: &FusionConfig,
+    space: &IndexSpace,
+) -> Result<(), String> {
     if !config.get(tree.root).is_empty() {
         return Err("root has no parent edge to fuse".into());
     }
@@ -123,7 +152,7 @@ pub fn check_chainwise(tree: &OpTree, config: &FusionConfig) -> Result<(), Strin
             ));
         }
     }
-    check_scopes(tree, config)
+    check_scopes(tree, config).map_err(|overlap| overlap.describe(space))
 }
 
 #[cfg(test)]
@@ -152,7 +181,7 @@ mod tests {
         assert!(by_index.contains(&(c, 3)));
         assert!(by_index.contains(&(d, 2)));
         assert!(by_index.contains(&(f, 2)));
-        check_chainwise(&tree, &cfg).unwrap();
+        check_chainwise(&tree, &cfg, &space).unwrap();
     }
 
     #[test]
@@ -163,8 +192,11 @@ mod tests {
         // {T1,T2}, j/k chains span {T2,S} — partial overlap at T2.
         cfg.set(t2, space.parse_set("j,k").unwrap());
         cfg.set(t1, space.parse_set("d,f").unwrap());
-        let err = check_chainwise(&tree, &cfg).unwrap_err();
-        assert!(err.contains("partially overlapping"), "{err}");
+        let err = check_chainwise(&tree, &cfg, &space).unwrap_err();
+        assert_eq!(
+            err, "chains on `d` and `j` have partially overlapping scopes",
+            "{err}"
+        );
         // The local pattern check agrees.
         assert!(cfg.check(&tree).is_err());
     }
@@ -199,7 +231,7 @@ mod tests {
         cfg.set(x, i.singleton());
         cfg.set(y, i.singleton());
         // One i-chain spanning {X, Y, root}: legal.
-        check_chainwise(&tree, &cfg).unwrap();
+        check_chainwise(&tree, &cfg, &space).unwrap();
         cfg.check(&tree).unwrap();
         let chains = chains_of(&tree, &cfg);
         assert_eq!(chains.len(), 1);
@@ -269,7 +301,7 @@ mod tests {
                 cfg.set(id, pick);
             }
             let local = cfg.check(&tree).is_ok();
-            let global = check_chainwise(&tree, &cfg).is_ok();
+            let global = check_chainwise(&tree, &cfg, &space).is_ok();
             assert_eq!(
                 local, global,
                 "trial {trial}: local={local} global={global} cfg={:?}",

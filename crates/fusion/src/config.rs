@@ -86,7 +86,7 @@ impl FusionConfig {
     /// captures (see the ordered-state DP in [`crate::memmin`]).
     pub fn check(&self, tree: &OpTree) -> Result<(), String> {
         self.check_local(tree)?;
-        crate::chains::check_scopes(tree, self)
+        crate::chains::check_scopes(tree, self).map_err(|overlap| overlap.to_string())
     }
 
     /// The local (per-node) pattern-comparability conditions — necessary

@@ -133,7 +133,7 @@ impl FusionGraph {
         // Scope nesting on the extended graph = the ordinary chain
         // condition (redundant vertices make the fused sets legal
         // subsets).
-        crate::chains::check_scopes(tree, config)
+        crate::chains::check_scopes(tree, config).map_err(|overlap| overlap.to_string())
     }
 
     /// Text rendering: one line per producer node with its vertices

@@ -18,6 +18,7 @@
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -124,6 +125,21 @@ impl<K: Hash + Eq + Clone, V> ShardedLru<K, V> {
     /// Look `key` up; on a miss, run `fill` under the shard lock and cache
     /// the result.  Returns the value and whether it was a hit.
     pub fn get_or_insert_with<F: FnOnce() -> V>(&self, key: &K, fill: F) -> (Arc<V>, bool) {
+        let Ok(found) = self.try_get_or_insert_with(key, || Ok::<V, Infallible>(fill()));
+        found
+    }
+
+    /// [`ShardedLru::get_or_insert_with`] with a fallible `fill`: an `Err`
+    /// is handed back and neither cached nor counted, so the next lookup
+    /// of `key` runs `fill` again.
+    ///
+    /// # Errors
+    /// `fill`'s error, on a miss whose fill fails.
+    pub fn try_get_or_insert_with<E, F: FnOnce() -> Result<V, E>>(
+        &self,
+        key: &K,
+        fill: F,
+    ) -> Result<(Arc<V>, bool), E> {
         let shard = self.shard_for(key);
         let mut store = shard.store.lock().unwrap_or_else(|e| e.into_inner());
         store.stamp += 1;
@@ -131,29 +147,30 @@ impl<K: Hash + Eq + Clone, V> ShardedLru<K, V> {
         if let Some((value, last)) = store.map.get_mut(key) {
             *last = stamp;
             self.count(&shard.hits, 0);
-            return (Arc::clone(value), true);
+            return Ok((Arc::clone(value), true));
         }
         // Count the miss only once `fill` has produced a value: a
         // panicking fill must leave the counters consistent
         // (`len == misses - evictions`), not record a miss that never
         // inserted.  The poisoned shard lock is recovered on the next
         // access (`unwrap_or_else(into_inner)` above) and the store itself
-        // was not modified, so the shard keeps serving.
-        let value = Arc::new(fill());
+        // was not modified, so the shard keeps serving.  A failed fill
+        // leaves the store and the counters untouched the same way.
+        let value = Arc::new(fill()?);
         self.count(&shard.misses, 1);
         if store.capacity == 0 {
             // This shard got no share of the capacity: the fresh value is
             // handed to the caller but not retained, which counts as an
             // eviction so `len == misses - evictions` stays an invariant.
             self.count(&shard.evictions, 2);
-            return (value, false);
+            return Ok((value, false));
         }
         if store.map.len() >= store.capacity {
             store.evict_oldest();
             self.count(&shard.evictions, 2);
         }
         store.map.insert(key.clone(), (Arc::clone(&value), stamp));
-        (value, false)
+        Ok((value, false))
     }
 
     /// Re-split a new total `capacity` over the shards, evicting
@@ -302,6 +319,22 @@ mod tests {
         assert!(hit1, "recently used entry was evicted");
         let (_, hit2) = cache.get_or_insert_with(&2, || 20);
         assert!(!hit2, "LRU victim survived");
+    }
+
+    #[test]
+    fn failed_fill_is_neither_cached_nor_counted() {
+        let cache: ShardedLru<u64, u64> = ShardedLru::new(4, 1);
+        assert_eq!(
+            cache.try_get_or_insert_with(&1, || Err("refused")),
+            Err("refused")
+        );
+        assert_eq!((cache.len(), cache.stats().misses), (0, 0));
+        // The next lookup of the same key fills again.
+        let (value, hit) = cache.try_get_or_insert_with(&1, || Ok::<_, ()>(7)).unwrap();
+        assert_eq!((*value, hit), (7, false));
+        assert_eq!((cache.len(), cache.stats().misses), (1, 1));
+        let (value, hit) = cache.try_get_or_insert_with(&1, || Err(())).unwrap();
+        assert_eq!((*value, hit), (7, true));
     }
 
     #[test]

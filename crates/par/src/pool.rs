@@ -222,7 +222,10 @@ impl Pool {
             shared.work.notify_all();
         }
 
-        // The submitting thread claims tasks too.
+        // The submitting thread claims tasks too, and counts its claim
+        // loop as busy time: a job the caller finishes before any worker
+        // wakes still shows in the pool accounting.
+        let t_claim = tce_trace::enabled().then(tce_trace::now_ns);
         loop {
             let i = shared.next.fetch_add(1, Ordering::Relaxed);
             if i >= tasks {
@@ -232,6 +235,9 @@ impl Pool {
                 shared.panicked.store(true, Ordering::SeqCst);
             }
             shared.pending.fetch_sub(1, Ordering::AcqRel);
+        }
+        if let Some(t0) = t_claim {
+            tce_trace::counter("pool.busy_ns", tce_trace::now_ns() - t0);
         }
 
         // Retract the job, then wait for stragglers.  Workers register in

@@ -29,7 +29,9 @@ pub fn spacetime_program(
     cfg: &SpaceTimeConfig,
     result_name: &str,
 ) -> Result<BuiltProgram, String> {
-    let (chain_labels, array_config) = cfg.lowering_configs(tree)?;
+    let (chain_labels, array_config) = cfg
+        .lowering_configs(tree)
+        .map_err(|overlap| overlap.describe(space))?;
     let built = fused_program_with_labels(
         tree,
         space,

@@ -20,7 +20,7 @@
 use crate::pareto::Pareto;
 use std::collections::HashMap;
 use std::ops::ControlFlow;
-use tce_fusion::chains::check_scopes;
+use tce_fusion::chains::{check_scopes, ScopeOverlap};
 use tce_fusion::config::{fusable_set, is_fusable_producer, FusionConfig};
 use tce_fusion::nest::for_each_child_state_option;
 use tce_ir::{IndexSet, IndexSpace, NodeId, OpKind, OpTree};
@@ -58,9 +58,12 @@ impl SpaceTimeConfig {
     /// alone, which defines the array shapes and the modeled memory.
     ///
     /// # Errors
-    /// Returns an error when the chain scopes are not nested (an illegal
-    /// configuration — the DPs never produce one).
-    pub fn lowering_configs(&self, tree: &OpTree) -> Result<(FusionConfig, FusionConfig), String> {
+    /// Returns the overlapping pair when the chain scopes are not nested
+    /// (an illegal configuration).
+    pub fn lowering_configs(
+        &self,
+        tree: &OpTree,
+    ) -> Result<(FusionConfig, FusionConfig), ScopeOverlap> {
         let chain_labels = FusionConfig {
             fused: self
                 .fused
@@ -471,7 +474,7 @@ fn strip_transparent<'b>(
 /// structural labels, and collect the exact pareto frontier.  Exponential —
 /// tiny trees only.
 pub fn spacetime_bruteforce(tree: &OpTree, space: &IndexSpace) -> Pareto<SpaceTimeConfig> {
-    use tce_fusion::chains::check_scopes;
+    use tce_fusion::chains::{check_scopes, ScopeOverlap};
     use tce_fusion::FusionConfig;
     let parents = tree.parents();
     let edges: Vec<(NodeId, IndexSet, IndexSet)> = tree
@@ -526,7 +529,7 @@ pub fn spacetime_bruteforce(tree: &OpTree, space: &IndexSpace) -> Pareto<SpaceTi
         cfg.redundant[node.0 as usize] = IndexSet::EMPTY;
     }
     rec(tree, space, &edges, 0, &mut cfg, &mut front);
-    let _ = (check_scopes as fn(&OpTree, &FusionConfig) -> Result<(), String>,);
+    let _ = (check_scopes as fn(&OpTree, &FusionConfig) -> Result<(), ScopeOverlap>,);
     front
 }
 

@@ -29,14 +29,15 @@
 //!   B panels for one K-block at a time — vectorized contiguous copies
 //!   when the M/N group is unit-stride in the operand, gather otherwise —
 //!   and feeds the variant's register-blocked micro-kernel;
-//! * a plan whose register tile would be mostly zero padding — `m < MR`
-//!   or `n < NR`, with `nb·m·n·k ≤ (MC+NC)·KC` under the plan's own
-//!   clamped blocks, i.e. no more work than one pair of its pack panels
-//!   holds — skips packing and runs `kernels::direct` on the calling
-//!   thread.  The direct kernel repeats the packed path's arithmetic
-//!   operation for operation (per output element and K-block: `acc = 0`,
-//!   the variant's multiply-add, `c += acc`), so which path a plan takes
-//!   never changes a bit;
+//! * the path is chosen by shape alone: a *thin* plan — `m < MR` or
+//!   `n < NR`, a dot product, GEMV or skinny GETT whose register tile
+//!   would be mostly zero padding — never packs, whatever its size, and
+//!   runs `kernels::direct`: an unpacked register-blocked kernel that
+//!   reads both operands in place through the offset tables.  It repeats
+//!   the packed path's arithmetic operation for operation (per output
+//!   element and K-block: `acc = 0`, the variant's multiply-add in
+//!   ascending `k`, `c += acc`, K-blocks ascending), so which path a plan
+//!   takes never changes a bit;
 //! * parallelism partitions the *output*, decided per call at execute
 //!   time (the plan and its blocks do not depend on the thread count).
 //!   MC/NC stay cache blocks; the tasks are register-aligned chunks
@@ -46,11 +47,13 @@
 //!   MR/NR-aligned M and N chunks, no taller than MC and no wider than
 //!   NC, counted to duplicate the fewest packed panel elements (an extra
 //!   M chunk re-packs B, an extra N chunk re-packs A, so the longer axis
-//!   is split).  A smaller call runs as one task on the caller.  Every
-//!   task owns a disjoint block of C and accumulates K-blocks in a fixed
-//!   ascending order, so the result is bitwise identical for every
-//!   thread count (for a fixed kernel variant; variants differ in
-//!   rounding by design).
+//!   is split).  A thin call splits the same way with cache blocks as
+//!   large as its output, which cuts its long output axis (or its batch)
+//!   into register-aligned chunks.  A smaller call runs as one task on
+//!   the caller.  Every task owns a disjoint block of C and accumulates
+//!   K-blocks in a fixed ascending order, so the result is bitwise
+//!   identical for every thread count (for a fixed kernel variant;
+//!   variants differ in rounding by design).
 //!
 //! [`contract_gett`] is the whole-tensor entry point; the fused executor
 //! resolves a strided plan per contraction node and calls
@@ -68,7 +71,7 @@ use tce_par::{block_ranges, Pool, ShardedLru};
 /// scratch size).
 const MAX_ACC: usize = 64;
 
-/// Flops each worker must get before a packed call fans out: below
+/// Flops each worker must get before a call fans out: below
 /// `threads` times this, the call runs as one task on the calling thread,
 /// because waking the pool would cost more than the smaller share saves
 /// (about 10 µs of kernel time per worker at 25 GF/s).
@@ -106,6 +109,21 @@ impl TaskSplit {
             self.rows[i / cols % rows].clone(),
             self.cols[i % cols].clone(),
         ]
+    }
+
+    /// Run `run_blocks` over every block: all of them on the caller as
+    /// one task, or one block per task on the pool.  Returns the task
+    /// count.
+    fn run(&self, threads: usize, run_blocks: &(dyn Fn(Range<usize>) + Sync)) -> usize {
+        let tasks = self.tasks();
+        if tasks == 1 {
+            run_blocks(0..self.blocks());
+        } else {
+            let pool = Pool::global();
+            pool.ensure_workers(threads - 1);
+            pool.run(tasks, &|t| run_blocks(t..t + 1));
+        }
+        tasks
     }
 }
 
@@ -297,7 +315,12 @@ pub struct ContractionPlan {
     a_m_unit: bool,
     /// N group is unit-stride in `b` (pack B by vector copy).
     b_n_unit: bool,
-    /// Skip packing: the register tile would be mostly zero padding.
+    /// K group is unit-stride in `a` (the direct path reads no table).
+    a_k_unit: bool,
+    /// K group is unit-stride in `b`.
+    b_k_unit: bool,
+    /// Skip packing: `m < MR` or `n < NR`, so the register tile would be
+    /// mostly zero padding.
     direct: bool,
     /// Dispatched micro-kernel and macro-block sizes.
     kernel: KernelConfig,
@@ -397,9 +420,7 @@ impl ContractionPlan {
             span([&c_batch_off, &c_m_off, &c_n_off]),
         ];
         let kernel = KernelConfig::select(variant, m, n, k);
-        let blocks = kernel.blocks;
-        let direct = (m < kernel.mr || n < kernel.nr)
-            && nb * m * n * k <= (blocks.mc + blocks.nc) * blocks.kc;
+        let direct = m < kernel.mr || n < kernel.nr;
         Self {
             nb,
             m,
@@ -407,6 +428,8 @@ impl ContractionPlan {
             k,
             a_m_unit: is_unit_stride(&a_m_off),
             b_n_unit: is_unit_stride(&b_n_off),
+            a_k_unit: is_unit_stride(&a_k_off),
+            b_k_unit: is_unit_stride(&b_k_off),
             a_batch_off,
             a_m_off,
             a_k_off,
@@ -482,27 +505,8 @@ impl ContractionPlan {
         let traced = tce_trace::enabled();
         let _exec_span = tce_trace::span("gett.execute");
         let cfg = self.kernel;
-        // The direct path is one task on the caller.
         let tasks = if self.direct {
-            let g = DirectGemm {
-                a_rows: &self.a_m_off,
-                a_k: &self.a_k_off,
-                b_cols: &self.b_n_off,
-                b_k: &self.b_k_off,
-                c_rows: &self.c_m_off,
-                c_cols: &self.c_n_off,
-                kc: cfg.blocks.kc,
-            };
-            for bi in 0..self.nb {
-                kernels::direct(
-                    cfg.variant,
-                    &g,
-                    &a[self.a_batch_off[bi]..],
-                    &b[self.b_batch_off[bi]..],
-                    &mut c[self.c_batch_off[bi]..],
-                );
-            }
-            1
+            self.execute_direct(a, b, c, threads)
         } else {
             self.execute_packed(a, b, c, threads, traced)
         };
@@ -527,6 +531,78 @@ impl ContractionPlan {
             tce_trace::counter("gett.nc", cfg.blocks.nc as u64);
             tce_trace::counter("gett.kc", cfg.blocks.kc as u64);
         }
+    }
+
+    /// How the direct path splits a call on `threads` workers: `None`
+    /// below `threads · WORK_FLOOR_FLOPS`, where the call is one task on
+    /// the caller.  Above, the [`task_split`] of the call with cache blocks
+    /// as large as the output — nothing is packed, so only register
+    /// alignment shapes the chunks — which cuts the long output axis (or
+    /// the batch) into a multiple of `threads` tasks.
+    fn direct_split(&self, threads: usize) -> Option<TaskSplit> {
+        if threads <= 1 || self.flops() < WORK_FLOOR_FLOPS * threads as u128 {
+            return None;
+        }
+        let cfg = &self.kernel;
+        let whole = BlockSizes {
+            mc: self.m.next_multiple_of(cfg.mr),
+            nc: self.n.next_multiple_of(cfg.nr),
+            kc: cfg.blocks.kc,
+        };
+        Some(task_split(
+            self.nb, self.m, self.n, self.k, whole, cfg.mr, cfg.nr, threads,
+        ))
+    }
+
+    /// The direct path on operands and output already rebased, split by
+    /// [`ContractionPlan::direct_split`]; returns the task count.
+    fn execute_direct(&self, a: &[f64], b: &[f64], c: &mut [f64], threads: usize) -> usize {
+        let cfg = &self.kernel;
+        let c_ptr = SendPtr(c.as_mut_ptr());
+        let run = |bi: usize, rows: Range<usize>, cols: Range<usize>| {
+            // Borrow the whole wrapper: a field capture would share the
+            // bare pointer.
+            let c_ptr = &c_ptr;
+            let g = DirectGemm {
+                a_rows: &self.a_m_off[rows.clone()],
+                a_k: &self.a_k_off,
+                b_cols: &self.b_n_off[cols.clone()],
+                b_k: &self.b_k_off,
+                c_rows: &self.c_m_off[rows],
+                c_cols: &self.c_n_off[cols],
+                kc: cfg.blocks.kc,
+                a_k_unit: self.a_k_unit,
+                b_k_unit: self.b_k_unit,
+            };
+            // SAFETY: batch base plus any offset of the tables is below the
+            // operand's span, which `execute_into` asserted fits each slice
+            // behind these pointers; the output block (bi, rows, cols)
+            // belongs to this task alone, and `with_strides` asserted that
+            // distinct output coordinates have distinct offsets.
+            unsafe {
+                kernels::direct(
+                    cfg.variant,
+                    &g,
+                    a.as_ptr().add(self.a_batch_off[bi]),
+                    b.as_ptr().add(self.b_batch_off[bi]),
+                    c_ptr.0.add(self.c_batch_off[bi]),
+                );
+            }
+        };
+        let Some(split) = self.direct_split(threads) else {
+            for bi in 0..self.nb {
+                run(bi, 0..self.m, 0..self.n);
+            }
+            return 1;
+        };
+        split.run(threads, &|blocks| {
+            for i in blocks {
+                let [batches, rows, cols] = split.block(i);
+                for bi in batches {
+                    run(bi, rows.clone(), cols.clone());
+                }
+            }
+        })
     }
 
     /// The packed path on operands and output already rebased, split into
@@ -577,15 +653,7 @@ impl ContractionPlan {
             crate::bufpool::release(apack);
             crate::bufpool::release(bpack);
         };
-        let tasks = split.tasks();
-        if tasks == 1 {
-            run_blocks(0..split.blocks());
-        } else {
-            let pool = Pool::global();
-            pool.ensure_workers(threads - 1);
-            pool.run(tasks, &|t| run_blocks(t..t + 1));
-        }
-        tasks
+        split.run(threads, &run_blocks)
     }
 
     /// Compute one block of the output: batch `bi`, rows `mi`, columns
@@ -723,10 +791,10 @@ impl ContractionPlan {
     }
 }
 
-/// Raw output pointer wrapper shared by the packed path's tasks, which
-/// write provably disjoint elements.
+/// Raw output pointer wrapper shared by the tasks of either path, which
+/// accumulate into provably disjoint elements.
 struct SendPtr(*mut f64);
-// SAFETY: tasks only write through the pointer, each to output offsets no
+// SAFETY: tasks only accumulate into (read and write) output offsets no
 // other task owns (`with_strides` asserts the output offsets distinct) and
 // all below the span `execute_into` asserted fits the output slice; the
 // slice outlives `Pool::run`, which joins every task before returning (a
@@ -1440,15 +1508,16 @@ mod tests {
         plan
     }
 
-    /// Run `spec`'s plan on both paths into the same random output
-    /// (`out_strides` `None`: dense row-major) and require identical bits,
-    /// and the oracle's value at every output coordinate.
+    /// Run `spec`'s plan on both paths, at 1 and 3 threads, into the same
+    /// random output (`out_strides` `None`: dense row-major) and require
+    /// identical bits, and the oracle's value at every output coordinate.
+    /// Returns the plan.
     fn check_direct_against_packed(
         variant: KernelVariant,
         extents: &[(&str, usize)],
         [da, db, dout]: [&str; 3],
         out_strides: Option<Vec<usize>>,
-    ) {
+    ) -> ContractionPlan {
         let sp = space(extents);
         let dims =
             |s: &str| -> Vec<IndexVar> { s.chars().map(|c| v(&sp, &c.to_string())).collect() };
@@ -1474,8 +1543,13 @@ mod tests {
             c
         };
         let direct = run(true, 1);
-        assert_eq!(bits(&direct), bits(&run(false, 1)), "{variant} {extents:?}");
-        assert_eq!(bits(&direct), bits(&run(false, 3)), "{variant} {extents:?}");
+        for (on_direct, threads) in [(true, 3), (false, 1), (false, 3)] {
+            assert_eq!(
+                bits(&direct),
+                bits(&run(on_direct, threads)),
+                "{variant} {extents:?}: direct={on_direct} threads={threads}"
+            );
+        }
         let naive = contract_naive(&spec, &sp, &a, &b);
         let mut idx = vec![0usize; naive.rank()];
         for _ in 0..naive.len() {
@@ -1484,6 +1558,7 @@ mod tests {
             assert!((direct[off] - want).abs() < 1e-10, "{variant} {extents:?}");
             Tensor::advance(&mut idx, naive.shape());
         }
+        plan()
     }
 
     #[test]
@@ -1509,6 +1584,37 @@ mod tests {
             // Transposed output at non-unit strides in both dims.
             let transposed = [("i", 2), ("j", 3), ("k", 6)];
             check(&transposed, ["ik", "kj", "ji"], Some(vec![7, 3]));
+            // Thin calls far larger than one pair of pack panels.  A dot
+            // over 41 K-blocks, the last ragged.
+            check(&[("k", 40 * kc + 3)], ["k", "k", ""], None);
+            // A GEMV like `W[a,b,i,j]·T1[b,j]`: M = (a, i) and K = (b, j)
+            // both strided in `a`, K in runs of 10.
+            let gemv = [("a", 30), ("b", 60), ("i", 10), ("j", 10)];
+            check(&gemv, ["abij", "bj", "ai"], None);
+            // Three rows against 500 unit-stride columns, two K-blocks.
+            let wide = [("i", 3), ("j", 500), ("k", kc + 7)];
+            check(&wide, ["ik", "kj", "ij"], None);
+            // Batched: thin GEMMs and dot products per batch coordinate.
+            let batched = [("p", 4), ("i", 2), ("j", 37), ("k", kc + 1)];
+            check(&batched, ["pik", "pkj", "pij"], None);
+            check(&[("p", 5), ("k", 4 * kc + 1)], ["pk", "kp", "p"], None);
+            // Above the work floor on three workers: the long axis fans out
+            // in register-aligned chunks, N for a short M and M for a
+            // short N.
+            for (extents, dims) in [
+                ([("i", 2), ("j", 2000), ("k", 300)], ["ik", "kj", "ij"]),
+                ([("i", 3000), ("j", 1), ("k", 200)], ["ki", "kj", "ij"]),
+            ] {
+                let plan = check(&extents, dims, None);
+                let split = plan.direct_split(3).expect("above the work floor");
+                assert!(
+                    split.tasks() > 1 && split.tasks().is_multiple_of(3),
+                    "{variant} {extents:?}: {split:?}"
+                );
+                let (mr, nr) = (plan.kernel_config().mr, plan.kernel_config().nr);
+                assert!(split.rows.iter().all(|r| r.start % mr == 0));
+                assert!(split.cols.iter().all(|c| c.start % nr == 0));
+            }
         }
     }
 

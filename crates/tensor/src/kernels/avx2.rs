@@ -60,10 +60,11 @@ pub unsafe fn microkernel_8x6(ap: &[f64], bp: &[f64], kb: usize, acc: &mut [f64]
 ///
 /// # Safety
 /// Caller must ensure the host supports AVX2 and FMA (CPUID-checked by
-/// the dispatcher); indexing is bounds-checked.
+/// the dispatcher), and the offset contract of [`super::direct`].
 #[target_feature(enable = "avx2,fma")]
-pub(crate) fn direct_fma(g: &super::DirectGemm, a: &[f64], b: &[f64], c: &mut [f64]) {
-    super::direct_with(g, a, b, c, f64::mul_add)
+pub(crate) unsafe fn direct_fma(g: &super::DirectGemm, a: *const f64, b: *const f64, c: *mut f64) {
+    // SAFETY: the offsets are the caller's contract.
+    unsafe { super::direct_with(g, a, b, c, f64::mul_add) }
 }
 
 /// Vectorized equal-length copy (`_mm256_loadu/storeu_pd`, 16 elements

@@ -1,9 +1,9 @@
 //! Runtime-dispatched micro-kernels and cache-aware block sizing.
 //!
 //! The GETT engine's inner loops — the register-blocked GEMM kernel, the
-//! no-pack direct kernel for shapes smaller than a register tile, the
-//! panel packing copies, and the blocked permute — come in three
-//! implementations selected once per process by CPUID:
+//! no-pack direct kernel for thin shapes (M or N below the register
+//! tile), the panel packing copies, and the blocked permute — come in
+//! three implementations selected once per process by CPUID:
 //!
 //! * [`KernelVariant::Scalar`] — the portable mul+add kernel (8×4
 //!   register tile), bit-for-bit identical to the engine before SIMD
@@ -462,45 +462,195 @@ pub(crate) struct DirectGemm<'t> {
     pub c_cols: &'t [usize],
     /// K-block depth: the packed path's KC for the same plan.
     pub kc: usize,
+    /// `a_k` is the identity (`a_k[p] == p`).
+    pub a_k_unit: bool,
+    /// `b_k` is the identity (`b_k[p] == p`).
+    pub b_k_unit: bool,
 }
 
-/// `c[i, j] += Σ_p a·b` without packing — for shapes whose register tile
-/// would be mostly zero padding.  Per output element and per K-block the
+/// Independent output elements a thin call advances per step.
+const CHAINS: usize = 8;
+
+/// `c[i, j] += Σ_p a·b` without packing — the kernel for thin calls,
+/// whose M or N extent is below the register tile, so the packed path's
+/// MR×NR tile would be mostly zero padding.  It reads both operands in
+/// place through `g`'s offset tables and blocks by the call's shape
+/// alone: a dot product (`m = n = 1`) walks K directly, reading no table
+/// when both K groups are contiguous; any other call takes its longer
+/// output axis [`CHAINS`] coordinates at a time, each group sharing every
+/// load of the short operand.  Per output element and per K-block the
 /// arithmetic is the packed path's, operation for operation: `acc = 0`,
-/// one multiply-add per step (fused on AVX2, mul-then-add otherwise),
-/// then `c += acc`.  So both paths round identically, and a plan may take
-/// either without changing a bit.
+/// one multiply-add per step in ascending `k` (fused on AVX2,
+/// mul-then-add otherwise), then `c += acc`, K-blocks in ascending order.
+/// So both paths round identically, a plan may take either without
+/// changing a bit, and neither does the chunk of the output a task is
+/// handed.
+///
+/// # Safety
+/// Every offset `g` names must be in bounds of the allocation behind `a`,
+/// `b` or `c`, and no other thread may access the output elements `g`
+/// names during the call.
 #[inline]
-pub(crate) fn direct(variant: KernelVariant, g: &DirectGemm, a: &[f64], b: &[f64], c: &mut [f64]) {
+pub(crate) unsafe fn direct(
+    variant: KernelVariant,
+    g: &DirectGemm,
+    a: *const f64,
+    b: *const f64,
+    c: *mut f64,
+) {
     match variant {
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        // SAFETY: the variant was CPUID-checked at selection time.
+        // SAFETY: the variant was CPUID-checked at selection time; the
+        // offsets are the caller's contract.
         KernelVariant::Avx2 => unsafe { avx2::direct_fma(g, a, b, c) },
-        _ => direct_with(g, a, b, c, |x, y, acc| acc + x * y),
+        // SAFETY: the offsets are the caller's contract.
+        _ => unsafe { direct_with(g, a, b, c, |x, y, acc| acc + x * y) },
     }
 }
 
-/// The [`direct`] loop nest over a variant's multiply-add step.  K-blocks
-/// are the outer loop — each element still adds its block sums in
-/// ascending order, as the packed path does.
+/// One operand of a [`direct`] call seen along one output axis:
+/// coordinate `l` reads `base[off[l] + k[p]]` at step `p` and adds into
+/// output offset `c[l]` (plus the other axis's).
+#[derive(Clone, Copy)]
+struct Axis<'t> {
+    base: *const f64,
+    off: &'t [usize],
+    k: &'t [usize],
+    c: &'t [usize],
+}
+
+/// The [`direct`] kernel over a variant's multiply-add step.
+///
+/// # Safety
+/// As [`direct`].
 #[inline(always)]
-pub(crate) fn direct_with(
+pub(crate) unsafe fn direct_with(
     g: &DirectGemm,
-    a: &[f64],
-    b: &[f64],
-    c: &mut [f64],
-    madd: impl Fn(f64, f64, f64) -> f64,
+    a: *const f64,
+    b: *const f64,
+    c: *mut f64,
+    madd: impl Fn(f64, f64, f64) -> f64 + Copy,
 ) {
-    for (ak, bk) in g.a_k.chunks(g.kc).zip(g.b_k.chunks(g.kc)) {
-        for (&ci, &ai) in g.c_rows.iter().zip(g.a_rows) {
-            for (&cj, &bj) in g.c_cols.iter().zip(g.b_cols) {
-                let mut acc = 0.0;
-                for (&pa, &pb) in ak.iter().zip(bk) {
-                    acc = madd(a[ai + pa], b[bj + pb], acc);
-                }
-                c[ci + cj] += acc;
+    let rows = Axis {
+        base: a,
+        off: g.a_rows,
+        k: g.a_k,
+        c: g.c_rows,
+    };
+    let cols = Axis {
+        base: b,
+        off: g.b_cols,
+        k: g.b_k,
+        c: g.c_cols,
+    };
+    // Every pointer below is `a`, `b` or `c` plus offsets taken from `g`,
+    // in bounds by the caller's contract.
+    if rows.off.len() == 1 && cols.off.len() == 1 {
+        let (x, y) = (a.add(g.a_rows[0]), b.add(g.b_cols[0]));
+        let out = c.add(g.c_rows[0] + g.c_cols[0]);
+        if g.a_k_unit && g.b_k_unit {
+            dot(g.a_k.len(), g.kc, out, |p, acc| {
+                madd(*x.add(p), *y.add(p), acc)
+            });
+        } else {
+            dot(g.a_k.len(), g.kc, out, |p, acc| {
+                madd(*x.add(g.a_k[p]), *y.add(g.b_k[p]), acc)
+            });
+        }
+    } else if rows.off.len() < cols.off.len() {
+        along(cols, rows, g.kc, c, madd);
+    } else {
+        along(rows, cols, g.kc, c, madd);
+    }
+}
+
+/// One output element over `k` steps, `step(p, acc)` being step `p`'s
+/// multiply-add: one chain per K-block, each added to `*out` in
+/// ascending order.
+///
+/// # Safety
+/// `step` reads only in-bounds elements for `p < k`, and no other thread
+/// accesses `*out` during the call.
+#[inline(always)]
+unsafe fn dot(k: usize, kc: usize, out: *mut f64, step: impl Fn(usize, f64) -> f64) {
+    let mut p0 = 0;
+    while p0 < k {
+        let end = (p0 + kc).min(k);
+        let mut acc = 0.0f64;
+        for p in p0..end {
+            acc = step(p, acc);
+        }
+        *out += acc;
+        p0 = end;
+    }
+}
+
+/// Every element of a call whose `long` axis is at least as long as its
+/// `short` one.  Per K-block (outermost, so each element adds its blocks
+/// in ascending order) and short coordinate, the long axis runs
+/// [`CHAINS`] coordinates at a time, then one by one.
+///
+/// # Safety
+/// As [`direct`], for the operands behind `long` and `short` and the
+/// output behind `c`.
+#[inline(always)]
+unsafe fn along(
+    long: Axis,
+    short: Axis,
+    kc: usize,
+    c: *mut f64,
+    madd: impl Fn(f64, f64, f64) -> f64 + Copy,
+) {
+    let (n, k) = (long.off.len(), long.k.len());
+    let mut p0 = 0;
+    while p0 < k {
+        let end = (p0 + kc).min(k);
+        let (lk, sk) = (&long.k[p0..end], &short.k[p0..end]);
+        for (&so, &sc) in short.off.iter().zip(short.c) {
+            let (y, cs) = (short.base.add(so), c.add(sc));
+            let mut l = 0;
+            while l + CHAINS <= n {
+                chains::<CHAINS>(long, l, lk, sk, y, cs, madd);
+                l += CHAINS;
+            }
+            while l < n {
+                chains::<1>(long, l, lk, sk, y, cs, madd);
+                l += 1;
             }
         }
+        p0 = end;
+    }
+}
+
+/// One K-block of long coordinates `l0..l0 + W` against the short
+/// operand's element at `y` (step `p` reads `x[lk[p]]` and `y[sk[p]]`):
+/// `W` independent chains sharing each load of `y`, each then added to
+/// its output element (`cs` is the short coordinate's output base).
+///
+/// # Safety
+/// As [`direct`]: `l0 + W` is at most `long`'s extent, every offset read
+/// is in bounds behind `long.base`, `y` and `cs`, and no other thread
+/// accesses those output elements.
+#[inline(always)]
+unsafe fn chains<const W: usize>(
+    long: Axis,
+    l0: usize,
+    lk: &[usize],
+    sk: &[usize],
+    y: *const f64,
+    cs: *mut f64,
+    madd: impl Fn(f64, f64, f64) -> f64,
+) {
+    let xs: [*const f64; W] = std::array::from_fn(|i| long.base.add(long.off[l0 + i]));
+    let mut acc = [0.0f64; W];
+    for (&pl, &ps) in lk.iter().zip(sk) {
+        let yv = *y.add(ps);
+        for (acc, x) in acc.iter_mut().zip(&xs) {
+            *acc = madd(*x.add(pl), yv, *acc);
+        }
+    }
+    for (&off, acc) in long.c[l0..l0 + W].iter().zip(acc) {
+        *cs.add(off) += acc;
     }
 }
 

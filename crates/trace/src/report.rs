@@ -54,7 +54,7 @@ pub struct ProfileReport {
     /// Largest GETT macro-tile blocks seen, `(mc, nc, kc)`; zero when no
     /// traced GETT execution ran.
     pub gett_blocks: (u64, u64, u64),
-    /// Worker-pool busy time across workers, ns.
+    /// Worker-pool busy time across workers and the submitting thread, ns.
     pub pool_busy_ns: u64,
     /// Worker-pool idle time across workers, ns.
     pub pool_idle_ns: u64,

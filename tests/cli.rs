@@ -143,6 +143,29 @@ fn empty_or_oversized_tensors_are_one_line_errors_in_every_mode() {
 }
 
 #[test]
+fn programs_larger_than_available_memory_are_one_line_errors_in_every_mode() {
+    // Two 300000² matrices: 1.3 TiB of static storage, refused before any
+    // input is bound instead of aborting in the allocator.
+    let src = "range N = 300000; index i, j : N; tensor A(N, N); tensor C(N, N); C[i,j] = A[i,j];";
+    let modes: [&[&str]; 3] = [
+        &["--execute"],
+        &["--fused"],
+        &["--distributed", "--grid", "2x2"],
+    ];
+    for mode in modes {
+        let out = run_program("memory", src, mode);
+        assert_eq!(out.status.code(), Some(1), "{mode:?}: {out:?}");
+        let line = one_line_failure(&out, &format!("{mode:?}"));
+        assert!(line.contains("GiB available"), "{mode:?}: {line}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            !stdout.contains("|sum|"),
+            "{mode:?}: printed sums:\n{stdout}"
+        );
+    }
+}
+
+#[test]
 fn synthesis_stdout_matches_golden_files() {
     // Chosen blocks, modeled misses and distribution costs are pinned byte
     // for byte; regenerate a file by redirecting the same command into it.
@@ -265,6 +288,36 @@ fn distribution_and_spacetime_dps_do_the_pinned_work() {
             "{name}"
         );
     }
+}
+
+#[test]
+fn cc_doubles_gett_calls_split_by_shape_with_exact_flops() {
+    // Host-independent work of `cc_doubles` at V=40, O=10: seven GETT calls
+    // on one thread.  The three GEMM-shaped nodes pack; the energy dot
+    // products and the singles GEMV (M or N below every variant's register
+    // tile) run the direct kernel, however long their K.
+    let src = std::fs::read_to_string(spec("cc_doubles.tce"))
+        .unwrap()
+        .replace("range V = 6;", "range V = 40;")
+        .replace("range O = 3;", "range O = 10;");
+    let dir = std::env::temp_dir().join(format!("tce-cli-ledger-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("cc_doubles_v40_o10.tce");
+    std::fs::write(&path, src).unwrap();
+    let file = path.to_str().unwrap();
+    let (stdout, trace) = traced_run("ledger", &[file, "--execute", "--threads", "1"]);
+    let _ = std::fs::remove_dir_all(&dir);
+    let kernel = stdout
+        .lines()
+        .find(|l| l.trim_start().starts_with("gett kernel:"))
+        .unwrap_or_else(|| panic!("no `gett kernel:` line:\n{stdout}"));
+    assert!(kernel.contains(" x7 ("), "{kernel}");
+    assert!(
+        kernel.ends_with("tasks x7, parallel x0, direct x4"),
+        "{kernel}"
+    );
+    assert_eq!(counter_total(&trace, "gett.direct"), 4);
+    assert_eq!(counter_total(&trace, "gett.flops"), 384_641_600);
 }
 
 #[test]

@@ -219,7 +219,7 @@ fn every_legal_config_is_executable() {
         let expect = reference(&p, &data);
         // Cap the per-case work: check up to 12 configurations.
         for (config, mem) in configs.iter().take(12) {
-            assert!(check_chainwise(&tree, config).is_ok());
+            assert!(check_chainwise(&tree, config, &p.space).is_ok());
             let built = fused_program(&tree, &p.space, &p.tensors, config, "OUT");
             let mut interp =
                 Interpreter::new(&built.program, &p.space, &inputs, &HashMap::new()).unwrap();
@@ -271,7 +271,7 @@ fn illegal_configs_rejected_by_both_checks() {
             config.set(id, sub);
         }
         let local = config.check(&tree).is_ok();
-        let global = check_chainwise(&tree, &config).is_ok();
+        let global = check_chainwise(&tree, &config, &p.space).is_ok();
         assert_eq!(local, global);
     }
 }

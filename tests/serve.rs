@@ -158,6 +158,27 @@ fn error_paths_reply_cleanly_and_server_keeps_serving() {
 }
 
 #[test]
+fn program_larger_than_available_memory_is_refused_and_server_keeps_serving() {
+    let (handle, addr) = start(&ServeConfig::default());
+    let big = "range N = 300000; index i, j : N; tensor A(N, N); tensor C(N, N); C[i,j] = A[i,j];";
+    // Twice: a refusal reflects the host's memory at the time, so the
+    // repeat is checked again rather than answered from the reply memo.
+    for _ in 0..2 {
+        let reply = client::request(&addr, &format_run(big, &[])).unwrap();
+        let msg = reply.strip_prefix("err ").expect(&reply);
+        assert!(unescape(msg).unwrap().contains("GiB available"), "{reply}");
+    }
+    let stats = client::request(&addr, "stats").unwrap();
+    assert!(stats.contains("resp_hits=0"), "{stats}");
+    assert!(stats.contains("resp_misses=0"), "{stats}");
+    assert!(stats.contains("synth_hits=1"), "{stats}");
+    assert_eq!(client::request(&addr, "ping").unwrap(), "ok pong");
+    assert_eq!(handle.stats().errors, 2);
+    handle.shutdown();
+    handle.join();
+}
+
+#[test]
 fn full_queue_sheds_and_recovers() {
     let cfg = ServeConfig {
         workers: 1,
