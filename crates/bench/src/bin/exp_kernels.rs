@@ -157,6 +157,12 @@ fn gemv_case(v: usize, o: usize) -> Case {
     }
 }
 
+/// Print a one-line `exp_kernels: …` diagnostic and exit with status 2.
+fn usage_error(msg: impl std::fmt::Display) -> ! {
+    eprintln!("exp_kernels: {msg}");
+    std::process::exit(2);
+}
+
 fn main() {
     let mut max_threads = tce_core::par::default_threads().max(8);
     let mut out_path = "BENCH_kernels.json".to_string();
@@ -168,31 +174,38 @@ fn main() {
                 max_threads = args
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .expect("--max-threads needs a positive integer");
+                    .filter(|&t: &usize| t > 0)
+                    .unwrap_or_else(|| usage_error("--max-threads needs a positive integer"));
             }
-            "--out" => out_path = args.next().expect("--out needs a path"),
-            "--trace" => trace_path = Some(args.next().expect("--trace needs a path")),
+            "--out" => {
+                out_path = args
+                    .next()
+                    .unwrap_or_else(|| usage_error("--out needs a path"))
+            }
+            "--trace" => {
+                trace_path = Some(
+                    args.next()
+                        .unwrap_or_else(|| usage_error("--trace needs a path")),
+                )
+            }
             "--kernel" => {
-                let name = args.next().unwrap_or_else(|| {
-                    eprintln!("exp_kernels: --kernel needs a variant name");
-                    std::process::exit(2);
-                });
-                let v = kernels::KernelVariant::parse(&name)
-                    .and_then(|v| kernels::set_override(Some(v)).map(|()| v))
-                    .unwrap_or_else(|e| {
-                        eprintln!("exp_kernels: {e}");
-                        std::process::exit(2);
-                    });
-                let _ = v;
+                let name = args
+                    .next()
+                    .unwrap_or_else(|| usage_error("--kernel needs a variant name"));
+                kernels::KernelVariant::parse(&name)
+                    .and_then(|v| kernels::set_override(Some(v)))
+                    .unwrap_or_else(|e| usage_error(e));
             }
-            other => panic!("unknown argument `{other}`"),
+            other => usage_error(format!(
+                "unknown argument `{other}` (usage: exp_kernels [--max-threads T] \
+                 [--out PATH] [--trace TRACE.json] [--kernel scalar|sse2|avx2])"
+            )),
         }
     }
     // Validate TCE_KERNEL up front: a clean one-line diagnostic instead
     // of a panic inside the first contraction.
     if let Err(e) = kernels::env_requested() {
-        eprintln!("exp_kernels: {e}");
-        std::process::exit(2);
+        usage_error(e);
     }
     let hw_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     // On a single-hardware-thread host the scaling sweep only measures

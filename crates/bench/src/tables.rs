@@ -69,11 +69,6 @@ pub fn fmt_u(n: u128) -> String {
     out
 }
 
-/// Render a float in compact scientific form.
-pub fn fmt_e(x: f64) -> String {
-    format!("{x:.3e}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -67,15 +67,6 @@ pub struct DistPlan {
     pub node_input_source: Vec<Option<DistTuple>>,
 }
 
-impl DistPlan {
-    /// Root result distribution.
-    pub fn root_dist(&self, tree: &OpTree) -> &DistTuple {
-        self.node_dist[tree.root.0 as usize]
-            .as_ref()
-            .expect("root always assigned")
-    }
-}
-
 /// A node's distribution tuples, enumerated once: a tuple's id is its
 /// position in [`enumerate_tuples`] order.
 #[derive(Default)]

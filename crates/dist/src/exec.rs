@@ -78,11 +78,6 @@ impl ShardedTensor {
             .map(|&v| self.tuple.owned_range(v, space, grid, coords))
             .collect()
     }
-
-    /// Total elements held across all ranks (replicas counted per copy).
-    pub fn held_elements(&self) -> u128 {
-        self.shards.iter().flatten().map(|t| t.len() as u128).sum()
-    }
 }
 
 /// Does `coords` store a (non-empty) shard of an array with dims `dims`

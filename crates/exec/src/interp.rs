@@ -169,11 +169,6 @@ impl<'a> Interpreter<'a> {
         }
     }
 
-    /// Read back an array's value after `run`.
-    pub fn array_value(&self, id: tce_loops::ArrayId) -> &Tensor {
-        &self.storage[id.0 as usize]
-    }
-
     /// Locate the program's unique output array.
     ///
     /// # Panics

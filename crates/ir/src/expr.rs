@@ -205,13 +205,23 @@ impl Assignment {
     /// Operation count of the *direct* (naive) translation: for each term,
     /// one perfect loop nest over `LHS ∪ term indices` performing
     /// `(#factors − 1)` multiplies and one add per iteration — the paper's
-    /// `4·N¹⁰` for the §2 example.
+    /// `4·N¹⁰` for the §2 example — plus, per iteration, each function
+    /// factor's `cost_per_eval` (the direct code re-evaluates it every
+    /// time, priced as [`crate::OpTree::total_ops`] prices a function leaf).
     pub fn direct_op_count(&self, space: &IndexSpace) -> u128 {
         self.terms
             .iter()
             .map(|t| {
                 let iters = space.iteration_points(self.lhs.index_set().union(t.index_set()));
-                iters.saturating_mul(t.factors.len() as u128)
+                let func_cost: u128 = t
+                    .factors
+                    .iter()
+                    .map(|f| match f {
+                        Factor::Func(fe) => fe.cost_per_eval as u128,
+                        Factor::Tensor(_) => 0,
+                    })
+                    .sum();
+                iters.saturating_mul((t.factors.len() as u128).saturating_add(func_cost))
             })
             .fold(0u128, u128::saturating_add)
     }
@@ -416,6 +426,35 @@ mod tests {
         }
         prog.stmts = vec![s];
         assert!(prog.validate().is_err());
+    }
+
+    #[test]
+    fn direct_cost_charges_each_function_evaluation() {
+        // Y[c,a] = Σ_b f1(c,b)·f2(a,b) at N = 4: 64 iterations, each one
+        // multiply-add plus one evaluation of each function.
+        let mut space = IndexSpace::new();
+        let n = space.add_range("N", 4);
+        let vs = space.add_vars("c a b", n);
+        let (c, a, b) = (vs[0], vs[1], vs[2]);
+        let mut tensors = TensorTable::new();
+        let ty = tensors.add(TensorDecl::dense("Y", vec![n; 2]));
+        let func = |name: &str, indices, cost_per_eval| {
+            Factor::Func(FuncEval {
+                name: name.into(),
+                indices,
+                cost_per_eval,
+            })
+        };
+        let stmt = Assignment {
+            lhs: TensorRef::new(ty, vec![c, a]),
+            accumulate: false,
+            sum_indices: IndexSet::from_vars([b]),
+            terms: vec![Product::of(vec![
+                func("f1", vec![c, b], 1000),
+                func("f2", vec![a, b], 10),
+            ])],
+        };
+        assert_eq!(stmt.direct_op_count(&space), 64 * (2 + 1000 + 10));
     }
 
     #[test]

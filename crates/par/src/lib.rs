@@ -1,7 +1,7 @@
 //! # tce-par — parallel substrate
 //!
 //! Shared-memory data-parallel primitives (block-partitioned
-//! parallel-for/reduce on a persistent worker pool, [`pool`]), the
+//! parallel-for/map on a persistent worker pool, [`pool`]), the
 //! dependency-aware task-graph scheduler every executor walks on
 //! ([`graph`]), the one sharded LRU behind the plan and serve caches
 //! ([`lru`]), and logical processor-grid arithmetic with the paper's
@@ -11,10 +11,10 @@
 //! the simulated distributed machine that validates it.
 //!
 //! ```
-//! use tce_par::{myrange, parallel_reduce, ProcessorGrid};
+//! use tce_par::{myrange, parallel_map, ProcessorGrid};
 //!
-//! let total = parallel_reduce(1000, 4, 0u64, |r| r.map(|i| i as u64).sum(), |a, b| a + b);
-//! assert_eq!(total, 999 * 1000 / 2);
+//! let squares = parallel_map(1000, 4, |i| i as u64 * i as u64);
+//! assert_eq!(squares[999], 999 * 999);
 //! let grid = ProcessorGrid::new(vec![2, 4, 8]);
 //! assert_eq!(grid.num_processors(), 64);
 //! assert_eq!(myrange(1, 100, 4), 25..50);
@@ -32,5 +32,5 @@ pub use grid::{myrange, owner_of, ProcessorGrid};
 pub use lru::{CacheStats, ShardedLru};
 pub use pool::{
     block_ranges, default_threads, parallel_chunks_mut, parallel_for, parallel_map,
-    parallel_reduce, threads_env_requested, Pool, SharedCounter,
+    threads_env_requested, Pool, SharedCounter,
 };

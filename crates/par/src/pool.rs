@@ -3,7 +3,7 @@
 //! The paper assumes a data-parallel model in which "each operation in the
 //! operation sequence is distributed across the entire parallel machine"
 //! (§7).  This module supplies the shared-memory realization used by the
-//! executor: block-partitioned parallel-for and parallel-reduce over
+//! executor: block-partitioned parallel-for and parallel-map over
 //! slices, with a configurable thread count.  No work stealing — tensor
 //! contraction iterations are uniform, so static block partitioning is the
 //! right schedule and keeps the substrate small and auditable.
@@ -159,12 +159,6 @@ impl Pool {
     pub fn global() -> &'static Pool {
         static GLOBAL: OnceLock<Pool> = OnceLock::new();
         GLOBAL.get_or_init(|| Pool::new(default_threads().saturating_sub(1)))
-    }
-
-    /// Run `f` with the process-wide pool — the amortized replacement for
-    /// spawning a scope per kernel call.
-    pub fn with<R>(f: impl FnOnce(&Pool) -> R) -> R {
-        f(Self::global())
     }
 
     /// Current worker count.
@@ -357,37 +351,6 @@ where
     pool.run(ranges.len(), &|i| f(ranges[i].clone()));
 }
 
-/// Parallel map-reduce over a block partition of `0..n`: each worker folds
-/// its range with `fold`, partial results are combined with `combine` in
-/// ascending range order (so the combination order — and any floating-point
-/// result — does not depend on thread scheduling).
-pub fn parallel_reduce<T, F, C>(n: usize, threads: usize, identity: T, fold: F, combine: C) -> T
-where
-    T: Send,
-    F: Fn(std::ops::Range<usize>) -> T + Sync,
-    C: Fn(T, T) -> T,
-{
-    let threads = threads.max(1).min(n.max(1));
-    if threads == 1 {
-        return combine(identity, fold(0..n));
-    }
-    let ranges = block_ranges(n, threads);
-    let slots: Vec<Mutex<Option<T>>> = ranges.iter().map(|_| Mutex::new(None)).collect();
-    let pool = Pool::global();
-    pool.ensure_workers(threads - 1);
-    pool.run(ranges.len(), &|i| {
-        let v = fold(ranges[i].clone());
-        *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(v);
-    });
-    slots.into_iter().fold(identity, |acc, s| {
-        let v = s
-            .into_inner()
-            .unwrap_or_else(|e| e.into_inner())
-            .expect("every range folded");
-        combine(acc, v)
-    })
-}
-
 /// Apply `f` to disjoint mutable chunks of `data` in parallel — the
 /// write-side primitive for partitioned output arrays.
 pub fn parallel_chunks_mut<T, F>(data: &mut [T], threads: usize, f: F)
@@ -521,35 +484,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_reduce_sums() {
-        let n = 10_000usize;
-        let total = parallel_reduce(
-            n,
-            8,
-            0u64,
-            |r| r.map(|i| i as u64).sum::<u64>(),
-            |a, b| a + b,
-        );
-        assert_eq!(total, (n as u64 - 1) * n as u64 / 2);
-        // Single-threaded path agrees.
-        let t1 = parallel_reduce(
-            n,
-            1,
-            0u64,
-            |r| r.map(|i| i as u64).sum::<u64>(),
-            |a, b| a + b,
-        );
-        assert_eq!(t1, total);
-    }
-
-    #[test]
-    fn parallel_reduce_caps_parts_by_n() {
-        // More threads than items: every range still folds exactly once.
-        let total = parallel_reduce(3, 64, 0u64, |r| r.map(|i| i as u64 + 1).sum(), |a, b| a + b);
-        assert_eq!(total, 6);
-    }
-
-    #[test]
     fn parallel_chunks_mut_writes_disjointly() {
         let mut data = vec![0usize; 997];
         parallel_chunks_mut(&mut data, 5, |start, chunk| {
@@ -567,9 +501,6 @@ mod tests {
         parallel_for(0, 4, |r| assert!(r.is_empty()));
         let mut empty: Vec<u8> = Vec::new();
         parallel_chunks_mut(&mut empty, 4, |_, _| {});
-        let s = parallel_reduce(0, 4, 0u32, |_| 1u32, |a, b| a + b);
-        // fold runs once over the empty range on the 1-thread path.
-        assert!(s <= 1);
     }
 
     #[test]
@@ -682,46 +613,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_reduce_edge_cases_match_serial() {
-        // n == 0, parts > n, single thread: every configuration agrees
-        // with the 1-thread result (ascending combine order).
-        let mut rng = XorShift(0xabcdef12345);
-        for trial in 0..200 {
-            let n = match trial {
-                0 => 0usize,
-                1 => 1,
-                2 => 2,
-                _ => rng.below(300) as usize,
-            };
-            let threads = match trial % 4 {
-                0 => 1usize,
-                1 => n + 5, // parts > n
-                2 => 64,
-                _ => 1 + rng.below(8) as usize,
-            };
-            // Wrapping integer sums are associative, so chunking must be
-            // invisible: exact equality regardless of the split.
-            let ifold = |r: std::ops::Range<usize>| {
-                r.fold(0u64, |acc, i| {
-                    acc.wrapping_add((i as u64).wrapping_mul(0x9e37))
-                })
-            };
-            let serial = parallel_reduce(n, 1, 0u64, ifold, |a, b| a.wrapping_add(b));
-            let par = parallel_reduce(n, threads, 0u64, ifold, |a, b| a.wrapping_add(b));
-            assert_eq!(serial, par, "n={n} threads={threads}");
-            // Float sums regroup across chunk boundaries; agreement is
-            // approximate only.
-            let ffold = |r: std::ops::Range<usize>| r.map(|i| (i as f64).sin()).sum::<f64>();
-            let fserial = parallel_reduce(n, 1, 0.0f64, ffold, |a, b| a + b);
-            let fpar = parallel_reduce(n, threads, 0.0f64, ffold, |a, b| a + b);
-            assert!(
-                (fserial - fpar).abs() <= 1e-9 * (1.0 + fserial.abs()),
-                "n={n} threads={threads}"
-            );
-        }
-    }
-
-    #[test]
     fn parallel_map_matches_serial_and_handles_edges() {
         for (n, threads) in [(0usize, 4usize), (1, 1), (7, 64), (1000, 4)] {
             let got = parallel_map(n, threads, |i| i * i);
@@ -735,23 +626,17 @@ mod tests {
         // A panicking task used to poison the pool/slot mutexes and turn
         // every later caller into a panic cascade; locks now recover.
         let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            parallel_reduce(
-                64,
-                4,
-                0u64,
-                |r| {
-                    if r.contains(&17) {
-                        panic!("task boom");
-                    }
-                    r.len() as u64
-                },
-                |a, b| a + b,
-            );
+            parallel_for(64, 4, |r| {
+                if r.contains(&17) {
+                    panic!("task boom");
+                }
+            });
         }));
         assert!(r.is_err(), "panic must still propagate to the submitter");
         // The global pool keeps working afterwards.
-        let total = parallel_reduce(100, 4, 0u64, |r| r.len() as u64, |a, b| a + b);
-        assert_eq!(total, 100);
+        let total = SharedCounter::new();
+        parallel_for(100, 4, |r| total.add(r.len()));
+        assert_eq!(total.get(), 100);
         let mapped = parallel_map(10, 4, |i| i + 1);
         assert_eq!(mapped.iter().sum::<usize>(), 55);
     }
@@ -806,11 +691,8 @@ mod tests {
 
     #[test]
     fn global_pool_with_entry() {
-        let total = Pool::with(|p| {
-            let c = SharedCounter::new();
-            p.run(32, &|_| c.add(2));
-            c.get()
-        });
-        assert_eq!(total, 64);
+        let c = SharedCounter::new();
+        Pool::global().run(32, &|_| c.add(2));
+        assert_eq!(c.get(), 64);
     }
 }

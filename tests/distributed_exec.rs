@@ -78,6 +78,33 @@ fn section2_fixture() -> Fixture {
     (tree, space, owned, HashMap::new())
 }
 
+/// A two-contraction matmul chain `OUT = A·B·C` at extent `n`.
+fn matmul_chain_fixture(n: usize) -> Fixture {
+    let src = format!(
+        "range N = {n};
+         index i, j, k, l : N;
+         tensor A(N, N); tensor B(N, N); tensor C(N, N); tensor OUT(N, N);
+         OUT[i,l] = sum[j,k] A[i,j] * B[j,k] * C[k,l];"
+    );
+    let syn = synthesize(&src, &SynthesisConfig::default()).unwrap();
+    let owned: Vec<(TensorId, Tensor)> = ["A", "B", "C"]
+        .iter()
+        .enumerate()
+        .map(|(i, nm)| {
+            (
+                syn.program.tensors.by_name(nm).unwrap(),
+                Tensor::random(&[n, n], 200 + i as u64),
+            )
+        })
+        .collect();
+    (
+        syn.plans[0].tree.clone(),
+        syn.program.space.clone(),
+        owned,
+        HashMap::new(),
+    )
+}
+
 fn a3a_fixture() -> Fixture {
     let sc = A3AScenario::new(4, 3, 50);
     let amps = sc.amplitudes(7);
@@ -120,35 +147,46 @@ fn dp_plans_agree_with_simulator_and_cost_model() {
     // The DP's own plans (which may distribute summation indices and thus
     // regroup floating-point sums) must agree with the element-wise
     // simulator oracle numerically and with the closed-form model exactly.
-    for (name, (tree, space, owned, funcs)) in
-        [("section2", section2_fixture()), ("a3a", a3a_fixture())]
-    {
+    // A word cost of 1 makes communication cheap, so the DP spreads work
+    // over more of the grid than at the default price.
+    for (name, (tree, space, owned, funcs)) in [
+        ("section2", section2_fixture()),
+        ("a3a", a3a_fixture()),
+        ("matmul_chain", matmul_chain_fixture(6)),
+    ] {
         let inputs: HashMap<TensorId, &Tensor> = owned.iter().map(|(id, t)| (*id, t)).collect();
         let expect = execute_tree(&tree, &space, &inputs, &funcs, 1).unwrap();
-        for dims in [&[2usize, 2][..], &[2, 4]] {
-            let machine = Machine::new(ProcessorGrid::new(dims.to_vec()));
-            let plan = optimize_distribution(&tree, &space, &machine);
-            let report =
-                execute_plan_sharded(&tree, &space, &plan, &machine, &inputs, &funcs, 4, 1)
-                    .expect("plan covers tree");
+        let machines = [&[2usize, 2][..], &[2, 4], &[4, 4]].map(|d| {
+            let m = Machine::new(ProcessorGrid::new(d.to_vec()));
+            [m.clone(), Machine { word_cost: 1, ..m }]
+        });
+        for machine in machines.iter().flatten() {
+            let dims = format!(
+                "{:?} at word cost {}",
+                machine.grid.dims(),
+                machine.word_cost
+            );
+            let plan = optimize_distribution(&tree, &space, machine);
+            let report = execute_plan_sharded(&tree, &space, &plan, machine, &inputs, &funcs, 4, 1)
+                .expect("plan covers tree");
             assert_eq!(
                 report.moved_elements, report.predicted_move_elements,
-                "{name} on grid {dims:?}"
+                "{name} on grid {dims}"
             );
             assert_eq!(
                 report.reduce_words, report.predicted_reduce_words,
-                "{name} on grid {dims:?}"
+                "{name} on grid {dims}"
             );
             assert!(
                 report.result.approx_eq(&expect, 1e-9),
-                "{name} on grid {dims:?}: diff {:e}",
+                "{name} on grid {dims}: diff {:e}",
                 report.result.max_abs_diff(&expect)
             );
-            let sim = simulate_plan(&tree, &space, &plan, &machine, &inputs, &funcs)
+            let sim = simulate_plan(&tree, &space, &plan, machine, &inputs, &funcs)
                 .expect("plan covers tree");
             assert_eq!(
                 report.moved_elements, sim.measured_move_elements,
-                "{name} on grid {dims:?}: block transfers vs element enumeration"
+                "{name} on grid {dims}: block transfers vs element enumeration"
             );
             assert_eq!(report.predicted_reduce_words, sim.predicted_reduce_words);
             assert!(report.result.approx_eq(&sim.result, 1e-9));

@@ -51,44 +51,47 @@ fn cli_result_block(spec: &str, seed: u64, threads: usize) -> String {
 
 #[test]
 fn eight_concurrent_clients_match_the_one_shot_cli_bitwise() {
-    let spec = spec_path("matrix_chain.tce");
-    let program = std::fs::read_to_string(&spec).unwrap();
-    let expect = cli_result_block(&spec, 7, 2);
-    assert!(expect.contains("|sum|"), "CLI block empty:\n{expect}");
+    // A matrix chain and the §2 CCSD term, each on a fresh server.
+    for spec in ["matrix_chain.tce", "ccsd_section2.tce"] {
+        let spec = spec_path(spec);
+        let program = std::fs::read_to_string(&spec).unwrap();
+        let expect = cli_result_block(&spec, 7, 2);
+        assert!(expect.contains("|sum|"), "CLI block empty:\n{expect}");
 
-    let cfg = ServeConfig {
-        workers: 8,
-        ..ServeConfig::default()
-    };
-    let (handle, addr) = start(&cfg);
-    // 8 in-flight clients, same request: every reply must unescape to the
-    // identical bytes the cold CLI process printed.
-    std::thread::scope(|s| {
-        for _ in 0..8 {
-            let (addr, program, expect) = (addr.clone(), program.clone(), expect.clone());
-            s.spawn(move || {
-                let line = format_run(&program, &[("seed", "7"), ("threads", "2")]);
-                let reply = client::request(&addr, &line).unwrap();
-                let payload = reply.strip_prefix("ok ").expect(&reply).to_string();
-                assert_eq!(unescape(&payload).unwrap(), expect);
-            });
-        }
-    });
-    let stats = handle.stats();
-    assert_eq!(stats.served, 8);
-    assert_eq!(stats.panics, 0);
+        let cfg = ServeConfig {
+            workers: 8,
+            ..ServeConfig::default()
+        };
+        let (handle, addr) = start(&cfg);
+        // 8 in-flight clients, same request: every reply must unescape to the
+        // identical bytes the cold CLI process printed.
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                let (addr, program, expect) = (addr.clone(), program.clone(), expect.clone());
+                s.spawn(move || {
+                    let line = format_run(&program, &[("seed", "7"), ("threads", "2")]);
+                    let reply = client::request(&addr, &line).unwrap();
+                    let payload = reply.strip_prefix("ok ").expect(&reply).to_string();
+                    assert_eq!(unescape(&payload).unwrap(), expect);
+                });
+            }
+        });
+        let stats = handle.stats();
+        assert_eq!(stats.served, 8);
+        assert_eq!(stats.panics, 0);
 
-    // The 8 identical requests collapsed onto the response memo (the
-    // shard lock is held across the fill, so concurrent same-key misses
-    // dedup): one executed, seven got the memoized reply, and the
-    // program was compiled exactly once.
-    let reply = client::request(&addr, "stats").unwrap();
-    assert!(reply.contains("resp_misses=1"), "{reply}");
-    assert!(reply.contains("resp_hits=7"), "{reply}");
-    assert!(reply.contains("synth_misses=1"), "{reply}");
+        // The 8 identical requests collapsed onto the response memo (the
+        // shard lock is held across the fill, so concurrent same-key misses
+        // dedup): one executed, seven got the memoized reply, and the
+        // program was compiled exactly once.
+        let reply = client::request(&addr, "stats").unwrap();
+        assert!(reply.contains("resp_misses=1"), "{reply}");
+        assert!(reply.contains("resp_hits=7"), "{reply}");
+        assert!(reply.contains("synth_misses=1"), "{reply}");
 
-    handle.shutdown();
-    handle.join();
+        handle.shutdown();
+        handle.join();
+    }
 }
 
 /// A handler whose `run` blocks until the test releases its latch, so a
