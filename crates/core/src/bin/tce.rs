@@ -51,6 +51,16 @@ use tce_core::locality::MemoryHierarchy;
 use tce_core::par::ProcessorGrid;
 use tce_core::{synthesize, ExecOptions, SynthesisConfig};
 
+const SERVE_USAGE: &str = "tce serve [--addr HOST:PORT] [--workers N] [--queue N] [--timeout-ms N]";
+const CALIBRATE_USAGE: &str =
+    "tce calibrate --out PROFILE.json [--budget-ms N] [--seed S] [--threads T]";
+
+/// `--help` is a successful run: the usage goes to stdout, exit status 0.
+fn print_usage(usage: &str) -> ! {
+    println!("{usage}");
+    std::process::exit(0)
+}
+
 struct Args {
     spec_path: String,
     memory_limit: u128,
@@ -173,14 +183,13 @@ fn parse_args() -> Result<Args, String> {
             "--calibration" => {
                 args.calibration = Some(it.next().ok_or("--calibration needs a profile path")?);
             }
-            "--help" | "-h" => {
-                return Err("usage: tce SPEC.tce [--memory-limit N] [--cache N] \
-                            [--grid PxQ] [--word-cost N] [--execute] [--fused] \
-                            [--distributed] [--seed S] [--threads T] \
-                            [--schedule seq|graph] [--trace OUT.json] \
-                            [--kernel scalar|sse2|avx2] [--calibration FILE]"
-                    .to_string())
-            }
+            "--help" | "-h" => print_usage(&format!(
+                "usage: tce SPEC.tce [--memory-limit N] [--cache N] [--grid PxQ] \
+                 [--word-cost N] [--execute] [--fused] [--distributed] [--seed S] \
+                 [--threads T] [--schedule seq|graph] [--trace OUT.json] \
+                 [--kernel scalar|sse2|avx2] [--calibration FILE]\n       \
+                 {SERVE_USAGE}\n       {CALIBRATE_USAGE}"
+            )),
             other if args.spec_path.is_empty() && !other.starts_with('-') => {
                 args.spec_path = other.to_string();
             }
@@ -242,12 +251,7 @@ fn serve_args() -> Result<tce_serve::ServeConfig, String> {
                 }
                 cfg.timeout = std::time::Duration::from_millis(ms);
             }
-            "--help" | "-h" => {
-                return Err(
-                    "usage: tce serve [--addr HOST:PORT] [--workers N] [--queue N]                      [--timeout-ms N]"
-                        .to_string(),
-                )
-            }
+            "--help" | "-h" => print_usage(&format!("usage: {SERVE_USAGE}")),
             other => return Err(format!("unknown serve argument `{other}` (try --help)")),
         }
     }
@@ -313,13 +317,7 @@ fn calibrate_args() -> Result<CalibrateArgs, String> {
                 }
                 args.threads = Some(t);
             }
-            "--help" | "-h" => {
-                return Err(
-                    "usage: tce calibrate --out PROFILE.json [--budget-ms N] [--seed S] \
-                     [--threads T]"
-                        .to_string(),
-                )
-            }
+            "--help" | "-h" => print_usage(&format!("usage: {CALIBRATE_USAGE}")),
             other => return Err(format!("unknown calibrate argument `{other}` (try --help)")),
         }
     }

@@ -1058,16 +1058,19 @@ mod tests {
 
     #[test]
     fn pipeline_reproduces_section2_numbers() {
-        let syn = synthesize(SECTION2, &SynthesisConfig::default()).unwrap();
-        assert_eq!(syn.plans.len(), 1);
-        let plan = &syn.plans[0];
-        assert_eq!(plan.direct_ops, 4 * 6u128.pow(10));
-        assert_eq!(plan.tree_ops, 6 * 6u128.pow(6));
-        // Fusion: T1 scalar + T2 2-D.
-        assert_eq!(plan.memmin.memory, 1 + 36);
-        assert!(plan.spacetime.is_none());
-        let report = plan.report(&syn.program.space, &syn.program);
-        assert!(report.contains("6·N^6"));
+        for n in [4u128, 6, 8, 10, 16, 30] {
+            let src = crate::scenarios::section2_source(n as usize);
+            let syn = synthesize(&src, &SynthesisConfig::default()).unwrap();
+            assert_eq!(syn.plans.len(), 1);
+            let plan = &syn.plans[0];
+            assert_eq!(plan.direct_ops, 4 * n.pow(10), "N = {n}");
+            assert_eq!(plan.tree_ops, 6 * n.pow(6), "N = {n}");
+            // Fusion: T1 scalar + T2 2-D.
+            assert_eq!(plan.memmin.memory, 1 + n * n);
+            assert!(plan.spacetime.is_none());
+            let report = plan.report(&syn.program.space, &syn.program);
+            assert!(report.contains("6·N^6"));
+        }
     }
 
     #[test]
@@ -1105,6 +1108,10 @@ mod tests {
         .unwrap();
         let expect = spec.eval(space, &[&ta, &tb, &tc, &td]);
         assert!(got.approx_eq(&expect, 1e-9));
+        let interpreted = plan
+            .execute_interpreted(space, &inputs, &HashMap::new())
+            .unwrap();
+        assert!(interpreted.approx_eq(&expect, 1e-9));
     }
 
     #[test]

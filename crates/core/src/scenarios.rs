@@ -1,5 +1,5 @@
-//! Canned paper scenarios shared by the examples, integration tests and
-//! benchmark harnesses.
+//! Canned paper scenarios shared by the examples, the integration tests
+//! (`tests/paper_figures.rs` among them) and the `perf/` benchmark.
 //!
 //! * [`section2_source`] — the §2 running example `S = Σ A·B·C·D`;
 //! * [`A3AScenario`] — the §3 `A3A` energy component: `X` contracted from
@@ -460,21 +460,41 @@ mod tests {
 
     #[test]
     fn fig2_unfused_costs_match_table() {
-        let sc = A3AScenario::new(4, 2, 50);
-        let built = sc.fig2_program();
-        let mem = tce_loops::memory_report(&built.program, &sc.space);
-        let table = sc.fig2_table();
-        // X, T1, T2, Y + scalar E.
-        let expect_mem: u128 = table[..4].iter().map(|r| r.1).sum::<u128>() + 1;
-        assert_eq!(mem.temp_elements, expect_mem);
-        let ops = tce_loops::op_counts(&built.program, &sc.space);
-        // T1/T2 rows are the integral flops.
-        assert_eq!(ops.func_flops, table[1].2 + table[2].2);
-        // X and Y rows are contraction iteration spaces ×2; E row ×2.
-        assert_eq!(
-            ops.contraction_flops,
-            2 * (table[0].2 + table[3].2 + table[4].2)
-        );
+        // Paper scale: "With O=100 and V=5000, the size of T1, T2 is
+        // O(10^14) bytes and the size of X, Y is O(10^15) bytes."
+        let paper = A3AScenario::new(5000, 100, 1000).fig2_table();
+        assert!((1e13..1e15).contains(&(8.0 * paper[1].1 as f64)));
+        assert!((1e14..1e16).contains(&(8.0 * paper[0].1 as f64)));
+
+        for (v, o, ci) in [(4, 2, 50), (6, 3, 200)] {
+            let sc = A3AScenario::new(v, o, ci);
+            let built = sc.fig2_program();
+            let mem = tce_loops::memory_report(&built.program, &sc.space);
+            let table = sc.fig2_table();
+            // X, T1, T2, Y + scalar E.
+            let expect_mem: u128 = table[..4].iter().map(|r| r.1).sum::<u128>() + 1;
+            assert_eq!(mem.temp_elements, expect_mem);
+            let ops = tce_loops::op_counts(&built.program, &sc.space);
+            // T1/T2 rows are the integral flops.
+            assert_eq!(ops.func_flops, table[1].2 + table[2].2);
+            // X and Y rows are contraction iteration spaces ×2; E row ×2.
+            assert_eq!(
+                ops.contraction_flops,
+                2 * (table[0].2 + table[3].2 + table[4].2)
+            );
+
+            // The executed program counts the same flops and computes E.
+            let amps = sc.amplitudes(1);
+            let mut inputs = HashMap::new();
+            inputs.insert(sc.tensors.by_name("T").unwrap(), &amps);
+            let funcs = sc.functions();
+            let mut interp = Interpreter::new(&built.program, &sc.space, &inputs, &funcs).unwrap();
+            interp.run(&mut NoSink);
+            assert_eq!(interp.stats.func_flops, ops.func_flops);
+            assert_eq!(interp.stats.contraction_flops, ops.contraction_flops);
+            let expect = sc.reference_energy(&amps);
+            assert!((interp.output().get(&[]) - expect).abs() < 1e-9 * expect.abs().max(1.0));
+        }
     }
 
     #[test]

@@ -399,8 +399,14 @@ mod tests {
             DistEntry::One,
         ]);
         let to = DistTuple(vec![DistEntry::Idx(j), DistEntry::Idx(t), DistEntry::One]);
-        assert!(move_cost(&dims, &sp, &grid, &t1_from, &to) > 0);
+        let t1_cost = move_cost(&dims, &sp, &grid, &t1_from, &to);
+        assert!(t1_cost > 0);
         assert_eq!(move_cost(&dims, &sp, &grid, &t2_from, &to), 0);
+        // The closed form counts exactly the elements that move.
+        assert_eq!(
+            t1_cost,
+            move_cost_elementwise(&dims, &sp, &grid, &t1_from, &to)
+        );
     }
 
     #[test]

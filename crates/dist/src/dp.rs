@@ -383,16 +383,6 @@ pub fn optimize_distribution(tree: &OpTree, space: &IndexSpace, machine: &Machin
     }
 }
 
-/// Number of `(node, tuple)` states the DP evaluates — `O(q·|T|)` storage,
-/// with `O(q)` transitions each (the paper's `O(q²|T|)` time bound).
-pub fn state_count(tree: &OpTree, machine: &Machine) -> usize {
-    let rank = machine.grid.rank();
-    tree.postorder()
-        .into_iter()
-        .map(|id| enumerate_tuples(tree.node(id).indices, rank).len())
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -508,14 +498,6 @@ mod tests {
             assert!(plan.node_gamma[id.0 as usize].is_some());
             assert!(plan.node_dist[id.0 as usize].is_some());
         }
-    }
-
-    #[test]
-    fn state_count_scales_with_tuple_count() {
-        let (_, tree) = matmul(8);
-        let m1 = Machine::new(ProcessorGrid::new(vec![2]));
-        let m2 = Machine::new(ProcessorGrid::new(vec![2, 2]));
-        assert!(state_count(&tree, &m2) > state_count(&tree, &m1));
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub mod sim;
 pub mod tuple;
 
 pub use cost::{after_reduction, calc_cost, move_cost, reduce_cost, ReduceMode};
-pub use dp::{optimize_distribution, state_count, DistPlan, Machine, DEFAULT_WORD_COST};
+pub use dp::{optimize_distribution, DistPlan, Machine, DEFAULT_WORD_COST};
 pub use error::DistError;
 pub use exec::{
     contract_sharded, execute_plan_sharded, gather, redistribute, reduce_partial_sums, scatter,

@@ -342,22 +342,24 @@ mod tests {
 
     #[test]
     fn closed_form_move_cost_matches_elementwise_enumeration() {
-        let (sp, i, j, _) = setup(6);
-        let grid = ProcessorGrid::new(vec![2, 3]);
-        let dims = [i, j];
-        let set = IndexSet::from_vars(dims);
-        let tuples = enumerate_tuples(set, 2);
-        for beta in &tuples {
-            for alpha in &tuples {
-                let fast = move_cost(&dims, &sp, &grid, beta, alpha);
-                let slow = move_cost_elementwise(&dims, &sp, &grid, beta, alpha);
-                assert_eq!(
-                    fast,
-                    slow,
-                    "β={} α={}",
-                    beta.display(&sp),
-                    alpha.display(&sp)
-                );
+        for (n, shape) in [(6, vec![2, 3]), (4, vec![2, 2])] {
+            let (sp, i, j, _) = setup(n);
+            let grid = ProcessorGrid::new(shape);
+            let dims = [i, j];
+            let set = IndexSet::from_vars(dims);
+            let tuples = enumerate_tuples(set, 2);
+            for beta in &tuples {
+                for alpha in &tuples {
+                    let fast = move_cost(&dims, &sp, &grid, beta, alpha);
+                    let slow = move_cost_elementwise(&dims, &sp, &grid, beta, alpha);
+                    assert_eq!(
+                        fast,
+                        slow,
+                        "N={n} β={} α={}",
+                        beta.display(&sp),
+                        alpha.display(&sp)
+                    );
+                }
             }
         }
     }

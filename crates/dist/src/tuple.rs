@@ -219,6 +219,14 @@ mod tests {
         assert_eq!(alpha.owned_range(j, &sp, &grid, &[1, 2, 0]), 0..16);
         // z3 ≠ 0 holds nothing.
         assert_eq!(alpha.local_elements(&dims, &sp, &grid, &[1, 2, 3]), 0);
+        // So exactly the 8 processors of the z3 = 0 plane hold data, each
+        // the same 16·8·16 block.
+        let held: Vec<u128> = grid
+            .processors()
+            .map(|id| alpha.local_elements(&dims, &sp, &grid, &grid.coords(id)))
+            .filter(|&h| h > 0)
+            .collect();
+        assert_eq!(held, vec![16 * 8 * 16; 8]);
         assert!(!alpha.holds(set, &[0, 0, 1]));
         assert!(alpha.holds(set, &[0, 3, 0]));
     }

@@ -405,6 +405,25 @@ mod tests {
         assert_eq!(interp.stats.contraction_flops, 6 * 3u128.pow(6));
         // ...and shrinks allocated temporaries to S + T2(j,k) + T1 scalar.
         assert_eq!(interp.allocated_temp_elements(), 81 + 9 + 1);
+
+        // Paper Fig. 1(c) against Fig. 1(b) at N = 6, past the einsum's
+        // reach: the fused code computes the unfused code's values.
+        let (space, tensors, tree) = fig1(6);
+        let r = memmin_dp(&tree, &space);
+        let data: Vec<Tensor> = (0..4).map(|s| Tensor::random(&[6; 4], 100 + s)).collect();
+        let inputs: HashMap<_, _> = ["A", "B", "C", "D"]
+            .iter()
+            .zip(&data)
+            .map(|(nm, t)| (tensors.by_name(nm).unwrap(), t))
+            .collect();
+        let run = |p: &LoopProgram| {
+            let mut i = Interpreter::new(p, &space, &inputs, &HashMap::new()).unwrap();
+            i.run(&mut NoSink);
+            i.output().clone()
+        };
+        let fused = run(&fused_program(&tree, &space, &tensors, &r.config, "S").program);
+        let unfused = run(&unfused_program(&tree, &space, &tensors, "S").program);
+        assert!(fused.approx_eq(&unfused, 1e-9));
     }
 
     #[test]

@@ -293,15 +293,24 @@ for b, c
 
     #[test]
     fn memmin_config_emits_with_reduced_memory_and_same_ops() {
-        let (space, tensors, tree, _, _) = fig1(5);
-        let r = memmin_dp(&tree, &space);
-        let built = fused_program(&tree, &space, &tensors, &r.config, "S");
-        built.program.validate().unwrap();
-        let mem = memory_report(&built.program, &space);
-        // temp = T1 + T2 + S(output, N^4).
-        assert_eq!(mem.temp_elements, r.memory + 5u128.pow(4));
-        let ops = op_counts(&built.program, &space);
-        assert_eq!(ops.contraction_flops, tree.total_ops(&space));
+        // Paper Fig. 1: T1 becomes a scalar and T2 an N×N array "without
+        // changing the number of operations".
+        for n in [5usize, 6] {
+            let (space, tensors, tree, _, _) = fig1(n);
+            let r = memmin_dp(&tree, &space);
+            let built = fused_program(&tree, &space, &tensors, &r.config, "S");
+            built.program.validate().unwrap();
+            let mem = memory_report(&built.program, &space);
+            // temp = T1 + T2 + S(output, N^4).
+            assert_eq!(mem.temp_elements, r.memory + (n as u128).pow(4));
+            let elements = |name: &str| mem.arrays.iter().find(|a| a.0 == name).unwrap().1;
+            assert_eq!(elements("T1"), 1, "N = {n}");
+            assert_eq!(elements("T2"), (n as u128).pow(2), "N = {n}");
+            let ops = op_counts(&built.program, &space);
+            assert_eq!(ops.contraction_flops, tree.total_ops(&space));
+            let direct = unfused_program(&tree, &space, &tensors, "S");
+            assert_eq!(ops.total(), op_counts(&direct.program, &space).total());
+        }
     }
 
     #[test]

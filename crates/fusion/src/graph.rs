@@ -7,12 +7,12 @@
 //! connecting the corresponding vertices."
 //!
 //! This module materializes that structure for inspection and for the
-//! Fig. 6/7 experiments: vertices per (node, index), potential-fusion
+//! Fig. 6/7 legality checks: vertices per (node, index), potential-fusion
 //! edges per tree edge and common index, optional *redundant vertices*
-//! (the Fig. 3/7 device enabling full fusion), and a text rendering.
+//! (the Fig. 3/7 device enabling full fusion).
 
 use crate::config::{fusable_set, is_fusable_producer, FusionConfig};
-use tce_ir::{IndexSet, IndexSpace, IndexVar, NodeId, OpKind, OpTree};
+use tce_ir::{IndexSet, IndexVar, NodeId, OpKind, OpTree};
 
 /// A potential or actual fusion edge between the `index` vertices of
 /// `child` and `parent`.
@@ -135,98 +135,12 @@ impl FusionGraph {
         // subsets).
         crate::chains::check_scopes(tree, config).map_err(|overlap| overlap.to_string())
     }
-
-    /// Text rendering: one line per producer node with its vertices
-    /// (redundant ones bracketed), then the potential edges.
-    pub fn render(
-        &self,
-        tree: &OpTree,
-        space: &IndexSpace,
-        name_of: &dyn Fn(NodeId) -> String,
-    ) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        for id in tree.postorder() {
-            let vs = self.vertices[id.0 as usize];
-            if vs.is_empty() {
-                continue;
-            }
-            let real = tree.loop_indices(id);
-            let mut parts = Vec::new();
-            for x in vs.iter() {
-                if real.contains(x) {
-                    parts.push(space.var_name(x).to_string());
-                } else {
-                    parts.push(format!("[{}]", space.var_name(x)));
-                }
-            }
-            let _ = writeln!(out, "{:<12} vertices: {}", name_of(id), parts.join(" "));
-        }
-        for e in &self.edges {
-            let _ = writeln!(
-                out,
-                "  edge {} --{}-- {}{}",
-                name_of(e.child),
-                space.var_name(e.index),
-                name_of(e.parent),
-                if e.redundant { "  (redundant)" } else { "" }
-            );
-        }
-        out
-    }
-}
-
-impl FusionGraph {
-    /// Graphviz DOT rendering: one cluster per producer nest with its
-    /// index vertices (dashed for redundant), dashed edges for potential
-    /// fusion edges.
-    pub fn to_dot(
-        &self,
-        tree: &OpTree,
-        space: &IndexSpace,
-        name_of: &dyn Fn(NodeId) -> String,
-    ) -> String {
-        use std::fmt::Write;
-        let mut out = String::from("graph fusion {\n  rankdir=TB;\n");
-        for id in tree.postorder() {
-            let vs = self.vertices[id.0 as usize];
-            if vs.is_empty() {
-                continue;
-            }
-            let real = tree.loop_indices(id);
-            let _ = writeln!(out, "  subgraph cluster_{} {{", id.0);
-            let _ = writeln!(out, "    label=\"{}\";", name_of(id));
-            for x in vs.iter() {
-                let style = if real.contains(x) { "solid" } else { "dashed" };
-                let _ = writeln!(
-                    out,
-                    "    v{}_{} [label=\"{}\", style={style}];",
-                    id.0,
-                    x.0,
-                    space.var_name(x)
-                );
-            }
-            let _ = writeln!(out, "  }}");
-        }
-        for e in &self.edges {
-            let _ = writeln!(
-                out,
-                "  v{}_{} -- v{}_{} [style=dashed{}];",
-                e.child.0,
-                e.index.0,
-                e.parent.0,
-                e.index.0,
-                if e.redundant { ", color=red" } else { "" }
-            );
-        }
-        out.push_str("}\n");
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tce_ir::IndexSpace;
 
     /// A3A-like five-nest structure (Fig. 6): X = T·T, Y = f1·f2, E = X·Y.
     fn a3a() -> (IndexSpace, OpTree, NodeId, NodeId, NodeId, NodeId) {
@@ -260,7 +174,7 @@ mod tests {
 
     #[test]
     fn fig6_graph_structure() {
-        let (space, tree, x, t1, t2, y) = a3a();
+        let (_, tree, x, t1, t2, y) = a3a();
         let g = FusionGraph::from_tree(&tree);
         // X–E potential edges on a,e,c,f (4); Y–E on c,e,a,f (4);
         // T1–Y on c,e,b,k (4); T2–Y on a,f,b,k (4).
@@ -268,8 +182,6 @@ mod tests {
         assert_eq!(g.edges_between(y, tree.root).len(), 4);
         assert_eq!(g.edges_between(t1, y).len(), 4);
         assert_eq!(g.edges_between(t2, y).len(), 4);
-        let text = g.render(&tree, &space, &|n| format!("n{}", n.0));
-        assert!(text.contains("edge"));
     }
 
     #[test]
@@ -279,6 +191,7 @@ mod tests {
         let (space, tree, x, t1, t2, y) = a3a();
         let mut cfg = FusionConfig::unfused(&tree);
         cfg.set(x, space.parse_set("a,e,c,f").unwrap());
+        cfg.check(&tree).unwrap();
         cfg.set(y, space.parse_set("c,e,a,f").unwrap());
         cfg.check(&tree).unwrap();
         cfg.set(t1, space.parse_set("c,e").unwrap());
@@ -291,9 +204,14 @@ mod tests {
         let mut cfg2 = FusionConfig::unfused(&tree);
         cfg2.set(t1, space.parse_set("c,e").unwrap());
         cfg2.check(&tree).unwrap();
-        // …and then T2 cannot fuse without creating partial overlap.
+        // …and then T2 cannot fuse without creating partial overlap: every
+        // nonempty subset of its fusable indices is rejected.
         cfg2.set(t2, space.parse_set("a,f").unwrap());
         assert!(cfg2.check(&tree).is_err(), "paper: T2 cannot also fuse");
+        for sub in fusable_set(&tree, t2, y).subsets() {
+            cfg2.set(t2, sub);
+            assert_eq!(cfg2.check(&tree).is_ok(), sub.is_empty(), "T2 on {sub:?}");
+        }
         let _ = t1_with_full_y;
     }
 
@@ -313,6 +231,12 @@ mod tests {
         let plain = FusionGraph::from_tree(&tree);
         assert!(plain.supports(&tree, &cfg).is_err());
         // With them, full fusion is realizable.
+        g.supports(&tree, &cfg).unwrap();
+        // Fusing b,k too leaves every temporary a scalar: still realizable
+        // only with the redundant vertices.
+        cfg.set(t1, space.parse_set("c,e,b,k,a,f").unwrap());
+        cfg.set(t2, space.parse_set("a,f,b,k,c,e").unwrap());
+        assert!(plain.supports(&tree, &cfg).is_err());
         g.supports(&tree, &cfg).unwrap();
     }
 
@@ -346,20 +270,5 @@ mod tests {
             g.add_redundant_vertices(&tree, t1, i.singleton());
         }));
         assert!(result.is_err());
-    }
-
-    #[test]
-    fn dot_output_well_formed() {
-        let (space, tree, _, t1, _, _) = a3a();
-        let mut g = FusionGraph::from_tree(&tree);
-        g.add_redundant_vertices(&tree, t1, space.parse_set("a,f").unwrap());
-        let dot = g.to_dot(&tree, &space, &|n| format!("n{}", n.0));
-        assert!(dot.starts_with("graph fusion {"));
-        assert!(dot.trim_end().ends_with("}"));
-        assert!(
-            dot.contains("style=dashed, color=red"),
-            "redundant edge styled"
-        );
-        assert!(dot.matches("subgraph").count() >= 4);
     }
 }

@@ -211,10 +211,12 @@ mod tests {
 
     #[test]
     fn fig1_dp_matches_bruteforce() {
-        let (space, tree, _, _) = fig1(5);
-        let dp = memmin_dp(&tree, &space);
-        let bf = memmin_bruteforce(&tree, &space);
-        assert_eq!(dp.memory, bf.memory);
+        for n in [5, 10] {
+            let (space, tree, _, _) = fig1(n);
+            let dp = memmin_dp(&tree, &space);
+            let bf = memmin_bruteforce(&tree, &space);
+            assert_eq!(dp.memory, bf.memory, "N = {n}");
+        }
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! the whole point of the framework is to compare such formulas *before*
 //! committing to code.  [`CostPoly`] is a sparse multivariate polynomial
 //! whose variables are the declared ranges of an [`IndexSpace`], used by the
-//! operator-tree cost model, the memory-minimization DP and the experiment
-//! harnesses to print paper-style tables next to measured counts.
+//! operator-tree cost model and the memory-minimization DP, and printed as
+//! the formulas of `tce`'s per-term report.
 
 use crate::index::{IndexSet, IndexSpace, RangeId};
 use std::collections::BTreeMap;

@@ -645,14 +645,17 @@ mod tests {
 
     #[test]
     fn all_three_methods_agree_on_section2() {
-        let (space, p) = section2(7);
-        let dp = optimize_subset_dp(&p, &space);
-        let ex = optimize_exhaustive(&p, &space);
-        let bb = optimize_branch_bound(&p, &space);
-        assert_eq!(dp.contraction_ops, ex.contraction_ops);
-        assert_eq!(dp.contraction_ops, bb.contraction_ops);
-        bb.tree.validate().unwrap();
-        ex.tree.validate().unwrap();
+        for n in [4usize, 6, 7, 8, 10, 16, 30] {
+            let (space, p) = section2(n);
+            let dp = optimize_subset_dp(&p, &space);
+            let ex = optimize_exhaustive(&p, &space);
+            let bb = optimize_branch_bound(&p, &space);
+            assert_eq!(dp.contraction_ops, ex.contraction_ops);
+            assert_eq!(dp.contraction_ops, bb.contraction_ops);
+            assert_eq!(dp.contraction_ops, 6 * (n as u128).pow(6), "N = {n}");
+            bb.tree.validate().unwrap();
+            ex.tree.validate().unwrap();
+        }
     }
 
     #[test]

@@ -8,9 +8,12 @@
 //! indices additionally eliminate array dimensions.
 //!
 //! Tiled variants interleave block-local buffers with the chain structure
-//! and are built per scenario (see `tce_core::scenarios::A3AScenario::
-//! fig4_program`); generalizing tiled emission is future work — the
-//! *optimization* of tile sizes is fully general (see [`crate::tiling`]).
+//! and are hand-built per scenario: `tce_core::scenarios::A3AScenario::
+//! fig4_program` is the paper's Fig. 4 nest, which
+//! `tests/paper_figures.rs` executes at every `B` against the analytic
+//! table and the tile search's choices.  Generalizing tiled emission is
+//! future work — the *optimization* of tile sizes is fully general (see
+//! [`crate::tiling`]).
 
 use crate::dp::SpaceTimeConfig;
 use tce_fusion::codegen::fused_program_with_labels;

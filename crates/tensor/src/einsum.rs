@@ -4,8 +4,7 @@
 //! the paper's "ten nested loops" baseline of §2.  It is intentionally the
 //! most naive possible implementation: it serves as the *correctness
 //! oracle* every optimized evaluation strategy (operator trees, fused loop
-//! structures, tiled code) is checked against, and as the measured baseline
-//! for experiment E1.
+//! structures, tiled code) is checked against.
 
 use crate::dense::Tensor;
 use tce_ir::{IndexSet, IndexSpace, IndexVar};
@@ -57,14 +56,6 @@ impl EinsumSpec {
     /// The loop-index set: output ∪ summation variables.
     pub fn all_indices(&self) -> IndexSet {
         IndexSet::from_vars(self.output.iter().copied()).union(self.sum)
-    }
-
-    /// Number of scalar multiply/add operations the naive evaluation
-    /// performs: `#inputs` per point of the full iteration space.
-    pub fn naive_ops(&self, space: &IndexSpace) -> u128 {
-        space
-            .iteration_points(self.all_indices())
-            .saturating_mul(self.inputs.len() as u128)
     }
 
     /// Evaluate naively with one perfect loop nest over all indices.
@@ -202,16 +193,6 @@ mod tests {
                 assert!((out.get(&[ii, jj]) - acc).abs() < 1e-12);
             }
         }
-    }
-
-    #[test]
-    fn naive_ops_counts_full_space() {
-        let (sp, v) = space2(3, 4);
-        let (i, j, k) = (v[0], v[1], v[2]);
-        let spec =
-            EinsumSpec::new(vec![i, j], vec![vec![i, k], vec![k, j]], k.singleton()).unwrap();
-        // 3*4*3 iterations × 2 operands
-        assert_eq!(spec.naive_ops(&sp), 3 * 4 * 3 * 2);
     }
 
     #[test]

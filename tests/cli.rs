@@ -50,6 +50,39 @@ fn malformed_inputs_fail_cleanly() {
             "tce {args:?} panicked:\n{stderr}"
         );
     }
+    // `--help`/`-h` print the usage to stdout and succeed, in all three
+    // front ends; the top-level usage names both subcommands.
+    for args in [
+        vec!["--help"],
+        vec!["-h"],
+        vec!["serve", "--help"],
+        vec!["serve", "-h"],
+        vec!["calibrate", "--help"],
+        vec!["calibrate", "-h"],
+    ] {
+        let out = tce().args(&args).output().expect("spawn tce");
+        assert!(out.status.success(), "tce {args:?}: {:?}", out.status);
+        assert!(out.stderr.is_empty(), "tce {args:?} wrote to stderr");
+        let usage = String::from_utf8_lossy(&out.stdout);
+        let sub = if args.len() == 2 { args[0] } else { "" };
+        assert!(usage.starts_with(format!("usage: tce {sub}").trim_end()));
+        for line in usage.lines() {
+            assert!(!line.trim().contains("  "), "tce {args:?}: {line:?}");
+        }
+        if sub.is_empty() {
+            assert!(usage.contains("tce serve") && usage.contains("tce calibrate"));
+        }
+    }
+    // An unknown argument still fails, pointing at `--help`.
+    for args in [
+        vec!["--bogus-flag"],
+        vec!["serve", "--bogus"],
+        vec!["calibrate", "--bogus"],
+    ] {
+        let out = tce().args(&args).output().expect("spawn tce");
+        assert_eq!(out.status.code(), Some(1), "tce {args:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("(try --help)"));
+    }
 }
 
 /// Write `src` to a fresh temporary spec file, run `tce` on it with

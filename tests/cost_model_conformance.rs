@@ -95,19 +95,24 @@ fn gett_flops_counter_equals_opmin_prediction_on_fused_section2() {
 
 #[test]
 fn interpreter_flops_counter_equals_opmin_prediction_on_section2() {
-    let n = 6;
-    let syn = synthesize(&section2_source(n), &SynthesisConfig::default()).unwrap();
-    let plan = &syn.plans[0];
-    let predicted = plan.tree_ops;
+    for n in [4, 6] {
+        let syn = synthesize(&section2_source(n), &SynthesisConfig::default()).unwrap();
+        let plan = &syn.plans[0];
+        let predicted = plan.tree_ops;
 
-    let owned = section2_inputs(&syn, n);
-    let inputs: HashMap<TensorId, &Tensor> = owned.iter().map(|(id, t)| (*id, t)).collect();
-    let funcs = HashMap::new();
-    let (_out, trace) = traced(|| {
-        plan.execute_interpreted(&syn.program.space, &inputs, &funcs)
-            .unwrap()
-    });
-    assert_eq!(trace.counter_total("exec.interp.flops") as u128, predicted);
+        let owned = section2_inputs(&syn, n);
+        let inputs: HashMap<TensorId, &Tensor> = owned.iter().map(|(id, t)| (*id, t)).collect();
+        let funcs = HashMap::new();
+        let (_out, trace) = traced(|| {
+            plan.execute_interpreted(&syn.program.space, &inputs, &funcs)
+                .unwrap()
+        });
+        assert_eq!(
+            trace.counter_total("exec.interp.flops") as u128,
+            predicted,
+            "N = {n}"
+        );
+    }
 }
 
 #[test]

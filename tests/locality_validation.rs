@@ -7,7 +7,9 @@ use std::collections::HashMap;
 use tce_core::exec::{CacheSink, Interpreter, LruCache, NoSink};
 use tce_core::ir::rng::Rng;
 use tce_core::ir::{IndexSpace, TensorDecl, TensorTable};
-use tce_core::locality::{access_cost, perfect_nests, search_nest_tiles, tile_nest};
+use tce_core::locality::{
+    access_cost, perfect_nests, search_nest_tiles, tile_nest, MemoryHierarchy,
+};
 use tce_core::loops::{ARef, ArrayKind, LoopProgram, Stmt, Sub, VarRange};
 use tce_core::tensor::Tensor;
 
@@ -90,15 +92,16 @@ fn run_with_cache(
 
 #[test]
 fn model_exact_when_working_set_fits() {
-    let n = 8;
-    let (space, tensors, p) = matmul_program(n, [0, 1, 2]);
-    // Cache big enough for all three arrays: the model predicts exactly
-    // the footprint (3·n²) and the simulator sees exactly the cold misses.
-    let cache = 4 * n * n;
-    let modeled = access_cost(&p, &space, cache as u128);
-    let (_, misses) = run_with_cache(&p, &space, &tensors, n, cache);
-    assert_eq!(modeled, 3 * (n * n) as u128);
-    assert_eq!(misses, 3 * (n * n) as u64);
+    for n in [8, 24] {
+        let (space, tensors, p) = matmul_program(n, [0, 1, 2]);
+        // Cache big enough for all three arrays: the model predicts exactly
+        // the footprint (3·n²) and the simulator sees exactly the cold misses.
+        let cache = 4 * n * n;
+        let modeled = access_cost(&p, &space, cache as u128);
+        let (_, misses) = run_with_cache(&p, &space, &tensors, n, cache);
+        assert_eq!(modeled, 3 * (n * n) as u128);
+        assert_eq!(misses, 3 * (n * n) as u64);
+    }
 }
 
 #[test]
@@ -116,21 +119,27 @@ fn simulated_misses_grow_when_cache_shrinks() {
 
 #[test]
 fn blocking_reduces_simulated_misses() {
-    let n = 32;
-    let (space, tensors, p) = matmul_program(n, [0, 1, 2]);
-    let cache = 384; // fits ~3 blocks of 8×8 plus change, not rows of B
-    let nests = perfect_nests(&p);
-    let best = search_nest_tiles(&p, &space, &nests[0], cache as u128);
-    let (out_plain, misses_plain) = run_with_cache(&p, &space, &tensors, n, cache);
-    let (out_tiled, misses_tiled) = run_with_cache(&best.program, &space, &tensors, n, cache);
-    assert!(
-        out_tiled.approx_eq(&out_plain, 1e-9),
-        "tiling changed results"
-    );
-    assert!(
-        misses_tiled < misses_plain,
-        "tiled {misses_tiled} vs untiled {misses_plain}"
-    );
+    // (32, 384): the cache fits ~3 blocks of 8×8 plus change, not rows of B.
+    for (n, cache) in [(32, 384), (24, 256)] {
+        let (space, tensors, p) = matmul_program(n, [0, 1, 2]);
+        let nests = perfect_nests(&p);
+        let best = search_nest_tiles(&p, &space, &nests[0], cache as u128);
+        assert!(best.cost < access_cost(&p, &space, cache as u128));
+        let (out_plain, misses_plain) = run_with_cache(&p, &space, &tensors, n, cache);
+        let (out_tiled, misses_tiled) = run_with_cache(&best.program, &space, &tensors, n, cache);
+        assert!(
+            out_tiled.approx_eq(&out_plain, 1e-9),
+            "tiling changed results"
+        );
+        assert!(
+            misses_tiled < misses_plain,
+            "tiled {misses_tiled} vs untiled {misses_plain}"
+        );
+        // §6: the same model over memory-over-disk ("replace the cache size
+        // by the physical memory size") ranks the blocking no worse.
+        let hier = MemoryHierarchy::cache_and_disk(cache as u128, (2 * n * n) as u128);
+        assert!(hier.cost(&best.program, &space) <= hier.cost(&p, &space));
+    }
 }
 
 /// Tiling any subset of the loops with any block sizes never changes the
@@ -175,10 +184,15 @@ fn tiling_preserves_semantics() {
 /// The analytic cost model is monotone non-increasing in cache size.
 #[test]
 fn model_monotone_in_cache() {
-    for order in [[0usize, 1, 2], [2, 0, 1]] {
-        let (space, _, p) = matmul_program(12, order);
+    let cases = [
+        (12, [0usize, 1, 2], [2u128, 8, 32, 128, 512, 4096]),
+        (12, [2, 0, 1], [2, 8, 32, 128, 512, 4096]),
+        (24, [0, 1, 2], [8, 32, 64, 256, 1024, 4 * 24 * 24]),
+    ];
+    for (n, order, caches) in cases {
+        let (space, _, p) = matmul_program(n, order);
         let mut last = u128::MAX;
-        for c in [2u128, 8, 32, 128, 512, 4096] {
+        for c in caches {
             let cost = access_cost(&p, &space, c);
             assert!(cost <= last);
             last = cost;
