@@ -3,7 +3,7 @@
 //! ```text
 //! tce SPEC.tce [--memory-limit N] [--cache N] [--grid PxQx…]
 //!              [--word-cost N] [--execute] [--fused] [--distributed]
-//!              [--seed S] [--threads T] [--schedule seq|graph]
+//!              [--seed S] [--threads T]
 //!              [--trace OUT.json] [--kernel scalar|sse2|avx2]
 //!              [--calibration PROFILE.json]
 //! tce serve [--addr HOST:PORT] [--workers N] [--queue N] [--timeout-ms N]
@@ -17,9 +17,9 @@
 //! `--threads` sets the worker count for the contraction kernels
 //! (default: the `TCE_THREADS` environment variable, then the machine's
 //! available parallelism); results are bitwise identical either way.
-//! `--schedule graph` runs statements and contraction subtrees through
-//! the dependency-aware task-graph scheduler (independent work overlaps;
-//! results stay bitwise identical to the default `seq` order).
+//! Statements and contraction subtrees run on the dependency-aware task
+//! graph, which takes only as many of those threads as slots as their
+//! work can fill and never holds more live than the sequential walk.
 //! `--trace OUT.json` enables the `tce-trace` observability layer
 //! (implies `--execute`), writes a chrome://tracing-compatible event
 //! file, and prints a profile report.  `--kernel` pins the contraction
@@ -42,14 +42,36 @@
 //! locality, and distribution cost models from the paper's abstract unit
 //! costs to measured time-based rates and prints a predicted-vs-measured
 //! wall-time line after `--execute`.  Without a profile every plan choice
-//! is bit-identical to the uncalibrated pipeline.
+//! is bit-identical to the uncalibrated pipeline.  Output cut short by its
+//! reader (`tce … | head -1`) ends the run quietly with status 0.
 
 use std::collections::HashMap;
+use std::io::Write as _;
 use std::process::ExitCode;
 use tce_core::dist::Machine;
 use tce_core::locality::MemoryHierarchy;
 use tce_core::par::ProcessorGrid;
 use tce_core::{synthesize, ExecOptions, SynthesisConfig};
+
+/// Shadows `std::println!` for this file: std's panics once stdout is
+/// gone, this one ends the process quietly instead — a reader that closed
+/// the pipe wants no more output (exit 0); any other write failure is one
+/// line on stderr (exit 1).
+macro_rules! println {
+    ($($arg:tt)*) => {
+        if let Err(e) = writeln!(std::io::stdout(), $($arg)*) {
+            stdout_failed(e)
+        }
+    };
+}
+
+fn stdout_failed(e: std::io::Error) -> ! {
+    if e.kind() == std::io::ErrorKind::BrokenPipe {
+        std::process::exit(0);
+    }
+    eprintln!("cannot write to stdout: {e}");
+    std::process::exit(1)
+}
 
 const SERVE_USAGE: &str = "tce serve [--addr HOST:PORT] [--workers N] [--queue N] [--timeout-ms N]";
 const CALIBRATE_USAGE: &str =
@@ -72,7 +94,6 @@ struct Args {
     distributed: bool,
     seed: u64,
     threads: Option<usize>,
-    schedule: tce_core::Schedule,
     trace: Option<String>,
     kernel: Option<tce_core::tensor::KernelVariant>,
     calibration: Option<String>,
@@ -90,7 +111,6 @@ fn parse_args() -> Result<Args, String> {
         distributed: false,
         seed: 42,
         threads: None,
-        schedule: tce_core::Schedule::default(),
         trace: None,
         kernel: None,
         calibration: None,
@@ -162,10 +182,6 @@ fn parse_args() -> Result<Args, String> {
                 }
                 args.threads = Some(t);
             }
-            "--schedule" => {
-                let name = it.next().ok_or("--schedule needs seq|graph")?;
-                args.schedule = name.parse()?;
-            }
             "--kernel" => {
                 let name = it.next().ok_or("--kernel needs a variant name")?;
                 args.kernel = Some(
@@ -186,7 +202,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => print_usage(&format!(
                 "usage: tce SPEC.tce [--memory-limit N] [--cache N] [--grid PxQ] \
                  [--word-cost N] [--execute] [--fused] [--distributed] [--seed S] \
-                 [--threads T] [--schedule seq|graph] [--trace OUT.json] \
+                 [--threads T] [--trace OUT.json] \
                  [--kernel scalar|sse2|avx2] [--calibration FILE]\n       \
                  {SERVE_USAGE}\n       {CALIBRATE_USAGE}"
             )),
@@ -413,8 +429,9 @@ fn serve_main() -> ExitCode {
         "  {} workers, queue {}, timeout {:?}",
         cfg.workers, cfg.queue_cap, cfg.timeout
     );
-    use std::io::Write as _;
-    let _ = std::io::stdout().flush();
+    if let Err(e) = std::io::stdout().flush() {
+        stdout_failed(e)
+    }
     let handle = server.spawn();
     let final_stats = handle.join();
     println!(
@@ -531,14 +548,12 @@ fn main() -> ExitCode {
         let opts = match args.threads {
             Some(t) => ExecOptions::with_threads(t),
             None => ExecOptions::default(),
-        }
-        .with_schedule(args.schedule);
+        };
         println!(
-            "== execution (seed {}, {} thread{}, {} schedule) ==",
+            "== execution (seed {}, {} thread{}) ==",
             args.seed,
             opts.threads,
-            if opts.threads == 1 { "" } else { "s" },
-            opts.schedule
+            if opts.threads == 1 { "" } else { "s" }
         );
         // Hidden test hook: `TCE_FAULT_INJECT=comm|liveset` perturbs the
         // *measured* side of a conformance comparison so the MISMATCH exit

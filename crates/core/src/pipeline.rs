@@ -252,9 +252,9 @@ impl Synthesis {
     }
 
     /// [`execute`](Self::execute) with explicit [`ExecOptions`]: the thread
-    /// count is forwarded to every term's contraction kernels, and the
-    /// schedule picks how many task-graph slots statements and tree nodes
-    /// run on.  Results are bitwise identical for every choice.
+    /// count is forwarded to every term's contraction kernels and bounds
+    /// the task-graph slots statements and tree nodes run on.  Results are
+    /// bitwise identical for every thread count.
     ///
     /// # Errors
     /// [`ExecError`] if an external input binding is missing or mis-shaped.
@@ -266,7 +266,7 @@ impl Synthesis {
     ) -> Result<HashMap<TensorId, Tensor>, ExecError> {
         let space = &self.program.space;
         let (outputs, _) =
-            self.run_statements(external_inputs, opts.slots(), &|plan, inputs| {
+            self.run_statements(external_inputs, opts.threads, &|plan, inputs| {
                 Ok((plan.execute_opts(space, inputs, funcs, opts)?, ()))
             })?;
         Ok(outputs)
@@ -296,11 +296,11 @@ impl Synthesis {
     /// task per statement on [`tce_par::TaskGraph`], dependencies following
     /// the RAW dataflow (each statement depends on the last prior writer
     /// of every tensor it reads, including its own target under `+=`), on
-    /// at most `slots` scheduler slots — as many as the statements' flops
-    /// can fill ([`tce_par::TaskGraph::useful_slots`]).  One slot is source
-    /// order; more let independent statements contract concurrently, never
-    /// holding more statement results live at once than source order
-    /// would.
+    /// at most `max_slots` scheduler slots — as many as the statements'
+    /// flops can fill ([`tce_par::TaskGraph::useful_slots`]).  One slot is
+    /// source order; more let independent statements contract
+    /// concurrently, never holding more statement results live at once
+    /// than source order would.
     ///
     /// Per statement: bind inputs (computed values shadow external
     /// bindings), run every term through `term` — which returns the term's
@@ -316,7 +316,7 @@ impl Synthesis {
     fn run_statements<R: Send + Sync>(
         &self,
         external_inputs: &HashMap<TensorId, &Tensor>,
-        slots: usize,
+        max_slots: usize,
         term: &TermExecutor<'_, R>,
     ) -> Result<(HashMap<TensorId, Tensor>, Vec<R>), ExecError> {
         let _span = tce_trace::span("stage.exec");
@@ -364,8 +364,7 @@ impl Synthesis {
         // before every read, and nothing writes a cell twice.
         type Outcome<R> = Result<(Tensor, Vec<R>), ExecError>;
         let cells: Vec<OnceLock<Outcome<R>>> = stmts.iter().map(|_| OnceLock::new()).collect();
-        let slots = graph.useful_slots(slots);
-        graph.run(slots, Some(graph.sequential_peak()), &|si| {
+        graph.run(max_slots, &|si| {
             let stmt = &stmts[si];
             let mut computed: Vec<(TensorId, &Tensor)> = Vec::with_capacity(sources[si].len());
             for &(tensor, w) in &sources[si] {
@@ -1339,14 +1338,14 @@ mod tests {
             .execute_opts(&ext, &HashMap::new(), &ExecOptions::serial())
             .unwrap();
         for threads in [1, 2, 4, 8] {
-            let opts = ExecOptions::with_threads(threads).with_schedule(tce_exec::Schedule::Graph);
+            let opts = ExecOptions::with_threads(threads);
             let graph = syn.execute_opts(&ext, &HashMap::new(), &opts).unwrap();
             assert_eq!(graph.len(), seq.len());
             for (id, t) in &seq {
                 assert_eq!(&graph[id], t, "threads={threads} changed bits");
             }
         }
-        // A missing binding errors identically under both schedules.
+        // A missing binding errors identically at every thread count.
         let partial: HashMap<_, _> = ext
             .iter()
             .filter(|(id, _)| **id != syn.program.tensors.by_name("A").unwrap())
@@ -1356,11 +1355,7 @@ mod tests {
             .execute_opts(&partial, &HashMap::new(), &ExecOptions::serial())
             .unwrap_err();
         let ge = syn
-            .execute_opts(
-                &partial,
-                &HashMap::new(),
-                &ExecOptions::with_threads(4).with_schedule(tce_exec::Schedule::Graph),
-            )
+            .execute_opts(&partial, &HashMap::new(), &ExecOptions::with_threads(4))
             .unwrap_err();
         assert_eq!(se.to_string(), ge.to_string());
     }

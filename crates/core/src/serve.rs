@@ -15,7 +15,7 @@
 //! [`bind_functions`], [`format_results`]) are shared with the `tce`
 //! binary for exactly that reason: one definition, two entry points.
 
-use crate::{synthesize, ExecOptions, Schedule, Synthesis, SynthesisConfig};
+use crate::{synthesize, ExecOptions, Synthesis, SynthesisConfig};
 use std::collections::HashMap;
 use std::sync::Arc;
 use tce_ir::TensorId;
@@ -31,10 +31,6 @@ pub struct RunOptions {
     /// Worker threads for the contraction kernels (`None`: process
     /// default, i.e. `TCE_THREADS` or the machine's parallelism).
     pub threads: Option<usize>,
-    /// Execution schedule (`seq` runs statements and subtrees in source
-    /// order; `graph` overlaps independent work — results are bitwise
-    /// identical either way).
-    pub schedule: Schedule,
 }
 
 impl Default for RunOptions {
@@ -42,7 +38,6 @@ impl Default for RunOptions {
         Self {
             seed: 42,
             threads: None,
-            schedule: Schedule::default(),
         }
     }
 }
@@ -74,9 +69,6 @@ pub fn parse_run_options(
                     return Err("bad threads `0`: must be at least 1".to_string());
                 }
                 run.threads = Some(t);
-            }
-            "schedule" => {
-                run.schedule = value.parse()?;
             }
             "memory-limit" => {
                 cfg.memory_limit = value
@@ -292,8 +284,7 @@ impl PipelineHandler {
         let exec_opts = match run.threads {
             Some(t) => ExecOptions::with_threads(t),
             None => ExecOptions::default(),
-        }
-        .with_schedule(run.schedule);
+        };
         Ok(syn
             .execute_opts(&inputs, &funcs, &exec_opts)
             .map_err(|e| format!("execution failed: {e}"))
@@ -307,12 +298,11 @@ impl Handler for PipelineHandler {
         let (mut cfg, run) = parse_run_options(opts)?;
         cfg.calibration = self.calibration.clone();
         let canon = format!(
-            "memory-limit={};cache={:?};seed={};threads={:?};schedule={};calib={:?}",
+            "memory-limit={};cache={:?};seed={};threads={:?};calib={:?}",
             cfg.memory_limit,
             cfg.cache_elements,
             run.seed,
             run.threads,
-            run.schedule,
             cfg.calibration.as_ref().map(tce_calib::CostRates::canon)
         );
         let response_key = (program.to_string(), canon);
@@ -387,19 +377,6 @@ mod tests {
     }
 
     #[test]
-    fn graph_schedule_reply_is_byte_identical_to_seq() {
-        let handler = PipelineHandler::default();
-        let src = section2_source(4);
-        let seq = handler.run(&src, &[]).unwrap();
-        let graph = handler
-            .run(&src, &[("schedule".to_string(), "graph".to_string())])
-            .unwrap();
-        assert_eq!(seq, graph);
-        // Distinct schedules are distinct response-memo keys.
-        assert_eq!(handler.responses.stats().misses, 2);
-    }
-
-    #[test]
     fn repeat_request_hits_the_synthesis_cache() {
         let handler = PipelineHandler::default();
         let src = section2_source(4);
@@ -431,7 +408,7 @@ mod tests {
             ("seed", "-1"),
             ("memory-limit", "lots"),
             ("cache", "x"),
-            ("schedule", "bogus"),
+            ("schedule", "seq"),
             ("no-such-option", "1"),
         ] {
             let err = handler

@@ -793,19 +793,19 @@ impl Env<'_> {
 /// returned together with measured-vs-predicted communication volumes.
 ///
 /// The walk is one task per tree node on [`tce_par::TaskGraph`], children
-/// before parents, on `slots` scheduler slots: one slot is the sequential
-/// postorder walk (each node's rank-parallel kernels keep all `threads`
-/// workers), more slots evaluate independent subtrees concurrently, never
-/// holding more node values live (in global output elements) than the
-/// one-slot walk.  The gathered result and every counter are **identical**
-/// for every `threads` and `slots` value: a node's value depends only on
-/// its own subtree and plan entries, every kernel is deterministic in
-/// isolation, and counters flow child → parent along the tree.
+/// before parents, on as many of `threads` scheduler slots as the nodes'
+/// flops can fill: one slot is the sequential postorder walk (each node's
+/// rank-parallel kernels keep all `threads` workers), more slots evaluate
+/// independent subtrees concurrently, never holding more node values live
+/// (in global output elements) than the one-slot walk.  The gathered
+/// result and every counter are **identical** for every `threads` value: a
+/// node's value depends only on its own subtree and plan entries, every
+/// kernel is deterministic in isolation, and counters flow child → parent
+/// along the tree.
 ///
 /// # Errors
 /// [`DistError`] when a binding is missing or mis-shaped, or the plan does
 /// not cover the tree; everything is validated before any node runs.
-#[allow(clippy::too_many_arguments)]
 pub fn execute_plan_sharded(
     tree: &OpTree,
     space: &IndexSpace,
@@ -814,7 +814,6 @@ pub fn execute_plan_sharded(
     inputs: &HashMap<TensorId, &Tensor>,
     funcs: &HashMap<String, IntegralFn>,
     threads: usize,
-    slots: usize,
 ) -> Result<ShardExecReport, DistError> {
     let _span = tce_trace::span("dist.exec");
     let root_alpha = plan.node_dist[tree.root.0 as usize]
@@ -834,8 +833,8 @@ pub fn execute_plan_sharded(
 
     let ranks = machine.grid.num_processors();
     let tasks = tree.postorder_tasks(space);
-    let (sharded, c) = TaskGraph::eval_tree(&tasks, slots, &|&u,
-                                                             children: Vec<(
+    let (sharded, c) = TaskGraph::eval_tree(&tasks, threads, &|&u,
+                                                               children: Vec<(
         ShardedTensor,
         Counters,
     )>| {

@@ -25,7 +25,7 @@
 //! materialization (disjoint element chunks), both of which are bitwise
 //! deterministic for every thread count.  The schedule's *top-level* steps
 //! are tasks on [`tce_par::TaskGraph`] with hazard edges between steps
-//! whose read/write sets conflict; [`ExecOptions::slots`] caps how many
+//! whose read/write sets conflict; `ExecOptions::threads` caps how many
 //! run at once and [`TaskGraph::useful_slots`] takes only as many as the
 //! steps' flops can fill (one slot = the schedule in source order).
 //!
@@ -234,7 +234,7 @@ pub fn execute_tree_fused_with_labels(
     );
 
     let shared: Vec<Mutex<Option<Tensor>>> = (0..tree.len()).map(|_| Mutex::new(None)).collect();
-    let (sliced_contractions, func_evals) = walk.run_steps(&shared, opts.slots());
+    let (sliced_contractions, func_evals) = walk.run_steps(&shared, opts.threads);
 
     let result = shared
         .into_iter()
@@ -386,8 +386,8 @@ impl Walk<'_> {
     }
 
     /// Execute the schedule's top-level steps on a [`TaskGraph`] with
-    /// hazard edges, on at most `slots` scheduler slots — as many as the
-    /// steps' flops can fill ([`TaskGraph::useful_slots`]): steps whose
+    /// hazard edges, on at most `max_slots` scheduler slots — as many as
+    /// the steps' flops can fill ([`TaskGraph::useful_slots`]): steps whose
     /// lifetimes conflict are ordered (so every array sees a serialized
     /// access history and each step finds the locks of its read/write sets
     /// free — see [`SharedArrays`]); independent steps may run
@@ -400,7 +400,7 @@ impl Walk<'_> {
     /// the elements it allocates and admission is capped at the one-slot
     /// walk's peak, so more slots never hold more.  Returns
     /// `(sliced_contractions, func_evals)`.
-    fn run_steps(&self, shared: &SharedArrays, slots: usize) -> (u64, u64) {
+    fn run_steps(&self, shared: &SharedArrays, max_slots: usize) -> (u64, u64) {
         let lifetimes = &self.schedule.lifetimes;
         let mut graph = TaskGraph::new();
         for (j, life) in lifetimes.iter().enumerate() {
@@ -412,8 +412,7 @@ impl Walk<'_> {
         }
         let sliced = AtomicU64::new(0);
         let evals = AtomicU64::new(0);
-        let slots = graph.useful_slots(slots);
-        graph.run(slots, Some(graph.sequential_peak()), &|t| {
+        graph.run(max_slots, &|t| {
             let life = &lifetimes[t];
             // A top-level `Zero`: arrays are born zeroed.
             if life.writes.is_empty() {
@@ -645,7 +644,7 @@ impl FusedCtx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{execute_tree, Schedule};
+    use crate::execute_tree;
     use tce_fusion::memmin_dp;
     use tce_ir::{IndexSet, TensorDecl, TensorTable};
 
@@ -738,15 +737,15 @@ mod tests {
         )
         .unwrap();
         for threads in [1, 2, 4, 8] {
-            let opts = ExecOptions::with_threads(threads).with_schedule(Schedule::Graph);
+            let opts = ExecOptions::with_threads(threads);
             let rep =
                 execute_tree_fused(&tree, &space, &cfg, &inputs, &HashMap::new(), &opts).unwrap();
             assert_eq!(
                 rep.result, seq.result,
-                "graph schedule diverged at {threads} threads"
+                "{threads} threads diverged from one"
             );
             // Every intermediate is allocated exactly once whatever the
-            // schedule, so the measured total equals the model.
+            // interleaving, so the measured total equals the model.
             assert_eq!(rep.peak_live_elements, seq.peak_live_elements);
             assert!(rep.peak_matches_model());
             assert_eq!(rep.sliced_contractions, seq.sliced_contractions);

@@ -9,13 +9,13 @@
 //! set is one whole-array GETT call whose result *is* the node's array,
 //! and the schedule's lifetimes hold each intermediate only from its
 //! production to its one consumer.  Results are bitwise identical at
-//! every thread count and schedule.  Serves both as a second semantic
+//! every thread count.  Serves both as a second semantic
 //! oracle for the loop-program interpreter and as the default executor
 //! for the pipeline and the benchmark harnesses.
 //!
-//! This module also owns the knobs every executor shares: a [`Schedule`]
-//! only picks the most scheduler slots a walk may use
-//! ([`ExecOptions::slots`]) — one slot *is* the sequential walk.
+//! This module also owns the options every executor shares: the thread
+//! count, from which each walk takes only the scheduler slots its work
+//! fills ([`tce_par::TaskGraph::run`]).
 
 use crate::error::ExecError;
 use std::collections::HashMap;
@@ -23,70 +23,36 @@ use tce_fusion::FusionConfig;
 use tce_ir::{IndexSpace, OpTree, TensorId};
 use tce_tensor::{IntegralFn, Tensor};
 
-/// How many task-graph scheduler slots the executors walk statements,
-/// tree nodes and fused steps on.  A scheduling policy over the *same*
-/// walker, never a different one.
+/// A retired scheduling policy, kept so existing callers still compile:
+/// every walk now takes the slots its work fills
+/// ([`tce_par::TaskGraph::run`]), so both variants run the same program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Schedule {
-    /// One slot: source / postorder order, one task at a time, inline on
-    /// the calling thread (parallelism lives inside each kernel call,
-    /// which keeps the whole pool).
+    /// Same as every other variant.
     #[default]
     Seq,
-    /// Up to one slot per worker thread: independent statements, subtrees
-    /// and fused steps run concurrently on [`tce_par::TaskGraph`], bounded
-    /// by the one-slot walk's live-set peak.  Each walk takes only the
-    /// slots its work can fill ([`tce_par::TaskGraph::useful_slots`]: total
-    /// flops over the heaviest dependency path), so a chain, or a walk one
-    /// contraction dominates, still runs on one slot with kernels over the
-    /// whole pool.  Bitwise identical to [`Schedule::Seq`] for every worker
-    /// count.
+    /// Same as every other variant.
     Graph,
-}
-
-impl std::str::FromStr for Schedule {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "seq" => Ok(Schedule::Seq),
-            "graph" => Ok(Schedule::Graph),
-            other => Err(format!("bad schedule `{other}`: expected seq|graph")),
-        }
-    }
-}
-
-impl std::fmt::Display for Schedule {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Schedule::Seq => "seq",
-            Schedule::Graph => "graph",
-        })
-    }
 }
 
 /// Knobs threaded through every execution entry point.
 ///
 /// The default thread count honours the `TCE_THREADS` environment
 /// variable and otherwise uses the machine's available parallelism
-/// (see `tce_par::default_threads`).  Neither thread count nor schedule
-/// ever affects results: every parallel kernel partitions output
-/// disjointly, and graph scheduling only reorders *when* independent
-/// nodes run.
+/// (see `tce_par::default_threads`).  The thread count never affects
+/// results: every parallel kernel partitions output disjointly, and the
+/// task graph only reorders *when* independent nodes run.
 #[derive(Debug, Clone)]
 pub struct ExecOptions {
     /// Worker threads for contraction kernels, permutes and function
-    /// materialization.
+    /// materialization, and the most task-graph slots a walk may use.
     pub threads: usize,
-    /// Scheduler-slot policy (see [`Schedule`]).
-    pub schedule: Schedule,
 }
 
 impl Default for ExecOptions {
     fn default() -> Self {
         Self {
             threads: tce_par::default_threads(),
-            schedule: Schedule::default(),
         }
     }
 }
@@ -104,7 +70,6 @@ impl ExecOptions {
     pub fn with_threads(threads: usize) -> Self {
         Self {
             threads: threads.max(1),
-            schedule: Schedule::default(),
         }
     }
 
@@ -117,21 +82,10 @@ impl ExecOptions {
         Ok(Self::with_threads(threads))
     }
 
-    /// This options bundle with the given schedule.
-    pub fn with_schedule(mut self, schedule: Schedule) -> Self {
-        self.schedule = schedule;
+    /// These options unchanged: the schedule is retired (see
+    /// [`Schedule`]).
+    pub fn with_schedule(self, _schedule: Schedule) -> Self {
         self
-    }
-
-    /// The most task-graph scheduler slots a walk under these options may
-    /// use — the only thing the schedule decides.  Each walk takes
-    /// [`tce_par::TaskGraph::useful_slots`] of them: no more than its work
-    /// can fill.
-    pub fn slots(&self) -> usize {
-        match self.schedule {
-            Schedule::Seq => 1,
-            Schedule::Graph => self.threads.max(1),
-        }
     }
 }
 
@@ -139,14 +93,14 @@ impl ExecOptions {
 /// intermediate at full size: the fused walker
 /// ([`crate::execute_tree_fused_with_labels`]) on the empty fusion
 /// configuration (see the module docs).  Each contraction node is one task
-/// on [`tce_par::TaskGraph`], after its children, on at most
-/// [`opts.slots()`](ExecOptions::slots) scheduler slots; a node's value
+/// on [`tce_par::TaskGraph`], after its children, on as many of
+/// `opts.threads` scheduler slots as the nodes' flops fill; a node's value
 /// returns to the buffer pool as soon as its one consumer finishes, and
 /// admission is capped at the one-slot walk's peak.  Function
 /// materialization and the contraction kernels' output-tile loops use
 /// `opts.threads` workers.
 ///
-/// Bitwise identical for every thread count and schedule: the scheduler
+/// Bitwise identical for every thread count: the scheduler
 /// only decides *when* a node runs, each node's kernel is deterministic in
 /// isolation, and a node starts only after its children completed.
 ///
@@ -168,8 +122,7 @@ pub fn execute_tree_opts(
     Ok(report.result)
 }
 
-/// [`execute_tree_opts`] on the sequential schedule with `threads` kernel
-/// workers.
+/// [`execute_tree_opts`] with `threads` workers.
 pub fn execute_tree(
     tree: &OpTree,
     space: &IndexSpace,
@@ -215,7 +168,6 @@ pub fn execute_tree_distributed(
         inputs,
         funcs,
         opts.threads,
-        opts.slots(),
     )?)
 }
 
@@ -354,10 +306,9 @@ mod tests {
         inputs.insert(td, &vd);
 
         let seq = execute_tree(&tree, &space, &inputs, &HashMap::new(), 1).unwrap();
-        for threads in [1, 2, 4, 8] {
-            let opts = ExecOptions::with_threads(threads).with_schedule(Schedule::Graph);
-            let graph = execute_tree_opts(&tree, &space, &inputs, &HashMap::new(), &opts).unwrap();
-            assert_eq!(seq, graph, "graph schedule diverged at {threads} threads");
+        for threads in [2, 4, 8] {
+            let graph = execute_tree(&tree, &space, &inputs, &HashMap::new(), threads).unwrap();
+            assert_eq!(seq, graph, "{threads} threads diverged from one");
         }
     }
 
@@ -368,15 +319,6 @@ mod tests {
         assert_eq!(ExecOptions::try_with_threads(3).unwrap().threads, 3);
         // The infallible constructor documents (and keeps) the clamp.
         assert_eq!(ExecOptions::with_threads(0).threads, 1);
-    }
-
-    #[test]
-    fn schedule_parses_and_rejects_garbage() {
-        assert_eq!("seq".parse::<Schedule>().unwrap(), Schedule::Seq);
-        assert_eq!("graph".parse::<Schedule>().unwrap(), Schedule::Graph);
-        let err = "bogus".parse::<Schedule>().unwrap_err();
-        assert!(err.contains("expected seq|graph"), "{err}");
-        assert_eq!(Schedule::Graph.to_string(), "graph");
     }
 
     #[test]

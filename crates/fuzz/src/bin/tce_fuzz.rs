@@ -1,7 +1,7 @@
 //! `tce-fuzz` — run a seeded conformance campaign from the command line.
 //!
 //! ```text
-//! tce-fuzz [--seed S] [--budget N] [--check all|exec,cost,dist,roundtrip,sched]
+//! tce-fuzz [--seed S] [--budget N] [--check all|exec,cost,dist,roundtrip]
 //!          [--grids 1x1,2x2] [--extended] [--out DIR] [--corpus DIR] [--quiet]
 //! ```
 //!
@@ -89,7 +89,7 @@ fn parse_args() -> Result<Args, String> {
             "--quiet" => args.quiet = true,
             "--help" | "-h" => {
                 println!(
-                    "usage: tce-fuzz [--seed S] [--budget N] [--check all|exec,cost,dist,roundtrip,sched]\n\
+                    "usage: tce-fuzz [--seed S] [--budget N] [--check all|exec,cost,dist,roundtrip]\n\
                      \x20               [--grids 1x1,2x2] [--extended] [--out DIR] [--corpus DIR] [--quiet]"
                 );
                 std::process::exit(0);

@@ -15,15 +15,12 @@
 //!   measured peak intermediate live-set equals the memmin DP prediction;
 //! * **dist** — on each configured processor grid, distributed execution
 //!   agrees with the oracle and its measured redistribution/reduction
-//!   traffic equals the closed-form `move_cost`/`reduce_cost` predictions;
-//! * **sched** — the dependency-aware task-graph schedule
-//!   (`--schedule graph`) agrees with the oracle and is bitwise identical
-//!   to the sequential schedule at every configured thread count.
+//!   traffic equals the closed-form `move_cost`/`reduce_cost` predictions.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
 
-use tce_core::{synthesize_program, ExecOptions, Schedule, SynthesisConfig, SynthesisError};
+use tce_core::{synthesize_program, ExecOptions, SynthesisConfig, SynthesisError};
 use tce_ir::rng::{split_seed, Rng};
 use tce_ir::{Factor, Program, TensorId};
 use tce_tensor::{kernels, EinsumSpec, IntegralFn, Tensor};
@@ -39,9 +36,6 @@ pub struct CheckSet {
     pub dist: bool,
     /// Unparse→parse structural round trip.
     pub roundtrip: bool,
-    /// Task-graph schedule: graph execution agrees with the oracle and is
-    /// bitwise identical to the sequential schedule at every thread count.
-    pub sched: bool,
 }
 
 impl CheckSet {
@@ -52,7 +46,6 @@ impl CheckSet {
             cost: true,
             dist: true,
             roundtrip: true,
-            sched: true,
         }
     }
 
@@ -63,12 +56,11 @@ impl CheckSet {
             cost: false,
             dist: false,
             roundtrip: false,
-            sched: false,
         }
     }
 
     /// Parse a `--check` argument: `all` or a comma-separated subset of
-    /// `exec,cost,dist,roundtrip,sched`.
+    /// `exec,cost,dist,roundtrip`.
     pub fn parse(text: &str) -> Result<Self, String> {
         if text == "all" {
             return Ok(Self::all());
@@ -80,7 +72,6 @@ impl CheckSet {
                 "cost" => set.cost = true,
                 "dist" => set.dist = true,
                 "roundtrip" => set.roundtrip = true,
-                "sched" => set.sched = true,
                 other => return Err(format!("unknown check `{other}`")),
             }
         }
@@ -568,49 +559,6 @@ pub fn check_program(program: &Program, ck: &CheckConfig) -> Result<CaseStats, F
                 )?;
                 stats.kernel_variants += 1;
             }
-        }
-    }
-
-    if ck.set.sched {
-        // The task-graph schedule must agree with the oracle and be
-        // bitwise identical to the sequential schedule at 1 thread and at
-        // every configured thread count (scheduling reorders only WHEN
-        // nodes run, never the arithmetic inside a node).
-        let seq = {
-            let mut r = syn
-                .execute_opts(&input_refs, &funcs, &ExecOptions::serial())
-                .map_err(|e| Failure::new(CheckKind::ExecDiff, format!("sched seq: {e}")))?;
-            apply_fault(program, ck, &mut r);
-            r
-        };
-        compare_outputs(
-            program,
-            &seq,
-            &expect,
-            ck.tol,
-            CheckKind::ExecDiff,
-            "sched seq",
-        )?;
-        let mut counts: Vec<usize> = vec![1];
-        counts.extend(ck.threads.iter().copied());
-        for t in counts {
-            let opts = ExecOptions::with_threads(t).with_schedule(Schedule::Graph);
-            let mut got = syn
-                .execute_opts(&input_refs, &funcs, &opts)
-                .map_err(|e| Failure::new(CheckKind::ExecDiff, format!("sched graph({t}): {e}")))?;
-            apply_fault(program, ck, &mut got);
-            for (id, want) in &seq {
-                if got.get(id) != Some(want) {
-                    return Err(Failure::new(
-                        CheckKind::ExecDiff,
-                        format!(
-                            "graph schedule with {t} threads changed bits in `{}`",
-                            program.tensors.get(*id).name
-                        ),
-                    ));
-                }
-            }
-            stats.executor_runs += 1;
         }
     }
 

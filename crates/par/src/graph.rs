@@ -6,33 +6,40 @@
 //! in a topological order (every dependency precedes its dependent), and
 //! [`TaskGraph::run`] dispatches ready tasks onto [`crate::Pool`] scheduler
 //! slots, bounded by a *live-set cap* so concurrent execution never holds
-//! more intermediate storage than the caller's memory model allows.
+//! more intermediate storage than the one-slot walk.
 //!
 //! Accounting model: admitting task `t` makes `weight(t)` units live (its
 //! output buffer); the units are released once **all** of `t`'s dependents
 //! have completed (the last consumer frees the operand).  Tasks with no
 //! dependents — roots whose value is the result — stay live to the end.
 //! [`TaskGraph::sequential_peak`] simulates ascending-index execution under
-//! exactly this accounting, so using it as the cap always admits at least
-//! the sequential order and the scheduler cannot wedge on the bound.  As a
-//! belt-and-braces guarantee, when no task fits under the cap and nothing
-//! is running, the lowest-index ready task is admitted anyway and counted
-//! in [`GraphStats::forced_admissions`].
+//! exactly this accounting, and [`TaskGraph::run`] caps admission at it.
 //!
-//! One slot is the sequential walk: `run(1, …)` admits tasks in strictly
-//! ascending index order and executes each body inline on the calling
-//! thread ([`crate::Pool::run`] does not occupy the pool for a one-task
-//! job), so kernels called from a body still parallelize over the whole
-//! pool.  The executors' `seq` schedule is exactly this — a slot count, not
-//! a second walker.
+//! Admission rule: let `next` be the lowest-index task not yet admitted.
+//! `next` is admitted once it fits under the cap.  Any other ready task
+//! `u` must also pass a look-ahead: with every admitted task and `u`
+//! finished (their operands released), finishing the remaining tasks in
+//! ascending order must stay within the cap.  Invariant: from every state
+//! the run reaches, the sequential completion fits.  When nothing is
+//! running, every admitted task has finished, so `next` is ready, heads the
+//! ready queue, and fits by the invariant — the run never wedges, and the
+//! peak never exceeds the one-slot walk's in any interleaving.  As a fault
+//! detector, a task that does not fit while nothing is running is admitted
+//! anyway and counted in [`GraphStats::forced_admissions`]; under the
+//! sequential-peak cap that count is always 0.
+//!
+//! One slot is the sequential walk: it admits tasks in strictly ascending
+//! index order and executes each body inline on the calling thread
+//! ([`crate::Pool::run`] does not occupy the pool for a one-task job), so
+//! kernels called from a body still parallelize over the whole pool.
 //!
 //! More slots only pay when independent work can fill them: a body running
 //! beside another slot finds the pool busy, so its kernels run inline on
 //! one thread.  [`TaskGraph::useful_slots`] prices that from per-task
-//! modeled flops — total work over the heaviest dependency path — and the
-//! executors run every walk on `useful_slots(requested)` slots: a chain,
-//! or a graph one task dominates, stays on one slot and keeps the pool for
-//! its kernels.
+//! modeled flops — total work over the heaviest dependency path — and
+//! [`TaskGraph::run`] takes `useful_slots` of the slots it is offered: a
+//! chain, or a graph one task dominates, stays on one slot and keeps the
+//! pool for its kernels.
 //!
 //! Determinism: the scheduler changes only *when* tasks run, never what
 //! they compute.  Task bodies must write disjoint state (the same contract
@@ -57,8 +64,6 @@ pub struct GraphStats {
     pub edges: u64,
     /// Peak live weight observed under the accounting model.
     pub peak_live: u64,
-    /// The cap the run was bounded by (`u64::MAX` when unbounded).
-    pub cap: u64,
     /// Times the forced-progress escape admitted a task over the cap.
     pub forced_admissions: u64,
 }
@@ -75,6 +80,10 @@ struct Sched {
     /// Ready tasks as a min-heap on task index: admission order is the
     /// topological insertion order whenever there is a choice.
     ready: BinaryHeap<Reverse<usize>>,
+    /// Tasks admitted so far.
+    admitted: Vec<bool>,
+    /// The lowest-index task not yet admitted.
+    next: usize,
     live: u64,
     peak_live: u64,
     running: usize,
@@ -158,17 +167,29 @@ impl TaskGraph {
     }
 
     /// Peak live weight of executing tasks one at a time in ascending
-    /// index order under the run's accounting model — the natural cap for
-    /// [`TaskGraph::run`]: it reproduces the sequential executor's
-    /// high-water mark, so graph scheduling is admitted to exactly the
-    /// memory the sequential walk would have used.
+    /// index order under the run's accounting model — the cap
+    /// [`TaskGraph::run`] admits under: it reproduces the sequential
+    /// executor's high-water mark, so no interleaving holds more memory
+    /// than the sequential walk would.
     pub fn sequential_peak(&self) -> u64 {
+        self.completion_peak(|_| false)
+    }
+
+    /// Peak live weight of finishing the tasks outside `done` one at a time
+    /// in ascending index order, once every task in `done` (a
+    /// dependency-closed set) has finished and released the operands it
+    /// was the last consumer of.
+    fn completion_peak(&self, done: impl Fn(usize) -> bool) -> u64 {
         let mut pending: Vec<usize> = self.dependents.iter().map(Vec::len).collect();
-        let mut live = 0u64;
-        let mut peak = 0u64;
-        for t in 0..self.len() {
+        let (mut live, mut peak) = (0u64, 0u64);
+        // `done` first, then the rest; each part in ascending order.
+        let mut order: Vec<usize> = (0..self.len()).collect();
+        order.sort_by_key(|&t| !done(t));
+        for t in order {
             live += self.weight[t];
-            peak = peak.max(live);
+            if !done(t) {
+                peak = peak.max(live);
+            }
             for &d in &self.deps[t] {
                 pending[d] -= 1;
                 if pending[d] == 0 {
@@ -179,20 +200,25 @@ impl TaskGraph {
         peak
     }
 
-    /// Execute every task on up to `slots` scheduler slots over the
-    /// shared pool, admitting a ready task only while `live + weight ≤
-    /// cap` (no bound when `cap` is `None`).  `body(t)` runs exactly once
-    /// per task, after all of `t`'s dependencies completed.  A panicking
-    /// body does not stop the run; the first panic is re-raised with its
-    /// original payload once the run drains.
-    pub fn run(&self, slots: usize, cap: Option<u64>, body: &(dyn Fn(usize) + Sync)) -> GraphStats {
+    /// Execute every task on [`useful_slots(max_slots)`](Self::useful_slots)
+    /// scheduler slots over the shared pool, admitting tasks under the
+    /// [`sequential_peak`](Self::sequential_peak) cap by the module's
+    /// admission rule, so no interleaving holds more weight live than the
+    /// one-slot walk.  `body(t)` runs exactly once per task, after all of
+    /// `t`'s dependencies completed.  A panicking body does not stop the
+    /// run; the first panic is re-raised with its original payload once the
+    /// run drains.
+    pub fn run(&self, max_slots: usize, body: &(dyn Fn(usize) + Sync)) -> GraphStats {
+        self.run_on(self.useful_slots(max_slots), self.sequential_peak(), body)
+    }
+
+    /// [`run`](Self::run) on exactly `slots` slots under `cap`.
+    fn run_on(&self, slots: usize, cap: u64, body: &(dyn Fn(usize) + Sync)) -> GraphStats {
         let n = self.len();
-        let cap = cap.unwrap_or(u64::MAX);
         let mut stats = GraphStats {
             tasks: n as u64,
             edges: self.edge_count() as u64,
             peak_live: 0,
-            cap,
             forced_admissions: 0,
         };
         if n == 0 {
@@ -210,6 +236,8 @@ impl TaskGraph {
             indegree,
             pending_dependents: self.dependents.iter().map(Vec::len).collect(),
             ready,
+            admitted: vec![false; n],
+            next: 0,
             live: 0,
             peak_live: 0,
             running: 0,
@@ -240,28 +268,29 @@ impl TaskGraph {
         stats
     }
 
-    /// Evaluate a tree bottom-up on `slots` scheduler slots and return its
-    /// root's value — the node-task skeleton the sharded tree executor
-    /// walks on.  `tasks` lists the nodes children-first (the shape of
+    /// Evaluate a tree bottom-up and return its root's value — the
+    /// node-task skeleton the sharded tree executor walks on.  `tasks`
+    /// lists the nodes children-first (the shape of
     /// `OpTree::postorder_tasks`): `(node, positions of its children in
-    /// this list, output weight)`, root last.  `body(node, operands)`
-    /// receives the values the node's children produced, in child order,
-    /// and returns the node's own.  Every node has one parent, so each
-    /// value *moves* to its one consumer — no clones, no shared reads — and
-    /// the body decides what becomes of it.  Admission is capped at
-    /// [`sequential_peak`](Self::sequential_peak), so more slots never hold
-    /// more weight live than the one-slot (postorder) walk would.
+    /// this list, output weight, modeled flops)`, root last.  `body(node,
+    /// operands)` receives the values the node's children produced, in
+    /// child order, and returns the node's own.  Every node has one parent,
+    /// so each value *moves* to its one consumer — no clones, no shared
+    /// reads — and the body decides what becomes of it.  The walk runs
+    /// through [`run`](Self::run): on as many of `max_slots` slots as the
+    /// flops fill, never holding more weight live than the one-slot
+    /// (postorder) walk.
     ///
     /// # Panics
     /// Panics if `tasks` is empty or a value has more than one consumer.
     pub fn eval_tree<N: Sync, V: Send>(
-        tasks: &[(N, Vec<usize>, u64)],
-        slots: usize,
+        tasks: &[(N, Vec<usize>, u64, u128)],
+        max_slots: usize,
         body: &(dyn Fn(&N, Vec<V>) -> V + Sync),
     ) -> V {
         let mut graph = TaskGraph::new();
-        for (_, children, weight) in tasks {
-            graph.add_task(children, *weight, 0);
+        for (_, children, weight, work) in tasks {
+            graph.add_task(children, *weight, *work);
         }
         assert!(
             graph.dependents.iter().all(|d| d.len() <= 1),
@@ -269,7 +298,7 @@ impl TaskGraph {
         );
         let cells: Vec<Mutex<Option<V>>> = tasks.iter().map(|_| Mutex::new(None)).collect();
         let take = |t: usize| cells[t].lock().unwrap_or_else(|e| e.into_inner()).take();
-        graph.run(slots, Some(graph.sequential_peak()), &|t| {
+        graph.run(max_slots, &|t| {
             let operands = tasks[t]
                 .1
                 .iter()
@@ -292,12 +321,17 @@ impl TaskGraph {
                 wake.notify_all();
                 return;
             }
-            // Admission: the lowest-index ready task, if it fits under the
-            // cap — or unconditionally when nothing is running (forced
-            // progress; without it an undersized cap could wedge the run).
+            // Admission (module docs): the lowest-index ready task, if it
+            // fits under the cap and — unless it is `next` — the sequential
+            // completion still fits after it.  When nothing is running it
+            // is `next` and fits, unless the cap is undersized: then it is
+            // admitted anyway (forced progress instead of a wedged run).
             let admit = match s.ready.peek() {
                 Some(&Reverse(t)) => {
-                    if s.live.saturating_add(self.weight[t]) <= s.cap {
+                    let fits = s.live.saturating_add(self.weight[t]) <= s.cap
+                        && (t == s.next
+                            || self.completion_peak(|d| d == t || s.admitted[d]) <= s.cap);
+                    if fits {
                         Some((t, false))
                     } else if s.running == 0 {
                         Some((t, true))
@@ -314,6 +348,10 @@ impl TaskGraph {
             s.ready.pop();
             if forced {
                 s.forced_admissions += 1;
+            }
+            s.admitted[t] = true;
+            while s.next < n && s.admitted[s.next] {
+                s.next += 1;
             }
             s.live += self.weight[t];
             s.peak_live = s.peak_live.max(s.live);
@@ -355,11 +393,12 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-    /// A diamond: 0 and 1 independent, 2 reads both, 3 reads 2.
+    /// A diamond: 0 and 1 independent, 2 reads both, 3 reads 2.  The two
+    /// leaves carry all the work, so it fills two slots.
     fn diamond() -> TaskGraph {
         let mut g = TaskGraph::new();
-        let a = g.add_task(&[], 10, 0);
-        let b = g.add_task(&[], 10, 0);
+        let a = g.add_task(&[], 10, 1);
+        let b = g.add_task(&[], 10, 1);
         let c = g.add_task(&[a, b], 5, 0);
         g.add_task(&[c], 1, 0);
         g
@@ -371,7 +410,7 @@ mod tests {
             let g = diamond();
             let ran: Vec<AtomicUsize> = (0..g.len()).map(|_| AtomicUsize::new(0)).collect();
             let order = Mutex::new(Vec::new());
-            let stats = g.run(threads, None, &|t| {
+            let stats = g.run(threads, &|t| {
                 ran[t].fetch_add(1, Ordering::SeqCst);
                 order.lock().unwrap().push(t);
             });
@@ -420,13 +459,14 @@ mod tests {
         let seq_cap = narrow.sequential_peak();
         assert_eq!(seq_cap, 30);
         for threads in [1, 2, 8] {
-            let stats = narrow.run(threads, Some(seq_cap), &|_| {});
+            let stats = narrow.run_on(threads, seq_cap, &|_| {});
             assert!(
-                stats.peak_live <= seq_cap || stats.forced_admissions > 0,
-                "peak {} over cap {} without forced admission",
+                stats.peak_live <= seq_cap,
+                "peak {} over cap {}",
                 stats.peak_live,
                 seq_cap
             );
+            assert_eq!(stats.forced_admissions, 0);
         }
     }
 
@@ -461,8 +501,13 @@ mod tests {
         let leaves: Vec<usize> = (0..8).map(|_| fan.add_task(&[], 1, 7)).collect();
         fan.add_task(&leaves, 1, 0);
         assert_eq!((fan.useful_slots(16), fan.useful_slots(3)), (8, 3));
+        // Two equal leaves feeding free tasks: two slots.
+        assert_eq!(diamond().useful_slots(4), 2);
         // No work, or no tasks: one slot.
-        assert_eq!(diamond().useful_slots(4), 1);
+        let mut idle = TaskGraph::new();
+        idle.add_task(&[], 1, 0);
+        idle.add_task(&[], 1, 0);
+        assert_eq!(idle.useful_slots(4), 1);
         assert_eq!(TaskGraph::new().useful_slots(4), 1);
     }
 
@@ -471,7 +516,7 @@ mod tests {
         let mut g = TaskGraph::new();
         let a = g.add_task(&[], 100, 0);
         g.add_task(&[a], 100, 0);
-        let stats = g.run(4, Some(1), &|_| {});
+        let stats = g.run_on(4, 1, &|_| {});
         assert_eq!(stats.tasks, 2);
         assert!(stats.forced_admissions >= 1);
     }
@@ -484,7 +529,7 @@ mod tests {
         let mut g = TaskGraph::new();
         for t in 0..n {
             let deps: Vec<usize> = (0..t).filter(|d| t % (d + 2) == 0).collect();
-            g.add_task(&deps, 1, 0);
+            g.add_task(&deps, 1, 1);
         }
         let expect: Vec<u64> = {
             let mut v = vec![0u64; n];
@@ -499,7 +544,7 @@ mod tests {
         };
         for threads in [1, 3, 8] {
             let slots: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-            g.run(threads, Some(g.sequential_peak()), &|t| {
+            g.run(threads, &|t| {
                 let sum: u64 = (0..t)
                     .filter(|d| t % (d + 2) == 0)
                     .map(|d| slots[d].load(Ordering::Acquire))
@@ -513,8 +558,7 @@ mod tests {
 
     #[test]
     fn one_slot_is_the_sequential_walk_on_the_calling_thread() {
-        // The property `--schedule seq` rests on: one slot runs bodies in
-        // strictly ascending index order, inline on the caller (a one-task
+        // One slot runs bodies in strictly ascending index order, inline on the caller (a one-task
         // `Pool::run` never occupies the pool, so a kernel called from a
         // body can still fan out over it), holding exactly the sequential
         // peak live.
@@ -526,7 +570,7 @@ mod tests {
         g.add_task(&[d], 1, 0);
         let caller = std::thread::current().id();
         let order = Mutex::new(Vec::new());
-        let stats = g.run(1, Some(g.sequential_peak()), &|t| {
+        let stats = g.run(1, &|t| {
             assert_eq!(
                 std::thread::current().id(),
                 caller,
@@ -544,13 +588,13 @@ mod tests {
         // A small tree in postorder: (0, 1) → 2, (2, 3) → 4.  Values are
         // deliberately not `Clone`: they can only move.
         struct Val(u64);
-        let leaf = |digit: u64| (Some(digit), Vec::new(), 1);
+        let leaf = |digit: u64| (Some(digit), Vec::new(), 1, 1);
         let tasks = [
             leaf(1),
             leaf(2),
-            (None, vec![0, 1], 1),
+            (None, vec![0, 1], 1, 0),
             leaf(4),
-            (None, vec![2, 3], 1),
+            (None, vec![2, 3], 1, 0),
         ];
         for slots in [1, 2, 8] {
             let root = TaskGraph::eval_tree(&tasks, slots, &|digit, operands: Vec<Val>| {
@@ -564,26 +608,30 @@ mod tests {
     #[test]
     #[should_panic(expected = "single-consumer")]
     fn eval_tree_rejects_shared_values() {
-        let tasks = [((), vec![], 1), ((), vec![0], 1), ((), vec![0, 1], 1)];
+        let tasks = [
+            ((), vec![], 1, 0),
+            ((), vec![0], 1, 0),
+            ((), vec![0, 1], 1, 0),
+        ];
         TaskGraph::eval_tree(&tasks, 1, &|_, _: Vec<u8>| 0);
     }
 
     #[test]
     fn empty_graph_is_a_noop() {
         let g = TaskGraph::new();
-        let stats = g.run(4, Some(0), &|_| panic!("no tasks"));
+        let stats = g.run(4, &|_| panic!("no tasks"));
         assert_eq!(stats.tasks, 0);
     }
 
     #[test]
     fn panicking_body_propagates_and_completes_the_run() {
         let mut g = TaskGraph::new();
-        let a = g.add_task(&[], 1, 0);
+        let a = g.add_task(&[], 1, 1);
         g.add_task(&[a], 1, 0);
-        g.add_task(&[], 1, 0);
+        g.add_task(&[], 1, 1);
         let hits = AtomicUsize::new(0);
         let r = catch_unwind(AssertUnwindSafe(|| {
-            g.run(2, None, &|t| {
+            g.run(2, &|t| {
                 hits.fetch_add(1, Ordering::SeqCst);
                 if t == 0 {
                     panic!("boom");
@@ -592,6 +640,69 @@ mod tests {
         }));
         assert!(r.is_err(), "panic must re-raise after the drain");
         assert_eq!(hits.load(Ordering::SeqCst), 3, "all tasks still ran");
+    }
+
+    #[test]
+    fn a_ready_task_that_would_strand_the_sequential_walk_waits() {
+        // 0 → 1 → 2 → 4 ← 3, weights 1, 100, 1, 100, 1: the one-slot walk
+        // peaks at 102.  Task 3 is ready from the start, but beside 0 (or
+        // later beside 1) it leaves no room to finish in order, so it must
+        // wait for 2.  Task 0 holds its slot up to 200 ms for 3 to finish,
+        // giving the other slot every chance to take 3 early.
+        let mut g = TaskGraph::new();
+        let t0 = g.add_task(&[], 1, 1);
+        let t1 = g.add_task(&[t0], 100, 1);
+        let t2 = g.add_task(&[t1], 1, 1);
+        let t3 = g.add_task(&[], 100, 3);
+        g.add_task(&[t2, t3], 1, 0);
+        assert_eq!((g.sequential_peak(), g.useful_slots(2)), (102, 2));
+        let finished = (Mutex::new(false), Condvar::new());
+        let stats = g.run(2, &|t| {
+            if t == t3 {
+                *finished.0.lock().unwrap() = true;
+                finished.1.notify_all();
+            } else if t == t0 {
+                let done = finished.0.lock().unwrap();
+                let wait = std::time::Duration::from_millis(200);
+                drop(finished.1.wait_timeout_while(done, wait, |done| !*done));
+            }
+        });
+        assert_eq!(stats.forced_admissions, 0);
+        assert!(stats.peak_live <= 102, "peak {}", stats.peak_live);
+    }
+
+    #[test]
+    fn no_interleaving_of_random_dags_exceeds_the_sequential_peak() {
+        // Seeded random DAGs on 1–8 slots under the sequential-peak cap:
+        // the admission rule keeps the sequential completion feasible from
+        // every state, so the escape never fires and the peak holds.
+        let mut state = 0x5EED_DA6Du64;
+        let mut draw = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        for case in 0..40 {
+            let mut g = TaskGraph::new();
+            for t in 0..2 + draw(15) as usize {
+                let deps: Vec<usize> = (0..t).filter(|_| draw(4) == 0).collect();
+                g.add_task(&deps, 1 + draw(100), 1);
+            }
+            let cap = g.sequential_peak();
+            for slots in 1..=8 {
+                let stats = g.run_on(slots, cap, &|t| {
+                    let pause = (t * 37 + slots) % 5;
+                    std::thread::sleep(std::time::Duration::from_micros(50 * pause as u64));
+                });
+                assert_eq!(stats.forced_admissions, 0, "case {case}, {slots} slots");
+                assert!(
+                    stats.peak_live <= cap,
+                    "case {case}, {slots} slots: peak {} over {cap}",
+                    stats.peak_live
+                );
+            }
+        }
     }
 
     #[test]

@@ -33,8 +33,8 @@ fn malformed_inputs_fail_cleanly() {
         vec![&chain, "--fused", "--distributed", "--grid", "2x2"], // conflict
         vec![&chain, "--kernel", "bogus"],                         // unknown kernel
         vec![&chain, "--kernel"],                                  // missing kernel name
-        vec![&chain, "--schedule", "bogus"],                       // unknown schedule
-        vec![&chain, "--schedule"],                                // missing schedule name
+        vec![&chain, "--schedule", "bogus"],                       // retired flag
+        vec![&chain, "--schedule"],                                // retired flag, no value
     ];
     for args in &cases {
         let out = tce().args(args).output().expect("spawn tce");
@@ -665,9 +665,10 @@ fn fused_and_sequential_sums_agree() {
 
 #[test]
 fn graph_schedule_cli_matches_sequential_sums() {
-    // `--schedule graph` is purely a performance knob: the printed sums
-    // must match the default sequential schedule exactly at every thread
-    // count, and the execution header must name the active schedule.
+    // The thread count is purely a performance knob — every walk takes only
+    // the task-graph slots its work fills: `--execute --threads 1/2/4`
+    // print the default run's sums exactly.  The retired `--schedule` flag
+    // is an unknown argument.
     let run = |extra: &[&str]| {
         let mut args = vec![spec("ccsd_section2.tce"), "--execute".to_string()];
         args.extend(extra.iter().map(|s| s.to_string()));
@@ -686,23 +687,46 @@ fn graph_schedule_cli_matches_sequential_sums() {
             .map(str::to_string)
             .collect::<Vec<_>>()
     };
-    let sequential = run(&[]);
+    let default = run(&[]);
+    assert!(!sums(&default).is_empty(), "no sums printed:\n{default}");
     assert!(
-        sequential.contains("seq schedule"),
-        "header should name the default schedule:\n{sequential}"
+        !default.contains("schedule"),
+        "the header names no schedule:\n{default}"
     );
     for threads in ["1", "2", "4"] {
-        let graph = run(&["--schedule", "graph", "--threads", threads]);
-        assert!(
-            graph.contains("graph schedule"),
-            "--schedule graph header missing at {threads} threads:\n{graph}"
-        );
         assert_eq!(
-            sums(&sequential),
-            sums(&graph),
-            "--schedule graph --threads {threads} changed printed sums"
+            sums(&default),
+            sums(&run(&["--threads", threads])),
+            "--threads {threads} changed printed sums"
         );
     }
+    let out = tce()
+        .args([&spec("ccsd_section2.tce"), "--schedule", "graph"])
+        .output()
+        .expect("spawn tce");
+    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "unknown argument `--schedule` (try --help)\n"
+    );
+}
+
+#[test]
+fn closed_stdout_ends_the_run_quietly() {
+    // `tce … --execute | head -1`: once the reader is gone every write to
+    // stdout fails.  A pipe whose reader was dropped before the run makes
+    // that deterministic; `tce` must stop without a panic or a backtrace.
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = tce()
+        .args([&spec("cc_doubles.tce"), "--execute"])
+        .stdout(writer)
+        .output()
+        .expect("spawn tce");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "tce panicked:\n{stderr}");
+    assert_ne!(out.status.code(), Some(101), "{:?}", out.status);
+    assert!(stderr.is_empty(), "tce was not quiet:\n{stderr}");
 }
 
 #[test]

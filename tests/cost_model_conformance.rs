@@ -196,18 +196,18 @@ fn full_pipeline_trace_has_all_stage_and_kernel_spans() {
         )),
         ..SynthesisConfig::default()
     };
-    let graph = ExecOptions::with_threads(2).with_schedule(tce_core::Schedule::Graph);
-    for mode in ["seq", "graph", "fused", "distributed"] {
+    let two = ExecOptions::with_threads(2);
+    for mode in ["serial", "threads", "fused", "distributed"] {
         let ((), trace) = traced(|| {
             let syn = synthesize(&section2_source(n), &cfg).unwrap();
             let owned = section2_inputs(&syn, n);
             let inputs: HashMap<TensorId, &Tensor> = owned.iter().map(|(id, t)| (*id, t)).collect();
             let funcs = HashMap::new();
             match mode {
-                "seq" => drop(syn.execute_opts(&inputs, &funcs, &ExecOptions::with_threads(2))),
-                "graph" => drop(syn.execute_opts(&inputs, &funcs, &graph)),
-                "fused" => drop(syn.execute_fused_opts(&inputs, &funcs, &graph)),
-                _ => drop(syn.execute_distributed_opts(&inputs, &funcs, &graph)),
+                "serial" => drop(syn.execute_opts(&inputs, &funcs, &ExecOptions::serial())),
+                "threads" => drop(syn.execute_opts(&inputs, &funcs, &two)),
+                "fused" => drop(syn.execute_fused_opts(&inputs, &funcs, &two)),
+                _ => drop(syn.execute_distributed_opts(&inputs, &funcs, &two)),
             }
         });
         for stage in [

@@ -7,7 +7,7 @@
 //! fixed, so not a single ulp may move.
 
 use std::collections::HashMap;
-use tce_core::exec::{execute_tree, execute_tree_opts, ExecOptions, Schedule};
+use tce_core::exec::{execute_tree, execute_tree_opts, ExecOptions};
 use tce_core::ir::rng::Rng;
 use tce_core::ir::{
     IndexSet, IndexSpace, IndexVar, Leaf, NodeId, OpKind, OpTree, TensorDecl, TensorId, TensorTable,
@@ -18,9 +18,9 @@ use tce_core::{synthesize, SynthesisConfig};
 
 const THREADS: [usize; 3] = [2, 3, 7];
 
-/// Worker counts for the task-graph schedule sweep: `seq` is the walk on
-/// one scheduler slot, `graph` at `w` workers the same walk on `w` slots
-/// (1 runs inline, the rest exercise the concurrent ready-queue).
+/// Worker counts for the task-graph sweep against the one-thread walk: at
+/// `w` workers a walk may take up to `w` slots (1 runs inline, the rest
+/// exercise the concurrent ready-queue wherever the work fills them).
 const GRAPH_WORKERS: [usize; 4] = [1, 2, 4, 8];
 
 #[test]
@@ -83,17 +83,17 @@ fn a3a_graph_schedule_is_bitwise_deterministic() {
     inputs.insert(t_id, &amp);
     let seq = execute_tree(&sc.tree, &sc.space, &inputs, &funcs, 1).unwrap();
     for workers in GRAPH_WORKERS {
-        let opts = ExecOptions::with_threads(workers).with_schedule(Schedule::Graph);
+        let opts = ExecOptions::with_threads(workers);
         let got = execute_tree_opts(&sc.tree, &sc.space, &inputs, &funcs, &opts).unwrap();
-        assert_eq!(seq, got, "graph schedule changed bits at {workers} workers");
+        assert_eq!(seq, got, "changed bits at {workers} workers");
     }
 }
 
 #[test]
 fn multi_statement_graph_schedule_is_bitwise_deterministic() {
     // A statement sequence with independent chains and a diamond join:
-    // T and U depend only on inputs (run concurrently under the graph
-    // schedule), S joins them, and the accumulate extends S's chain.
+    // T and U depend only on inputs (they may run concurrently on the
+    // task graph), S joins them, and the accumulate extends S's chain.
     let src = "
         range N = 6;
         index i, j, k, l : N;
@@ -115,14 +115,14 @@ fn multi_statement_graph_schedule_is_bitwise_deterministic() {
         .execute_opts(&ext, &funcs, &ExecOptions::serial())
         .unwrap();
     for workers in GRAPH_WORKERS {
-        let opts = ExecOptions::with_threads(workers).with_schedule(Schedule::Graph);
+        let opts = ExecOptions::with_threads(workers);
         let got = syn.execute_opts(&ext, &funcs, &opts).unwrap();
         assert_eq!(seq.len(), got.len());
         for (id, t) in &seq {
             assert_eq!(
                 t,
                 &got[id],
-                "tensor {:?} changed bits under the graph schedule at {workers} workers",
+                "tensor {:?} changed bits at {workers} workers",
                 syn.program.tensors.get(*id).name
             );
         }
@@ -134,7 +134,7 @@ fn accumulate_onto_externally_bound_target_starts_from_zeros_on_every_path() {
     // `S` is read by the first statement, so it carries an external
     // binding; the `+=` has no prior writer.  The oracle's rule — a `+=`
     // starts from the last *computed* value of its target, else zeros,
-    // never from an external binding — must hold under every schedule and
+    // never from an external binding — must hold at every thread count and
     // on every executor (the graph statement walker used to accumulate
     // onto the bound value).
     let n = 5;
@@ -179,7 +179,7 @@ fn accumulate_onto_externally_bound_target_starts_from_zeros_on_every_path() {
     assert!(seq[&id("R")].approx_eq(&matmul(&ts, &tb), 1e-10));
 
     for workers in GRAPH_WORKERS {
-        let opts = ExecOptions::with_threads(workers).with_schedule(Schedule::Graph);
+        let opts = ExecOptions::with_threads(workers);
         let graph = syn.execute_opts(&ext, &funcs, &opts).unwrap();
         let fused = syn.execute_fused_opts(&ext, &funcs, &opts).unwrap().outputs;
         let dist = syn
@@ -190,7 +190,7 @@ fn accumulate_onto_externally_bound_target_starts_from_zeros_on_every_path() {
             let name = &syn.program.tensors.get(*tensor).name;
             assert_eq!(
                 &graph[tensor], want,
-                "`{name}` differs between seq and graph at {workers} workers"
+                "`{name}` differs between 1 and {workers} workers"
             );
             assert!(fused[tensor].approx_eq(want, 1e-10), "fused `{name}`");
             assert!(dist[tensor].approx_eq(want, 1e-10), "distributed `{name}`");
@@ -215,13 +215,13 @@ fn section2_graph_schedule_is_bitwise_deterministic() {
         .execute_opts(&ext, &funcs, &ExecOptions::serial())
         .unwrap();
     for workers in GRAPH_WORKERS {
-        let opts = ExecOptions::with_threads(workers).with_schedule(Schedule::Graph);
+        let opts = ExecOptions::with_threads(workers);
         let got = syn.execute_opts(&ext, &funcs, &opts).unwrap();
         for (id, t) in &seq {
             assert_eq!(
                 t,
                 &got[id],
-                "tensor {:?} changed bits under the graph schedule at {workers} workers",
+                "tensor {:?} changed bits at {workers} workers",
                 syn.program.tensors.get(*id).name
             );
         }
@@ -309,16 +309,14 @@ fn assert_tree_executor_is_the_postorder_chain(
     let expect = postorder_chain(tree, space, inputs, funcs);
     let bits = |t: &Tensor| -> Vec<u64> { t.data().iter().map(|x| x.to_bits()).collect() };
     for threads in [1, 2, 4] {
-        for schedule in [Schedule::Seq, Schedule::Graph] {
-            let opts = ExecOptions::with_threads(threads).with_schedule(schedule);
-            let got = execute_tree_opts(tree, space, inputs, funcs, &opts).unwrap();
-            assert_eq!(got.shape(), expect.shape());
-            assert_eq!(
-                bits(&got),
-                bits(&expect),
-                "{schedule} at {threads} threads diverged from the postorder chain"
-            );
-        }
+        let opts = ExecOptions::with_threads(threads);
+        let got = execute_tree_opts(tree, space, inputs, funcs, &opts).unwrap();
+        assert_eq!(got.shape(), expect.shape());
+        assert_eq!(
+            bits(&got),
+            bits(&expect),
+            "{threads} threads diverged from the postorder chain"
+        );
     }
 }
 

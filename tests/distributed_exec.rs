@@ -124,9 +124,8 @@ fn output_partitioned_sharding_is_bitwise_identical() {
         for dims in GRIDS {
             let machine = Machine::new(ProcessorGrid::new(dims.to_vec()));
             let plan = output_partitioned_plan(&tree, machine.grid.rank());
-            let report =
-                execute_plan_sharded(&tree, &space, &plan, &machine, &inputs, &funcs, 4, 1)
-                    .expect("plan covers tree");
+            let report = execute_plan_sharded(&tree, &space, &plan, &machine, &inputs, &funcs, 4)
+                .expect("plan covers tree");
             assert_eq!(
                 report.result, expect,
                 "{name} on grid {dims:?}: sharded result changed bits"
@@ -167,7 +166,7 @@ fn dp_plans_agree_with_simulator_and_cost_model() {
                 machine.word_cost
             );
             let plan = optimize_distribution(&tree, &space, machine);
-            let report = execute_plan_sharded(&tree, &space, &plan, machine, &inputs, &funcs, 4, 1)
+            let report = execute_plan_sharded(&tree, &space, &plan, machine, &inputs, &funcs, 4)
                 .expect("plan covers tree");
             assert_eq!(
                 report.moved_elements, report.predicted_move_elements,
@@ -198,8 +197,8 @@ fn dp_plans_agree_with_simulator_and_cost_model() {
 fn graph_schedule_matches_sequential_walk_bitwise_with_exact_counters() {
     // Task-graph scheduling only changes *when* independent subtrees run,
     // never what each node computes: results must be bit-identical to the
-    // one-slot (sequential) walk and every measured/predicted counter must
-    // agree, for every worker count.
+    // one-thread (one-slot, sequential) walk and every measured/predicted
+    // counter must agree, for every worker count.
     for (name, (tree, space, owned, funcs)) in
         [("section2", section2_fixture()), ("a3a", a3a_fixture())]
     {
@@ -210,12 +209,11 @@ fn graph_schedule_matches_sequential_walk_bitwise_with_exact_counters() {
                 output_partitioned_plan(&tree, machine.grid.rank()),
                 optimize_distribution(&tree, &space, &machine),
             ] {
-                let seq =
-                    execute_plan_sharded(&tree, &space, &plan, &machine, &inputs, &funcs, 1, 1)
-                        .expect("plan covers tree");
+                let seq = execute_plan_sharded(&tree, &space, &plan, &machine, &inputs, &funcs, 1)
+                    .expect("plan covers tree");
                 for threads in [1, 2, 4, 8] {
                     let g = execute_plan_sharded(
-                        &tree, &space, &plan, &machine, &inputs, &funcs, threads, threads,
+                        &tree, &space, &plan, &machine, &inputs, &funcs, threads,
                     )
                     .expect("plan covers tree");
                     assert_eq!(
@@ -336,7 +334,7 @@ fn malformed_plans_surface_typed_errors_not_panics() {
     for (label, err) in [
         (
             "exec",
-            execute_plan_sharded(&tree, &space, &no_root, &machine, &inputs, &funcs, 2, 1)
+            execute_plan_sharded(&tree, &space, &no_root, &machine, &inputs, &funcs, 2)
                 .expect_err("unassigned root must error"),
         ),
         (
@@ -356,14 +354,14 @@ fn malformed_plans_surface_typed_errors_not_panics() {
         .position(|n| matches!(n.kind, OpKind::Contract { .. }))
         .expect("fixture has a contraction") as u32;
     no_gamma.node_gamma[cnode as usize] = None;
-    let err = execute_plan_sharded(&tree, &space, &no_gamma, &machine, &inputs, &funcs, 2, 1)
+    let err = execute_plan_sharded(&tree, &space, &no_gamma, &machine, &inputs, &funcs, 2)
         .expect_err("unassigned contraction must error");
     assert_eq!(err, DistError::UnassignedContraction { node: cnode });
 
     // An input binding withheld.
     let (missing_id, _) = owned[0];
     let partial: HashMap<TensorId, &Tensor> = owned[1..].iter().map(|(id, t)| (*id, t)).collect();
-    let err = execute_plan_sharded(&tree, &space, &good, &machine, &partial, &funcs, 2, 1)
+    let err = execute_plan_sharded(&tree, &space, &good, &machine, &partial, &funcs, 2)
         .expect_err("missing input must error");
     assert_eq!(err, DistError::MissingInput { tensor: missing_id });
     // Display strings are the CLI-facing diagnostics; keep them one-line.
@@ -405,10 +403,7 @@ fn mis_shaped_bindings_are_typed_errors_not_panics_or_truncation() {
         let bad = Tensor::random(shape, 99);
         let mut inputs: HashMap<TensorId, &Tensor> = owned.iter().map(|(id, t)| (*id, t)).collect();
         inputs.insert(bad_id, &bad);
-        for opts in [
-            ExecOptions::serial(),
-            ExecOptions::with_threads(4).with_schedule(tce_core::Schedule::Graph),
-        ] {
+        for opts in [ExecOptions::serial(), ExecOptions::with_threads(4)] {
             let err =
                 execute_tree_distributed(&tree, &space, &plan, &machine, &inputs, &funcs, &opts)
                     .expect_err("mis-shaped binding must error");

@@ -398,30 +398,21 @@ fn exclusive_summation_index_under_a_fusing_config() {
     config.set(y, i.singleton());
     let mut results = Vec::new();
     for threads in THREADS {
-        for schedule in [tce_core::Schedule::Seq, tce_core::Schedule::Graph] {
-            let opts = ExecOptions::with_threads(threads).with_schedule(schedule);
-            let report =
-                execute_tree_fused(&tree, &space, &config, &inputs, &funcs, &opts).unwrap();
-            assert!(
-                rel_close(&report.result, &expect, 1e-12),
-                "threads {threads} {schedule:?}: diff {:e}",
-                report.result.max_abs_diff(&expect)
-            );
-            // Y keeps only `j`: 4 elements, as the model says.
-            assert_eq!(report.peak_live_elements, 4);
-            assert!(
-                report.peak_matches_model(),
-                "threads {threads} {schedule:?}"
-            );
-            assert_eq!(report.sliced_contractions, 2 * 5);
-            results.push(report.result);
-        }
+        let opts = ExecOptions::with_threads(threads);
+        let report = execute_tree_fused(&tree, &space, &config, &inputs, &funcs, &opts).unwrap();
+        assert!(
+            rel_close(&report.result, &expect, 1e-12),
+            "threads {threads}: diff {:e}",
+            report.result.max_abs_diff(&expect)
+        );
+        // Y keeps only `j`: 4 elements, as the model says.
+        assert_eq!(report.peak_live_elements, 4);
+        assert!(report.peak_matches_model(), "threads {threads}");
+        assert_eq!(report.sliced_contractions, 2 * 5);
+        results.push(report.result);
     }
     for r in &results[1..] {
-        assert_eq!(
-            *r, results[0],
-            "fused results differ across threads or schedules"
-        );
+        assert_eq!(*r, results[0], "fused results differ across threads");
     }
 }
 
@@ -459,7 +450,7 @@ fn traced_high_water_is_the_schedules_static_peak() {
     // arrays at once (`temp_memory` + the root).
     let _exclusive = TRACED_MEMORY.write().unwrap_or_else(|e| e.into_inner());
     let serial = ExecOptions::serial();
-    let graph4 = ExecOptions::with_threads(4).with_schedule(tce_core::Schedule::Graph);
+    let four = ExecOptions::with_threads(4);
     let check = |tree: &OpTree,
                  space: &IndexSpace,
                  configs: (&FusionConfig, &FusionConfig),
@@ -472,7 +463,7 @@ fn traced_high_water_is_the_schedules_static_peak() {
         let one_slot = traced_peak_elements(tree, space, configs, inputs, funcs, &serial);
         assert_eq!(one_slot, static_peak, "labels {:?}", configs.0.fused);
         assert!(static_peak <= all);
-        let four_slots = traced_peak_elements(tree, space, configs, inputs, funcs, &graph4);
+        let four_slots = traced_peak_elements(tree, space, configs, inputs, funcs, &four);
         assert!(four_slots <= all, "{four_slots} > {all}");
         (static_peak, four_slots)
     };

@@ -111,7 +111,6 @@ fn injected_bug_is_caught_and_shrunk() {
         cost: false,
         dist: false,
         roundtrip: false,
-        sched: false,
     };
     cfg.check.fault = Some(Fault::TreeExecBias);
     let report = run_campaign(&cfg);
@@ -205,13 +204,15 @@ fn generated_corpus_is_structurally_diverse() {
 fn check_parsing_matches_cli_contract() {
     assert_eq!(CheckSet::parse("all").unwrap(), CheckSet::all());
     let s = CheckSet::parse("exec,cost").unwrap();
-    assert!(s.exec && s.cost && !s.dist && !s.roundtrip && !s.sched);
-    let s = CheckSet::parse("sched").unwrap();
-    assert!(s.sched && !s.exec && !s.cost && !s.dist && !s.roundtrip);
+    assert!(s.exec && s.cost && !s.dist && !s.roundtrip);
+    let s = CheckSet::parse("roundtrip").unwrap();
+    assert!(s.roundtrip && !s.exec && !s.cost && !s.dist);
     assert!(CheckSet::parse("bogus").is_err());
     assert!(CheckSet::parse("").is_err());
-    // Sparsity was deleted, not renamed: its old check name is unknown.
+    // Sparsity and the schedule check were deleted, not renamed: their old
+    // check names are unknown.
     assert!(CheckSet::parse("sparse").is_err());
+    assert!(CheckSet::parse("sched").is_err());
     assert!(CheckSet::parse("exec,sparse").is_err());
     let _ = CheckConfig::default();
 }

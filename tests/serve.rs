@@ -129,11 +129,15 @@ fn error_paths_reply_cleanly_and_server_keeps_serving() {
     // Bad numeric option.
     let reply = client::request(&addr, &format_run("x", &[("threads", "banana")])).unwrap();
     assert!(reply.starts_with("err "), "{reply}");
+    // The retired `schedule` option is unknown, whatever its value.
+    let reply = client::request(&addr, &format_run("x", &[("schedule", "seq")])).unwrap();
+    let msg = reply.strip_prefix("err ").expect(&reply);
+    assert_eq!(unescape(msg).unwrap(), "unknown option `schedule`");
 
     // After all of that the server still answers.
     assert_eq!(client::request(&addr, "ping").unwrap(), "ok pong");
     let stats = handle.stats();
-    assert!(stats.errors >= 4, "errors {}", stats.errors);
+    assert!(stats.errors >= 5, "errors {}", stats.errors);
     handle.shutdown();
     handle.join();
 
