@@ -770,6 +770,10 @@ fn plan_term(
         let _s = tce_trace::span("stage.opmin");
         optimize_pareto(&problem, space)
     };
+    if tce_trace::enabled() {
+        tce_trace::counter("opmin.pareto_points", frontier.len() as u64);
+        tce_trace::counter_u128("opmin.best_cost", frontier[0].ops);
+    }
 
     type Chosen = (
         usize,
@@ -1528,6 +1532,69 @@ mod tests {
         )
         .unwrap();
         assert!(syn2.cse.is_empty());
+    }
+
+    #[test]
+    fn cse_describes_the_planned_trees() {
+        // Every multi-term statement of the shipped specs (cc_doubles has
+        // three): the trees CSE shares are the trees synthesis planned.
+        let specs = [
+            include_str!("../../../examples/specs/ccsd_section2.tce"),
+            include_str!("../../../examples/specs/cc_doubles.tce"),
+            include_str!("../../../examples/specs/a3a_energy.tce"),
+            include_str!("../../../examples/specs/matrix_chain.tce"),
+        ];
+        let syns = specs.map(|src| synthesize(src, &SynthesisConfig::default()).unwrap());
+        let mut checked = 0;
+        for syn in &syns {
+            for (si, stmt) in syn.program.stmts.iter().enumerate() {
+                if stmt.terms.len() < 2 {
+                    continue;
+                }
+                let m = optimize_assignment(stmt, &syn.program.space).unwrap();
+                for (ti, (_, tree)) in m.terms.iter().enumerate() {
+                    let plan = syn
+                        .plans
+                        .iter()
+                        .find(|p| (p.stmt_index, p.term_index) == (si, ti))
+                        .unwrap();
+                    assert_eq!(plan.tree_rank, 0);
+                    // `plan_term` wraps a bare-leaf term as `leaf · 1`.
+                    let mut tree = tree.clone();
+                    if matches!(tree.node(tree.root).kind, tce_ir::OpKind::Leaf(_)) {
+                        let (leaf, keep) = (tree.root, tree.node(tree.root).indices);
+                        let one = tree.leaf_one();
+                        tree.contract(leaf, one, keep);
+                    }
+                    assert_eq!(tree, plan.tree, "statement {si} term {ti}");
+                    checked += 1;
+                }
+            }
+        }
+        assert_eq!(checked, 6);
+        // cc_doubles' sharing summary per multi-term statement: (statement,
+        // independent ops, ops with CSE, unique and total intermediates).
+        let got: Vec<_> = syns[1]
+            .cse
+            .iter()
+            .map(|c| {
+                (
+                    c.stmt_index,
+                    c.ops_independent,
+                    c.ops_with_cse,
+                    c.unique_intermediates,
+                    c.total_intermediates,
+                )
+            })
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                (0, 648, 648, 1, 1),
+                (1, 34992, 34992, 3, 3),
+                (2, 684, 684, 2, 2)
+            ]
+        );
     }
 
     #[test]

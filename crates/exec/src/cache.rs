@@ -72,15 +72,6 @@ impl LruCache {
         }
     }
 
-    /// Miss ratio of the accesses so far (0 if none).
-    pub fn miss_ratio(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.accesses as f64
-        }
-    }
-
     /// Reset counters and contents.
     pub fn clear(&mut self) {
         self.resident.clear();
@@ -190,14 +181,5 @@ mod tests {
         assert_eq!(sink.cache.misses, 2);
         sink.access(0, 5);
         assert_eq!(sink.cache.misses, 2);
-    }
-
-    #[test]
-    fn miss_ratio_bounds() {
-        let mut c = LruCache::new(4, 1);
-        assert_eq!(c.miss_ratio(), 0.0);
-        c.touch(0);
-        c.touch(0);
-        assert!((c.miss_ratio() - 0.5).abs() < 1e-12);
     }
 }

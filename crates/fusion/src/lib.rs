@@ -43,8 +43,6 @@ pub use chains::{chains_of, check_chainwise, Chain};
 pub use codegen::fused_program;
 pub use config::{fusable_set, is_fusable_producer, FusionConfig};
 pub use graph::{FusionEdge, FusionGraph};
-pub use memmin::{
-    enumerate_legal_configs, memmin_bruteforce, memmin_dp, patterns_comparable, MemMinResult,
-};
+pub use memmin::{enumerate_legal_configs, memmin_bruteforce, memmin_dp, MemMinResult};
 pub use nest::{derive_child_state_options, derive_child_states, encode_state, NestState};
 pub use schedule::{fusion_schedule, FusionSchedule, ScheduleStep};

@@ -30,27 +30,6 @@ pub struct MemMinResult {
     pub memory: u128,
 }
 
-/// Pattern-comparability test for one node (parent set `p`, children sets
-/// `c1`, `c2`) — the order-insensitive *necessary* condition; the DPs use
-/// [`derive_child_states`] which additionally threads nesting order.
-pub fn patterns_comparable(p: IndexSet, c1: IndexSet, c2: IndexSet) -> bool {
-    let all = p.union(c1).union(c2);
-    let mut pats: Vec<u8> = Vec::with_capacity(all.len());
-    for x in all.iter() {
-        pats.push(
-            (p.contains(x) as u8) | ((c1.contains(x) as u8) << 1) | ((c2.contains(x) as u8) << 2),
-        );
-    }
-    for (i, &a) in pats.iter().enumerate() {
-        for &b in &pats[i + 1..] {
-            if a & b != a && a & b != b {
-                return false;
-            }
-        }
-    }
-    true
-}
-
 /// Exact memory minimization by dynamic programming over nesting states.
 ///
 /// Complexity is exponential in the per-node index counts (subsets ×

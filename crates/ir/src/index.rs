@@ -121,15 +121,6 @@ impl IndexSpace {
         self.ranges.len()
     }
 
-    /// The set of all declared variables.
-    pub fn all_vars(&self) -> IndexSet {
-        if self.vars.is_empty() {
-            IndexSet::EMPTY
-        } else {
-            IndexSet(u64::MAX >> (64 - self.vars.len()))
-        }
-    }
-
     /// The extent of the range a variable is bound to.
     #[inline]
     pub fn extent(&self, v: IndexVar) -> usize {
@@ -299,14 +290,6 @@ impl IndexSet {
         self.0 & other.0 == 0
     }
 
-    /// True if one of the two sets contains the other — the paper's
-    /// feasibility condition on fusion-chain scopes ("disjoint or a
-    /// subset/superset of each other", §5) reduced to sets.
-    #[inline]
-    pub fn is_comparable(self, other: IndexSet) -> bool {
-        self.is_subset(other) || other.is_subset(self)
-    }
-
     /// Iterate over members in increasing id order.
     pub fn iter(self) -> SetIter {
         SetIter(self.0)
@@ -453,20 +436,6 @@ mod tests {
     }
 
     #[test]
-    fn comparability_matches_paper_condition() {
-        let (_, vs, _) = space_ov();
-        let small = IndexSet::from_vars([vs[0]]);
-        let big = IndexSet::from_vars([vs[0], vs[1]]);
-        let other = IndexSet::from_vars([vs[2]]);
-        assert!(small.is_comparable(big));
-        assert!(big.is_comparable(small));
-        assert!(IndexSet::EMPTY.is_comparable(big));
-        // Disjoint sets are *not* comparable as sets, but chains with
-        // disjoint scopes are legal; that distinction lives in tce-fusion.
-        assert!(!big.is_comparable(other.union(small)));
-    }
-
-    #[test]
     fn iteration_points_products() {
         let (sp, vs, os) = space_ov();
         assert_eq!(sp.iteration_points(IndexSet::EMPTY), 1);
@@ -515,14 +484,6 @@ mod tests {
         let items: Vec<_> = set.iter().collect();
         assert_eq!(items, vec![vs[0], vs[3], os[1]]);
         assert_eq!(set.iter().len(), 3);
-    }
-
-    #[test]
-    fn all_vars_mask() {
-        let (sp, _, _) = space_ov();
-        assert_eq!(sp.all_vars().len(), 10);
-        let empty = IndexSpace::new();
-        assert_eq!(empty.all_vars(), IndexSet::EMPTY);
     }
 
     #[test]

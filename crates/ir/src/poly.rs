@@ -84,11 +84,6 @@ impl CostPoly {
         self.terms.is_empty()
     }
 
-    /// Number of monomials.
-    pub fn num_terms(&self) -> usize {
-        self.terms.len()
-    }
-
     /// `self + other`.
     pub fn add(&self, other: &CostPoly) -> CostPoly {
         let mut out = self.clone();
@@ -248,7 +243,6 @@ mod tests {
         assert!(p.is_zero());
         let q = CostPoly::range(v).add(&CostPoly::constant(1.0));
         assert_eq!(q.eval(&sp), 3001.0);
-        assert_eq!(q.num_terms(), 2);
     }
 
     #[test]
@@ -256,7 +250,6 @@ mod tests {
         let (sp, v, o) = space();
         let p = CostPoly::range(v).add(&CostPoly::range(o)); // V + O
         let q = p.mul(&p); // V^2 + 2VO + O^2
-        assert_eq!(q.num_terms(), 3);
         let expect = (3000.0f64 + 100.0).powi(2);
         assert_eq!(q.eval(&sp), expect);
         assert_eq!(q.degree(), 2);

@@ -35,6 +35,6 @@ pub mod tilesearch;
 
 pub use model::{access_cost, MemoryHierarchy, MemoryLevel};
 pub use tilesearch::{
-    nest_is_tileable, perfect_nests, permute_nest, search_loop_order, search_nest_tiles,
-    search_nest_tiles_hierarchy, tile_nest, HierarchyTileResult, PerfectNest, TileSearchResult,
+    nest_is_tileable, perfect_nests, search_nest_tiles, search_nest_tiles_hierarchy, tile_nest,
+    HierarchyTileResult, PerfectNest, TileSearchResult,
 };

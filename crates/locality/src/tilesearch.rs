@@ -483,87 +483,6 @@ pub fn search_nest_tiles(
     }
 }
 
-/// Reorder the loops of a perfect nest (loop interchange).  All loops in
-/// the synthesized nests are fully permutable — statements are pure
-/// accumulations — so any order is legal; orders differ only in locality.
-///
-/// # Panics
-/// Panics if `order` is not a permutation of the nest's variables.
-pub fn permute_nest(p: &LoopProgram, nest: &PerfectNest, order: &[LoopVarId]) -> LoopProgram {
-    assert_eq!(order.len(), nest.vars.len(), "order length mismatch");
-    for v in order {
-        assert!(nest.vars.contains(v), "order must permute the nest's loops");
-    }
-    let mut sorted = order.to_vec();
-    sorted.sort();
-    let mut nv = nest.vars.clone();
-    nv.sort();
-    assert_eq!(sorted, nv, "order must be a permutation");
-
-    let mut out = p.clone();
-    // Peel to the innermost statements.
-    let inner: Vec<Stmt> = {
-        let mut cur = p.body[nest.body_index].clone();
-        let mut depth = 0;
-        loop {
-            match cur {
-                Stmt::Loop { mut body, .. } => {
-                    depth += 1;
-                    if depth == nest.vars.len() {
-                        break body;
-                    }
-                    cur = body.pop().unwrap();
-                }
-                _ => unreachable!("perfect nest"),
-            }
-        }
-    };
-    out.body[nest.body_index] = tce_loops::nest(order.to_vec(), inner);
-    debug_assert!(out.validate().is_ok());
-    out
-}
-
-/// Search all loop orders of a perfect nest (≤ 7 loops) for the one with
-/// the lowest §6 access cost.  Returns the reordered program.
-pub fn search_loop_order(
-    p: &LoopProgram,
-    space: &IndexSpace,
-    nest: &PerfectNest,
-    cache_elements: u128,
-) -> (LoopProgram, Vec<LoopVarId>, u128) {
-    assert!(nest.vars.len() <= 7, "factorial search limited to 7 loops");
-    let mut order = nest.vars.clone();
-    let mut best_order = order.clone();
-    let mut best_cost = u128::MAX;
-    // Heap's algorithm over permutations.
-    fn heaps(k: usize, order: &mut Vec<LoopVarId>, visit: &mut dyn FnMut(&[LoopVarId])) {
-        if k <= 1 {
-            visit(order);
-            return;
-        }
-        for i in 0..k {
-            heaps(k - 1, order, visit);
-            if k.is_multiple_of(2) {
-                order.swap(i, k - 1);
-            } else {
-                order.swap(0, k - 1);
-            }
-        }
-    }
-    let n = order.len();
-    let mut visit = |cand: &[LoopVarId]| {
-        let prog = permute_nest(p, nest, cand);
-        let cost = access_cost(&prog, space, cache_elements);
-        if cost < best_cost {
-            best_cost = cost;
-            best_order = cand.to_vec();
-        }
-    };
-    heaps(n, &mut order, &mut visit);
-    let program = permute_nest(p, nest, &best_order);
-    (program, best_order, best_cost)
-}
-
 /// Outcome of the hierarchy-weighted tile search.
 #[derive(Debug, Clone)]
 pub struct HierarchyTileResult {
@@ -1036,68 +955,5 @@ mod tests {
                 assert_eq!(r.cost.to_bits(), cost.to_bits());
             }
         }
-    }
-
-    #[test]
-    fn permute_nest_reorders_loops() {
-        let (space, p, nest) = matmul(8);
-        let order = vec![nest.vars[1], nest.vars[2], nest.vars[0]]; // j,k,i
-        let q = permute_nest(&p, &nest, &order);
-        let text = tce_loops::pretty(&q);
-        assert!(text.contains("for j, k, i"), "{text}");
-        // Same cost model at whole-program footprint scope when fitting.
-        assert_eq!(
-            access_cost(&p, &space, 10_000),
-            access_cost(&q, &space, 10_000)
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "permutation")]
-    fn permute_nest_rejects_bad_order() {
-        let (space, p, nest) = matmul(4);
-        let _ = space;
-        permute_nest(&p, &nest, &[nest.vars[0], nest.vars[0], nest.vars[1]]);
-    }
-
-    #[test]
-    fn order_search_finds_better_order_for_small_cache() {
-        let (space, p, nest) = matmul(16);
-        // Cache holds a couple of rows but not B: the best orders keep
-        // B's row reuse in an inner position.
-        let cache = 40u128;
-        let base = access_cost(&p, &space, cache);
-        let (best_prog, order, cost) = search_loop_order(&p, &space, &nest, cache);
-        assert!(cost <= base);
-        assert_eq!(order.len(), 3);
-        best_prog.validate().unwrap();
-        // Exhaustiveness: no permutation beats the returned cost.
-        let perms = [
-            [0usize, 1, 2],
-            [0, 2, 1],
-            [1, 0, 2],
-            [1, 2, 0],
-            [2, 0, 1],
-            [2, 1, 0],
-        ];
-        for perm in perms {
-            let cand: Vec<_> = perm.iter().map(|&q| nest.vars[q]).collect();
-            let prog = permute_nest(&p, &nest, &cand);
-            assert!(access_cost(&prog, &space, cache) >= cost);
-        }
-    }
-
-    #[test]
-    fn order_plus_tiling_composes() {
-        let (space, p, nest) = matmul(16);
-        let cache = 48u128;
-        let (ordered, order, _) = search_loop_order(&p, &space, &nest, cache);
-        let nest2 = PerfectNest {
-            body_index: nest.body_index,
-            vars: order,
-        };
-        let tiled = search_nest_tiles(&ordered, &space, &nest2, cache);
-        assert!(tiled.cost <= access_cost(&ordered, &space, cache));
-        tiled.program.validate().unwrap();
     }
 }

@@ -169,13 +169,6 @@ pub fn distinct_accesses(
     total
 }
 
-/// Convenience wrapper: distinct accesses of a whole program (all loops
-/// varying).
-pub fn total_distinct_accesses(p: &LoopProgram, space: &IndexSpace) -> u128 {
-    let mut varying = vec![false; p.vars.len()];
-    distinct_accesses(p, space, &p.body, &mut varying)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,7 +247,9 @@ mod tests {
         // Nest 1 touches T1, B, D; nest 2 T2, T1, C; nest 3 S, T2, A.
         // T1 and T2 recur with identical reference patterns and are counted
         // once: 7 distinct patterns of N^4 elements each.
-        assert_eq!(total_distinct_accesses(&built.program, &space), 7 * n4);
+        let p = &built.program;
+        let mut varying = vec![false; p.vars.len()];
+        assert_eq!(distinct_accesses(p, &space, &p.body, &mut varying), 7 * n4);
     }
 
     #[test]

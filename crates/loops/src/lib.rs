@@ -34,9 +34,7 @@ pub mod build;
 pub mod ir;
 pub mod print;
 
-pub use analysis::{
-    distinct_accesses, memory_report, op_counts, total_distinct_accesses, MemoryReport, OpCounts,
-};
+pub use analysis::{distinct_accesses, memory_report, op_counts, MemoryReport, OpCounts};
 pub use build::{canonical_dims, nest, unfused_program, BuiltProgram};
 pub use ir::{
     ARef, ArrayId, ArrayInfo, ArrayKind, FuncId, FuncInfo, LoopProgram, LoopVarId, LoopVarInfo,

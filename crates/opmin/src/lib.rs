@@ -5,13 +5,13 @@
 //! associativity and distributivity, into the sequence of binary
 //! contractions with minimal arithmetic cost.
 //!
-//! * [`single`] — single-term search (subset DP, exhaustive oracle, and the
-//!   paper's pruning branch-and-bound);
-//! * [`multi`] — per-term optimization plus common-subexpression
-//!   factorization across terms.
+//! * [`single`] — the single-term search (a subset DP over the
+//!   operations/intermediate-size frontier) and its exhaustive oracle;
+//! * [`multi`] — common-subexpression factorization across the terms'
+//!   operation-minimal trees.
 //!
 //! ```
-//! use tce_opmin::{optimize_subset_dp, OpMinProblem};
+//! use tce_opmin::{optimize_pareto, OpMinProblem};
 //! use tce_ir::{IndexSet, IndexSpace, Leaf, TensorDecl, TensorTable};
 //!
 //! // A[i,j]·B[j,k]·C[k,l] with a skewed middle dimension.
@@ -34,9 +34,10 @@
 //!         Leaf::Input { tensor: c, indices: vec![k, l] },
 //!     ],
 //! };
-//! let best = optimize_subset_dp(&p, &sp);
-//! // (A·B)·C: 2·(2·100·2) + 2·(2·2·100) flops.
-//! assert_eq!(best.contraction_ops, 1600);
+//! let frontier = optimize_pareto(&p, &sp);
+//! // The first point is operation-minimal: (A·B)·C, 2·(2·100·2) +
+//! // 2·(2·2·100) flops.
+//! assert_eq!(frontier[0].ops, 1600);
 //! ```
 
 #![warn(missing_docs)]
@@ -46,6 +47,6 @@ pub mod single;
 
 pub use multi::{optimize_assignment, MultiResult};
 pub use single::{
-    leaf_indices, optimize_branch_bound, optimize_exhaustive, optimize_pareto, optimize_subset_dp,
-    OpMinProblem, OptResult, ParetoTree,
+    leaf_indices, optimize_exhaustive, optimize_pareto, OpMinProblem, OptResult, ParetoTree,
+    MAX_FACTORS,
 };

@@ -1,8 +1,9 @@
 //! Multi-term optimization and common-subexpression factorization.
 //!
 //! A statement may sum several product terms (the paper's `A3A` energy
-//! expression sums six `X·Y` contributions).  Each term is optimized
-//! independently with the single-term search, then identical intermediates
+//! expression sums six `X·Y` contributions).  Each term takes the
+//! operation-minimal tree of the single-term search synthesis plans with
+//! (the first point of [`optimize_pareto`]), then identical intermediates
 //! across the resulting trees are identified by canonical hashing
 //! (exploiting commutativity: `X·Y` and `Y·X` share a key) so shared
 //! contractions and shared expensive function evaluations are only paid
@@ -10,7 +11,7 @@
 //! Transformations" module: it searches over term-local parenthesizations
 //! and then *factors* the common subexpressions the search exposes.
 
-use crate::single::{optimize_subset_dp, OpMinProblem};
+use crate::single::{optimize_pareto, OpMinProblem};
 use std::collections::HashMap;
 use tce_ir::{Assignment, IndexSpace, Leaf, NodeId, OpKind, OpTree};
 
@@ -62,7 +63,8 @@ fn canon_key(tree: &OpTree, id: NodeId, memo: &mut Vec<Option<String>>) -> Strin
 /// Optimize every term of `stmt` and compute sharing statistics.
 ///
 /// # Errors
-/// Returns an error if a term is empty or malformed.
+/// Returns an error if a term is empty, malformed, or has more than
+/// [`MAX_FACTORS`](crate::single::MAX_FACTORS) factors.
 pub fn optimize_assignment(stmt: &Assignment, space: &IndexSpace) -> Result<MultiResult, String> {
     let output = stmt.lhs.index_set();
     let mut terms = Vec::with_capacity(stmt.terms.len());
@@ -71,8 +73,8 @@ pub fn optimize_assignment(stmt: &Assignment, space: &IndexSpace) -> Result<Mult
         // statement where terms sum over different subsets); restrict the
         // output request to indices the term actually has.
         let p = OpMinProblem::from_term(output, term)?;
-        let r = optimize_subset_dp(&p, space);
-        terms.push((term.coeff, r.tree));
+        let best = optimize_pareto(&p, space).swap_remove(0);
+        terms.push((term.coeff, best.tree));
     }
 
     let mut ops_independent: u128 = 0;

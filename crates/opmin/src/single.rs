@@ -3,18 +3,16 @@
 //! Given one product term `Σ_{sum} F₁·F₂·…·Fₙ` with a required output index
 //! set, find the binary contraction tree with the fewest arithmetic
 //! operations.  This is the generalized matrix-chain problem of paper §2 —
-//! NP-complete in general [Lam et al. 1997], attacked here three ways:
+//! NP-complete in general [Lam et al. 1997], solved exactly here by one
+//! search plus an independent oracle:
 //!
-//! * [`optimize_exhaustive`] — enumerate every binary tree (oracle; `n ≤ 10`
-//!   or so);
-//! * [`optimize_subset_dp`] — dynamic programming over factor subsets,
-//!   `O(3ⁿ)` time, exact;
-//! * [`optimize_branch_bound`] — the paper's "pruning search procedure":
-//!   best-known-cost pruning over contraction orders, exact and "very
-//!   efficient in practice".
-//!
-//! All three agree on the optimum (tested); they differ in how much of the
-//! search space they visit.
+//! * [`optimize_pareto`] — dynamic programming over factor subsets that
+//!   keeps, per subset, the (operations, largest intermediate) frontier;
+//!   its first point is the operation-minimal tree.  Synthesis runs it for
+//!   every term, and common-subexpression factorization reuses that first
+//!   point;
+//! * [`optimize_exhaustive`] — top-down enumeration of every split (oracle
+//!   for tests; `n ≤ 12`).
 //!
 //! The *result indices* of any intermediate are fully determined by which
 //! factors it covers: an index must be kept iff it appears in the output or
@@ -23,6 +21,10 @@
 //! is over tree *shapes* only.
 
 use tce_ir::{Factor, IndexSet, IndexSpace, Leaf, NodeId, OpTree, Product};
+
+/// The most factors one term may have: [`optimize_pareto`] tabulates all
+/// `2ⁿ` factor subsets, each with its own frontier.
+pub const MAX_FACTORS: usize = 16;
 
 /// A single-term optimization problem.
 #[derive(Debug, Clone)]
@@ -48,6 +50,12 @@ impl OpMinProblem {
     pub fn from_term(output: IndexSet, term: &Product) -> Result<Self, String> {
         if term.factors.is_empty() {
             return Err("empty product".into());
+        }
+        if term.factors.len() > MAX_FACTORS {
+            return Err(format!(
+                "a term has {} factors, more than the {MAX_FACTORS} operation minimization supports",
+                term.factors.len()
+            ));
         }
         let factors: Vec<Leaf> = term
             .factors
@@ -115,12 +123,10 @@ pub struct OptResult {
 /// mask), returning the subtree root.
 fn build_tree(
     p: &OpMinProblem,
-    space: &IndexSpace,
     tree: &mut OpTree,
     split: &dyn Fn(u32) -> u32,
     mask: u32,
 ) -> NodeId {
-    let _ = space;
     if mask.count_ones() == 1 {
         let i = mask.trailing_zeros() as usize;
         let leaf = p.factors[i].clone();
@@ -144,8 +150,8 @@ fn build_tree(
     }
     let l_mask = split(mask);
     let r_mask = mask & !l_mask;
-    let l = build_tree(p, space, tree, split, l_mask);
-    let r = build_tree(p, space, tree, split, r_mask);
+    let l = build_tree(p, tree, split, l_mask);
+    let r = build_tree(p, tree, split, r_mask);
     tree.contract(l, r, p.result_of_mask(mask))
 }
 
@@ -167,74 +173,6 @@ fn singleton_cost(p: &OpMinProblem, space: &IndexSpace, i: usize) -> u128 {
     }
 }
 
-/// Exact optimization by dynamic programming over factor subsets.
-///
-/// `best[S] = min over proper submasks L of best[L] + best[S∖L] +
-/// 2·Π extents(result(L) ∪ result(S∖L))`, `O(3ⁿ)` over `n ≤ 32` factors.
-///
-/// # Panics
-/// Panics if the problem has no factors or more than 24 (the DP table
-/// would exceed memory; split the term first).
-pub fn optimize_subset_dp(p: &OpMinProblem, space: &IndexSpace) -> OptResult {
-    let n = p.n();
-    assert!(n >= 1, "no factors");
-    assert!(n <= 24, "subset DP limited to 24 factors");
-    let full: u32 = ((1u64 << n) - 1) as u32;
-
-    let mut best = vec![u128::MAX; (full as usize) + 1];
-    let mut choice = vec![0u32; (full as usize) + 1];
-    let mut result = vec![IndexSet::EMPTY; (full as usize) + 1];
-    for mask in 1..=full {
-        result[mask as usize] = p.result_of_mask(mask);
-    }
-    for i in 0..n {
-        best[1 << i] = singleton_cost(p, space, i);
-    }
-    // Iterate masks in increasing popcount via plain increasing order
-    // (every proper submask is numerically smaller, so this is safe).
-    for mask in 1..=full {
-        if mask.count_ones() <= 1 {
-            continue;
-        }
-        // Enumerate submasks containing the lowest set bit to halve work
-        // and avoid (L,R)/(R,L) duplicates.
-        let low = mask & mask.wrapping_neg();
-        let rest = mask & !low;
-        let mut sub = rest;
-        loop {
-            let l_mask = sub | low;
-            let r_mask = mask & !l_mask;
-            if r_mask != 0 {
-                let cost = best[l_mask as usize]
-                    .saturating_add(best[r_mask as usize])
-                    .saturating_add(combine_cost(
-                        space,
-                        result[l_mask as usize],
-                        result[r_mask as usize],
-                    ));
-                if cost < best[mask as usize] {
-                    best[mask as usize] = cost;
-                    choice[mask as usize] = l_mask;
-                }
-            }
-            if sub == 0 {
-                break;
-            }
-            sub = (sub - 1) & rest;
-        }
-    }
-
-    let mut tree = OpTree::new();
-    let split = |m: u32| choice[m as usize];
-    let root = build_tree(p, space, &mut tree, &split, full);
-    // A single-factor problem may end at a bare leaf; ensure root is set.
-    tree.root = root;
-    OptResult {
-        tree,
-        contraction_ops: best[full as usize],
-    }
-}
-
 /// Exhaustive enumeration of all binary trees (oracle).  Exponential; use
 /// for `n ≤ 8`.
 pub fn optimize_exhaustive(p: &OpMinProblem, space: &IndexSpace) -> OptResult {
@@ -246,9 +184,9 @@ pub fn optimize_exhaustive(p: &OpMinProblem, space: &IndexSpace) -> OptResult {
     );
     let full: u32 = ((1u64 << n) - 1) as u32;
 
-    // Recursive enumeration of minimum over all splits — identical
-    // recurrence to the DP but evaluated top-down without sharing across
-    // *sibling* problems, serving as an independent implementation.
+    // Recursive enumeration of the minimum over all splits — the same
+    // recurrence as the frontier DP's first point, evaluated top-down and
+    // keeping only the cost, so it serves as an independent implementation.
     fn go(
         p: &OpMinProblem,
         space: &IndexSpace,
@@ -295,148 +233,11 @@ pub fn optimize_exhaustive(p: &OpMinProblem, space: &IndexSpace) -> OptResult {
     let cost = go(p, space, full, &mut memo);
     let mut tree = OpTree::new();
     let split = |m: u32| memo.get(&m).map(|&(_, l)| l).unwrap_or(0);
-    let root = build_tree(p, space, &mut tree, &split, full);
+    let root = build_tree(p, &mut tree, &split, full);
     tree.root = root;
     OptResult {
         tree,
         contraction_ops: cost,
-    }
-}
-
-/// The paper's pruning search: explore contraction orders over the current
-/// list of intermediates, pruning any partial order whose accumulated cost
-/// already reaches the best complete solution found so far (initialized by
-/// a cheapest-pair greedy pass).  Exact.
-pub fn optimize_branch_bound(p: &OpMinProblem, space: &IndexSpace) -> OptResult {
-    let n = p.n();
-    assert!(n >= 1, "no factors");
-    assert!(n <= 20, "branch-and-bound limited to 20 factors");
-    let full: u32 = ((1u64 << n) - 1) as u32;
-
-    // Greedy upper bound: repeatedly contract the cheapest pair.
-    let greedy = {
-        let mut items: Vec<u32> = (0..n).map(|i| 1u32 << i).collect();
-        let mut cost: u128 = (0..n).map(|i| singleton_cost(p, space, i)).sum();
-        while items.len() > 1 {
-            let mut best = (u128::MAX, 0usize, 0usize);
-            for i in 0..items.len() {
-                for j in (i + 1)..items.len() {
-                    let c = combine_cost(
-                        space,
-                        p.result_of_mask(items[i]),
-                        p.result_of_mask(items[j]),
-                    );
-                    if c < best.0 {
-                        best = (c, i, j);
-                    }
-                }
-            }
-            let (c, i, j) = best;
-            cost = cost.saturating_add(c);
-            let merged = items[i] | items[j];
-            // i < j, so removing j never disturbs slot i.
-            items.swap_remove(j);
-            items[i] = merged;
-        }
-        cost
-    };
-
-    struct Search<'a> {
-        p: &'a OpMinProblem,
-        space: &'a IndexSpace,
-        best_cost: u128,
-        best_plan: std::collections::HashMap<u32, u32>,
-        cur_plan: std::collections::HashMap<u32, u32>,
-        /// memo of the best completed cost per state (set of masks).
-        seen: std::collections::HashMap<Vec<u32>, u128>,
-        /// Search nodes that survived the bound check (trace accounting).
-        expanded: u64,
-        /// Search nodes cut by the bound or by state domination.
-        pruned: u64,
-    }
-
-    impl Search<'_> {
-        fn run(&mut self, items: &mut Vec<u32>, cost_so_far: u128) {
-            if cost_so_far >= self.best_cost {
-                self.pruned += 1;
-                return; // prune
-            }
-            if items.len() == 1 {
-                self.expanded += 1;
-                self.best_cost = cost_so_far;
-                self.best_plan = self.cur_plan.clone();
-                return;
-            }
-            let mut key: Vec<u32> = items.clone();
-            key.sort_unstable();
-            if let Some(&c) = self.seen.get(&key) {
-                if c <= cost_so_far {
-                    self.pruned += 1;
-                    return; // dominated state
-                }
-            }
-            self.seen.insert(key, cost_so_far);
-            self.expanded += 1;
-
-            // Order candidate pairs by cost (cheapest first) to reach good
-            // bounds quickly.
-            let mut pairs: Vec<(u128, usize, usize)> = Vec::new();
-            for i in 0..items.len() {
-                for j in (i + 1)..items.len() {
-                    let c = combine_cost(
-                        self.space,
-                        self.p.result_of_mask(items[i]),
-                        self.p.result_of_mask(items[j]),
-                    );
-                    pairs.push((c, i, j));
-                }
-            }
-            pairs.sort_unstable_by_key(|&(c, _, _)| c);
-            for (c, i, j) in pairs {
-                let merged = items[i] | items[j];
-                self.cur_plan.insert(merged, items[i].min(items[j]));
-                let (mi, mj) = (items[i], items[j]);
-                // Replace items[i] with merged, remove j.
-                items[i] = merged;
-                let removed = items.swap_remove(j);
-                debug_assert_eq!(removed, mj);
-                self.run(items, cost_so_far.saturating_add(c));
-                // Undo.
-                items.push(mj);
-                let last = items.len() - 1;
-                items.swap(j, last);
-                items[i] = mi;
-                self.cur_plan.remove(&merged);
-            }
-        }
-    }
-
-    let mut search = Search {
-        p,
-        space,
-        best_cost: greedy.saturating_add(1),
-        best_plan: Default::default(),
-        cur_plan: Default::default(),
-        seen: Default::default(),
-        expanded: 0,
-        pruned: 0,
-    };
-    let singleton_total: u128 = (0..n).map(|i| singleton_cost(p, space, i)).sum();
-    let mut items: Vec<u32> = (0..n).map(|i| 1u32 << i).collect();
-    search.run(&mut items, singleton_total);
-    // Accumulated locally during the search; one flush here.
-    tce_trace::counter("opmin.nodes_expanded", search.expanded);
-    tce_trace::counter("opmin.pruned", search.pruned);
-    tce_trace::counter_u128("opmin.best_cost", search.best_cost);
-
-    let plan = search.best_plan;
-    let mut tree = OpTree::new();
-    let split = |m: u32| plan.get(&m).copied().unwrap_or(0);
-    let root = build_tree(p, space, &mut tree, &split, full);
-    tree.root = root;
-    OptResult {
-        tree,
-        contraction_ops: search.best_cost,
     }
 }
 
@@ -459,7 +260,10 @@ pub struct ParetoTree {
 /// intermediates.  Returned sorted by increasing operations.
 pub fn optimize_pareto(p: &OpMinProblem, space: &IndexSpace) -> Vec<ParetoTree> {
     let n = p.n();
-    assert!((1..=16).contains(&n), "pareto search limited to 16 factors");
+    assert!(
+        (1..=MAX_FACTORS).contains(&n),
+        "pareto search limited to {MAX_FACTORS} factors"
+    );
     let full: u32 = ((1u64 << n) - 1) as u32;
 
     /// (ops, max_intermediate, left split mask; 0 = leaf) plus indices of
@@ -544,7 +348,6 @@ pub fn optimize_pareto(p: &OpMinProblem, space: &IndexSpace) -> Vec<ParetoTree> 
     // Materialize each root point's tree.
     fn build(
         p: &OpMinProblem,
-        space: &IndexSpace,
         table: &[Vec<Point>],
         tree: &mut OpTree,
         mask: u32,
@@ -552,31 +355,25 @@ pub fn optimize_pareto(p: &OpMinProblem, space: &IndexSpace) -> Vec<ParetoTree> 
     ) -> NodeId {
         if mask.count_ones() == 1 {
             let split = |_m: u32| 0u32;
-            return build_tree(p, space, tree, &split, mask);
+            return build_tree(p, tree, &split, mask);
         }
         let pt = &table[mask as usize][pi];
         let (l_mask, r_mask) = (pt.split, mask & !pt.split);
-        let l = build(p, space, table, tree, l_mask, pt.li);
-        let r = build(p, space, table, tree, r_mask, pt.ri);
+        let l = build(p, table, tree, l_mask, pt.li);
+        let r = build(p, table, tree, r_mask, pt.ri);
         tree.contract(l, r, p.result_of_mask(mask))
     }
 
     let mut out = Vec::new();
     for (pi, pt) in table[full as usize].iter().enumerate() {
         let mut tree = OpTree::new();
-        let root = build(p, space, &table, &mut tree, full, pi);
+        let root = build(p, &table, &mut tree, full, pi);
         tree.root = root;
         out.push(ParetoTree {
             tree,
             ops: pt.ops,
             max_intermediate: pt.mem,
         });
-    }
-    if tce_trace::enabled() {
-        tce_trace::counter("opmin.pareto_points", out.len() as u64);
-        if let Some(first) = out.first() {
-            tce_trace::counter_u128("opmin.best_cost", first.ops);
-        }
     }
     out
 }
@@ -633,12 +430,17 @@ mod tests {
         (space, p)
     }
 
+    /// The operation-minimal tree: the frontier's first point.
+    fn best(p: &OpMinProblem, space: &IndexSpace) -> ParetoTree {
+        optimize_pareto(p, space).swap_remove(0)
+    }
+
     #[test]
     fn finds_paper_6n6_optimum() {
         // Paper §2: the op-minimal BDCA form needs 6·N^6 operations.
         let (space, p) = section2(10);
-        let dp = optimize_subset_dp(&p, &space);
-        assert_eq!(dp.contraction_ops, 6 * 10u128.pow(6));
+        let dp = best(&p, &space);
+        assert_eq!(dp.ops, 6 * 10u128.pow(6));
         dp.tree.validate().unwrap();
         assert_eq!(dp.tree.total_ops(&space), 6 * 10u128.pow(6));
     }
@@ -647,14 +449,13 @@ mod tests {
     fn all_three_methods_agree_on_section2() {
         for n in [4usize, 6, 7, 8, 10, 16, 30] {
             let (space, p) = section2(n);
-            let dp = optimize_subset_dp(&p, &space);
+            let dp = best(&p, &space);
             let ex = optimize_exhaustive(&p, &space);
-            let bb = optimize_branch_bound(&p, &space);
-            assert_eq!(dp.contraction_ops, ex.contraction_ops);
-            assert_eq!(dp.contraction_ops, bb.contraction_ops);
-            assert_eq!(dp.contraction_ops, 6 * (n as u128).pow(6), "N = {n}");
-            bb.tree.validate().unwrap();
+            assert_eq!(dp.ops, ex.contraction_ops);
+            assert_eq!(dp.ops, 6 * (n as u128).pow(6), "N = {n}");
+            dp.tree.validate().unwrap();
             ex.tree.validate().unwrap();
+            assert_eq!(ex.tree.total_ops(&space), ex.contraction_ops);
         }
     }
 
@@ -691,10 +492,8 @@ mod tests {
                 },
             ],
         };
-        let dp = optimize_subset_dp(&p, &space);
-        assert_eq!(dp.contraction_ops, 1600);
-        let bb = optimize_branch_bound(&p, &space);
-        assert_eq!(bb.contraction_ops, 1600);
+        assert_eq!(best(&p, &space).ops, 1600);
+        assert_eq!(optimize_exhaustive(&p, &space).contraction_ops, 1600);
     }
 
     #[test]
@@ -712,8 +511,8 @@ mod tests {
                 indices: vec![i],
             }],
         };
-        let dp = optimize_subset_dp(&p, &space);
-        assert_eq!(dp.contraction_ops, 0);
+        let dp = best(&p, &space);
+        assert_eq!(dp.ops, 0);
         assert_eq!(dp.tree.len(), 1);
     }
 
@@ -732,8 +531,8 @@ mod tests {
                 indices: vec![i],
             }],
         };
-        let dp = optimize_subset_dp(&p, &space);
-        assert_eq!(dp.contraction_ops, 10); // 2·N
+        let dp = best(&p, &space);
+        assert_eq!(dp.ops, 10); // 2·N
         dp.tree.validate().unwrap();
         assert_eq!(dp.tree.node(dp.tree.root).indices, IndexSet::EMPTY);
         assert!(dp
@@ -756,10 +555,38 @@ mod tests {
     }
 
     #[test]
+    fn from_term_rejects_more_than_max_factors() {
+        // The chain S[x0,xn] = Σ A[x0,x1]·A[x1,x2]·…·A[x(n-1),xn]; only the
+        // problem is built, no search runs.
+        let mut space = IndexSpace::new();
+        let r = space.add_range("N", 2);
+        let xs: Vec<_> = (0..=MAX_FACTORS + 1)
+            .map(|q| space.add_var(&format!("x{q}"), r))
+            .collect();
+        let mut tensors = TensorTable::new();
+        let a = tensors.add(TensorDecl::dense("A", vec![r, r]));
+        let chain = |n: usize| tce_ir::Product {
+            coeff: 1.0,
+            factors: (0..n)
+                .map(|q| Factor::Tensor(tce_ir::TensorRef::new(a, vec![xs[q], xs[q + 1]])))
+                .collect(),
+        };
+        let ends = |n: usize| IndexSet::from_vars([xs[0], xs[n]]);
+        let p = OpMinProblem::from_term(ends(MAX_FACTORS), &chain(MAX_FACTORS)).unwrap();
+        assert_eq!(p.n(), MAX_FACTORS);
+        let err =
+            OpMinProblem::from_term(ends(MAX_FACTORS + 1), &chain(MAX_FACTORS + 1)).unwrap_err();
+        assert_eq!(
+            err,
+            "a term has 17 factors, more than the 16 operation minimization supports"
+        );
+    }
+
+    #[test]
     fn randomized_dp_matches_oracle() {
         use tce_ir::rng::Rng;
         // Random 3-5 factor problems over 6 indices with mixed extents;
-        // subset DP must equal the exhaustive oracle and branch-and-bound.
+        // the frontier's first point must equal the exhaustive oracle.
         let mut rng = Rng::new(20020422);
         for trial in 0..60 {
             let mut space = IndexSpace::new();
@@ -799,21 +626,20 @@ mod tests {
                 }
             }
             let p = OpMinProblem { output, factors };
-            let dp = optimize_subset_dp(&p, &space);
+            let dp = best(&p, &space);
             let ex = optimize_exhaustive(&p, &space);
-            let bb = optimize_branch_bound(&p, &space);
-            assert_eq!(dp.contraction_ops, ex.contraction_ops, "trial {trial}");
-            assert_eq!(dp.contraction_ops, bb.contraction_ops, "trial {trial}");
+            assert_eq!(dp.ops, ex.contraction_ops, "trial {trial}");
             dp.tree.validate().unwrap();
-            bb.tree.validate().unwrap();
+            ex.tree.validate().unwrap();
             assert_eq!(dp.tree.node(dp.tree.root).indices, output);
+            assert_eq!(ex.tree.node(ex.tree.root).indices, output);
         }
     }
 
     #[test]
     fn intermediate_keeps_only_needed_indices() {
         let (space, p) = section2(10);
-        let dp = optimize_subset_dp(&p, &space);
+        let dp = best(&p, &space);
         // Every non-root internal node's indices must be needed later:
         // check none exceeds 4 dims (the paper's T1/T2 are 4-dim).
         for id in dp.tree.internal_postorder() {
@@ -887,9 +713,9 @@ mod tests {
         };
         let front = optimize_pareto(&p, &space);
         // Both associations appear if neither dominates; the min-ops point
-        // matches optimize_subset_dp.
-        let dp = optimize_subset_dp(&p, &space);
-        assert_eq!(front[0].ops, dp.contraction_ops);
+        // matches the exhaustive oracle.
+        let ex = optimize_exhaustive(&p, &space);
+        assert_eq!(front[0].ops, ex.contraction_ops);
         // Every non-first point has strictly smaller intermediates.
         for w in front.windows(2) {
             assert!(w[1].max_intermediate < w[0].max_intermediate);

@@ -56,14 +56,6 @@ impl<T: Clone> Pareto<T> {
         self.points.is_empty()
     }
 
-    /// Minimal-operations point with memory ≤ `limit`.
-    pub fn best_within(&self, limit: u128) -> Option<&ParetoPoint<T>> {
-        self.points
-            .iter()
-            .filter(|p| p.mem <= limit)
-            .min_by_key(|p| p.ops)
-    }
-
     /// Minimal-memory point.
     pub fn min_mem(&self) -> Option<&ParetoPoint<T>> {
         self.points.first()
@@ -104,17 +96,6 @@ mod tests {
         p.insert(10, 100, 0);
         p.insert(10, 100, 1);
         assert_eq!(p.len(), 1);
-    }
-
-    #[test]
-    fn best_within_limit() {
-        let mut p = Pareto::new();
-        p.insert(10, 100, "low-mem");
-        p.insert(100, 10, "low-ops");
-        assert_eq!(p.best_within(50).unwrap().tag, "low-mem");
-        assert_eq!(p.best_within(1000).unwrap().tag, "low-ops");
-        assert!(p.best_within(5).is_none());
-        assert_eq!(p.min_mem().unwrap().tag, "low-mem");
     }
 
     #[test]

@@ -197,23 +197,6 @@ impl Tensor {
         t
     }
 
-    /// Wrap an existing buffer.
-    ///
-    /// # Panics
-    /// Panics if `data.len()` does not match the shape's element count.
-    pub fn from_vec(shape: &[usize], data: Vec<f64>) -> Self {
-        assert_eq!(
-            data.len(),
-            shape.iter().product::<usize>().max(1),
-            "buffer length does not match shape"
-        );
-        Self {
-            strides: row_major_strides(shape),
-            shape: shape.to_vec(),
-            data,
-        }
-    }
-
     /// Shape.
     #[inline]
     pub fn shape(&self) -> &[usize] {
@@ -550,18 +533,6 @@ mod tests {
         let t = Tensor::from_fn(&[2, 3], |idx| (idx[0] * 3 + idx[1]) as f64);
         assert_eq!(t.data(), &[0.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
         assert_eq!(t.get(&[1, 2]), 5.0);
-    }
-
-    #[test]
-    fn from_vec_checks_len() {
-        let t = Tensor::from_vec(&[2, 2], vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(t.get(&[1, 0]), 3.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "buffer length")]
-    fn from_vec_rejects_bad_len() {
-        Tensor::from_vec(&[2, 2], vec![1.0]);
     }
 
     #[test]

@@ -351,18 +351,6 @@ impl Trace {
             .count()
     }
 
-    /// Total duration (ns) over all spans with the given name.
-    pub fn span_total_ns(&self, name: &str) -> u64 {
-        self.events
-            .iter()
-            .filter(|e| e.name == name)
-            .map(|e| match e.kind {
-                EventKind::Span { begin_ns, end_ns } => end_ns.saturating_sub(begin_ns),
-                EventKind::Counter { .. } => 0,
-            })
-            .sum()
-    }
-
     /// Distinct event names, sorted.
     pub fn names(&self) -> Vec<&str> {
         let mut v: Vec<&str> = self.events.iter().map(|e| e.name.as_ref()).collect();
@@ -479,10 +467,6 @@ mod tests {
         assert_eq!(t.span_count("pre"), 1);
         assert_eq!(t.span_count("marker"), 1);
         assert_eq!(t.counter_total("c"), 7);
-        assert_eq!(t.span_total_ns("pre"), 15);
-        assert_eq!(t.span_total_ns("marker"), 0);
-        // Inner closes before outer (drop order), so durations nest.
-        assert!(t.span_total_ns("outer") >= t.span_total_ns("inner"));
     }
 
     #[test]

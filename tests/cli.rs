@@ -50,6 +50,25 @@ fn malformed_inputs_fail_cleanly() {
             "tce {args:?} panicked:\n{stderr}"
         );
     }
+    // A 17-factor chain is one factor past what operation minimization
+    // tabulates: a one-line synthesis error, not an assertion.
+    let vars: Vec<String> = (0..18).map(|q| format!("i{q}")).collect();
+    let chain17 = format!(
+        "range N = 2;\nindex {} : N;\ntensor A(N, N);\ntensor S(N, N);\n\
+         S[i0,i17] = sum[{}] {};\n",
+        vars.join(", "),
+        vars[1..17].join(","),
+        (0..17)
+            .map(|q| format!("A[i{q},i{}]", q + 1))
+            .collect::<Vec<_>>()
+            .join(" * ")
+    );
+    let out = run_program("chain17", &chain17, &[]);
+    assert_eq!(out.status.code(), Some(1), "17-factor chain");
+    assert_eq!(
+        one_line_failure(&out, "17-factor chain"),
+        "synthesis error: a term has 17 factors, more than the 16 operation minimization supports"
+    );
     // `--help`/`-h` print the usage to stdout and succeed, in all three
     // front ends; the top-level usage names both subcommands.
     for args in [

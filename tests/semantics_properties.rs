@@ -17,8 +17,13 @@ use tce_core::ir::rng::{seed_from_env, SeedGuard};
 use tce_core::ir::{
     IndexSet, IndexSpace, IndexVar, Leaf, NodeId, OpTree, TensorDecl, TensorId, TensorTable,
 };
-use tce_core::opmin::{optimize_branch_bound, optimize_subset_dp, OpMinProblem};
+use tce_core::opmin::{optimize_exhaustive, optimize_pareto, OpMinProblem};
 use tce_core::tensor::{EinsumSpec, Tensor};
+
+/// The operation-minimal tree synthesis plans: the frontier's first point.
+fn opmin_tree(problem: &OpMinProblem, space: &IndexSpace) -> OpTree {
+    optimize_pareto(problem, space).swap_remove(0).tree
+}
 
 /// A randomly generated single-term contraction problem plus data.
 #[derive(Debug, Clone)]
@@ -122,8 +127,9 @@ fn make_data(p: &RandomProblem, seed: u64) -> Vec<Tensor> {
         .collect()
 }
 
-/// Operation minimization: the DP optimum equals branch-and-bound, and
-/// the optimized tree evaluates to the same values as the reference.
+/// Operation minimization: the frontier's first point is as cheap as the
+/// exhaustive oracle, and its tree evaluates to the same values as the
+/// reference.
 #[test]
 fn opmin_is_exact_and_semantics_preserving() {
     let seed = seed_from_env(0xb001);
@@ -133,10 +139,10 @@ fn opmin_is_exact_and_semantics_preserving() {
         let p = arb_problem(&mut rng);
         let seed = rng.u64_in(0..1000);
         let problem = problem_to_opmin(&p);
-        let dp = optimize_subset_dp(&problem, &p.space);
-        let bb = optimize_branch_bound(&problem, &p.space);
-        assert_eq!(dp.contraction_ops, bb.contraction_ops);
-        dp.tree.validate().unwrap();
+        let best = optimize_pareto(&problem, &p.space).swap_remove(0);
+        let ex = optimize_exhaustive(&problem, &p.space);
+        assert_eq!(best.ops, ex.contraction_ops);
+        best.tree.validate().unwrap();
 
         let data = make_data(&p, seed);
         let inputs: HashMap<TensorId, &Tensor> = p
@@ -145,8 +151,8 @@ fn opmin_is_exact_and_semantics_preserving() {
             .zip(&data)
             .map(|((t, _), d)| (*t, d))
             .collect();
-        let got =
-            tce_core::exec::execute_tree(&dp.tree, &p.space, &inputs, &HashMap::new(), 1).unwrap();
+        let got = tce_core::exec::execute_tree(&best.tree, &p.space, &inputs, &HashMap::new(), 1)
+            .unwrap();
         let expect = reference(&p, &data);
         // Result dims: canonical ascending order — same as the reference.
         assert!(
@@ -169,7 +175,7 @@ fn memmin_is_exact_and_fused_code_is_correct() {
         let p = arb_problem(&mut rng);
         let seed = rng.u64_in(0..1000);
         let problem = problem_to_opmin(&p);
-        let tree = optimize_subset_dp(&problem, &p.space).tree;
+        let tree = opmin_tree(&problem, &p.space);
         let dp = memmin_dp(&tree, &p.space);
         let bf = memmin_bruteforce(&tree, &p.space);
         assert_eq!(dp.memory, bf.memory);
@@ -206,7 +212,7 @@ fn every_legal_config_is_executable() {
         let p = arb_problem(&mut rng);
         let seed = rng.u64_in(0..1000);
         let problem = problem_to_opmin(&p);
-        let tree = optimize_subset_dp(&problem, &p.space).tree;
+        let tree = opmin_tree(&problem, &p.space);
         let configs = enumerate_legal_configs(&tree, &p.space);
         assert!(!configs.is_empty());
         let data = make_data(&p, seed);
@@ -246,7 +252,7 @@ fn illegal_configs_rejected_by_both_checks() {
         let p = arb_problem(&mut rng);
         let picks: Vec<u64> = (0..8).map(|_| rng.u64_in(0..64)).collect();
         let problem = problem_to_opmin(&p);
-        let tree = optimize_subset_dp(&problem, &p.space).tree;
+        let tree = opmin_tree(&problem, &p.space);
         let parents = tree.parents();
         let mut config = FusionConfig::unfused(&tree);
         let mut pi = 0;
@@ -306,7 +312,7 @@ fn func_leaf_problems_are_semantics_preserving() {
                 };
             }
         }
-        let tree = optimize_subset_dp(&problem, &p.space).tree;
+        let tree = opmin_tree(&problem, &p.space);
 
         // Reference: materialize every factor (tensor or function) into a
         // dense array and run the einsum.
