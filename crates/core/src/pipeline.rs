@@ -30,7 +30,7 @@ use tce_locality::{
     TileSearchResult,
 };
 use tce_loops::{memory_report, op_counts, pretty, BuiltProgram};
-use tce_opmin::{optimize_assignment, optimize_pareto, OpMinProblem};
+use tce_opmin::{optimize_pareto, MultiResult, OpMinProblem};
 use tce_spacetime::{spacetime_optimize, spacetime_optimize_rated, SpaceTimeConfig, TilingResult};
 use tce_tensor::{IntegralFn, Tensor};
 
@@ -728,11 +728,16 @@ pub fn synthesize_program(
     let mut plans = Vec::new();
     let mut cse = Vec::new();
     for (si, stmt) in program.stmts.iter().enumerate() {
+        let first = plans.len();
         for (ti, term) in stmt.terms.iter().enumerate() {
             plans.push(plan_term(&program, cfg, si, ti, stmt, term)?);
         }
         if stmt.terms.len() > 1 {
-            let m = optimize_assignment(stmt, &program.space).map_err(SynthesisError::Stage)?;
+            let trees = plans[first..]
+                .iter()
+                .map(|p| (p.coeff, searched_tree(&p.tree)))
+                .collect();
+            let m = MultiResult::count(trees, &program.space);
             cse.push(CseSummary {
                 stmt_index: si,
                 ops_independent: m.ops_independent,
@@ -750,6 +755,21 @@ pub fn synthesize_program(
     })
 }
 
+/// The tree operation minimization chose for a plan: `plan_term` wraps a
+/// bare-leaf term as `leaf · 1`, a copy that is not an intermediate.
+fn searched_tree(tree: &OpTree) -> OpTree {
+    let mut tree = tree.clone();
+    if let tce_ir::OpKind::Contract { left, right } = tree.node(tree.root).kind {
+        if matches!(
+            tree.node(right).kind,
+            tce_ir::OpKind::Leaf(tce_ir::Leaf::One)
+        ) {
+            tree.root = left;
+        }
+    }
+    tree
+}
+
 fn plan_term(
     program: &Program,
     cfg: &SynthesisConfig,
@@ -764,8 +784,12 @@ fn plan_term(
     // operation-minimal; later points realize the Fig. 5 feedback edge
     // ("causing it to seek a different solution") when the memory stages
     // cannot satisfy the limit on the cheaper trees.
-    let problem =
-        OpMinProblem::from_term(stmt.lhs.index_set(), term).map_err(SynthesisError::Stage)?;
+    let problem = OpMinProblem::from_term(stmt.lhs.index_set(), term).map_err(|e| {
+        SynthesisError::Stage(format!(
+            "statement {stmt_index} term {term_index}: {}",
+            e.describe(space)
+        ))
+    })?;
     let frontier = {
         let _s = tce_trace::span("stage.opmin");
         optimize_pareto(&problem, space)
@@ -1551,7 +1575,7 @@ mod tests {
                 if stmt.terms.len() < 2 {
                     continue;
                 }
-                let m = optimize_assignment(stmt, &syn.program.space).unwrap();
+                let m = tce_opmin::optimize_assignment(stmt, &syn.program.space).unwrap();
                 for (ti, (_, tree)) in m.terms.iter().enumerate() {
                     let plan = syn
                         .plans

@@ -48,5 +48,5 @@ pub mod single;
 pub use multi::{optimize_assignment, MultiResult};
 pub use single::{
     leaf_indices, optimize_exhaustive, optimize_pareto, OpMinProblem, OptResult, ParetoTree,
-    MAX_FACTORS,
+    TermError, MAX_FACTORS,
 };

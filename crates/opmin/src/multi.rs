@@ -1,15 +1,16 @@
 //! Multi-term optimization and common-subexpression factorization.
 //!
 //! A statement may sum several product terms (the paper's `A3A` energy
-//! expression sums six `X·Y` contributions).  Each term takes the
-//! operation-minimal tree of the single-term search synthesis plans with
-//! (the first point of [`optimize_pareto`]), then identical intermediates
-//! across the resulting trees are identified by canonical hashing
-//! (exploiting commutativity: `X·Y` and `Y·X` share a key) so shared
-//! contractions and shared expensive function evaluations are only paid
-//! once.  This is the distributivity-aware part of the paper's "Algebraic
-//! Transformations" module: it searches over term-local parenthesizations
-//! and then *factors* the common subexpressions the search exposes.
+//! expression sums six `X·Y` contributions).  [`MultiResult::count`]
+//! identifies identical intermediates across the terms' trees by
+//! canonical hashing (exploiting commutativity: `X·Y` and `Y·X` share a
+//! key) so shared contractions and shared expensive function evaluations
+//! are only paid once; synthesis applies it to the trees it planned, and
+//! [`optimize_assignment`] to the operation-minimal tree of each term (the
+//! first point of [`optimize_pareto`]).  This is the distributivity-aware
+//! part of the paper's "Algebraic Transformations" module: it searches
+//! over term-local parenthesizations and then *factors* the common
+//! subexpressions the search exposes.
 
 use crate::single::{optimize_pareto, OpMinProblem};
 use std::collections::HashMap;
@@ -63,50 +64,60 @@ fn canon_key(tree: &OpTree, id: NodeId, memo: &mut Vec<Option<String>>) -> Strin
 /// Optimize every term of `stmt` and compute sharing statistics.
 ///
 /// # Errors
-/// Returns an error if a term is empty, malformed, or has more than
-/// [`MAX_FACTORS`](crate::single::MAX_FACTORS) factors.
+/// Returns an error if a term is empty, has more than
+/// [`MAX_FACTORS`](crate::single::MAX_FACTORS) factors, or lacks an index
+/// of the statement's output.
 pub fn optimize_assignment(stmt: &Assignment, space: &IndexSpace) -> Result<MultiResult, String> {
     let output = stmt.lhs.index_set();
     let mut terms = Vec::with_capacity(stmt.terms.len());
     for term in &stmt.terms {
-        // A term may not use every summation index (e.g. a two-term
-        // statement where terms sum over different subsets); restrict the
-        // output request to indices the term actually has.
-        let p = OpMinProblem::from_term(output, term)?;
+        // Every term is asked for the statement's whole output: a term
+        // that lacks one of its indices would have to broadcast, and is
+        // rejected.
+        let p = OpMinProblem::from_term(output, term).map_err(|e| e.describe(space))?;
         let best = optimize_pareto(&p, space).swap_remove(0);
         terms.push((term.coeff, best.tree));
     }
+    Ok(MultiResult::count(terms, space))
+}
 
-    let mut ops_independent: u128 = 0;
-    let mut ops_with_cse: u128 = 0;
-    let mut seen: HashMap<String, ()> = HashMap::new();
-    let mut unique = 0usize;
-    let mut total = 0usize;
-    for (_, tree) in &terms {
-        let mut memo = vec![None; tree.len()];
-        for id in tree.postorder() {
-            let node_ops = tree.node_ops(id, space);
-            ops_independent = ops_independent.saturating_add(node_ops);
-            let is_contract = matches!(tree.node(id).kind, OpKind::Contract { .. });
-            if is_contract {
-                total += 1;
-            }
-            let key = canon_key(tree, id, &mut memo);
-            if seen.insert(key, ()).is_none() {
-                ops_with_cse = ops_with_cse.saturating_add(node_ops);
+impl MultiResult {
+    /// Sharing statistics of already-chosen term trees (one per term, in
+    /// source order): every tree's operations, and the operations left
+    /// when each distinct subtree is evaluated once.
+    #[must_use]
+    pub fn count(terms: Vec<(f64, OpTree)>, space: &IndexSpace) -> Self {
+        let mut ops_independent: u128 = 0;
+        let mut ops_with_cse: u128 = 0;
+        let mut seen: HashMap<String, ()> = HashMap::new();
+        let mut unique = 0usize;
+        let mut total = 0usize;
+        for (_, tree) in &terms {
+            let mut memo = vec![None; tree.len()];
+            for id in tree.postorder() {
+                let node_ops = tree.node_ops(id, space);
+                ops_independent = ops_independent.saturating_add(node_ops);
+                let is_contract = matches!(tree.node(id).kind, OpKind::Contract { .. });
                 if is_contract {
-                    unique += 1;
+                    total += 1;
+                }
+                let key = canon_key(tree, id, &mut memo);
+                if seen.insert(key, ()).is_none() {
+                    ops_with_cse = ops_with_cse.saturating_add(node_ops);
+                    if is_contract {
+                        unique += 1;
+                    }
                 }
             }
         }
+        Self {
+            terms,
+            ops_independent,
+            ops_with_cse,
+            unique_intermediates: unique,
+            total_intermediates: total,
+        }
     }
-    Ok(MultiResult {
-        terms,
-        ops_independent,
-        ops_with_cse,
-        unique_intermediates: unique,
-        total_intermediates: total,
-    })
 }
 
 #[cfg(test)]

@@ -45,17 +45,66 @@ pub fn leaf_indices(leaf: &Leaf) -> IndexSet {
     }
 }
 
+/// Why a product term is not a single-term optimization problem.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TermError {
+    /// The term has no factors.
+    Empty,
+    /// The term has this many factors, more than [`MAX_FACTORS`].
+    TooManyFactors(usize),
+    /// These output indices appear in no factor of the term.
+    MissingOutput(IndexSet),
+}
+
+impl TermError {
+    /// The one-line diagnostic, naming missing indices as `space` does.
+    #[must_use]
+    pub fn describe(self, space: &IndexSpace) -> String {
+        match self {
+            Self::MissingOutput(set) => format!(
+                "output index `{}` is missing from every factor",
+                space.set_to_string(set)
+            ),
+            other => other.to_string(),
+        }
+    }
+}
+
+impl std::fmt::Display for TermError {
+    /// Without an index space, missing indices are shown by number.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Empty => f.write_str("empty product"),
+            Self::TooManyFactors(n) => write!(
+                f,
+                "a term has {n} factors, more than the {MAX_FACTORS} operation minimization supports"
+            ),
+            Self::MissingOutput(set) => {
+                let ids: Vec<String> = set.iter().map(|v| format!("#{}", v.0)).collect();
+                write!(f, "output index {} is missing from every factor", ids.join(","))
+            }
+        }
+    }
+}
+
+impl From<TermError> for String {
+    fn from(e: TermError) -> Self {
+        e.to_string()
+    }
+}
+
 impl OpMinProblem {
     /// Build a problem from a product term and the target's index set.
-    pub fn from_term(output: IndexSet, term: &Product) -> Result<Self, String> {
+    ///
+    /// # Errors
+    /// The term is empty, has more than [`MAX_FACTORS`] factors, or lacks
+    /// an output index.
+    pub fn from_term(output: IndexSet, term: &Product) -> Result<Self, TermError> {
         if term.factors.is_empty() {
-            return Err("empty product".into());
+            return Err(TermError::Empty);
         }
         if term.factors.len() > MAX_FACTORS {
-            return Err(format!(
-                "a term has {} factors, more than the {MAX_FACTORS} operation minimization supports",
-                term.factors.len()
-            ));
+            return Err(TermError::TooManyFactors(term.factors.len()));
         }
         let factors: Vec<Leaf> = term
             .factors
@@ -76,7 +125,7 @@ impl OpMinProblem {
             .iter()
             .fold(IndexSet::EMPTY, |s, f| s.union(leaf_indices(f)));
         if !output.is_subset(all) {
-            return Err("output index missing from every factor".into());
+            return Err(TermError::MissingOutput(output.minus(all)));
         }
         Ok(Self { output, factors })
     }
@@ -551,7 +600,27 @@ mod tests {
             coeff: 1.0,
             factors: vec![],
         };
-        assert!(OpMinProblem::from_term(z, &empty).is_err());
+        assert_eq!(
+            OpMinProblem::from_term(z, &empty).unwrap_err(),
+            TermError::Empty
+        );
+        // An output index no factor carries is named.
+        let (i, k) = (
+            space.var_by_name("i").unwrap(),
+            space.var_by_name("k").unwrap(),
+        );
+        let broadcast = tce_ir::Product {
+            coeff: 1.0,
+            factors: vec![Factor::Tensor(tce_ir::TensorRef::new(
+                tce_ir::TensorId(0),
+                vec![a, i],
+            ))],
+        };
+        let err = OpMinProblem::from_term(IndexSet::from_vars([a, k]), &broadcast).unwrap_err();
+        assert_eq!(
+            err.describe(&space),
+            "output index `k` is missing from every factor"
+        );
     }
 
     #[test]
@@ -577,7 +646,7 @@ mod tests {
         let err =
             OpMinProblem::from_term(ends(MAX_FACTORS + 1), &chain(MAX_FACTORS + 1)).unwrap_err();
         assert_eq!(
-            err,
+            err.describe(&space),
             "a term has 17 factors, more than the 16 operation minimization supports"
         );
     }

@@ -15,9 +15,10 @@
 //!
 //! Protocol: one line per request, one line per response (newlines and
 //! spaces inside values are backslash-escaped).  Robustness: a bounded
-//! admission queue sheds load with a `busy` reply, every `run` is bounded
-//! by a wall-clock timeout and isolated by `catch_unwind`, and `shutdown`
-//! (or SIGTERM) drains the queue before the listener exits.
+//! admission queue sheds load with a `busy` reply, a request line over
+//! 1 MiB is refused, every `run` is bounded by a wall-clock timeout and
+//! isolated by `catch_unwind` on its worker's runner thread, and
+//! `shutdown` (or SIGTERM) drains the queue before the listener exits.
 //!
 //! [`Synthesis`]: ../tce_core/struct.Synthesis.html
 //! [`Handler`]: server::Handler

@@ -4,16 +4,21 @@
 //! An acceptor thread polls the listener; each accepted connection either
 //! enters the bounded queue or — when the queue is full — is answered
 //! `busy` and closed (load shedding).  `workers` threads pop connections
-//! and serve their request lines.  Every `run` executes on a detached
-//! helper thread under `catch_unwind` with the reply gated by
+//! and serve their request lines, each at most `MAX_REQUEST_BYTES` long.
+//! Each worker hands its `run` requests to its own *runner*, a helper
+//! thread started at the worker's first `run` and kept across every
+//! connection it serves.  The runner calls the handler under
+//! `catch_unwind`, and the worker waits for the outcome with
 //! `recv_timeout`, so a request that panics or overruns its wall-clock
 //! budget produces a clean one-line reply (`err …` / `timeout`) and the
-//! server keeps serving.  A `shutdown` request or SIGTERM stops admission,
-//! drains the queue, and lets `ServerHandle::join` return.
+//! server keeps serving.  A panic leaves the runner in place; an overrun
+//! abandons it to finish detached, and the worker's next `run` starts a
+//! fresh one.  A `shutdown` request or SIGTERM stops admission, drains
+//! the queue, and lets `ServerHandle::join` return.
 
 use crate::protocol::{escape, parse_request, Request};
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -285,6 +290,7 @@ fn admit(mut stream: TcpStream, state: &Arc<State>) {
 }
 
 fn worker_loop(state: &Arc<State>) {
+    let mut runner: Option<Runner> = None;
     loop {
         let conn = {
             let mut queue = state.queue.lock().unwrap_or_else(|e| e.into_inner());
@@ -303,11 +309,19 @@ fn worker_loop(state: &Arc<State>) {
             }
         };
         match conn {
-            Some(stream) => serve_connection(stream, state),
-            None => return,
+            Some(stream) => serve_connection(stream, state, &mut runner),
+            None => break,
         }
     }
+    if let Some(runner) = runner {
+        runner.close();
+    }
 }
+
+/// The longest request line a connection may send, newline excluded.  A
+/// longer line is answered `err` and its connection closed, so a peer
+/// that never sends a newline cannot grow the line buffer without bound.
+pub(crate) const MAX_REQUEST_BYTES: usize = 1 << 20;
 
 /// How long a drain waits for the rest of a request whose first bytes
 /// have already arrived.  An idle connection closes immediately; one with
@@ -316,7 +330,7 @@ fn worker_loop(state: &Arc<State>) {
 const DRAIN_GRACE: Duration = Duration::from_secs(2);
 
 /// Serve every request line on one connection until EOF or shutdown.
-fn serve_connection(stream: TcpStream, state: &Arc<State>) {
+fn serve_connection(stream: TcpStream, state: &Arc<State>, runner: &mut Option<Runner>) {
     // A finite read timeout lets the worker notice a drain even when the
     // client holds the connection open without sending anything.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
@@ -325,14 +339,16 @@ fn serve_connection(stream: TcpStream, state: &Arc<State>) {
     };
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         line.clear();
-        // Retry timed-out reads: `read_line` keeps partial data in `line`,
-        // so resuming after a poll tick loses nothing.
+        // Retry timed-out reads: `read_until` keeps partial data in `line`,
+        // so resuming after a poll tick loses nothing.  One byte past the
+        // newline-free limit is enough to tell an oversized line.
         let mut drain_deadline: Option<std::time::Instant> = None;
         let eof = loop {
-            match reader.read_line(&mut line) {
+            let room = (MAX_REQUEST_BYTES + 1 - line.len()) as u64;
+            match reader.by_ref().take(room).read_until(b'\n', &mut line) {
                 Ok(0) => break true,
                 Ok(_) => break false,
                 Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
@@ -358,7 +374,24 @@ fn serve_connection(stream: TcpStream, state: &Arc<State>) {
         if eof {
             return;
         }
-        let reply = handle_line(&line, state);
+        if line.len() > MAX_REQUEST_BYTES && !line.ends_with(b"\n") {
+            state.errors.fetch_add(1, Ordering::Relaxed);
+            let msg = format!("request line longer than {MAX_REQUEST_BYTES} bytes");
+            let _ = writer.write_all(format!("err {}\n", escape(&msg)).as_bytes());
+            // Closing a socket with unread input resets the connection,
+            // which can destroy the reply before the peer reads it: end
+            // our side first, then discard what is already on its way.
+            let _ = writer.shutdown(std::net::Shutdown::Write);
+            let _ = std::io::copy(
+                &mut reader.take(MAX_REQUEST_BYTES as u64),
+                &mut std::io::sink(),
+            );
+            return;
+        }
+        let Ok(text) = std::str::from_utf8(&line) else {
+            return;
+        };
+        let reply = handle_line(text, state, runner);
         if writer
             .write_all(format!("{reply}\n").as_bytes())
             .and_then(|()| writer.flush())
@@ -372,7 +405,7 @@ fn serve_connection(stream: TcpStream, state: &Arc<State>) {
     }
 }
 
-fn handle_line(line: &str, state: &Arc<State>) -> String {
+fn handle_line(line: &str, state: &Arc<State>, runner: &mut Option<Runner>) -> String {
     let _span = tce_trace::span("serve.request");
     let request = match parse_request(line) {
         Ok(r) => r,
@@ -402,29 +435,83 @@ fn handle_line(line: &str, state: &Arc<State>) -> String {
             }
             reply
         }
-        Request::Run { program, opts } => run_with_timeout(program, opts, state),
+        Request::Run { program, opts } => run_with_timeout(program, opts, state, runner),
     }
 }
 
-/// Execute one `run` on a helper thread: `catch_unwind` isolates handler
-/// panics, `recv_timeout` bounds the wall clock.  On timeout the helper
-/// keeps running detached (its result is dropped on send) — the reply
-/// slot is gone but the process is unharmed.
-fn run_with_timeout(program: String, opts: Vec<(String, String)>, state: &Arc<State>) -> String {
-    let _span = tce_trace::span("serve.run");
-    let (tx, rx) = mpsc::channel();
-    let handler = Arc::clone(&state.handler);
-    let spawned = std::thread::Builder::new()
-        .name("tce-serve-run".to_string())
-        .spawn(move || {
-            let result = catch_unwind(AssertUnwindSafe(|| handler.run(&program, &opts)));
-            let _ = tx.send(result);
-        });
-    if spawned.is_err() {
-        state.errors.fetch_add(1, Ordering::Relaxed);
-        return format!("err {}", escape("cannot spawn request thread"));
+/// One `run` request: the program and its options.
+type Job = (String, Vec<(String, String)>);
+
+/// What a runner's handler call ended in: a reply or diagnostic, or the
+/// payload of a caught panic.
+type Outcome = std::thread::Result<Result<String, String>>;
+
+/// A worker's request thread: it takes `(program, opts)` jobs one at a
+/// time, calls the handler under `catch_unwind`, and sends back the
+/// outcome.  Its loop ends when the job sender drops, or when the outcome
+/// receiver has gone because the worker gave up waiting.
+struct Runner {
+    jobs: mpsc::Sender<Job>,
+    outcomes: mpsc::Receiver<Outcome>,
+    thread: std::thread::JoinHandle<()>,
+}
+
+impl Runner {
+    fn spawn(handler: Arc<dyn Handler>) -> std::io::Result<Self> {
+        let (jobs, job_rx) = mpsc::channel::<Job>();
+        let (outcome_tx, outcomes) = mpsc::channel();
+        let thread = std::thread::Builder::new()
+            .name("tce-serve-run".to_string())
+            .spawn(move || {
+                for (program, opts) in job_rx {
+                    let outcome = catch_unwind(AssertUnwindSafe(|| handler.run(&program, &opts)));
+                    if outcome_tx.send(outcome).is_err() {
+                        return;
+                    }
+                }
+            })?;
+        Ok(Self {
+            jobs,
+            outcomes,
+            thread,
+        })
     }
-    match rx.recv_timeout(state.timeout) {
+
+    /// End an idle runner's loop and wait for its thread.
+    fn close(self) {
+        drop(self.jobs);
+        self.thread
+            .join()
+            .expect("a runner catches every handler panic");
+    }
+}
+
+/// Execute one `run` on this worker's runner, starting one if the worker
+/// has none: `catch_unwind` isolates handler panics, `recv_timeout` bounds
+/// the wall clock.  On timeout the worker drops the runner, which keeps
+/// running detached until the handler returns, fails to send, and exits —
+/// the reply slot is gone but the process is unharmed.
+fn run_with_timeout(
+    program: String,
+    opts: Vec<(String, String)>,
+    state: &Arc<State>,
+    runner: &mut Option<Runner>,
+) -> String {
+    let _span = tce_trace::span("serve.run");
+    let live = match runner.take() {
+        Some(live) => live,
+        None => match Runner::spawn(Arc::clone(&state.handler)) {
+            Ok(fresh) => fresh,
+            Err(_) => {
+                state.errors.fetch_add(1, Ordering::Relaxed);
+                return format!("err {}", escape("cannot spawn request thread"));
+            }
+        },
+    };
+    live.jobs
+        .send((program, opts))
+        .expect("a runner lives while its worker holds it");
+    let reply = match live.outcomes.recv_timeout(state.timeout) {
         Ok(Ok(Ok(payload))) => {
             state.served.fetch_add(1, Ordering::Relaxed);
             format!("ok {}", escape(&payload))
@@ -446,9 +533,11 @@ fn run_with_timeout(program: String, opts: Vec<(String, String)>, state: &Arc<St
         Err(_) => {
             state.timeouts.fetch_add(1, Ordering::Relaxed);
             tce_trace::counter("serve.timeout", 1);
-            "timeout".to_string()
+            return "timeout".to_string();
         }
-    }
+    };
+    *runner = Some(live);
+    reply
 }
 
 #[cfg(test)]
@@ -518,6 +607,98 @@ mod tests {
         assert_eq!((s.served, s.timeouts, s.panics), (1, 1, 1));
         assert!(s.errors >= 2);
 
+        handle.shutdown();
+        handle.join();
+    }
+
+    /// Replies with the id of the thread that ran it; `panic` panics, and
+    /// `block` waits until the test sends on, or drops, the latch.
+    struct WhoAmI(Mutex<mpsc::Receiver<()>>);
+    impl Handler for WhoAmI {
+        fn run(&self, _program: &str, opts: &[(String, String)]) -> Result<String, String> {
+            for (k, _) in opts {
+                match k.as_str() {
+                    "panic" => panic!("requested panic"),
+                    "block" => {
+                        let _ = self.0.lock().unwrap().recv();
+                    }
+                    _ => {}
+                }
+            }
+            Ok(format!("{:?}", std::thread::current().id()))
+        }
+    }
+
+    #[test]
+    fn a_worker_reuses_its_runner_until_a_request_overruns() {
+        let cfg = ServeConfig {
+            workers: 1,
+            timeout: Duration::from_millis(300),
+            ..ServeConfig::default()
+        };
+        let (release, latch) = mpsc::channel();
+        let server = Server::bind(&cfg, Arc::new(WhoAmI(Mutex::new(latch)))).unwrap();
+        let addr = server.local_addr().to_string();
+        let handle = server.spawn();
+        let mut conn = client::Client::connect(&addr).unwrap();
+        let mut run = |opts: &[(&str, &str)]| conn.round_trip(&format_run("x", opts)).unwrap();
+
+        let first = run(&[]);
+        assert!(first.starts_with("ok ThreadId("), "{first}");
+        assert_eq!(run(&[]), first);
+        assert_eq!(run(&[]), first);
+        // A caught panic leaves the runner in place.
+        let pan = run(&[("panic", "")]);
+        assert!(pan.starts_with("err internal"), "{pan}");
+        assert_eq!(run(&[]), first);
+        // The handler stays blocked until the latch is released, so the
+        // reply can only be the timeout; the worker then abandons that
+        // runner and the next `run` gets a fresh one.
+        assert_eq!(run(&[("block", "")]), "timeout");
+        let second = run(&[]);
+        assert!(second.starts_with("ok ThreadId("), "{second}");
+        assert_ne!(second, first);
+        drop(conn);
+        // The worker keeps its runner across connections.
+        assert_eq!(
+            client::request(&addr, &format_run("x", &[])).unwrap(),
+            second
+        );
+
+        let stats = client::request(&addr, "stats").unwrap();
+        for needle in ["served=6", "errors=0", "timeouts=1", "panics=1"] {
+            assert!(stats.contains(needle), "stats missing {needle}: {stats}");
+        }
+        let s = handle.stats();
+        assert_eq!((s.served, s.errors, s.timeouts, s.panics), (6, 0, 1, 1));
+        drop(release);
+        handle.shutdown();
+        handle.join();
+    }
+
+    #[test]
+    fn an_oversized_line_is_refused_and_the_server_keeps_serving() {
+        use std::io::{BufRead, BufReader, Write};
+        let (handle, addr) = start(&ServeConfig::default());
+        let mut stream = std::net::TcpStream::connect(&addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(60)))
+            .unwrap();
+        stream
+            .write_all(&vec![b'x'; MAX_REQUEST_BYTES + 1])
+            .unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        assert_eq!(
+            reply,
+            format!("err {}\n", escape("request line longer than 1048576 bytes"))
+        );
+        // Then the server closes the connection.
+        reply.clear();
+        assert_eq!(reader.read_line(&mut reply).unwrap(), 0);
+        assert_eq!(client::request(&addr, "ping").unwrap(), "ok pong");
+        assert_eq!(handle.stats().errors, 1);
         handle.shutdown();
         handle.join();
     }

@@ -67,7 +67,18 @@ fn malformed_inputs_fail_cleanly() {
     assert_eq!(out.status.code(), Some(1), "17-factor chain");
     assert_eq!(
         one_line_failure(&out, "17-factor chain"),
-        "synthesis error: a term has 17 factors, more than the 16 operation minimization supports"
+        "synthesis error: statement 0 term 0: a term has 17 factors, more than the 16 \
+         operation minimization supports"
+    );
+    // A term that lacks an output index would have to broadcast: the
+    // diagnostic names the statement, the term and the index.
+    let broadcast = "range N = 4;\nindex i, j, k : N;\ntensor A(N, N);\ntensor B(N, N);\n\
+                     tensor C(N);\ntensor S(N, N);\nS[i,j] = sum[k] A[i,k] * B[k,j] + C[i];\n";
+    let out = run_program("broadcast", broadcast, &[]);
+    assert_eq!(out.status.code(), Some(1), "term without `j`");
+    assert_eq!(
+        one_line_failure(&out, "term without `j`"),
+        "synthesis error: statement 0 term 1: output index `j` is missing from every factor"
     );
     // `--help`/`-h` print the usage to stdout and succeed, in all three
     // front ends; the top-level usage names both subcommands.
