@@ -13,7 +13,6 @@
 //! ```text
 //! cargo run --release --bin exp_kernels [-- --max-threads T] [--out PATH]
 //!                                       [--trace TRACE.json]
-//!                                       [--kernel scalar|sse2|avx2]
 //! ```
 //!
 //! With `--trace`, one extra (untimed) traced pass of every case runs at
@@ -22,8 +21,8 @@
 //! perturbs the timed numbers.
 //!
 //! The dispatched SIMD kernel variant (and its cache-derived MC/NC/KC
-//! blocks) is recorded per case; `--kernel` (or `TCE_KERNEL`) pins a
-//! variant for A/B comparisons.  On a single-hardware-thread host the
+//! blocks) is recorded per case; `TCE_KERNEL` pins a variant for A/B
+//! comparisons.  On a single-hardware-thread host the
 //! multi-thread sweep is skipped — scaling numbers there would only
 //! measure scheduler noise.
 
@@ -188,17 +187,9 @@ fn main() {
                         .unwrap_or_else(|| usage_error("--trace needs a path")),
                 )
             }
-            "--kernel" => {
-                let name = args
-                    .next()
-                    .unwrap_or_else(|| usage_error("--kernel needs a variant name"));
-                kernels::KernelVariant::parse(&name)
-                    .and_then(|v| kernels::set_override(Some(v)))
-                    .unwrap_or_else(|e| usage_error(e));
-            }
             other => usage_error(format!(
                 "unknown argument `{other}` (usage: exp_kernels [--max-threads T] \
-                 [--out PATH] [--trace TRACE.json] [--kernel scalar|sse2|avx2])"
+                 [--out PATH] [--trace TRACE.json])"
             )),
         }
     }

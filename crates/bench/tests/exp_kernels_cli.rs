@@ -21,8 +21,6 @@ fn bad_arguments_are_one_line_errors() {
         &["--max-threads", "0"],
         &["--out"],
         &["--trace"],
-        &["--kernel"],
-        &["--kernel", "bogus"],
     ] {
         let (code, stderr) = run(args);
         assert_eq!(code, Some(2), "{args:?}: {stderr}");

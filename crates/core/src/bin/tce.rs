@@ -4,8 +4,7 @@
 //! tce SPEC.tce [--memory-limit N] [--cache N] [--grid PxQx…]
 //!              [--word-cost N] [--execute] [--fused] [--distributed]
 //!              [--seed S] [--threads T]
-//!              [--trace OUT.json] [--kernel scalar|sse2|avx2]
-//!              [--calibration PROFILE.json]
+//!              [--trace OUT.json] [--calibration PROFILE.json]
 //! tce serve [--addr HOST:PORT] [--workers N] [--queue N] [--timeout-ms N]
 //! tce calibrate --out PROFILE.json [--budget-ms N] [--seed S] [--threads T]
 //! ```
@@ -22,10 +21,10 @@
 //! work can fill and never holds more live than the sequential walk.
 //! `--trace OUT.json` enables the `tce-trace` observability layer
 //! (implies `--execute`), writes a chrome://tracing-compatible event
-//! file, and prints a profile report.  `--kernel` pins the contraction
-//! engine's SIMD micro-kernel variant (default: best the host supports,
-//! overridable via `TCE_KERNEL`; `scalar` reproduces pre-dispatch
-//! results bit for bit).  `--distributed` (requires
+//! file, and prints a profile report.  `TCE_KERNEL` pins the contraction
+//! engine's SIMD micro-kernel variant (default: best the host supports;
+//! `scalar` reproduces pre-dispatch results bit for bit).
+//! `--distributed` (requires
 //! `--grid`, implies `--execute`) runs the statement sequence on the
 //! sharded distributed machine and prints measured vs. modeled
 //! communication volumes.  `--fused` (implies `--execute`) runs every
@@ -95,7 +94,6 @@ struct Args {
     seed: u64,
     threads: Option<usize>,
     trace: Option<String>,
-    kernel: Option<tce_core::tensor::KernelVariant>,
     calibration: Option<String>,
 }
 
@@ -112,7 +110,6 @@ fn parse_args() -> Result<Args, String> {
         seed: 42,
         threads: None,
         trace: None,
-        kernel: None,
         calibration: None,
     };
     let mut it = std::env::args().skip(1);
@@ -182,13 +179,6 @@ fn parse_args() -> Result<Args, String> {
                 }
                 args.threads = Some(t);
             }
-            "--kernel" => {
-                let name = it.next().ok_or("--kernel needs a variant name")?;
-                args.kernel = Some(
-                    tce_core::tensor::KernelVariant::parse(&name)
-                        .map_err(|e| format!("bad --kernel: {e}"))?,
-                );
-            }
             "--seed" => {
                 args.seed = it
                     .next()
@@ -202,8 +192,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => print_usage(&format!(
                 "usage: tce SPEC.tce [--memory-limit N] [--cache N] [--grid PxQ] \
                  [--word-cost N] [--execute] [--fused] [--distributed] [--seed S] \
-                 [--threads T] [--trace OUT.json] \
-                 [--kernel scalar|sse2|avx2] [--calibration FILE]\n       \
+                 [--threads T] [--trace OUT.json] [--calibration FILE]\n       \
                  {SERVE_USAGE}\n       {CALIBRATE_USAGE}"
             )),
             other if args.spec_path.is_empty() && !other.starts_with('-') => {
@@ -274,14 +263,12 @@ fn serve_args() -> Result<tce_serve::ServeConfig, String> {
     Ok(cfg)
 }
 
-/// Validate every numeric environment knob before any work: a typo'd
-/// `TCE_THREADS=banana` or degenerate `TCE_PLAN_CACHE_CAP=0` is a
-/// one-line diagnostic and a nonzero exit, not a silent clamp or a panic
-/// inside the first contraction.
+/// Validate every environment knob before any work: a typo'd
+/// `TCE_THREADS=banana` or an unreadable `TCE_CALIBRATION` is a one-line
+/// diagnostic and a nonzero exit, not a silent clamp or a panic inside the
+/// first contraction.
 fn validate_env() -> Result<(), String> {
     tce_core::par::threads_env_requested()?;
-    tce_core::tensor::plan_cache_env_requested()?;
-    tce_core::tensor::bufpool_env_requested()?;
     tce_core::calib::calibration_env_requested()?;
     Ok(())
 }
@@ -462,18 +449,11 @@ fn main() -> ExitCode {
         eprintln!("{e}");
         return ExitCode::FAILURE;
     }
-    // Apply --kernel (CPUID-checked), then validate TCE_KERNEL up front
-    // so a bad value is a one-line diagnostic, not a panic inside the
-    // first contraction.
-    if let Err(e) = tce_core::tensor::kernels::set_override(args.kernel) {
-        eprintln!("bad --kernel: {e}");
+    // Validate TCE_KERNEL up front so a bad value is a one-line
+    // diagnostic, not a panic inside the first contraction.
+    if let Err(e) = tce_core::tensor::kernels::env_requested() {
+        eprintln!("{e}");
         return ExitCode::FAILURE;
-    }
-    if args.kernel.is_none() {
-        if let Err(e) = tce_core::tensor::kernels::env_requested() {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
     }
     let src = match std::fs::read_to_string(&args.spec_path) {
         Ok(s) => s,

@@ -22,7 +22,7 @@ use std::sync::OnceLock;
 use tce_calib::CostRates;
 use tce_dist::{optimize_distribution, DistPlan, Machine};
 use tce_exec::{ExecError, ExecOptions};
-use tce_fusion::{fused_program, memmin_dp, MemMinResult};
+use tce_fusion::{lowered_program, memmin_dp, Lowering, MemMinResult};
 use tce_ir::{Assignment, CostPoly, IndexSpace, OpTree, Product, Program, TensorId};
 use tce_lang::LangError;
 use tce_locality::{
@@ -113,7 +113,11 @@ pub struct TermPlan {
     pub memmin: MemMinResult,
     /// Space-time outcome, engaged when fusion alone exceeds the limit.
     pub spacetime: Option<(SpaceTimeConfig, TilingResult)>,
-    /// The executable fused loop program (memory-minimal fusion).
+    /// The selected configuration, checked once by the legality rule: the
+    /// space-time plan's when one is engaged, the memory-minimal fusion's
+    /// otherwise.  Code generation and the fused executor run it.
+    pub lowering: Lowering,
+    /// The executable fused loop program (of [`TermPlan::lowering`]).
     pub built: BuiltProgram,
     /// Locality stage outcome per perfect nest of the fused program.
     pub locality: Vec<TileSearchResult>,
@@ -429,8 +433,7 @@ impl Synthesis {
     /// element count is met exactly.
     ///
     /// # Errors
-    /// [`ExecError`] if a binding is missing/mis-shaped or a term's fusion
-    /// configuration is rejected.
+    /// [`ExecError`] if a binding is missing or mis-shaped.
     pub fn execute_fused_opts(
         &self,
         external_inputs: &HashMap<TensorId, &Tensor>,
@@ -442,32 +445,14 @@ impl Synthesis {
         // temporaries in between, so the whole-run peak is the per-term
         // maximum the summary reports.
         let (outputs, reports) = self.run_statements(external_inputs, 1, &|plan, inputs| {
-            let mut report = match &plan.spacetime {
-                Some((st_cfg, _)) => {
-                    let (chain_labels, array_config) = st_cfg
-                        .lowering_configs(&plan.tree)
-                        .map_err(|overlap| ExecError::InvalidProgram {
-                            reason: overlap.describe(space),
-                        })?;
-                    tce_exec::execute_tree_fused_with_labels(
-                        &plan.tree,
-                        space,
-                        &chain_labels,
-                        &array_config,
-                        inputs,
-                        funcs,
-                        opts,
-                    )?
-                }
-                None => tce_exec::execute_tree_fused(
-                    &plan.tree,
-                    space,
-                    &plan.memmin.config,
-                    inputs,
-                    funcs,
-                    opts,
-                )?,
-            };
+            let mut report = tce_exec::execute_tree_lowered(
+                &plan.tree,
+                space,
+                &plan.lowering,
+                inputs,
+                funcs,
+                opts,
+            )?;
             let value = std::mem::replace(&mut report.result, Tensor::zeros(&[]));
             Ok((value, (plan.stmt_index, plan.term_index, report)))
         })?;
@@ -624,24 +609,16 @@ impl Synthesis {
         assigned.dedup();
         let peak = self.plans.iter().map(|plan| {
             let tree = &plan.tree;
-            match (&plan.spacetime, fused) {
-                (Some((st, _)), true) => tce_fusion::FusionConfig {
-                    fused: st.fused.clone(),
-                }
-                .temp_memory(tree, space),
-                (None, true) => plan.memmin.memory,
-                (_, false) => {
-                    let unfused = tce_fusion::FusionConfig::unfused(tree);
-                    tce_fusion::schedule::fusion_schedule_with_labels(tree, &unfused)
-                        .sequential_peak(|n| {
-                            if n != tree.root && tce_fusion::config::is_fusable_producer(tree, n) {
-                                space.iteration_points(tree.node(n).indices)
-                            } else {
-                                0
-                            }
-                        })
-                }
+            if fused {
+                return plan.lowering.array_config().temp_memory(tree, space);
             }
+            tce_fusion::fusion_schedule(tree, &Lowering::unfused(tree)).sequential_peak(|n| {
+                if n != tree.root && tce_fusion::config::is_fusable_producer(tree, n) {
+                    space.iteration_points(tree.node(n).indices)
+                } else {
+                    0
+                }
+            })
         });
         (self.bound_inputs().into_iter())
             .chain(assigned)
@@ -872,18 +849,19 @@ fn plan_term(
         }
     }
 
-    // Executable code: the memory-minimal pure-fusion program when it
-    // fits; otherwise the chosen fusion/recomputation configuration,
-    // emitted untiled (its memory is ≤ the tiled plan's, so it always
-    // fits the limit; the tiled plan's analytics accompany the report).
+    // The selected configuration, checked once: the memory-minimal
+    // pure-fusion one when it fits; otherwise the chosen
+    // fusion/recomputation configuration, emitted untiled (its memory is ≤
+    // the tiled plan's, so it always fits the limit; the tiled plan's
+    // analytics accompany the report).
+    let lowering = match &spacetime {
+        Some((st_cfg, _)) => st_cfg.lowering_configs(&tree),
+        None => memmin.config.lowering(&tree),
+    }
+    .map_err(|illegal| SynthesisError::Stage(illegal.describe(space)))?;
     let result_name = program.tensors.get(stmt.lhs.tensor).name.clone();
-    let built = match &spacetime {
-        Some((st_cfg, _)) => {
-            tce_spacetime::spacetime_program(&tree, space, &program.tensors, st_cfg, &result_name)
-                .map_err(SynthesisError::Stage)?
-        }
-        None => fused_program(&tree, space, &program.tensors, &memmin.config, &result_name),
-    };
+    let built = lowered_program(&tree, space, &program.tensors, &lowering, &result_name);
+    built.program.validate().map_err(SynthesisError::Stage)?;
 
     // The space-time stage is bypassed whenever pure fusion already fits;
     // record a zero-length marker so traces always show all six stages.
@@ -954,6 +932,7 @@ fn plan_term(
         tree_rank,
         memmin,
         spacetime,
+        lowering,
         built,
         locality,
         distribution,

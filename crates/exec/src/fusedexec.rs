@@ -1,11 +1,12 @@
 //! Fused-slice execution of operator trees: memory minimization made real.
 //!
-//! [`execute_tree_fused`] compiles a [`FusionConfig`] + [`OpTree`] into a
-//! [`tce_fusion::FusionSchedule`] — the fused chain loops of the
-//! configuration's laminar scopes — and executes it on real tensors
-//! ([`execute_tree_fused_with_labels`] takes the chain labels and the array
-//! configuration separately, which is how a space-time plan with
-//! *redundant* recomputation loops runs).
+//! [`execute_tree_lowered`] compiles a checked [`Lowering`] of an
+//! [`OpTree`] into a [`tce_fusion::FusionSchedule`] — the fused chain
+//! loops of the configuration's laminar scopes — and executes it on real
+//! tensors (a lowering carries chain labels beside the array
+//! configuration, which is how a space-time plan with *redundant*
+//! recomputation loops runs; [`execute_tree_fused`] checks a plain
+//! [`FusionConfig`] first).
 //! Each fused intermediate is allocated **once** at its *reduced*
 //! (fusion-shrunk) shape, so the measured peak intermediate storage equals
 //! the plan's predicted element count exactly; inside
@@ -65,8 +66,9 @@ use crate::treeexec::ExecOptions;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use tce_fusion::schedule::fusion_schedule_with_labels;
-use tce_fusion::{is_fusable_producer, FusionConfig, FusionSchedule, ScheduleStep};
+use tce_fusion::{
+    fusion_schedule, is_fusable_producer, FusionConfig, FusionSchedule, Lowering, ScheduleStep,
+};
 use tce_ir::{IndexSet, IndexSpace, IndexVar, Leaf, NodeId, OpKind, OpTree, TensorId};
 use tce_par::{parallel_chunks_mut, TaskGraph};
 use tce_tensor::dense::row_major_strides;
@@ -120,6 +122,9 @@ impl FusedExecReport {
 /// every fused intermediate once at its reduced shape and contracting on
 /// slices (see the module docs).  Results are bitwise identical for every
 /// `opts.threads` value.
+///
+/// # Errors
+/// [`ExecError::InvalidProgram`] when the legality rule rejects `config`.
 pub fn execute_tree_fused(
     tree: &OpTree,
     space: &IndexSpace,
@@ -128,27 +133,24 @@ pub fn execute_tree_fused(
     funcs: &HashMap<String, IntegralFn>,
     opts: &ExecOptions,
 ) -> Result<FusedExecReport, ExecError> {
-    config
-        .check(tree)
-        .map_err(|e| ExecError::InvalidProgram { reason: e })?;
-    execute_tree_fused_with_labels(tree, space, config, config, inputs, funcs, opts)
+    let lowering = config
+        .lowering(tree)
+        .map_err(|illegal| ExecError::InvalidProgram {
+            reason: illegal.describe(space),
+        })?;
+    execute_tree_lowered(tree, space, &lowering, inputs, funcs, opts)
 }
 
-/// Generalized fused execution: `chain_labels` defines the chain loops
-/// (its per-edge sets may include *redundant* indices, whose loops wrap
-/// and re-execute the child's production — the space-time transformation
-/// of paper Fig. 3), while `array_config` defines the array shapes (only
-/// genuinely fused dimensions are eliminated) and therefore the modeled
-/// live-set.  For plain fusion both are the same configuration.
-///
-/// The caller is responsible for legality: the chain scopes of
-/// `chain_labels` must be nested or disjoint
-/// ([`tce_fusion::chains::check_scopes`]).
-pub fn execute_tree_fused_with_labels(
+/// Execute a checked lowering: its chain labels define the chain loops
+/// (a label may include *redundant* indices, whose loops wrap and
+/// re-execute the child's production — the space-time transformation of
+/// paper Fig. 3), while its array configuration defines the array shapes
+/// (only genuinely fused dimensions are eliminated) and therefore the
+/// modeled live-set.
+pub fn execute_tree_lowered(
     tree: &OpTree,
     space: &IndexSpace,
-    chain_labels: &FusionConfig,
-    array_config: &FusionConfig,
+    lowering: &Lowering,
     inputs: &HashMap<TensorId, &Tensor>,
     funcs: &HashMap<String, IntegralFn>,
     opts: &ExecOptions,
@@ -156,6 +158,7 @@ pub fn execute_tree_fused_with_labels(
     let _span = tce_trace::span("exec.fused");
 
     tce_dist::validate_bindings(tree, space, inputs, funcs)?;
+    let array_config = lowering.array_config();
     let modeled_elements = array_config.temp_memory(tree, space);
 
     // A bare stored-input (or One) root has no producer nest to fuse.
@@ -174,7 +177,7 @@ pub fn execute_tree_fused_with_labels(
         });
     }
 
-    let schedule = fusion_schedule_with_labels(tree, chain_labels);
+    let schedule = fusion_schedule(tree, lowering);
 
     // Every producer's array keeps its reduced dimensions; allocation
     // itself follows the schedule's lifetimes, step by step.

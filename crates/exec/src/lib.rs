@@ -48,7 +48,7 @@ pub mod treeexec;
 
 pub use cache::{CacheSink, LruCache};
 pub use error::ExecError;
-pub use fusedexec::{execute_tree_fused, execute_tree_fused_with_labels, FusedExecReport};
+pub use fusedexec::{execute_tree_fused, execute_tree_lowered, FusedExecReport};
 pub use interp::{AccessSink, ExecStats, Interpreter, NoSink};
 pub use treeexec::{
     execute_tree, execute_tree_distributed, execute_tree_opts, ExecOptions, Schedule,

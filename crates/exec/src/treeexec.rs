@@ -19,7 +19,7 @@
 
 use crate::error::ExecError;
 use std::collections::HashMap;
-use tce_fusion::FusionConfig;
+use tce_fusion::Lowering;
 use tce_ir::{IndexSpace, OpTree, TensorId};
 use tce_tensor::{IntegralFn, Tensor};
 
@@ -91,7 +91,7 @@ impl ExecOptions {
 
 /// Evaluate `tree` bottom-up and return the root value, every
 /// intermediate at full size: the fused walker
-/// ([`crate::execute_tree_fused_with_labels`]) on the empty fusion
+/// ([`crate::execute_tree_lowered`]) on the empty fusion
 /// configuration (see the module docs).  Each contraction node is one task
 /// on [`tce_par::TaskGraph`], after its children, on as many of
 /// `opts.threads` scheduler slots as the nodes' flops fill; a node's value
@@ -115,10 +115,8 @@ pub fn execute_tree_opts(
     opts: &ExecOptions,
 ) -> Result<Tensor, ExecError> {
     let _span = tce_trace::span("exec.tree");
-    let unfused = FusionConfig::unfused(tree);
-    let report = crate::execute_tree_fused_with_labels(
-        tree, space, &unfused, &unfused, inputs, funcs, opts,
-    )?;
+    let unfused = Lowering::unfused(tree);
+    let report = crate::execute_tree_lowered(tree, space, &unfused, inputs, funcs, opts)?;
     Ok(report.result)
 }
 

@@ -1,18 +1,17 @@
-//! Fusion chains and the paper's global scope-nesting condition.
+//! Fusion chains (paper §5).
 //!
-//! Fusing more than two loop nests on an index produces a *fusion chain*
-//! (paper §5); the *scope* of a chain is the set of operator-tree nodes it
-//! spans.  "The scope of any two fusion chains in a fusion graph must
-//! either be disjoint or a subset/superset of each other.  Scopes of fusion
-//! chains do not partially overlap because loops do not."
+//! Fusing more than two loop nests on an index produces a *fusion chain*;
+//! the *scope* of a chain is the set of operator-tree nodes it spans.
+//! "The scope of any two fusion chains in a fusion graph must either be
+//! disjoint or a subset/superset of each other.  Scopes of fusion chains
+//! do not partially overlap because loops do not."
 //!
-//! [`chains_of`] extracts every chain of a configuration and
-//! [`check_chainwise`] applies the global condition directly.  This is the
-//! oracle the local pattern-comparability check in
-//! [`crate::config::FusionConfig::check`] is validated against.
+//! [`chains_of`] extracts every chain of a configuration; the legality
+//! rule ([`crate::config::Lowering::new`]) tests their scopes, and the
+//! schedule ([`crate::schedule`]) turns them into loops.
 
-use crate::config::{fusable_set, FusionConfig};
-use tce_ir::{IndexSet, IndexSpace, IndexVar, NodeId, OpTree};
+use crate::config::FusionConfig;
+use tce_ir::{IndexSet, IndexVar, NodeId, OpTree};
 
 /// One fusion chain: a maximal connected set of tree edges fused on the
 /// same index.
@@ -27,7 +26,7 @@ pub struct Chain {
 impl Chain {
     /// Scope as a bitmask over node ids (trees here are far smaller than
     /// 128 nodes).
-    fn scope_mask(&self) -> u128 {
+    pub(crate) fn scope_mask(&self) -> u128 {
         self.scope.iter().fold(0u128, |m, n| m | (1u128 << n.0))
     }
 }
@@ -82,79 +81,6 @@ pub fn chains_of(tree: &OpTree, config: &FusionConfig) -> Vec<Chain> {
     out
 }
 
-/// Two chains, on these indices, whose scopes partially overlap: the
-/// configuration breaks the paper's global feasibility condition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScopeOverlap(pub IndexVar, pub IndexVar);
-
-impl ScopeOverlap {
-    /// The one-line diagnostic, naming both indices.
-    pub fn describe(self, space: &IndexSpace) -> String {
-        format!(
-            "chains on `{}` and `{}` have partially overlapping scopes",
-            space.var_name(self.0),
-            space.var_name(self.1)
-        )
-    }
-}
-
-/// Without an index space to name them, the indices print as ids.
-impl std::fmt::Display for ScopeOverlap {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "chains on index ids {} and {} have partially overlapping scopes",
-            self.0 .0, self.1 .0
-        )
-    }
-}
-
-/// Scope-nesting part of the feasibility condition only (no basic
-/// well-formedness): every pair of chain scopes must be disjoint or
-/// nested.
-pub fn check_scopes(tree: &OpTree, config: &FusionConfig) -> Result<(), ScopeOverlap> {
-    let chains = chains_of(tree, config);
-    for (i, a) in chains.iter().enumerate() {
-        let ma = a.scope_mask();
-        for b in &chains[i + 1..] {
-            let mb = b.scope_mask();
-            let inter = ma & mb;
-            if inter != 0 && inter != ma && inter != mb {
-                return Err(ScopeOverlap(a.index, b.index));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// The paper's global feasibility condition, checked directly: every pair
-/// of chain scopes must be disjoint or nested.  Also re-checks that each
-/// fused set is within the edge's fusable set.  Diagnostics name indices
-/// from `space`.
-pub fn check_chainwise(
-    tree: &OpTree,
-    config: &FusionConfig,
-    space: &IndexSpace,
-) -> Result<(), String> {
-    if !config.get(tree.root).is_empty() {
-        return Err("root has no parent edge to fuse".into());
-    }
-    let parents = tree.parents();
-    for id in tree.postorder() {
-        if id == tree.root {
-            continue;
-        }
-        let u = parents[id.0 as usize].unwrap();
-        if !config.get(id).is_subset(fusable_set(tree, id, u)) {
-            return Err(format!(
-                "edge {}→{}: fused set outside the fusable set",
-                id.0, u.0
-            ));
-        }
-    }
-    check_scopes(tree, config).map_err(|overlap| overlap.describe(space))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,7 +107,7 @@ mod tests {
         assert!(by_index.contains(&(c, 3)));
         assert!(by_index.contains(&(d, 2)));
         assert!(by_index.contains(&(f, 2)));
-        check_chainwise(&tree, &cfg, &space).unwrap();
+        cfg.check(&tree).unwrap();
     }
 
     #[test]
@@ -192,12 +118,11 @@ mod tests {
         // {T1,T2}, j/k chains span {T2,S} — partial overlap at T2.
         cfg.set(t2, space.parse_set("j,k").unwrap());
         cfg.set(t1, space.parse_set("d,f").unwrap());
-        let err = check_chainwise(&tree, &cfg, &space).unwrap_err();
+        let err = cfg.lowering(&tree).unwrap_err();
         assert_eq!(
-            err, "chains on `d` and `j` have partially overlapping scopes",
-            "{err}"
+            err.describe(&space),
+            "chains on `d` and `j` have partially overlapping scopes"
         );
-        // The local pattern check agrees.
         assert!(cfg.check(&tree).is_err());
     }
 
@@ -231,82 +156,9 @@ mod tests {
         cfg.set(x, i.singleton());
         cfg.set(y, i.singleton());
         // One i-chain spanning {X, Y, root}: legal.
-        check_chainwise(&tree, &cfg, &space).unwrap();
         cfg.check(&tree).unwrap();
         let chains = chains_of(&tree, &cfg);
         assert_eq!(chains.len(), 1);
         assert_eq!(chains[0].scope.len(), 3);
-    }
-
-    #[test]
-    fn local_and_global_checks_agree_on_random_configs() {
-        use tce_ir::rng::Rng;
-        // Randomized equivalence: on random trees, enumerate random fused
-        // sets per edge and compare the local pattern check with the
-        // global chain-scope condition.
-        let mut rng = Rng::new(7_2002);
-        for trial in 0..200 {
-            let mut space = IndexSpace::new();
-            let n = space.add_range("N", 3);
-            let vars: Vec<_> = (0..6).map(|q| space.add_var(&format!("x{q}"), n)).collect();
-            let mut tensors = TensorTable::new();
-            let mut tree = OpTree::new();
-            // Random tree over 3-4 leaves.
-            let nleaves = rng.usize_in(3..5);
-            let mut nodes: Vec<NodeId> = (0..nleaves)
-                .map(|li| {
-                    let arity = rng.usize_in(1..4);
-                    let mut set = IndexSet::EMPTY;
-                    let mut idxs = Vec::new();
-                    for _ in 0..arity {
-                        let v = vars[rng.usize_in(0..vars.len())];
-                        if !set.contains(v) {
-                            set.insert(v);
-                            idxs.push(v);
-                        }
-                    }
-                    let dims = idxs.iter().map(|&v| space.range_of(v)).collect();
-                    let t = tensors.add(TensorDecl::dense(&format!("T{trial}_{li}"), dims));
-                    tree.leaf_input(t, idxs)
-                })
-                .collect();
-            while nodes.len() > 1 {
-                let a = nodes.swap_remove(rng.usize_in(0..nodes.len()));
-                let b = nodes.swap_remove(rng.usize_in(0..nodes.len()));
-                let combined = tree.node(a).indices.union(tree.node(b).indices);
-                // Keep a random subset of the combined indices.
-                let mut keep = IndexSet::EMPTY;
-                for v in combined.iter() {
-                    if rng.bool_with(0.6) {
-                        keep.insert(v);
-                    }
-                }
-                nodes.push(tree.contract(a, b, keep));
-            }
-            // Random configuration.
-            let parents = tree.parents();
-            let mut cfg = FusionConfig::unfused(&tree);
-            for id in tree.postorder() {
-                if id == tree.root {
-                    continue;
-                }
-                let u = parents[id.0 as usize].unwrap();
-                let fs = fusable_set(&tree, id, u);
-                let mut pick = IndexSet::EMPTY;
-                for v in fs.iter() {
-                    if rng.bool_with(0.5) {
-                        pick.insert(v);
-                    }
-                }
-                cfg.set(id, pick);
-            }
-            let local = cfg.check(&tree).is_ok();
-            let global = check_chainwise(&tree, &cfg, &space).is_ok();
-            assert_eq!(
-                local, global,
-                "trial {trial}: local={local} global={global} cfg={:?}",
-                cfg.fused
-            );
-        }
     }
 }

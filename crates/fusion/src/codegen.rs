@@ -15,8 +15,8 @@
 //! its *private* loops (its loop indices not covered by the enclosing
 //! chains).
 
-use crate::config::FusionConfig;
-use crate::schedule::{fusion_schedule_with_labels, FusionSchedule, ScheduleStep};
+use crate::config::{FusionConfig, Lowering};
+use crate::schedule::{fusion_schedule, FusionSchedule, ScheduleStep};
 use std::collections::HashMap;
 use tce_ir::{IndexSet, IndexSpace, Leaf, NodeId, OpKind, OpTree, TensorTable};
 use tce_loops::{
@@ -34,30 +34,26 @@ pub fn fused_program(
     config: &FusionConfig,
     result_name: &str,
 ) -> BuiltProgram {
-    config
-        .check(tree)
+    let lowering = config
+        .lowering(tree)
         .expect("fused_program requires a legal configuration");
-    fused_program_with_labels(tree, space, tensors, config, config, result_name)
+    lowered_program(tree, space, tensors, &lowering, result_name)
 }
 
-/// Generalized emission: `chain_labels` defines the loop structure (its
-/// per-edge sets may include *redundant* indices that are not indices of
-/// the child — their chains wrap the child's nest and re-execute it, the
-/// space-time transformation of paper Fig. 3), while `array_config`
-/// defines the array dimensions (only genuinely fused dimensions are
-/// eliminated).  For plain fusion both are the same configuration.
-///
-/// The caller is responsible for legality: the chain scopes of
-/// `chain_labels` must be nested or disjoint
-/// ([`crate::chains::check_scopes`]).
-pub fn fused_program_with_labels(
+/// Emit the program of a checked [`Lowering`]: its chain labels define
+/// the loop structure (a label may include *redundant* indices that are
+/// not indices of the child — their chains wrap the child's nest and
+/// re-execute it, the space-time transformation of paper Fig. 3), while
+/// its array configuration defines the array dimensions (only genuinely
+/// fused dimensions are eliminated).
+pub fn lowered_program(
     tree: &OpTree,
     space: &IndexSpace,
     tensors: &TensorTable,
-    chain_labels: &FusionConfig,
-    array_config: &FusionConfig,
+    lowering: &Lowering,
     result_name: &str,
 ) -> BuiltProgram {
+    let array_config = lowering.array_config();
     let mut p = LoopProgram::new();
     let mut index_var: HashMap<u8, LoopVarId> = HashMap::new();
     let mut node_array: Vec<ArrayId> = vec![ArrayId(u32::MAX); tree.len()];
@@ -111,8 +107,8 @@ pub fn fused_program_with_labels(
     }
 
     // --- body: the placement's step tree, lowered to statements ---
-    let schedule = fusion_schedule_with_labels(tree, chain_labels);
-    p.body = Lowering {
+    let schedule = fusion_schedule(tree, lowering);
+    p.body = Emitter {
         tree,
         array_config,
         schedule: &schedule,
@@ -142,7 +138,7 @@ fn remaining_dims(tree: &OpTree, config: &FusionConfig, id: NodeId) -> Vec<VarRa
 }
 
 /// Lowering of a [`FusionSchedule`] to loop-IR statements.
-struct Lowering<'a> {
+struct Emitter<'a> {
     tree: &'a OpTree,
     array_config: &'a FusionConfig,
     schedule: &'a FusionSchedule,
@@ -151,7 +147,7 @@ struct Lowering<'a> {
     func_of: &'a HashMap<u32, tce_loops::FuncId>,
 }
 
-impl Lowering<'_> {
+impl Emitter<'_> {
     fn lower(&self, steps: &[ScheduleStep]) -> Vec<Stmt> {
         steps
             .iter()

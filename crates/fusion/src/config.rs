@@ -1,37 +1,40 @@
-//! Fusion configurations over operator trees.
+//! Fusion configurations over operator trees, and the one rule that
+//! decides which are legal.
 //!
 //! A *fusion configuration* assigns to every tree edge (child → parent) the
 //! set of common loop indices fused along that edge.  Fusing an index
 //! eliminates that dimension of the child's intermediate array (paper §2,
-//! §5).  This module defines configurations, the *recursive set-based
-//! legality conditions* equivalent to the paper's fusion-graph condition
-//! ("the scope of any two fusion chains must either be disjoint or a
-//! subset/superset of each other"), and the memory metric the
-//! memory-minimization DP optimizes.
+//! §5).  A space-time configuration adds, per edge, *redundant* indices:
+//! parent loops the child lacks, placed around the child's nest so that it
+//! is recomputed once per iteration (the redundant vertices of paper
+//! Fig. 7).
 //!
-//! Legality (no-recomputation fusion) at a node `u` with parent-edge fused
-//! set `p` and child-edge fused sets `c₁, c₂`:
+//! [`Lowering::new`] is the legality rule every stage calls — memory
+//! minimization, space-time selection, code generation and the fused
+//! executor.  A configuration is legal when
 //!
-//! 1. `cᵢ ⊆ I(childᵢ) ∩ loops(u)` — only common loops can fuse;
-//! 2. **pattern comparability** — for every index `x ∈ p ∪ c₁ ∪ c₂`, form
-//!    its membership pattern over the three incident edges,
-//!    `pat(x) ⊆ {P, L, R}`; all patterns must be pairwise
-//!    subset-comparable.  A fused index corresponds to a loop whose scope
-//!    spans the nodes its chain of fused edges connects; two indices whose
-//!    patterns are incomparable at `u` would need loops whose scopes
-//!    partially overlap — exactly what the paper's fusion-graph condition
-//!    ("the scope of any two fusion chains must either be disjoint or a
-//!    subset/superset of each other", §5) forbids.  Note this *permits*
-//!    `c ⊂ p` and `p ⊂ c` cases, realized by interleaving a child's
-//!    emission with the opening of the parent's fused loops.
+//! 1. each fused set lies within its edge's fusable set ([`fusable_set`]:
+//!    the child's result indices that are parent loops — stored inputs,
+//!    read in place, have none);
+//! 2. each redundant set lies within [`redundant_candidates`] (parent
+//!    loops the child lacks);
+//! 3. the chain scopes of the per-edge labels fused ∪ redundant are
+//!    nested: "the scope of any two fusion chains … must either be
+//!    disjoint or a subset/superset of each other" (§5).
 //!
-//! Children without a producer nest (stored inputs, the constant 1) are
-//! read in place: their edge is always `∅` and imposes no constraint.
+//! Condition 3 also covers every per-node test one might state: two fused
+//! indices whose edge patterns at a node are incomparable are two chains
+//! through that node, each holding a node the other lacks.
 //!
-//! The equivalence of these local conditions with the paper's global
-//! chain-scope condition is verified on randomized trees in `chains.rs`.
+//! A legal configuration comes back as a [`Lowering`]: the chain labels
+//! (fused ∪ redundant per edge, which shape the loops) beside the array
+//! configuration (the fused part alone, which shapes the arrays).  The
+//! lowerings — [`crate::schedule`], [`crate::codegen`] and the fused
+//! executor — take nothing else, so no unchecked configuration reaches
+//! them.
 
-use tce_ir::{IndexSet, IndexSpace, NodeId, OpKind, OpTree};
+use crate::chains::chains_of;
+use tce_ir::{IndexSet, IndexSpace, IndexVar, NodeId, OpKind, OpTree};
 
 /// Which nodes own a producer loop nest (and an intermediate array) that
 /// fusion can shrink.
@@ -49,6 +52,16 @@ pub fn fusable_set(tree: &OpTree, child: NodeId, parent: NodeId) -> IndexSet {
         return IndexSet::EMPTY;
     }
     tree.node(child).indices.inter(tree.loop_indices(parent))
+}
+
+/// The largest redundant set on the edge `child → parent`: parent loops
+/// the child does not have (paper Fig. 7's redundant vertices; only
+/// producers can be recomputed).
+pub fn redundant_candidates(tree: &OpTree, child: NodeId, parent: NodeId) -> IndexSet {
+    if !is_fusable_producer(tree, child) {
+        return IndexSet::EMPTY;
+    }
+    tree.loop_indices(parent).minus(tree.loop_indices(child))
 }
 
 /// A fusion configuration: `fused[n]` is the set fused on the edge from
@@ -77,77 +90,15 @@ impl FusionConfig {
         self.fused[id.0 as usize] = s;
     }
 
-    /// Check legality: basic well-formedness plus the paper's global
-    /// chain-scope condition ("the scope of any two fusion chains must
-    /// either be disjoint or a subset/superset of each other").  The local
-    /// pattern test below is a fast necessary pre-filter; the chain
-    /// condition is authoritative — nesting orders established at one node
-    /// must stay consistent along whole chains, which no single-node test
-    /// captures (see the ordered-state DP in [`crate::memmin`]).
-    pub fn check(&self, tree: &OpTree) -> Result<(), String> {
-        self.check_local(tree)?;
-        crate::chains::check_scopes(tree, self).map_err(|overlap| overlap.to_string())
+    /// This configuration as a [`Lowering`] (no redundant loops), if the
+    /// legality rule admits it.
+    pub fn lowering(&self, tree: &OpTree) -> Result<Lowering, Illegal> {
+        Lowering::new(tree, &self.fused, &[])
     }
 
-    /// The local (per-node) pattern-comparability conditions — necessary
-    /// but not sufficient; see [`FusionConfig::check`].
-    pub fn check_local(&self, tree: &OpTree) -> Result<(), String> {
-        if self.fused.len() != tree.len() {
-            return Err("configuration size mismatch".into());
-        }
-        if !self.get(tree.root).is_empty() {
-            return Err("root has no parent edge to fuse".into());
-        }
-        for id in tree.postorder() {
-            let p = self.get(id);
-            match tree.node(id).kind {
-                OpKind::Leaf(_) => {
-                    if !p.is_subset(tree.node(id).indices) {
-                        return Err(format!("node {}: fused set exceeds leaf indices", id.0));
-                    }
-                    if !p.is_empty() && !is_fusable_producer(tree, id) {
-                        return Err(format!(
-                            "node {}: stored inputs cannot be fused (they are read in place)",
-                            id.0
-                        ));
-                    }
-                }
-                OpKind::Contract { left, right } => {
-                    let c1 = self.get(left);
-                    let c2 = self.get(right);
-                    for (child, c) in [(left, c1), (right, c2)] {
-                        if !c.is_subset(fusable_set(tree, child, id)) {
-                            return Err(format!(
-                                "edge {}→{}: fused set {:?} not within the fusable set",
-                                child.0, id.0, c
-                            ));
-                        }
-                    }
-                    // Pattern comparability: pat(x) over incident edges
-                    // (bit 0 = parent, 1 = left child, 2 = right child).
-                    let all = p.union(c1).union(c2);
-                    let mut patterns: Vec<u8> = Vec::new();
-                    for x in all.iter() {
-                        let pat = (p.contains(x) as u8)
-                            | ((c1.contains(x) as u8) << 1)
-                            | ((c2.contains(x) as u8) << 2);
-                        patterns.push(pat);
-                    }
-                    for (i, &a) in patterns.iter().enumerate() {
-                        for &b in &patterns[i + 1..] {
-                            if a & b != a && a & b != b {
-                                return Err(format!(
-                                    "node {}: incomparable fusion patterns — the fused loops' \
-                                     scopes would partially overlap (chains cannot nest)",
-                                    id.0
-                                ));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
+    /// Check legality with [`Lowering::new`] (no redundant loops).
+    pub fn check(&self, tree: &OpTree) -> Result<(), String> {
+        self.lowering(tree).map(drop).map_err(|e| e.to_string())
     }
 
     /// Remaining dimensions of the array produced by `id` under this
@@ -169,6 +120,148 @@ impl FusionConfig {
             total = total.saturating_add(space.iteration_points(self.array_indices(tree, id)));
         }
         total
+    }
+}
+
+/// The first rule an illegal configuration breaks (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Illegal {
+    /// The configuration does not hold one set per tree node.
+    SizeMismatch,
+    /// The root, which has no parent edge, carries a label.
+    RootLabelled,
+    /// A stored input, read in place, carries a label.
+    StoredInput(NodeId),
+    /// The edge from this node fuses an index outside its fusable set.
+    NotFusable(NodeId, IndexVar),
+    /// The edge from this node repeats an index that is not a parent loop
+    /// the node lacks.
+    NotRedundant(NodeId, IndexVar),
+    /// The chains on these two indices have partially overlapping scopes.
+    Overlap(IndexVar, IndexVar),
+}
+
+impl Illegal {
+    /// The one-line diagnostic, naming indices from `space`.
+    pub fn describe(self, space: &IndexSpace) -> String {
+        self.render(&|x| space.var_name(x).to_string())
+    }
+
+    fn render(self, name: &dyn Fn(IndexVar) -> String) -> String {
+        match self {
+            Illegal::SizeMismatch => "configuration size mismatch".into(),
+            Illegal::RootLabelled => "root has no parent edge to fuse".into(),
+            Illegal::StoredInput(n) => format!(
+                "node {}: stored inputs cannot be fused (they are read in place)",
+                n.0
+            ),
+            Illegal::NotFusable(n, x) => {
+                format!("node {}: `{}` is not within the fusable set", n.0, name(x))
+            }
+            Illegal::NotRedundant(n, x) => format!(
+                "node {}: redundant `{}` is not a parent loop the node lacks",
+                n.0,
+                name(x)
+            ),
+            Illegal::Overlap(a, b) => format!(
+                "chains on `{}` and `{}` have partially overlapping scopes",
+                name(a),
+                name(b)
+            ),
+        }
+    }
+}
+
+/// Without an index space to name them, indices print as `#id`.
+impl std::fmt::Display for Illegal {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.render(&|x| format!("#{}", x.0)))
+    }
+}
+
+/// A legal configuration in the form every lowering takes: the *chain
+/// labels* — fused ∪ redundant per edge, which define the loop structure —
+/// and the *array configuration* — the fused part alone, which defines the
+/// array shapes and the modeled memory.  For plain fusion the two are the
+/// same.  Only [`Lowering::new`] builds one, so holding a `Lowering` means
+/// the configuration was checked.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Lowering {
+    chain_labels: FusionConfig,
+    array_config: FusionConfig,
+}
+
+impl Lowering {
+    /// The legality rule (see the module docs): per node, `fused` is the
+    /// parent edge's fused set and `redundant` its redundant set; an empty
+    /// `redundant` slice means no recomputation anywhere.
+    ///
+    /// # Errors
+    /// The first rule the configuration breaks.
+    pub fn new(tree: &OpTree, fused: &[IndexSet], redundant: &[IndexSet]) -> Result<Self, Illegal> {
+        let n = tree.len();
+        if fused.len() != n || !(redundant.is_empty() || redundant.len() == n) {
+            return Err(Illegal::SizeMismatch);
+        }
+        let redundant_at = |q: usize| redundant.get(q).copied().unwrap_or_default();
+        let label = |q: usize| fused[q].union(redundant_at(q));
+        let parents = tree.parents();
+        for id in tree.postorder() {
+            let q = id.0 as usize;
+            let Some(u) = parents[q] else {
+                if !label(q).is_empty() {
+                    return Err(Illegal::RootLabelled);
+                }
+                continue;
+            };
+            if !is_fusable_producer(tree, id) && !label(q).is_empty() {
+                return Err(Illegal::StoredInput(id));
+            }
+            if let Some(x) = fused[q].minus(fusable_set(tree, id, u)).iter().next() {
+                return Err(Illegal::NotFusable(id, x));
+            }
+            let repeated = redundant_at(q).minus(redundant_candidates(tree, id, u));
+            if let Some(x) = repeated.iter().next() {
+                return Err(Illegal::NotRedundant(id, x));
+            }
+        }
+        let chain_labels = FusionConfig {
+            fused: (0..n).map(label).collect(),
+        };
+        let chains = chains_of(tree, &chain_labels);
+        for (i, a) in chains.iter().enumerate() {
+            for b in &chains[i + 1..] {
+                let inter = a.scope_mask() & b.scope_mask();
+                if inter != 0 && inter != a.scope_mask() && inter != b.scope_mask() {
+                    return Err(Illegal::Overlap(a.index, b.index));
+                }
+            }
+        }
+        let array_config = FusionConfig {
+            fused: fused.to_vec(),
+        };
+        Ok(Self {
+            chain_labels,
+            array_config,
+        })
+    }
+
+    /// The all-unfused lowering (always legal).
+    pub fn unfused(tree: &OpTree) -> Self {
+        Self {
+            chain_labels: FusionConfig::unfused(tree),
+            array_config: FusionConfig::unfused(tree),
+        }
+    }
+
+    /// Per-edge fused ∪ redundant sets: the loop structure.
+    pub fn chain_labels(&self) -> &FusionConfig {
+        &self.chain_labels
+    }
+
+    /// Per-edge fused sets: the array shapes.
+    pub fn array_config(&self) -> &FusionConfig {
+        &self.array_config
     }
 }
 
@@ -244,7 +337,7 @@ pub(crate) mod tests {
         cfg.check(&tree).unwrap(); // T1 unfused: fine
         cfg.set(t1, space.parse_set("b,c,d,f").unwrap());
         let err = cfg.check(&tree).unwrap_err();
-        assert!(err.contains("incomparable"), "{err}");
+        assert!(err.contains("partially overlapping scopes"), "{err}");
     }
 
     #[test]
@@ -305,7 +398,7 @@ pub(crate) mod tests {
         cfg.check(&tree).unwrap(); // one side alone is fine
         cfg.set(y, j.singleton());
         let err = cfg.check(&tree).unwrap_err();
-        assert!(err.contains("cannot nest"), "{err}");
+        assert!(err.contains("partially overlapping scopes"), "{err}");
         // Equal sibling sets on a shared index are fine.
         cfg.set(x, i.singleton());
         cfg.set(y, i.singleton());

@@ -1,10 +1,10 @@
 //! # tce-fusion — loop fusion for memory minimization
 //!
-//! The paper's Memory Minimization module (§5): fusion graphs and chains,
-//! legality of fusion configurations, the bottom-up dynamic program that
-//! finds the configuration minimizing total intermediate storage (without
-//! changing the operation count), and code generation of the fused
-//! imperfectly-nested loop program.
+//! The paper's Memory Minimization module (§5): fusion chains, the one
+//! legality rule every fusion configuration passes ([`Lowering::new`]),
+//! the bottom-up dynamic program that finds the configuration minimizing
+//! total intermediate storage (without changing the operation count), and
+//! code generation of the fused imperfectly-nested loop program.
 //!
 //! ```
 //! use tce_fusion::memmin_dp;
@@ -34,15 +34,15 @@
 pub mod chains;
 pub mod codegen;
 pub mod config;
-pub mod graph;
 pub mod memmin;
 pub mod nest;
 pub mod schedule;
 
-pub use chains::{chains_of, check_chainwise, Chain};
-pub use codegen::fused_program;
-pub use config::{fusable_set, is_fusable_producer, FusionConfig};
-pub use graph::{FusionEdge, FusionGraph};
+pub use chains::{chains_of, Chain};
+pub use codegen::{fused_program, lowered_program};
+pub use config::{
+    fusable_set, is_fusable_producer, redundant_candidates, FusionConfig, Illegal, Lowering,
+};
 pub use memmin::{enumerate_legal_configs, memmin_bruteforce, memmin_dp, MemMinResult};
 pub use nest::{derive_child_state_options, derive_child_states, encode_state, NestState};
 pub use schedule::{fusion_schedule, FusionSchedule, ScheduleStep};

@@ -13,7 +13,7 @@
 //! [`crate::nest::derive_child_states`].
 //!
 //! [`memmin_bruteforce`] enumerates every legal configuration outright
-//! (checked with the paper's global chain-scope condition) and is used as
+//! (checked with the legality rule, [`crate::config::Lowering::new`]) and is used as
 //! the oracle in tests.
 
 use crate::config::{fusable_set, is_fusable_producer, FusionConfig};

@@ -51,7 +51,7 @@
 //! holds each intermediate only from its production to its one consumer.
 
 use crate::chains::{chains_of, Chain};
-use crate::config::{is_fusable_producer, FusionConfig};
+use crate::config::{is_fusable_producer, Lowering};
 use std::collections::HashMap;
 use tce_ir::{IndexSet, IndexVar, NodeId, OpKind, OpTree};
 
@@ -130,14 +130,6 @@ impl FusionSchedule {
     }
 }
 
-/// Compile `config` into an executable fused schedule for `tree`.
-///
-/// Returns an error if the configuration is illegal for the tree.
-pub fn fusion_schedule(tree: &OpTree, config: &FusionConfig) -> Result<FusionSchedule, String> {
-    config.check(tree)?;
-    Ok(fusion_schedule_with_labels(tree, config))
-}
-
 /// Ordering key of a step: (evaluation rank, 0 = init / 1 = production).
 /// Unique per item; a chain loop carries the largest key beneath it.
 type Key = (usize, u8);
@@ -150,15 +142,12 @@ enum Entry {
     Item(Key, ScheduleStep),
 }
 
-/// Placement proper: `chain_labels` gives the per-edge chain labels
-/// (possibly including redundant indices, see the module docs).
-///
-/// The caller is responsible for legality: the chain scopes of
-/// `chain_labels` must be nested or disjoint
-/// ([`crate::chains::check_scopes`]).
-pub fn fusion_schedule_with_labels(tree: &OpTree, chain_labels: &FusionConfig) -> FusionSchedule {
+/// Compile a checked lowering into an executable fused schedule for
+/// `tree`: placement reads its chain labels (possibly including redundant
+/// indices, see the module docs).
+pub fn fusion_schedule(tree: &OpTree, lowering: &Lowering) -> FusionSchedule {
     let parents = tree.parents();
-    let chains = chains_of(tree, chain_labels);
+    let chains = chains_of(tree, lowering.chain_labels());
     let contains = |ci: usize, n: NodeId| chains[ci].scope.contains(&n);
 
     // --- laminar forest over the chains ---
@@ -295,6 +284,7 @@ mod tests {
     use super::*;
     use crate::codegen::fused_program;
     use crate::config::tests::{fig1, fig1_with_tensors};
+    use crate::config::FusionConfig;
     use crate::memmin::{enumerate_legal_configs, memmin_dp};
     use tce_ir::{IndexSpace, TensorDecl, TensorId, TensorTable};
     use tce_loops::{ArrayId, BuiltProgram, Stmt};
@@ -320,7 +310,7 @@ mod tests {
         let mut cfg = FusionConfig::unfused(&tree);
         cfg.set(t1, space.parse_set("b,c,d,f").unwrap());
         cfg.set(t2, space.parse_set("b,c").unwrap());
-        let sched = fusion_schedule(&tree, &cfg).unwrap();
+        let sched = fusion_schedule(&tree, &cfg.lowering(&tree).unwrap());
         let mut text = String::new();
         render(&sched.steps, &space, &mut text);
         // Paper Fig 1(c), private loops elided:
@@ -400,7 +390,7 @@ mod tests {
         let configs = enumerate_legal_configs(&tree, &space);
         assert!(configs.len() > 10);
         for (cfg, _) in &configs {
-            let sched = fusion_schedule(&tree, cfg).unwrap();
+            let sched = fusion_schedule(&tree, &cfg.lowering(&tree).unwrap());
             let built = fused_program(&tree, &space, &tensors, cfg, "S");
             assert_eq!(
                 skeleton(&built, &sched, &built.program.body),
@@ -437,10 +427,12 @@ mod tests {
         let mut labels = FusionConfig::unfused(&tree);
         labels.set(mid, y.singleton());
         // Not a fusion configuration (y is not fusable on that edge) …
-        assert!(fusion_schedule(&tree, &labels).is_err());
-        // … but a legal set of chain labels.
-        crate::chains::check_scopes(&tree, &labels).unwrap();
-        let sched = fusion_schedule_with_labels(&tree, &labels);
+        assert!(labels.check(&tree).is_err());
+        // … but a legal redundant label.
+        let unfused = FusionConfig::unfused(&tree);
+        let lowering = Lowering::new(&tree, &unfused.fused, &labels.fused).unwrap();
+        assert_eq!(lowering.chain_labels(), &labels);
+        let sched = fusion_schedule(&tree, &lowering);
         let expect = vec![
             ScheduleStep::Zero(root),
             ScheduleStep::Loop {
@@ -461,7 +453,7 @@ mod tests {
     fn unfused_schedule_is_flat_in_rank_order() {
         let (_space, tree, t1, t2) = fig1(3);
         let cfg = FusionConfig::unfused(&tree);
-        let sched = fusion_schedule(&tree, &cfg).unwrap();
+        let sched = fusion_schedule(&tree, &cfg.lowering(&tree).unwrap());
         let expect = vec![
             ScheduleStep::Zero(t1),
             ScheduleStep::Produce(t1),
@@ -497,7 +489,7 @@ mod tests {
 
         // Unfused: Zero/Produce pairs in rank order; a top-level Zero
         // touches nothing, so each array is born at its Produce.
-        let sched = fusion_schedule(&tree, &FusionConfig::unfused(&tree)).unwrap();
+        let sched = fusion_schedule(&tree, &Lowering::unfused(&tree));
         let life = &sched.lifetimes;
         assert_eq!(sched.steps.len(), 8);
         for zero in [0, 2, 4, 6] {
@@ -521,7 +513,7 @@ mod tests {
         // inside it.
         let mut cfg = FusionConfig::unfused(&tree);
         cfg.set(m, k.singleton());
-        let sched = fusion_schedule(&tree, &cfg).unwrap();
+        let sched = fusion_schedule(&tree, &cfg.lowering(&tree).unwrap());
         let is_loop = |s: &ScheduleStep| matches!(s, ScheduleStep::Loop { .. });
         let group = &sched.lifetimes[sched.steps.iter().position(is_loop).unwrap()];
         assert_eq!((&group.allocs, &group.releases), (&vec![m, y], &vec![m]));
@@ -533,7 +525,7 @@ mod tests {
     fn memmin_schedule_is_legal_and_pins_fused_indices() {
         let (space, tree, t1, t2) = fig1(5);
         let r = memmin_dp(&tree, &space);
-        let sched = fusion_schedule(&tree, &r.config).unwrap();
+        let sched = fusion_schedule(&tree, &r.config.lowering(&tree).unwrap());
         // Every fused index of a node must be pinned at its production.
         for id in tree.postorder() {
             if id != tree.root && is_fusable_producer(&tree, id) {
@@ -553,6 +545,6 @@ mod tests {
         let mut cfg = FusionConfig::unfused(&tree);
         cfg.set(t2, space.parse_set("b,c,j,k").unwrap());
         cfg.set(t1, space.parse_set("b,c,d,f").unwrap());
-        assert!(fusion_schedule(&tree, &cfg).is_err());
+        assert!(cfg.lowering(&tree).is_err());
     }
 }

@@ -16,15 +16,15 @@
 //! [`crate::tiling`]).
 
 use crate::dp::SpaceTimeConfig;
-use tce_fusion::codegen::fused_program_with_labels;
+use tce_fusion::codegen::lowered_program;
 use tce_ir::{IndexSpace, OpTree, TensorTable};
 use tce_loops::BuiltProgram;
 
 /// Emit the executable (untiled) program for `cfg`.
 ///
 /// # Errors
-/// Returns an error when the configuration's chain scopes are not nested
-/// (an illegal configuration — the DPs never produce one).
+/// Returns the broken rule when `tce-fusion`'s legality rule rejects the
+/// configuration ([`SpaceTimeConfig::lowering_configs`]).
 pub fn spacetime_program(
     tree: &OpTree,
     space: &IndexSpace,
@@ -32,17 +32,10 @@ pub fn spacetime_program(
     cfg: &SpaceTimeConfig,
     result_name: &str,
 ) -> Result<BuiltProgram, String> {
-    let (chain_labels, array_config) = cfg
+    let lowering = cfg
         .lowering_configs(tree)
-        .map_err(|overlap| overlap.describe(space))?;
-    let built = fused_program_with_labels(
-        tree,
-        space,
-        tensors,
-        &chain_labels,
-        &array_config,
-        result_name,
-    );
+        .map_err(|illegal| illegal.describe(space))?;
+    let built = lowered_program(tree, space, tensors, &lowering, result_name);
     built.program.validate()?;
     Ok(built)
 }

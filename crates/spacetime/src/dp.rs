@@ -10,19 +10,21 @@
 //! state; recomputation multiplies a child subtree's operations by the
 //! redundant extents.
 //!
-//! Legality is the pattern-comparability rule of `tce-fusion`, applied to
-//! the *structural* labels `c ∪ r` — with the parent's redundant part
-//! excluded, because a loop that is redundant for this node wraps its whole
-//! emission transparently and constrains nothing below it.
+//! The DP threads `tce-fusion`'s nesting states over the *structural*
+//! labels `c ∪ r` — with the parent's redundant part excluded, because a
+//! loop that is redundant for this node wraps its whole emission
+//! transparently and constrains nothing below it.  Whether a configuration
+//! is legal is decided by `tce-fusion`'s one legality rule, which
+//! [`SpaceTimeConfig::lowering_configs`] applies before anything lowers it.
 
 #![allow(clippy::type_complexity, clippy::too_many_arguments)]
 
 use crate::pareto::Pareto;
 use std::collections::HashMap;
 use std::ops::ControlFlow;
-use tce_fusion::chains::{check_scopes, ScopeOverlap};
-use tce_fusion::config::{fusable_set, is_fusable_producer, FusionConfig};
+use tce_fusion::config::{fusable_set, is_fusable_producer, redundant_candidates};
 use tce_fusion::nest::for_each_child_state_option;
+use tce_fusion::{Illegal, Lowering};
 use tce_ir::{IndexSet, IndexSpace, NodeId, OpKind, OpTree};
 
 /// A fusion/recomputation configuration: per node, the fused and redundant
@@ -51,32 +53,15 @@ impl SpaceTimeConfig {
             .fold(IndexSet::EMPTY, |s, &r| s.union(r))
     }
 
-    /// The configuration as the two inputs every lowering takes
-    /// (`fused_program_with_labels`, `execute_tree_fused_with_labels`):
-    /// the *chain labels* — fused ∪ redundant per edge, which define the
-    /// loop structure — and the *array configuration* — the fused part
-    /// alone, which defines the array shapes and the modeled memory.
+    /// The configuration as every lowering takes it, if `tce-fusion`'s
+    /// legality rule ([`Lowering::new`]) admits it: the chain labels —
+    /// fused ∪ redundant per edge — beside the array configuration, the
+    /// fused part alone.
     ///
     /// # Errors
-    /// Returns the overlapping pair when the chain scopes are not nested
-    /// (an illegal configuration).
-    pub fn lowering_configs(
-        &self,
-        tree: &OpTree,
-    ) -> Result<(FusionConfig, FusionConfig), ScopeOverlap> {
-        let chain_labels = FusionConfig {
-            fused: self
-                .fused
-                .iter()
-                .zip(&self.redundant)
-                .map(|(&f, &r)| f.union(r))
-                .collect(),
-        };
-        let array_config = FusionConfig {
-            fused: self.fused.clone(),
-        };
-        check_scopes(tree, &chain_labels)?;
-        Ok((chain_labels, array_config))
+    /// The first rule the configuration breaks.
+    pub fn lowering_configs(&self, tree: &OpTree) -> Result<Lowering, Illegal> {
+        Lowering::new(tree, &self.fused, &self.redundant)
     }
 
     /// Remaining array dimensions of node `id` (fused dims eliminated).
@@ -142,15 +127,6 @@ impl SpaceTimeConfig {
 /// Result of the space-time DP: the root pareto frontier, each point
 /// tagged with its configuration.
 pub type SpaceTimeFrontier = Pareto<SpaceTimeConfig>;
-
-/// Candidate redundant set for an edge: parent loops the child does not
-/// have (only meaningful for producers).
-pub fn redundant_candidates(tree: &OpTree, child: NodeId, parent: NodeId) -> IndexSet {
-    if !is_fusable_producer(tree, child) {
-        return IndexSet::EMPTY;
-    }
-    tree.loop_indices(parent).minus(tree.loop_indices(child))
-}
 
 /// Run the fusion/recomputation pareto DP.  `max_points` bounds each
 /// state's frontier (the paper notes pruning keeps solution sets small);
@@ -470,12 +446,9 @@ fn strip_transparent<'b>(
 }
 
 /// Brute-force oracle: enumerate every `(fused, redundant)` label
-/// assignment, check legality with the global chain-scope condition on the
-/// structural labels, and collect the exact pareto frontier.  Exponential —
-/// tiny trees only.
+/// assignment, keep those the legality rule admits, and collect the exact
+/// pareto frontier.  Exponential — tiny trees only.
 pub fn spacetime_bruteforce(tree: &OpTree, space: &IndexSpace) -> Pareto<SpaceTimeConfig> {
-    use tce_fusion::chains::{check_scopes, ScopeOverlap};
-    use tce_fusion::FusionConfig;
     let parents = tree.parents();
     let edges: Vec<(NodeId, IndexSet, IndexSet)> = tree
         .postorder()
@@ -502,13 +475,7 @@ pub fn spacetime_bruteforce(tree: &OpTree, space: &IndexSpace) -> Pareto<SpaceTi
         front: &mut Pareto<SpaceTimeConfig>,
     ) {
         if i == edges.len() {
-            // Legality: chain scopes on the structural labels c ∪ r.
-            let mut labels = tce_fusion::FusionConfig::unfused(tree);
-            for id in tree.postorder() {
-                let q = id.0 as usize;
-                labels.set(id, cfg.fused[q].union(cfg.redundant[q]));
-            }
-            if tce_fusion::chains::check_scopes(tree, &labels).is_ok() {
+            if cfg.lowering_configs(tree).is_ok() {
                 front.insert(
                     cfg.temp_memory(tree, space),
                     cfg.total_ops(tree, space),
@@ -529,7 +496,6 @@ pub fn spacetime_bruteforce(tree: &OpTree, space: &IndexSpace) -> Pareto<SpaceTi
         cfg.redundant[node.0 as usize] = IndexSet::EMPTY;
     }
     rec(tree, space, &edges, 0, &mut cfg, &mut front);
-    let _ = (check_scopes as fn(&OpTree, &FusionConfig) -> Result<(), ScopeOverlap>,);
     front
 }
 

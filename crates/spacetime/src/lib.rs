@@ -33,7 +33,7 @@ pub mod pareto;
 pub mod tiling;
 
 pub use codegen::spacetime_program;
-pub use dp::{redundant_candidates, spacetime_dp, SpaceTimeConfig, SpaceTimeFrontier};
+pub use dp::{spacetime_dp, SpaceTimeConfig, SpaceTimeFrontier};
 pub use pareto::{Pareto, ParetoPoint};
 pub use tiling::{
     block_of, doubling_candidates, search_tiles, spacetime_optimize, spacetime_optimize_rated,

@@ -16,8 +16,9 @@
 //!   classified safely.  When accepting a buffer would push the retained
 //!   element total over the cap, it is dropped instead (an **eviction**).
 //!
-//! The retained total is bounded by `TCE_BUFPOOL_CAP` (elements; default
-//! [`DEFAULT_BUFPOOL_CAP`]).  A cap of **0 disables pooling**: every
+//! The retained total is bounded by [`DEFAULT_BUFPOOL_CAP`] elements
+//! ([`set_bufpool_capacity`] changes it at run time).  A cap of **0
+//! disables pooling**: every
 //! acquire is a plain allocation (counted as a miss) and every release a
 //! drop (not counted as an eviction — nothing was ever retained).
 //! Hit/miss/evict counters mirror the plan cache's, both as process
@@ -29,8 +30,8 @@ use std::sync::{Mutex, OnceLock};
 
 /// Default retained-element bound: 1<<22 elements = 32 MiB of `f64`,
 /// enough to recycle every intermediate of the benchmark scenarios while
-/// bounding a long-running serve process.  Override with `TCE_BUFPOOL_CAP`
-/// or [`set_bufpool_capacity`]; 0 disables pooling.
+/// bounding a long-running serve process.  [`set_bufpool_capacity`]
+/// changes it at run time; 0 disables pooling.
 pub const DEFAULT_BUFPOOL_CAP: u64 = 1 << 22;
 
 /// Shard count (fixed; the pool's keys are size classes, of which a
@@ -56,38 +57,18 @@ struct BufPool {
 static BUFPOOL: OnceLock<BufPool> = OnceLock::new();
 
 fn pool() -> &'static BufPool {
-    BUFPOOL.get_or_init(|| {
-        let cap = std::env::var("TCE_BUFPOOL_CAP")
-            .ok()
-            .and_then(|s| s.parse::<u64>().ok())
-            .unwrap_or(DEFAULT_BUFPOOL_CAP);
-        BufPool {
-            shards: (0..BUFPOOL_SHARDS)
-                .map(|_| Shard {
-                    classes: Mutex::new(HashMap::new()),
-                    hits: AtomicU64::new(0),
-                    misses: AtomicU64::new(0),
-                    evictions: AtomicU64::new(0),
-                })
-                .collect(),
-            cap: AtomicU64::new(cap),
-            retained: AtomicU64::new(0),
-        }
+    BUFPOOL.get_or_init(|| BufPool {
+        shards: (0..BUFPOOL_SHARDS)
+            .map(|_| Shard {
+                classes: Mutex::new(HashMap::new()),
+                hits: AtomicU64::new(0),
+                misses: AtomicU64::new(0),
+                evictions: AtomicU64::new(0),
+            })
+            .collect(),
+        cap: AtomicU64::new(DEFAULT_BUFPOOL_CAP),
+        retained: AtomicU64::new(0),
     })
-}
-
-/// Validate `TCE_BUFPOOL_CAP` without applying it: `Ok(None)` when unset,
-/// `Ok(Some(cap))` for a parseable element count (0 = disabled), `Err`
-/// with a one-line diagnostic otherwise.  The CLI calls this up front so
-/// a malformed value fails fast instead of being silently ignored.
-pub fn bufpool_env_requested() -> Result<Option<u64>, String> {
-    match std::env::var("TCE_BUFPOOL_CAP") {
-        Err(_) => Ok(None),
-        Ok(v) => match v.parse::<u64>() {
-            Ok(c) => Ok(Some(c)),
-            Err(e) => Err(format!("bad TCE_BUFPOOL_CAP `{v}`: {e}")),
-        },
-    }
 }
 
 /// The size class covering `len`: the next power of two (≥ 1).  Classing

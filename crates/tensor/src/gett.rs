@@ -841,17 +841,17 @@ impl PlanKey {
     }
 }
 
-/// Default plan-cache capacity; override with `TCE_PLAN_CACHE_CAP` or
-/// [`set_plan_cache_capacity`].  Plans are small (offset tables), so a few
-/// hundred distinct signatures cover any realistic program while bounding
-/// a long-running process that churns through many shapes (e.g. per-rank
-/// local extents under varying grids).
-const DEFAULT_PLAN_CACHE_CAP: usize = 512;
+/// Plan-cache capacity ([`set_plan_cache_capacity`] changes it at run
+/// time).  Plans are small (offset tables), so a few hundred distinct
+/// signatures cover any realistic program while bounding a long-running
+/// process that churns through many shapes (e.g. per-rank local extents
+/// under varying grids).
+const PLAN_CACHE_CAP: usize = 512;
 
-/// Default shard count; override with `TCE_PLAN_CACHE_SHARDS` (clamped to
-/// 1..=64).  Eight shards keep worst-case contention at 1/8 of a single
-/// mutex while leaving per-shard capacities meaningful at small totals.
-const DEFAULT_PLAN_CACHE_SHARDS: usize = 8;
+/// Shard count.  Eight shards keep worst-case contention at 1/8 of a
+/// single mutex while leaving per-shard capacities meaningful at small
+/// totals.
+const PLAN_CACHE_SHARDS: usize = 8;
 
 /// The process-wide plan cache: signatures hash onto independently
 /// locked LRU shards ([`tce_par::ShardedLru`]), so concurrent requests with
@@ -860,39 +860,9 @@ const DEFAULT_PLAN_CACHE_SHARDS: usize = 8;
 /// exceeds it.
 static PLAN_CACHE: OnceLock<ShardedLru<PlanKey, ContractionPlan>> = OnceLock::new();
 
-/// Validate `TCE_PLAN_CACHE_CAP` / `TCE_PLAN_CACHE_SHARDS` up front: the
-/// CLI calls this so a malformed value is a one-line diagnostic rather
-/// than being silently ignored.  Returns the requested capacity, if any.
-pub fn plan_cache_env_requested() -> Result<Option<usize>, String> {
-    let mut requested = None;
-    if let Ok(v) = std::env::var("TCE_PLAN_CACHE_CAP") {
-        match v.parse::<usize>() {
-            Ok(c) if c > 0 => requested = Some(c),
-            Ok(_) => return Err("TCE_PLAN_CACHE_CAP must be at least 1".to_string()),
-            Err(e) => return Err(format!("bad TCE_PLAN_CACHE_CAP `{v}`: {e}")),
-        }
-    }
-    if let Ok(v) = std::env::var("TCE_PLAN_CACHE_SHARDS") {
-        match v.parse::<usize>() {
-            Ok(s) if s > 0 => {}
-            Ok(_) => return Err("TCE_PLAN_CACHE_SHARDS must be at least 1".to_string()),
-            Err(e) => return Err(format!("bad TCE_PLAN_CACHE_SHARDS `{v}`: {e}")),
-        }
-    }
-    Ok(requested)
-}
-
 fn plan_cache() -> &'static ShardedLru<PlanKey, ContractionPlan> {
     PLAN_CACHE.get_or_init(|| {
-        // Malformed values fall back to the defaults here; front ends that
-        // must reject them call `plan_cache_env_requested` first.
-        let positive = |name: &str| {
-            let parsed = std::env::var(name).ok()?.parse::<usize>().ok()?;
-            (parsed > 0).then_some(parsed)
-        };
-        let capacity = positive("TCE_PLAN_CACHE_CAP").unwrap_or(DEFAULT_PLAN_CACHE_CAP);
-        let shards = positive("TCE_PLAN_CACHE_SHARDS").unwrap_or(DEFAULT_PLAN_CACHE_SHARDS);
-        ShardedLru::new(capacity, shards.clamp(1, 64)).with_trace_counters([
+        ShardedLru::new(PLAN_CACHE_CAP, PLAN_CACHE_SHARDS).with_trace_counters([
             "plan_cache.hits",
             "plan_cache.misses",
             "plan_cache.evictions",

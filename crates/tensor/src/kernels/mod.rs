@@ -16,8 +16,8 @@
 //!   transpose tiles composed into 8×8 blocks, vectorized unit-stride
 //!   pack copies).
 //!
-//! Selection order: a programmatic override ([`set_override`], fed by the
-//! `--kernel` CLI flag) beats the `TCE_KERNEL` environment variable,
+//! Selection order: a programmatic override ([`set_override`], which the
+//! differential tests use) beats the `TCE_KERNEL` environment variable,
 //! which beats [`detect_best`].  Changing the active variant may change
 //! floating-point rounding (FMA contracts the multiply-add), so results
 //! across variants agree only to ~1e-10 relative; *within* a variant
@@ -69,7 +69,7 @@ impl KernelVariant {
         }
     }
 
-    /// Parse a variant name as accepted by `TCE_KERNEL` / `--kernel`.
+    /// Parse a variant name as accepted by `TCE_KERNEL`.
     pub fn parse(s: &str) -> Result<Self, String> {
         match s.trim().to_ascii_lowercase().as_str() {
             "scalar" => Ok(KernelVariant::Scalar),
@@ -156,8 +156,8 @@ fn from_code(c: u8) -> Option<KernelVariant> {
 /// Force (or with `None`, clear) the active kernel variant.
 ///
 /// Fails with a one-line message when the host cannot execute the
-/// requested variant.  Used by the `--kernel` CLI flags and the
-/// differential tests; takes precedence over `TCE_KERNEL`.
+/// requested variant.  Used by the differential tests; takes precedence
+/// over `TCE_KERNEL`.
 pub fn set_override(v: Option<KernelVariant>) -> Result<(), String> {
     match v {
         None => {

@@ -31,8 +31,6 @@ fn malformed_inputs_fail_cleanly() {
         vec![&chain, "--memory-limit", "-3"],                      // negative limit
         vec![&chain, "--bogus-flag"],                              // unknown flag
         vec![&chain, "--fused", "--distributed", "--grid", "2x2"], // conflict
-        vec![&chain, "--kernel", "bogus"],                         // unknown kernel
-        vec![&chain, "--kernel"],                                  // missing kernel name
         vec![&chain, "--schedule", "bogus"],                       // retired flag
         vec![&chain, "--schedule"],                                // retired flag, no value
     ];
@@ -466,28 +464,6 @@ fn bad_tce_kernel_env_fails_cleanly() {
 }
 
 #[test]
-fn kernel_flag_runs_and_overrides_env() {
-    // --kernel scalar must execute successfully even with a bogus
-    // TCE_KERNEL in the environment (the flag wins and is validated
-    // first; scalar is supported everywhere).
-    let out = tce()
-        .args([&spec("matrix_chain.tce"), "--execute", "--kernel", "scalar"])
-        .env("TCE_KERNEL", "bogus")
-        .output()
-        .expect("spawn tce");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        out.status.success(),
-        "--kernel scalar should succeed:\nstdout: {stdout}\nstderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(
-        stdout.contains("OK"),
-        "execution summary missing:\n{stdout}"
-    );
-}
-
-#[test]
 fn distributed_execution_reports_exact_comm_volumes() {
     for grid in ["1x1", "2x4"] {
         let out = tce()
@@ -859,12 +835,6 @@ fn bad_numeric_env_vars_fail_cleanly() {
         ("TCE_THREADS", "0"),
         ("TCE_THREADS", "banana"),
         ("TCE_THREADS", "-2"),
-        ("TCE_PLAN_CACHE_CAP", "0"),
-        ("TCE_PLAN_CACHE_CAP", "many"),
-        ("TCE_PLAN_CACHE_SHARDS", "0"),
-        ("TCE_PLAN_CACHE_SHARDS", "wide"),
-        ("TCE_BUFPOOL_CAP", "lots"),
-        ("TCE_BUFPOOL_CAP", "-1"),
     ] {
         let out = tce()
             .arg(spec("matrix_chain.tce"))
@@ -907,9 +877,6 @@ fn bad_numeric_env_vars_fail_cleanly() {
         .arg(spec("matrix_chain.tce"))
         .arg("--execute")
         .env("TCE_THREADS", "2")
-        .env("TCE_PLAN_CACHE_CAP", "16")
-        .env("TCE_PLAN_CACHE_SHARDS", "4")
-        .env("TCE_BUFPOOL_CAP", "0") // 0 is valid: pooling disabled
         .output()
         .expect("spawn tce");
     assert!(

@@ -12,11 +12,10 @@
 
 use std::collections::HashMap;
 use std::sync::{RwLock, RwLockReadGuard};
-use tce_core::exec::{
-    execute_tree_fused, execute_tree_fused_with_labels, execute_tree_opts, ExecOptions,
+use tce_core::exec::{execute_tree_fused, execute_tree_lowered, execute_tree_opts, ExecOptions};
+use tce_core::fusion::{
+    enumerate_legal_configs, fusion_schedule, memmin_dp, FusionConfig, Lowering,
 };
-use tce_core::fusion::schedule::fusion_schedule_with_labels;
-use tce_core::fusion::{enumerate_legal_configs, memmin_dp, FusionConfig};
 use tce_core::ir::{IndexSet, IndexSpace, OpTree, TensorDecl, TensorId, TensorTable};
 use tce_core::scenarios::{section2_source, A3AScenario};
 use tce_core::spacetime::spacetime_dp;
@@ -209,9 +208,10 @@ fn a3a_fused_matches_reference_across_configs_and_threads() {
 }
 
 /// Every point of the space-time frontier of `tree` — fusion *and*
-/// recomputation configurations — runs through the fused executor to the
-/// tree executor's value, bitwise identically at every thread count, with
-/// the measured peak live-set equal to the DP's memory for that point.
+/// recomputation configurations — passes the legality rule and runs
+/// through the fused executor to the tree executor's value, bitwise
+/// identically at every thread count, with the measured peak live-set
+/// equal to the DP's memory for that point.
 fn frontier_points_execute_exactly(
     tree: &OpTree,
     space: &IndexSpace,
@@ -223,15 +223,14 @@ fn frontier_points_execute_exactly(
     assert!(front.len() >= 3, "need several regimes to exercise");
     let mut recomputing = 0;
     for point in front.points() {
-        let (chain_labels, array_config) = point.tag.lowering_configs(tree).unwrap();
-        recomputing += usize::from(chain_labels != array_config);
+        let lowering = point.tag.lowering_configs(tree).unwrap();
+        recomputing += usize::from(lowering.chain_labels() != lowering.array_config());
         let mut per_thread = Vec::new();
         for threads in THREADS {
-            let report = execute_tree_fused_with_labels(
+            let report = execute_tree_lowered(
                 tree,
                 space,
-                &chain_labels,
-                &array_config,
+                &lowering,
                 inputs,
                 funcs,
                 &ExecOptions::with_threads(threads),
@@ -421,22 +420,14 @@ fn exclusive_summation_index_under_a_fusing_config() {
 fn traced_peak_elements(
     tree: &OpTree,
     space: &IndexSpace,
-    (chain_labels, array_config): (&FusionConfig, &FusionConfig),
+    lowering: &Lowering,
     inputs: &HashMap<TensorId, &Tensor>,
     funcs: &HashMap<String, IntegralFn>,
     opts: &ExecOptions,
 ) -> u128 {
     tce_trace::reset();
     tce_trace::set_enabled(true);
-    let report = execute_tree_fused_with_labels(
-        tree,
-        space,
-        chain_labels,
-        array_config,
-        inputs,
-        funcs,
-        opts,
-    );
+    let report = execute_tree_lowered(tree, space, lowering, inputs, funcs, opts);
     tce_trace::set_enabled(false);
     report.unwrap();
     u128::from(tce_trace::take().mem_peak_bytes) / 8
@@ -453,17 +444,19 @@ fn traced_high_water_is_the_schedules_static_peak() {
     let four = ExecOptions::with_threads(4);
     let check = |tree: &OpTree,
                  space: &IndexSpace,
-                 configs: (&FusionConfig, &FusionConfig),
+                 lowering: &Lowering,
                  inputs: &HashMap<TensorId, &Tensor>,
                  funcs: &HashMap<String, IntegralFn>|
      -> (u128, u128) {
-        let elements = |n| space.iteration_points(configs.1.array_indices(tree, n));
-        let static_peak = fusion_schedule_with_labels(tree, configs.0).sequential_peak(elements);
-        let all = configs.1.temp_memory(tree, space) + elements(tree.root);
-        let one_slot = traced_peak_elements(tree, space, configs, inputs, funcs, &serial);
-        assert_eq!(one_slot, static_peak, "labels {:?}", configs.0.fused);
+        let arrays = lowering.array_config();
+        let elements = |n| space.iteration_points(arrays.array_indices(tree, n));
+        let static_peak = fusion_schedule(tree, lowering).sequential_peak(elements);
+        let all = arrays.temp_memory(tree, space) + elements(tree.root);
+        let one_slot = traced_peak_elements(tree, space, lowering, inputs, funcs, &serial);
+        let labels = &lowering.chain_labels().fused;
+        assert_eq!(one_slot, static_peak, "labels {labels:?}");
         assert!(static_peak <= all);
-        let four_slots = traced_peak_elements(tree, space, configs, inputs, funcs, &four);
+        let four_slots = traced_peak_elements(tree, space, lowering, inputs, funcs, &four);
         assert!(four_slots <= all, "{four_slots} > {all}");
         (static_peak, four_slots)
     };
@@ -478,8 +471,8 @@ fn traced_high_water_is_the_schedules_static_peak() {
     let configs = enumerate_legal_configs(tree, space);
     assert!(configs.len() > 10);
     for (config, _) in &configs {
-        let (static_peak, four_slots) =
-            check(tree, space, (config, config), &inputs, &HashMap::new());
+        let lowering = config.lowering(tree).unwrap();
+        let (static_peak, four_slots) = check(tree, space, &lowering, &inputs, &HashMap::new());
         assert_eq!(four_slots, static_peak);
         if *config == FusionConfig::unfused(tree) {
             // T1 + T2, then T2 + S: two full arrays, and no input copies.
@@ -497,8 +490,7 @@ fn traced_high_water_is_the_schedules_static_peak() {
         .unwrap()
         .points()
     {
-        let (chain_labels, array_config) = point.tag.lowering_configs(&sc.tree).unwrap();
-        let configs = (&chain_labels, &array_config);
-        check(&sc.tree, &sc.space, configs, &inputs, &funcs);
+        let lowering = point.tag.lowering_configs(&sc.tree).unwrap();
+        check(&sc.tree, &sc.space, &lowering, &inputs, &funcs);
     }
 }

@@ -7,11 +7,13 @@
 use std::collections::HashMap;
 use tce_core::dist::Machine;
 use tce_core::exec::{execute_tree, CacheSink, Interpreter, LruCache, NoSink};
-use tce_core::fusion::{memmin_bruteforce, memmin_dp};
+use tce_core::fusion::{
+    fusable_set, memmin_bruteforce, memmin_dp, FusionConfig, Illegal, Lowering,
+};
 use tce_core::locality::MemoryHierarchy;
 use tce_core::par::ProcessorGrid;
 use tce_core::scenarios::{section2_source, A3AScenario};
-use tce_core::spacetime::{search_tiles, spacetime_dp, tiled_memory, tiled_ops};
+use tce_core::spacetime::{search_tiles, spacetime_dp, tiled_memory, tiled_ops, SpaceTimeConfig};
 use tce_core::tensor::{EinsumSpec, IntegralFn, Tensor};
 use tce_core::{synthesize, SynthesisConfig};
 
@@ -115,6 +117,124 @@ fn fig4_tiling_trades_memory_for_recomputation() {
     }
     let unlimited = search_tiles(&sc.tree, &sc.space, cfg, u128::MAX).unwrap();
     assert!(unlimited.ops <= last_ops);
+}
+
+/// Fig. 6: the fusion graph of the unfused A3A form has four potential
+/// fusion edges on each producer-consumer pair — the fusable sets of
+/// X→E, Y→E, T1→Y and T2→Y.
+#[test]
+fn fig6_graph_structure() {
+    let sc = A3AScenario::new(4, 2, 100);
+    let tree = &sc.tree;
+    for (child, parent) in [
+        (sc.x_node, tree.root),
+        (sc.y_node, tree.root),
+        (sc.t1_node, sc.y_node),
+        (sc.t2_node, sc.y_node),
+    ] {
+        assert_eq!(
+            fusable_set(tree, child, parent).len(),
+            4,
+            "node {}",
+            child.0
+        );
+    }
+}
+
+/// Fig. 6 and §5, under the legality rule synthesis uses: X fuses to a
+/// scalar on (a,e,c,f), and Y on (c,e,a,f) beside it; T1 fuses with Y on
+/// (c,e); after that every nonempty fusion of T2 creates partially
+/// overlapping chains.
+#[test]
+fn fig6_claims_hold() {
+    let sc = A3AScenario::new(4, 2, 100);
+    let (tree, set) = (&sc.tree, |s: &str| sc.space.parse_set(s).unwrap());
+    let mut cfg = FusionConfig::unfused(tree);
+    cfg.set(sc.x_node, set("a,e,c,f"));
+    cfg.check(tree).unwrap();
+    cfg.set(sc.y_node, set("c,e,a,f"));
+    cfg.check(tree).unwrap();
+
+    let mut cfg = FusionConfig::unfused(tree);
+    cfg.set(sc.t1_node, set("c,e"));
+    cfg.check(tree).unwrap();
+    for sub in fusable_set(tree, sc.t2_node, sc.y_node).subsets() {
+        cfg.set(sc.t2_node, sub);
+        match Lowering::new(tree, &cfg.fused, &[]) {
+            Ok(_) => assert!(sub.is_empty(), "T2 fused on {sub:?}"),
+            Err(e) => assert!(matches!(e, Illegal::Overlap(..)), "T2 on {sub:?}: {e}"),
+        }
+    }
+}
+
+/// The Fig. 7 configurations as space-time labels: X and Y fused to
+/// scalars, T1 fused on its own indices with `t1_redundant` repeated,
+/// T2 likewise.
+fn fig7_config(sc: &A3AScenario, t1: (&str, &str), t2: (&str, &str)) -> SpaceTimeConfig {
+    let set = |s: &str| sc.space.parse_set(s).unwrap();
+    let mut cfg = SpaceTimeConfig::unfused(&sc.tree);
+    cfg.fused[sc.x_node.0 as usize] = set("a,e,c,f");
+    cfg.fused[sc.y_node.0 as usize] = set("c,e,a,f");
+    for (node, (fused, redundant)) in [(sc.t1_node, t1), (sc.t2_node, t2)] {
+        cfg.fused[node.0 as usize] = set(fused);
+        cfg.redundant[node.0 as usize] = set(redundant);
+    }
+    cfg
+}
+
+/// Fig. 7(a): redundant vertices (a,f) at T1 and (c,e) at T2 make
+/// complete fusion legal, down to every temporary a scalar; without them
+/// (the same loops claimed as fused indices) the rule rejects it.
+#[test]
+fn fig7_redundant_vertices_enable_full_fusion() {
+    let sc = A3AScenario::new(4, 2, 100);
+    for (t1, t2) in [("c,e", "a,f"), ("c,e,b,k", "a,f,b,k")] {
+        let cfg = fig7_config(&sc, (t1, "a,f"), (t2, "c,e"));
+        cfg.lowering_configs(&sc.tree).unwrap();
+        let mut plain = cfg.clone();
+        for node in [sc.t1_node, sc.t2_node] {
+            let q = node.0 as usize;
+            plain.fused[q] = plain.fused[q].union(plain.redundant[q]);
+            plain.redundant[q] = Default::default();
+        }
+        let err = plain.lowering_configs(&sc.tree).unwrap_err();
+        assert!(
+            matches!(err, Illegal::NotFusable(n, _) if n == sc.t1_node),
+            "{err}"
+        );
+    }
+    let scalars = fig7_config(&sc, ("c,e,b,k", "a,f"), ("a,f,b,k", "c,e"));
+    assert_eq!(scalars.temp_memory(&sc.tree, &sc.space), 4);
+}
+
+/// Fig. 7: "removing the additional vertices for (a,f) at T2 does not
+/// violate the non-partial-overlap condition" — with redundancy at T1
+/// only, T1 fuses completely and T2 fuses on (a,f), a (b,k) block
+/// computed once per (a,f).
+#[test]
+fn fig7_redundancy_on_one_side_suffices() {
+    let sc = A3AScenario::new(4, 2, 100);
+    let cfg = fig7_config(&sc, ("c,e,b,k", "a,f"), ("a,f", ""));
+    cfg.lowering_configs(&sc.tree).unwrap();
+    let vo = (sc.v() * sc.o()) as u128;
+    assert_eq!(cfg.temp_memory(&sc.tree, &sc.space), 3 + vo);
+}
+
+/// Fig. 7's redundant vertices are parent loops the producer lacks: a
+/// loop of the producer itself (`c` at T1), or an index that is no loop
+/// of the parent (`i` at T1, whose parent is Y), is rejected.
+#[test]
+fn redundant_vertices_must_be_parent_loops() {
+    let sc = A3AScenario::new(4, 2, 100);
+    let (a, c, i) = (sc.vars.a, sc.vars.c, sc.vars.i);
+    let mut cfg = SpaceTimeConfig::unfused(&sc.tree);
+    cfg.redundant[sc.t1_node.0 as usize] = a.singleton();
+    cfg.lowering_configs(&sc.tree).unwrap();
+    for x in [c, i] {
+        cfg.redundant[sc.t1_node.0 as usize] = x.singleton();
+        let err = cfg.lowering_configs(&sc.tree).unwrap_err();
+        assert_eq!(err, Illegal::NotRedundant(sc.t1_node, x));
+    }
 }
 
 /// Fig. 7: redundant computation makes complete fusion realizable, and

@@ -130,3 +130,28 @@ fn no_coo_sparse_engine() {
         ],
     );
 }
+
+#[test]
+fn one_fusion_legality_rule_and_no_retired_knobs() {
+    // `tce_fusion::Lowering::new` is the only legality rule; the memory
+    // knobs are constants and `TCE_KERNEL` is the one way to pin a kernel.
+    let crates = std::fs::read_dir(root().join("crates")).expect("crates directory");
+    let mut files: Vec<PathBuf> = crates
+        .map(|e| e.expect("directory entry").path().join("src"))
+        .filter(|src| src.is_dir())
+        .flat_map(|src| files_under(&src))
+        .collect();
+    files.sort();
+    assert_absent(
+        "a second legality rule or a retired knob",
+        &files,
+        &[
+            "FusionGraph",
+            "FusionEdge",
+            "check_chainwise",
+            "plan_cache_env_requested",
+            "bufpool_env_requested",
+            "\"--kernel\"",
+        ],
+    );
+}
