@@ -15,7 +15,7 @@
 //!
 //! and serialize them into a versioned JSON [`Profile`]
 //! (`tce calibrate --out profile.json`).  A profile loaded back
-//! (`--calibration FILE` or `TCE_CALIBRATION`) is viewed through
+//! (`TCE_CALIBRATION=FILE`) is viewed through
 //! [`CostRates`] — time-based (nanosecond) rates the planning stages
 //! consume in place of unit costs.  When no profile is loaded the
 //! pipeline keeps today's unit costs bit for bit; calibration is strictly
@@ -115,7 +115,7 @@ pub struct Profile {
     pub gemm_gfs: Vec<(String, GemmRates)>,
     /// Pack-copy bandwidth, GB/s.
     pub copy_gbs: f64,
-    /// Blocked-permute bandwidth (read+write), GB/s.
+    /// Strided-permute bandwidth (read+write), GB/s.
     pub permute_gbs: f64,
     /// Per-level read bandwidth, GB/s, keyed `l1`/`l2`/`l3`/`mem`.
     pub mem_gbs: Vec<(String, f64)>,

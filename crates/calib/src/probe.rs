@@ -123,9 +123,9 @@ fn copy_gbs(variant: KernelVariant, seed: u64, slice_ns: u128) -> f64 {
 fn permute_gbs(seed: u64, slice_ns: u128) -> f64 {
     let n = 640; // 640² f64 ≈ 3.3 MB
     let t = Tensor::random(&[n, n], seed ^ 0xE);
-    black_box(t.permute_with_threads(&[1, 0], 1));
+    black_box(t.permute(&[1, 0]));
     let best_ns = best_of_budget(slice_ns, || {
-        black_box(t.permute_with_threads(&[1, 0], 1));
+        black_box(t.permute(&[1, 0]));
     });
     (2 * n * n * 8) as f64 / best_ns as f64
 }

@@ -3,8 +3,7 @@
 //! ```text
 //! tce SPEC.tce [--memory-limit N] [--cache N] [--grid PxQx…]
 //!              [--word-cost N] [--execute] [--fused] [--distributed]
-//!              [--seed S] [--threads T]
-//!              [--trace OUT.json] [--calibration PROFILE.json]
+//!              [--seed S] [--threads T] [--trace OUT.json]
 //! tce serve [--addr HOST:PORT] [--workers N] [--queue N] [--timeout-ms N]
 //! tce calibrate --out PROFILE.json [--budget-ms N] [--seed S] [--threads T]
 //! ```
@@ -36,10 +35,10 @@
 //! result lines the one-shot `--execute` path prints.  `tce calibrate`
 //! runs the seeded microbenchmark probes of `tce_calib` and writes a
 //! versioned JSON profile of measured hardware rates; loading it back
-//! with `--calibration FILE` (or the `TCE_CALIBRATION` environment
-//! variable, which also applies to `tce serve`) switches the space-time,
-//! locality, and distribution cost models from the paper's abstract unit
-//! costs to measured time-based rates and prints a predicted-vs-measured
+//! with the `TCE_CALIBRATION=FILE` environment variable (for one-shot
+//! runs and `tce serve` alike) switches the space-time, locality, and
+//! distribution cost models from the paper's abstract unit costs to
+//! measured time-based rates and prints a predicted-vs-measured
 //! wall-time line after `--execute`.  Without a profile every plan choice
 //! is bit-identical to the uncalibrated pipeline.  Output cut short by its
 //! reader (`tce … | head -1`) ends the run quietly with status 0.
@@ -94,7 +93,6 @@ struct Args {
     seed: u64,
     threads: Option<usize>,
     trace: Option<String>,
-    calibration: Option<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -110,7 +108,6 @@ fn parse_args() -> Result<Args, String> {
         seed: 42,
         threads: None,
         trace: None,
-        calibration: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -186,13 +183,10 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("bad --seed: {e}"))?;
             }
-            "--calibration" => {
-                args.calibration = Some(it.next().ok_or("--calibration needs a profile path")?);
-            }
             "--help" | "-h" => print_usage(&format!(
                 "usage: tce SPEC.tce [--memory-limit N] [--cache N] [--grid PxQ] \
                  [--word-cost N] [--execute] [--fused] [--distributed] [--seed S] \
-                 [--threads T] [--trace OUT.json] [--calibration FILE]\n       \
+                 [--threads T] [--trace OUT.json]\n       \
                  {SERVE_USAGE}\n       {CALIBRATE_USAGE}"
             )),
             other if args.spec_path.is_empty() && !other.starts_with('-') => {
@@ -468,28 +462,15 @@ fn main() -> ExitCode {
         tce_trace::set_enabled(true);
     }
 
-    // Resolve the calibration profile: the `--calibration` flag wins, then
-    // `TCE_CALIBRATION` (already validated by `validate_env`).  Rates are
-    // taken for the kernel variant that will actually run.
-    let profile = match &args.calibration {
-        Some(path) => match tce_core::calib::Profile::load(path) {
-            Ok(p) => Some(p),
-            Err(e) => {
-                eprintln!("bad --calibration `{path}`: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => match tce_core::calib::calibration_env_requested() {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        },
+    // The `TCE_CALIBRATION` profile (already validated by `validate_env`),
+    // its rates taken for the kernel variant that will actually run.
+    let rates = match tce_core::calib::calibration_env_requested() {
+        Ok(p) => p.map(|p| p.rates(tce_core::tensor::kernels::active().name())),
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
     };
-    let rates = profile
-        .as_ref()
-        .map(|p| p.rates(tce_core::tensor::kernels::active().name()));
 
     let cfg = SynthesisConfig {
         memory_limit: args.memory_limit,

@@ -309,9 +309,10 @@ impl Synthesis {
     /// Per statement: bind inputs (computed values shadow external
     /// bindings), run every term through `term` — which returns the term's
     /// value with its output dims in canonical (ascending-id) order, plus
-    /// whatever the executor measured — permute to the declared LHS order
-    /// and `axpy` into the accumulator.  Returns the assigned tensors and
-    /// the per-term measurements in (statement, term) order.
+    /// whatever the executor measured — and add it into the accumulator
+    /// through the permutation to the declared LHS order, in one pass.
+    /// Returns the assigned tensors and the per-term measurements in
+    /// (statement, term) order.
     ///
     /// Bitwise identical for every slot count: each statement's value is a
     /// function of its dataflow predecessors only.  Failures surface as
@@ -399,8 +400,9 @@ impl Synthesis {
                 for plan in self.plans.iter().filter(|p| p.stmt_index == si) {
                     let (value, r) = term(plan, &inputs)?;
                     // The plan's output dims are the LHS indices in
-                    // canonical order; permute to the declared order.
-                    acc.axpy(plan.coeff, &value.permute(&lhs_perm(stmt)));
+                    // canonical order; accumulate through the permutation
+                    // to the declared order.
+                    acc.axpy_permuted(plan.coeff, &value, &lhs_perm(stmt));
                     measured.push(r);
                 }
                 Ok((acc, measured))
@@ -480,15 +482,16 @@ impl Synthesis {
     }
 
     /// Execute the statement sequence on the **sharded distributed
-    /// machine**: every term that carries a [`DistPlan`] runs through
+    /// machine**: every term runs its [`DistPlan`] through
     /// `tce_exec::execute_tree_distributed` (per-rank shard buffers,
-    /// block-transfer redistribution, tree reduction); terms without a
-    /// plan fall back to the GETT tree path.  Returns the outputs plus
-    /// aggregate measured-vs-modeled communication accounting.
+    /// block-transfer redistribution, tree reduction).  Returns the
+    /// outputs plus aggregate measured-vs-modeled communication
+    /// accounting.
     ///
     /// # Errors
     /// [`ExecError`] if an external input binding is missing or mis-shaped,
-    /// or if the synthesis was not configured with a machine.
+    /// if the synthesis was not configured with a machine, or if a term
+    /// carries no distribution plan.
     pub fn execute_distributed_opts(
         &self,
         external_inputs: &HashMap<TensorId, &Tensor>,
@@ -505,16 +508,20 @@ impl Synthesis {
         // Statements run in source order (one slot): the sharded machine is
         // one set of ranks, every term occupies all of it.
         let (outputs, reports) = self.run_statements(external_inputs, 1, &|plan, inputs| {
-            Ok(match &plan.distribution {
-                Some(dist) => {
-                    let mut report = tce_exec::execute_tree_distributed(
-                        &plan.tree, space, dist, machine, inputs, funcs, opts,
-                    )?;
-                    let value = std::mem::replace(&mut report.result, Tensor::zeros(&[]));
-                    (value, Some(report))
-                }
-                None => (plan.execute_opts(space, inputs, funcs, opts)?, None),
-            })
+            let dist = plan
+                .distribution
+                .as_ref()
+                .ok_or_else(|| ExecError::InvalidProgram {
+                    reason: format!(
+                        "statement {} term {} has no distribution plan",
+                        plan.stmt_index, plan.term_index
+                    ),
+                })?;
+            let mut report = tce_exec::execute_tree_distributed(
+                &plan.tree, space, dist, machine, inputs, funcs, opts,
+            )?;
+            let value = std::mem::replace(&mut report.result, Tensor::zeros(&[]));
+            Ok((value, report))
         })?;
         let mut summary = DistExecSummary {
             outputs,
@@ -525,7 +532,7 @@ impl Synthesis {
             redistributions: 0,
             per_rank_flops: vec![0; machine.grid.num_processors()],
         };
-        for report in reports.into_iter().flatten() {
+        for report in reports {
             summary.moved_elements += report.moved_elements;
             summary.predicted_move_elements += report.predicted_move_elements;
             summary.reduce_words += report.reduce_words;

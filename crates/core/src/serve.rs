@@ -226,7 +226,7 @@ impl Default for PipelineHandler {
 impl PipelineHandler {
     /// A handler whose synthesis cache holds `capacity` compiled programs
     /// over `shards` independently locked shards (the response memo gets
-    /// four entries per compiled program — seed/thread variants).
+    /// four entries per compiled program — seed variants).
     #[must_use]
     pub fn new(capacity: usize, shards: usize) -> Self {
         Self {
@@ -237,7 +237,7 @@ impl PipelineHandler {
     }
 
     /// Apply measured cost rates to every request compiled by this
-    /// handler (the served analogue of `tce --calibration FILE`).
+    /// handler (`tce serve` passes the `TCE_CALIBRATION` profile).
     #[must_use]
     pub fn with_calibration(mut self, rates: Option<tce_calib::CostRates>) -> Self {
         self.calibration = rates;
@@ -297,12 +297,13 @@ impl Handler for PipelineHandler {
         let _span = tce_trace::span("serve.pipeline");
         let (mut cfg, run) = parse_run_options(opts)?;
         cfg.calibration = self.calibration.clone();
+        // Replies are bitwise identical for every thread count, so
+        // `threads` picks how a miss executes but is no part of the key.
         let canon = format!(
-            "memory-limit={};cache={:?};seed={};threads={:?};calib={:?}",
+            "memory-limit={};cache={:?};seed={};calib={:?}",
             cfg.memory_limit,
             cfg.cache_elements,
             run.seed,
-            run.threads,
             cfg.calibration.as_ref().map(tce_calib::CostRates::canon)
         );
         let response_key = (program.to_string(), canon);
@@ -396,6 +397,18 @@ mod tests {
             .run(&src, &[("memory-limit".to_string(), "4096".to_string())])
             .unwrap();
         assert_eq!(handler.cache.stats().misses, 2);
+    }
+
+    #[test]
+    fn thread_count_is_not_part_of_the_reply_memo_key() {
+        let handler = PipelineHandler::default();
+        let src = section2_source(4);
+        let opts = |t: &str| [("threads".to_string(), t.to_string())];
+        let one = handler.run(&src, &opts("1")).unwrap();
+        let two = handler.run(&src, &opts("2")).unwrap();
+        assert_eq!(one, two);
+        let resp = handler.responses.stats();
+        assert_eq!((resp.misses, resp.hits), (1, 1));
     }
 
     #[test]

@@ -26,113 +26,33 @@ pub fn row_major_strides(shape: &[usize]) -> Vec<usize> {
     strides
 }
 
-/// Tensors at or above this element count permute thread-parallel.
-const PAR_PERMUTE_MIN: usize = 1 << 16;
+/// Is `perm` the identity permutation?
+fn is_identity(perm: &[usize]) -> bool {
+    perm.iter().enumerate().all(|(d, &p)| d == p)
+}
 
-/// Leaf size (elements) for the cache-oblivious permute recursion: small
-/// enough that a source tile and a destination tile both sit in L1.
-const PERMUTE_LEAF: usize = 4096;
-
-/// Copy the output-coordinate box `[lo, hi)` of a permutation,
-/// cache-obliviously: recursively halve the widest dimension until the
-/// box fits in cache, then run a strided odometer copy.  `dst` starts at
-/// flat output offset `dst_base`; `sstr[d]`/`dstr[d]` are the source and
-/// destination strides of output dimension `d`.
-fn copy_box(
-    src: &[f64],
-    dst: &mut [f64],
-    sstr: &[usize],
-    dstr: &[usize],
-    lo: &[usize],
-    hi: &[usize],
-    dst_base: usize,
-) {
-    let rank = lo.len();
-    if rank == 0 {
-        dst[0] = src[0];
+/// Walk `src` with its dimensions permuted, in one strided pass in the
+/// result's row-major order: `f(k, x)` receives the result's flat offset
+/// `k` and the source element that lands there.  Result dimension `d` is
+/// source dimension `perm[d]`; `perm` must already be validated.
+fn for_each_permuted(src: &Tensor, perm: &[usize], mut f: impl FnMut(usize, f64)) {
+    let shape: Vec<usize> = perm.iter().map(|&p| src.shape[p]).collect();
+    let strides: Vec<usize> = perm.iter().map(|&p| src.strides[p]).collect();
+    let Some(last) = shape.len().checked_sub(1) else {
+        f(0, src.data[0]);
         return;
-    }
-    let elems: usize = lo.iter().zip(hi).map(|(&l, &h)| h - l).product();
-    if elems == 0 {
-        return;
-    }
-    if elems > PERMUTE_LEAF {
-        let (d, _) = lo
-            .iter()
-            .zip(hi)
-            .map(|(&l, &h)| h - l)
-            .enumerate()
-            .max_by_key(|&(_, w)| w)
-            .expect("non-empty box");
-        if hi[d] - lo[d] > 1 {
-            let mid = lo[d] + (hi[d] - lo[d]) / 2;
-            let mut hi1 = hi.to_vec();
-            hi1[d] = mid;
-            let mut lo2 = lo.to_vec();
-            lo2[d] = mid;
-            copy_box(src, dst, sstr, dstr, lo, &hi1, dst_base);
-            copy_box(src, dst, sstr, dstr, &lo2, hi, dst_base);
-            return;
-        }
-    }
-    // Leaf: odometer over the outer dims, contiguous-ish run over the
-    // innermost output dimension.  Two vectorized specializations (both
-    // pure copies, so results are bitwise identical to the generic loop):
-    // aligned innermost dims become straight vector copies; a
-    // transpose-structured leaf (source-contiguous dim ≠ output-innermost
-    // dim) runs in-register transpose tiles instead of strided scalar
-    // accesses.
-    let last = rank - 1;
-    let n_last = hi[last] - lo[last];
-    let (s_last, d_last) = (sstr[last], dstr[last]);
-    let variant = crate::kernels::active();
-    // Output dim that is unit-stride in the *source* (if any, with width
-    // worth tiling) — the transpose partner of the output-innermost dim.
-    let trans_u = if d_last == 1 && s_last != 1 {
-        (0..last).find(|&u| sstr[u] == 1 && hi[u] - lo[u] > 1)
-    } else {
-        None
     };
-    let mut idx = lo.to_vec();
-    loop {
-        let s0: usize = idx.iter().zip(sstr).map(|(&i, &s)| i * s).sum();
-        let d0: usize = idx.iter().zip(dstr).map(|(&i, &s)| i * s).sum::<usize>() - dst_base;
-        if let Some(u) = trans_u {
-            crate::kernels::transpose_tile(
-                variant,
-                src,
-                dst,
-                s0,
-                d0,
-                hi[u] - lo[u],
-                n_last,
-                s_last,
-                dstr[u],
-            );
-        } else if s_last == 1 && d_last == 1 {
-            crate::kernels::copy_f64(variant, &mut dst[d0..d0 + n_last], &src[s0..s0 + n_last]);
-        } else {
-            for t in 0..n_last {
-                dst[d0 + t * d_last] = src[s0 + t * s_last];
-            }
+    let (run, step) = (shape[last], strides[last]);
+    let outer: usize = shape[..last].iter().product();
+    let mut idx = vec![0usize; last];
+    let mut k = 0usize;
+    for _ in 0..outer {
+        let base: usize = idx.iter().zip(&strides).map(|(&i, &s)| i * s).sum();
+        for t in 0..run {
+            f(k + t, src.data[base + t * step]);
         }
-        // Advance the outer odometer within the box (the transpose path
-        // also skips dim `u`: the tile covered its whole extent).
-        let mut d = last;
-        loop {
-            if d == 0 {
-                return;
-            }
-            d -= 1;
-            if Some(d) == trans_u {
-                continue;
-            }
-            idx[d] += 1;
-            if idx[d] < hi[d] {
-                break;
-            }
-            idx[d] = lo[d];
-        }
+        k += run;
+        Tensor::advance(&mut idx, &shape[..last]);
     }
 }
 
@@ -280,92 +200,61 @@ impl Tensor {
     }
 
     /// Return a copy with dimensions permuted: `out[i…] = self[perm(i…)]`,
-    /// where output dimension `d` is input dimension `perm[d]`.
-    ///
-    /// Uses a blocked, cache-oblivious kernel (recursively splitting the
-    /// largest extent until a tile fits in cache) and goes thread-parallel
-    /// for large tensors.  Parallelism is safe here at any thread count: a
-    /// permutation is a pure copy, so the result is bitwise identical
-    /// however the work is split.
+    /// where output dimension `d` is input dimension `perm[d]`.  One
+    /// sequential strided pass; the identity permutation is a clone.
     ///
     /// # Panics
     /// Panics if `perm` is not a permutation of `0..rank`.
     pub fn permute(&self, perm: &[usize]) -> Tensor {
-        let threads = if self.data.len() >= PAR_PERMUTE_MIN {
-            tce_par::default_threads()
-        } else {
-            1
-        };
-        self.permute_with_threads(perm, threads)
+        let shape = self.permuted_shape(perm);
+        if is_identity(perm) {
+            return self.clone();
+        }
+        let mut out = Tensor::zeros(&shape);
+        self.count_permute_traffic();
+        for_each_permuted(self, perm, |k, x| out.data[k] = x);
+        out
     }
 
-    /// [`permute`](Self::permute) with an explicit worker count.
+    /// `self += alpha · other.permute(perm)` without materializing the
+    /// permuted copy: one strided pass over `other`, with the same
+    /// per-element arithmetic (and so the same bits) as permuting first.
+    /// The identity permutation is plain [`axpy`](Self::axpy).
+    ///
+    /// # Panics
+    /// Panics if `perm` is not a permutation of `0..other.rank()` or the
+    /// permuted shape differs from `self`'s.
+    pub fn axpy_permuted(&mut self, alpha: f64, other: &Tensor, perm: &[usize]) {
+        let shape = other.permuted_shape(perm);
+        if is_identity(perm) {
+            self.axpy(alpha, other);
+        } else {
+            assert_eq!(self.shape, shape, "shape mismatch");
+            other.count_permute_traffic();
+            for_each_permuted(other, perm, |k, x| self.data[k] += alpha * x);
+        }
+    }
+
+    /// The shape `self.permute(perm)` has.
     ///
     /// # Panics
     /// Panics if `perm` is not a permutation of `0..rank`.
-    pub fn permute_with_threads(&self, perm: &[usize], threads: usize) -> Tensor {
+    fn permuted_shape(&self, perm: &[usize]) -> Vec<usize> {
         assert_eq!(perm.len(), self.rank(), "permutation length mismatch");
         let mut seen = vec![false; self.rank()];
         for &p in perm {
             assert!(p < self.rank() && !seen[p], "invalid permutation");
             seen[p] = true;
         }
-        // Identity permutations and rank ≤ 1 are plain copies.
-        if perm.iter().enumerate().all(|(d, &p)| d == p) {
-            return self.clone();
-        }
-        let new_shape: Vec<usize> = perm.iter().map(|&p| self.shape[p]).collect();
-        let mut out = Tensor::zeros(&new_shape);
-        // One read + one write per element.
+        perm.iter().map(|&p| self.shape[p]).collect()
+    }
+
+    /// Record one read and one write of every element as permute traffic.
+    fn count_permute_traffic(&self) {
         tce_trace::counter(
             "permute.bytes",
             2 * (self.data.len() * std::mem::size_of::<f64>()) as u64,
         );
-        // Walk the *output* row-major; source strides for output dim `d`
-        // are the input strides of dimension `perm[d]`.
-        let sstr: Vec<usize> = perm.iter().map(|&p| self.strides[p]).collect();
-        let dstr = out.strides.clone();
-        let rank = new_shape.len();
-
-        // Parallelize over output dim-0 slabs: disjoint destination
-        // regions, so workers never touch the same bytes.
-        let slabs = new_shape[0];
-        let threads = threads.max(1).min(slabs.max(1));
-        if threads <= 1 || out.data.len() < PAR_PERMUTE_MIN {
-            let lo = vec![0usize; rank];
-            copy_box(&self.data, &mut out.data, &sstr, &dstr, &lo, &new_shape, 0);
-            return out;
-        }
-        let slab_elems = out.data.len() / slabs;
-        // Pre-split the destination into per-slab slices so workers hold
-        // provably disjoint regions.
-        struct SlabPtr(*mut f64);
-        unsafe impl Send for SlabPtr {}
-        unsafe impl Sync for SlabPtr {}
-        let slab_ptrs: Vec<(SlabPtr, usize)> = out
-            .data
-            .chunks_mut(slab_elems)
-            .map(|c| (SlabPtr(c.as_mut_ptr()), c.len()))
-            .collect();
-        let src = &self.data[..];
-        let shape_ref = &new_shape;
-        let sstr_ref = &sstr;
-        let dstr_ref = &dstr;
-        let slab_ptrs_ref = &slab_ptrs;
-        tce_par::parallel_for(slabs, threads, move |range| {
-            for s in range {
-                let (ptr, len) = &slab_ptrs_ref[s];
-                // SAFETY: each slab index appears in exactly one range.
-                let dst = unsafe { std::slice::from_raw_parts_mut(ptr.0, *len) };
-                let mut lo = vec![0usize; rank];
-                let mut hi = shape_ref.clone();
-                lo[0] = s;
-                hi[0] = s + 1;
-                // Offsets inside this slab are relative to its start.
-                copy_box(src, dst, sstr_ref, dstr_ref, &lo, &hi, s * slab_elems);
-            }
-        });
-        out
     }
 
     /// Maximum absolute difference to another tensor of the same shape.
@@ -581,34 +470,60 @@ mod tests {
     }
 
     #[test]
-    fn permute_large_crosses_parallel_threshold() {
-        // 48·40·36 = 69 120 elements > PAR_PERMUTE_MIN, so permute()
-        // takes the blocked parallel path; verify against get().
-        let t = Tensor::random(&[48, 40, 36], 11);
-        let p = t.permute(&[2, 0, 1]);
-        assert_eq!(p.shape(), &[36, 48, 40]);
-        for &(x, y, z) in &[(0, 0, 0), (35, 47, 39), (17, 23, 5), (1, 46, 38)] {
-            assert_eq!(p.get(&[x, y, z]), t.get(&[y, z, x]));
-        }
-        let back = p.permute_with_threads(&[1, 2, 0], 3);
-        assert_eq!(back, t);
-    }
-
-    #[test]
-    fn permute_bitwise_identical_across_thread_counts() {
-        let t = Tensor::random(&[40, 41, 43], 12);
-        let p1 = t.permute_with_threads(&[1, 2, 0], 1);
-        for threads in [2, 5, 7, 64] {
-            assert_eq!(p1, t.permute_with_threads(&[1, 2, 0], threads));
-        }
-    }
-
-    #[test]
     fn permute_identity_and_rank0() {
         let t = Tensor::random(&[5, 6], 13);
         assert_eq!(t.permute(&[0, 1]), t);
         let s = Tensor::from_elem(&[], 2.5);
         assert_eq!(s.permute(&[]), s);
+    }
+
+    /// Every permutation of `0..rank`.
+    fn permutations(rank: usize) -> Vec<Vec<usize>> {
+        if rank == 0 {
+            return vec![Vec::new()];
+        }
+        let mut out = Vec::new();
+        for p in permutations(rank - 1) {
+            for at in 0..=p.len() {
+                let mut q = p.clone();
+                q.insert(at, rank - 1);
+                out.push(q);
+            }
+        }
+        out
+    }
+
+    fn bits(t: &Tensor) -> Vec<u64> {
+        t.data().iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn axpy_permuted_matches_permute_then_axpy_bitwise() {
+        for (shape, seed) in [(vec![3, 1, 4, 2], 0), (vec![], 1), (vec![5], 2)] {
+            let mut value = Tensor::random(&shape, 31 + seed);
+            value.data_mut()[0] = -0.0;
+            let perms = permutations(shape.len());
+            assert_eq!(perms.len(), (1..=shape.len()).product::<usize>());
+            for perm in perms {
+                for coeff in [1.0, -2.5] {
+                    let permuted = value.permute(&perm);
+                    let mut start = Tensor::random(permuted.shape(), 41 + seed);
+                    start.data_mut()[permuted.len() - 1] = -0.0;
+                    let mut want = start.clone();
+                    want.axpy(coeff, &permuted);
+                    let mut got = start;
+                    got.axpy_permuted(coeff, &value, &perm);
+                    assert_eq!(bits(&got), bits(&want), "perm {perm:?} coeff {coeff}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "shape mismatch")]
+    fn axpy_permuted_rejects_shape_mismatch() {
+        let mut a = Tensor::zeros(&[2, 3]);
+        a.axpy_permuted(1.0, &Tensor::zeros(&[2, 3]), &[1, 0]);
     }
 
     #[test]

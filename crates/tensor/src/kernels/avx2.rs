@@ -96,111 +96,6 @@ pub unsafe fn copy_f64(dst: &mut [f64], src: &[f64]) {
     }
 }
 
-/// Transpose four source columns of four consecutive `iu` values into
-/// four destination rows: the classic unpack + `permute2f128` 4×4 f64
-/// in-register transpose.
-#[inline(always)]
-unsafe fn transpose4x4(sp: *const f64, dp: *mut f64, scs: usize, drs: usize) {
-    let r0 = _mm256_loadu_pd(sp);
-    let r1 = _mm256_loadu_pd(sp.add(scs));
-    let r2 = _mm256_loadu_pd(sp.add(2 * scs));
-    let r3 = _mm256_loadu_pd(sp.add(3 * scs));
-    let t0 = _mm256_unpacklo_pd(r0, r1);
-    let t1 = _mm256_unpackhi_pd(r0, r1);
-    let t2 = _mm256_unpacklo_pd(r2, r3);
-    let t3 = _mm256_unpackhi_pd(r2, r3);
-    _mm256_storeu_pd(dp, _mm256_permute2f128_pd(t0, t2, 0x20));
-    _mm256_storeu_pd(dp.add(drs), _mm256_permute2f128_pd(t1, t3, 0x20));
-    _mm256_storeu_pd(dp.add(2 * drs), _mm256_permute2f128_pd(t0, t2, 0x31));
-    _mm256_storeu_pd(dp.add(3 * drs), _mm256_permute2f128_pd(t1, t3, 0x31));
-}
-
-/// Transpose-structured copy (`dst[d0+iu*drs+il] = src[s0+iu+il*scs]`)
-/// processed as 8×8 blocks of four 4×4 in-register transpose tiles, with
-/// scalar edges.
-///
-/// # Safety
-/// Caller must ensure AVX2 support; index bounds are the caller's
-/// contract exactly as in the scalar version.
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-pub unsafe fn transpose_tile(
-    src: &[f64],
-    dst: &mut [f64],
-    s0: usize,
-    d0: usize,
-    nu: usize,
-    nl: usize,
-    scs: usize,
-    drs: usize,
-) {
-    let sp = src.as_ptr();
-    let dp = dst.as_mut_ptr();
-    let nu4 = nu / 4 * 4;
-    let nl4 = nl / 4 * 4;
-    // 8×8 macro-blocks keep one source stripe and one destination stripe
-    // hot; each is four 4×4 register transposes.
-    let mut iu = 0;
-    while iu + 8 <= nu4 {
-        let mut il = 0;
-        while il + 8 <= nl4 {
-            for (du, dl) in [(0, 0), (0, 4), (4, 0), (4, 4)] {
-                transpose4x4(
-                    sp.add(s0 + iu + du + (il + dl) * scs),
-                    dp.add(d0 + (iu + du) * drs + il + dl),
-                    scs,
-                    drs,
-                );
-            }
-            il += 8;
-        }
-        while il + 4 <= nl4 {
-            transpose4x4(
-                sp.add(s0 + iu + il * scs),
-                dp.add(d0 + iu * drs + il),
-                scs,
-                drs,
-            );
-            transpose4x4(
-                sp.add(s0 + iu + 4 + il * scs),
-                dp.add(d0 + (iu + 4) * drs + il),
-                scs,
-                drs,
-            );
-            il += 4;
-        }
-        for il in il..nl {
-            for r in 0..8 {
-                *dp.add(d0 + (iu + r) * drs + il) = *sp.add(s0 + iu + r + il * scs);
-            }
-        }
-        iu += 8;
-    }
-    while iu + 4 <= nu4 {
-        let mut il = 0;
-        while il + 4 <= nl4 {
-            transpose4x4(
-                sp.add(s0 + iu + il * scs),
-                dp.add(d0 + iu * drs + il),
-                scs,
-                drs,
-            );
-            il += 4;
-        }
-        for il in il..nl {
-            for r in 0..4 {
-                *dp.add(d0 + (iu + r) * drs + il) = *sp.add(s0 + iu + r + il * scs);
-            }
-        }
-        iu += 4;
-    }
-    for iu in iu..nu {
-        for il in 0..nl {
-            *dp.add(d0 + iu * drs + il) = *sp.add(s0 + iu + il * scs);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,25 +135,6 @@ mod tests {
             let mut dst = vec![0.0f64; n];
             unsafe { copy_f64(&mut dst, &src) };
             assert_eq!(dst, src, "n={n}");
-        }
-    }
-
-    #[test]
-    fn transpose_matches_scalar_on_odd_tiles() {
-        if !have_avx2_fma() {
-            return;
-        }
-        for (nu, nl) in [(1, 1), (4, 4), (8, 8), (9, 13), (17, 5), (23, 29)] {
-            let scs = nu + 3; // room between columns
-            let drs = nl + 2;
-            let len = (nl + 1) * scs + nu + 8;
-            let dlen = (nu + 1) * drs + nl + 8;
-            let src: Vec<f64> = (0..len).map(|x| (x * x) as f64).collect();
-            let mut dst = vec![0.0f64; dlen];
-            let mut want = vec![0.0f64; dlen];
-            unsafe { transpose_tile(&src, &mut dst, 1, 2, nu, nl, scs, drs) };
-            super::super::scalar::transpose_tile(&src, &mut want, 1, 2, nu, nl, scs, drs);
-            assert_eq!(dst, want, "nu={nu} nl={nl}");
         }
     }
 }

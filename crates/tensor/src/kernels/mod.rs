@@ -2,18 +2,17 @@
 //!
 //! The GETT engine's inner loops — the register-blocked GEMM kernel, the
 //! no-pack direct kernel for thin shapes (M or N below the register
-//! tile), the panel packing copies, and the blocked permute — come in
-//! three implementations selected once per process by CPUID:
+//! tile), and the panel packing copies — come in three implementations
+//! selected once per process by CPUID:
 //!
 //! * [`KernelVariant::Scalar`] — the portable mul+add kernel (8×4
 //!   register tile), bit-for-bit identical to the engine before SIMD
 //!   dispatch existed.  It is the correctness oracle for the differential
 //!   tests and the fallback on non-x86 targets.
-//! * [`KernelVariant::Sse2`] — 128-bit SSE2 kernels (4×4 GEMM tile,
-//!   2×2 in-register transpose).  Baseline for every x86-64 CPU.
+//! * [`KernelVariant::Sse2`] — 128-bit SSE2 kernels (4×4 GEMM tile).
+//!   Baseline for every x86-64 CPU.
 //! * [`KernelVariant::Avx2`] — 256-bit AVX2+FMA kernels (8×6 GEMM tile
-//!   holding twelve of sixteen ymm accumulators, 4×4 in-register
-//!   transpose tiles composed into 8×8 blocks, vectorized unit-stride
+//!   holding twelve of sixteen ymm accumulators, vectorized unit-stride
 //!   pack copies).
 //!
 //! Selection order: a programmatic override ([`set_override`], which the
@@ -654,45 +653,19 @@ unsafe fn chains<const W: usize>(
     }
 }
 
-/// Copy `src` into `dst` (equal lengths) with the variant's widest
-/// vector moves — the unit-stride fast path of the pack routines.
+/// Copy `src` into `dst` with the variant's widest vector moves — the
+/// unit-stride fast path of the pack routines.
+///
+/// # Panics
+/// Panics if the lengths differ, under every variant.
 #[inline]
 pub fn copy_f64(variant: KernelVariant, dst: &mut [f64], src: &[f64]) {
-    debug_assert_eq!(dst.len(), src.len());
+    assert_eq!(dst.len(), src.len(), "copy_f64 length mismatch");
     match variant {
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        // SAFETY: CPUID-checked at selection time.
+        // SAFETY: CPUID-checked at selection time; the lengths are equal.
         KernelVariant::Avx2 => unsafe { avx2::copy_f64(dst, src) },
         _ => dst.copy_from_slice(src),
-    }
-}
-
-/// Transpose-structured tile copy used by the blocked permute:
-/// `dst[iu*drs + il] = src[iu + il*scs]` for `iu < nu`, `il < nl` —
-/// source columns are unit-stride, destination rows are unit-stride.
-/// AVX2 runs 4×4 in-register transpose tiles (8×8 blocks two at a time),
-/// SSE2 2×2 tiles, scalar a plain loop.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub fn transpose_tile(
-    variant: KernelVariant,
-    src: &[f64],
-    dst: &mut [f64],
-    s0: usize,
-    d0: usize,
-    nu: usize,
-    nl: usize,
-    scs: usize,
-    drs: usize,
-) {
-    match variant {
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        // SAFETY: CPUID-checked at selection time.
-        KernelVariant::Avx2 => unsafe { avx2::transpose_tile(src, dst, s0, d0, nu, nl, scs, drs) },
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        // SAFETY: as above.
-        KernelVariant::Sse2 => unsafe { sse2::transpose_tile(src, dst, s0, d0, nu, nl, scs, drs) },
-        _ => scalar::transpose_tile(src, dst, s0, d0, nu, nl, scs, drs),
     }
 }
 
@@ -722,6 +695,20 @@ mod tests {
         assert_eq!(active(), KernelVariant::Scalar);
         set_override(None).unwrap();
         assert_eq!(active(), default_variant());
+    }
+
+    #[test]
+    fn copy_f64_rejects_mismatched_lengths_under_every_variant() {
+        for v in supported_variants() {
+            for (d, s) in [(64, 4), (4, 64)] {
+                let copied =
+                    std::panic::catch_unwind(|| copy_f64(v, &mut vec![0.0; d], &vec![1.0; s]));
+                assert!(copied.is_err(), "{v}: dst {d} / src {s} did not panic");
+            }
+            let mut dst = [0.0; 5];
+            copy_f64(v, &mut dst, &[1.0, 2.0, 3.0, 4.0, 5.0]);
+            assert_eq!(dst, [1.0, 2.0, 3.0, 4.0, 5.0], "{v}");
+        }
     }
 
     #[test]

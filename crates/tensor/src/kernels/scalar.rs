@@ -29,30 +29,6 @@ pub fn microkernel_8x4(ap: &[f64], bp: &[f64], kb: usize, acc: &mut [f64]) {
     }
 }
 
-/// Scalar transpose-structured copy: `dst[d0 + iu*drs + il] =
-/// src[s0 + iu + il*scs]`.  Walks destination rows so writes are
-/// contiguous.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub fn transpose_tile(
-    src: &[f64],
-    dst: &mut [f64],
-    s0: usize,
-    d0: usize,
-    nu: usize,
-    nl: usize,
-    scs: usize,
-    drs: usize,
-) {
-    for iu in 0..nu {
-        let drow = &mut dst[d0 + iu * drs..d0 + iu * drs + nl];
-        let sbase = s0 + iu;
-        for (il, out) in drow.iter_mut().enumerate() {
-            *out = src[sbase + il * scs];
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -71,19 +47,6 @@ mod tests {
                     want += ap[kk * 8 + r] * bp[kk * 4 + c];
                 }
                 assert!((acc[r * 4 + c] - want).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn transpose_tile_reference() {
-        let (nu, nl, scs, drs) = (3, 5, 7, 9);
-        let src: Vec<f64> = (0..64).map(|x| x as f64).collect();
-        let mut dst = vec![0.0f64; 64];
-        transpose_tile(&src, &mut dst, 2, 1, nu, nl, scs, drs);
-        for iu in 0..nu {
-            for il in 0..nl {
-                assert_eq!(dst[1 + iu * drs + il], src[2 + iu + il * scs]);
             }
         }
     }

@@ -49,54 +49,6 @@ pub unsafe fn microkernel_4x4(ap: &[f64], bp: &[f64], kb: usize, acc: &mut [f64]
     }
 }
 
-/// Transpose-structured copy (`dst[d0+iu*drs+il] = src[s0+iu+il*scs]`)
-/// with 2×2 in-register tiles via `unpacklo/hi_pd`.
-///
-/// # Safety
-/// Caller must ensure SSE2 support; index bounds are the caller's
-/// contract exactly as in the scalar version (all reads/writes are in
-/// range for `src`/`dst`).
-#[target_feature(enable = "sse2")]
-#[allow(clippy::too_many_arguments)]
-pub unsafe fn transpose_tile(
-    src: &[f64],
-    dst: &mut [f64],
-    s0: usize,
-    d0: usize,
-    nu: usize,
-    nl: usize,
-    scs: usize,
-    drs: usize,
-) {
-    let sp = src.as_ptr();
-    let dp = dst.as_mut_ptr();
-    let mut iu = 0;
-    while iu + 2 <= nu {
-        let mut il = 0;
-        while il + 2 <= nl {
-            // Two source columns of two consecutive iu values each.
-            let r0 = _mm_loadu_pd(sp.add(s0 + iu + il * scs));
-            let r1 = _mm_loadu_pd(sp.add(s0 + iu + (il + 1) * scs));
-            // 2×2 transpose.
-            let t0 = _mm_unpacklo_pd(r0, r1);
-            let t1 = _mm_unpackhi_pd(r0, r1);
-            _mm_storeu_pd(dp.add(d0 + iu * drs + il), t0);
-            _mm_storeu_pd(dp.add(d0 + (iu + 1) * drs + il), t1);
-            il += 2;
-        }
-        for il in il..nl {
-            *dp.add(d0 + iu * drs + il) = *sp.add(s0 + iu + il * scs);
-            *dp.add(d0 + (iu + 1) * drs + il) = *sp.add(s0 + iu + 1 + il * scs);
-        }
-        iu += 2;
-    }
-    if iu < nu {
-        for il in 0..nl {
-            *dp.add(d0 + iu * drs + il) = *sp.add(s0 + iu + il * scs);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,19 +72,5 @@ mod tests {
                 assert!((acc[r * 4 + c] - want).abs() < 1e-12, "r={r} c={c}");
             }
         }
-    }
-
-    #[test]
-    fn transpose_matches_scalar_on_odd_tile() {
-        if !is_x86_feature_detected!("sse2") {
-            return;
-        }
-        let (nu, nl, scs, drs) = (5, 7, 11, 13);
-        let src: Vec<f64> = (0..128).map(|x| x as f64).collect();
-        let mut dst = vec![0.0f64; 128];
-        let mut want = vec![0.0f64; 128];
-        unsafe { transpose_tile(&src, &mut dst, 3, 2, nu, nl, scs, drs) };
-        super::super::scalar::transpose_tile(&src, &mut want, 3, 2, nu, nl, scs, drs);
-        assert_eq!(dst, want);
     }
 }

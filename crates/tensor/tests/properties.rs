@@ -143,20 +143,22 @@ fn gett_bitwise_identical_across_threads() {
     }
 }
 
-/// The blocked (possibly parallel) permute is bitwise identical for
-/// every thread count and matches elementwise indexing.
+/// The permute matches elementwise indexing, and accumulating through a
+/// permutation is bitwise `permute` then `axpy`.
 #[test]
-fn permute_blocked_bitwise_across_threads() {
+fn permute_matches_element_lookup() {
     let mut rng = Rng::new(0xa00a);
     for _ in 0..16 {
         let shape: Vec<usize> = (0..3).map(|_| rng.usize_in(5..40)).collect();
         let t = Tensor::random(&shape, rng.u64_in(0..1000));
         let rot = rng.usize_in(1..3);
         let perm: Vec<usize> = (0..3).map(|d| (d + rot) % 3).collect();
-        let p1 = t.permute_with_threads(&perm, 1);
-        for threads in [2, 7] {
-            assert_eq!(p1, t.permute_with_threads(&perm, threads));
-        }
+        let p1 = t.permute(&perm);
+        let mut want = Tensor::random(p1.shape(), rng.u64_in(0..1000));
+        let mut got = want.clone();
+        want.axpy(-0.75, &p1);
+        got.axpy_permuted(-0.75, &t, &perm);
+        assert_eq!(got, want);
         let mut idx = vec![0usize; 3];
         for _ in 0..p1.len() {
             // out[idx] = in[src] with src[perm[d]] = idx[d].

@@ -933,23 +933,19 @@ fn bad_calibration_env_and_flag_fail_cleanly() {
             !out.status.success(),
             "serve with TCE_CALIBRATION={path} must exit nonzero"
         );
-        // Via the flag: same failure, flag-shaped diagnostic.
-        let out = tce()
-            .args([chain.as_str(), "--calibration", path])
-            .output()
-            .expect("spawn tce");
-        assert!(
-            !out.status.success(),
-            "--calibration {path} must exit nonzero"
-        );
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            stderr.contains("--calibration") || stderr.contains("calibration"),
-            "diagnostic should mention the flag:\n{stderr}"
-        );
-        assert!(!stderr.contains("panicked"), "panicked:\n{stderr}");
     }
     let _ = std::fs::remove_dir_all(&dir);
+    // `TCE_CALIBRATION` is the one way to load a profile: the old flag is
+    // an unknown argument.
+    let out = tce()
+        .args([chain.as_str(), "--calibration", "x"])
+        .output()
+        .expect("spawn tce");
+    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "unknown argument `--calibration` (try --help)\n"
+    );
 }
 
 #[test]
@@ -980,15 +976,11 @@ fn calibrate_writes_a_loadable_profile_and_audits_failures() {
         .expect("written profile must load");
     assert_eq!(profile.version, tce_core::calib::PROFILE_VERSION);
 
-    // The profile round-trips through `--calibration` on a real run and
+    // The profile round-trips through `TCE_CALIBRATION` on a real run and
     // surfaces the predicted-vs-measured line.
     let out = tce()
-        .args([
-            spec("matrix_chain.tce").as_str(),
-            "--execute",
-            "--calibration",
-            out_path.to_str().unwrap(),
-        ])
+        .args([spec("matrix_chain.tce").as_str(), "--execute"])
+        .env("TCE_CALIBRATION", &out_path)
         .output()
         .expect("spawn tce");
     assert!(

@@ -447,3 +447,33 @@ fn distributed_execution_without_a_machine_is_a_typed_error() {
     );
     assert!(!err.to_string().contains('\n'));
 }
+
+#[test]
+fn a_term_without_a_distribution_plan_is_a_typed_error() {
+    // Synthesis gives every term a distribution plan when it has a
+    // machine, so a term without one is an invalid program.
+    use tce_core::exec::ExecError;
+
+    let mut syn = synthesize(
+        &section2_source(3),
+        &SynthesisConfig {
+            machine: Some(Machine::new(ProcessorGrid::new(vec![2, 2]))),
+            ..SynthesisConfig::default()
+        },
+    )
+    .unwrap();
+    let plan = syn.plans.last_mut().expect("one term at least");
+    let (stmt, term) = (plan.stmt_index, plan.term_index);
+    plan.distribution = None;
+    let owned = tce_core::serve::bind_random_inputs(&syn, 5);
+    let inputs: HashMap<TensorId, &Tensor> = owned.iter().map(|(id, t)| (*id, t)).collect();
+    let funcs = tce_core::serve::bind_functions(&syn, 5);
+    let err = syn
+        .execute_distributed_opts(&inputs, &funcs, &ExecOptions::serial())
+        .expect_err("a term without a distribution plan must error");
+    assert!(
+        matches!(&err, ExecError::InvalidProgram { reason }
+            if reason == &format!("statement {stmt} term {term} has no distribution plan")),
+        "{err}"
+    );
+}

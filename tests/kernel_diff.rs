@@ -3,11 +3,11 @@
 //! The scalar kernel is the oracle: every SIMD variant the host supports
 //! must agree with it to 1e-10 on the GETT engine (FMA changes rounding,
 //! so bitwise equality across variants is *not* expected), must be
-//! bitwise deterministic across thread counts *within* a variant, and —
-//! because packing and permutes are pure copies — the permute fast paths
-//! must be bitwise identical across variants.  A pinned golden-bits test
-//! locks `TCE_KERNEL=scalar` to the exact results the engine produced
-//! before runtime dispatch existed.
+//! bitwise deterministic across thread counts *within* a variant, and the
+//! unit-stride and gather pack paths (pure copies) must agree bitwise.
+//! The permute, one strided copy with no variant, matches element lookup.
+//! A pinned golden-bits test locks `TCE_KERNEL=scalar` to the exact
+//! results the engine produced before runtime dispatch existed.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -21,8 +21,7 @@ use tce_core::tensor::{
 use tce_core::{synthesize, ExecOptions, SynthesisConfig};
 
 /// Serializes tests that flip the process-wide kernel override (the
-/// pipeline executors and the permute fast path read
-/// [`kernels::active`]).
+/// pipeline executors read [`kernels::active`]).
 static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
 
 fn spec_path(name: &str) -> String {
@@ -195,12 +194,29 @@ fn unit_stride_and_gather_pack_paths_agree_bitwise() {
     }
 }
 
+/// Check every element of `t.permute(perm)` against element lookup:
+/// `out[idx]` reads the source at coordinates `c` with `c[perm[d]] = idx[d]`.
+fn assert_permute_matches_lookup(t: &Tensor, perm: &[usize]) {
+    let got = t.permute(perm);
+    let want: Vec<usize> = perm.iter().map(|&p| t.shape()[p]).collect();
+    assert_eq!(got.shape(), &want[..], "perm {perm:?}");
+    let mut idx = vec![0usize; perm.len()];
+    let mut src = vec![0usize; perm.len()];
+    for _ in 0..got.len() {
+        for (d, &p) in perm.iter().enumerate() {
+            src[p] = idx[d];
+        }
+        assert_eq!(got.get(&idx), t.get(&src), "perm {perm:?} at {idx:?}");
+        Tensor::advance(&mut idx, got.shape());
+    }
+}
+
+/// The permute is one strided copy with no kernel-variant or thread
+/// dimension; transpose-heavy, aligned-innermost, full-reversal and
+/// identity permutations all match element lookup.
 #[test]
 fn permute_bitwise_identical_across_variants_and_threads() {
-    let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let t = Tensor::random(&[7, 5, 9, 4, 3], dseed(81));
-    // Transpose-heavy, aligned-innermost, and full-reversal perms cover
-    // the transpose-tile, vector-copy, and generic leaf paths.
     for perm in [
         vec![4, 3, 2, 1, 0],
         vec![1, 0, 2, 3, 4],
@@ -208,58 +224,22 @@ fn permute_bitwise_identical_across_variants_and_threads() {
         vec![0, 1, 2, 3, 4],
         vec![4, 0, 1, 2, 3],
     ] {
-        kernels::set_override(Some(KernelVariant::Scalar)).unwrap();
-        let oracle = t.permute(&perm);
-        for variant in kernels::supported_variants() {
-            kernels::set_override(Some(variant)).unwrap();
-            for threads in [1, 3] {
-                let got = t.permute_with_threads(&perm, threads);
-                assert_eq!(oracle, got, "{variant} perm {perm:?} threads={threads}");
-            }
-        }
-        kernels::set_override(None).unwrap();
-        // Spot-check against element lookup: out[idx] reads the source
-        // at coordinates c with c[perm[d]] = idx[d].
-        let got = t.permute(&perm);
-        let mut idx = [0usize; 5];
-        for _ in 0..64 {
-            let mut src = [0usize; 5];
-            for (d, &p) in perm.iter().enumerate() {
-                src[p] = idx[d];
-            }
-            assert_eq!(got.get(&idx), t.get(&src));
-            // Advance a coarse odometer over the permuted shape.
-            for d in (0..5).rev() {
-                idx[d] += 1 + d;
-                if idx[d] < got.shape()[d] {
-                    break;
-                }
-                idx[d] = 0;
-            }
-        }
+        assert_permute_matches_lookup(&t, &perm);
     }
 }
 
-/// Large permute: above the parallel threshold, bitwise equal across
-/// variants and thread counts.
+/// A large permute matches element lookup and round-trips bitwise
+/// through its inverse.
 #[test]
 fn large_permute_parallel_matches_scalar() {
-    let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let t = Tensor::random(&[48, 37, 53], dseed(82));
     for perm in [vec![2, 1, 0], vec![1, 2, 0], vec![2, 0, 1]] {
-        kernels::set_override(Some(KernelVariant::Scalar)).unwrap();
-        let oracle = t.permute_with_threads(&perm, 1);
-        for variant in kernels::supported_variants() {
-            kernels::set_override(Some(variant)).unwrap();
-            for threads in [1, 4] {
-                assert_eq!(
-                    oracle,
-                    t.permute_with_threads(&perm, threads),
-                    "{variant} perm {perm:?} threads={threads}"
-                );
-            }
+        assert_permute_matches_lookup(&t, &perm);
+        let mut inverse = vec![0usize; perm.len()];
+        for (d, &p) in perm.iter().enumerate() {
+            inverse[p] = d;
         }
-        kernels::set_override(None).unwrap();
+        assert_eq!(t.permute(&perm).permute(&inverse), t, "perm {perm:?}");
     }
 }
 

@@ -131,10 +131,8 @@ fn no_coo_sparse_engine() {
     );
 }
 
-#[test]
-fn one_fusion_legality_rule_and_no_retired_knobs() {
-    // `tce_fusion::Lowering::new` is the only legality rule; the memory
-    // knobs are constants and `TCE_KERNEL` is the one way to pin a kernel.
+/// Every file under `crates/*/src`, in a stable order.
+fn crate_sources() -> Vec<PathBuf> {
     let crates = std::fs::read_dir(root().join("crates")).expect("crates directory");
     let mut files: Vec<PathBuf> = crates
         .map(|e| e.expect("directory entry").path().join("src"))
@@ -142,9 +140,16 @@ fn one_fusion_legality_rule_and_no_retired_knobs() {
         .flat_map(|src| files_under(&src))
         .collect();
     files.sort();
+    files
+}
+
+#[test]
+fn one_fusion_legality_rule_and_no_retired_knobs() {
+    // `tce_fusion::Lowering::new` is the only legality rule; the memory
+    // knobs are constants and `TCE_KERNEL` is the one way to pin a kernel.
     assert_absent(
         "a second legality rule or a retired knob",
-        &files,
+        &crate_sources(),
         &[
             "FusionGraph",
             "FusionEdge",
@@ -152,6 +157,22 @@ fn one_fusion_legality_rule_and_no_retired_knobs() {
             "plan_cache_env_requested",
             "bufpool_env_requested",
             "\"--kernel\"",
+        ],
+    );
+}
+
+#[test]
+fn no_transpose_engine_and_one_way_to_load_a_profile() {
+    // Statements accumulate through their LHS permutation in one strided
+    // pass; `TCE_CALIBRATION` is the one way to load a profile.
+    assert_absent(
+        "the transpose engine or a retired knob",
+        &crate_sources(),
+        &[
+            "transpose_tile",
+            "permute_with_threads",
+            "PAR_PERMUTE_MIN",
+            "\"--calibration\"",
         ],
     );
 }
