@@ -258,13 +258,15 @@ fn serve_args() -> Result<tce_serve::ServeConfig, String> {
 }
 
 /// Validate every environment knob before any work: a typo'd
-/// `TCE_THREADS=banana` or an unreadable `TCE_CALIBRATION` is a one-line
-/// diagnostic and a nonzero exit, not a silent clamp or a panic inside the
-/// first contraction.
-fn validate_env() -> Result<(), String> {
+/// `TCE_THREADS=banana`, an unreadable `TCE_CALIBRATION` or an unknown
+/// `TCE_KERNEL` is a one-line diagnostic and a nonzero exit, not a silent
+/// clamp or a panic inside the first contraction.  Returns the
+/// `TCE_CALIBRATION` profile, read and parsed once.
+fn validate_env() -> Result<Option<tce_core::calib::Profile>, String> {
     tce_core::par::threads_env_requested()?;
-    tce_core::calib::calibration_env_requested()?;
-    Ok(())
+    let profile = tce_core::calib::calibration_env_requested()?;
+    tce_core::tensor::kernels::env_requested()?;
+    Ok(profile)
 }
 
 struct CalibrateArgs {
@@ -336,10 +338,6 @@ fn calibrate_main() -> ExitCode {
         eprintln!("{e}");
         return ExitCode::FAILURE;
     }
-    if let Err(e) = tce_core::tensor::kernels::env_requested() {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
     let opts = tce_core::calib::probe::ProbeOptions {
         seed: args.seed,
         budget_ms: args.budget_ms,
@@ -375,24 +373,16 @@ fn serve_main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if let Err(e) = validate_env() {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
-    if let Err(e) = tce_core::tensor::kernels::env_requested() {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
-    tce_serve::server::install_sigterm_drain();
-    // `TCE_CALIBRATION` (validated above) applies measured cost rates to
-    // every request this service compiles.
-    let calibration = match tce_core::calib::calibration_env_requested() {
+    // `TCE_CALIBRATION` applies measured cost rates to every request this
+    // service compiles.
+    let calibration = match validate_env() {
         Ok(p) => p.map(|p| p.rates(tce_core::tensor::kernels::active().name())),
         Err(e) => {
             eprintln!("{e}");
             return ExitCode::FAILURE;
         }
     };
+    tce_serve::server::install_sigterm_drain();
     let handler = std::sync::Arc::new(
         tce_core::serve::PipelineHandler::default().with_calibration(calibration),
     );
@@ -439,16 +429,13 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if let Err(e) = validate_env() {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
-    // Validate TCE_KERNEL up front so a bad value is a one-line
-    // diagnostic, not a panic inside the first contraction.
-    if let Err(e) = tce_core::tensor::kernels::env_requested() {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
+    let profile = match validate_env() {
+        Ok(p) => p,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let src = match std::fs::read_to_string(&args.spec_path) {
         Ok(s) => s,
         Err(e) => {
@@ -462,15 +449,9 @@ fn main() -> ExitCode {
         tce_trace::set_enabled(true);
     }
 
-    // The `TCE_CALIBRATION` profile (already validated by `validate_env`),
-    // its rates taken for the kernel variant that will actually run.
-    let rates = match tce_core::calib::calibration_env_requested() {
-        Ok(p) => p.map(|p| p.rates(tce_core::tensor::kernels::active().name())),
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    // The `TCE_CALIBRATION` profile's rates for the kernel variant that
+    // will actually run.
+    let rates = profile.map(|p| p.rates(tce_core::tensor::kernels::active().name()));
 
     let cfg = SynthesisConfig {
         memory_limit: args.memory_limit,

@@ -197,22 +197,27 @@ pub fn execute_tree_lowered(
             let OpKind::Contract { left, right } = tree.node(v).kind else {
                 return None;
             };
+            // Each operand's source, dimensions and shape.
             let site = |c: NodeId| match &tree.node(c).kind {
                 OpKind::Leaf(Leaf::Input { tensor, indices }) => {
-                    (indices.as_slice(), inputs[tensor].shape())
+                    let t = inputs[tensor];
+                    (Source::Data(t.data()), indices.as_slice(), t.shape())
                 }
-                OpKind::Leaf(Leaf::One) => (&[][..], &[][..]),
+                OpKind::Leaf(Leaf::One) => (Source::Data(&[1.0]), &[][..], &[][..]),
                 _ => (
+                    Source::Array(c),
                     dims[c.0 as usize].as_slice(),
                     shapes[c.0 as usize].as_slice(),
                 ),
             };
+            let [(a_src, a_dims, a_shape), (b_src, b_dims, b_shape)] = [site(left), site(right)];
             let out = (dims[n].as_slice(), shapes[n].as_slice());
             let pinned = schedule.pinned[n];
             Some(SlicedContraction::resolve(
                 space,
                 pinned,
-                [site(left), site(right), out],
+                [(a_dims, a_shape), (b_dims, b_shape), out],
+                [a_src, b_src],
             ))
         })
         .collect();
@@ -221,7 +226,6 @@ pub fn execute_tree_lowered(
         space,
         shapes,
         dims: &dims,
-        inputs,
         funcs,
         schedule: &schedule,
         contractions,
@@ -265,15 +269,26 @@ fn bytes_of(elements: usize) -> u64 {
 
 /// A contraction producer resolved once per execution: one GETT plan over
 /// its kept (unpinned) dimensions, addressing the full operand and output
-/// arrays through their own strides, plus where each pinned index moves
-/// the three base offsets.
-struct SlicedContraction {
+/// arrays through their own strides, where each pinned index moves the
+/// three base offsets, and where each operand's elements come from.
+struct SlicedContraction<'a> {
     /// The contraction over kept dimensions (the plan runs its
     /// [`BinaryContraction::pre_reduced`] form).
     spec: BinaryContraction,
     /// Left operand, right operand, output.
     sites: [Site; 3],
+    /// Left operand, right operand.
+    sources: [Source<'a>; 2],
     plan: Arc<ContractionPlan>,
+}
+
+/// Where a sliced contraction reads an operand: bound elements (an input,
+/// or the `One` leaf's single `1.0`), or the array a producer fills in
+/// this or an earlier step.
+#[derive(Clone, Copy)]
+enum Source<'a> {
+    Data(&'a [f64]),
+    Array(NodeId),
 }
 
 /// How one array of a sliced contraction is addressed.
@@ -297,10 +312,16 @@ impl Site {
     }
 }
 
-impl SlicedContraction {
+impl<'a> SlicedContraction<'a> {
     /// Resolve the production of a contraction whose chain loops pin
-    /// `pinned`, given each array's `(dims, shape)` — left, right, output.
-    fn resolve(space: &IndexSpace, pinned: IndexSet, arrays: [(&[IndexVar], &[usize]); 3]) -> Self {
+    /// `pinned`, given each array's `(dims, shape)` — left, right, output —
+    /// and each operand's source.
+    fn resolve(
+        space: &IndexSpace,
+        pinned: IndexSet,
+        arrays: [(&[IndexVar], &[usize]); 3],
+        sources: [Source<'a>; 2],
+    ) -> Self {
         let [(a, a_site), (b, b_site), (out, out_site)] = arrays.map(|(dims, shape)| {
             let mut site = Site {
                 pinned: Vec::new(),
@@ -339,7 +360,12 @@ impl SlicedContraction {
             space,
             [&a_strides, &b_strides, &sites[2].kept_strides],
         );
-        Self { spec, sites, plan }
+        Self {
+            spec,
+            sites,
+            sources,
+            plan,
+        }
     }
 }
 
@@ -352,11 +378,10 @@ struct Walk<'a> {
     dims: &'a [Vec<IndexVar>],
     /// The shape of each producer's array: the extents of its `dims`.
     shapes: Vec<Vec<usize>>,
-    inputs: &'a HashMap<TensorId, &'a Tensor>,
     funcs: &'a HashMap<String, IntegralFn>,
     schedule: &'a FusionSchedule,
     /// Each contraction producer's resolved slicing, by node.
-    contractions: Vec<Option<SlicedContraction>>,
+    contractions: Vec<Option<SlicedContraction<'a>>>,
     threads: usize,
 }
 
@@ -436,7 +461,7 @@ impl Walk<'_> {
             let mut ctx = FusedCtx {
                 walk: self,
                 arrays: held,
-                env: vec![0usize; 128],
+                env: vec![0usize; IndexSet::MAX_VARS],
                 scope: IndexSet::EMPTY,
                 sliced_contractions: 0,
                 func_evals: 0,
@@ -526,7 +551,7 @@ impl FusedCtx<'_> {
         );
         let tree = self.walk.tree;
         match &tree.node(v).kind {
-            OpKind::Contract { left, right } => self.produce_contract(v, *left, *right),
+            OpKind::Contract { .. } => self.produce_contract(v),
             OpKind::Leaf(Leaf::Func { name, indices, .. }) => {
                 self.produce_func_slice(v, name, indices)
             }
@@ -542,7 +567,7 @@ impl FusedCtx<'_> {
     /// no base: each outer iteration adds one partial product into the
     /// same block.  With nothing pinned this is one whole-array GETT call
     /// per node, the unfused case.
-    fn produce_contract(&mut self, v: NodeId, left: NodeId, right: NodeId) {
+    fn produce_contract(&mut self, v: NodeId) {
         let walk = self.walk;
         let sliced = walk.contractions[v.0 as usize]
             .as_ref()
@@ -552,7 +577,10 @@ impl FusedCtx<'_> {
             .take()
             .unwrap_or_else(|| Tensor::zeros_pooled(&walk.shapes[v.0 as usize]));
         let [a_site, b_site, out_site] = &sliced.sites;
-        let (a, b) = (self.operand(left), self.operand(right));
+        let [a, b] = sliced.sources.map(|src| match src {
+            Source::Data(data) => data,
+            Source::Array(c) => self.array(c).data(),
+        });
         let (a_base, b_base) = (a_site.base(&self.env), b_site.base(&self.env));
         let reduce = |site: &Site, data: &[f64], base: usize, is_a: bool| {
             let scratch = reduce_exclusive(
@@ -583,16 +611,6 @@ impl FusedCtx<'_> {
         }
         *self.cell_mut(v) = Some(out);
         self.sliced_contractions += 1;
-    }
-
-    /// The elements of child `c`'s value: an input, the `One` leaf, or an
-    /// array produced by this or an earlier step.
-    fn operand(&self, c: NodeId) -> &[f64] {
-        match &self.walk.tree.node(c).kind {
-            OpKind::Leaf(Leaf::Input { tensor, .. }) => self.walk.inputs[tensor].data(),
-            OpKind::Leaf(Leaf::One) => &[1.0],
-            _ => self.array(c).data(),
-        }
     }
 
     /// Materialize a function leaf's reduced array for the current pinned

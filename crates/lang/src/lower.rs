@@ -46,6 +46,16 @@ pub fn lower(file: &SourceFile) -> Result<Program, LangError> {
                             format!("index `{name}` already declared"),
                         ));
                     }
+                    if prog.space.num_vars() == IndexSet::MAX_VARS {
+                        return Err(LangError::at(
+                            d.line,
+                            1,
+                            format!(
+                                "index `{name}` is one too many: a program declares at most {} indices",
+                                IndexSet::MAX_VARS
+                            ),
+                        ));
+                    }
                     prog.space.add_var(name, range);
                 }
             }
@@ -220,6 +230,30 @@ mod tests {
         assert_eq!(
             text,
             "S[a,b,i,j] = sum[c,d,e,f,k,l] A[a,c,i,k]*B[b,e,f,l]*C[d,f,j,k]*D[c,d,e,l]"
+        );
+    }
+
+    #[test]
+    fn index_past_the_variable_limit_is_an_error_at_its_declaration() {
+        let names = |n: usize| {
+            (0..n)
+                .map(|q| format!("i{q}"))
+                .collect::<Vec<_>>()
+                .join(", ")
+        };
+        let at_limit = format!("range N = 2;\nindex {} : N;\n", names(IndexSet::MAX_VARS));
+        assert_eq!(
+            compile(&at_limit).unwrap().space.num_vars(),
+            IndexSet::MAX_VARS
+        );
+        let past = format!(
+            "range N = 2;\nindex {} : N;\n",
+            names(IndexSet::MAX_VARS + 1)
+        );
+        let err = compile(&past).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "2:1: index `i64` is one too many: a program declares at most 64 indices"
         );
     }
 

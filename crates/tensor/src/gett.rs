@@ -33,11 +33,12 @@
 //!   `n < NR`, a dot product, GEMV or skinny GETT whose register tile
 //!   would be mostly zero padding — never packs, whatever its size, and
 //!   runs `kernels::direct`: an unpacked register-blocked kernel that
-//!   reads both operands in place through the offset tables.  It repeats
-//!   the packed path's arithmetic operation for operation (per output
-//!   element and K-block: `acc = 0`, the variant's multiply-add in
-//!   ascending `k`, `c += acc`, K-blocks ascending), so which path a plan
-//!   takes never changes a bit;
+//!   reads both operands in place through the offset tables (on AVX2, a
+//!   long output axis contiguous in its operand and in the output runs in
+//!   vector lanes).  It repeats the packed path's arithmetic operation for
+//!   operation (per output element and K-block: `acc = 0`, the variant's
+//!   multiply-add in ascending `k`, `c += acc`, K-blocks ascending), so
+//!   which path a plan takes never changes a bit;
 //! * parallelism partitions the *output*, decided per call at execute
 //!   time (the plan and its blocks do not depend on the thread count).
 //!   MC/NC stay cache blocks; the tasks are register-aligned chunks
@@ -63,6 +64,7 @@ use crate::contract::{reduce_exclusive, BinaryContraction};
 use crate::dense::{row_major_strides, Tensor};
 use crate::kernels::{self, BlockSizes, DirectGemm, KernelConfig, KernelVariant};
 use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use tce_ir::{IndexSpace, IndexVar};
 use tce_par::{block_ranges, Pool, ShardedLru};
@@ -319,6 +321,11 @@ pub struct ContractionPlan {
     a_k_unit: bool,
     /// K group is unit-stride in `b`.
     b_k_unit: bool,
+    /// M group is unit-stride in `a` and in the output: the direct path
+    /// may run it in vector lanes.
+    m_contiguous: bool,
+    /// N group is unit-stride in `b` and in the output.
+    n_contiguous: bool,
     /// Skip packing: `m < MR` or `n < NR`, so the register tile would be
     /// mostly zero padding.
     direct: bool,
@@ -421,15 +428,18 @@ impl ContractionPlan {
         ];
         let kernel = KernelConfig::select(variant, m, n, k);
         let direct = m < kernel.mr || n < kernel.nr;
+        let (a_m_unit, b_n_unit) = (is_unit_stride(&a_m_off), is_unit_stride(&b_n_off));
         Self {
             nb,
             m,
             n,
             k,
-            a_m_unit: is_unit_stride(&a_m_off),
-            b_n_unit: is_unit_stride(&b_n_off),
+            a_m_unit,
+            b_n_unit,
             a_k_unit: is_unit_stride(&a_k_off),
             b_k_unit: is_unit_stride(&b_k_off),
+            m_contiguous: a_m_unit && is_unit_stride(&c_m_off),
+            n_contiguous: b_n_unit && is_unit_stride(&c_n_off),
             a_batch_off,
             a_m_off,
             a_k_off,
@@ -505,10 +515,10 @@ impl ContractionPlan {
         let traced = tce_trace::enabled();
         let _exec_span = tce_trace::span("gett.execute");
         let cfg = self.kernel;
-        let tasks = if self.direct {
+        let (tasks, lanes) = if self.direct {
             self.execute_direct(a, b, c, threads)
         } else {
-            self.execute_packed(a, b, c, threads, traced)
+            (self.execute_packed(a, b, c, threads, traced), false)
         };
         if traced {
             tce_trace::counter_u128("gett.flops", self.flops());
@@ -526,6 +536,9 @@ impl ContractionPlan {
             );
             if self.direct {
                 tce_trace::counter("gett.direct", 1);
+            }
+            if lanes {
+                tce_trace::counter("gett.direct_lanes", 1);
             }
             tce_trace::counter("gett.mc", cfg.blocks.mc as u64);
             tce_trace::counter("gett.nc", cfg.blocks.nc as u64);
@@ -555,10 +568,12 @@ impl ContractionPlan {
     }
 
     /// The direct path on operands and output already rebased, split by
-    /// [`ContractionPlan::direct_split`]; returns the task count.
-    fn execute_direct(&self, a: &[f64], b: &[f64], c: &mut [f64], threads: usize) -> usize {
+    /// [`ContractionPlan::direct_split`]; returns the task count and
+    /// whether vector lanes ran.
+    fn execute_direct(&self, a: &[f64], b: &[f64], c: &mut [f64], threads: usize) -> (usize, bool) {
         let cfg = &self.kernel;
         let c_ptr = SendPtr(c.as_mut_ptr());
+        let lanes = AtomicBool::new(false);
         let run = |bi: usize, rows: Range<usize>, cols: Range<usize>| {
             // Borrow the whole wrapper: a field capture would share the
             // bare pointer.
@@ -573,36 +588,44 @@ impl ContractionPlan {
                 kc: cfg.blocks.kc,
                 a_k_unit: self.a_k_unit,
                 b_k_unit: self.b_k_unit,
+                rows_contiguous: self.m_contiguous,
+                cols_contiguous: self.n_contiguous,
             };
             // SAFETY: batch base plus any offset of the tables is below the
             // operand's span, which `execute_into` asserted fits each slice
             // behind these pointers; the output block (bi, rows, cols)
             // belongs to this task alone, and `with_strides` asserted that
             // distinct output coordinates have distinct offsets.
-            unsafe {
+            let ran_lanes = unsafe {
                 kernels::direct(
                     cfg.variant,
                     &g,
                     a.as_ptr().add(self.a_batch_off[bi]),
                     b.as_ptr().add(self.b_batch_off[bi]),
                     c_ptr.0.add(self.c_batch_off[bi]),
-                );
+                )
+            };
+            if ran_lanes {
+                lanes.store(true, Ordering::Relaxed);
             }
         };
-        let Some(split) = self.direct_split(threads) else {
-            for bi in 0..self.nb {
-                run(bi, 0..self.m, 0..self.n);
-            }
-            return 1;
-        };
-        split.run(threads, &|blocks| {
-            for i in blocks {
-                let [batches, rows, cols] = split.block(i);
-                for bi in batches {
-                    run(bi, rows.clone(), cols.clone());
+        let tasks = match self.direct_split(threads) {
+            None => {
+                for bi in 0..self.nb {
+                    run(bi, 0..self.m, 0..self.n);
                 }
+                1
             }
-        })
+            Some(split) => split.run(threads, &|blocks| {
+                for i in blocks {
+                    let [batches, rows, cols] = split.block(i);
+                    for bi in batches {
+                        run(bi, rows.clone(), cols.clone());
+                    }
+                }
+            }),
+        };
+        (tasks, lanes.into_inner())
     }
 
     /// The packed path on operands and output already rebased, split into
@@ -1478,16 +1501,25 @@ mod tests {
         plan
     }
 
-    /// Run `spec`'s plan on both paths, at 1 and 3 threads, into the same
-    /// random output (`out_strides` `None`: dense row-major) and require
-    /// identical bits, and the oracle's value at every output coordinate.
-    /// Returns the plan.
+    /// `plan` with no axis marked contiguous: the direct path runs every
+    /// long axis in scalar chains, under every variant.
+    fn without_lanes(mut plan: ContractionPlan) -> ContractionPlan {
+        (plan.m_contiguous, plan.n_contiguous) = (false, false);
+        plan
+    }
+
+    /// Run `spec`'s plan on both paths, and on the direct path without
+    /// vector lanes, at 1 and 3 threads, into the same random output
+    /// (`out_strides` `None`: dense row-major) and require identical bits,
+    /// and the oracle's value at every output coordinate.  Returns the plan
+    /// and whether the direct path ran vector lanes at 1 and at 3 threads
+    /// alike.
     fn check_direct_against_packed(
         variant: KernelVariant,
         extents: &[(&str, usize)],
         [da, db, dout]: [&str; 3],
         out_strides: Option<Vec<usize>>,
-    ) -> ContractionPlan {
+    ) -> (ContractionPlan, bool) {
         let sp = space(extents);
         let dims =
             |s: &str| -> Vec<IndexVar> { s.chars().map(|c| v(&sp, &c.to_string())).collect() };
@@ -1507,19 +1539,33 @@ mod tests {
         let a = Tensor::random(&shape(da), 1);
         let b = Tensor::random(&shape(db), 2);
         let c0 = Tensor::random(&[plan().spans[2]], 3);
-        let run = |direct: bool, threads: usize| {
+        let run = |plan: ContractionPlan, threads: usize| {
             let mut c = c0.data().to_vec();
-            on_path(plan(), direct).execute_into(a.data(), 0, b.data(), 0, &mut c, 0, threads);
+            plan.execute_into(a.data(), 0, b.data(), 0, &mut c, 0, threads);
             c
         };
-        let direct = run(true, 1);
-        for (on_direct, threads) in [(true, 3), (false, 1), (false, 3)] {
-            assert_eq!(
-                bits(&direct),
-                bits(&run(on_direct, threads)),
-                "{variant} {extents:?}: direct={on_direct} threads={threads}"
-            );
+        let direct = run(plan(), 1);
+        for threads in [1, 3] {
+            for (path, other) in [
+                ("direct", plan()),
+                ("packed", on_path(plan(), false)),
+                ("direct without lanes", without_lanes(plan())),
+            ] {
+                assert_eq!(
+                    bits(&direct),
+                    bits(&run(other, threads)),
+                    "{variant} {extents:?}: {path}, threads={threads}"
+                );
+            }
         }
+        let lanes = [1, 3].map(|threads| {
+            let mut c = c0.data().to_vec();
+            plan().execute_direct(a.data(), b.data(), &mut c, threads).1
+        });
+        assert_eq!(
+            lanes[0], lanes[1],
+            "{variant} {extents:?}: lanes by threads"
+        );
         let naive = contract_naive(&spec, &sp, &a, &b);
         let mut idx = vec![0usize; naive.rank()];
         for _ in 0..naive.len() {
@@ -1528,7 +1574,7 @@ mod tests {
             assert!((direct[off] - want).abs() < 1e-10, "{variant} {extents:?}");
             Tensor::advance(&mut idx, naive.shape());
         }
-        plan()
+        (plan(), lanes[0])
     }
 
     #[test]
@@ -1575,7 +1621,12 @@ mod tests {
                 ([("i", 2), ("j", 2000), ("k", 300)], ["ik", "kj", "ij"]),
                 ([("i", 3000), ("j", 1), ("k", 200)], ["ki", "kj", "ij"]),
             ] {
-                let plan = check(&extents, dims, None);
+                let (plan, lanes) = check(&extents, dims, None);
+                assert_eq!(
+                    lanes,
+                    variant == KernelVariant::Avx2,
+                    "{variant} {extents:?}"
+                );
                 let split = plan.direct_split(3).expect("above the work floor");
                 assert!(
                     split.tasks() > 1 && split.tasks().is_multiple_of(3),
@@ -1585,6 +1636,38 @@ mod tests {
                 assert!(split.rows.iter().all(|r| r.start % mr == 0));
                 assert!(split.cols.iter().all(|c| c.start % nr == 0));
             }
+        }
+    }
+
+    #[test]
+    fn vector_lanes_match_scalar_chains_bitwise() {
+        for variant in kernels::supported_variants() {
+            let kc = kernels::BlockSizes::derive(variant, &kernels::cache_info()).kc;
+            for len in (1..=17).chain([100]) {
+                for k in [1, 3, kc + 5] {
+                    // A long N axis (one row against `len` columns), then a
+                    // long M axis (`len` rows against one column): each
+                    // contiguous in its operand and in the output.
+                    for (extents, dims) in [
+                        ([("i", 1), ("j", len), ("k", k)], ["ik", "kj", "ij"]),
+                        ([("i", len), ("j", 1), ("k", k)], ["ki", "kj", "ij"]),
+                    ] {
+                        let (_, lanes) = check_direct_against_packed(variant, &extents, dims, None);
+                        let want = variant == KernelVariant::Avx2 && len >= kernels::CHAINS;
+                        assert_eq!(lanes, want, "{variant} {extents:?}");
+                    }
+                }
+            }
+            // The control: a long axis contiguous in its operand but
+            // strided in the output takes the scalar chains.
+            let strided = [("i", 1), ("j", 100), ("k", 3)];
+            let (_, lanes) = check_direct_against_packed(
+                variant,
+                &strided,
+                ["ik", "kj", "ij"],
+                Some(vec![200, 2]),
+            );
+            assert!(!lanes, "{variant}: lanes ran on a strided output");
         }
     }
 

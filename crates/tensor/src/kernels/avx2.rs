@@ -56,15 +56,45 @@ pub unsafe fn microkernel_8x6(ap: &[f64], bp: &[f64], kb: usize, acc: &mut [f64]
 }
 
 /// The no-pack kernel ([`super::direct`]) with each step a fused
-/// multiply-add — `_mm256_fmadd_pd`'s rounding, one element at a time.
+/// multiply-add — `_mm256_fmadd_pd`'s rounding — one element at a time,
+/// or eight at a time in [`lanes`] along a contiguous long axis.
 ///
 /// # Safety
 /// Caller must ensure the host supports AVX2 and FMA (CPUID-checked by
 /// the dispatcher), and the offset contract of [`super::direct`].
 #[target_feature(enable = "avx2,fma")]
-pub(crate) unsafe fn direct_fma(g: &super::DirectGemm, a: *const f64, b: *const f64, c: *mut f64) {
+pub(crate) unsafe fn direct_fma(
+    g: &super::DirectGemm,
+    a: *const f64,
+    b: *const f64,
+    c: *mut f64,
+) -> bool {
     // SAFETY: the offsets are the caller's contract.
-    unsafe { super::direct_with(g, a, b, c, f64::mul_add) }
+    unsafe { super::direct_with(g, a, b, c, f64::mul_add, Some(lanes)) }
+}
+
+const _: () = assert!(super::CHAINS == 8, "`lanes` holds eight chains");
+
+/// Eight chains of [`super::direct`] on a contiguous long axis
+/// ([`super::Lanes`]), in two `__m256d` accumulators: per step one
+/// `_mm256_fmadd_pd(x, broadcast(y), acc)` per half, then `c += acc` with
+/// `_mm256_add_pd` — lane for lane the scalar chain's `f64::mul_add` and
+/// add, so every bit matches.
+///
+/// # Safety
+/// As [`direct_fma`]: `x + lk[p] + 0..8`, `y + sk[p]` and `out + 0..8` are
+/// in bounds, and no other thread accesses `out + 0..8`.
+#[target_feature(enable = "avx2,fma")]
+unsafe fn lanes(x: *const f64, lk: &[usize], sk: &[usize], y: *const f64, out: *mut f64) {
+    let (mut lo, mut hi) = (_mm256_setzero_pd(), _mm256_setzero_pd());
+    for (&pl, &ps) in lk.iter().zip(sk) {
+        let yv = _mm256_broadcast_sd(&*y.add(ps));
+        lo = _mm256_fmadd_pd(_mm256_loadu_pd(x.add(pl)), yv, lo);
+        hi = _mm256_fmadd_pd(_mm256_loadu_pd(x.add(pl + 4)), yv, hi);
+    }
+    _mm256_storeu_pd(out, _mm256_add_pd(_mm256_loadu_pd(out), lo));
+    let out_hi = out.add(4);
+    _mm256_storeu_pd(out_hi, _mm256_add_pd(_mm256_loadu_pd(out_hi), hi));
 }
 
 /// Vectorized equal-length copy (`_mm256_loadu/storeu_pd`, 16 elements

@@ -465,10 +465,24 @@ pub(crate) struct DirectGemm<'t> {
     pub a_k_unit: bool,
     /// `b_k` is the identity (`b_k[p] == p`).
     pub b_k_unit: bool,
+    /// The M group is contiguous in `a` and in `c`: `a_rows[i] ==
+    /// a_rows[0] + i`, and likewise `c_rows`.
+    pub rows_contiguous: bool,
+    /// The N group is contiguous in `b` and in `c`.
+    pub cols_contiguous: bool,
 }
 
 /// Independent output elements a thin call advances per step.
-const CHAINS: usize = 8;
+pub(crate) const CHAINS: usize = 8;
+
+/// A variant's vector form of [`CHAINS`] chains on a contiguous long
+/// axis: `lanes(x, lk, sk, y, out)` does what `chains::<CHAINS>` does for
+/// long coordinates at `x + 0..CHAINS` (step `p` reading `x[lk[p] + i]`
+/// and `y[sk[p]]`) and outputs at `out + 0..CHAINS`, bit for bit.
+///
+/// # Safety
+/// As [`direct`], for those elements.
+pub(crate) type Lanes = unsafe fn(*const f64, &[usize], &[usize], *const f64, *mut f64);
 
 /// `c[i, j] += Σ_p a·b` without packing — the kernel for thin calls,
 /// whose M or N extent is below the register tile, so the packed path's
@@ -477,13 +491,14 @@ const CHAINS: usize = 8;
 /// alone: a dot product (`m = n = 1`) walks K directly, reading no table
 /// when both K groups are contiguous; any other call takes its longer
 /// output axis [`CHAINS`] coordinates at a time, each group sharing every
-/// load of the short operand.  Per output element and per K-block the
-/// arithmetic is the packed path's, operation for operation: `acc = 0`,
-/// one multiply-add per step in ascending `k` (fused on AVX2,
-/// mul-then-add otherwise), then `c += acc`, K-blocks in ascending order.
-/// So both paths round identically, a plan may take either without
-/// changing a bit, and neither does the chunk of the output a task is
-/// handed.
+/// load of the short operand.  On AVX2, a long axis contiguous in its
+/// operand and in `c` runs those groups in vector lanes ([`Lanes`]).  Per
+/// output element and per K-block the arithmetic is the packed path's,
+/// operation for operation: `acc = 0`, one multiply-add per step in
+/// ascending `k` (fused on AVX2, mul-then-add otherwise), then `c += acc`,
+/// K-blocks in ascending order.  So both paths round identically, a plan
+/// may take either without changing a bit, and neither does the chunk of
+/// the output a task is handed.  Returns whether vector lanes ran.
 ///
 /// # Safety
 /// Every offset `g` names must be in bounds of the allocation behind `a`,
@@ -496,14 +511,14 @@ pub(crate) unsafe fn direct(
     a: *const f64,
     b: *const f64,
     c: *mut f64,
-) {
+) -> bool {
     match variant {
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
         // SAFETY: the variant was CPUID-checked at selection time; the
         // offsets are the caller's contract.
         KernelVariant::Avx2 => unsafe { avx2::direct_fma(g, a, b, c) },
         // SAFETY: the offsets are the caller's contract.
-        _ => unsafe { direct_with(g, a, b, c, |x, y, acc| acc + x * y) },
+        _ => unsafe { direct_with(g, a, b, c, |x, y, acc| acc + x * y, None) },
     }
 }
 
@@ -516,9 +531,12 @@ struct Axis<'t> {
     off: &'t [usize],
     k: &'t [usize],
     c: &'t [usize],
+    /// `off` and `c` are each contiguous.
+    contiguous: bool,
 }
 
-/// The [`direct`] kernel over a variant's multiply-add step.
+/// The [`direct`] kernel over a variant's multiply-add step and, when it
+/// has one, its vector [`Lanes`].
 ///
 /// # Safety
 /// As [`direct`].
@@ -529,18 +547,21 @@ pub(crate) unsafe fn direct_with(
     b: *const f64,
     c: *mut f64,
     madd: impl Fn(f64, f64, f64) -> f64 + Copy,
-) {
+    lanes: Option<Lanes>,
+) -> bool {
     let rows = Axis {
         base: a,
         off: g.a_rows,
         k: g.a_k,
         c: g.c_rows,
+        contiguous: g.rows_contiguous,
     };
     let cols = Axis {
         base: b,
         off: g.b_cols,
         k: g.b_k,
         c: g.c_cols,
+        contiguous: g.cols_contiguous,
     };
     // Every pointer below is `a`, `b` or `c` plus offsets taken from `g`,
     // in bounds by the caller's contract.
@@ -556,10 +577,11 @@ pub(crate) unsafe fn direct_with(
                 madd(*x.add(g.a_k[p]), *y.add(g.b_k[p]), acc)
             });
         }
+        false
     } else if rows.off.len() < cols.off.len() {
-        along(cols, rows, g.kc, c, madd);
+        along(cols, rows, g.kc, c, madd, lanes)
     } else {
-        along(rows, cols, g.kc, c, madd);
+        along(rows, cols, g.kc, c, madd, lanes)
     }
 }
 
@@ -587,7 +609,8 @@ unsafe fn dot(k: usize, kc: usize, out: *mut f64, step: impl Fn(usize, f64) -> f
 /// Every element of a call whose `long` axis is at least as long as its
 /// `short` one.  Per K-block (outermost, so each element adds its blocks
 /// in ascending order) and short coordinate, the long axis runs
-/// [`CHAINS`] coordinates at a time, then one by one.
+/// [`CHAINS`] coordinates at a time — in `lanes` when given and the axis
+/// is contiguous — then one by one.  Returns whether `lanes` ran.
 ///
 /// # Safety
 /// As [`direct`], for the operands behind `long` and `short` and the
@@ -599,8 +622,10 @@ unsafe fn along(
     kc: usize,
     c: *mut f64,
     madd: impl Fn(f64, f64, f64) -> f64 + Copy,
-) {
+    lanes: Option<Lanes>,
+) -> bool {
     let (n, k) = (long.off.len(), long.k.len());
+    let vector = long.contiguous && n >= CHAINS;
     let mut p0 = 0;
     while p0 < k {
         let end = (p0 + kc).min(k);
@@ -609,7 +634,15 @@ unsafe fn along(
             let (y, cs) = (short.base.add(so), c.add(sc));
             let mut l = 0;
             while l + CHAINS <= n {
-                chains::<CHAINS>(long, l, lk, sk, y, cs, madd);
+                // Matched here, not filtered up front, so the variant's
+                // `lanes` stays a constant the compiler inlines rather than
+                // an indirect call per group.
+                match lanes {
+                    Some(lanes) if vector => {
+                        lanes(long.base.add(long.off[l]), lk, sk, y, cs.add(long.c[l]))
+                    }
+                    _ => chains::<CHAINS>(long, l, lk, sk, y, cs, madd),
+                }
                 l += CHAINS;
             }
             while l < n {
@@ -619,6 +652,7 @@ unsafe fn along(
         }
         p0 = end;
     }
+    vector && lanes.is_some()
 }
 
 /// One K-block of long coordinates `l0..l0 + W` against the short

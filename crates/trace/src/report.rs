@@ -47,6 +47,9 @@ pub struct ProfileReport {
     /// GETT executions that took the no-pack direct path (counted in
     /// `kernel_variants` too).
     pub gett_direct: u64,
+    /// Direct-path executions that ran a contiguous long axis in vector
+    /// lanes (counted in `gett_direct` too).
+    pub gett_direct_lanes: u64,
     /// Tasks GETT executions ran as, summed (a call on one task counts 1).
     pub gett_tasks: u64,
     /// GETT executions that fanned out over more than one task.
@@ -158,6 +161,7 @@ impl ProfileReport {
                 vs
             },
             gett_direct: t.counter_total("gett.direct"),
+            gett_direct_lanes: t.counter_total("gett.direct_lanes"),
             gett_tasks: t.counter_total("gett.tasks"),
             gett_parallel: t.counter_total("gett.parallel"),
             gett_blocks: (
@@ -271,6 +275,9 @@ impl fmt::Display for ProfileReport {
             )?;
             if self.gett_direct > 0 {
                 write!(f, ", direct x{}", self.gett_direct)?;
+            }
+            if self.gett_direct_lanes > 0 {
+                write!(f, " (lanes x{})", self.gett_direct_lanes)?;
             }
             writeln!(f)?;
         }
@@ -420,6 +427,10 @@ mod tests {
         assert!(text.contains(
             "avx2 x2, scalar x1 (MC=512 NC=1020 KC=256), tasks x6, parallel x1, direct x1\n"
         ));
+        // Direct calls served by vector lanes show only when there are any.
+        let mut laned = r.clone();
+        laned.gett_direct_lanes = 1;
+        assert!(laned.to_string().contains(", direct x1 (lanes x1)\n"));
         assert!(text.contains("3 hits / 1 misses / 2 evictions"));
         assert_eq!(r.sched_slots, 2, "slots is a max, not a sum");
         assert!(text.contains("7 tasks / 6 edges, peak live 37 elements, 0 forced, 2 slots\n"));

@@ -68,6 +68,16 @@ fn malformed_inputs_fail_cleanly() {
         "synthesis error: statement 0 term 0: a term has 17 factors, more than the 16 \
          operation minimization supports"
     );
+    // One index name past `IndexSet::MAX_VARS` is a language error at its
+    // declaration, not an assertion inside the index space.
+    let names: Vec<String> = (0..65).map(|q| format!("i{q}")).collect();
+    let wide = format!("range N = 2;\nindex {} : N;\n", names.join(", "));
+    let out = run_program("wide", &wide, &[]);
+    assert_eq!(out.status.code(), Some(1), "65 index names");
+    assert_eq!(
+        one_line_failure(&out, "65 index names"),
+        "language error: 2:1: index `i64` is one too many: a program declares at most 64 indices"
+    );
     // A term that lacks an output index would have to broadcast: the
     // diagnostic names the statement, the term and the index.
     let broadcast = "range N = 4;\nindex i, j, k : N;\ntensor A(N, N);\ntensor B(N, N);\n\
@@ -274,11 +284,17 @@ fn synthesis_stdout_matches_golden_files() {
 /// Run `tce` with `args` plus `--trace` into a temporary file; returns the
 /// run's stdout and the trace file's contents.
 fn traced_run(tag: &str, args: &[&str]) -> (String, String) {
+    traced_run_with_env(tag, args, &[])
+}
+
+/// [`traced_run`] with extra environment variables.
+fn traced_run_with_env(tag: &str, args: &[&str], env: &[(&str, &str)]) -> (String, String) {
     let path = std::env::temp_dir().join(format!("tce-cli-{tag}-{}.json", std::process::id()));
     let out = tce()
         .args(args)
         .arg("--trace")
         .arg(&path)
+        .envs(env.iter().copied())
         .output()
         .expect("spawn tce");
     assert!(
@@ -355,8 +371,9 @@ fn distribution_and_spacetime_dps_do_the_pinned_work() {
 fn cc_doubles_gett_calls_split_by_shape_with_exact_flops() {
     // Host-independent work of `cc_doubles` at V=40, O=10: seven GETT calls
     // on one thread.  The three GEMM-shaped nodes pack; the energy dot
-    // products and the singles GEMV (M or N below every variant's register
-    // tile) run the direct kernel, however long their K.
+    // products, the singles GEMV and the copy `+ F[a,i]` (M or N below
+    // every variant's register tile) run the direct kernel, however long
+    // their K.
     let src = std::fs::read_to_string(spec("cc_doubles.tce"))
         .unwrap()
         .replace("range V = 6;", "range V = 40;")
@@ -373,12 +390,42 @@ fn cc_doubles_gett_calls_split_by_shape_with_exact_flops() {
         .find(|l| l.trim_start().starts_with("gett kernel:"))
         .unwrap_or_else(|| panic!("no `gett kernel:` line:\n{stdout}"));
     assert!(kernel.contains(" x7 ("), "{kernel}");
-    assert!(
-        kernel.ends_with("tasks x7, parallel x0, direct x4"),
-        "{kernel}"
-    );
+    // Under AVX2 one direct call runs in vector lanes: the copy term
+    // `+ F[a,i]` (`F·1`, 400 rows contiguous in `F` and `R1`, n = k = 1).
+    let lanes = u64::from(kernel.contains("avx2 x7 ("));
+    let tail = match lanes {
+        0 => "tasks x7, parallel x0, direct x4".to_string(),
+        n => format!("tasks x7, parallel x0, direct x4 (lanes x{n})"),
+    };
+    assert!(kernel.ends_with(&tail), "{kernel}");
     assert_eq!(counter_total(&trace, "gett.direct"), 4);
+    assert_eq!(counter_total(&trace, "gett.direct_lanes"), lanes);
     assert_eq!(counter_total(&trace, "gett.flops"), 384_641_600);
+}
+
+#[test]
+fn section2_fused_outer_products_run_in_vector_lanes() {
+    // Half of §2's fused slices (N = 6, one thread) are `T2[j,k] +=
+    // T1·C[d,f,j,k]`: m = 1 against a 36-long N axis contiguous in `C` and
+    // in `T2`, which AVX2 runs eight lanes at a time.  The other half are
+    // dot products, which have no long axis.
+    use tce_core::tensor::kernels::{supported, KernelVariant};
+    if !supported(KernelVariant::Avx2) {
+        return;
+    }
+    let section2 = spec("ccsd_section2.tce");
+    let (stdout, trace) = traced_run_with_env(
+        "lanes",
+        &[&section2, "--fused", "--threads", "1"],
+        &[("TCE_KERNEL", "avx2")],
+    );
+    let kernel = stdout
+        .lines()
+        .find(|l| l.trim_start().starts_with("gett kernel:"))
+        .unwrap_or_else(|| panic!("no `gett kernel:` line:\n{stdout}"));
+    assert!(kernel.contains("avx2 x2628 ("), "{kernel}");
+    assert!(kernel.ends_with("direct x2592 (lanes x1296)"), "{kernel}");
+    assert_eq!(counter_total(&trace, "gett.direct_lanes"), 1296);
 }
 
 #[test]
