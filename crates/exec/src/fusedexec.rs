@@ -1,71 +1,45 @@
 //! Fused-slice execution of operator trees: memory minimization made real.
 //!
 //! [`execute_tree_lowered`] compiles a checked [`Lowering`] of an
-//! [`OpTree`] into a [`tce_fusion::FusionSchedule`] — the fused chain
-//! loops of the configuration's laminar scopes — and executes it on real
-//! tensors (a lowering carries chain labels beside the array
-//! configuration, which is how a space-time plan with *redundant*
-//! recomputation loops runs; [`execute_tree_fused`] checks a plain
-//! [`FusionConfig`] first).
-//! Each fused intermediate is allocated **once** at its *reduced*
-//! (fusion-shrunk) shape, so the measured peak intermediate storage equals
-//! the plan's predicted element count exactly; inside
-//! the chain loops, every node's contraction runs per outer-iteration on
-//! tensor *slices* through the GETT engine (the BLAS-slicing strategy of
-//! Peise et al.: loop over fused outer indices, call a high-performance
-//! kernel on the slices, rather than scalar loops).  The slice geometry
-//! depends only on the schedule, so it is resolved once per execution —
-//! one strided [`ContractionPlan`] per contraction producer — and an
-//! iteration costs three base offsets and one kernel call.
+//! [`OpTree`] (chain labels may carry *redundant* recomputation indices:
+//! a space-time plan; [`execute_tree_fused`] checks a plain
+//! [`FusionConfig`] first) into a [`tce_fusion::FusionSchedule`] and runs
+//! it on real tensors.  Each fused intermediate is allocated **once** at
+//! its *reduced* shape, so the measured peak intermediate storage equals
+//! the plan's predicted element count exactly; inside the chain loops,
+//! each contraction runs per outer iteration on *slices* of its operands
+//! through the GETT engine (the BLAS-slicing strategy of Peise et al.).
 //!
-//! The chain loops themselves run sequentially: parallelizing them would
-//! require one private copy of each fused intermediate per worker, which
-//! would break the measured-peak == model identity that is the point of
-//! memory minimization.  Parallelism instead lives *inside* each sliced
-//! kernel call (disjoint output tiles) and in function-slice
-//! materialization (disjoint element chunks), both of which are bitwise
-//! deterministic for every thread count.  The schedule's *top-level* steps
-//! are tasks on [`tce_par::TaskGraph`] with hazard edges between steps
-//! whose read/write sets conflict; `ExecOptions::threads` caps how many
-//! run at once and [`TaskGraph::useful_slots`] takes only as many as the
-//! steps' flops can fill (one slot = the schedule in source order).
+//! Each top-level step is lowered once per execution into a flat **slice
+//! program**: loop levels with their extents; ops (loop heads and
+//! back-edges, zero fills, contraction sites, function slices); and per
+//! level, how far each site's three base offsets move when its index
+//! steps — the strides folded into the loop nest.  A site's plan reads and
+//! writes the whole arrays through their own strides; pinned dimensions
+//! only move where a slice starts, and a pinned summation index adds one
+//! partial product per iteration into the same block, re-zeroed by the
+//! schedule.  A summation index left in one operand alone is summed out
+//! first ([`ExclusiveReduction`]).  At step entry the step's arrays go
+//! into one [`NestArrays`], which binds every site and proves once that
+//! its largest base plus its plan's span fits each array; a slice is then
+//! a few base additions and one bare [`NestArrays::run`].  A program
+//! prints (`Display`) its levels, increments and call kinds.
 //!
-//! Arrays live by the schedule's lifetimes
-//! ([`tce_fusion::schedule::StepLifetime`]): a top-level step brings the
-//! arrays it first writes to life and returns the ones it last touches to
-//! the buffer pool.  The walker has one buffer rule — whatever it takes
-//! from the pool (arrays, reduction scratch) it gives back — and this is
-//! the only operator-tree walker in the crate: [`crate::execute_tree_opts`]
-//! is this executor on the configuration with no edge fused, where every
-//! production is one whole-array GETT call.
-//!
-//! Slicing rules, per production of node `v` with the enclosing chain
-//! loops pinning the index set `P = schedule.pinned[v]`.  Nothing is
-//! extracted or copied: the plan addresses the full operand and output
-//! arrays through their own strides, and `P` only moves where it starts.
-//!
-//! * operand dimensions in `P` are fixed at the pinned position: each
-//!   contributes `env[d]·stride` to the operand's base offset, and the
-//!   plan's spec keeps only the unpinned dimensions;
-//! * output dimensions of `v`'s reduced array in `P` likewise set the
-//!   output base offset, and the kernel accumulates into that block of
-//!   the array in place ([`ContractionPlan::execute_into`]);
-//! * summation indices of `v` in `P` disappear from the kernel spec
-//!   entirely: each outer iteration contributes one partial product,
-//!   accumulated across iterations into `v`'s array — which is re-zeroed
-//!   by the schedule exactly once per iteration of the chains through
-//!   `v`'s parent edge (in place; an array not yet materialized is born
-//!   zeroed), so consumers always see a complete sum;
-//! * a summation index left in only one operand's kept dimensions is
-//!   summed out first: [`reduce_exclusive`] reads that operand through
-//!   its base and strides into a pooled scratch, which the plan then
-//!   reads densely.
+//! The chain loops run sequentially (per-worker copies of the fused
+//! intermediates would break measured peak == model); parallelism lives
+//! inside each kernel call and function slice, bitwise deterministic for
+//! every thread count, and in the top-level steps, tasks on a
+//! [`TaskGraph`] with hazard edges between steps whose read/write sets
+//! conflict.  Arrays live by the schedule's lifetimes
+//! ([`tce_fusion::schedule::StepLifetime`]), taken from and returned to
+//! the buffer pool.  [`crate::execute_tree_opts`] is this executor on the
+//! configuration with no edge fused: one whole-array call per node.
 
 use crate::error::ExecError;
 use crate::treeexec::ExecOptions;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::fmt;
+use std::sync::{Arc, Mutex};
 use tce_fusion::{
     fusion_schedule, is_fusable_producer, FusionConfig, FusionSchedule, Lowering, ScheduleStep,
 };
@@ -73,19 +47,13 @@ use tce_ir::{IndexSet, IndexSpace, IndexVar, Leaf, NodeId, OpKind, OpTree, Tenso
 use tce_par::{parallel_chunks_mut, TaskGraph};
 use tce_tensor::dense::row_major_strides;
 use tce_tensor::{
-    plan_for_strided, reduce_exclusive, BinaryContraction, ContractionPlan, IntegralFn, Tensor,
+    plan_for_strided, BinaryContraction, ContractionPlan, ExclusiveReduction, IntegralFn,
+    NestArray, NestArrays, Tensor,
 };
 
-/// The fused intermediate arrays, shared across schedule steps: one lock
-/// per node, taken once per top-level step (never per slice).  A cell is
-/// `None` outside its node's lifetime.
-///
-/// Top-level steps may run concurrently, but the task graph carries a
-/// *hazard edge* between any two steps that touch a common array
-/// ([`tce_fusion::schedule::StepLifetime::conflicts_with`]), so every
-/// array sees a totally ordered access history.  A step therefore always
-/// finds its locks free: it takes them with `try_lock` and treats
-/// contention as a broken invariant.
+/// The fused intermediate arrays: one lock per node (`None` outside its
+/// lifetime), taken once per top-level step.  Steps that touch a common
+/// array are ordered by a hazard edge, so `try_lock` always succeeds.
 type SharedArrays = [Mutex<Option<Tensor>>];
 
 /// Result of a fused-slice execution, with the measured-vs-modeled
@@ -158,8 +126,7 @@ pub fn execute_tree_lowered(
     let _span = tce_trace::span("exec.fused");
 
     tce_dist::validate_bindings(tree, space, inputs, funcs)?;
-    let array_config = lowering.array_config();
-    let modeled_elements = array_config.temp_memory(tree, space);
+    let modeled_elements = lowering.array_config().temp_memory(tree, space);
 
     // A bare stored-input (or One) root has no producer nest to fuse.
     if !is_fusable_producer(tree, tree.root) {
@@ -177,60 +144,8 @@ pub fn execute_tree_lowered(
         });
     }
 
-    let schedule = fusion_schedule(tree, lowering);
-
-    // Every producer's array keeps its reduced dimensions; allocation
-    // itself follows the schedule's lifetimes, step by step.
-    let dims: Vec<Vec<IndexVar>> = (0..tree.len())
-        .map(|n| match NodeId(n as u32) {
-            id if is_fusable_producer(tree, id) => {
-                array_config.array_indices(tree, id).iter().collect()
-            }
-            _ => Vec::new(),
-        })
-        .collect();
-    let extents = |dims: &Vec<IndexVar>| dims.iter().map(|&v| space.extent(v)).collect();
-    let shapes: Vec<Vec<usize>> = dims.iter().map(extents).collect();
-    let contractions = (0..tree.len())
-        .map(|n| {
-            let v = NodeId(n as u32);
-            let OpKind::Contract { left, right } = tree.node(v).kind else {
-                return None;
-            };
-            // Each operand's source, dimensions and shape.
-            let site = |c: NodeId| match &tree.node(c).kind {
-                OpKind::Leaf(Leaf::Input { tensor, indices }) => {
-                    let t = inputs[tensor];
-                    (Source::Data(t.data()), indices.as_slice(), t.shape())
-                }
-                OpKind::Leaf(Leaf::One) => (Source::Data(&[1.0]), &[][..], &[][..]),
-                _ => (
-                    Source::Array(c),
-                    dims[c.0 as usize].as_slice(),
-                    shapes[c.0 as usize].as_slice(),
-                ),
-            };
-            let [(a_src, a_dims, a_shape), (b_src, b_dims, b_shape)] = [site(left), site(right)];
-            let out = (dims[n].as_slice(), shapes[n].as_slice());
-            let pinned = schedule.pinned[n];
-            Some(SlicedContraction::resolve(
-                space,
-                pinned,
-                [(a_dims, a_shape), (b_dims, b_shape), out],
-                [a_src, b_src],
-            ))
-        })
-        .collect();
-    let walk = Walk {
-        tree,
-        space,
-        shapes,
-        dims: &dims,
-        funcs,
-        schedule: &schedule,
-        contractions,
-        threads: opts.threads.max(1),
-    };
+    let walk = Walk::new(tree, space, lowering, inputs, funcs, opts.threads);
+    let programs: Vec<SliceProgram> = walk.schedule.steps.iter().map(|s| walk.lower(s)).collect();
     let temporaries: Vec<NodeId> = (tree.postorder().into_iter())
         .filter(|&id| id != tree.root && is_fusable_producer(tree, id))
         .collect();
@@ -240,15 +155,16 @@ pub fn execute_tree_lowered(
         "fused allocation diverged from the plan's memory model"
     );
 
-    let shared: Vec<Mutex<Option<Tensor>>> = (0..tree.len()).map(|_| Mutex::new(None)).collect();
-    let (sliced_contractions, func_evals) = walk.run_steps(&shared, opts.threads);
-
-    let result = shared
-        .into_iter()
-        .nth(tree.root.0 as usize)
-        .and_then(|cell| cell.into_inner().ok())
-        .flatten()
-        .expect("the root is produced and never released");
+    let mut shared: Vec<Mutex<Option<Tensor>>> =
+        (0..tree.len()).map(|_| Mutex::new(None)).collect();
+    walk.run_steps(&programs, &shared, opts.threads);
+    let root = shared
+        .swap_remove(tree.root.0 as usize)
+        .into_inner()
+        .ok()
+        .flatten();
+    let result = root.expect("the root is produced and never released");
+    let sliced_contractions = programs.iter().map(|p| p.calls).sum::<u64>();
     if tce_trace::enabled() {
         tce_trace::counter_u128("fused.live_elements", peak_live_elements);
         tce_trace::counter_u128("fused.sliced_contractions", sliced_contractions as u128);
@@ -259,7 +175,7 @@ pub fn execute_tree_lowered(
         peak_live_elements,
         modeled_elements,
         sliced_contractions,
-        func_evals,
+        func_evals: programs.iter().map(|p| p.evals).sum(),
     })
 }
 
@@ -267,390 +183,321 @@ fn bytes_of(elements: usize) -> u64 {
     (elements * std::mem::size_of::<f64>()) as u64
 }
 
-/// A contraction producer resolved once per execution: one GETT plan over
-/// its kept (unpinned) dimensions, addressing the full operand and output
-/// arrays through their own strides, where each pinned index moves the
-/// three base offsets, and where each operand's elements come from.
-struct SlicedContraction<'a> {
-    /// The contraction over kept dimensions (the plan runs its
-    /// [`BinaryContraction::pre_reduced`] form).
-    spec: BinaryContraction,
-    /// Left operand, right operand, output.
-    sites: [Site; 3],
-    /// Left operand, right operand.
-    sources: [Source<'a>; 2],
-    plan: Arc<ContractionPlan>,
-}
-
-/// Where a sliced contraction reads an operand: bound elements (an input,
-/// or the `One` leaf's single `1.0`), or the array a producer fills in
-/// this or an earlier step.
-#[derive(Clone, Copy)]
-enum Source<'a> {
-    Data(&'a [f64]),
-    Array(NodeId),
-}
-
-/// How one array of a sliced contraction is addressed.
-struct Site {
-    /// `(index, stride)` of each pinned dimension: the slice starts at
-    /// `Σ env[index]·stride`.
-    pinned: Vec<(IndexVar, usize)>,
-    /// Strides of the kept dimensions, in the spec's order.
-    kept_strides: Vec<usize>,
-    /// A summation index of the spec lives in this operand alone, so the
-    /// operand is reduced into a dense scratch before the kernel reads it.
-    reduce: bool,
-}
-
-impl Site {
-    fn base(&self, env: &[usize]) -> usize {
-        self.pinned
-            .iter()
-            .map(|&(d, s)| env[d.0 as usize] * s)
-            .sum()
-    }
-}
-
-impl<'a> SlicedContraction<'a> {
-    /// Resolve the production of a contraction whose chain loops pin
-    /// `pinned`, given each array's `(dims, shape)` — left, right, output —
-    /// and each operand's source.
-    fn resolve(
-        space: &IndexSpace,
-        pinned: IndexSet,
-        arrays: [(&[IndexVar], &[usize]); 3],
-        sources: [Source<'a>; 2],
-    ) -> Self {
-        let [(a, a_site), (b, b_site), (out, out_site)] = arrays.map(|(dims, shape)| {
-            let mut site = Site {
-                pinned: Vec::new(),
-                kept_strides: Vec::new(),
-                reduce: false,
-            };
-            let mut kept = Vec::new();
-            for (&d, s) in dims.iter().zip(row_major_strides(shape)) {
-                if pinned.contains(d) {
-                    site.pinned.push((d, s));
-                } else {
-                    kept.push(d);
-                    site.kept_strides.push(s);
-                }
-            }
-            (kept, site)
-        });
-        let spec = BinaryContraction { a, b, out };
-        let reduced = spec.pre_reduced();
-        let mut sites = [a_site, b_site, out_site];
-        sites[0].reduce = reduced.a.len() < spec.a.len();
-        sites[1].reduce = reduced.b.len() < spec.b.len();
-        // A reduced operand is read from its dense scratch.
-        let plan_strides = |site: &Site, dims: &[IndexVar]| {
-            if site.reduce {
-                let shape: Vec<usize> = dims.iter().map(|&d| space.extent(d)).collect();
-                row_major_strides(&shape)
-            } else {
-                site.kept_strides.clone()
-            }
-        };
-        let a_strides = plan_strides(&sites[0], &reduced.a);
-        let b_strides = plan_strides(&sites[1], &reduced.b);
-        let plan = plan_for_strided(
-            &reduced,
-            space,
-            [&a_strides, &b_strides, &sites[2].kept_strides],
-        );
-        Self {
-            spec,
-            sites,
-            sources,
-            plan,
-        }
-    }
-}
-
 /// What every step of one execution shares.
 struct Walk<'a> {
     tree: &'a OpTree,
     space: &'a IndexSpace,
-    /// The dimensions each producer's array keeps, by node (ascending
-    /// index order; empty for non-producers).
-    dims: &'a [Vec<IndexVar>],
-    /// The shape of each producer's array: the extents of its `dims`.
-    shapes: Vec<Vec<usize>>,
+    inputs: &'a HashMap<TensorId, &'a Tensor>,
     funcs: &'a HashMap<String, IntegralFn>,
-    schedule: &'a FusionSchedule,
-    /// Each contraction producer's resolved slicing, by node.
-    contractions: Vec<Option<SlicedContraction<'a>>>,
+    schedule: FusionSchedule,
+    /// The dimensions each producer's array keeps, by node (ascending
+    /// index order; empty for non-producers), and their extents.
+    dims: Vec<Vec<IndexVar>>,
+    shapes: Vec<Vec<usize>>,
     threads: usize,
 }
 
-impl Walk<'_> {
+impl<'a> Walk<'a> {
+    fn new(
+        tree: &'a OpTree,
+        space: &'a IndexSpace,
+        lowering: &Lowering,
+        inputs: &'a HashMap<TensorId, &'a Tensor>,
+        funcs: &'a HashMap<String, IntegralFn>,
+        threads: usize,
+    ) -> Self {
+        let arrays = lowering.array_config();
+        let dims: Vec<Vec<IndexVar>> = (0..tree.len() as u32)
+            .map(|n| match is_fusable_producer(tree, NodeId(n)) {
+                true => arrays.array_indices(tree, NodeId(n)).iter().collect(),
+                false => Vec::new(),
+            })
+            .collect();
+        let extents = |dims: &Vec<IndexVar>| dims.iter().map(|&v| space.extent(v)).collect();
+        Self {
+            shapes: dims.iter().map(extents).collect(),
+            dims,
+            tree,
+            space,
+            inputs,
+            funcs,
+            schedule: fusion_schedule(tree, lowering),
+            threads: threads.max(1),
+        }
+    }
+
     /// Total elements of the arrays of `nodes`.
     fn elements(&self, nodes: &[NodeId]) -> usize {
         let len = |n: &NodeId| self.shapes[n.0 as usize].iter().product::<usize>();
         nodes.iter().map(len).sum()
     }
 
-    /// Modeled flops of one schedule step: each production inside it —
-    /// its kernel's flops, or a function slice's evaluations times their
-    /// cost — once per iteration of the loops around it.
-    fn step_flops(&self, step: &ScheduleStep) -> u128 {
-        match step {
-            ScheduleStep::Loop { index, body } => {
-                let per_iteration = body.iter().map(|s| self.step_flops(s)).sum::<u128>();
-                per_iteration.saturating_mul(self.space.extent(*index) as u128)
-            }
-            ScheduleStep::Zero(_) => 0,
-            ScheduleStep::Produce(v) => match &self.tree.node(*v).kind {
-                OpKind::Leaf(Leaf::Func { cost_per_eval, .. }) => {
-                    self.elements(&[*v]) as u128 * *cost_per_eval as u128
-                }
-                _ => self.contractions[v.0 as usize]
-                    .as_ref()
-                    .map_or(0, |c| c.plan.flops()),
-            },
-        }
+    /// Lower one top-level schedule step into its slice program.
+    fn lower(&self, step: &ScheduleStep) -> SliceProgram<'a> {
+        let mut program = SliceProgram::default();
+        self.emit(step, &mut program, &mut Vec::new());
+        program
     }
 
-    /// Execute the schedule's top-level steps on a [`TaskGraph`] with
-    /// hazard edges, on at most `max_slots` scheduler slots — as many as
-    /// the steps' flops can fill ([`TaskGraph::useful_slots`]): steps whose
-    /// lifetimes conflict are ordered (so every array sees a serialized
-    /// access history and each step finds the locks of its read/write sets
-    /// free — see [`SharedArrays`]); independent steps may run
-    /// concurrently.  Interior chain loops stay sequential inside their
-    /// step's task.
-    ///
-    /// A step's arrays follow its [`tce_fusion::schedule::StepLifetime`]:
-    /// `allocs` come to life on entry (zeroed from the buffer pool on
-    /// first touch) and `releases` go back to the pool on exit.  A task weighs
-    /// the elements it allocates and admission is capped at the one-slot
-    /// walk's peak, so more slots never hold more.  Returns
-    /// `(sliced_contractions, func_evals)`.
-    fn run_steps(&self, shared: &SharedArrays, max_slots: usize) -> (u64, u64) {
+    /// Append `step` to `program` inside the open loop levels `open`.
+    fn emit(&self, step: &ScheduleStep, program: &mut SliceProgram<'a>, open: &mut Vec<usize>) {
+        let v = match step {
+            ScheduleStep::Loop { index, body } => {
+                let (level, extent) = (program.levels.len(), self.space.extent(*index));
+                if extent == 0 {
+                    return; // the body never runs
+                }
+                let (index, name) = (*index, self.space.var_name(*index));
+                let steps = Vec::new();
+                program.levels.push(Level {
+                    index,
+                    name,
+                    extent,
+                    steps,
+                });
+                program.ops.push(Op::Loop(level));
+                let start = program.ops.len();
+                open.push(level);
+                for s in body {
+                    self.emit(s, program, open);
+                }
+                open.pop();
+                return program.ops.push(Op::Next { level, body: start });
+            }
+            ScheduleStep::Zero(v) => return program.ops.push(Op::Zero(*v)),
+            ScheduleStep::Produce(v) => *v,
+        };
+        let levels = &mut program.levels;
+        // How often the enclosing loops run this production.
+        let times = (open.iter()).fold(1u128, |t, &l| t.saturating_mul(levels[l].extent as u128));
+        let pinned = IndexSet::from_vars(open.iter().map(|&l| levels[l].index));
+        debug_assert_eq!(pinned, self.schedule.pinned[v.0 as usize], "node {}", v.0);
+        let (dims, shape) = (&self.dims[v.0 as usize], &self.shapes[v.0 as usize]);
+        let (left, right) = match &self.tree.node(v).kind {
+            OpKind::Contract { left, right } => (*left, *right),
+            OpKind::Leaf(Leaf::Func {
+                name,
+                indices,
+                cost_per_eval,
+            }) => {
+                let level_of = |iv| open.iter().copied().find(|&l| levels[l].index == iv);
+                let args = (indices.iter())
+                    .map(|&iv| match level_of(iv) {
+                        Some(l) => Arg::Level(l),
+                        None => Arg::Dim(dims.iter().position(|&d| d == iv).expect("free arg")),
+                    })
+                    .collect();
+                let evals = times.saturating_mul(self.elements(&[v]) as u128);
+                program.flops =
+                    (evals.saturating_mul(*cost_per_eval as u128)).saturating_add(program.flops);
+                program.evals += evals as u64;
+                return program.ops.push(Op::Func(v, name, &self.funcs[name], args));
+            }
+            OpKind::Leaf(_) => unreachable!("only producers are scheduled"),
+        };
+        // Each array's pinned dimensions move its base per loop level; the
+        // kept ones, with their strides in the whole array, are the plan's.
+        let (mut steps, mut max_bases) = (vec![[0; 3]; open.len()], [0; 3]);
+        let mut kept = |k: usize, dims: &[IndexVar], shape: &[usize]| {
+            let (mut kept, mut strides) = (Vec::new(), Vec::new());
+            for (&d, stride) in dims.iter().zip(row_major_strides(shape)) {
+                match open.iter().position(|&l| levels[l].index == d) {
+                    Some(p) => {
+                        steps[p][k] = stride;
+                        max_bases[k] += self.space.extent(d).saturating_sub(1) * stride;
+                    }
+                    None => (kept.push(d), strides.push(stride)).1,
+                }
+            }
+            (kept, strides)
+        };
+        // Where each operand's elements come from, and its dimensions.
+        let operand = |c: NodeId| match &self.tree.node(c).kind {
+            OpKind::Leaf(Leaf::Input { tensor, indices }) => {
+                let t = self.inputs[tensor];
+                (Source::Data(t.data()), indices.as_slice(), t.shape())
+            }
+            OpKind::Leaf(Leaf::One) => (Source::Data(&[1.0]), &[][..], &[][..]),
+            _ => (
+                Source::Array(c),
+                &self.dims[c.0 as usize][..],
+                &self.shapes[c.0 as usize][..],
+            ),
+        };
+        let [(a_src, a_dims, a_shape), (b_src, b_dims, b_shape)] = [operand(left), operand(right)];
+        let (a, a_strides) = kept(0, a_dims, a_shape);
+        let (b, b_strides) = kept(1, b_dims, b_shape);
+        let (out, out_strides) = kept(2, dims, shape);
+        let spec = BinaryContraction { a, b, out };
+        let reduce = [(true, &a_strides), (false, &b_strides)]
+            .map(|(is_a, strides)| ExclusiveReduction::new(&spec, self.space, strides, is_a));
+        // A reduced operand is read densely from its scratch.
+        let [a_strides, b_strides] = [(0, a_strides), (1, b_strides)].map(|(k, strides)| {
+            reduce[k]
+                .as_ref()
+                .map_or(strides, |r| row_major_strides(&r.kept_shape))
+        });
+        let strides = [&a_strides[..], &b_strides, &out_strides];
+        let plan = plan_for_strided(&spec.pre_reduced(), self.space, strides);
+        let site = program.sites.len();
+        for (&l, step) in open.iter().zip(steps).filter(|(_, step)| *step != [0; 3]) {
+            levels[l].steps.push((site, step));
+        }
+        program.flops = (plan.flops().saturating_mul(times)).saturating_add(program.flops);
+        program.calls += times as u64;
+        program.ops.push(Op::Contract(site));
+        let (arrays, sources) = ([left, right, v], [a_src, b_src]);
+        program.sites.push(ProgramSite {
+            arrays,
+            sources,
+            reduce,
+            plan,
+            max_bases,
+        });
+    }
+
+    /// Run the top-level steps' `programs` on a [`TaskGraph`], on at most
+    /// `max_slots` slots (as many as their flops fill), steps whose
+    /// lifetimes conflict in order.  A step brings its `allocs` to life
+    /// (zeroed from the pool) and returns its `releases`; a task weighs the
+    /// elements it allocates, capped at the one-slot walk's peak.
+    fn run_steps(&self, programs: &[SliceProgram], shared: &SharedArrays, max_slots: usize) {
         let lifetimes = &self.schedule.lifetimes;
         let mut graph = TaskGraph::new();
         for (j, life) in lifetimes.iter().enumerate() {
             let deps: Vec<usize> = (0..j)
                 .filter(|&i| lifetimes[i].conflicts_with(life))
                 .collect();
-            let flops = self.step_flops(&self.schedule.steps[j]);
-            graph.add_task(&deps, self.elements(&life.allocs) as u64, flops);
+            graph.add_task(&deps, self.elements(&life.allocs) as u64, programs[j].flops);
         }
-        let sliced = AtomicU64::new(0);
-        let evals = AtomicU64::new(0);
         graph.run(max_slots, &|t| {
             let life = &lifetimes[t];
             // A top-level `Zero`: arrays are born zeroed.
             if life.writes.is_empty() {
                 return;
             }
-            let touched = |n: usize| {
-                let id = NodeId(n as u32);
-                life.writes.contains(&id) || life.reads.contains(&id)
-            };
-            let held = shared
-                .iter()
-                .enumerate()
+            let touched =
+                |n: u32| life.writes.contains(&NodeId(n)) || life.reads.contains(&NodeId(n));
+            let mut held: Vec<_> = (0..)
+                .zip(shared)
                 .map(|(n, cell)| {
                     touched(n).then(|| cell.try_lock().expect("hazard edges serialize access"))
                 })
                 .collect();
             tce_trace::mem_alloc(bytes_of(self.elements(&life.allocs)));
-            let mut ctx = FusedCtx {
-                walk: self,
-                arrays: held,
-                env: vec![0usize; IndexSet::MAX_VARS],
-                scope: IndexSet::EMPTY,
-                sliced_contractions: 0,
-                func_evals: 0,
-            };
-            ctx.run(std::slice::from_ref(&self.schedule.steps[t]));
+            for &n in &life.writes {
+                let shape = &self.shapes[n.0 as usize];
+                let cell = held[n.0 as usize].as_mut().expect("in the write set");
+                cell.get_or_insert_with(|| Tensor::zeros_pooled(shape));
+            }
+            // Every array of the step goes into its nest once: until the
+            // step ends, its elements are reached only through the nest.
+            let mut nest = NestArrays::new();
+            let slots: Vec<Option<usize>> = (held.iter_mut())
+                .map(|cell| Some(nest.array(cell.as_mut()?.as_mut()?.data_mut())))
+                .collect();
+            self.run_program(&programs[t], nest, &slots);
             for n in &life.releases {
-                if let Some(dead) = ctx.cell_mut(*n).take() {
-                    dead.recycle();
-                }
+                let cell = held[n.0 as usize].as_mut().expect("in the read/write set");
+                cell.take().into_iter().for_each(Tensor::recycle);
             }
             tce_trace::mem_free(bytes_of(self.elements(&life.releases)));
-            sliced.fetch_add(ctx.sliced_contractions, Ordering::Relaxed);
-            evals.fetch_add(ctx.func_evals, Ordering::Relaxed);
         });
-        (
-            sliced.load(Ordering::Relaxed),
-            evals.load(Ordering::Relaxed),
-        )
-    }
-}
-
-/// One top-level step's execution state.
-struct FusedCtx<'a> {
-    walk: &'a Walk<'a>,
-    /// This step's holds on the arrays of its read/write sets, by node.
-    arrays: Vec<Option<MutexGuard<'a, Option<Tensor>>>>,
-    /// Current value of each pinned index, by `IndexVar.0`.
-    env: Vec<usize>,
-    /// Indices pinned by the enclosing chain loops.
-    scope: IndexSet,
-    sliced_contractions: u64,
-    func_evals: u64,
-}
-
-impl FusedCtx<'_> {
-    /// The array of a node in this step's read or write set.
-    fn array(&self, n: NodeId) -> &Tensor {
-        let cell = self.arrays[n.0 as usize].as_deref();
-        cell.and_then(Option::as_ref)
-            .expect("produced by this or an earlier step")
     }
 
-    /// The cell of a node in this step's read or write set.
-    fn cell_mut(&mut self, n: NodeId) -> &mut Option<Tensor> {
-        self.arrays[n.0 as usize]
-            .as_mut()
-            .expect("in the step's read or write set")
-    }
-
-    /// The array of a node this step writes, zeroed from the buffer pool on
-    /// first touch.
-    fn array_mut(&mut self, n: NodeId) -> &mut Tensor {
-        let shape = &self.walk.shapes[n.0 as usize];
-        self.cell_mut(n)
-            .get_or_insert_with(|| Tensor::zeros_pooled(shape))
-    }
-
-    fn run(&mut self, steps: &[ScheduleStep]) {
-        for step in steps {
-            match step {
-                ScheduleStep::Loop { index, body } => {
-                    let outer_scope = self.scope;
-                    self.scope = self.scope.union(index.singleton());
-                    for i in 0..self.walk.space.extent(*index) {
-                        self.env[index.0 as usize] = i;
-                        self.run(body);
-                    }
-                    self.scope = outer_scope;
-                }
-                // Re-zero in place: the array is produced into again at
-                // once, so a pool round trip would buy nothing.
-                ScheduleStep::Zero(v) => {
-                    if let Some(stale) = self.cell_mut(*v) {
-                        stale.fill_zero();
-                    }
-                }
-                ScheduleStep::Produce(v) => self.produce(*v),
-            }
-        }
-    }
-
-    fn produce(&mut self, v: NodeId) {
-        debug_assert_eq!(
-            self.scope, self.walk.schedule.pinned[v.0 as usize],
-            "schedule scope disagrees with pinned set at node {}",
-            v.0
-        );
-        let tree = self.walk.tree;
-        match &tree.node(v).kind {
-            OpKind::Contract { .. } => self.produce_contract(v),
-            OpKind::Leaf(Leaf::Func { name, indices, .. }) => {
-                self.produce_func_slice(v, name, indices)
-            }
-            OpKind::Leaf(_) => unreachable!("only producers are scheduled"),
-        }
-    }
-
-    /// Run `v`'s contraction for the current pinned-index values — the one
-    /// site contraction nodes are issued from.  The plan was resolved for
-    /// this production, so an iteration only computes three base offsets
-    /// from `env` and accumulates into `v`'s array in place (zeroed from
-    /// the pool on first touch).  Pinned *summation* indices of `v` are in
-    /// no base: each outer iteration adds one partial product into the
-    /// same block.  With nothing pinned this is one whole-array GETT call
-    /// per node, the unfused case.
-    fn produce_contract(&mut self, v: NodeId) {
-        let walk = self.walk;
-        let sliced = walk.contractions[v.0 as usize]
-            .as_ref()
-            .expect("resolved for every contraction producer");
-        let mut out = self
-            .cell_mut(v)
-            .take()
-            .unwrap_or_else(|| Tensor::zeros_pooled(&walk.shapes[v.0 as usize]));
-        let [a_site, b_site, out_site] = &sliced.sites;
-        let [a, b] = sliced.sources.map(|src| match src {
-            Source::Data(data) => data,
-            Source::Array(c) => self.array(c).data(),
-        });
-        let (a_base, b_base) = (a_site.base(&self.env), b_site.base(&self.env));
-        let reduce = |site: &Site, data: &[f64], base: usize, is_a: bool| {
-            let scratch = reduce_exclusive(
-                &sliced.spec,
-                walk.space,
-                data,
-                base,
-                &site.kept_strides,
-                is_a,
-            );
-            scratch.expect("the site has an exclusive summation index")
-        };
-        let ar = a_site.reduce.then(|| reduce(a_site, a, a_base, true));
-        let br = b_site.reduce.then(|| reduce(b_site, b, b_base, false));
-        let (a, a_base) = ar.as_ref().map_or((a, a_base), |t| (t.data(), 0));
-        let (b, b_base) = br.as_ref().map_or((b, b_base), |t| (t.data(), 0));
-        sliced.plan.execute_into(
-            a,
-            a_base,
-            b,
-            b_base,
-            out.data_mut(),
-            out_site.base(&self.env),
-            walk.threads,
-        );
-        for scratch in [ar, br].into_iter().flatten() {
-            scratch.recycle();
-        }
-        *self.cell_mut(v) = Some(out);
-        self.sliced_contractions += 1;
-    }
-
-    /// Materialize a function leaf's reduced array for the current pinned
-    /// argument values, parallel over element chunks (disjoint, so the
-    /// result is identical for every thread count).
-    fn produce_func_slice(&mut self, v: NodeId, name: &str, indices: &[IndexVar]) {
-        enum Arg {
-            Fixed(usize),
-            Dim(usize),
-        }
-        let walk = self.walk;
-        let arr_dims = &walk.dims[v.0 as usize];
-        let args: Vec<Arg> = indices
-            .iter()
-            .map(|iv| {
-                if self.scope.contains(*iv) {
-                    Arg::Fixed(self.env[iv.0 as usize])
-                } else {
-                    Arg::Dim(arr_dims.iter().position(|d| d == iv).expect("free arg"))
-                }
+    /// Run one step's program on `nest`, which holds the arrays of its
+    /// read/write sets (`slots`: each node's index in it).  Binding proves
+    /// every site's bounds and takes its reduction scratch once; then each
+    /// op is a loop-counter update, a zero fill, a function slice or one
+    /// kernel call.  When tracing, the clock is read at the start and the
+    /// end of the loop and around each function slice (a packed call times
+    /// itself): the rest is the direct calls' kernel time, added to
+    /// `gett.kernel_ns` once.
+    fn run_program<'n>(
+        &'n self,
+        program: &'n SliceProgram,
+        mut nest: NestArrays<'n>,
+        slots: &[Option<usize>],
+    ) {
+        let slot = |n: NodeId| slots[n.0 as usize].expect("produced by this or an earlier step");
+        let calls: Vec<usize> = (0..)
+            .zip(&program.sites)
+            .map(|(s, site)| {
+                let operands = [0, 1].map(|k| match site.sources[k] {
+                    Source::Data(data) => (nest.input(data), site.reduce[k].as_ref()),
+                    Source::Array(c) => (NestArray::Array(slot(c)), site.reduce[k].as_ref()),
+                });
+                let out = slot(site.arrays[2]);
+                let bound = nest.bind(&site.plan, operands, out, site.max_bases, self.threads);
+                bound.unwrap_or_else(|overrun| {
+                    let array = ["a", "b", "c"].iter().position(|&x| x == overrun.array);
+                    let node = site.arrays[array.expect("one of three arrays")].0;
+                    panic!("slice program: array %{node} is too short for site #{s} ({overrun})")
+                })
             })
             .collect();
-        let shape = &walk.shapes[v.0 as usize];
-        let f = &walk.funcs[name];
-        let out = self.array_mut(v);
-        let evals = out.len() as u64;
-        let rank = shape.len();
-        let args_ref = &args;
-        parallel_chunks_mut(out.data_mut(), walk.threads, |start, chunk| {
-            let mut idx = vec![0usize; rank];
+
+        let start = tce_trace::enabled().then(tce_trace::now_ns);
+        let (levels, mut func_ns, mut pc) = (&program.levels, 0, 0);
+        let mut counters = vec![0usize; levels.len()];
+        let mut bases = vec![[0usize; 3]; program.sites.len()];
+        while let Some(op) = program.ops.get(pc) {
+            pc += 1;
+            match *op {
+                Op::Loop(_) => {}
+                Op::Next { level, body } => {
+                    // Step the level's sites forward, or rewind them after
+                    // its last iteration.
+                    let l = &levels[level];
+                    let i = Some(counters[level] + 1).filter(|&i| i < l.extent);
+                    counters[level] = i.unwrap_or(0);
+                    for &(s, step) in &l.steps {
+                        for (base, step) in bases[s].iter_mut().zip(step) {
+                            match i {
+                                Some(_) => *base += step,
+                                None => *base -= step * (l.extent - 1),
+                            }
+                        }
+                    }
+                    pc = i.map_or(pc, |_| body);
+                }
+                Op::Zero(v) => nest.get_mut(slot(v)).fill(0.0),
+                Op::Contract(s) => nest.run(calls[s], bases[s]),
+                Op::Func(node, _, f, ref args) => {
+                    let t0 = start.map(|_| tce_trace::now_ns());
+                    let out = nest.get_mut(slot(node));
+                    self.func_slice(node, f, args, &counters, out);
+                    func_ns += t0.map_or(0, |t0| tce_trace::now_ns() - t0);
+                }
+            }
+        }
+        let direct = |site: &ProgramSite| site.plan.path() != "packed";
+        if let Some(t0) = start.filter(|_| program.sites.iter().any(direct)) {
+            let other_ns = nest.packed_ns() + func_ns;
+            let direct_ns = (tce_trace::now_ns() - t0).saturating_sub(other_ns);
+            tce_trace::counter("gett.kernel_ns", direct_ns);
+        }
+        nest.finish();
+    }
+
+    /// Materialize a function leaf's reduced array into `out` for the
+    /// pinned argument values (`at`: the loop counters), parallel over
+    /// element chunks (disjoint, so the result is identical for every
+    /// thread count).
+    fn func_slice(&self, v: NodeId, f: &IntegralFn, args: &[Arg], at: &[usize], out: &mut [f64]) {
+        let shape = &self.shapes[v.0 as usize];
+        parallel_chunks_mut(out, self.threads, |start, chunk| {
+            let mut idx = vec![0usize; shape.len()];
             let mut rem = start;
-            for d in (0..rank).rev() {
+            for d in (0..shape.len()).rev() {
                 idx[d] = rem % shape[d];
                 rem /= shape[d];
             }
-            let mut argv = vec![0usize; args_ref.len()];
+            let mut argv = vec![0usize; args.len()];
             for x in chunk.iter_mut() {
-                for (ai, a) in args_ref.iter().enumerate() {
-                    argv[ai] = match *a {
-                        Arg::Fixed(val) => val,
+                for (slot, a) in argv.iter_mut().zip(args) {
+                    *slot = match *a {
+                        Arg::Level(l) => at[l],
                         Arg::Dim(d) => idx[d],
                     };
                 }
@@ -658,7 +505,140 @@ impl FusedCtx<'_> {
                 Tensor::advance(&mut idx, shape);
             }
         });
-        self.func_evals += evals;
+    }
+}
+
+/// One top-level step lowered for execution: a flat op list over loop
+/// levels, built once per execution and bound to storage at step entry.
+#[derive(Default)]
+struct SliceProgram<'a> {
+    levels: Vec<Level<'a>>,
+    ops: Vec<Op<'a>>,
+    /// Contraction sites, in op order.
+    sites: Vec<ProgramSite<'a>>,
+    /// Modeled flops of one run: kernel flops and function-evaluation
+    /// cost, each times the loops around it.
+    flops: u128,
+    /// Kernel calls one run makes.
+    calls: u64,
+    /// Function-element evaluations one run makes.
+    evals: u64,
+}
+
+/// One loop level: its index, its extent, and each site inside it whose
+/// bases move with the index, by how much per step (operand a, operand b,
+/// output).
+struct Level<'a> {
+    index: IndexVar,
+    name: &'a str,
+    extent: usize,
+    steps: Vec<(usize, [usize; 3])>,
+}
+
+enum Op<'a> {
+    /// The head of loop `level`, whose body runs at least once.
+    Loop(usize),
+    /// Step loop `level`: move its sites' bases and jump back to `body`,
+    /// or rewind them and fall through after the last iteration.
+    Next { level: usize, body: usize },
+    /// Re-zero a node's array in place.
+    Zero(NodeId),
+    /// One kernel call of a contraction site.
+    Contract(usize),
+    /// Materialize a function leaf's array (node, function name and
+    /// function) for the pinned arguments.
+    Func(NodeId, &'a str, &'a IntegralFn, Vec<Arg>),
+}
+
+/// A function-slice argument: a pinned index (by loop level) or a
+/// dimension of the materialized array.
+#[derive(Clone, Copy)]
+enum Arg {
+    Level(usize),
+    Dim(usize),
+}
+
+/// Where a contraction reads an operand: bound elements (an input, or the
+/// `One` leaf's single `1.0`), or the array a producer fills in this or
+/// an earlier step.
+#[derive(Clone, Copy)]
+enum Source<'a> {
+    Data(&'a [f64]),
+    Array(NodeId),
+}
+
+/// A contraction site: one strided plan over the kept dimensions of its
+/// operands and output (`arrays`: left, right, output node).
+struct ProgramSite<'a> {
+    arrays: [NodeId; 3],
+    sources: [Source<'a>; 2],
+    /// Per operand, the pass that first sums out a summation index living
+    /// in it alone; the plan then reads the pass's dense result.
+    reduce: [Option<ExclusiveReduction>; 2],
+    plan: Arc<ContractionPlan>,
+    /// The largest base of each array: every pinned index at its last
+    /// value.
+    max_bases: [usize; 3],
+}
+
+impl fmt::Display for SliceProgram<'_> {
+    /// The lowered stage, one op per line indented by loop depth; a loop
+    /// line lists each site whose bases it moves, per array.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (levels, sites, calls) = (self.levels.len(), self.sites.len(), self.calls);
+        writeln!(f, "@slices: {levels} levels, {sites} sites, {calls} calls")?;
+        let name = |l: usize| self.levels[l].name;
+        let mut pad = String::from("  ");
+        for op in &self.ops {
+            match *op {
+                Op::Loop(l) => {
+                    let Level {
+                        name,
+                        extent,
+                        steps,
+                        ..
+                    } = &self.levels[l];
+                    write!(f, "{pad}loop {name} < {extent}")?;
+                    for (s, step) in steps {
+                        let moves = ["a", "b", "c"].iter().zip(step).filter(|(_, &i)| i > 0);
+                        let moves: String = moves.map(|(x, i)| format!(" {x}+{i}")).collect();
+                        write!(f, " #{s}{moves}")?;
+                    }
+                    writeln!(f)?;
+                    pad.push_str("  ");
+                }
+                Op::Next { .. } => pad.truncate(pad.len() - 2),
+                Op::Zero(v) => writeln!(f, "{pad}zero %{}", v.0)?,
+                Op::Contract(s) => {
+                    let ProgramSite {
+                        arrays,
+                        reduce,
+                        plan: p,
+                        ..
+                    } = &self.sites[s];
+                    let [a, b, c] = arrays.map(|n| n.0);
+                    let reduced = (reduce.iter().zip(["reduce a, ", "reduce b, "]))
+                        .filter_map(|(r, text)| r.as_ref().map(|_| text));
+                    let (reduced, path) = (reduced.collect::<String>(), p.path());
+                    let batch = (p.nb > 1).then(|| format!("{}x", p.nb));
+                    let batch = batch.unwrap_or_default();
+                    let (m, n, k) = (p.m, p.n, p.k);
+                    writeln!(
+                        f,
+                        "{pad}#{s} %{c} += %{a}·%{b}: {reduced}{path} {batch}{m}x{n}x{k}"
+                    )?;
+                }
+                Op::Func(node, func, _, ref args) => {
+                    let arg = |a: &Arg| match *a {
+                        Arg::Level(l) => name(l),
+                        Arg::Dim(_) => ":",
+                    };
+                    let args: Vec<&str> = args.iter().map(arg).collect();
+                    writeln!(f, "{pad}%{} = {func}({})", node.0, args.join(", "))?;
+                }
+            }
+        }
+        Ok(())
     }
 }
 
@@ -669,18 +649,16 @@ mod tests {
     use tce_fusion::memmin_dp;
     use tce_ir::{IndexSet, TensorDecl, TensorTable};
 
-    fn fig1(n_ext: usize) -> (IndexSpace, TensorTable, OpTree, NodeId, NodeId) {
+    /// Paper Fig. 1's tree at extent `n_ext`, T1 and T2, and its four
+    /// inputs bound to random values.
+    fn fig1(n_ext: usize) -> (IndexSpace, OpTree, NodeId, NodeId, Vec<(TensorId, Tensor)>) {
         let mut space = IndexSpace::new();
         let n = space.add_range("N", n_ext);
         let vs = space.add_vars("a b c d e f i j k l", n);
-        let (a, b, c, d, e, f, i, j, k, l) = (
-            vs[0], vs[1], vs[2], vs[3], vs[4], vs[5], vs[6], vs[7], vs[8], vs[9],
-        );
+        let [a, b, c, d, e, f, i, j, k, l] = std::array::from_fn(|x| vs[x]);
         let mut tensors = TensorTable::new();
-        let ta = tensors.add(TensorDecl::dense("A", vec![n; 4]));
-        let tb = tensors.add(TensorDecl::dense("B", vec![n; 4]));
-        let tc = tensors.add(TensorDecl::dense("C", vec![n; 4]));
-        let td = tensors.add(TensorDecl::dense("D", vec![n; 4]));
+        let [ta, tb, tc, td] =
+            ["A", "B", "C", "D"].map(|nm| tensors.add(TensorDecl::dense(nm, vec![n; 4])));
         let mut tree = OpTree::new();
         let lb = tree.leaf_input(tb, vec![b, e, f, l]);
         let ld = tree.leaf_input(td, vec![c, d, e, l]);
@@ -689,17 +667,25 @@ mod tests {
         let t2 = tree.contract(t1, lc, IndexSet::from_vars([b, c, j, k]));
         let la = tree.leaf_input(ta, vec![a, c, i, k]);
         tree.contract(t2, la, IndexSet::from_vars([a, b, i, j]));
-        (space, tensors, tree, t1, t2)
+        let ids = [ta, tb, tc, td].into_iter().zip(40..);
+        let vals = ids
+            .map(|(id, seed)| (id, Tensor::random(&[n_ext; 4], seed)))
+            .collect();
+        (space, tree, t1, t2, vals)
     }
 
-    fn bind(tensors: &TensorTable, n: usize) -> (Vec<Tensor>, Vec<TensorId>) {
-        let mut vals = Vec::new();
-        let mut ids = Vec::new();
-        for (i, nm) in ["A", "B", "C", "D"].iter().enumerate() {
-            vals.push(Tensor::random(&[n; 4], 40 + i as u64));
-            ids.push(tensors.by_name(nm).unwrap());
-        }
-        (vals, ids)
+    fn bind(vals: &[(TensorId, Tensor)]) -> HashMap<TensorId, &Tensor> {
+        vals.iter().map(|(id, t)| (*id, t)).collect()
+    }
+
+    fn run(
+        (tree, space, cfg): (&OpTree, &IndexSpace, &FusionConfig),
+        inputs: &HashMap<TensorId, &Tensor>,
+        funcs: &HashMap<String, IntegralFn>,
+        threads: usize,
+    ) -> Result<FusedExecReport, ExecError> {
+        let opts = ExecOptions::with_threads(threads);
+        execute_tree_fused(tree, space, cfg, inputs, funcs, &opts)
     }
 
     fn rel_close(a: &Tensor, b: &Tensor, tol: f64) -> bool {
@@ -707,29 +693,22 @@ mod tests {
         a.max_abs_diff(b) <= tol * scale
     }
 
-    #[test]
-    fn fig1c_fused_matches_treeexec_with_model_peak() {
-        let (space, tensors, tree, t1, t2) = fig1(4);
-        let (vals, ids) = bind(&tensors, 4);
-        let mut inputs = HashMap::new();
-        for (id, v) in ids.iter().zip(&vals) {
-            inputs.insert(*id, v);
-        }
-        let expect = execute_tree(&tree, &space, &inputs, &HashMap::new(), 1).unwrap();
-
-        let mut cfg = FusionConfig::unfused(&tree);
+    /// Fig. 1(c): T1 fused to a scalar, T2 to its `(j, k)` plane.
+    fn fig1c(space: &IndexSpace, tree: &OpTree, t1: NodeId, t2: NodeId) -> FusionConfig {
+        let mut cfg = FusionConfig::unfused(tree);
         cfg.set(t1, space.parse_set("b,c,d,f").unwrap());
         cfg.set(t2, space.parse_set("b,c").unwrap());
+        cfg
+    }
+
+    #[test]
+    fn fig1c_fused_matches_treeexec_with_model_peak() {
+        let (space, tree, t1, t2, vals) = fig1(4);
+        let (inputs, none) = (bind(&vals), HashMap::new());
+        let expect = execute_tree(&tree, &space, &inputs, &none, 1).unwrap();
+        let cfg = fig1c(&space, &tree, t1, t2);
         for threads in [1, 2, 4] {
-            let rep = execute_tree_fused(
-                &tree,
-                &space,
-                &cfg,
-                &inputs,
-                &HashMap::new(),
-                &ExecOptions::with_threads(threads),
-            )
-            .unwrap();
+            let rep = run((&tree, &space, &cfg), &inputs, &none, threads).unwrap();
             assert!(rel_close(&rep.result, &expect, 1e-12));
             // T1 scalar + T2 at N².
             assert_eq!(rep.peak_live_elements, 1 + 16);
@@ -739,32 +718,14 @@ mod tests {
 
     #[test]
     fn graph_schedule_is_bitwise_identical_and_keeps_model_peak() {
-        let (space, tensors, tree, t1, t2) = fig1(4);
-        let (vals, ids) = bind(&tensors, 4);
-        let mut inputs = HashMap::new();
-        for (id, v) in ids.iter().zip(&vals) {
-            inputs.insert(*id, v);
-        }
-        let mut cfg = FusionConfig::unfused(&tree);
-        cfg.set(t1, space.parse_set("b,c,d,f").unwrap());
-        cfg.set(t2, space.parse_set("b,c").unwrap());
-        let seq = execute_tree_fused(
-            &tree,
-            &space,
-            &cfg,
-            &inputs,
-            &HashMap::new(),
-            &ExecOptions::serial(),
-        )
-        .unwrap();
+        let (space, tree, t1, t2, vals) = fig1(4);
+        let (inputs, none) = (bind(&vals), HashMap::new());
+        let cfg = fig1c(&space, &tree, t1, t2);
+        let seq = run((&tree, &space, &cfg), &inputs, &none, 1).unwrap();
         for threads in [1, 2, 4, 8] {
-            let opts = ExecOptions::with_threads(threads);
-            let rep =
-                execute_tree_fused(&tree, &space, &cfg, &inputs, &HashMap::new(), &opts).unwrap();
-            assert_eq!(
-                rep.result, seq.result,
-                "{threads} threads diverged from one"
-            );
+            let rep = run((&tree, &space, &cfg), &inputs, &none, threads).unwrap();
+            let what = format!("{threads} threads diverged from one");
+            assert_eq!(rep.result, seq.result, "{what}");
             // Every intermediate is allocated exactly once whatever the
             // interleaving, so the measured total equals the model.
             assert_eq!(rep.peak_live_elements, seq.peak_live_elements);
@@ -776,25 +737,12 @@ mod tests {
 
     #[test]
     fn memmin_and_unfused_configs_agree_with_oracle() {
-        let (space, tensors, tree, _, _) = fig1(3);
-        let (vals, ids) = bind(&tensors, 3);
-        let mut inputs = HashMap::new();
-        for (id, v) in ids.iter().zip(&vals) {
-            inputs.insert(*id, v);
-        }
-        let expect = execute_tree(&tree, &space, &inputs, &HashMap::new(), 1).unwrap();
-
+        let (space, tree, _, _, vals) = fig1(3);
+        let (inputs, none) = (bind(&vals), HashMap::new());
+        let expect = execute_tree(&tree, &space, &inputs, &none, 1).unwrap();
         let r = memmin_dp(&tree, &space);
         for cfg in [FusionConfig::unfused(&tree), r.config.clone()] {
-            let rep = execute_tree_fused(
-                &tree,
-                &space,
-                &cfg,
-                &inputs,
-                &HashMap::new(),
-                &ExecOptions::serial(),
-            )
-            .unwrap();
+            let rep = run((&tree, &space, &cfg), &inputs, &none, 1).unwrap();
             assert!(rel_close(&rep.result, &expect, 1e-12));
             assert_eq!(rep.peak_live_elements, cfg.temp_memory(&tree, &space));
         }
@@ -805,29 +753,20 @@ mod tests {
         // E = Σ_ce f1(c,e)·f2(c,e), fully fused: all intermediates scalar.
         let mut space = IndexSpace::new();
         let n = space.add_range("V", 5);
-        let c = space.add_var("c", n);
-        let e = space.add_var("e", n);
+        let (c, e) = (space.add_var("c", n), space.add_var("e", n));
         let mut tree = OpTree::new();
         let f1 = tree.leaf_func("f1", vec![c, e], 100);
         let f2 = tree.leaf_func("f2", vec![c, e], 100);
         tree.contract(f1, f2, IndexSet::EMPTY);
-        let mut funcs = HashMap::new();
-        funcs.insert("f1".to_string(), IntegralFn::new(100, 0xF1));
-        funcs.insert("f2".to_string(), IntegralFn::new(100, 0xF2));
+        let funcs = HashMap::from([
+            ("f1".to_string(), IntegralFn::new(100, 0xF1)),
+            ("f2".to_string(), IntegralFn::new(100, 0xF2)),
+        ]);
         let expect = execute_tree(&tree, &space, &HashMap::new(), &funcs, 1).unwrap();
-
         let mut cfg = FusionConfig::unfused(&tree);
         cfg.set(f1, IndexSet::from_vars([c, e]));
         cfg.set(f2, IndexSet::from_vars([c, e]));
-        let rep = execute_tree_fused(
-            &tree,
-            &space,
-            &cfg,
-            &HashMap::new(),
-            &funcs,
-            &ExecOptions::with_threads(3),
-        )
-        .unwrap();
+        let rep = run((&tree, &space, &cfg), &HashMap::new(), &funcs, 3).unwrap();
         assert!(rel_close(&rep.result, &expect, 1e-12));
         assert_eq!(rep.peak_live_elements, 2); // two scalars
         assert_eq!(rep.func_evals, 2 * 25);
@@ -835,41 +774,86 @@ mod tests {
 
     #[test]
     fn missing_bindings_are_typed_errors() {
-        let (space, tensors, tree, _, _) = fig1(2);
-        let _ = tensors;
+        let (space, tree, _, _, _) = fig1(2);
         let cfg = FusionConfig::unfused(&tree);
-        let err = execute_tree_fused(
-            &tree,
-            &space,
-            &cfg,
-            &HashMap::new(),
-            &HashMap::new(),
-            &ExecOptions::serial(),
-        )
-        .unwrap_err();
+        let err = run((&tree, &space, &cfg), &HashMap::new(), &HashMap::new(), 1).unwrap_err();
         assert!(matches!(err, ExecError::MissingInput { .. }), "{err}");
     }
 
     #[test]
     fn illegal_config_is_an_invalid_program_error() {
-        let (space, tensors, tree, t1, t2) = fig1(2);
-        let (vals, ids) = bind(&tensors, 2);
-        let mut inputs = HashMap::new();
-        for (id, v) in ids.iter().zip(&vals) {
-            inputs.insert(*id, v);
-        }
+        let (space, tree, t1, t2, vals) = fig1(2);
         let mut cfg = FusionConfig::unfused(&tree);
         cfg.set(t2, space.parse_set("b,c,j,k").unwrap());
         cfg.set(t1, space.parse_set("b,c,d,f").unwrap());
-        let err = execute_tree_fused(
-            &tree,
-            &space,
-            &cfg,
-            &inputs,
-            &HashMap::new(),
-            &ExecOptions::serial(),
-        )
-        .unwrap_err();
+        let err = run((&tree, &space, &cfg), &bind(&vals), &HashMap::new(), 1).unwrap_err();
         assert!(matches!(err, ExecError::InvalidProgram { .. }), "{err}");
+    }
+
+    /// Lower `cfg` on `tree` and hand `f` the walk and its programs.
+    fn lowered<R>(
+        (tree, space, cfg): (&OpTree, &IndexSpace, &FusionConfig),
+        inputs: &HashMap<TensorId, &Tensor>,
+        f: impl FnOnce(&Walk, &[SliceProgram]) -> R,
+    ) -> R {
+        let (lowering, funcs) = (cfg.lowering(tree).unwrap(), HashMap::new());
+        let walk = Walk::new(tree, space, &lowering, inputs, &funcs, 1);
+        let programs: Vec<SliceProgram> =
+            walk.schedule.steps.iter().map(|s| walk.lower(s)).collect();
+        f(&walk, &programs)
+    }
+
+    #[test]
+    fn memmin_slice_program_prints_its_levels_increments_and_calls() {
+        // The §2 term at N = 4 under memmin (Fig. 1(c)): T1 (%2) a scalar
+        // dot per (b, c, d, f), T2 (%4) an outer product into its (j, k)
+        // plane per (b, c, d, f), S (%6) one call per (b, c) whose path
+        // depends on the variant's register tile.
+        let (space, tree, _, _, vals) = fig1(4);
+        let cfg = memmin_dp(&tree, &space).config;
+        let text = lowered((&tree, &space, &cfg), &bind(&vals), |_, programs| {
+            programs.iter().map(ToString::to_string).collect::<String>()
+        });
+        use tce_tensor::KernelVariant::*;
+        let (t2, s) = match tce_tensor::kernels::active() {
+            Avx2 => ("lanes", "direct"),
+            Sse2 => ("direct", "packed"),
+            Scalar => ("direct", "direct"),
+        };
+        let want = format!(
+            "@slices: 0 levels, 0 sites, 0 calls
+  zero %6
+@slices: 4 levels, 3 sites, 528 calls
+  loop b < 4 #0 a+64 #2 c+16
+    loop c < 4 #0 b+64 #2 b+16
+      zero %4
+      loop d < 4 #0 b+16 #1 b+64
+        loop f < 4 #0 a+4 #1 b+16
+          zero %2
+          #0 %2 += %0·%1: dot 1x1x16
+          #1 %4 += %2·%3: {t2} 1x16x1
+      #2 %6 += %4·%5: {s} 4x16x4
+"
+        );
+        assert_eq!(text, want);
+    }
+
+    #[test]
+    #[should_panic(expected = "array %4 is too short for site #1 (c: base 0 + span 16 exceeds 15")]
+    fn binding_an_array_one_element_short_panics_naming_it() {
+        // T2 (%4) is the output of site #1 and holds its 16-element (j, k)
+        // plane: bound one element short, the step refuses to run at all.
+        let (space, tree, t1, t2, vals) = fig1(4);
+        let cfg = fig1c(&space, &tree, t1, t2);
+        lowered((&tree, &space, &cfg), &bind(&vals), |walk, programs| {
+            let step = programs.iter().position(|p| !p.sites.is_empty()).unwrap();
+            let mut arrays: Vec<Tensor> = walk.shapes.iter().map(|s| Tensor::zeros(s)).collect();
+            arrays[t2.0 as usize] = Tensor::zeros(&[15]);
+            let mut nest = NestArrays::new();
+            let slots: Vec<Option<usize>> = (arrays.iter_mut())
+                .map(|t| Some(nest.array(t.data_mut())))
+                .collect();
+            walk.run_program(&programs[step], nest, &slots);
+        });
     }
 }

@@ -125,9 +125,8 @@ pub fn contract_naive(
 /// `data[base + Σ idx·strides]` — over its dims that appear neither in
 /// the other operand nor in the output, into a pooled tensor over the
 /// dims [`BinaryContraction::pre_reduced`] keeps (recycle it after use).
-/// Elements are summed in row-major order of the operand's dims.  `None`
-/// when there is no such dim: the caller reads the operand in place — the
-/// common case, hit on almost every GETT call.
+/// `None` when there is no such dim: the caller reads the operand in
+/// place — the common case, hit on almost every GETT call.
 ///
 /// # Panics
 /// Panics if an addressed element lies outside `data`.
@@ -139,33 +138,89 @@ pub fn reduce_exclusive(
     strides: &[usize],
     is_a: bool,
 ) -> Option<Tensor> {
-    let reduced = spec.pre_reduced();
-    let (own, keep) = if is_a {
-        (&spec.a, reduced.a)
-    } else {
-        (&spec.b, reduced.b)
-    };
-    if keep.len() == own.len() {
-        return None;
-    }
-    let keep_shape: Vec<usize> = keep.iter().map(|&v| space.extent(v)).collect();
-    let mut out = Tensor::zeros_pooled(&keep_shape);
-    let full_shape: Vec<usize> = own.iter().map(|&v| space.extent(v)).collect();
-    let keep_pos: Vec<usize> = keep
-        .iter()
-        .map(|v| own.iter().position(|d| d == v).unwrap())
-        .collect();
-    let mut idx = vec![0usize; own.len()];
-    let mut kidx = vec![0usize; keep.len()];
-    for _ in 0..full_shape.iter().product::<usize>() {
-        for (d, &p) in keep_pos.iter().enumerate() {
-            kidx[d] = idx[p];
-        }
-        let off: usize = idx.iter().zip(strides).map(|(&i, &s)| i * s).sum();
-        out.add_assign_at(&kidx, data[base + off]);
-        Tensor::advance(&mut idx, &full_shape);
-    }
+    let pass = ExclusiveReduction::new(spec, space, strides, is_a)?;
+    let mut out = Tensor::zeros_pooled(&pass.kept_shape);
+    pass.add_into(data, base, out.data_mut());
     Some(out)
+}
+
+/// The pass [`reduce_exclusive`] makes over one operand, resolved once
+/// for its strides so that a loop nest can repeat it at many bases
+/// without allocating.
+#[derive(Debug, Clone)]
+pub struct ExclusiveReduction {
+    /// Extents of the operand's dims.
+    shape: Vec<usize>,
+    /// Per dim: its stride in the operand, and in the dense array of the
+    /// kept dims (0 for a dim that is summed out).
+    steps: Vec<(usize, usize)>,
+    /// Shape of the kept dims' dense array.
+    pub kept_shape: Vec<usize>,
+    /// Elements of the operand it reads past a base: the largest offset
+    /// plus one.
+    pub span: usize,
+}
+
+impl ExclusiveReduction {
+    /// The reduction of operand `a` (or `b`) of `spec` read through
+    /// `strides`; `None` when no dim of it is exclusive.
+    pub fn new(
+        spec: &BinaryContraction,
+        space: &IndexSpace,
+        strides: &[usize],
+        is_a: bool,
+    ) -> Option<Self> {
+        let reduced = spec.pre_reduced();
+        let (own, keep) = if is_a {
+            (&spec.a, reduced.a)
+        } else {
+            (&spec.b, reduced.b)
+        };
+        if keep.len() == own.len() {
+            return None;
+        }
+        let kept_shape: Vec<usize> = keep.iter().map(|&v| space.extent(v)).collect();
+        let kept_strides = crate::dense::row_major_strides(&kept_shape);
+        let steps = own
+            .iter()
+            .zip(strides)
+            .map(|(v, &s)| {
+                let kept = keep.iter().position(|k| k == v);
+                (s, kept.map_or(0, |p| kept_strides[p]))
+            })
+            .collect();
+        let shape: Vec<usize> = own.iter().map(|&v| space.extent(v)).collect();
+        let last = |(&e, &s): (&usize, &usize)| e.saturating_sub(1) * s;
+        Some(Self {
+            span: shape.iter().zip(strides).map(last).sum::<usize>() + 1,
+            shape,
+            steps,
+            kept_shape,
+        })
+    }
+
+    /// Add the operand read at `base` into `out`, the kept dims' dense
+    /// array: elements in row-major order of the operand's dims.
+    ///
+    /// # Panics
+    /// Panics if an addressed element lies outside `data` or `out`.
+    pub fn add_into(&self, data: &[f64], base: usize, out: &mut [f64]) {
+        let mut idx = [0usize; IndexSet::MAX_VARS];
+        let (mut src, mut dst) = (base, 0);
+        for _ in 0..self.shape.iter().product::<usize>() {
+            out[dst] += data[src];
+            // Advance the last dim first, moving both offsets with it.
+            for (d, (&extent, &(s, t))) in self.shape.iter().zip(&self.steps).enumerate().rev() {
+                idx[d] += 1;
+                (src, dst) = (src + s, dst + t);
+                if idx[d] < extent {
+                    break;
+                }
+                idx[d] = 0;
+                (src, dst) = (src - s * extent, dst - t * extent);
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -17,10 +17,13 @@
 //!   shape-dependent work happens once per (spec, extents, strides,
 //!   kernel) signature and is memoized in a process-wide cache
 //!   ([`plan_for`], [`plan_for_strided`]);
-//! * [`ContractionPlan::execute_into`] accumulates into the caller's
-//!   buffer at base offsets, after asserting that each base plus the
-//!   plan's span fits its slice ([`ContractionPlan::execute`] is that on a
-//!   fresh zero tensor);
+//! * [`NestArrays`] holds the storage of a loop nest of calls and binds
+//!   a plan to it after `ContractionPlan::checked` proved, once, that
+//!   each array's largest base plus the plan's span fits it; each call is
+//!   then a bare run at three bases, with no assert, trace-flag read or
+//!   span, and the nest records its counters once.
+//!   [`ContractionPlan::execute_into`] is a nest of one call at given
+//!   bases, and [`ContractionPlan::execute`] that on a fresh zero tensor;
 //! * the plan also selects its [`kernels::KernelConfig`]: the
 //!   runtime-dispatched SIMD micro-kernel variant (AVX2+FMA / SSE2 /
 //!   scalar, see [`crate::kernels`]) and cache-derived MC/NC/KC macro
@@ -57,12 +60,13 @@
 //!   variants differ in rounding by design).
 //!
 //! [`contract_gett`] is the whole-tensor entry point; the fused executor
-//! resolves a strided plan per contraction node and calls
-//! [`ContractionPlan::execute_into`] on every slice.
+//! resolves a strided plan per contraction node, checks it once per
+//! schedule step and runs it on every slice.
 
 use crate::contract::{reduce_exclusive, BinaryContraction};
 use crate::dense::{row_major_strides, Tensor};
 use crate::kernels::{self, BlockSizes, DirectGemm, KernelConfig, KernelVariant};
+use crate::nest::NestArrays;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -114,9 +118,8 @@ impl TaskSplit {
     }
 
     /// Run `run_blocks` over every block: all of them on the caller as
-    /// one task, or one block per task on the pool.  Returns the task
-    /// count.
-    fn run(&self, threads: usize, run_blocks: &(dyn Fn(Range<usize>) + Sync)) -> usize {
+    /// one task, or one block per task on the pool.
+    fn run(&self, threads: usize, run_blocks: &(dyn Fn(Range<usize>) + Sync)) {
         let tasks = self.tasks();
         if tasks == 1 {
             run_blocks(0..self.blocks());
@@ -125,7 +128,6 @@ impl TaskSplit {
             pool.ensure_workers(threads - 1);
             pool.run(tasks, &|t| run_blocks(t..t + 1));
         }
-        tasks
     }
 }
 
@@ -477,8 +479,9 @@ impl ContractionPlan {
 
     /// Accumulate the contraction into `c` in place:
     /// `c[c_base + o…] += Σ_K a[a_base + …]·b[b_base + …]`, every element
-    /// addressed through the plan's strides.  Bitwise deterministic in the
-    /// thread count: each task owns disjoint output tiles and walks
+    /// addressed through the plan's strides: a [`NestArrays`] of the three
+    /// slices, bound at these bases, and one call.  Bitwise deterministic
+    /// in the thread count: each task owns disjoint output tiles and walks
     /// K-blocks in ascending order, adding each block's partial sum into
     /// `c`.
     ///
@@ -495,54 +498,100 @@ impl ContractionPlan {
         c_base: usize,
         threads: usize,
     ) {
-        // Every offset the kernels touch is below its span, so these bounds
-        // are what keep the packed path's raw output writes in `c`.
-        let bounds = [
-            (a_base, a.len(), "a"),
-            (b_base, b.len(), "b"),
-            (c_base, c.len(), "c"),
-        ];
-        for ((base, len, name), span) in bounds.into_iter().zip(self.spans) {
-            let fits = base.checked_add(span).is_some_and(|end| end <= len);
-            assert!(
-                fits,
-                "{name}: base {base} + span {span} exceeds {len} elements"
-            );
+        let bases = [a_base, b_base, c_base];
+        let mut nest = NestArrays::new();
+        let operands = [(nest.input(a), None), (nest.input(b), None)];
+        let out = nest.array(c);
+        let call = nest.bind(self, operands, out, bases, threads);
+        let call = call.unwrap_or_else(|overrun| panic!("{overrun}"));
+        let start = (self.direct && tce_trace::enabled()).then(tce_trace::now_ns);
+        nest.run(call, bases);
+        if let Some(t0) = start {
+            tce_trace::counter("gett.kernel_ns", tce_trace::now_ns() - t0);
         }
-        let (a, b, c) = (&a[a_base..], &b[b_base..], &mut c[c_base..]);
-        // Tracing is decided once per execution and passed down as a plain
-        // bool: tiles never touch the atomic flag.
-        let traced = tce_trace::enabled();
-        let _exec_span = tce_trace::span("gett.execute");
-        let cfg = self.kernel;
-        let (tasks, lanes) = if self.direct {
-            self.execute_direct(a, b, c, threads)
+        nest.finish();
+    }
+
+    /// Prove once, for a loop nest of calls, that every base up to
+    /// `max_bases` (of `a`, `b` and the output) plus the plan's span fits
+    /// the `lens` elements of its array, and settle what every call
+    /// shares: the task split on `threads` workers, the pack panels of a
+    /// one-task packed call, and the trace flag.  [`NestArrays::bind`] is
+    /// the caller.
+    ///
+    /// # Errors
+    /// [`SliceOverrun`] naming the first array that does not fit.
+    pub(crate) fn checked(
+        &self,
+        lens: [usize; 3],
+        max_bases: [usize; 3],
+        threads: usize,
+    ) -> Result<CheckedCall<'_>, SliceOverrun> {
+        for (array, ((len, base), span)) in ["a", "b", "c"]
+            .into_iter()
+            .zip(lens.into_iter().zip(max_bases).zip(self.spans))
+        {
+            if base.checked_add(span).is_none_or(|end| end > len) {
+                return Err(SliceOverrun {
+                    array,
+                    base,
+                    span,
+                    len,
+                });
+            }
+        }
+        let cfg = &self.kernel;
+        let split = if self.direct {
+            self.direct_split(threads)
         } else {
-            (self.execute_packed(a, b, c, threads, traced), false)
+            Some(task_split(
+                self.nb, self.m, self.n, self.k, cfg.blocks, cfg.mr, cfg.nr, threads,
+            ))
         };
-        if traced {
-            tce_trace::counter_u128("gett.flops", self.flops());
-            tce_trace::counter("gett.tasks", tasks as u64);
-            if tasks > 1 {
-                tce_trace::counter("gett.parallel", 1);
-            }
-            tce_trace::counter(
-                match cfg.variant {
-                    KernelVariant::Scalar => "gett.kernel_variant.scalar",
-                    KernelVariant::Sse2 => "gett.kernel_variant.sse2",
-                    KernelVariant::Avx2 => "gett.kernel_variant.avx2",
-                },
-                1,
-            );
-            if self.direct {
-                tce_trace::counter("gett.direct", 1);
-            }
-            if lanes {
-                tce_trace::counter("gett.direct_lanes", 1);
-            }
-            tce_trace::counter("gett.mc", cfg.blocks.mc as u64);
-            tce_trace::counter("gett.nc", cfg.blocks.nc as u64);
-            tce_trace::counter("gett.kc", cfg.blocks.kc as u64);
+        let tasks = split.as_ref().map_or(1, TaskSplit::tasks);
+        let (mc, nc, kc) = (cfg.blocks.mc, cfg.blocks.nc, cfg.blocks.kc);
+        let panels = (!self.direct && tasks == 1).then(|| {
+            [
+                crate::bufpool::acquire(mc * kc),
+                crate::bufpool::acquire(kc * nc),
+            ]
+        });
+        Ok(CheckedCall {
+            plan: self,
+            threads,
+            split,
+            gemm: self.direct_gemm(0..self.m, 0..self.n),
+            tasks,
+            panels,
+            traced: tce_trace::enabled(),
+            calls: 0,
+            lanes: 0,
+            phase_ns: [0; 2],
+            packed_ns: 0,
+        })
+    }
+
+    /// How one call of this plan runs as one task: `"packed"`, or on the
+    /// direct path `"dot"` (one output element), `"lanes"` (a long axis
+    /// contiguous in its operand and in the output, under AVX2) or
+    /// `"direct"`.
+    pub fn path(&self) -> &'static str {
+        let (long, contiguous) = if self.m < self.n {
+            (self.n, self.n_contiguous)
+        } else {
+            (self.m, self.m_contiguous)
+        };
+        if !self.direct {
+            "packed"
+        } else if self.m == 1 && self.n == 1 {
+            "dot"
+        } else if self.kernel.variant == KernelVariant::Avx2
+            && contiguous
+            && long >= kernels::CHAINS
+        {
+            "lanes"
+        } else {
+            "direct"
         }
     }
 
@@ -567,116 +616,147 @@ impl ContractionPlan {
         ))
     }
 
-    /// The direct path on operands and output already rebased, split by
-    /// [`ContractionPlan::direct_split`]; returns the task count and
-    /// whether vector lanes ran.
-    fn execute_direct(&self, a: &[f64], b: &[f64], c: &mut [f64], threads: usize) -> (usize, bool) {
-        let cfg = &self.kernel;
+    /// A direct call on operands and output already rebased, fanned out
+    /// by `split` (see [`ContractionPlan::direct_split`]); returns whether
+    /// vector lanes ran.
+    fn execute_direct_split(
+        &self,
+        a: &[f64],
+        b: &[f64],
+        c: &mut [f64],
+        split: &TaskSplit,
+        threads: usize,
+    ) -> bool {
         let c_ptr = SendPtr(c.as_mut_ptr());
         let lanes = AtomicBool::new(false);
-        let run = |bi: usize, rows: Range<usize>, cols: Range<usize>| {
+        split.run(threads, &|blocks| {
             // Borrow the whole wrapper: a field capture would share the
             // bare pointer.
             let c_ptr = &c_ptr;
-            let g = DirectGemm {
-                a_rows: &self.a_m_off[rows.clone()],
-                a_k: &self.a_k_off,
-                b_cols: &self.b_n_off[cols.clone()],
-                b_k: &self.b_k_off,
-                c_rows: &self.c_m_off[rows],
-                c_cols: &self.c_n_off[cols],
-                kc: cfg.blocks.kc,
-                a_k_unit: self.a_k_unit,
-                b_k_unit: self.b_k_unit,
-                rows_contiguous: self.m_contiguous,
-                cols_contiguous: self.n_contiguous,
-            };
-            // SAFETY: batch base plus any offset of the tables is below the
-            // operand's span, which `execute_into` asserted fits each slice
-            // behind these pointers; the output block (bi, rows, cols)
-            // belongs to this task alone, and `with_strides` asserted that
-            // distinct output coordinates have distinct offsets.
-            let ran_lanes = unsafe {
-                kernels::direct(
-                    cfg.variant,
-                    &g,
-                    a.as_ptr().add(self.a_batch_off[bi]),
-                    b.as_ptr().add(self.b_batch_off[bi]),
-                    c_ptr.0.add(self.c_batch_off[bi]),
-                )
-            };
-            if ran_lanes {
-                lanes.store(true, Ordering::Relaxed);
-            }
-        };
-        let tasks = match self.direct_split(threads) {
-            None => {
-                for bi in 0..self.nb {
-                    run(bi, 0..self.m, 0..self.n);
-                }
-                1
-            }
-            Some(split) => split.run(threads, &|blocks| {
-                for i in blocks {
-                    let [batches, rows, cols] = split.block(i);
-                    for bi in batches {
-                        run(bi, rows.clone(), cols.clone());
+            for i in blocks {
+                let [batches, rows, cols] = split.block(i);
+                let g = self.direct_gemm(rows, cols);
+                for bi in batches {
+                    // SAFETY: the caller's slices hold their spans (`c` is
+                    // behind `c_ptr`), and block `i` is this task's alone.
+                    if unsafe { self.direct_block(&g, a, b, c_ptr.0, bi) } {
+                        lanes.store(true, Ordering::Relaxed);
                     }
                 }
-            }),
-        };
-        (tasks, lanes.into_inner())
+            }
+        });
+        lanes.into_inner()
+    }
+
+    /// The offset tables of the direct-path block `rows` × `cols`.
+    fn direct_gemm(&self, rows: Range<usize>, cols: Range<usize>) -> DirectGemm<'_> {
+        DirectGemm {
+            a_rows: &self.a_m_off[rows.clone()],
+            a_k: &self.a_k_off,
+            b_cols: &self.b_n_off[cols.clone()],
+            b_k: &self.b_k_off,
+            c_rows: &self.c_m_off[rows],
+            c_cols: &self.c_n_off[cols],
+            kc: self.kernel.blocks.kc,
+            a_k_unit: self.a_k_unit,
+            b_k_unit: self.b_k_unit,
+            rows_contiguous: self.m_contiguous,
+            cols_contiguous: self.n_contiguous,
+        }
+    }
+
+    /// One direct-path block `g` of batch `bi`; returns whether vector
+    /// lanes ran.
+    ///
+    /// # Safety
+    /// `a`, `b` and the storage behind `c` hold at least their spans, and
+    /// no other thread accesses the output elements `g` names in batch
+    /// `bi` during the call.
+    #[inline]
+    unsafe fn direct_block(
+        &self,
+        g: &DirectGemm,
+        a: &[f64],
+        b: &[f64],
+        c: *mut f64,
+        bi: usize,
+    ) -> bool {
+        // SAFETY: batch base plus any offset of the tables is below each
+        // array's span, inside the storage by the caller's contract; the
+        // caller owns the output block, and `with_strides` asserted that
+        // distinct output coordinates have distinct offsets.
+        unsafe {
+            kernels::direct(
+                self.kernel.variant,
+                g,
+                a.as_ptr().add(self.a_batch_off[bi]),
+                b.as_ptr().add(self.b_batch_off[bi]),
+                c.add(self.c_batch_off[bi]),
+            )
+        }
     }
 
     /// The packed path on operands and output already rebased, split into
-    /// tasks by [`task_split`]; returns the task count.
+    /// tasks by `split`.  A one-task call packs into `panels` and adds its
+    /// pack/kernel nanoseconds into `caller_ns` (when `traced`); each task
+    /// of a fanned-out call takes its own panels from the buffer pool and
+    /// records its own.
+    #[allow(clippy::too_many_arguments)]
     fn execute_packed(
         &self,
         a: &[f64],
         b: &[f64],
         c: &mut [f64],
+        split: &TaskSplit,
         threads: usize,
         traced: bool,
-    ) -> usize {
+        panels: Option<&mut [Vec<f64>; 2]>,
+        caller_ns: &mut [u64; 2],
+    ) {
         let cfg = &self.kernel;
         let (mc, nc, kc) = (cfg.blocks.mc, cfg.blocks.nc, cfg.blocks.kc);
-        let split = task_split(
-            self.nb, self.m, self.n, self.k, cfg.blocks, cfg.mr, cfg.nr, threads,
-        );
         let c_ptr = SendPtr(c.as_mut_ptr());
-        let run_blocks = |blocks: Range<usize>| {
-            // Panel buffers are reused across the blocks of one task and
-            // recycled through the buffer pool across kernel calls.
-            let mut apack = crate::bufpool::acquire(mc * kc);
-            let mut bpack = crate::bufpool::acquire(kc * nc);
-            let mut acc = [0.0f64; MAX_ACC];
-            // Per-task pack/kernel nanoseconds, flushed once.
-            let mut phase_ns = [0u64; 2];
-            for i in blocks {
-                let [batches, rows, cols] = split.block(i);
-                for bi in batches {
-                    self.run_tile(
-                        a,
-                        b,
-                        &c_ptr,
-                        bi,
-                        rows.clone(),
-                        cols.clone(),
-                        &mut apack,
-                        &mut bpack,
-                        &mut acc,
-                        traced.then_some(&mut phase_ns),
-                    );
+        let run_blocks =
+            |blocks: Range<usize>, [apack, bpack]: &mut [Vec<f64>; 2], phase_ns: &mut [u64; 2]| {
+                let mut acc = [0.0f64; MAX_ACC];
+                for i in blocks {
+                    let [batches, rows, cols] = split.block(i);
+                    for bi in batches {
+                        self.run_tile(
+                            a,
+                            b,
+                            &c_ptr,
+                            bi,
+                            rows.clone(),
+                            cols.clone(),
+                            apack,
+                            bpack,
+                            &mut acc,
+                            traced.then_some(&mut *phase_ns),
+                        );
+                    }
                 }
-            }
-            if traced {
-                tce_trace::counter("gett.pack_ns", phase_ns[0]);
-                tce_trace::counter("gett.kernel_ns", phase_ns[1]);
-            }
-            crate::bufpool::release(apack);
-            crate::bufpool::release(bpack);
-        };
-        split.run(threads, &run_blocks)
+            };
+        match panels {
+            Some(panels) => run_blocks(0..split.blocks(), panels, caller_ns),
+            None => split.run(threads, &|blocks| {
+                // Panel buffers are reused across the blocks of one task and
+                // recycled through the buffer pool across tasks.
+                let mut panels = [
+                    crate::bufpool::acquire(mc * kc),
+                    crate::bufpool::acquire(kc * nc),
+                ];
+                let mut phase_ns = [0u64; 2];
+                run_blocks(blocks, &mut panels, &mut phase_ns);
+                if traced {
+                    tce_trace::counter("gett.pack_ns", phase_ns[0]);
+                    tce_trace::counter("gett.kernel_ns", phase_ns[1]);
+                }
+                let [apack, bpack] = panels;
+                crate::bufpool::release(apack);
+                crate::bufpool::release(bpack);
+            }),
+        }
     }
 
     /// Compute one block of the output: batch `bi`, rows `mi`, columns
@@ -781,7 +861,7 @@ impl ContractionPlan {
                                 break;
                             }
                             // SAFETY: the offset is below the output span,
-                            // which `execute_into` asserted fits the slice
+                            // which `checked` proved fits the storage
                             // behind `c_ptr`; (bi, i, j) belongs to this
                             // task alone and `with_strides` asserted that
                             // distinct coordinates have distinct offsets,
@@ -819,10 +899,165 @@ impl ContractionPlan {
 struct SendPtr(*mut f64);
 // SAFETY: tasks only accumulate into (read and write) output offsets no
 // other task owns (`with_strides` asserts the output offsets distinct) and
-// all below the span `execute_into` asserted fits the output slice; the
+// all below the span `checked` proved fits the output storage; the
 // slice outlives `Pool::run`, which joins every task before returning (a
 // one-task call runs on the caller).
 unsafe impl Sync for SendPtr {}
+
+/// One array of a [`ContractionPlan::checked`] binding does not fit: its
+/// largest base plus the plan's span is past its length.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SliceOverrun {
+    /// `"a"`, `"b"` or `"c"` (the output).
+    pub array: &'static str,
+    /// The largest base the binding must admit.
+    pub base: usize,
+    /// Elements the plan addresses past a base.
+    pub span: usize,
+    /// Elements behind the array's pointer.
+    pub len: usize,
+}
+
+impl std::fmt::Display for SliceOverrun {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let Self {
+            array,
+            base,
+            span,
+            len,
+        } = self;
+        write!(
+            f,
+            "{array}: base {base} + span {span} exceeds {len} elements"
+        )
+    }
+}
+
+/// What the calls of a loop nest share once `ContractionPlan::checked`
+/// proved their bounds: the task split, the pack panels, the trace flag,
+/// and the counters [`CheckedCall::finish`] records once.
+#[derive(Debug)]
+pub(crate) struct CheckedCall<'p> {
+    plan: &'p ContractionPlan,
+    threads: usize,
+    /// How each call divides among tasks (`None`: a direct call that runs
+    /// as one task on the caller).
+    split: Option<TaskSplit>,
+    /// The whole call's direct-path offset tables.
+    gemm: DirectGemm<'p>,
+    tasks: usize,
+    /// The A and B pack panels of a one-task packed call, reused by every
+    /// call and returned to the buffer pool by `finish`.
+    panels: Option<[Vec<f64>; 2]>,
+    /// Tracing was on at `checked`.
+    traced: bool,
+    calls: u64,
+    /// Calls that ran vector lanes.
+    lanes: u64,
+    /// Pack and kernel nanoseconds of one-task packed calls (traced).
+    phase_ns: [u64; 2],
+    /// Caller wall nanoseconds of packed calls (traced).
+    packed_ns: u64,
+}
+
+impl CheckedCall<'_> {
+    /// The plan's spans: elements of `a`, `b` and the output one call
+    /// addresses past its bases.
+    pub(crate) fn spans(&self) -> [usize; 3] {
+        self.plan.spans
+    }
+
+    /// Accumulate one call into `c`, the operands and output already
+    /// rebased: `c[o…] += Σ_K a[…]·b[…]` by the path and task split the
+    /// plan's shape chose, so the bits are those of
+    /// [`ContractionPlan::execute_into`] at the same bases.  It asserts
+    /// nothing (the lengths are debug-asserted), reads no trace flag and
+    /// opens no span.
+    ///
+    /// # Safety
+    /// Each slice is at least its span ([`CheckedCall::spans`]) long: the
+    /// kernels address those elements without bounds checks.
+    #[inline]
+    pub(crate) unsafe fn run(&mut self, a: &[f64], b: &[f64], c: &mut [f64]) {
+        let plan = self.plan;
+        let lens = [a.len(), b.len(), c.len()];
+        debug_assert!(
+            lens.iter().zip(plan.spans).all(|(&len, span)| len >= span),
+            "slices {lens:?} shorter than spans {:?}",
+            plan.spans
+        );
+        if plan.direct {
+            let lanes = match &self.split {
+                // One task on the caller: the whole call, batch by batch.
+                // SAFETY: the slices hold their spans (this function's
+                // contract), and `c` is borrowed exclusively.
+                None => (0..plan.nb).fold(false, |lanes, bi| unsafe {
+                    plan.direct_block(&self.gemm, a, b, c.as_mut_ptr(), bi) | lanes
+                }),
+                Some(split) => plan.execute_direct_split(a, b, c, split, self.threads),
+            };
+            self.lanes += u64::from(lanes);
+        } else {
+            let split = self.split.as_ref().expect("a packed call has a split");
+            let start = self.traced.then(tce_trace::now_ns);
+            let (traced, threads) = (self.traced, self.threads);
+            let panels = self.panels.as_mut();
+            plan.execute_packed(a, b, c, split, threads, traced, panels, &mut self.phase_ns);
+            if let Some(t0) = start {
+                self.packed_ns += tce_trace::now_ns() - t0;
+            }
+        }
+        self.calls += 1;
+    }
+
+    /// Wall nanoseconds the packed calls so far took on the caller, when
+    /// tracing was on at `checked` (else 0): what a caller timing a whole
+    /// loop nest subtracts to leave its direct calls' kernel time.
+    pub(crate) fn packed_ns(&self) -> u64 {
+        self.packed_ns
+    }
+
+    /// Return the pack panels to the buffer pool and, when tracing was on
+    /// at `checked`, record the calls' `gett.*` counters: the totals a
+    /// traced [`ContractionPlan::execute_into`] per call would record.
+    pub(crate) fn finish(self) {
+        if let Some([apack, bpack]) = self.panels {
+            crate::bufpool::release(apack);
+            crate::bufpool::release(bpack);
+        }
+        let (plan, calls) = (self.plan, self.calls);
+        if !self.traced || calls == 0 {
+            return;
+        }
+        let cfg = plan.kernel;
+        tce_trace::counter_u128("gett.flops", plan.flops() * u128::from(calls));
+        tce_trace::counter("gett.tasks", self.tasks as u64 * calls);
+        if self.tasks > 1 {
+            tce_trace::counter("gett.parallel", calls);
+        }
+        tce_trace::counter(
+            match cfg.variant {
+                KernelVariant::Scalar => "gett.kernel_variant.scalar",
+                KernelVariant::Sse2 => "gett.kernel_variant.sse2",
+                KernelVariant::Avx2 => "gett.kernel_variant.avx2",
+            },
+            calls,
+        );
+        if plan.direct {
+            tce_trace::counter("gett.direct", calls);
+        }
+        if self.lanes > 0 {
+            tce_trace::counter("gett.direct_lanes", self.lanes);
+        }
+        if self.phase_ns != [0; 2] {
+            tce_trace::counter("gett.pack_ns", self.phase_ns[0]);
+            tce_trace::counter("gett.kernel_ns", self.phase_ns[1]);
+        }
+        tce_trace::counter("gett.mc", cfg.blocks.mc as u64);
+        tce_trace::counter("gett.nc", cfg.blocks.nc as u64);
+        tce_trace::counter("gett.kc", cfg.blocks.kc as u64);
+    }
+}
 
 /// Cache key: the contraction signature (index ids per operand slot),
 /// every involved extent, the operand and output strides, and the kernel
@@ -1560,7 +1795,12 @@ mod tests {
         }
         let lanes = [1, 3].map(|threads| {
             let mut c = c0.data().to_vec();
-            plan().execute_direct(a.data(), b.data(), &mut c, threads).1
+            let plan = plan();
+            let mut call = plan.checked([a.len(), b.len(), c.len()], [0; 3], threads);
+            let call = call.as_mut().unwrap();
+            // SAFETY: `checked` proved the whole buffers fit at base 0.
+            unsafe { call.run(a.data(), b.data(), &mut c) };
+            call.lanes > 0
         });
         assert_eq!(
             lanes[0], lanes[1],

@@ -429,6 +429,34 @@ fn section2_fused_outer_products_run_in_vector_lanes() {
 }
 
 #[test]
+fn direct_calls_are_timed_per_step_not_per_slice() {
+    // Every fused slice of the matrix chain is a thin call on the direct
+    // path, which packs nothing: its kernel time comes from the slice
+    // program's loop, so the thread-time line appears even though no call
+    // is packed.  Counts, not clocks: the line's presence, and every call
+    // direct.
+    let (stdout, trace) = traced_run(
+        "direct-time",
+        &[&spec("matrix_chain.tce"), "--fused", "--threads", "1"],
+    );
+    let kernel = stdout
+        .lines()
+        .find(|l| l.trim_start().starts_with("gett kernel:"))
+        .unwrap_or_else(|| panic!("no `gett kernel:` line:\n{stdout}"));
+    assert!(
+        kernel.contains(" x128 (") && kernel.contains("direct x128"),
+        "{kernel}"
+    );
+    assert_eq!(counter_total(&trace, "gett.pack_ns"), 0);
+    assert!(
+        stdout
+            .lines()
+            .any(|l| l.trim_start().starts_with("gett thread-time:")),
+        "{stdout}"
+    );
+}
+
+#[test]
 fn grids_of_more_than_four_dimensions_are_rejected_before_synthesis() {
     for grid in ["1x1x1x1x1", "1x1x1x1x1x1x1"] {
         let out = tce()

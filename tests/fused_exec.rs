@@ -14,12 +14,18 @@ use std::collections::HashMap;
 use std::sync::{RwLock, RwLockReadGuard};
 use tce_core::exec::{execute_tree_fused, execute_tree_lowered, execute_tree_opts, ExecOptions};
 use tce_core::fusion::{
-    enumerate_legal_configs, fusion_schedule, memmin_dp, FusionConfig, Lowering,
+    enumerate_legal_configs, fusion_schedule, is_fusable_producer, memmin_dp, FusionConfig,
+    Lowering, ScheduleStep,
 };
-use tce_core::ir::{IndexSet, IndexSpace, OpTree, TensorDecl, TensorId, TensorTable};
+use tce_core::ir::{
+    IndexSet, IndexSpace, IndexVar, Leaf, NodeId, OpKind, OpTree, TensorDecl, TensorId, TensorTable,
+};
 use tce_core::scenarios::{section2_source, A3AScenario};
 use tce_core::spacetime::spacetime_dp;
-use tce_core::tensor::{IntegralFn, Tensor};
+use tce_core::tensor::dense::row_major_strides;
+use tce_core::tensor::{
+    kernels, plan_for_strided, reduce_exclusive, BinaryContraction, IntegralFn, Tensor,
+};
 use tce_core::{synthesize, SynthesisConfig};
 
 const THREADS: [usize; 3] = [1, 2, 4];
@@ -350,13 +356,13 @@ fn pipeline_fused_execution_agrees_with_direct_on_sequences() {
     }
 }
 
-#[test]
-fn exclusive_summation_index_under_a_fusing_config() {
-    let _untraced = untraced();
-    // S[i,j] = Σ_k A[i,k]·Y[i,j] with Y[i,j] = B[i,j]·E[j] fused into S's
-    // loop over i.  At every iteration A's slice keeps only `k`, which S
-    // sums and Y lacks: an index exclusive to one operand, summed out of
-    // A read in place through its base offset and strides.
+/// `S[i,j] = Σ_k A[i,k]·Y[i,j]` with `Y[i,j] = B[i,j]·E[j]`, and the
+/// configuration fusing `Y` into `S`'s loop over `i`.  At every iteration
+/// A's slice keeps only `k`, which S sums and Y lacks: an index exclusive
+/// to one operand, summed out of A read in place through its base offset
+/// and strides.  Returns the space, tree, configuration and the bound
+/// values of A, B and E.
+fn exclusive_summation_case() -> (IndexSpace, OpTree, FusionConfig, Vec<(TensorId, Tensor)>) {
     let mut space = IndexSpace::new();
     let (ri, rj, rk) = (
         space.add_range("I", 5),
@@ -378,13 +384,23 @@ fn exclusive_summation_index_under_a_fusing_config() {
     let y = tree.contract(lb, le, IndexSet::from_vars([i, j]));
     let la = tree.leaf_input(ta, vec![i, k]);
     tree.contract(la, y, IndexSet::from_vars([i, j]));
-    let (a, b, e) = (
-        Tensor::random(&[5, 6], 91),
-        Tensor::random(&[5, 4], 92),
-        Tensor::random(&[4], 93),
-    );
-    let inputs = HashMap::from([(ta, &a), (tb, &b), (te, &e)]);
+    let mut config = FusionConfig::unfused(&tree);
+    config.set(y, i.singleton());
+    let values = vec![
+        (ta, Tensor::random(&[5, 6], 91)),
+        (tb, Tensor::random(&[5, 4], 92)),
+        (te, Tensor::random(&[4], 93)),
+    ];
+    (space, tree, config, values)
+}
+
+#[test]
+fn exclusive_summation_index_under_a_fusing_config() {
+    let _untraced = untraced();
+    let (space, tree, config, values) = exclusive_summation_case();
+    let inputs = bind(&values);
     let funcs = HashMap::new();
+    let (a, b, e) = (&values[0].1, &values[1].1, &values[2].1);
 
     let expect = execute_tree_opts(&tree, &space, &inputs, &funcs, &ExecOptions::serial()).unwrap();
     let oracle = Tensor::from_fn(&[5, 4], |ix| {
@@ -393,8 +409,6 @@ fn exclusive_summation_index_under_a_fusing_config() {
     });
     assert!(rel_close(&expect, &oracle, 1e-12));
 
-    let mut config = FusionConfig::unfused(&tree);
-    config.set(y, i.singleton());
     let mut results = Vec::new();
     for threads in THREADS {
         let opts = ExecOptions::with_threads(threads);
@@ -413,6 +427,217 @@ fn exclusive_summation_index_under_a_fusing_config() {
     for r in &results[1..] {
         assert_eq!(*r, results[0], "fused results differ across threads");
     }
+}
+
+/// The per-slice reference the slice programs must match bit for bit: the
+/// schedule walked recursively, each production one
+/// `ContractionPlan::execute_into` on the whole arrays at `Σ idx·stride`
+/// bases, with the same plans, the same reductions and the same thread
+/// count.
+fn per_slice_oracle(
+    tree: &OpTree,
+    space: &IndexSpace,
+    lowering: &Lowering,
+    inputs: &HashMap<TensorId, &Tensor>,
+    funcs: &HashMap<String, IntegralFn>,
+    threads: usize,
+) -> Tensor {
+    struct Oracle<'a> {
+        tree: &'a OpTree,
+        space: &'a IndexSpace,
+        inputs: &'a HashMap<TensorId, &'a Tensor>,
+        funcs: &'a HashMap<String, IntegralFn>,
+        pinned: Vec<IndexSet>,
+        dims: Vec<Vec<IndexVar>>,
+        arrays: Vec<Option<Tensor>>,
+        env: Vec<usize>,
+        threads: usize,
+    }
+    impl Oracle<'_> {
+        fn shape(&self, dims: &[IndexVar]) -> Vec<usize> {
+            dims.iter().map(|&d| self.space.extent(d)).collect()
+        }
+
+        fn run(&mut self, step: &ScheduleStep) {
+            match step {
+                ScheduleStep::Loop { index, body } => {
+                    for i in 0..self.space.extent(*index) {
+                        self.env[index.0 as usize] = i;
+                        body.iter().for_each(|s| self.run(s));
+                    }
+                }
+                ScheduleStep::Zero(v) => {
+                    if let Some(t) = &mut self.arrays[v.0 as usize] {
+                        t.fill_zero();
+                    }
+                }
+                ScheduleStep::Produce(v) => self.produce(*v),
+            }
+        }
+
+        fn produce(&mut self, v: NodeId) {
+            let n = v.0 as usize;
+            let shape = self.shape(&self.dims[n]);
+            let mut out = (self.arrays[n].take()).unwrap_or_else(|| Tensor::zeros(&shape));
+            let pinned = self.pinned[n];
+            // Σ idx·stride over the pinned dims, and the kept dims' strides.
+            let slice = |dims: &[IndexVar], shape: &[usize]| {
+                let (mut base, mut kept, mut strides) = (0, Vec::new(), Vec::new());
+                for (&d, s) in dims.iter().zip(row_major_strides(shape)) {
+                    if pinned.contains(d) {
+                        base += self.env[d.0 as usize] * s;
+                    } else {
+                        kept.push(d);
+                        strides.push(s);
+                    }
+                }
+                (base, kept, strides)
+            };
+            match &self.tree.node(v).kind {
+                OpKind::Contract { left, right } => {
+                    let operand = |c: NodeId| -> (&[f64], Vec<IndexVar>, Vec<usize>) {
+                        match &self.tree.node(c).kind {
+                            OpKind::Leaf(Leaf::Input { tensor, indices }) => {
+                                let t = self.inputs[tensor];
+                                (t.data(), indices.clone(), t.shape().to_vec())
+                            }
+                            OpKind::Leaf(Leaf::One) => (&[1.0], vec![], vec![]),
+                            _ => {
+                                let dims = self.dims[c.0 as usize].clone();
+                                let t = self.arrays[c.0 as usize].as_ref().unwrap();
+                                (t.data(), dims, t.shape().to_vec())
+                            }
+                        }
+                    };
+                    let [(a, a_dims, a_shape), (b, b_dims, b_shape)] =
+                        [operand(*left), operand(*right)];
+                    let (a_base, a_kept, a_strides) = slice(&a_dims, &a_shape);
+                    let (b_base, b_kept, b_strides) = slice(&b_dims, &b_shape);
+                    let (c_base, c_kept, c_strides) = slice(&self.dims[n], &shape);
+                    let spec = BinaryContraction {
+                        a: a_kept,
+                        b: b_kept,
+                        out: c_kept,
+                    };
+                    let ar = reduce_exclusive(&spec, self.space, a, a_base, &a_strides, true);
+                    let br = reduce_exclusive(&spec, self.space, b, b_base, &b_strides, false);
+                    let dense = |t: &Tensor| row_major_strides(t.shape());
+                    let a_strides = ar.as_ref().map_or(a_strides, dense);
+                    let b_strides = br.as_ref().map_or(b_strides, dense);
+                    let plan = plan_for_strided(
+                        &spec.pre_reduced(),
+                        self.space,
+                        [&a_strides, &b_strides, &c_strides],
+                    );
+                    let (a, a_base) = ar.as_ref().map_or((a, a_base), |t| (t.data(), 0));
+                    let (b, b_base) = br.as_ref().map_or((b, b_base), |t| (t.data(), 0));
+                    let c = out.data_mut();
+                    plan.execute_into(a, a_base, b, b_base, c, c_base, self.threads);
+                }
+                OpKind::Leaf(Leaf::Func { name, indices, .. }) => {
+                    let f = &self.funcs[name];
+                    let dims = &self.dims[n];
+                    let mut idx = vec![0usize; dims.len()];
+                    for x in out.data_mut() {
+                        let arg = |iv: &IndexVar| match pinned.contains(*iv) {
+                            true => self.env[iv.0 as usize],
+                            false => idx[dims.iter().position(|d| d == iv).unwrap()],
+                        };
+                        *x = f.eval(&indices.iter().map(arg).collect::<Vec<_>>());
+                        Tensor::advance(&mut idx, &shape);
+                    }
+                }
+                OpKind::Leaf(_) => unreachable!("only producers are scheduled"),
+            }
+            self.arrays[n] = Some(out);
+        }
+    }
+
+    let schedule = fusion_schedule(tree, lowering);
+    let arrays = lowering.array_config();
+    let mut oracle = Oracle {
+        tree,
+        space,
+        inputs,
+        funcs,
+        dims: (0..tree.len())
+            .map(|n| match NodeId(n as u32) {
+                id if is_fusable_producer(tree, id) => {
+                    arrays.array_indices(tree, id).iter().collect()
+                }
+                _ => Vec::new(),
+            })
+            .collect(),
+        pinned: schedule.pinned.clone(),
+        arrays: (0..tree.len()).map(|_| None).collect(),
+        env: vec![0; IndexSet::MAX_VARS],
+        threads,
+    };
+    schedule.steps.iter().for_each(|s| oracle.run(s));
+    oracle.arrays[tree.root.0 as usize].take().unwrap()
+}
+
+fn bits(t: &Tensor) -> Vec<u64> {
+    t.data().iter().map(|x| x.to_bits()).collect()
+}
+
+#[test]
+fn slice_programs_match_the_per_slice_oracle_bitwise() {
+    // The kernel override is process-wide: hold every other test off.
+    let _exclusive = TRACED_MEMORY.write().unwrap_or_else(|e| e.into_inner());
+    let frontier = |tree: &OpTree, space: &IndexSpace| -> Vec<Lowering> {
+        let front = spacetime_dp(tree, space, usize::MAX).unwrap();
+        let points = front.points().iter();
+        points
+            .map(|p| p.tag.lowering_configs(tree).unwrap())
+            .collect()
+    };
+    let spread = |tree: &OpTree, space: &IndexSpace| -> Vec<Lowering> {
+        let configs = config_spread(tree, space).into_iter();
+        configs.map(|c| c.lowering(tree).unwrap()).collect()
+    };
+    let mut cases = Vec::new();
+    // Fig. 1: the §2 term, its configuration spread (memmin among them)
+    // and its space-time frontier.
+    let syn = synthesize(&section2_source(4), &SynthesisConfig::default()).unwrap();
+    let (tree, space) = (syn.plans[0].tree.clone(), syn.program.space.clone());
+    let lowerings = [spread(&tree, &space), frontier(&tree, &space)].concat();
+    let values = section2_values(&syn, 4, 70);
+    cases.push(("section 2", tree, space, lowerings, values, HashMap::new()));
+    // The A3A scenario (function slices), its spread and its frontier.
+    let sc = A3AScenario::new(3, 2, 20);
+    let lowerings = [spread(&sc.tree, &sc.space), frontier(&sc.tree, &sc.space)].concat();
+    let values = vec![(sc.tensors.by_name("T").unwrap(), sc.amplitudes(9))];
+    let funcs = sc.functions();
+    cases.push(("A3A", sc.tree, sc.space, lowerings, values, funcs));
+    // A site that sums an exclusive index out first.
+    let (space, tree, config, values) = exclusive_summation_case();
+    let lowerings = vec![config.lowering(&tree).unwrap()];
+    cases.push((
+        "exclusive summation",
+        tree,
+        space,
+        lowerings,
+        values,
+        HashMap::new(),
+    ));
+
+    for variant in kernels::supported_variants() {
+        kernels::set_override(Some(variant)).unwrap();
+        for (what, tree, space, lowerings, values, funcs) in &cases {
+            let inputs = bind(values);
+            for (l, lowering) in lowerings.iter().enumerate() {
+                for threads in THREADS {
+                    let opts = ExecOptions::with_threads(threads);
+                    let got = execute_tree_lowered(tree, space, lowering, &inputs, funcs, &opts);
+                    let want = per_slice_oracle(tree, space, lowering, &inputs, funcs, threads);
+                    let what = format!("{variant}, {what}, lowering {l}, {threads} threads");
+                    assert_eq!(bits(&got.unwrap().result), bits(&want), "{what}");
+                }
+            }
+        }
+    }
+    kernels::set_override(None).unwrap();
 }
 
 /// Run one configuration traced and return the real high-water mark of
