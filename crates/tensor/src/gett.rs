@@ -38,10 +38,16 @@
 //!   runs `kernels::direct`: an unpacked register-blocked kernel that
 //!   reads both operands in place through the offset tables (on AVX2, a
 //!   long output axis contiguous in its operand and in the output runs in
-//!   vector lanes).  It repeats the packed path's arithmetic operation for
-//!   operation (per output element and K-block: `acc = 0`, the variant's
-//!   multiply-add in ascending `k`, `c += acc`, K-blocks ascending), so
-//!   which path a plan takes never changes a bit;
+//!   vector lanes).  A call that is no dot repeats the packed path's
+//!   arithmetic operation for operation (per output element and K-block:
+//!   `acc = 0`, the variant's multiply-add in ascending `k`, `c += acc`,
+//!   K-blocks ascending), so which path it takes never changes a bit.  A
+//!   dot — a plan with no M and no N index, so one output element per
+//!   batch coordinate, never packed — accumulates each K-block in eight
+//!   chains, read along the K group's contiguous runs (`k_run`, found once
+//!   per plan from the dimension lists) and combined in one fixed tree: an
+//!   order set by the plan's index groups and K layout alone, so no
+//!   thread count, task split or rank-local extent moves its bits;
 //! * parallelism partitions the *output*, decided per call at execute
 //!   time (the plan and its blocks do not depend on the thread count).
 //!   MC/NC stay cache blocks; the tasks are register-aligned chunks
@@ -251,6 +257,33 @@ fn is_unit_stride(table: &[usize]) -> bool {
     table.iter().enumerate().all(|(i, &o)| o == i)
 }
 
+/// The K group's run length: the product of the extents of the longest
+/// suffix of `k_vars` (the table's fastest-varying vars) that holds the
+/// last dimensions of both operands, in that order, each at the stride of
+/// the vars after it — so K is a sequence of runs that long, contiguous
+/// in both.  Read from the dimension lists, not the offsets alone: an
+/// extent-1 dimension between two K dimensions, as a rank-local block of
+/// a sharded batch index can have, never merges their runs, so the run
+/// (and a dot's order) does not change with the extents of other groups.
+fn run_length(
+    k_vars: &[IndexVar],
+    space: &IndexSpace,
+    operands: [(&[IndexVar], &[usize]); 2],
+) -> usize {
+    let mut run = 1;
+    for (i, &v) in k_vars.iter().rev().enumerate() {
+        let trailing = operands.iter().all(|(dims, strides)| {
+            let p = dims.len().checked_sub(i + 1);
+            p.is_some_and(|p| dims[p] == v && strides[p] == run)
+        });
+        if !trailing {
+            break;
+        }
+        run *= space.extent(v);
+    }
+    run
+}
+
 /// Whether distinct coordinates of `shape` land on distinct offsets under
 /// `strides`: sorted by stride, every dimension must step past the reach
 /// of all smaller ones (row-major arrays and their sub-blocks qualify).
@@ -319,10 +352,16 @@ pub struct ContractionPlan {
     a_m_unit: bool,
     /// N group is unit-stride in `b` (pack B by vector copy).
     b_n_unit: bool,
-    /// K group is unit-stride in `a` (the direct path reads no table).
-    a_k_unit: bool,
-    /// K group is unit-stride in `b`.
-    b_k_unit: bool,
+    /// The K group's run length ([`run_length`]): K is a sequence of runs
+    /// of `k_run` offsets contiguous in both `a_k_off` and `b_k_off` (`k`
+    /// for a K that ends both operands at unit stride).  A dot reads runs
+    /// of at least [`kernels::CHAINS`] by pointer offset.
+    k_run: usize,
+    /// Every output index is a batch index (no M or N group), so each
+    /// call is a dot in `kernels::direct`'s multi-chain order.  Decided by
+    /// the index groups, not the extents: a GEMM whose rank-local block
+    /// is 1 × 1 keeps the packed path's order.
+    dot: bool,
     /// M group is unit-stride in `a` and in the output: the direct path
     /// may run it in vector lanes.
     m_contiguous: bool,
@@ -438,8 +477,8 @@ impl ContractionPlan {
             k,
             a_m_unit,
             b_n_unit,
-            a_k_unit: is_unit_stride(&a_k_off),
-            b_k_unit: is_unit_stride(&b_k_off),
+            k_run: run_length(&k_v, space, [(&spec.a, a_strides), (&spec.b, b_strides)]),
+            dot: m_v.is_empty() && n_v.is_empty(),
             m_contiguous: a_m_unit && is_unit_stride(&c_m_off),
             n_contiguous: b_n_unit && is_unit_stride(&c_n_off),
             a_batch_off,
@@ -572,7 +611,7 @@ impl ContractionPlan {
     }
 
     /// How one call of this plan runs as one task: `"packed"`, or on the
-    /// direct path `"dot"` (one output element), `"lanes"` (a long axis
+    /// direct path `"dot"` (no M or N index), `"lanes"` (a long axis
     /// contiguous in its operand and in the output, under AVX2) or
     /// `"direct"`.
     pub fn path(&self) -> &'static str {
@@ -583,7 +622,7 @@ impl ContractionPlan {
         };
         if !self.direct {
             "packed"
-        } else if self.m == 1 && self.n == 1 {
+        } else if self.dot {
             "dot"
         } else if self.kernel.variant == KernelVariant::Avx2
             && contiguous
@@ -658,8 +697,8 @@ impl ContractionPlan {
             c_rows: &self.c_m_off[rows],
             c_cols: &self.c_n_off[cols],
             kc: self.kernel.blocks.kc,
-            a_k_unit: self.a_k_unit,
-            b_k_unit: self.b_k_unit,
+            k_run: self.k_run,
+            dot: self.dot,
             rows_contiguous: self.m_contiguous,
             cols_contiguous: self.n_contiguous,
         }
@@ -1045,6 +1084,9 @@ impl CheckedCall<'_> {
         );
         if plan.direct {
             tce_trace::counter("gett.direct", calls);
+        }
+        if plan.dot {
+            tce_trace::counter("gett.direct_dots", calls);
         }
         if self.lanes > 0 {
             tce_trace::counter("gett.direct_lanes", self.lanes);
@@ -1743,17 +1785,57 @@ mod tests {
         plan
     }
 
+    /// The documented order of a dot plan's calls, written out from its
+    /// definition as a scalar oracle: per batch coordinate and K-block
+    /// starting at `p0`, eight chains from zero; step `p` into chain `(p -
+    /// s) mod 8`, where `s` is the start of `p`'s run piece — the later of
+    /// its run's start and `p0` — when `k_run >= 8`, else `p0`; each step
+    /// the variant's multiply-add (fused on AVX2); the chains combined as
+    /// `((c0+c4)+(c2+c6)) + ((c1+c5)+(c3+c7))` and added to the output,
+    /// K-blocks ascending.
+    fn dot_oracle(plan: &ContractionPlan, a: &[f64], b: &[f64], c: &mut [f64]) {
+        assert!(plan.dot);
+        let fused = plan.kernel.variant == KernelVariant::Avx2;
+        let madd = |x: f64, y: f64, acc: f64| {
+            if fused {
+                x.mul_add(y, acc)
+            } else {
+                acc + x * y
+            }
+        };
+        let (k, kc, run) = (plan.k, plan.kernel.blocks.kc, plan.k_run);
+        for bi in 0..plan.nb {
+            let x = plan.a_batch_off[bi] + plan.a_m_off[0];
+            let y = plan.b_batch_off[bi] + plan.b_n_off[0];
+            let out = plan.c_batch_off[bi] + plan.c_m_off[0] + plan.c_n_off[0];
+            for p0 in (0..k).step_by(kc) {
+                let mut chains = [0.0f64; 8];
+                for p in p0..(p0 + kc).min(k) {
+                    let start = if run >= 8 { (p - p % run).max(p0) } else { p0 };
+                    let j = (p - start) % 8;
+                    let (xv, yv) = (a[x + plan.a_k_off[p]], b[y + plan.b_k_off[p]]);
+                    chains[j] = madd(xv, yv, chains[j]);
+                }
+                let [c0, c1, c2, c3, c4, c5, c6, c7] = chains;
+                c[out] += ((c0 + c4) + (c2 + c6)) + ((c1 + c5) + (c3 + c7));
+            }
+        }
+    }
+
     /// Run `spec`'s plan on both paths, and on the direct path without
-    /// vector lanes, at 1 and 3 threads, into the same random output
-    /// (`out_strides` `None`: dense row-major) and require identical bits,
-    /// and the oracle's value at every output coordinate.  Returns the plan
-    /// and whether the direct path ran vector lanes at 1 and at 3 threads
-    /// alike.
+    /// vector lanes, at 1 and 3 threads, into the same random output and
+    /// require identical bits, and the naive contraction's value at every
+    /// output coordinate.  `strides` are those of `a`, `b` and the output
+    /// (`None`: dense row-major); a strided operand is a random buffer of
+    /// the plan's span.  A dot plan's calls must instead equal
+    /// [`dot_oracle`] bitwise on the direct path, and the packed path to a
+    /// relative 1e-12.  Returns the plan and whether the direct path ran
+    /// vector lanes at 1 and at 3 threads alike.
     fn check_direct_against_packed(
         variant: KernelVariant,
         extents: &[(&str, usize)],
         [da, db, dout]: [&str; 3],
-        out_strides: Option<Vec<usize>>,
+        strides: [Option<Vec<usize>>; 3],
     ) -> (ContractionPlan, bool) {
         let sp = space(extents);
         let dims =
@@ -1763,34 +1845,62 @@ mod tests {
             b: dims(db),
             out: dims(dout),
         };
-        let [a_str, b_str, dense_out] = dense_strides(&spec, &sp);
-        let c_str = out_strides.unwrap_or(dense_out);
+        let [a_str, b_str, c_str] = {
+            let [sa, sb, sc] = strides;
+            let [da, db, dc] = dense_strides(&spec, &sp);
+            [sa.unwrap_or(da), sb.unwrap_or(db), sc.unwrap_or(dc)]
+        };
         let plan = || ContractionPlan::with_strides(&spec, &sp, variant, [&a_str, &b_str, &c_str]);
         assert!(
             plan().direct,
             "{variant} {extents:?}: expected the direct path"
         );
         let shape = |s: &str| -> Vec<usize> { dims(s).iter().map(|&d| sp.extent(d)).collect() };
-        let a = Tensor::random(&shape(da), 1);
-        let b = Tensor::random(&shape(db), 2);
-        let c0 = Tensor::random(&[plan().spans[2]], 3);
+        let [a, b, c0] =
+            [1, 2, 3].map(|seed| Tensor::random(&[plan().spans[seed - 1]], seed as u64));
+        let dense = |buf: &Tensor, dims: &str, strides: &[usize]| {
+            Tensor::from_fn(&shape(dims), |idx| {
+                buf.data()[idx.iter().zip(strides).map(|(&i, &s)| i * s).sum::<usize>()]
+            })
+        };
         let run = |plan: ContractionPlan, threads: usize| {
             let mut c = c0.data().to_vec();
             plan.execute_into(a.data(), 0, b.data(), 0, &mut c, 0, threads);
             c
         };
         let direct = run(plan(), 1);
+        let dot = plan().dot;
+        if dot {
+            let mut want = c0.data().to_vec();
+            dot_oracle(&plan(), a.data(), b.data(), &mut want);
+            assert_eq!(
+                bits(&direct),
+                bits(&want),
+                "{variant} {extents:?}: dot against its oracle"
+            );
+        }
         for threads in [1, 3] {
             for (path, other) in [
                 ("direct", plan()),
                 ("packed", on_path(plan(), false)),
                 ("direct without lanes", without_lanes(plan())),
             ] {
-                assert_eq!(
-                    bits(&direct),
-                    bits(&run(other, threads)),
-                    "{variant} {extents:?}: {path}, threads={threads}"
-                );
+                let got = run(other, threads);
+                if dot && path == "packed" {
+                    for (&x, &y) in direct.iter().zip(&got) {
+                        let scale = x.abs().max(y.abs()).max(1.0);
+                        assert!(
+                            (x - y).abs() <= 1e-12 * scale,
+                            "{variant} {extents:?}: dot {x} against packed {y}, threads={threads}"
+                        );
+                    }
+                } else {
+                    assert_eq!(
+                        bits(&direct),
+                        bits(&got),
+                        "{variant} {extents:?}: {path}, threads={threads}"
+                    );
+                }
             }
         }
         let lanes = [1, 3].map(|threads| {
@@ -1806,7 +1916,7 @@ mod tests {
             lanes[0], lanes[1],
             "{variant} {extents:?}: lanes by threads"
         );
-        let naive = contract_naive(&spec, &sp, &a, &b);
+        let naive = contract_naive(&spec, &sp, &dense(&a, da, &a_str), &dense(&b, db, &b_str));
         let mut idx = vec![0usize; naive.rank()];
         for _ in 0..naive.len() {
             let off: usize = idx.iter().zip(&c_str).map(|(&i, &s)| i * s).sum();
@@ -1821,10 +1931,12 @@ mod tests {
     fn direct_path_matches_packed_path_bitwise() {
         for variant in kernels::supported_variants() {
             let check = |extents: &[(&str, usize)], dims, out_strides| {
-                check_direct_against_packed(variant, extents, dims, out_strides)
+                check_direct_against_packed(variant, extents, dims, [None, None, out_strides])
             };
-            // m = n = k = 1; m = 1 (a dot product per column); n = 1.
-            check(&[("i", 1), ("j", 1), ("k", 1)], ["ik", "kj", "ij"], None);
+            // m = n = k = 1: a GEMM of one element is no dot, and keeps the
+            // packed path's bits; m = 1 (a dot product per column); n = 1.
+            let (one, _) = check(&[("i", 1), ("j", 1), ("k", 1)], ["ik", "kj", "ij"], None);
+            assert!(!one.dot, "{variant}: an M and an N index of extent 1");
             check(&[("i", 1), ("j", 7), ("k", 3)], ["ik", "kj", "ij"], None);
             check(&[("i", 5), ("j", 1), ("k", 9)], ["ki", "kj", "ij"], None);
             // k > KC: two K-blocks accumulate into each element.
@@ -1840,31 +1952,43 @@ mod tests {
             // Transposed output at non-unit strides in both dims.
             let transposed = [("i", 2), ("j", 3), ("k", 6)];
             check(&transposed, ["ik", "kj", "ji"], Some(vec![7, 3]));
-            // Thin calls far larger than one pair of pack panels.  A dot
-            // over 41 K-blocks, the last ragged.
-            check(&[("k", 40 * kc + 3)], ["k", "k", ""], None);
-            // A GEMV like `W[a,b,i,j]·T1[b,j]`: M = (a, i) and K = (b, j)
-            // both strided in `a`, K in runs of 10.
+            // Thin calls far larger than one pair of pack panels.  A GEMV
+            // like `W[a,b,i,j]·T1[b,j]`: M = (a, i) and K = (b, j) both
+            // strided in `a`, K in runs of 10.
             let gemv = [("a", 30), ("b", 60), ("i", 10), ("j", 10)];
             check(&gemv, ["abij", "bj", "ai"], None);
             // Three rows against 500 unit-stride columns, two K-blocks.
             let wide = [("i", 3), ("j", 500), ("k", kc + 7)];
             check(&wide, ["ik", "kj", "ij"], None);
-            // Batched: thin GEMMs and dot products per batch coordinate.
+            // Batched: thin GEMMs per batch coordinate.
             let batched = [("p", 4), ("i", 2), ("j", 37), ("k", kc + 1)];
             check(&batched, ["pik", "pkj", "pij"], None);
-            check(&[("p", 5), ("k", 4 * kc + 1)], ["pk", "kp", "p"], None);
             // Above the work floor on three workers: the long axis fans out
             // in register-aligned chunks, N for a short M and M for a
-            // short N.
-            for (extents, dims) in [
-                ([("i", 2), ("j", 2000), ("k", 300)], ["ik", "kj", "ij"]),
-                ([("i", 3000), ("j", 1), ("k", 200)], ["ki", "kj", "ij"]),
+            // short N (strided in `a`, so in scalar chains).  Under an
+            // eight-row tile the last of 17 rows is a chunk with one output
+            // element, yet no dot: it keeps the bits it has on one thread.
+            for (extents, dims, contiguous) in [
+                (
+                    [("i", 2), ("j", 2000), ("k", 300)],
+                    ["ik", "kj", "ij"],
+                    true,
+                ),
+                (
+                    [("i", 3000), ("j", 1), ("k", 200)],
+                    ["ki", "kj", "ij"],
+                    true,
+                ),
+                (
+                    [("i", 17), ("j", 1), ("k", 24_000)],
+                    ["ik", "kj", "ij"],
+                    false,
+                ),
             ] {
                 let (plan, lanes) = check(&extents, dims, None);
                 assert_eq!(
                     lanes,
-                    variant == KernelVariant::Avx2,
+                    variant == KernelVariant::Avx2 && contiguous,
                     "{variant} {extents:?}"
                 );
                 let split = plan.direct_split(3).expect("above the work floor");
@@ -1876,6 +2000,61 @@ mod tests {
                 assert!(split.rows.iter().all(|r| r.start % mr == 0));
                 assert!(split.cols.iter().all(|c| c.start % nr == 0));
             }
+        }
+    }
+
+    #[test]
+    fn dots_match_their_documented_chain_order_bitwise() {
+        for variant in kernels::supported_variants() {
+            let kc = kernels::BlockSizes::derive(variant, &kernels::cache_info()).kc;
+            // Each case under every variant, at 1 and 3 threads, against
+            // the oracle; `k_run` pinned for each table.
+            let check = |extents: &[(&str, usize)], dims, strides, k_run| {
+                let (plan, _) = check_direct_against_packed(variant, extents, dims, strides);
+                assert!(plan.dot, "{variant} {extents:?}");
+                assert_eq!(plan.k_run, k_run, "{variant} {extents:?}");
+                plan
+            };
+            let dense = || [None, None, None];
+            // Unit K, k = 1…17: one run, the table order below eight steps.
+            for k in 1..=17 {
+                check(&[("k", k)], ["k", "k", ""], dense(), k);
+            }
+            // §2's T1 slice at N = 10, `B[b,e,f,l]·D[c,d,e,l]` at fixed b, f,
+            // c, d: k = 100 as ten runs of 10.
+            let section2 = [("e", 10), ("l", 10)];
+            let strides = || [Some(vec![100, 1]), Some(vec![10, 1]), None];
+            check(&section2, ["el", "el", ""], strides(), 10);
+            // A run cut by a K-block boundary: runs of 10 (of 9 where KC is
+            // a multiple of 10) past KC.
+            let run = if kc.is_multiple_of(10) { 9 } else { 10 };
+            let cut = [("e", kc / run + 2), ("l", run)];
+            let strides = [Some(vec![10 * run, 1]), Some(vec![run, 1]), None];
+            let plan = check(&cut, ["el", "el", ""], strides, run);
+            assert!(plan.k > plan.kernel.blocks.kc && !plan.kernel.blocks.kc.is_multiple_of(run));
+            // Unit K one run past KC, and over 41 K-blocks, the last ragged.
+            check(&[("k", kc + 5)], ["k", "k", ""], dense(), kc + 5);
+            check(&[("k", 40 * kc + 3)], ["k", "k", ""], dense(), 40 * kc + 3);
+            // §2 at N = 6: runs of 6 take the table order.
+            let strides = [Some(vec![36, 1]), Some(vec![6, 1]), None];
+            check(&[("e", 6), ("l", 6)], ["el", "el", ""], strides, 6);
+            // A strided K with no run.
+            let strides = [Some(vec![3]), None, None];
+            check(&[("k", 50)], ["k", "k", ""], strides, 1);
+            // Batched dots: K strided in `b` (no run), and in runs of 10.
+            check(
+                &[("p", 5), ("k", 4 * kc + 1)],
+                ["pk", "kp", "p"],
+                dense(),
+                1,
+            );
+            let batched = [("p", 3), ("e", 10), ("l", 10)];
+            let plan = check(&batched, ["pel", "epl", "p"], dense(), 10);
+            assert_eq!(plan.nb, 3);
+            // A batch index of extent 1 between the K indices: the offsets
+            // run on across it, but the runs stay those of `l`.
+            let between = [("e", 4), ("p", 1), ("l", 10)];
+            check(&between, ["epl", "epl", "p"], dense(), 10);
         }
     }
 
@@ -1892,7 +2071,12 @@ mod tests {
                         ([("i", 1), ("j", len), ("k", k)], ["ik", "kj", "ij"]),
                         ([("i", len), ("j", 1), ("k", k)], ["ki", "kj", "ij"]),
                     ] {
-                        let (_, lanes) = check_direct_against_packed(variant, &extents, dims, None);
+                        let (_, lanes) = check_direct_against_packed(
+                            variant,
+                            &extents,
+                            dims,
+                            [None, None, None],
+                        );
                         let want = variant == KernelVariant::Avx2 && len >= kernels::CHAINS;
                         assert_eq!(lanes, want, "{variant} {extents:?}");
                     }
@@ -1905,7 +2089,7 @@ mod tests {
                 variant,
                 &strided,
                 ["ik", "kj", "ij"],
-                Some(vec![200, 2]),
+                [None, None, Some(vec![200, 2])],
             );
             assert!(!lanes, "{variant}: lanes ran on a strided output");
         }

@@ -55,9 +55,10 @@ pub unsafe fn microkernel_8x6(ap: &[f64], bp: &[f64], kb: usize, acc: &mut [f64]
     }
 }
 
-/// The no-pack kernel ([`super::direct`]) with each step a fused
-/// multiply-add — `_mm256_fmadd_pd`'s rounding — one element at a time,
-/// or eight at a time in [`lanes`] along a contiguous long axis.
+/// The no-pack kernel ([`super::direct`]) of a call that is no dot, with
+/// each step a fused multiply-add — `_mm256_fmadd_pd`'s rounding — one
+/// element at a time, or eight at a time in [`lanes`] along a contiguous
+/// long axis.
 ///
 /// # Safety
 /// Caller must ensure the host supports AVX2 and FMA (CPUID-checked by
@@ -73,7 +74,26 @@ pub(crate) unsafe fn direct_fma(
     unsafe { super::direct_with(g, a, b, c, f64::mul_add, Some(lanes)) }
 }
 
-const _: () = assert!(super::CHAINS == 8, "`lanes` holds eight chains");
+/// A dot call ([`super::dot`]) with each step fused, along contiguous K
+/// runs in [`dot_runs`].
+///
+/// # Safety
+/// As [`direct_fma`].
+#[target_feature(enable = "avx2,fma")]
+pub(crate) unsafe fn dot_fma(
+    g: &super::DirectGemm,
+    a: *const f64,
+    b: *const f64,
+    c: *mut f64,
+) -> bool {
+    // SAFETY: the caller's contract.
+    unsafe { super::dot(g, a, b, c, f64::mul_add, Some(dot_runs)) }
+}
+
+const _: () = assert!(
+    super::CHAINS == 8,
+    "`lanes` and `dot_runs` hold eight chains"
+);
 
 /// Eight chains of [`super::direct`] on a contiguous long axis
 /// ([`super::Lanes`]), in two `__m256d` accumulators: per step one
@@ -95,6 +115,76 @@ unsafe fn lanes(x: *const f64, lk: &[usize], sk: &[usize], y: *const f64, out: *
     _mm256_storeu_pd(out, _mm256_add_pd(_mm256_loadu_pd(out), lo));
     let out_hi = out.add(4);
     _mm256_storeu_pd(out_hi, _mm256_add_pd(_mm256_loadu_pd(out_hi), hi));
+}
+
+/// Lane masks: `MASK[8 - t..]` read as two `__m256i` selects the first
+/// `t` of eight lanes.
+static MASK: [i64; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
+
+/// One K-block of a dot along contiguous K runs ([`super::DotRuns`]): the
+/// eight chains in two `__m256d` accumulators, chain `j` in lane `j mod 4`
+/// of `lo` (`j < 4`) or `hi`.  Each run piece's full groups of eight steps
+/// are two `_mm256_fmadd_pd(loadu(x), loadu(y), acc)`, lane for lane the
+/// scalar chains' `f64::mul_add`; its last `t < 8` steps load the first
+/// `t` lanes only, the others reading `+0.0 · -0.0`, which adds `-0.0` and
+/// so leaves every chain's bits as they are.  Then `lo + hi`, its two
+/// 128-bit halves added, and the final pair: [`super::combine`]'s tree.
+///
+/// # Safety
+/// As [`direct_fma`], for the pieces of `block`: each starts at the
+/// tables' offsets for its first step and ends at those for its last
+/// ([`super::piece_start`]).
+#[target_feature(enable = "avx2,fma")]
+unsafe fn dot_runs(
+    x: *const f64,
+    y: *const f64,
+    g: &super::DirectGemm,
+    block: std::ops::Range<usize>,
+) -> f64 {
+    let (mut lo, mut hi) = (_mm256_setzero_pd(), _mm256_setzero_pd());
+    for (p, len) in super::pieces(block, g.k_run) {
+        let (xo, yo) = super::piece_start(g, p, len);
+        // SAFETY: the piece's offsets run from `xo`, `yo` to the tables'
+        // entries for its last step, each below the plan's span, which
+        // `checked` proved fits the operands (the caller's contract);
+        // masked lanes past the piece are not read.
+        unsafe {
+            let (xs, ys) = (x.add(xo), y.add(yo));
+            let mut i = 0;
+            while i + 8 <= len {
+                let (x4, y4) = (xs.add(i + 4), ys.add(i + 4));
+                lo = _mm256_fmadd_pd(_mm256_loadu_pd(xs.add(i)), _mm256_loadu_pd(ys.add(i)), lo);
+                hi = _mm256_fmadd_pd(_mm256_loadu_pd(x4), _mm256_loadu_pd(y4), hi);
+                i += 8;
+            }
+            let t = len - i;
+            if t > 0 {
+                let m = MASK.as_ptr().add(8 - t).cast::<__m256i>();
+                lo = masked_fmadd(xs.add(i), ys.add(i), _mm256_loadu_si256(m), lo);
+                if t > 4 {
+                    let (x4, y4) = (xs.add(i + 4), ys.add(i + 4));
+                    hi = masked_fmadd(x4, y4, _mm256_loadu_si256(m.add(1)), hi);
+                }
+            }
+        }
+    }
+    let s = _mm256_add_pd(lo, hi);
+    let h = _mm_add_pd(_mm256_castpd256_pd128(s), _mm256_extractf128_pd(s, 1));
+    _mm_cvtsd_f64(_mm_add_sd(h, _mm_unpackhi_pd(h, h)))
+}
+
+/// `acc + x·y` in the lanes `mask` selects, fused, reading no element
+/// outside them; the other lanes add `+0.0 · -0.0` and keep their bits.
+///
+/// # Safety
+/// As [`dot_runs`], for the selected lanes of `x` and `y`.
+#[target_feature(enable = "avx2,fma")]
+#[inline]
+unsafe fn masked_fmadd(x: *const f64, y: *const f64, mask: __m256i, acc: __m256d) -> __m256d {
+    let xv = _mm256_maskload_pd(x, mask);
+    let yv = _mm256_maskload_pd(y, mask);
+    let yv = _mm256_blendv_pd(_mm256_set1_pd(-0.0), yv, _mm256_castsi256_pd(mask));
+    _mm256_fmadd_pd(xv, yv, acc)
 }
 
 /// Vectorized equal-length copy (`_mm256_loadu/storeu_pd`, 16 elements

@@ -7,8 +7,10 @@
 //!
 //! * [`KernelVariant::Scalar`] — the portable mul+add kernel (8×4
 //!   register tile), bit-for-bit identical to the engine before SIMD
-//!   dispatch existed.  It is the correctness oracle for the differential
-//!   tests and the fallback on non-x86 targets.
+//!   dispatch existed on every call that is no dot (a dot — a plan with
+//!   no M and no N index — follows [`direct`]'s multi-chain order, whose
+//!   oracle is `gett.rs`'s `dot_oracle`).  It is the correctness oracle
+//!   for the differential tests and the fallback on non-x86 targets.
 //! * [`KernelVariant::Sse2`] — 128-bit SSE2 kernels (4×4 GEMM tile).
 //!   Baseline for every x86-64 CPU.
 //! * [`KernelVariant::Avx2`] — 256-bit AVX2+FMA kernels (8×6 GEMM tile
@@ -29,8 +31,9 @@
 //! micro-panel (KC×NR) share L1, the packed A panel (MC×KC) sits in half
 //! of L2, and the packed B panel (KC×NC) in a slice of L3.  The scalar
 //! variant pins the legacy constants (MC=64, NC=64, KC=192) so its
-//! results never move a bit.
+//! results on every call that is no dot never move a bit.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
@@ -461,10 +464,14 @@ pub(crate) struct DirectGemm<'t> {
     pub c_cols: &'t [usize],
     /// K-block depth: the packed path's KC for the same plan.
     pub kc: usize,
-    /// `a_k` is the identity (`a_k[p] == p`).
-    pub a_k_unit: bool,
-    /// `b_k` is the identity (`b_k[p] == p`).
-    pub b_k_unit: bool,
+    /// K is a sequence of runs of `k_run` offsets, each contiguous in `a_k`
+    /// and in `b_k` (the plan's run length, read from its dimension lists;
+    /// 1 when no run was found).
+    pub k_run: usize,
+    /// The plan has no M and no N index (one output element per batch
+    /// coordinate): every call is a dot, in [`dot`]'s order, however a
+    /// task split cuts the output or a shard sizes the other groups.
+    pub dot: bool,
     /// The M group is contiguous in `a` and in `c`: `a_rows[i] ==
     /// a_rows[0] + i`, and likewise `c_rows`.
     pub rows_contiguous: bool,
@@ -472,7 +479,8 @@ pub(crate) struct DirectGemm<'t> {
     pub cols_contiguous: bool,
 }
 
-/// Independent output elements a thin call advances per step.
+/// Independent output elements a thin call advances per step, and the
+/// chains a dot accumulates each K-block in.
 pub(crate) const CHAINS: usize = 8;
 
 /// A variant's vector form of [`CHAINS`] chains on a contiguous long
@@ -484,21 +492,32 @@ pub(crate) const CHAINS: usize = 8;
 /// As [`direct`], for those elements.
 pub(crate) type Lanes = unsafe fn(*const f64, &[usize], &[usize], *const f64, *mut f64);
 
+/// A variant's vector form of one K-block of a dot read along contiguous
+/// runs: `runs(x, y, g, block)` returns what [`dot`]'s scalar chains sum
+/// for `block` when `g.k_run >= CHAINS`, bit for bit.
+///
+/// # Safety
+/// As [`direct`], for the operand elements `block` reads.
+type DotRuns = unsafe fn(*const f64, *const f64, &DirectGemm, Range<usize>) -> f64;
+
 /// `c[i, j] += Σ_p a·b` without packing — the kernel for thin calls,
 /// whose M or N extent is below the register tile, so the packed path's
 /// MR×NR tile would be mostly zero padding.  It reads both operands in
-/// place through `g`'s offset tables and blocks by the call's shape
-/// alone: a dot product (`m = n = 1`) walks K directly, reading no table
-/// when both K groups are contiguous; any other call takes its longer
-/// output axis [`CHAINS`] coordinates at a time, each group sharing every
-/// load of the short operand.  On AVX2, a long axis contiguous in its
-/// operand and in `c` runs those groups in vector lanes ([`Lanes`]).  Per
-/// output element and per K-block the arithmetic is the packed path's,
-/// operation for operation: `acc = 0`, one multiply-add per step in
-/// ascending `k` (fused on AVX2, mul-then-add otherwise), then `c += acc`,
-/// K-blocks in ascending order.  So both paths round identically, a plan
-/// may take either without changing a bit, and neither does the chunk of
-/// the output a task is handed.  Returns whether vector lanes ran.
+/// place through `g`'s offset tables and blocks by the plan's shape alone.
+/// A dot (`g.dot`) accumulates each K-block in [`CHAINS`] chains
+/// ([`dot`]), so it runs at multiply-add throughput, not latency.  Any
+/// other call takes its longer output axis [`CHAINS`] coordinates at a
+/// time, each group sharing every load of the short operand; on AVX2, a
+/// long axis contiguous in its operand and in `c` runs those groups in
+/// vector lanes ([`Lanes`]).  For those calls the arithmetic per output
+/// element and K-block is the packed path's, operation for operation:
+/// `acc = 0`, one multiply-add per step in ascending `k` (fused on AVX2,
+/// mul-then-add otherwise), then `c += acc`, K-blocks in ascending order —
+/// so every call that is no dot rounds as the packed path does, whichever
+/// path it takes.  A dot's order depends on the plan alone (index groups,
+/// K layout, KC), so no call changes a bit with the thread count or the
+/// chunk of the output a task is handed.  Returns whether
+/// vector lanes ran.
 ///
 /// # Safety
 /// Every offset `g` names must be in bounds of the allocation behind `a`,
@@ -512,14 +531,37 @@ pub(crate) unsafe fn direct(
     b: *const f64,
     c: *mut f64,
 ) -> bool {
+    // A dot runs in a function of its own, so its loops and the other
+    // calls' chains are not allocated registers together.
     match variant {
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
         // SAFETY: the variant was CPUID-checked at selection time; the
         // offsets are the caller's contract.
+        KernelVariant::Avx2 if g.dot => unsafe { avx2::dot_fma(g, a, b, c) },
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        // SAFETY: as above.
         KernelVariant::Avx2 => unsafe { avx2::direct_fma(g, a, b, c) },
         // SAFETY: the offsets are the caller's contract.
-        _ => unsafe { direct_with(g, a, b, c, |x, y, acc| acc + x * y, None) },
+        _ if g.dot => unsafe { dot_mul_then_add(g, a, b, c) },
+        // SAFETY: as above.
+        _ => unsafe { direct_with(g, a, b, c, mul_then_add, None) },
     }
+}
+
+/// The multiply-add step of the SSE2 and scalar variants.
+#[inline(always)]
+fn mul_then_add(x: f64, y: f64, acc: f64) -> f64 {
+    acc + x * y
+}
+
+/// [`dot`] with the SSE2 and scalar variants' multiply-add.
+///
+/// # Safety
+/// As [`direct`].
+#[inline(never)]
+unsafe fn dot_mul_then_add(g: &DirectGemm, a: *const f64, b: *const f64, c: *mut f64) -> bool {
+    // SAFETY: the caller's contract.
+    unsafe { dot(g, a, b, c, mul_then_add, None) }
 }
 
 /// One operand of a [`direct`] call seen along one output axis:
@@ -535,8 +577,8 @@ struct Axis<'t> {
     contiguous: bool,
 }
 
-/// The [`direct`] kernel over a variant's multiply-add step and, when it
-/// has one, its vector [`Lanes`].
+/// The [`direct`] kernel of a call that is no dot, over a variant's
+/// multiply-add step and, when it has them, its vector [`Lanes`].
 ///
 /// # Safety
 /// As [`direct`].
@@ -565,45 +607,122 @@ pub(crate) unsafe fn direct_with(
     };
     // Every pointer below is `a`, `b` or `c` plus offsets taken from `g`,
     // in bounds by the caller's contract.
-    if rows.off.len() == 1 && cols.off.len() == 1 {
-        let (x, y) = (a.add(g.a_rows[0]), b.add(g.b_cols[0]));
-        let out = c.add(g.c_rows[0] + g.c_cols[0]);
-        if g.a_k_unit && g.b_k_unit {
-            dot(g.a_k.len(), g.kc, out, |p, acc| {
-                madd(*x.add(p), *y.add(p), acc)
-            });
-        } else {
-            dot(g.a_k.len(), g.kc, out, |p, acc| {
-                madd(*x.add(g.a_k[p]), *y.add(g.b_k[p]), acc)
-            });
-        }
-        false
-    } else if rows.off.len() < cols.off.len() {
+    if rows.off.len() < cols.off.len() {
         along(cols, rows, g.kc, c, madd, lanes)
     } else {
         along(rows, cols, g.kc, c, madd, lanes)
     }
 }
 
-/// One output element over `k` steps, `step(p, acc)` being step `p`'s
-/// multiply-add: one chain per K-block, each added to `*out` in
-/// ascending order.
+/// The pieces of K-block `block` when K runs in `run`-long contiguous
+/// runs: `(p, len)` for each run, cut where the block starts and ends.
+#[inline(always)]
+fn pieces(block: Range<usize>, run: usize) -> impl Iterator<Item = (usize, usize)> {
+    let (mut p, end) = (block.start, block.end);
+    // Only the first piece can start inside a run: one division per block.
+    let mut to_run_end = run - p % run;
+    std::iter::from_fn(move || {
+        (p < end).then(|| {
+            let len = to_run_end.min(end - p);
+            (p, to_run_end) = (p + len, run);
+            (p - len, len)
+        })
+    })
+}
+
+/// Where piece `(p, len)` of a dot's runs starts in `a` and in `b`; its
+/// steps follow at consecutive offsets, so its last offsets are the
+/// tables' entries at `p + len - 1` (debug-asserted), inside the plan's
+/// span like every entry.
+#[inline(always)]
+fn piece_start(g: &DirectGemm, p: usize, len: usize) -> (usize, usize) {
+    let last = p + len - 1;
+    debug_assert!(
+        g.a_k[last] == g.a_k[p] + len - 1 && g.b_k[last] == g.b_k[p] + len - 1,
+        "steps {p}..={last} are not one run"
+    );
+    (g.a_k[p], g.b_k[p])
+}
+
+/// The one tree a dot's chains combine in:
+/// `((c0 + c4) + (c2 + c6)) + ((c1 + c5) + (c3 + c7))` — what AVX2 computes
+/// as `lo + hi`, then its two 128-bit halves, then the final pair.
+#[inline(always)]
+fn combine(c: [f64; CHAINS]) -> f64 {
+    ((c[0] + c[4]) + (c[2] + c[6])) + ((c[1] + c[5]) + (c[3] + c[7]))
+}
+
+/// `len` multiply-adds into `c`, step `i` into chain `i mod CHAINS`,
+/// `read(i)` giving step `i`'s operands.
+#[inline(always)]
+fn accumulate(
+    c: &mut [f64; CHAINS],
+    len: usize,
+    madd: impl Fn(f64, f64, f64) -> f64,
+    read: impl Fn(usize) -> (f64, f64),
+) {
+    let mut i = 0;
+    while i + CHAINS <= len {
+        for (j, c) in c.iter_mut().enumerate() {
+            let (x, y) = read(i + j);
+            *c = madd(x, y, *c);
+        }
+        i += CHAINS;
+    }
+    for (j, c) in c[..len - i].iter_mut().enumerate() {
+        let (x, y) = read(i + j);
+        *c = madd(x, y, *c);
+    }
+}
+
+/// The one output element of a dot call (`g.dot`) on `a`, `b` and `c`:
+/// per K-block, [`CHAINS`] chains from zero, combined by [`combine`] and
+/// added to the output element, K-blocks in ascending order.  When
+/// `g.k_run >= CHAINS`, step `i` of each run piece ([`pieces`]) goes to
+/// chain `i mod CHAINS`, read by pointer offset from the piece's first
+/// (in `runs` when given); otherwise step `p` of the block starting at
+/// `p0` goes to chain `(p - p0) mod CHAINS`, read through the tables.
+/// Returns `false`: no vector lanes ran.
 ///
 /// # Safety
-/// `step` reads only in-bounds elements for `p < k`, and no other thread
-/// accesses `*out` during the call.
+/// As [`direct`].
 #[inline(always)]
-unsafe fn dot(k: usize, kc: usize, out: *mut f64, step: impl Fn(usize, f64) -> f64) {
+unsafe fn dot(
+    g: &DirectGemm,
+    a: *const f64,
+    b: *const f64,
+    c: *mut f64,
+    madd: impl Fn(f64, f64, f64) -> f64 + Copy,
+    runs: Option<DotRuns>,
+) -> bool {
+    let (x, y) = (a.add(g.a_rows[0]), b.add(g.b_cols[0]));
+    let out = c.add(g.c_rows[0] + g.c_cols[0]);
+    let k = g.a_k.len();
     let mut p0 = 0;
     while p0 < k {
-        let end = (p0 + kc).min(k);
-        let mut acc = 0.0f64;
-        for p in p0..end {
-            acc = step(p, acc);
-        }
-        *out += acc;
-        p0 = end;
+        let block = p0..(p0 + g.kc).min(k);
+        p0 = block.end;
+        let mut chains = [0.0f64; CHAINS];
+        *out += match runs {
+            Some(runs) if g.k_run >= CHAINS => runs(x, y, g, block),
+            _ if g.k_run >= CHAINS => {
+                for (p, len) in pieces(block, g.k_run) {
+                    let (xo, yo) = piece_start(g, p, len);
+                    let (xs, ys) = (x.add(xo), y.add(yo));
+                    accumulate(&mut chains, len, madd, |i| (*xs.add(i), *ys.add(i)));
+                }
+                combine(chains)
+            }
+            _ => {
+                let (ak, bk) = (&g.a_k[block.clone()], &g.b_k[block]);
+                accumulate(&mut chains, ak.len(), madd, |i| {
+                    (*x.add(ak[i]), *y.add(bk[i]))
+                });
+                combine(chains)
+            }
+        };
     }
+    false
 }
 
 /// Every element of a call whose `long` axis is at least as long as its

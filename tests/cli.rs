@@ -429,6 +429,32 @@ fn section2_fused_outer_products_run_in_vector_lanes() {
 }
 
 #[test]
+fn section2_fused_dots_are_counted_under_every_kernel() {
+    // The other half of §2's fused slices (N = 6, one thread) are the
+    // scalar `T1` slices, dots over k = 36: a count, not a clock, and the
+    // same under every kernel variant this host runs.  It stays off the
+    // `gett kernel:` line, which the test above pins with `ends_with`.
+    use tce_core::tensor::kernels::supported_variants;
+    let section2 = spec("ccsd_section2.tce");
+    for variant in supported_variants() {
+        let (stdout, trace) = traced_run_with_env(
+            &format!("dots-{variant}"),
+            &[&section2, "--fused", "--threads", "1"],
+            &[("TCE_KERNEL", variant.name())],
+        );
+        assert_eq!(counter_total(&trace, "gett.direct_dots"), 1296, "{variant}");
+        let kernel = stdout
+            .lines()
+            .find(|l| l.trim_start().starts_with("gett kernel:"))
+            .unwrap_or_else(|| panic!("no `gett kernel:` line:\n{stdout}"));
+        assert!(
+            kernel.contains(", direct x2592") && !kernel.contains("dot"),
+            "{variant}: {kernel}"
+        );
+    }
+}
+
+#[test]
 fn direct_calls_are_timed_per_step_not_per_slice() {
     // Every fused slice of the matrix chain is a thin call on the direct
     // path, which packs nothing: its kernel time comes from the slice

@@ -141,6 +141,77 @@ fn output_partitioned_sharding_is_bitwise_identical() {
     }
 }
 
+/// The one-statement program `src` with random inputs `names`, each of
+/// the shape given beside it.
+fn source_fixture(src: &str, names: &[(&str, &[usize])]) -> Fixture {
+    let syn = synthesize(src, &SynthesisConfig::default()).unwrap();
+    let owned: Vec<(TensorId, Tensor)> = names
+        .iter()
+        .enumerate()
+        .map(|(i, (nm, shape))| {
+            (
+                syn.program.tensors.by_name(nm).unwrap(),
+                Tensor::random(shape, 300 + i as u64),
+            )
+        })
+        .collect();
+    (
+        syn.plans[0].tree.clone(),
+        syn.program.space.clone(),
+        owned,
+        HashMap::new(),
+    )
+}
+
+#[test]
+fn rank_local_extents_of_one_keep_the_sequential_bits() {
+    // Uneven shards leave some ranks extent-1 blocks of output indices.
+    // Whether a local call runs as a dot, and a dot's chain order, are
+    // set by the plan's index groups and K layout, not by those extents,
+    // so the gathered result keeps the sequential kernel's bits.
+    let cases = [
+        (
+            // A GEMM over k = 20 whose 2 × 3 grid leaves ranks a 1 × 1
+            // block: it keeps the one chain per output element.
+            "gemm",
+            source_fixture(
+                "range N = 3; range K = 20;
+                 index i, l : N; index j : K;
+                 tensor A(N, K); tensor B(K, N); tensor OUT(N, N);
+                 OUT[i,l] = sum[j] A[i,j] * B[j,l];",
+                &[("A", &[3, 20]), ("B", &[20, 3])],
+            ),
+            &[2usize, 3][..],
+        ),
+        (
+            // Batched dots with the batch index between the K indices:
+            // a rank holding one `b` sees K contiguous across it, yet runs
+            // the sequential runs of 10.
+            "batched dot",
+            source_fixture(
+                "range B = 3; range P = 4; range Q = 10;
+                 index b : B; index p : P; index q : Q;
+                 tensor X(P, B, Q); tensor Y(P, B, Q); tensor OUT(B);
+                 OUT[b] = sum[p,q] X[p,b,q] * Y[p,b,q];",
+                &[("X", &[4, 3, 10]), ("Y", &[4, 3, 10])],
+            ),
+            &[2],
+        ),
+    ];
+    for (name, (tree, space, owned, funcs), dims) in cases {
+        let inputs: HashMap<TensorId, &Tensor> = owned.iter().map(|(id, t)| (*id, t)).collect();
+        let expect = execute_tree(&tree, &space, &inputs, &funcs, 1).unwrap();
+        let machine = Machine::new(ProcessorGrid::new(dims.to_vec()));
+        let plan = output_partitioned_plan(&tree, machine.grid.rank());
+        let report = execute_plan_sharded(&tree, &space, &plan, &machine, &inputs, &funcs, 2)
+            .expect("plan covers tree");
+        assert_eq!(
+            report.result, expect,
+            "{name} on grid {dims:?}: sharded result changed bits"
+        );
+    }
+}
+
 #[test]
 fn dp_plans_agree_with_simulator_and_cost_model() {
     // The DP's own plans (which may distribute summation indices and thus
