@@ -8,7 +8,9 @@
 //! the CCSD-like `X[a,e,c,f] = Σ_ij T[i,j,a,e]·T[i,j,c,f]` contraction
 //! at V=48, O=8; `dot_v40_o10` and `gemv_v40_o10` are the thin energy
 //! and singles nodes of `cc_doubles.tce` at V=40, O=10, which run the
-//! no-pack direct kernel.
+//! no-pack direct kernel.  Every timing is the best run of a case
+//! repeated at least five times and for at least a quarter second, so a
+//! 0.1 ms case is the best of thousands of runs.
 //!
 //! ```text
 //! cargo run --release --bin exp_kernels [-- --max-threads T] [--out PATH]
@@ -33,13 +35,22 @@ use tce_core::tensor::{
     contract_gett, contract_gett_with_variant, contract_naive, kernels, BinaryContraction, Tensor,
 };
 
-/// Best-of-`reps` wall time of `f`, in seconds.
-fn time_best<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
+/// Fewest timed runs of one case at one thread count.
+const MIN_REPS: usize = 5;
+/// Least total wall time of one case's timed runs at one thread count, in
+/// seconds: a thin case repeats until one slow run among thousands can no
+/// longer set its best.
+const MIN_SECS: f64 = 0.25;
+
+/// Best wall time of `f`, in seconds, over at least [`MIN_REPS`] runs
+/// that together take at least [`MIN_SECS`].
+fn time_best<R>(mut f: impl FnMut() -> R) -> f64 {
+    let (mut best, mut total, mut reps) = (f64::INFINITY, 0.0, 0);
+    while reps < MIN_REPS || total < MIN_SECS {
         let t = Instant::now();
         std::hint::black_box(f());
-        best = best.min(t.elapsed().as_secs_f64());
+        let secs = t.elapsed().as_secs_f64();
+        (best, total, reps) = (best.min(secs), total + secs, reps + 1);
     }
     best
 }
@@ -262,8 +273,7 @@ fn main() {
     }
     let _ = writeln!(json, "  \"cases\": [");
     for (ci, case) in cases.iter().enumerate() {
-        let reps = if case.flops > 400_000_000 { 3 } else { 5 };
-        let scalar_secs = time_best(reps, || {
+        let scalar_secs = time_best(|| {
             contract_gett_with_variant(
                 &case.spec,
                 &case.space,
@@ -284,9 +294,8 @@ fn main() {
         let mut runs = Vec::new();
         let mut t1_secs = f64::NAN;
         for &threads in &threads_sweep {
-            let secs = time_best(reps, || {
-                contract_gett(&case.spec, &case.space, &case.a, &case.b, threads)
-            });
+            let secs =
+                time_best(|| contract_gett(&case.spec, &case.space, &case.a, &case.b, threads));
             if threads == 1 {
                 t1_secs = secs;
             }

@@ -15,9 +15,8 @@
 //! `--threads` sets the worker count for the contraction kernels
 //! (default: the `TCE_THREADS` environment variable, then the machine's
 //! available parallelism); results are bitwise identical either way.
-//! Statements and contraction subtrees run on the dependency-aware task
-//! graph, which takes only as many of those threads as slots as their
-//! work can fill and never holds more live than the sequential walk.
+//! Statements and contraction nodes run in order, each kernel on all of
+//! those threads.
 //! `--trace OUT.json` enables the `tce-trace` observability layer
 //! (implies `--execute`), writes a chrome://tracing-compatible event
 //! file, and prints a profile report.  `TCE_KERNEL` pins the contraction

@@ -18,7 +18,6 @@
 //! iterative loop.
 
 use std::collections::HashMap;
-use std::sync::OnceLock;
 use tce_calib::CostRates;
 use tce_dist::{optimize_distribution, DistPlan, Machine};
 use tce_exec::{ExecError, ExecOptions};
@@ -144,7 +143,7 @@ pub struct Synthesis {
 /// the statement's bound inputs, return the term's value (output dims in
 /// canonical ascending-id order) and whatever the executor measured.
 type TermExecutor<'a, R> =
-    dyn Fn(&TermPlan, &HashMap<TensorId, &Tensor>) -> Result<(Tensor, R), ExecError> + Sync + 'a;
+    dyn Fn(&TermPlan, &HashMap<TensorId, &Tensor>) -> Result<(Tensor, R), ExecError> + 'a;
 
 /// Aggregate communication/computation accounting from a distributed
 /// execution of a whole statement sequence (summed over every term's
@@ -256,9 +255,8 @@ impl Synthesis {
     }
 
     /// [`execute`](Self::execute) with explicit [`ExecOptions`]: the thread
-    /// count is forwarded to every term's contraction kernels and bounds
-    /// the task-graph slots statements and tree nodes run on.  Results are
-    /// bitwise identical for every thread count.
+    /// count is forwarded to every term's contraction kernels.  Results
+    /// are bitwise identical for every thread count.
     ///
     /// # Errors
     /// [`ExecError`] if an external input binding is missing or mis-shaped.
@@ -269,10 +267,9 @@ impl Synthesis {
         opts: &ExecOptions,
     ) -> Result<HashMap<TensorId, Tensor>, ExecError> {
         let space = &self.program.space;
-        let (outputs, _) =
-            self.run_statements(external_inputs, opts.threads, &|plan, inputs| {
-                Ok((plan.execute_opts(space, inputs, funcs, opts)?, ()))
-            })?;
+        let (outputs, _) = self.run_statements(external_inputs, &|plan, inputs| {
+            Ok((plan.execute_opts(space, inputs, funcs, opts)?, ()))
+        })?;
         Ok(outputs)
     }
 
@@ -290,137 +287,57 @@ impl Synthesis {
         funcs: &HashMap<String, IntegralFn>,
     ) -> Result<HashMap<TensorId, Tensor>, ExecError> {
         let space = &self.program.space;
-        let (outputs, _) = self.run_statements(external_inputs, 1, &|plan, inputs| {
+        let (outputs, _) = self.run_statements(external_inputs, &|plan, inputs| {
             Ok((plan.execute_interpreted(space, inputs, funcs)?, ()))
         })?;
         Ok(outputs)
     }
 
-    /// The one statement driver behind every `execute_*` entry point: one
-    /// task per statement on [`tce_par::TaskGraph`], dependencies following
-    /// the RAW dataflow (each statement depends on the last prior writer
-    /// of every tensor it reads, including its own target under `+=`), on
-    /// at most `max_slots` scheduler slots — as many as the statements'
-    /// flops can fill ([`tce_par::TaskGraph::useful_slots`]).  One slot is
-    /// source order; more let independent statements contract
-    /// concurrently, never holding more statement results live at once
-    /// than source order would.
+    /// The one statement driver behind every `execute_*` entry point: the
+    /// statements run in source order on the calling thread, so every
+    /// term's kernels keep the whole pool.
     ///
     /// Per statement: bind inputs (computed values shadow external
     /// bindings), run every term through `term` — which returns the term's
     /// value with its output dims in canonical (ascending-id) order, plus
     /// whatever the executor measured — and add it into the accumulator
-    /// through the permutation to the declared LHS order, in one pass.
+    /// through the permutation to the declared LHS order, in one pass.  A
+    /// `+=` starts from its target's last computed value (never from an
+    /// external binding of the same tensor), anything else from zeros.
     /// Returns the assigned tensors and the per-term measurements in
-    /// (statement, term) order.
-    ///
-    /// Bitwise identical for every slot count: each statement's value is a
-    /// function of its dataflow predecessors only.  Failures surface as
-    /// the lowest-index failing statement's error — the one source order
-    /// stops at.
-    fn run_statements<R: Send + Sync>(
+    /// (statement, term) order; the first failing statement's error ends
+    /// the run.
+    fn run_statements<R>(
         &self,
         external_inputs: &HashMap<TensorId, &Tensor>,
-        max_slots: usize,
         term: &TermExecutor<'_, R>,
     ) -> Result<(HashMap<TensorId, Tensor>, Vec<R>), ExecError> {
         let _span = tce_trace::span("stage.exec");
         let space = &self.program.space;
-        let stmts = &self.program.stmts;
-
-        // RAW dataflow: per statement, the (tensor, writer statement) pairs
-        // it reads computed values through.
-        let mut last_writer: HashMap<TensorId, usize> = HashMap::new();
-        let mut sources: Vec<Vec<(TensorId, usize)>> = Vec::with_capacity(stmts.len());
-        let mut graph = tce_par::TaskGraph::new();
-        for (si, stmt) in stmts.iter().enumerate() {
-            let mut reads: Vec<TensorId> = Vec::new();
-            if stmt.accumulate {
-                reads.push(stmt.lhs.tensor);
-            }
-            let mut flops = 0u128;
-            for plan in self.plans.iter().filter(|p| p.stmt_index == si) {
-                flops = flops.saturating_add(plan.tree_ops);
-                for node in &plan.tree.nodes {
-                    if let tce_ir::OpKind::Leaf(tce_ir::Leaf::Input { tensor, .. }) = &node.kind {
-                        if !reads.contains(tensor) {
-                            reads.push(*tensor);
-                        }
-                    }
-                }
-            }
-            let source: Vec<(TensorId, usize)> = reads
-                .into_iter()
-                .filter_map(|r| last_writer.get(&r).map(|&w| (r, w)))
-                .collect();
-            let mut deps: Vec<usize> = source.iter().map(|&(_, w)| w).collect();
-            deps.sort_unstable();
-            deps.dedup();
-            graph.add_task(
-                &deps,
-                space.iteration_points(stmt.lhs.index_set()).max(1) as u64,
-                flops,
-            );
-            sources.push(source);
-            last_writer.insert(stmt.lhs.tensor, si);
-        }
-
-        // One write-once cell per statement: its RAW edges order the write
-        // before every read, and nothing writes a cell twice.
-        type Outcome<R> = Result<(Tensor, Vec<R>), ExecError>;
-        let cells: Vec<OnceLock<Outcome<R>>> = stmts.iter().map(|_| OnceLock::new()).collect();
-        graph.run(max_slots, &|si| {
-            let stmt = &stmts[si];
-            let mut computed: Vec<(TensorId, &Tensor)> = Vec::with_capacity(sources[si].len());
-            for &(tensor, w) in &sources[si] {
-                match cells[w].get() {
-                    Some(Ok((value, _))) => computed.push((tensor, value)),
-                    // The writer failed (or was itself skipped); its error
-                    // is surfaced after the run.
-                    _ => return,
-                }
-            }
-            let mut inputs: HashMap<TensorId, &Tensor> = external_inputs.clone();
-            inputs.extend(computed.iter().copied());
-            // `+=` starts from the last *computed* value of its target —
-            // never from an external binding of the same tensor.
-            let prior = computed
-                .iter()
-                .find(|(tensor, _)| stmt.accumulate && *tensor == stmt.lhs.tensor);
-            let mut acc = match prior {
-                Some((_, value)) => (*value).clone(),
-                None => {
+        let mut computed: HashMap<TensorId, Tensor> = HashMap::new();
+        let mut measured = Vec::new();
+        for (si, stmt) in self.program.stmts.iter().enumerate() {
+            let mut inputs = external_inputs.clone();
+            inputs.extend(computed.iter().map(|(&id, value)| (id, value)));
+            let mut acc = match computed.get(&stmt.lhs.tensor) {
+                Some(prior) if stmt.accumulate => prior.clone(),
+                _ => {
                     let shape: Vec<usize> =
                         stmt.lhs.indices.iter().map(|&v| space.extent(v)).collect();
                     Tensor::zeros(&shape)
                 }
             };
-            let outcome = (|| {
-                let mut measured = Vec::new();
-                for plan in self.plans.iter().filter(|p| p.stmt_index == si) {
-                    let (value, r) = term(plan, &inputs)?;
-                    // The plan's output dims are the LHS indices in
-                    // canonical order; accumulate through the permutation
-                    // to the declared order.
-                    acc.axpy_permuted(plan.coeff, &value, &lhs_perm(stmt));
-                    measured.push(r);
-                }
-                Ok((acc, measured))
-            })();
-            let _ = cells[si].set(outcome);
-        });
-
-        let mut outputs = HashMap::new();
-        let mut measured = Vec::new();
-        for (stmt, cell) in stmts.iter().zip(cells) {
-            // An unset cell sits behind an earlier failure, returned first.
-            if let Some(outcome) = cell.into_inner() {
-                let (value, r) = outcome?;
-                outputs.insert(stmt.lhs.tensor, value);
-                measured.extend(r);
+            for plan in self.plans.iter().filter(|p| p.stmt_index == si) {
+                let (value, r) = term(plan, &inputs)?;
+                // The plan's output dims are the LHS indices in canonical
+                // order; accumulate through the permutation to the
+                // declared order.
+                acc.axpy_permuted(plan.coeff, &value, &lhs_perm(stmt));
+                measured.push(r);
             }
+            computed.insert(stmt.lhs.tensor, acc);
         }
-        Ok((outputs, measured))
+        Ok((computed, measured))
     }
 
     /// Execute the statement sequence through the **fused-slice
@@ -443,10 +360,10 @@ impl Synthesis {
         opts: &ExecOptions,
     ) -> Result<FusedExecSummary, ExecError> {
         let space = &self.program.space;
-        // Statements run in source order (one slot): terms free their
-        // temporaries in between, so the whole-run peak is the per-term
-        // maximum the summary reports.
-        let (outputs, reports) = self.run_statements(external_inputs, 1, &|plan, inputs| {
+        // Statements run in source order: terms free their temporaries in
+        // between, so the whole-run peak is the per-term maximum the
+        // summary reports.
+        let (outputs, reports) = self.run_statements(external_inputs, &|plan, inputs| {
             let mut report = tce_exec::execute_tree_lowered(
                 &plan.tree,
                 space,
@@ -505,9 +422,9 @@ impl Synthesis {
                 reason: "distributed execution requires a machine-configured synthesis".into(),
             })?;
         let space = &self.program.space;
-        // Statements run in source order (one slot): the sharded machine is
-        // one set of ranks, every term occupies all of it.
-        let (outputs, reports) = self.run_statements(external_inputs, 1, &|plan, inputs| {
+        // The sharded machine is one set of ranks; every term occupies all
+        // of it.
+        let (outputs, reports) = self.run_statements(external_inputs, &|plan, inputs| {
             let dist = plan
                 .distribution
                 .as_ref()
@@ -1330,8 +1247,8 @@ mod tests {
     #[test]
     fn statement_graph_schedule_matches_source_order_bitwise() {
         // Mixed dataflow: two independent statements, a join, and an
-        // accumulate — the graph path must reproduce source-order results
-        // bit for bit at every worker count.
+        // accumulate — every worker count must reproduce the serial run
+        // bit for bit.
         let src = "
             range N = 5;
             index i, j, k : N;
@@ -1372,6 +1289,25 @@ mod tests {
             .execute_opts(&partial, &HashMap::new(), &ExecOptions::with_threads(4))
             .unwrap_err();
         assert_eq!(se.to_string(), ge.to_string());
+    }
+
+    #[test]
+    fn cc_doubles_is_bitwise_alike_at_every_thread_count() {
+        // The shipped sequence: R1 and R2 feed E, with a copy term and a
+        // scalar output.
+        let src = include_str!("../../../examples/specs/cc_doubles.tce");
+        let syn = synthesize(src, &SynthesisConfig::default()).unwrap();
+        let owned = crate::serve::bind_random_inputs(&syn, 7);
+        let inputs: HashMap<_, _> = owned.iter().map(|(id, t)| (*id, t)).collect();
+        let funcs = crate::serve::bind_functions(&syn, 7);
+        let serial = syn
+            .execute_opts(&inputs, &funcs, &ExecOptions::serial())
+            .unwrap();
+        for threads in [2, 4] {
+            let opts = ExecOptions::with_threads(threads);
+            let got = syn.execute_opts(&inputs, &funcs, &opts).unwrap();
+            assert_eq!(got, serial, "{threads} threads changed bits");
+        }
     }
 
     #[test]

@@ -38,7 +38,7 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::ops::Range;
 use tce_ir::{IndexSet, IndexSpace, IndexVar, Leaf, NodeId, OpKind, OpTree, TensorId};
-use tce_par::{myrange, owner_of, parallel_map, ProcessorGrid, TaskGraph};
+use tce_par::{myrange, owner_of, parallel_map, ProcessorGrid};
 use tce_tensor::{BinaryContraction, IntegralFn, Tensor};
 
 /// A tensor materialized as per-rank shard buffers under a distribution
@@ -579,11 +579,8 @@ pub fn validate_bindings(
     Ok(())
 }
 
-/// Measurement state accumulated while walking a plan.  Each node task
-/// owns a private `Counters`, seeded by [`Counters::merge`]-ing its
-/// children's, so tasks never contend and the root's counters are the
-/// run's totals whatever order the scheduler picked (every field is an
-/// order-independent sum).
+/// Measurement state accumulated while walking a plan: one per walk, every
+/// node adding its own traffic and flops.
 #[derive(Debug, Clone)]
 struct Counters {
     moved: u128,
@@ -605,20 +602,9 @@ impl Counters {
             per_rank_flops: vec![0; ranks],
         }
     }
-
-    fn merge(&mut self, other: &Counters) {
-        self.moved = self.moved.saturating_add(other.moved);
-        self.predicted = self.predicted.saturating_add(other.predicted);
-        self.reduce_words = self.reduce_words.saturating_add(other.reduce_words);
-        self.predicted_reduce = self.predicted_reduce.saturating_add(other.predicted_reduce);
-        self.redistributions += other.redistributions;
-        for (a, b) in self.per_rank_flops.iter_mut().zip(&other.per_rank_flops) {
-            *a = a.saturating_add(*b);
-        }
-    }
 }
 
-/// The immutable execution environment shared by every node task.
+/// The immutable execution environment shared by every node.
 struct Env<'a> {
     tree: &'a OpTree,
     space: &'a IndexSpace,
@@ -792,16 +778,12 @@ impl Env<'_> {
 /// combined with a reduction tree.  The root value is gathered and
 /// returned together with measured-vs-predicted communication volumes.
 ///
-/// The walk is one task per tree node on [`tce_par::TaskGraph`], children
-/// before parents, on as many of `threads` scheduler slots as the nodes'
-/// flops can fill: one slot is the sequential postorder walk (each node's
-/// rank-parallel kernels keep all `threads` workers), more slots evaluate
-/// independent subtrees concurrently, never holding more node values live
-/// (in global output elements) than the one-slot walk.  The gathered
-/// result and every counter are **identical** for every `threads` value: a
-/// node's value depends only on its own subtree and plan entries, every
-/// kernel is deterministic in isolation, and counters flow child → parent
-/// along the tree.
+/// The walk visits the tree in postorder on the calling thread, each node
+/// after its children, so every node's rank-parallel kernels keep all
+/// `threads` workers, and each child's value moves into its one parent.
+/// The gathered result and every counter are **identical** for every
+/// `threads` value: a node's value depends only on its own subtree and
+/// plan entries, and every kernel is deterministic in isolation.
 ///
 /// # Errors
 /// [`DistError`] when a binding is missing or mis-shaped, or the plan does
@@ -831,25 +813,20 @@ pub fn execute_plan_sharded(
     let alphas = env.assign_alphas(root_alpha)?;
     validate_bindings(tree, space, inputs, funcs)?;
 
-    let ranks = machine.grid.num_processors();
-    let tasks = tree.postorder_tasks(space);
-    let (sharded, c) = TaskGraph::eval_tree(&tasks, threads, &|&u,
-                                                               children: Vec<(
-        ShardedTensor,
-        Counters,
-    )>| {
+    let mut c = Counters::new(machine.grid.num_processors());
+    let mut values: Vec<Option<ShardedTensor>> = (0..tree.len()).map(|_| None).collect();
+    for u in tree.postorder() {
         let alpha = alphas[u.0 as usize]
             .as_ref()
             .expect("alpha pre-pass covers every node");
-        let mut c = Counters::new(ranks);
-        let mut operands = Vec::with_capacity(children.len());
-        for (value, counted) in children {
-            c.merge(&counted);
-            operands.push(value);
-        }
-        let value = env.eval_node(&mut c, u, alpha, operands);
-        (value, c)
-    });
+        let operands = (tree.children(u).iter())
+            .map(|ch| values[ch.0 as usize].take().expect("children come first"))
+            .collect();
+        values[u.0 as usize] = Some(env.eval_node(&mut c, u, alpha, operands));
+    }
+    let sharded = values[tree.root.0 as usize]
+        .take()
+        .expect("the root comes last");
     Ok(ShardExecReport {
         result: gather(&sharded, space, &machine.grid),
         moved_elements: c.moved,

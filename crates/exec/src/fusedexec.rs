@@ -25,12 +25,11 @@
 //! a few base additions and one bare [`NestArrays::run`].  A program
 //! prints (`Display`) its levels, increments and call kinds.
 //!
-//! The chain loops run sequentially (per-worker copies of the fused
-//! intermediates would break measured peak == model); parallelism lives
-//! inside each kernel call and function slice, bitwise deterministic for
-//! every thread count, and in the top-level steps, tasks on a
-//! [`TaskGraph`] with hazard edges between steps whose read/write sets
-//! conflict.  Arrays live by the schedule's lifetimes
+//! The top-level steps run in schedule order and their chain loops
+//! sequentially (per-worker copies of the fused intermediates would break
+//! measured peak == model); parallelism lives inside each kernel call and
+//! function slice, bitwise deterministic for every thread count.  Arrays
+//! live by the schedule's lifetimes
 //! ([`tce_fusion::schedule::StepLifetime`]), taken from and returned to
 //! the buffer pool.  [`crate::execute_tree_opts`] is this executor on the
 //! configuration with no edge fused: one whole-array call per node.
@@ -39,22 +38,17 @@ use crate::error::ExecError;
 use crate::treeexec::ExecOptions;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use tce_fusion::{
     fusion_schedule, is_fusable_producer, FusionConfig, FusionSchedule, Lowering, ScheduleStep,
 };
 use tce_ir::{IndexSet, IndexSpace, IndexVar, Leaf, NodeId, OpKind, OpTree, TensorId};
-use tce_par::{parallel_chunks_mut, TaskGraph};
+use tce_par::parallel_chunks_mut;
 use tce_tensor::dense::row_major_strides;
 use tce_tensor::{
     plan_for_strided, BinaryContraction, ContractionPlan, ExclusiveReduction, IntegralFn,
     NestArray, NestArrays, Tensor,
 };
-
-/// The fused intermediate arrays: one lock per node (`None` outside its
-/// lifetime), taken once per top-level step.  Steps that touch a common
-/// array are ordered by a hazard edge, so `try_lock` always succeeds.
-type SharedArrays = [Mutex<Option<Tensor>>];
 
 /// Result of a fused-slice execution, with the measured-vs-modeled
 /// live-set accounting (the same discipline the distributed executor
@@ -155,15 +149,11 @@ pub fn execute_tree_lowered(
         "fused allocation diverged from the plan's memory model"
     );
 
-    let mut shared: Vec<Mutex<Option<Tensor>>> =
-        (0..tree.len()).map(|_| Mutex::new(None)).collect();
-    walk.run_steps(&programs, &shared, opts.threads);
-    let root = shared
-        .swap_remove(tree.root.0 as usize)
-        .into_inner()
-        .ok()
-        .flatten();
-    let result = root.expect("the root is produced and never released");
+    // The fused intermediate arrays by node, `None` outside their lifetimes.
+    let mut arrays: Vec<Option<Tensor>> = (0..tree.len()).map(|_| None).collect();
+    walk.run_steps(&programs, &mut arrays);
+    let result = (arrays.swap_remove(tree.root.0 as usize))
+        .expect("the root is produced and never released");
     let sliced_contractions = programs.iter().map(|p| p.calls).sum::<u64>();
     if tce_trace::enabled() {
         tce_trace::counter_u128("fused.live_elements", peak_live_elements);
@@ -275,11 +265,7 @@ impl<'a> Walk<'a> {
         let (dims, shape) = (&self.dims[v.0 as usize], &self.shapes[v.0 as usize]);
         let (left, right) = match &self.tree.node(v).kind {
             OpKind::Contract { left, right } => (*left, *right),
-            OpKind::Leaf(Leaf::Func {
-                name,
-                indices,
-                cost_per_eval,
-            }) => {
+            OpKind::Leaf(Leaf::Func { name, indices, .. }) => {
                 let level_of = |iv| open.iter().copied().find(|&l| levels[l].index == iv);
                 let args = (indices.iter())
                     .map(|&iv| match level_of(iv) {
@@ -288,8 +274,6 @@ impl<'a> Walk<'a> {
                     })
                     .collect();
                 let evals = times.saturating_mul(self.elements(&[v]) as u128);
-                program.flops =
-                    (evals.saturating_mul(*cost_per_eval as u128)).saturating_add(program.flops);
                 program.evals += evals as u64;
                 return program.ops.push(Op::Func(v, name, &self.funcs[name], args));
             }
@@ -343,7 +327,6 @@ impl<'a> Walk<'a> {
         for (&l, step) in open.iter().zip(steps).filter(|(_, step)| *step != [0; 3]) {
             levels[l].steps.push((site, step));
         }
-        program.flops = (plan.flops().saturating_mul(times)).saturating_add(program.flops);
         program.calls += times as u64;
         program.ops.push(Op::Contract(site));
         let (arrays, sources) = ([left, right, v], [a_src, b_src]);
@@ -356,53 +339,40 @@ impl<'a> Walk<'a> {
         });
     }
 
-    /// Run the top-level steps' `programs` on a [`TaskGraph`], on at most
-    /// `max_slots` slots (as many as their flops fill), steps whose
-    /// lifetimes conflict in order.  A step brings its `allocs` to life
-    /// (zeroed from the pool) and returns its `releases`; a task weighs the
-    /// elements it allocates, capped at the one-slot walk's peak.
-    fn run_steps(&self, programs: &[SliceProgram], shared: &SharedArrays, max_slots: usize) {
-        let lifetimes = &self.schedule.lifetimes;
-        let mut graph = TaskGraph::new();
-        for (j, life) in lifetimes.iter().enumerate() {
-            let deps: Vec<usize> = (0..j)
-                .filter(|&i| lifetimes[i].conflicts_with(life))
-                .collect();
-            graph.add_task(&deps, self.elements(&life.allocs) as u64, programs[j].flops);
-        }
-        graph.run(max_slots, &|t| {
-            let life = &lifetimes[t];
+    /// Run the top-level steps' `programs` in schedule order on `arrays`
+    /// (by node).  A step brings its `allocs` to life (zeroed from the
+    /// pool) and returns its `releases`.
+    fn run_steps(&self, programs: &[SliceProgram], arrays: &mut [Option<Tensor>]) {
+        for (life, program) in self.schedule.lifetimes.iter().zip(programs) {
             // A top-level `Zero`: arrays are born zeroed.
             if life.writes.is_empty() {
-                return;
+                continue;
             }
-            let touched =
-                |n: u32| life.writes.contains(&NodeId(n)) || life.reads.contains(&NodeId(n));
-            let mut held: Vec<_> = (0..)
-                .zip(shared)
-                .map(|(n, cell)| {
-                    touched(n).then(|| cell.try_lock().expect("hazard edges serialize access"))
-                })
-                .collect();
             tce_trace::mem_alloc(bytes_of(self.elements(&life.allocs)));
             for &n in &life.writes {
                 let shape = &self.shapes[n.0 as usize];
-                let cell = held[n.0 as usize].as_mut().expect("in the write set");
-                cell.get_or_insert_with(|| Tensor::zeros_pooled(shape));
+                arrays[n.0 as usize].get_or_insert_with(|| Tensor::zeros_pooled(shape));
             }
             // Every array of the step goes into its nest once: until the
             // step ends, its elements are reached only through the nest.
+            let touched =
+                |n: u32| life.writes.contains(&NodeId(n)) || life.reads.contains(&NodeId(n));
             let mut nest = NestArrays::new();
-            let slots: Vec<Option<usize>> = (held.iter_mut())
-                .map(|cell| Some(nest.array(cell.as_mut()?.as_mut()?.data_mut())))
+            let slots: Vec<Option<usize>> = (0..)
+                .zip(arrays.iter_mut())
+                .map(|(n, cell)| {
+                    let array = cell.as_mut().filter(|_| touched(n))?;
+                    Some(nest.array(array.data_mut()))
+                })
                 .collect();
-            self.run_program(&programs[t], nest, &slots);
+            self.run_program(program, nest, &slots);
             for n in &life.releases {
-                let cell = held[n.0 as usize].as_mut().expect("in the read/write set");
-                cell.take().into_iter().for_each(Tensor::recycle);
+                if let Some(array) = arrays[n.0 as usize].take() {
+                    array.recycle();
+                }
             }
             tce_trace::mem_free(bytes_of(self.elements(&life.releases)));
-        });
+        }
     }
 
     /// Run one step's program on `nest`, which holds the arrays of its
@@ -516,9 +486,6 @@ struct SliceProgram<'a> {
     ops: Vec<Op<'a>>,
     /// Contraction sites, in op order.
     sites: Vec<ProgramSite<'a>>,
-    /// Modeled flops of one run: kernel flops and function-evaluation
-    /// cost, each times the loops around it.
-    flops: u128,
     /// Kernel calls one run makes.
     calls: u64,
     /// Function-element evaluations one run makes.

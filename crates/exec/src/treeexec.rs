@@ -14,8 +14,8 @@
 //! for the pipeline and the benchmark harnesses.
 //!
 //! This module also owns the options every executor shares: the thread
-//! count, from which each walk takes only the scheduler slots its work
-//! fills ([`tce_par::TaskGraph::run`]).
+//! count, which every walk hands to its kernels whole (walks run their
+//! nodes in order on the calling thread).
 
 use crate::error::ExecError;
 use std::collections::HashMap;
@@ -24,8 +24,8 @@ use tce_ir::{IndexSpace, OpTree, TensorId};
 use tce_tensor::{IntegralFn, Tensor};
 
 /// A retired scheduling policy, kept so existing callers still compile:
-/// every walk now takes the slots its work fills
-/// ([`tce_par::TaskGraph::run`]), so both variants run the same program.
+/// every walk runs its statements, steps and nodes in order on the calling
+/// thread, so both variants run the same program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Schedule {
     /// Same as every other variant.
@@ -40,12 +40,11 @@ pub enum Schedule {
 /// The default thread count honours the `TCE_THREADS` environment
 /// variable and otherwise uses the machine's available parallelism
 /// (see `tce_par::default_threads`).  The thread count never affects
-/// results: every parallel kernel partitions output disjointly, and the
-/// task graph only reorders *when* independent nodes run.
+/// results: every parallel kernel partitions output disjointly.
 #[derive(Debug, Clone)]
 pub struct ExecOptions {
     /// Worker threads for contraction kernels, permutes and function
-    /// materialization, and the most task-graph slots a walk may use.
+    /// materialization.
     pub threads: usize,
 }
 
@@ -92,17 +91,14 @@ impl ExecOptions {
 /// Evaluate `tree` bottom-up and return the root value, every
 /// intermediate at full size: the fused walker
 /// ([`crate::execute_tree_lowered`]) on the empty fusion
-/// configuration (see the module docs).  Each contraction node is one task
-/// on [`tce_par::TaskGraph`], after its children, on as many of
-/// `opts.threads` scheduler slots as the nodes' flops fill; a node's value
-/// returns to the buffer pool as soon as its one consumer finishes, and
-/// admission is capped at the one-slot walk's peak.  Function
+/// configuration (see the module docs).  Each contraction node runs after
+/// its children, in the schedule's order, and its value returns to the
+/// buffer pool as soon as its one consumer finishes.  Function
 /// materialization and the contraction kernels' output-tile loops use
 /// `opts.threads` workers.
 ///
-/// Bitwise identical for every thread count: the scheduler
-/// only decides *when* a node runs, each node's kernel is deterministic in
-/// isolation, and a node starts only after its children completed.
+/// Bitwise identical for every thread count: each node's kernel is
+/// deterministic in isolation.
 ///
 /// # Errors
 /// Missing bindings and shape mismatches return an [`ExecError`] before
@@ -282,8 +278,7 @@ mod tests {
         let tc = tensors.add(TensorDecl::dense("C", vec![n; 4]));
         let td = tensors.add(TensorDecl::dense("D", vec![n; 4]));
         let mut tree = OpTree::new();
-        // Two independent subtrees meeting at the root: the graph
-        // scheduler can overlap them.
+        // Two independent subtrees meeting at the root.
         let lb = tree.leaf_input(tb, vec![b, e, f, l]);
         let ld = tree.leaf_input(td, vec![c, d, e, l]);
         let t1 = tree.contract(lb, ld, IndexSet::from_vars([b, c, d, f]));

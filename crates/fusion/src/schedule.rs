@@ -39,9 +39,8 @@
 //!
 //! Placement also fixes **lifetimes**, at top-level-step granularity
 //! ([`StepLifetime`]): which node arrays each top-level step reads and
-//! writes — the hazards an executor may overlap steps under — and which
-//! it brings to life on entry (first write) and may drop on exit (last
-//! access; never the root).  Nothing is born or dies inside a chain loop.
+//! writes, and which it brings to life on entry (first write) and may
+//! drop on exit (last access; never the root).  Nothing is born or dies inside a chain loop.
 //! Arrays are born zeroed, so a *top-level* `Zero`, which precedes every
 //! other access to its node and runs once, touches nothing: the
 //! allocation at the node's first producing step already is that
@@ -87,16 +86,6 @@ pub struct StepLifetime {
     pub releases: Vec<NodeId>,
 }
 
-impl StepLifetime {
-    /// Whether `later` must wait for this (earlier) step: they touch a
-    /// common array.  Every node has one consumer, so two steps never
-    /// merely share a read — any common array is a RAW, WAW or WAR hazard.
-    pub fn conflicts_with(&self, later: &StepLifetime) -> bool {
-        let touched = |v| later.reads.contains(v) || later.writes.contains(v);
-        self.reads.iter().chain(&self.writes).any(touched)
-    }
-}
-
 /// A compiled fused schedule: the step tree plus, per node, the set of
 /// indices pinned by enclosing fused loops at its production site, and
 /// per top-level step the arrays it touches, allocates and releases.
@@ -117,7 +106,7 @@ impl FusionSchedule {
     /// Peak live storage of running the top-level steps one at a time in
     /// order, allocating on entry and releasing on exit, when node `n`'s
     /// array holds `elements(n)` — the static counterpart of what an
-    /// executor obeying the lifetimes measures on one scheduler slot.
+    /// executor obeying the lifetimes measures.
     pub fn sequential_peak(&self, elements: impl Fn(NodeId) -> u128) -> u128 {
         let total = |nodes: &[NodeId]| nodes.iter().map(|&n| elements(n)).sum::<u128>();
         let (mut live, mut peak) = (0u128, 0u128);
@@ -503,9 +492,6 @@ mod tests {
         // the root is never released.
         assert_eq!(life[7].reads, vec![x, y]);
         assert_eq!(born_and_dead(7), (vec![root], vec![x, y]));
-        // Hazards are the tree's producer → consumer edges.
-        assert!(life[1].conflicts_with(&life[7]) && life[3].conflicts_with(&life[5]));
-        assert!(!life[1].conflicts_with(&life[3]) && !life[1].conflicts_with(&life[5]));
         // x | x m | x m y → x y | x y root.
         assert_eq!(sched.sequential_peak(|_| 1), 3);
 

@@ -206,35 +206,6 @@ impl OpTree {
         out
     }
 
-    /// The tree as a dependency-ordered task list — the shape every
-    /// executor hands to the task-graph scheduler: one `(node, deps,
-    /// elements, ops)` entry per node in [`postorder`](Self::postorder),
-    /// where `deps` are the positions *in this list* of the node's children
-    /// (left then right; empty for leaves), `elements` is the node's output
-    /// element count under `space` (at least 1), the unit the executors'
-    /// live-set accounting is in, and `ops` is
-    /// [`node_ops`](Self::node_ops), the work the scheduler sizes its slots
-    /// by.  The root is the last entry.
-    pub fn postorder_tasks(&self, space: &IndexSpace) -> Vec<(NodeId, Vec<usize>, u64, u128)> {
-        let order = self.postorder();
-        let mut position = vec![usize::MAX; self.nodes.len()];
-        order
-            .iter()
-            .enumerate()
-            .map(|(t, &id)| {
-                position[id.0 as usize] = t;
-                let deps = self
-                    .children(id)
-                    .iter()
-                    .map(|c| position[c.0 as usize])
-                    .collect();
-                let elements = space.iteration_points(self.node(id).indices).max(1);
-                let elements = u64::try_from(elements).unwrap_or(u64::MAX);
-                (id, deps, elements, self.node_ops(id, space))
-            })
-            .collect()
-    }
-
     /// Parent of each node reachable from the root (`None` for the root).
     pub fn parents(&self) -> Vec<Option<NodeId>> {
         let mut parent = vec![None; self.nodes.len()];
@@ -433,19 +404,15 @@ mod tests {
     }
 
     #[test]
-    fn postorder_tasks_point_at_children_and_weigh_outputs() {
+    fn node_ops_charge_each_contraction_and_no_leaf() {
         let (space, _, tree) = fig1_tree();
-        let tasks = tree.postorder_tasks(&space);
-        // B, D, T1, C, T2, A, S.
-        let deps: Vec<&[usize]> = tasks.iter().map(|(_, d, _, _)| &d[..]).collect();
-        let none: &[usize] = &[];
-        assert_eq!(deps, [none, none, &[0, 1], none, &[2, 3], none, &[4, 5]]);
-        assert!(tasks.iter().all(|&(_, _, elements, _)| elements == 10_000));
-        // Leaves are free; each contraction does its 2·N^6 (paper §2).
-        let ops: Vec<u128> = tasks.iter().map(|t| t.3).collect();
+        // Postorder B, D, T1, C, T2, A, S: leaves are free; each
+        // contraction does its 2·N^6 (paper §2).
+        let ops: Vec<u128> = (tree.postorder().into_iter())
+            .map(|id| tree.node_ops(id, &space))
+            .collect();
         let n6 = 2 * 10u128.pow(6);
         assert_eq!(ops, [0, 0, n6, 0, n6, 0, n6]);
-        assert_eq!(tasks.last().map(|t| t.0), Some(tree.root));
     }
 
     #[test]

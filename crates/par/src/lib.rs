@@ -1,11 +1,10 @@
 //! # tce-par — parallel substrate
 //!
 //! Shared-memory data-parallel primitives (block-partitioned
-//! parallel-for/map on a persistent worker pool, [`pool`]), the
-//! dependency-aware task-graph scheduler every executor walks on
-//! ([`graph`]), the one sharded LRU behind the plan and serve caches
-//! ([`lru`]), and logical processor-grid arithmetic with the paper's
-//! `myrange` block ownership ([`grid`]).
+//! parallel-for/map on a persistent worker pool, [`pool`]), the one
+//! sharded LRU behind the plan and serve caches ([`lru`]), and logical
+//! processor-grid arithmetic with the paper's `myrange` block ownership
+//! ([`grid`]).
 //! `tce-exec` uses the pool to run synthesized contractions in parallel;
 //! `tce-dist` uses the grid both for its communication cost model and for
 //! the simulated distributed machine that validates it.
@@ -22,12 +21,10 @@
 
 #![warn(missing_docs)]
 
-pub mod graph;
 pub mod grid;
 pub mod lru;
 pub mod pool;
 
-pub use graph::{GraphStats, TaskGraph};
 pub use grid::{myrange, owner_of, ProcessorGrid};
 pub use lru::{CacheStats, ShardedLru};
 pub use pool::{

@@ -67,17 +67,6 @@ pub struct ProfileReport {
     pub interp_reads: u64,
     /// Interpreter element stores.
     pub interp_writes: u64,
-    /// Task-graph tasks scheduled (summed over all graph runs).
-    pub sched_tasks: u64,
-    /// Task-graph dependency edges.
-    pub sched_edges: u64,
-    /// Largest single-run peak live-set admitted by the scheduler, in
-    /// weight units (elements).
-    pub sched_peak_live: u64,
-    /// Forced admissions (cap too small for any ready task while idle).
-    pub sched_forced_admissions: u64,
-    /// Most scheduler slots any one graph run used.
-    pub sched_slots: u64,
     /// Buffer-pool acquires served from retained buffers.
     pub bufpool_hits: u64,
     /// Buffer-pool acquires that allocated fresh.
@@ -174,11 +163,6 @@ impl ProfileReport {
             mem_peak_bytes: t.mem_peak_bytes,
             interp_reads: t.counter_total("exec.interp.reads"),
             interp_writes: t.counter_total("exec.interp.writes"),
-            sched_tasks: t.counter_total("sched.tasks"),
-            sched_edges: t.counter_total("sched.edges"),
-            sched_peak_live: t.counter_max("sched.peak_live"),
-            sched_forced_admissions: t.counter_total("sched.forced_admissions"),
-            sched_slots: t.counter_max("sched.slots"),
             bufpool_hits: t.counter_total("bufpool.hits"),
             bufpool_misses: t.counter_total("bufpool.misses"),
             bufpool_evictions: t.counter_total("bufpool.evictions"),
@@ -288,18 +272,6 @@ impl fmt::Display for ProfileReport {
                 self.plan_cache_hits, self.plan_cache_misses, self.plan_cache_evictions
             )?;
         }
-        if self.sched_tasks > 0 {
-            writeln!(
-                f,
-                "  task graph:      {} tasks / {} edges, peak live {} elements, {} forced, {} slot{}",
-                self.sched_tasks,
-                self.sched_edges,
-                self.sched_peak_live,
-                self.sched_forced_admissions,
-                self.sched_slots,
-                if self.sched_slots == 1 { "" } else { "s" }
-            )?;
-        }
         if self.bufpool_hits + self.bufpool_misses > 0 {
             writeln!(
                 f,
@@ -381,13 +353,6 @@ mod tests {
                 counter_ev("gett.mc", 512),
                 counter_ev("gett.nc", 1020),
                 counter_ev("gett.kc", 256),
-                counter_ev("sched.tasks", 7),
-                counter_ev("sched.edges", 6),
-                counter_ev("sched.peak_live", 37),
-                counter_ev("sched.peak_live", 21),
-                counter_ev("sched.forced_admissions", 0),
-                counter_ev("sched.slots", 2),
-                counter_ev("sched.slots", 1),
                 counter_ev("bufpool.hits", 5),
                 counter_ev("bufpool.misses", 2),
                 counter_ev("bufpool.evictions", 1),
@@ -410,10 +375,6 @@ mod tests {
         );
         assert_eq!(r.gett_blocks, (512, 1020, 256));
         assert_eq!(r.mem_peak_bytes, 4096);
-        assert_eq!(r.sched_tasks, 7);
-        assert_eq!(r.sched_edges, 6);
-        assert_eq!(r.sched_peak_live, 37, "peak live is a max, not a sum");
-        assert_eq!(r.sched_forced_admissions, 0);
         assert_eq!(
             (r.bufpool_hits, r.bufpool_misses, r.bufpool_evictions),
             (5, 2, 1)
@@ -432,8 +393,6 @@ mod tests {
         laned.gett_direct_lanes = 1;
         assert!(laned.to_string().contains(", direct x1 (lanes x1)\n"));
         assert!(text.contains("3 hits / 1 misses / 2 evictions"));
-        assert_eq!(r.sched_slots, 2, "slots is a max, not a sum");
-        assert!(text.contains("7 tasks / 6 edges, peak live 37 elements, 0 forced, 2 slots\n"));
         assert!(text.contains("5 hits / 2 misses / 1 evictions"));
     }
 

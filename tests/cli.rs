@@ -404,6 +404,36 @@ fn cc_doubles_gett_calls_split_by_shape_with_exact_flops() {
 }
 
 #[test]
+fn section2_kernels_fan_out_over_two_threads() {
+    // Counts, not clocks: at N = 16 §2's contractions are above two
+    // workers' share of the flop floor (`WORK_FLOOR_FLOPS`), so on two
+    // threads their GETT calls split into tasks whatever the host's speed
+    // or core count, and the walk that runs them leaves the pool to them.
+    let src = std::fs::read_to_string(spec("ccsd_section2.tce"))
+        .unwrap()
+        .replace("range N = 6;", "range N = 16;");
+    let dir = std::env::temp_dir().join(format!("tce-cli-split-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("section2_n16.tce");
+    std::fs::write(&path, src).unwrap();
+    let file = path.to_str().unwrap();
+    let (stdout, trace) = traced_run("split", &[file, "--execute", "--threads", "2"]);
+    let _ = std::fs::remove_dir_all(&dir);
+    let kernel = stdout
+        .lines()
+        .find(|l| l.trim_start().starts_with("gett kernel:"))
+        .unwrap_or_else(|| panic!("no `gett kernel:` line:\n{stdout}"));
+    let parallel: u64 = kernel
+        .split(", parallel x")
+        .nth(1)
+        .and_then(|rest| rest.split(',').next())
+        .and_then(|count| count.parse().ok())
+        .unwrap_or_else(|| panic!("no `parallel x` count: {kernel}"));
+    assert!(parallel >= 1, "{kernel}");
+    assert_eq!(counter_total(&trace, "gett.parallel"), parallel);
+}
+
+#[test]
 fn section2_fused_outer_products_run_in_vector_lanes() {
     // Half of §2's fused slices (N = 6, one thread) are `T2[j,k] +=
     // T1·C[d,f,j,k]`: m = 1 against a 36-long N axis contiguous in `C` and
@@ -772,8 +802,8 @@ fn fused_and_sequential_sums_agree() {
 
 #[test]
 fn graph_schedule_cli_matches_sequential_sums() {
-    // The thread count is purely a performance knob — every walk takes only
-    // the task-graph slots its work fills: `--execute --threads 1/2/4`
+    // The thread count is purely a performance knob — every walk runs in
+    // order and hands its kernels the threads: `--execute --threads 1/2/4`
     // print the default run's sums exactly.  The retired `--schedule` flag
     // is an unknown argument.
     let run = |extra: &[&str]| {

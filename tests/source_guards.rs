@@ -82,12 +82,7 @@ fn one_operator_tree_walker_in_tce_exec() {
     assert_absent(
         "second tree walker",
         &rust_files_in("crates/exec/src"),
-        &[
-            "eval_tree",
-            "postorder_tasks",
-            "fn contract_node",
-            "fn materialize_func",
-        ],
+        &["fn eval_node", "fn contract_node", "fn materialize_func"],
     );
 }
 
