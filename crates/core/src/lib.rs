@@ -27,9 +27,9 @@ pub mod scenarios;
 pub mod serve;
 
 pub use pipeline::{
-    hierarchy_from_rates, record_prediction, synthesize, synthesize_program, CseSummary,
-    DistExecSummary, FusedExecSummary, FusedTermReport, Synthesis, SynthesisConfig, SynthesisError,
-    TermPlan, MAX_GRID_RANK,
+    hierarchy_from_rates, record_prediction, synthesize, synthesize_program, DistExecSummary,
+    FusedExecSummary, FusedTermReport, Synthesis, SynthesisConfig, SynthesisError, TermPlan,
+    MAX_GRID_RANK,
 };
 pub use tce_exec::{ExecError, ExecOptions, Schedule};
 

@@ -29,7 +29,7 @@ use tce_locality::{
     TileSearchResult,
 };
 use tce_loops::{memory_report, op_counts, pretty, BuiltProgram};
-use tce_opmin::{optimize_pareto, MultiResult, OpMinProblem};
+use tce_opmin::{optimize_pareto, OpMinProblem};
 use tce_spacetime::{spacetime_optimize, spacetime_optimize_rated, SpaceTimeConfig, TilingResult};
 use tce_tensor::{IntegralFn, Tensor};
 
@@ -131,8 +131,6 @@ pub struct Synthesis {
     pub program: Program,
     /// One plan per (statement, term).
     pub plans: Vec<TermPlan>,
-    /// Common-subexpression statistics per multi-term statement.
-    pub cse: Vec<CseSummary>,
     /// The target machine the distribution stage planned for (`None` =
     /// sequential synthesis; [`Synthesis::execute_distributed_opts`]
     /// requires it).
@@ -216,23 +214,6 @@ impl FusedExecSummary {
             .iter()
             .all(|t| t.peak_live_elements == t.modeled_elements)
     }
-}
-
-/// Sharing statistics for one statement's terms (the distributivity-aware
-/// part of the paper's Algebraic Transformations module: identical
-/// intermediates across terms are evaluated once).
-#[derive(Debug, Clone)]
-pub struct CseSummary {
-    /// Statement index.
-    pub stmt_index: usize,
-    /// Flops when terms are evaluated independently.
-    pub ops_independent: u128,
-    /// Flops when common subexpressions are shared.
-    pub ops_with_cse: u128,
-    /// Distinct intermediates after sharing.
-    pub unique_intermediates: usize,
-    /// Intermediates before sharing.
-    pub total_intermediates: usize,
 }
 
 impl Synthesis {
@@ -627,48 +608,16 @@ pub fn synthesize_program(
         )));
     }
     let mut plans = Vec::new();
-    let mut cse = Vec::new();
     for (si, stmt) in program.stmts.iter().enumerate() {
-        let first = plans.len();
         for (ti, term) in stmt.terms.iter().enumerate() {
             plans.push(plan_term(&program, cfg, si, ti, stmt, term)?);
-        }
-        if stmt.terms.len() > 1 {
-            let trees = plans[first..]
-                .iter()
-                .map(|p| (p.coeff, searched_tree(&p.tree)))
-                .collect();
-            let m = MultiResult::count(trees, &program.space);
-            cse.push(CseSummary {
-                stmt_index: si,
-                ops_independent: m.ops_independent,
-                ops_with_cse: m.ops_with_cse,
-                unique_intermediates: m.unique_intermediates,
-                total_intermediates: m.total_intermediates,
-            });
         }
     }
     Ok(Synthesis {
         program,
         plans,
-        cse,
         machine: cfg.machine.clone(),
     })
-}
-
-/// The tree operation minimization chose for a plan: `plan_term` wraps a
-/// bare-leaf term as `leaf · 1`, a copy that is not an intermediate.
-fn searched_tree(tree: &OpTree) -> OpTree {
-    let mut tree = tree.clone();
-    if let tce_ir::OpKind::Contract { left, right } = tree.node(tree.root).kind {
-        if matches!(
-            tree.node(right).kind,
-            tce_ir::OpKind::Leaf(tce_ir::Leaf::One)
-        ) {
-            tree.root = left;
-        }
-    }
-    tree
 }
 
 fn plan_term(
@@ -1245,7 +1194,7 @@ mod tests {
     }
 
     #[test]
-    fn statement_graph_schedule_matches_source_order_bitwise() {
+    fn statements_run_in_source_order_bitwise_at_every_thread_count() {
         // Mixed dataflow: two independent statements, a join, and an
         // accumulate — every worker count must reproduce the serial run
         // bit for bit.
@@ -1270,10 +1219,10 @@ mod tests {
             .unwrap();
         for threads in [1, 2, 4, 8] {
             let opts = ExecOptions::with_threads(threads);
-            let graph = syn.execute_opts(&ext, &HashMap::new(), &opts).unwrap();
-            assert_eq!(graph.len(), seq.len());
+            let got = syn.execute_opts(&ext, &HashMap::new(), &opts).unwrap();
+            assert_eq!(got.len(), seq.len());
             for (id, t) in &seq {
-                assert_eq!(&graph[id], t, "threads={threads} changed bits");
+                assert_eq!(&got[id], t, "threads={threads} changed bits");
             }
         }
         // A missing binding errors identically at every thread count.
@@ -1458,32 +1407,10 @@ mod tests {
     }
 
     #[test]
-    fn cse_summary_reports_sharing() {
-        let src = "
-            range N = 5; index i, j, k : N;
-            tensor A(N, N); tensor B(N, N); tensor S(N, N);
-            S[i,j] = sum[k] A[i,k] * B[k,j] + A[i,k] * B[k,j];
-        ";
-        let syn = synthesize(src, &SynthesisConfig::default()).unwrap();
-        assert_eq!(syn.cse.len(), 1);
-        let c = &syn.cse[0];
-        assert_eq!(c.total_intermediates, 2);
-        assert_eq!(c.unique_intermediates, 1);
-        assert_eq!(c.ops_with_cse * 2, c.ops_independent);
-        // Single-term statements produce no summary.
-        let syn2 = synthesize(
-            "range N = 4; index i, k : N; tensor A(N, N); tensor S(N);
-             S[i] = sum[k] A[i,k] * A[i,k];",
-            &SynthesisConfig::default(),
-        )
-        .unwrap();
-        assert!(syn2.cse.is_empty());
-    }
-
-    #[test]
     fn cse_describes_the_planned_trees() {
         // Every multi-term statement of the shipped specs (cc_doubles has
-        // three): the trees CSE shares are the trees synthesis planned.
+        // three): the trees CSE shares are the trees synthesis planned, and
+        // no two of them share an intermediate.
         let specs = [
             include_str!("../../../examples/specs/ccsd_section2.tce"),
             include_str!("../../../examples/specs/cc_doubles.tce"),
@@ -1492,12 +1419,21 @@ mod tests {
         ];
         let syns = specs.map(|src| synthesize(src, &SynthesisConfig::default()).unwrap());
         let mut checked = 0;
-        for syn in &syns {
+        let mut sharing = Vec::new();
+        for (spec, syn) in syns.iter().enumerate() {
             for (si, stmt) in syn.program.stmts.iter().enumerate() {
                 if stmt.terms.len() < 2 {
                     continue;
                 }
                 let m = tce_opmin::optimize_assignment(stmt, &syn.program.space).unwrap();
+                sharing.push((
+                    spec,
+                    si,
+                    m.ops_independent,
+                    m.ops_with_cse,
+                    m.unique_intermediates,
+                    m.total_intermediates,
+                ));
                 for (ti, (_, tree)) in m.terms.iter().enumerate() {
                     let plan = syn
                         .plans
@@ -1518,27 +1454,14 @@ mod tests {
             }
         }
         assert_eq!(checked, 6);
-        // cc_doubles' sharing summary per multi-term statement: (statement,
-        // independent ops, ops with CSE, unique and total intermediates).
-        let got: Vec<_> = syns[1]
-            .cse
-            .iter()
-            .map(|c| {
-                (
-                    c.stmt_index,
-                    c.ops_independent,
-                    c.ops_with_cse,
-                    c.unique_intermediates,
-                    c.total_intermediates,
-                )
-            })
-            .collect();
+        // (spec, statement, independent ops, ops with CSE, unique and total
+        // intermediates): only cc_doubles has multi-term statements.
         assert_eq!(
-            got,
+            sharing,
             vec![
-                (0, 648, 648, 1, 1),
-                (1, 34992, 34992, 3, 3),
-                (2, 684, 684, 2, 2)
+                (1, 0, 648, 648, 1, 1),
+                (1, 1, 34992, 34992, 3, 3),
+                (1, 2, 684, 684, 2, 2)
             ]
         );
     }

@@ -198,7 +198,8 @@ impl A3AScenario {
     /// Executable unfused program (paper Fig. 2): every intermediate at
     /// full size, maximal reuse of the integral arrays.
     pub fn fig2_program(&self) -> tce_loops::BuiltProgram {
-        tce_loops::unfused_program(&self.tree, &self.space, &self.tensors, "E")
+        let unfused = tce_fusion::Lowering::unfused(&self.tree);
+        tce_fusion::lowered_program(&self.tree, &self.space, &self.tensors, &unfused, "E")
     }
 
     /// Executable tiled / partially-fused program (paper Fig. 4; `bb = 1`

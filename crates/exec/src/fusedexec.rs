@@ -684,7 +684,7 @@ mod tests {
     }
 
     #[test]
-    fn graph_schedule_is_bitwise_identical_and_keeps_model_peak() {
+    fn fused_walk_is_bitwise_identical_and_keeps_model_peak_at_every_thread_count() {
         let (space, tree, t1, t2, vals) = fig1(4);
         let (inputs, none) = (bind(&vals), HashMap::new());
         let cfg = fig1c(&space, &tree, t1, t2);
@@ -694,7 +694,7 @@ mod tests {
             let what = format!("{threads} threads diverged from one");
             assert_eq!(rep.result, seq.result, "{what}");
             // Every intermediate is allocated exactly once whatever the
-            // interleaving, so the measured total equals the model.
+            // thread count, so the measured total equals the model.
             assert_eq!(rep.peak_live_elements, seq.peak_live_elements);
             assert!(rep.peak_matches_model());
             assert_eq!(rep.sliced_contractions, seq.sliced_contractions);

@@ -300,9 +300,15 @@ fn exec_stmts(ctx: &mut Ctx, stmts: &[Stmt], env: &mut Vec<usize>, sink: &mut dy
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tce_fusion::{lowered_program, Lowering};
     use tce_ir::{IndexSet, OpTree, TensorDecl, TensorTable};
-    use tce_loops::unfused_program;
+    use tce_loops::BuiltProgram;
     use tce_tensor::EinsumSpec;
+
+    /// The direct program of `tree` (paper Fig. 1(b)).
+    fn direct(tree: &OpTree, sp: &IndexSpace, tab: &TensorTable, name: &str) -> BuiltProgram {
+        lowered_program(tree, sp, tab, &Lowering::unfused(tree), name)
+    }
 
     fn fig1(n_ext: usize) -> (IndexSpace, TensorTable, OpTree) {
         let mut space = IndexSpace::new();
@@ -358,9 +364,9 @@ mod tests {
     }
 
     #[test]
-    fn unfused_program_matches_reference_einsum() {
+    fn direct_program_matches_reference_einsum() {
         let (space, tensors, tree) = fig1(3);
-        let built = unfused_program(&tree, &space, &tensors, "S");
+        let built = direct(&tree, &space, &tensors, "S");
         let shape = [3usize; 4];
         let ta = Tensor::random(&shape, 1);
         let tb = Tensor::random(&shape, 2);
@@ -422,7 +428,7 @@ mod tests {
             i.output().clone()
         };
         let fused = run(&fused_program(&tree, &space, &tensors, &r.config, "S").program);
-        let unfused = run(&unfused_program(&tree, &space, &tensors, "S").program);
+        let unfused = run(&direct(&tree, &space, &tensors, "S").program);
         assert!(fused.approx_eq(&unfused, 1e-9));
     }
 
@@ -437,7 +443,7 @@ mod tests {
         let f1 = tree.leaf_func("f1", vec![c, e], 100);
         let f2 = tree.leaf_func("f2", vec![c, e], 100);
         tree.contract(f1, f2, IndexSet::EMPTY);
-        let built = unfused_program(&tree, &space, &tensors, "E");
+        let built = direct(&tree, &space, &tensors, "E");
         let mut funcs = HashMap::new();
         funcs.insert("f1".to_string(), IntegralFn::new(100, 1));
         funcs.insert("f2".to_string(), IntegralFn::new(100, 2));
@@ -498,7 +504,7 @@ mod tests {
     #[test]
     fn missing_input_binding_is_a_typed_error() {
         let (space, tensors, tree) = fig1(2);
-        let built = unfused_program(&tree, &space, &tensors, "S");
+        let built = direct(&tree, &space, &tensors, "S");
         let err = Interpreter::new(&built.program, &space, &HashMap::new(), &HashMap::new())
             .map(|_| ())
             .unwrap_err();
@@ -527,7 +533,7 @@ mod tests {
             }
         }
         let (space, tensors, tree) = fig1(2);
-        let built = unfused_program(&tree, &space, &tensors, "S");
+        let built = direct(&tree, &space, &tensors, "S");
         let shape = [2usize; 4];
         let t = Tensor::random(&shape, 1);
         let mut inputs = HashMap::new();

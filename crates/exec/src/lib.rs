@@ -15,8 +15,8 @@
 //! ```
 //! use std::collections::HashMap;
 //! use tce_exec::{Interpreter, NoSink};
+//! use tce_fusion::{lowered_program, Lowering};
 //! use tce_ir::{IndexSet, IndexSpace, OpTree, TensorDecl, TensorTable};
-//! use tce_loops::unfused_program;
 //! use tce_tensor::Tensor;
 //!
 //! let mut sp = IndexSpace::new();
@@ -29,7 +29,7 @@
 //! let la = tree.leaf_input(a, vec![i, j]);
 //! let one = tree.leaf_one();
 //! tree.contract(la, one, IndexSet::EMPTY); // Σ_ij A[i,j]
-//! let built = unfused_program(&tree, &sp, &tab, "S");
+//! let built = lowered_program(&tree, &sp, &tab, &Lowering::unfused(&tree), "S");
 //! let data = Tensor::random(&[4, 4], 7);
 //! let mut inputs = HashMap::new();
 //! inputs.insert(a, &data);

@@ -265,7 +265,7 @@ mod tests {
     }
 
     #[test]
-    fn graph_schedule_is_bitwise_identical_to_seq() {
+    fn tree_walk_is_bitwise_identical_at_every_thread_count() {
         let mut space = IndexSpace::new();
         let n = space.add_range("N", 3);
         let vs = space.add_vars("a b c d e f i j k l", n);
@@ -300,8 +300,8 @@ mod tests {
 
         let seq = execute_tree(&tree, &space, &inputs, &HashMap::new(), 1).unwrap();
         for threads in [2, 4, 8] {
-            let graph = execute_tree(&tree, &space, &inputs, &HashMap::new(), threads).unwrap();
-            assert_eq!(seq, graph, "{threads} threads diverged from one");
+            let got = execute_tree(&tree, &space, &inputs, &HashMap::new(), threads).unwrap();
+            assert_eq!(seq, got, "{threads} threads diverged from one");
         }
     }
 

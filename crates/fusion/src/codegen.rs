@@ -240,7 +240,7 @@ mod tests {
     use crate::config::tests::fig1_with_tensors as fig1;
     use crate::memmin::memmin_dp;
     use tce_ir::TensorDecl;
-    use tce_loops::{memory_report, op_counts, pretty, unfused_program};
+    use tce_loops::{memory_report, op_counts, pretty, ArrayKind};
 
     #[test]
     fn fig1c_structure_matches_paper() {
@@ -269,22 +269,86 @@ for b, c
         assert_eq!(text, expect);
     }
 
+    /// The direct program of `tree`: every intermediate at full size.
+    fn direct(tree: &OpTree, space: &IndexSpace, tensors: &TensorTable, name: &str) -> LoopProgram {
+        lowered_program(tree, space, tensors, &Lowering::unfused(tree), name).program
+    }
+
     #[test]
-    fn unfused_config_matches_unfused_builder_semantics() {
-        // With the empty configuration, the fused builder must produce a
-        // program with the same ops and memory as the direct builder.
-        let (space, tensors, tree, _, _) = fig1(3);
-        let cfg = FusionConfig::unfused(&tree);
-        let fused = fused_program(&tree, &space, &tensors, &cfg, "S");
-        let direct = unfused_program(&tree, &space, &tensors, "S");
-        assert_eq!(
-            op_counts(&fused.program, &space),
-            op_counts(&direct.program, &space)
-        );
-        assert_eq!(
-            memory_report(&fused.program, &space).temp_elements,
-            memory_report(&direct.program, &space).temp_elements
-        );
+    fn unfused_lowering_is_the_direct_program() {
+        // Paper Fig. 1(b): one perfect nest per contraction over full-size
+        // intermediates.
+        let (space, tensors, tree, _, _) = fig1(4);
+        let p = direct(&tree, &space, &tensors, "S");
+        p.validate().unwrap();
+        // 4 inputs + T1 + T2 + S; 3 inits + 3 nests; 10 loop variables.
+        assert_eq!((p.arrays.len(), p.body.len(), p.vars.len()), (7, 6, 10));
+        let expect = "\
+T1 = 0
+for b, c, d, e, f, l
+  T1[b,c,d,f] += B[b,e,f,l] * D[c,d,e,l]
+T2 = 0
+for b, c, d, f, j, k
+  T2[b,c,j,k] += T1[b,c,d,f] * C[d,f,j,k]
+S = 0
+for a, b, c, i, j, k
+  S[a,b,i,j] += T2[b,c,j,k] * A[a,c,i,k]
+";
+        assert_eq!(pretty(&p), expect);
+    }
+
+    #[test]
+    fn intermediate_arrays_have_full_dims() {
+        let (space, tensors, tree, _, _) = fig1(4);
+        let p = direct(&tree, &space, &tensors, "S");
+        let array = |name| p.arrays.iter().find(|a| a.name == name).unwrap();
+        assert_eq!(array("T1").dims.len(), 4);
+        assert_eq!(array("T1").elements(&space), 256); // N^4 at N=4
+        assert_eq!(memory_report(&p, &space).temp_elements, 3 * 256);
+        assert!(matches!(array("S").kind, ArrayKind::Output));
+    }
+
+    #[test]
+    fn func_leaves_get_production_nests() {
+        // E = Σ_ce f1(c,e)·f2(c,e): each function is materialized by its own
+        // nest (Fig. 2) before the contraction reads it.
+        let mut space = IndexSpace::new();
+        let n = space.add_range("V", 3);
+        let c = space.add_var("c", n);
+        let e = space.add_var("e", n);
+        let mut tree = OpTree::new();
+        let f1 = tree.leaf_func("f1", vec![c, e], 1000);
+        let f2 = tree.leaf_func("f2", vec![c, e], 1000);
+        tree.contract(f1, f2, IndexSet::EMPTY);
+        let p = direct(&tree, &space, &TensorTable::new(), "E");
+        p.validate().unwrap();
+        assert_eq!(p.funcs.len(), 2);
+        let expect = "\
+for c, e
+  T1[c,e] = f1(c, e)
+for c, e
+  T2[c,e] = f2(c, e)
+E = 0
+for c, e
+  E += T1[c,e] * T2[c,e]
+";
+        assert_eq!(pretty(&p), expect);
+    }
+
+    #[test]
+    fn one_leaf_becomes_constant_array() {
+        let mut space = IndexSpace::new();
+        let n = space.add_range("N", 5);
+        let i = space.add_var("i", n);
+        let mut tensors = TensorTable::new();
+        let ta = tensors.add(TensorDecl::dense("A", vec![n]));
+        let mut tree = OpTree::new();
+        let la = tree.leaf_input(ta, vec![i]);
+        let one = tree.leaf_one();
+        tree.contract(la, one, IndexSet::EMPTY);
+        let p = direct(&tree, &space, &tensors, "E");
+        p.validate().unwrap();
+        assert!(p.arrays.iter().any(|a| matches!(a.kind, ArrayKind::One)));
     }
 
     #[test]
@@ -304,8 +368,8 @@ for b, c
             assert_eq!(elements("T2"), (n as u128).pow(2), "N = {n}");
             let ops = op_counts(&built.program, &space);
             assert_eq!(ops.contraction_flops, tree.total_ops(&space));
-            let direct = unfused_program(&tree, &space, &tensors, "S");
-            assert_eq!(ops.total(), op_counts(&direct.program, &space).total());
+            let direct = direct(&tree, &space, &tensors, "S");
+            assert_eq!(ops.total(), op_counts(&direct, &space).total());
         }
     }
 

@@ -170,50 +170,106 @@ pub fn distinct_accesses(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::build::unfused_program;
-    use tce_ir::{IndexSet, OpTree, TensorDecl, TensorTable};
+    use crate::build::nest;
+    use crate::ir::{ArrayId, LoopVarId, VarRange};
+    use tce_ir::{IndexVar, TensorId};
 
-    fn fig1(next: usize) -> (IndexSpace, TensorTable, OpTree) {
+    /// A program with one loop variable per index of `space`, in index
+    /// order, so loop variable `n` runs over index `n`.
+    fn program_over(space: &IndexSpace) -> LoopProgram {
+        let mut p = LoopProgram::new();
+        for v in space.vars() {
+            p.add_var(space.var_name(v), VarRange::Full(v));
+        }
+        p
+    }
+
+    /// The index named by the letter `c`.
+    fn var(space: &IndexSpace, c: char) -> IndexVar {
+        space.var_by_name(&c.to_string()).unwrap()
+    }
+
+    /// The loop variables of the one-letter indices `names`.
+    fn loops(space: &IndexSpace, names: &str) -> Vec<LoopVarId> {
+        names
+            .chars()
+            .map(|c| LoopVarId(var(space, c).0.into()))
+            .collect()
+    }
+
+    /// Declare a full-size array over the one-letter indices `dims`.
+    fn array(
+        p: &mut LoopProgram,
+        sp: &IndexSpace,
+        name: &str,
+        dims: &str,
+        kind: ArrayKind,
+    ) -> ArrayId {
+        let dims = dims.chars().map(|c| VarRange::Full(var(sp, c))).collect();
+        p.add_array(name, dims, kind)
+    }
+
+    /// `array` subscripted by its own dimensions.
+    fn at(p: &LoopProgram, array: ArrayId) -> ARef {
+        let sub = |d: &VarRange| match *d {
+            VarRange::Full(v) => Sub::Var(LoopVarId(v.0.into())),
+            _ => unreachable!("full-size arrays only"),
+        };
+        let subs = p.array(array).dims.iter().map(sub).collect();
+        ARef { array, subs }
+    }
+
+    /// `out = 0`, then `out += x * y` in one perfect nest over `over`.
+    fn contraction(p: &mut LoopProgram, sp: &IndexSpace, [out, x, y]: [ArrayId; 3], over: &str) {
+        p.body.push(Stmt::Init { array: out });
+        let rhs = vec![at(p, x), at(p, y)];
+        let accum = Stmt::Accum {
+            lhs: at(p, out),
+            rhs,
+            coeff: 1.0,
+        };
+        p.body.push(nest(loops(sp, over), vec![accum]));
+    }
+
+    /// Paper Fig. 1(b) at extent `n`, written out: T1 = B·D, T2 = T1·C and
+    /// S = T2·A, each a perfect nest over full-size arrays.
+    pub(crate) fn fig1b(n: usize) -> (IndexSpace, LoopProgram) {
         let mut space = IndexSpace::new();
-        let n = space.add_range("N", next);
-        let vs = space.add_vars("a b c d e f i j k l", n);
-        let (a, b, c, d, e, f, i, j, k, l) = (
-            vs[0], vs[1], vs[2], vs[3], vs[4], vs[5], vs[6], vs[7], vs[8], vs[9],
-        );
-        let mut tensors = TensorTable::new();
-        let ta = tensors.add(TensorDecl::dense("A", vec![n; 4]));
-        let tb = tensors.add(TensorDecl::dense("B", vec![n; 4]));
-        let tc = tensors.add(TensorDecl::dense("C", vec![n; 4]));
-        let td = tensors.add(TensorDecl::dense("D", vec![n; 4]));
-        let mut tree = OpTree::new();
-        let lb = tree.leaf_input(tb, vec![b, e, f, l]);
-        let ld = tree.leaf_input(td, vec![c, d, e, l]);
-        let t1 = tree.contract(lb, ld, IndexSet::from_vars([b, c, d, f]));
-        let lc = tree.leaf_input(tc, vec![d, f, j, k]);
-        let t2 = tree.contract(t1, lc, IndexSet::from_vars([b, c, j, k]));
-        let la = tree.leaf_input(ta, vec![a, c, i, k]);
-        tree.contract(t2, la, IndexSet::from_vars([a, b, i, j]));
-        (space, tensors, tree)
+        let r = space.add_range("N", n);
+        space.add_vars("a b c d e f i j k l", r);
+        let mut p = program_over(&space);
+        let input = |p: &mut LoopProgram, name, dims, id| {
+            array(p, &space, name, dims, ArrayKind::Input(TensorId(id)))
+        };
+        let b = input(&mut p, "B", "befl", 1);
+        let d = input(&mut p, "D", "cdel", 3);
+        let t1 = array(&mut p, &space, "T1", "bcdf", ArrayKind::Intermediate);
+        let c = input(&mut p, "C", "dfjk", 2);
+        let t2 = array(&mut p, &space, "T2", "bcjk", ArrayKind::Intermediate);
+        let a = input(&mut p, "A", "acik", 0);
+        let s = array(&mut p, &space, "S", "abij", ArrayKind::Output);
+        contraction(&mut p, &space, [t1, b, d], "bcdefl");
+        contraction(&mut p, &space, [t2, t1, c], "bcdfjk");
+        contraction(&mut p, &space, [s, t2, a], "abcijk");
+        p.validate().unwrap();
+        (space, p)
     }
 
     #[test]
     fn op_counts_match_tree_model() {
-        // Unfused program flops must equal the operator-tree cost: 6·N^6.
-        let (space, tensors, tree) = fig1(5);
-        let built = unfused_program(&tree, &space, &tensors, "S");
-        let ops = op_counts(&built.program, &space);
+        // Fig. 1(b)'s flops are Fig. 1(a)'s tree cost: 3 · 2·N^6.
+        let (space, p) = fig1b(5);
+        let ops = op_counts(&p, &space);
         assert_eq!(ops.contraction_flops, 6 * 5u128.pow(6));
-        assert_eq!(ops.contraction_flops, tree.total_ops(&space));
         assert_eq!(ops.func_evals, 0);
     }
 
     #[test]
     fn memory_report_totals() {
-        let (space, tensors, tree) = fig1(4);
-        let built = unfused_program(&tree, &space, &tensors, "S");
-        let mem = memory_report(&built.program, &space);
+        let (space, p) = fig1b(4);
+        let mem = memory_report(&p, &space);
         // T1, T2, S at N^4 each; inputs 4·N^4.
         assert_eq!(mem.temp_elements, 3 * 256);
         assert_eq!(mem.input_elements, 4 * 256);
@@ -222,17 +278,34 @@ mod tests {
 
     #[test]
     fn func_eval_counting() {
+        // E = Σ_ce f1(c,e)·f2(c,e), both functions materialized first.
         let mut space = IndexSpace::new();
-        let n = space.add_range("V", 6);
-        let c = space.add_var("c", n);
-        let e = space.add_var("e", n);
-        let tensors = TensorTable::new();
-        let mut tree = OpTree::new();
-        let f1 = tree.leaf_func("f1", vec![c, e], 1000);
-        let f2 = tree.leaf_func("f2", vec![c, e], 500);
-        tree.contract(f1, f2, IndexSet::EMPTY);
-        let built = unfused_program(&tree, &space, &tensors, "E");
-        let ops = op_counts(&built.program, &space);
+        let r = space.add_range("V", 6);
+        space.add_vars("c e", r);
+        let mut p = program_over(&space);
+        let eval = |p: &mut LoopProgram, name: &str, cost| {
+            let func = p.add_func(name, cost);
+            let t = array(
+                p,
+                &space,
+                &format!("T{}", func.0 + 1),
+                "ce",
+                ArrayKind::Intermediate,
+            );
+            let lhs = at(p, t);
+            let args = lhs.subs.clone();
+            p.body.push(nest(
+                loops(&space, "ce"),
+                vec![Stmt::Eval { lhs, func, args }],
+            ));
+            t
+        };
+        let t1 = eval(&mut p, "f1", 1000);
+        let t2 = eval(&mut p, "f2", 500);
+        let e = array(&mut p, &space, "E", "", ArrayKind::Output);
+        contraction(&mut p, &space, [e, t1, t2], "ce");
+        p.validate().unwrap();
+        let ops = op_counts(&p, &space);
         assert_eq!(ops.func_evals, 2 * 36);
         assert_eq!(ops.func_flops, 36 * 1000 + 36 * 500);
         assert_eq!(ops.contraction_flops, 2 * 36);
@@ -241,35 +314,31 @@ mod tests {
 
     #[test]
     fn distinct_accesses_full_program() {
-        let (space, tensors, tree) = fig1(3);
-        let built = unfused_program(&tree, &space, &tensors, "S");
+        let (space, p) = fig1b(3);
         let n4 = 81u128;
         // Nest 1 touches T1, B, D; nest 2 T2, T1, C; nest 3 S, T2, A.
         // T1 and T2 recur with identical reference patterns and are counted
         // once: 7 distinct patterns of N^4 elements each.
-        let p = &built.program;
         let mut varying = vec![false; p.vars.len()];
-        assert_eq!(distinct_accesses(p, &space, &p.body, &mut varying), 7 * n4);
+        assert_eq!(distinct_accesses(&p, &space, &p.body, &mut varying), 7 * n4);
     }
 
     #[test]
     fn distinct_accesses_respects_fixed_outer_vars() {
         // For the T1 production nest alone with b,c fixed (varying only
         // d,e,f,l): T1[b,c,d,f] spans N^2, B[b,e,f,l] N^3, D[c,d,e,l] N^3.
-        let (space, tensors, tree) = fig1(3);
-        let built = unfused_program(&tree, &space, &tensors, "S");
+        let (space, p) = fig1b(3);
         // body[1] is the T1 nest: for b { for c { for d … } } — descend two
         // levels so b, c stay fixed.
-        let nest = &built.program.body[1];
-        let inner2 = match nest {
+        let inner2 = match &p.body[1] {
             Stmt::Loop { body, .. } => match &body[0] {
                 Stmt::Loop { body, .. } => body,
                 _ => panic!(),
             },
             _ => panic!(),
         };
-        let mut varying = vec![false; built.program.vars.len()];
-        let got = distinct_accesses(&built.program, &space, inner2, &mut varying);
+        let mut varying = vec![false; p.vars.len()];
+        let got = distinct_accesses(&p, &space, inner2, &mut varying);
         assert_eq!(got, 9 + 27 + 27);
         // The helper restores `varying`.
         assert!(varying.iter().all(|&b| !b));

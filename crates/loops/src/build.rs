@@ -1,14 +1,10 @@
-//! Construction of loop programs from operator trees.
-//!
-//! [`unfused_program`] produces the *direct* implementation of a formula
-//! sequence — one perfect loop nest per contraction (paper Fig. 1(b)) and
-//! one per function-evaluation leaf (Fig. 2) — with every intermediate
-//! stored at full size.  This is the starting point that the memory
-//! minimization (fusion), space-time and locality stages transform.
+//! The loop-program shapes shared by every lowering: [`BuiltProgram`]
+//! (a program plus the arrays of its tree's nodes) and [`nest`].  The
+//! direct implementation of a tree (paper Fig. 1(b), Fig. 2) is
+//! `tce_fusion::lowered_program` under the unfused lowering.
 
-use crate::ir::{ARef, ArrayId, ArrayKind, LoopProgram, LoopVarId, Stmt, Sub, VarRange};
+use crate::ir::{ArrayId, LoopProgram, LoopVarId, Stmt};
 use std::collections::HashMap;
-use tce_ir::{IndexSpace, IndexVar, Leaf, NodeId, OpKind, OpTree, TensorTable};
 
 /// Result of building a program from a tree: the program plus the mapping
 /// from tree nodes to the arrays holding their values.
@@ -20,137 +16,6 @@ pub struct BuiltProgram {
     pub node_array: Vec<ArrayId>,
     /// Loop variable for each source index used (by `IndexVar.0`).
     pub index_var: HashMap<u8, LoopVarId>,
-}
-
-/// Dimension order used for intermediate arrays: ascending index-variable
-/// id (the order `IndexSet::iter` yields).
-pub fn canonical_dims(set: tce_ir::IndexSet) -> Vec<IndexVar> {
-    set.iter().collect()
-}
-
-/// Build the unfused (direct) implementation of `tree`.
-///
-/// `result_name` names the root array; intermediates are named `T1, T2, …`
-/// in evaluation order; input arrays take their declared tensor names.
-pub fn unfused_program(
-    tree: &OpTree,
-    space: &IndexSpace,
-    tensors: &TensorTable,
-    result_name: &str,
-) -> BuiltProgram {
-    let mut p = LoopProgram::new();
-    let mut index_var: HashMap<u8, LoopVarId> = HashMap::new();
-    let mut node_array: Vec<ArrayId> = vec![ArrayId(u32::MAX); tree.len()];
-    let mut temp_counter = 0usize;
-
-    // Declare one loop variable per source index in use.
-    fn var_of(
-        p: &mut LoopProgram,
-        index_var: &mut HashMap<u8, LoopVarId>,
-        v: IndexVar,
-        space: &IndexSpace,
-    ) -> LoopVarId {
-        if let Some(&lv) = index_var.get(&v.0) {
-            return lv;
-        }
-        let lv = p.add_var(space.var_name(v), VarRange::Full(v));
-        index_var.insert(v.0, lv);
-        lv
-    }
-
-    for id in tree.postorder() {
-        match &tree.node(id).kind {
-            OpKind::Leaf(Leaf::Input { tensor, indices }) => {
-                let dims = indices.iter().map(|&v| VarRange::Full(v)).collect();
-                let arr = p.add_array(&tensors.get(*tensor).name, dims, ArrayKind::Input(*tensor));
-                node_array[id.0 as usize] = arr;
-            }
-            OpKind::Leaf(Leaf::One) => {
-                let arr = p.add_array("one", Vec::new(), ArrayKind::One);
-                node_array[id.0 as usize] = arr;
-            }
-            OpKind::Leaf(Leaf::Func {
-                name,
-                indices,
-                cost_per_eval,
-            }) => {
-                // Materialize the function values into a full-size array
-                // with one perfect nest (Fig. 2's T1/T2 production loops).
-                let func = p.add_func(name, *cost_per_eval);
-                let dims: Vec<VarRange> = indices.iter().map(|&v| VarRange::Full(v)).collect();
-                temp_counter += 1;
-                let arr = p.add_array(&format!("T{temp_counter}"), dims, ArrayKind::Intermediate);
-                node_array[id.0 as usize] = arr;
-                let loop_vars: Vec<LoopVarId> = indices
-                    .iter()
-                    .map(|&v| var_of(&mut p, &mut index_var, v, space))
-                    .collect();
-                let stmt = Stmt::Eval {
-                    lhs: ARef {
-                        array: arr,
-                        subs: loop_vars.iter().map(|&lv| Sub::Var(lv)).collect(),
-                    },
-                    func,
-                    args: loop_vars.iter().map(|&lv| Sub::Var(lv)).collect(),
-                };
-                p.body.push(nest(loop_vars, vec![stmt]));
-            }
-            OpKind::Contract { left, right } => {
-                let out_dims = canonical_dims(tree.node(id).indices);
-                let dims: Vec<VarRange> = out_dims.iter().map(|&v| VarRange::Full(v)).collect();
-                let (name, kind) = if id == tree.root {
-                    (result_name.to_string(), ArrayKind::Output)
-                } else {
-                    temp_counter += 1;
-                    (format!("T{temp_counter}"), ArrayKind::Intermediate)
-                };
-                let arr = p.add_array(&name, dims, kind);
-                node_array[id.0 as usize] = arr;
-
-                let loop_idx = canonical_dims(tree.loop_indices(id));
-                let loop_vars: Vec<LoopVarId> = loop_idx
-                    .iter()
-                    .map(|&v| var_of(&mut p, &mut index_var, v, space))
-                    .collect();
-                let ref_for = |node: NodeId, p: &LoopProgram| -> ARef {
-                    let arr = node_array[node.0 as usize];
-                    let subs = array_subs(p, arr, &index_var);
-                    ARef { array: arr, subs }
-                };
-                let lhs = ref_for(id, &p);
-                let rl = ref_for(*left, &p);
-                let rr = ref_for(*right, &p);
-                p.body.push(Stmt::Init { array: arr });
-                p.body.push(nest(
-                    loop_vars,
-                    vec![Stmt::Accum {
-                        lhs,
-                        rhs: vec![rl, rr],
-                        coeff: 1.0,
-                    }],
-                ));
-            }
-        }
-    }
-
-    BuiltProgram {
-        program: p,
-        node_array,
-        index_var,
-    }
-}
-
-/// Subscripts for a full (untiled, unfused) array: one `Sub::Var` per
-/// dimension, using the loop variable of that dimension's source index.
-fn array_subs(p: &LoopProgram, arr: ArrayId, index_var: &HashMap<u8, LoopVarId>) -> Vec<Sub> {
-    p.array(arr)
-        .dims
-        .iter()
-        .map(|d| match *d {
-            VarRange::Full(v) => Sub::Var(index_var[&v.0]),
-            _ => unreachable!("unfused arrays have full dims"),
-        })
-        .collect()
 }
 
 /// Wrap statements in a loop nest over `vars` (outermost first).
@@ -168,104 +33,8 @@ pub fn nest(vars: Vec<LoopVarId>, mut body: Vec<Stmt>) -> Stmt {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tce_ir::{IndexSet, TensorDecl};
-
-    /// Fig 1(a) tree: T1 = B·D, T2 = T1·C, S = T2·A.
-    fn fig1() -> (IndexSpace, TensorTable, OpTree) {
-        let mut space = IndexSpace::new();
-        let n = space.add_range("N", 4);
-        let vs = space.add_vars("a b c d e f i j k l", n);
-        let (a, b, c, d, e, f, i, j, k, l) = (
-            vs[0], vs[1], vs[2], vs[3], vs[4], vs[5], vs[6], vs[7], vs[8], vs[9],
-        );
-        let mut tensors = TensorTable::new();
-        let ta = tensors.add(TensorDecl::dense("A", vec![n; 4]));
-        let tb = tensors.add(TensorDecl::dense("B", vec![n; 4]));
-        let tc = tensors.add(TensorDecl::dense("C", vec![n; 4]));
-        let td = tensors.add(TensorDecl::dense("D", vec![n; 4]));
-        let mut tree = OpTree::new();
-        let lb = tree.leaf_input(tb, vec![b, e, f, l]);
-        let ld = tree.leaf_input(td, vec![c, d, e, l]);
-        let t1 = tree.contract(lb, ld, IndexSet::from_vars([b, c, d, f]));
-        let lc = tree.leaf_input(tc, vec![d, f, j, k]);
-        let t2 = tree.contract(t1, lc, IndexSet::from_vars([b, c, j, k]));
-        let la = tree.leaf_input(ta, vec![a, c, i, k]);
-        tree.contract(t2, la, IndexSet::from_vars([a, b, i, j]));
-        (space, tensors, tree)
-    }
-
-    #[test]
-    fn builds_valid_unfused_program() {
-        let (space, tensors, tree) = fig1();
-        let built = unfused_program(&tree, &space, &tensors, "S");
-        built.program.validate().unwrap();
-        // 4 inputs + T1 + T2 + S = 7 arrays; 3 nests + 3 inits = 6 stmts.
-        assert_eq!(built.program.arrays.len(), 7);
-        assert_eq!(built.program.body.len(), 6);
-        assert_eq!(built.program.vars.len(), 10);
-    }
-
-    #[test]
-    fn intermediate_arrays_have_full_dims() {
-        let (space, tensors, tree) = fig1();
-        let built = unfused_program(&tree, &space, &tensors, "S");
-        let t1 = built
-            .program
-            .arrays
-            .iter()
-            .find(|a| a.name == "T1")
-            .unwrap();
-        assert_eq!(t1.dims.len(), 4);
-        assert_eq!(t1.elements(&space), 256); // N^4 at N=4
-        let s = built.program.arrays.iter().find(|a| a.name == "S").unwrap();
-        assert!(matches!(s.kind, ArrayKind::Output));
-    }
-
-    #[test]
-    fn func_leaves_get_production_nests() {
-        // E = Σ_ce f1(c,e)·g(c,e) — two function leaves, each materialized.
-        let mut space = IndexSpace::new();
-        let n = space.add_range("V", 3);
-        let c = space.add_var("c", n);
-        let e = space.add_var("e", n);
-        let tensors = TensorTable::new();
-        let mut tree = OpTree::new();
-        let f1 = tree.leaf_func("f1", vec![c, e], 1000);
-        let f2 = tree.leaf_func("f2", vec![c, e], 1000);
-        tree.contract(f1, f2, IndexSet::EMPTY);
-        let built = unfused_program(&tree, &space, &tensors, "E");
-        built.program.validate().unwrap();
-        assert_eq!(built.program.funcs.len(), 2);
-        // Two eval nests + init + contraction nest.
-        assert_eq!(built.program.body.len(), 4);
-        let t1 = built
-            .program
-            .arrays
-            .iter()
-            .find(|a| a.name == "T1")
-            .unwrap();
-        assert_eq!(t1.elements(&space), 9);
-    }
-
-    #[test]
-    fn one_leaf_becomes_constant_array() {
-        let mut space = IndexSpace::new();
-        let n = space.add_range("N", 5);
-        let i = space.add_var("i", n);
-        let mut tensors = TensorTable::new();
-        let ta = tensors.add(TensorDecl::dense("A", vec![n]));
-        let mut tree = OpTree::new();
-        let la = tree.leaf_input(ta, vec![i]);
-        let one = tree.leaf_one();
-        tree.contract(la, one, IndexSet::EMPTY);
-        let built = unfused_program(&tree, &space, &tensors, "E");
-        built.program.validate().unwrap();
-        assert!(built
-            .program
-            .arrays
-            .iter()
-            .any(|a| matches!(a.kind, ArrayKind::One)));
-    }
+    use crate::ir::{ArrayKind, VarRange};
+    use tce_ir::IndexSpace;
 
     #[test]
     fn nest_wraps_outermost_first() {

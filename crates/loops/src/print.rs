@@ -118,35 +118,14 @@ fn render_ref(p: &LoopProgram, r: &ARef) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build::unfused_program;
-    use tce_ir::{IndexSet, IndexSpace, OpTree, TensorDecl, TensorTable};
+    use tce_ir::IndexSpace;
 
     #[test]
     fn prints_fig1b_shape() {
-        // Build the Fig 1(a) tree and check the unfused pseudocode shows
-        // three collapsed nests.
-        let mut space = IndexSpace::new();
-        let n = space.add_range("N", 4);
-        let vs = space.add_vars("a b c d e f i j k l", n);
-        let (a, b, c, d, e, f, i, j, k, l) = (
-            vs[0], vs[1], vs[2], vs[3], vs[4], vs[5], vs[6], vs[7], vs[8], vs[9],
-        );
-        let mut tensors = TensorTable::new();
-        let ta = tensors.add(TensorDecl::dense("A", vec![n; 4]));
-        let tb = tensors.add(TensorDecl::dense("B", vec![n; 4]));
-        let tc = tensors.add(TensorDecl::dense("C", vec![n; 4]));
-        let td = tensors.add(TensorDecl::dense("D", vec![n; 4]));
-        let mut tree = OpTree::new();
-        let lb = tree.leaf_input(tb, vec![b, e, f, l]);
-        let ld = tree.leaf_input(td, vec![c, d, e, l]);
-        let t1 = tree.contract(lb, ld, IndexSet::from_vars([b, c, d, f]));
-        let lc = tree.leaf_input(tc, vec![d, f, j, k]);
-        let t2 = tree.contract(t1, lc, IndexSet::from_vars([b, c, j, k]));
-        let la = tree.leaf_input(ta, vec![a, c, i, k]);
-        tree.contract(t2, la, IndexSet::from_vars([a, b, i, j]));
-
-        let built = unfused_program(&tree, &space, &tensors, "S");
-        let text = pretty(&built.program);
+        // The direct program of Fig. 1(a)'s tree prints as three collapsed
+        // nests.
+        let (_, p) = crate::analysis::tests::fig1b(4);
+        let text = pretty(&p);
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines[0], "T1 = 0");
         assert_eq!(lines[1], "for b, c, d, e, f, l");

@@ -1,13 +1,14 @@
 //! Multi-term optimization and common-subexpression factorization.
 //!
 //! A statement may sum several product terms (the paper's `A3A` energy
-//! expression sums six `X·Y` contributions).  [`MultiResult::count`]
-//! identifies identical intermediates across the terms' trees by
-//! canonical hashing (exploiting commutativity: `X·Y` and `Y·X` share a
-//! key) so shared contractions and shared expensive function evaluations
-//! are only paid once; synthesis applies it to the trees it planned, and
-//! [`optimize_assignment`] to the operation-minimal tree of each term (the
-//! first point of [`optimize_pareto`]).  This is the distributivity-aware
+//! expression sums six `X·Y` contributions).  [`optimize_assignment`]
+//! takes the operation-minimal tree of each term (the first point of
+//! [`optimize_pareto`], which synthesis plans unless a memory limit
+//! intervenes) and identifies identical
+//! intermediates across the terms' trees by canonical hashing (exploiting
+//! commutativity: `X·Y` and `Y·X` share a key) so shared contractions and
+//! shared expensive function evaluations are only paid once.  Execution
+//! does not share them yet.  This is the distributivity-aware
 //! part of the paper's "Algebraic Transformations" module: it searches
 //! over term-local parenthesizations and then *factors* the common
 //! subexpressions the search exposes.
@@ -85,8 +86,7 @@ impl MultiResult {
     /// Sharing statistics of already-chosen term trees (one per term, in
     /// source order): every tree's operations, and the operations left
     /// when each distinct subtree is evaluated once.
-    #[must_use]
-    pub fn count(terms: Vec<(f64, OpTree)>, space: &IndexSpace) -> Self {
+    fn count(terms: Vec<(f64, OpTree)>, space: &IndexSpace) -> Self {
         let mut ops_independent: u128 = 0;
         let mut ops_with_cse: u128 = 0;
         let mut seen: HashMap<String, ()> = HashMap::new();

@@ -29,5 +29,5 @@ pub use grid::{myrange, owner_of, ProcessorGrid};
 pub use lru::{CacheStats, ShardedLru};
 pub use pool::{
     block_ranges, default_threads, parallel_chunks_mut, parallel_for, parallel_map,
-    threads_env_requested, Pool, SharedCounter,
+    threads_env_requested, Pool,
 };

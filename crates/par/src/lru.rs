@@ -173,23 +173,6 @@ impl<K: Hash + Eq + Clone, V> ShardedLru<K, V> {
         Ok((value, false))
     }
 
-    /// Re-split a new total `capacity` over the shards, evicting
-    /// least-recently-used entries immediately where a shard is over its
-    /// new share; returns the previous total.
-    pub fn set_capacity(&self, capacity: usize) -> usize {
-        let mut old_total = 0;
-        for (i, shard) in self.shards.iter().enumerate() {
-            let mut store = shard.store.lock().unwrap_or_else(|e| e.into_inner());
-            old_total += store.capacity;
-            store.capacity = shard_capacity(capacity, self.shards.len(), i);
-            while store.map.len() > store.capacity {
-                store.evict_oldest();
-                self.count(&shard.evictions, 2);
-            }
-        }
-        old_total
-    }
-
     /// Current number of cached entries across all shards.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -290,21 +273,6 @@ mod tests {
         assert!(cache.is_empty());
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.evictions), (0, 10, 10));
-    }
-
-    #[test]
-    fn set_capacity_evicts_down_to_the_new_bound_and_reports_the_old() {
-        let cache: ShardedLru<u64, u64> = ShardedLru::new(16, 4);
-        for k in 0..16u64 {
-            cache.get_or_insert_with(&k, || k);
-        }
-        let before = cache.len();
-        assert_eq!(cache.set_capacity(3), 16);
-        assert!(cache.len() <= 3);
-        let s = cache.stats();
-        assert!(s.evictions >= (before - cache.len()) as u64);
-        assert_eq!(s.misses - s.evictions, cache.len() as u64);
-        assert_eq!(cache.set_capacity(16), 3);
     }
 
     #[test]

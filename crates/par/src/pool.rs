@@ -421,32 +421,13 @@ where
         .collect()
 }
 
-/// A monotone counter shared across workers (used by the executor to count
-/// operations without locks on the hot path — each worker batches locally
-/// and flushes once).
-#[derive(Debug, Default)]
-pub struct SharedCounter(AtomicUsize);
-
-impl SharedCounter {
-    /// New counter at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add `n`.
-    pub fn add(&self, n: usize) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> usize {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn bump(counter: &AtomicUsize, n: usize) {
+        counter.fetch_add(n, Ordering::Relaxed);
+    }
 
     #[test]
     fn block_ranges_cover_exactly() {
@@ -504,13 +485,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_counter_accumulates_across_threads() {
-        let c = SharedCounter::new();
-        parallel_for(100, 4, |r| c.add(r.len()));
-        assert_eq!(c.get(), 100);
-    }
-
-    #[test]
     fn default_threads_positive() {
         assert!(default_threads() >= 1);
     }
@@ -519,31 +493,31 @@ mod tests {
     fn pool_reuses_workers_across_jobs() {
         let pool = Pool::new(3);
         assert_eq!(pool.workers(), 3);
-        let c = SharedCounter::new();
+        let c = AtomicUsize::new(0);
         for _ in 0..50 {
-            pool.run(16, &|_| c.add(1));
+            pool.run(16, &|_| bump(&c, 1));
         }
-        assert_eq!(c.get(), 50 * 16);
+        assert_eq!(c.load(Ordering::Relaxed), 50 * 16);
         assert_eq!(pool.workers(), 3); // no respawn per job
     }
 
     #[test]
     fn pool_nested_submission_runs_inline() {
         let pool = Pool::new(2);
-        let c = SharedCounter::new();
+        let c = AtomicUsize::new(0);
         pool.run(4, &|_| {
             // A task submitting to the same pool must not deadlock.
-            pool.run(4, &|_| c.add(1));
+            pool.run(4, &|_| bump(&c, 1));
         });
-        assert_eq!(c.get(), 16);
+        assert_eq!(c.load(Ordering::Relaxed), 16);
     }
 
     #[test]
     fn pool_with_zero_workers_runs_on_caller() {
         let pool = Pool::new(0);
-        let c = SharedCounter::new();
-        pool.run(10, &|_| c.add(1));
-        assert_eq!(c.get(), 10);
+        let c = AtomicUsize::new(0);
+        pool.run(10, &|_| bump(&c, 1));
+        assert_eq!(c.load(Ordering::Relaxed), 10);
     }
 
     #[test]
@@ -558,9 +532,9 @@ mod tests {
         }));
         assert!(r.is_err());
         // Pool is still usable after a panicked job.
-        let c = SharedCounter::new();
-        pool.run(8, &|_| c.add(1));
-        assert_eq!(c.get(), 8);
+        let c = AtomicUsize::new(0);
+        pool.run(8, &|_| bump(&c, 1));
+        assert_eq!(c.load(Ordering::Relaxed), 8);
     }
 
     /// Tiny xorshift for property tests (no external deps; tce-ir's Rng
@@ -634,9 +608,9 @@ mod tests {
         }));
         assert!(r.is_err(), "panic must still propagate to the submitter");
         // The global pool keeps working afterwards.
-        let total = SharedCounter::new();
-        parallel_for(100, 4, |r| total.add(r.len()));
-        assert_eq!(total.get(), 100);
+        let total = AtomicUsize::new(0);
+        parallel_for(100, 4, |r| bump(&total, r.len()));
+        assert_eq!(total.load(Ordering::Relaxed), 100);
         let mapped = parallel_map(10, 4, |i| i + 1);
         assert_eq!(mapped.iter().sum::<usize>(), 55);
     }
@@ -659,9 +633,13 @@ mod tests {
             }));
             assert!(r.is_err(), "round {round}: panic must propagate");
             // The very next job runs to completion.
-            let c = SharedCounter::new();
-            pool.run(32, &|_| c.add(1));
-            assert_eq!(c.get(), 32, "round {round}: pool degraded after panic");
+            let c = AtomicUsize::new(0);
+            pool.run(32, &|_| bump(&c, 1));
+            assert_eq!(
+                c.load(Ordering::Relaxed),
+                32,
+                "round {round}: pool degraded after panic"
+            );
         }
         // parallel_map on the global pool also survives injected panics.
         let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
@@ -683,16 +661,16 @@ mod tests {
     #[test]
     fn pool_drop_joins_all_workers() {
         let pool = Pool::new(3);
-        let c = SharedCounter::new();
-        pool.run(8, &|_| c.add(1));
+        let c = AtomicUsize::new(0);
+        pool.run(8, &|_| bump(&c, 1));
         assert_eq!(pool.workers(), 3);
         drop(pool); // must join all three without hanging
     }
 
     #[test]
     fn global_pool_with_entry() {
-        let c = SharedCounter::new();
-        Pool::global().run(32, &|_| c.add(2));
-        assert_eq!(c.get(), 64);
+        let c = AtomicUsize::new(0);
+        Pool::global().run(32, &|_| bump(&c, 2));
+        assert_eq!(c.load(Ordering::Relaxed), 64);
     }
 }

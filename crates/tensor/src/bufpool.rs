@@ -16,11 +16,7 @@
 //!   classified safely.  When accepting a buffer would push the retained
 //!   element total over the cap, it is dropped instead (an **eviction**).
 //!
-//! The retained total is bounded by [`DEFAULT_BUFPOOL_CAP`] elements
-//! ([`set_bufpool_capacity`] changes it at run time).  A cap of **0
-//! disables pooling**: every
-//! acquire is a plain allocation (counted as a miss) and every release a
-//! drop (not counted as an eviction — nothing was ever retained).
+//! The retained total is bounded by [`DEFAULT_BUFPOOL_CAP`] elements.
 //! Hit/miss/evict counters mirror the plan cache's, both as process
 //! globals (for `tce serve` stats) and as `bufpool.*` trace counters.
 
@@ -30,8 +26,7 @@ use std::sync::{Mutex, OnceLock};
 
 /// Default retained-element bound: 1<<22 elements = 32 MiB of `f64`,
 /// enough to recycle every intermediate of the benchmark scenarios while
-/// bounding a long-running serve process.  [`set_bufpool_capacity`]
-/// changes it at run time; 0 disables pooling.
+/// bounding a long-running serve process.
 pub const DEFAULT_BUFPOOL_CAP: u64 = 1 << 22;
 
 /// Shard count (fixed; the pool's keys are size classes, of which a
@@ -48,8 +43,8 @@ struct Shard {
 
 struct BufPool {
     shards: Vec<Shard>,
-    /// Retained-element bound (0 = pooling disabled).
-    cap: AtomicU64,
+    /// Retained-element bound.
+    cap: u64,
     /// Elements currently retained across all shards.
     retained: AtomicU64,
 }
@@ -57,18 +52,7 @@ struct BufPool {
 static BUFPOOL: OnceLock<BufPool> = OnceLock::new();
 
 fn pool() -> &'static BufPool {
-    BUFPOOL.get_or_init(|| BufPool {
-        shards: (0..BUFPOOL_SHARDS)
-            .map(|_| Shard {
-                classes: Mutex::new(HashMap::new()),
-                hits: AtomicU64::new(0),
-                misses: AtomicU64::new(0),
-                evictions: AtomicU64::new(0),
-            })
-            .collect(),
-        cap: AtomicU64::new(DEFAULT_BUFPOOL_CAP),
-        retained: AtomicU64::new(0),
-    })
+    BUFPOOL.get_or_init(|| BufPool::new(DEFAULT_BUFPOOL_CAP))
 }
 
 /// The size class covering `len`: the next power of two (≥ 1).  Classing
@@ -91,149 +75,104 @@ fn file_class(capacity: usize) -> u64 {
     }
 }
 
-fn shard_for(class: u64) -> &'static Shard {
-    let p = pool();
-    // Classes are powers of two; spread consecutive classes across shards.
-    &p.shards[(class.trailing_zeros() as usize) % p.shards.len()]
+impl BufPool {
+    fn new(cap: u64) -> Self {
+        BufPool {
+            shards: (0..BUFPOOL_SHARDS)
+                .map(|_| Shard {
+                    classes: Mutex::new(HashMap::new()),
+                    hits: AtomicU64::new(0),
+                    misses: AtomicU64::new(0),
+                    evictions: AtomicU64::new(0),
+                })
+                .collect(),
+            cap,
+            retained: AtomicU64::new(0),
+        }
+    }
+
+    fn shard_for(&self, class: u64) -> &Shard {
+        // Classes are powers of two; spread consecutive classes across shards.
+        &self.shards[(class.trailing_zeros() as usize) % self.shards.len()]
+    }
+
+    fn acquire(&self, len: usize) -> Vec<f64> {
+        let class = class_of(len);
+        let shard = self.shard_for(class);
+        let recycled = {
+            let mut classes = shard.classes.lock().unwrap_or_else(|e| e.into_inner());
+            classes.get_mut(&class).and_then(Vec::pop)
+        };
+        match recycled {
+            Some(mut buf) => {
+                self.retained.fetch_sub(class, Ordering::Relaxed);
+                shard.hits.fetch_add(1, Ordering::Relaxed);
+                tce_trace::counter("bufpool.hits", 1);
+                debug_assert!(buf.capacity() as u64 >= class.min(usize::MAX as u64));
+                buf.clear();
+                buf.resize(len, 0.0);
+                buf
+            }
+            None => {
+                shard.misses.fetch_add(1, Ordering::Relaxed);
+                tce_trace::counter("bufpool.misses", 1);
+                let mut buf = Vec::with_capacity(class as usize);
+                buf.resize(len, 0.0);
+                buf
+            }
+        }
+    }
+
+    fn release(&self, buf: Vec<f64>) {
+        let class = file_class(buf.capacity());
+        if class == 0 {
+            return; // zero-capacity vec: nothing worth filing
+        }
+        let shard = self.shard_for(class);
+        // Reserve the retained budget optimistically; roll back on overflow.
+        let prev = self.retained.fetch_add(class, Ordering::Relaxed);
+        if prev + class > self.cap {
+            self.retained.fetch_sub(class, Ordering::Relaxed);
+            shard.evictions.fetch_add(1, Ordering::Relaxed);
+            tce_trace::counter("bufpool.evictions", 1);
+            return;
+        }
+        let mut classes = shard.classes.lock().unwrap_or_else(|e| e.into_inner());
+        classes.entry(class).or_default().push(buf);
+    }
+
+    /// `(hits, misses, evictions)` summed over all shards.
+    fn stats(&self) -> (u64, u64, u64) {
+        self.shards.iter().fold((0, 0, 0), |acc, s| {
+            (
+                acc.0 + s.hits.load(Ordering::Relaxed),
+                acc.1 + s.misses.load(Ordering::Relaxed),
+                acc.2 + s.evictions.load(Ordering::Relaxed),
+            )
+        })
+    }
 }
 
 /// A zero-filled buffer of exactly `len` elements, recycled from the pool
 /// when a buffer of `len`'s size class is available.
 pub fn acquire(len: usize) -> Vec<f64> {
-    let p = pool();
-    if p.cap.load(Ordering::Relaxed) == 0 {
-        // Pooling disabled: plain allocation, counted as a miss so the
-        // hit-rate denominator stays meaningful.
-        let shard = shard_for(class_of(len));
-        shard.misses.fetch_add(1, Ordering::Relaxed);
-        tce_trace::counter("bufpool.misses", 1);
-        return vec![0.0; len];
-    }
-    let class = class_of(len);
-    let shard = shard_for(class);
-    let recycled = {
-        let mut classes = shard.classes.lock().unwrap_or_else(|e| e.into_inner());
-        classes.get_mut(&class).and_then(Vec::pop)
-    };
-    match recycled {
-        Some(mut buf) => {
-            p.retained.fetch_sub(class, Ordering::Relaxed);
-            shard.hits.fetch_add(1, Ordering::Relaxed);
-            tce_trace::counter("bufpool.hits", 1);
-            debug_assert!(buf.capacity() as u64 >= class.min(usize::MAX as u64));
-            buf.clear();
-            buf.resize(len, 0.0);
-            buf
-        }
-        None => {
-            shard.misses.fetch_add(1, Ordering::Relaxed);
-            tce_trace::counter("bufpool.misses", 1);
-            let mut buf = Vec::with_capacity(class as usize);
-            buf.resize(len, 0.0);
-            buf
-        }
-    }
+    pool().acquire(len)
 }
 
-/// Return a buffer to the pool (dropping it when pooling is disabled, the
-/// buffer is too small to file, or retaining it would exceed the cap).
+/// Return a buffer to the pool (dropping it when it is too small to file
+/// or retaining it would exceed the cap).
 pub fn release(buf: Vec<f64>) {
-    let p = pool();
-    let cap = p.cap.load(Ordering::Relaxed);
-    if cap == 0 {
-        return; // pooling disabled: plain drop, nothing was retained
-    }
-    let class = file_class(buf.capacity());
-    if class == 0 {
-        return; // zero-capacity vec: nothing worth filing
-    }
-    // Reserve the retained budget optimistically; roll back on overflow.
-    let prev = p.retained.fetch_add(class, Ordering::Relaxed);
-    if prev + class > cap {
-        p.retained.fetch_sub(class, Ordering::Relaxed);
-        let shard = shard_for(class);
-        shard.evictions.fetch_add(1, Ordering::Relaxed);
-        tce_trace::counter("bufpool.evictions", 1);
-        return;
-    }
-    let shard = shard_for(class);
-    let mut classes = shard.classes.lock().unwrap_or_else(|e| e.into_inner());
-    classes.entry(class).or_default().push(buf);
+    pool().release(buf);
 }
 
 /// `(hits, misses, evictions)` summed over all shards.
 pub fn bufpool_stats() -> (u64, u64, u64) {
-    pool().shards.iter().fold((0, 0, 0), |acc, s| {
-        (
-            acc.0 + s.hits.load(Ordering::Relaxed),
-            acc.1 + s.misses.load(Ordering::Relaxed),
-            acc.2 + s.evictions.load(Ordering::Relaxed),
-        )
-    })
-}
-
-/// Per-shard `(hits, misses, evictions)`.
-pub fn bufpool_shard_stats() -> Vec<(u64, u64, u64)> {
-    pool()
-        .shards
-        .iter()
-        .map(|s| {
-            (
-                s.hits.load(Ordering::Relaxed),
-                s.misses.load(Ordering::Relaxed),
-                s.evictions.load(Ordering::Relaxed),
-            )
-        })
-        .collect()
-}
-
-/// Buffers currently retained across all shards.
-pub fn bufpool_len() -> usize {
-    pool()
-        .shards
-        .iter()
-        .map(|s| {
-            s.classes
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .values()
-                .map(Vec::len)
-                .sum::<usize>()
-        })
-        .sum()
+    pool().stats()
 }
 
 /// Elements currently retained (each buffer accounted at its size class).
 pub fn bufpool_retained_elements() -> u64 {
     pool().retained.load(Ordering::Relaxed)
-}
-
-/// Set the retained-element cap (0 disables pooling), dropping retained
-/// buffers immediately if over the new bound; returns the previous cap.
-pub fn set_bufpool_capacity(cap: u64) -> u64 {
-    let p = pool();
-    let old = p.cap.swap(cap, Ordering::Relaxed);
-    for shard in &p.shards {
-        let mut classes = shard.classes.lock().unwrap_or_else(|e| e.into_inner());
-        // Drop largest-first until the retained total fits.
-        let mut order: Vec<u64> = classes.keys().copied().collect();
-        order.sort_unstable_by(|a, b| b.cmp(a));
-        for class in order {
-            while p.retained.load(Ordering::Relaxed) > cap {
-                let Some(bufs) = classes.get_mut(&class) else {
-                    break;
-                };
-                if bufs.pop().is_none() {
-                    break;
-                }
-                p.retained.fetch_sub(class, Ordering::Relaxed);
-                shard.evictions.fetch_add(1, Ordering::Relaxed);
-                tce_trace::counter("bufpool.evictions", 1);
-            }
-        }
-        classes.retain(|_, bufs| !bufs.is_empty());
-    }
-    old
 }
 
 #[cfg(test)]
@@ -258,10 +197,9 @@ mod tests {
         }
     }
 
-    /// Only race-safe assertions live here: the pool is process-global
-    /// and other tensor unit tests use it concurrently through the GETT
-    /// engine, so exact length/counter checks belong to the isolated
-    /// integration stress test (tests/bufpool_stress.rs).
+    /// The process-wide pool is shared with every other unit test that
+    /// runs the GETT engine, so only race-safe assertions use it; exact
+    /// counts use a private pool.
     #[test]
     fn acquire_always_returns_zero_filled_buffers() {
         let mut a = acquire(100);
@@ -273,5 +211,46 @@ mod tests {
             assert!(b.iter().all(|&x| x == 0.0), "buffer not zeroed");
             release(b);
         }
+    }
+
+    #[test]
+    fn tight_cap_under_contention_keeps_counters_and_bound() {
+        // Cap at 4096 elements: the mixed working set below wants far more,
+        // so threads constantly race hits, misses, and cap-overflow evictions.
+        let pool = BufPool::new(4096);
+        let (threads, rounds) = (8, 200);
+        // Several size classes (16 … 4096 elements), so several shards are
+        // in play.
+        let lens = [16usize, 64, 512, 1024, 4096];
+        std::thread::scope(|s| {
+            for t in 0..threads {
+                let pool = &pool;
+                s.spawn(move || {
+                    for r in 0..rounds {
+                        let mut buf = pool.acquire(lens[(t + r) % lens.len()]);
+                        // Recycled buffers must come back zeroed no matter
+                        // how the previous owner dirtied them.
+                        assert!(buf.iter().all(|&x| x == 0.0), "pooled buffer not zeroed");
+                        buf.iter_mut().for_each(|x| *x = t as f64);
+                        pool.release(buf);
+                    }
+                });
+            }
+        });
+
+        // Every acquire was counted exactly once, as a hit or a miss.
+        let (hits, misses, _) = pool.stats();
+        assert_eq!(hits + misses, (threads * rounds) as u64);
+        assert!(hits > 0, "a hot loop over 5 sizes never hit the pool");
+        // The cap is a hard bound on what the pool retains.
+        let retained = pool.retained.load(Ordering::Relaxed);
+        assert!(retained <= 4096, "retained {retained} elements > cap 4096");
+
+        // A released buffer is reused by the next acquire of its class.
+        pool.release(pool.acquire(64));
+        let before = pool.stats();
+        let reused = pool.acquire(64);
+        assert_eq!(pool.stats().0, before.0 + 1, "recycled buffer not reused");
+        pool.release(reused);
     }
 }

@@ -10,6 +10,7 @@
 //! into operator trees.
 
 use crate::dense::Tensor;
+use crate::einsum::EinsumSpec;
 use tce_ir::{IndexSet, IndexSpace, IndexVar};
 
 /// Description of one binary contraction: `out[o…] = Σ_{contracted}
@@ -75,7 +76,8 @@ impl BinaryContraction {
     }
 }
 
-/// Naive nested-loop contraction (correctness oracle).
+/// Naive nested-loop contraction (correctness oracle): the two-operand
+/// [`EinsumSpec::eval`], one loop over a ∪ b in ascending index order.
 pub fn contract_naive(
     spec: &BinaryContraction,
     space: &IndexSpace,
@@ -83,42 +85,10 @@ pub fn contract_naive(
     b: &Tensor,
 ) -> Tensor {
     spec.validate().expect("invalid contraction");
-    let all: Vec<IndexVar> = {
-        let sa = IndexSet::from_vars(spec.a.iter().copied());
-        let sb = IndexSet::from_vars(spec.b.iter().copied());
-        sa.union(sb).iter().collect()
-    };
-    let mut pos = [usize::MAX; IndexSet::MAX_VARS];
-    for (p, v) in all.iter().enumerate() {
-        pos[v.0 as usize] = p;
-    }
-    let shape: Vec<usize> = all.iter().map(|&v| space.extent(v)).collect();
-    let out_shape: Vec<usize> = spec.out.iter().map(|&v| space.extent(v)).collect();
-    let mut out = Tensor::zeros(&out_shape);
-
-    let a_pos: Vec<usize> = spec.a.iter().map(|&v| pos[v.0 as usize]).collect();
-    let b_pos: Vec<usize> = spec.b.iter().map(|&v| pos[v.0 as usize]).collect();
-    let o_pos: Vec<usize> = spec.out.iter().map(|&v| pos[v.0 as usize]).collect();
-
-    let total: usize = shape.iter().product::<usize>().max(1);
-    let mut idx = vec![0usize; all.len()];
-    let mut ai = vec![0usize; spec.a.len()];
-    let mut bi = vec![0usize; spec.b.len()];
-    let mut oi = vec![0usize; spec.out.len()];
-    for _ in 0..total {
-        for (d, &p) in a_pos.iter().enumerate() {
-            ai[d] = idx[p];
-        }
-        for (d, &p) in b_pos.iter().enumerate() {
-            bi[d] = idx[p];
-        }
-        for (d, &p) in o_pos.iter().enumerate() {
-            oi[d] = idx[p];
-        }
-        out.add_assign_at(&oi, a.get(&ai) * b.get(&bi));
-        Tensor::advance(&mut idx, &shape);
-    }
-    out
+    let operands = vec![spec.a.clone(), spec.b.clone()];
+    EinsumSpec::new(spec.out.clone(), operands, spec.contracted())
+        .expect("invalid contraction")
+        .eval(space, &[a, b])
 }
 
 /// Sum operand `a` (or `b`) of `spec` — element `idx` read at

@@ -1141,8 +1141,7 @@ impl PlanKey {
     }
 }
 
-/// Plan-cache capacity ([`set_plan_cache_capacity`] changes it at run
-/// time).  Plans are small (offset tables), so a few hundred distinct
+/// Plan-cache capacity.  Plans are small (offset tables), so a few hundred distinct
 /// signatures cover any realistic program while bounding a long-running
 /// process that churns through many shapes (e.g. per-rank local extents
 /// under varying grids).
@@ -1175,7 +1174,7 @@ fn plan_cache() -> &'static ShardedLru<PlanKey, ContractionPlan> {
 /// contraction shapes thousands of times (once per tile / per term), so
 /// plan construction — index classification, offset tables, block-size
 /// autotuning — is paid once per signature.  The cache is LRU-bounded and
-/// sharded by signature hash (see [`set_plan_cache_capacity`]); the shard
+/// sharded by signature hash; the shard
 /// lock is held across plan construction on a miss, so two concurrent
 /// requests for the same signature build it once while requests hashing to
 /// other shards proceed unimpeded.  Shard locks recover from poisoning: the
@@ -1239,21 +1238,9 @@ pub fn plan_cache_shard_stats() -> Vec<(u64, u64, u64)> {
         .collect()
 }
 
-/// Number of plans currently cached (summed over all shards).
-pub fn plan_cache_len() -> usize {
-    plan_cache().len()
-}
-
 /// Number of shards the plan cache is split into.
 pub fn plan_cache_shards() -> usize {
     plan_cache().shard_count()
-}
-
-/// Set the plan-cache total capacity (evicting immediately if over the
-/// new bound) and return the previous total.  The capacity is split
-/// across shards, so the summed entry count never exceeds `capacity`.
-pub fn set_plan_cache_capacity(capacity: usize) -> usize {
-    plan_cache().set_capacity(capacity.max(1))
 }
 
 /// Contract `a` and `b` with the packed GETT engine using `threads`
@@ -1701,34 +1688,36 @@ mod tests {
     #[test]
     fn plan_cache_stays_within_capacity() {
         let _guard = CACHE_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let old_cap = set_plan_cache_capacity(8);
         let (_, _, e0) = plan_cache_stats();
-        // 40 distinct signatures (unique extent vectors) against an
-        // 8-entry bound: the cache must evict, never grow past capacity.
-        for n in 2..42usize {
+        // More distinct signatures (unique extent vectors) than the bound:
+        // the cache must evict, never grow past capacity.
+        let spec_for = |n: usize| {
             let sp = space(&[("x", n), ("y", n + 1), ("z", n + 2)]);
             let spec = BinaryContraction {
                 a: vec![v(&sp, "x"), v(&sp, "z")],
                 b: vec![v(&sp, "z"), v(&sp, "y")],
                 out: vec![v(&sp, "x"), v(&sp, "y")],
             };
+            (spec, sp)
+        };
+        let last = PLAN_CACHE_CAP + 40;
+        for n in 2..=last {
+            let (spec, sp) = spec_for(n);
             let _ = plan_for(&spec, &sp);
-            assert!(plan_cache_len() <= 8, "cache grew to {}", plan_cache_len());
+            assert!(
+                plan_cache().len() <= PLAN_CACHE_CAP,
+                "cache grew to {}",
+                plan_cache().len()
+            );
         }
         let (_, _, e1) = plan_cache_stats();
         assert!(e1 > e0, "insertions past capacity must evict");
         // LRU: the most recent signature survives and still hits.
-        let sp = space(&[("x", 41), ("y", 42), ("z", 43)]);
-        let spec = BinaryContraction {
-            a: vec![v(&sp, "x"), v(&sp, "z")],
-            b: vec![v(&sp, "z"), v(&sp, "y")],
-            out: vec![v(&sp, "x"), v(&sp, "y")],
-        };
+        let (spec, sp) = spec_for(last);
         let (h0, _, _) = plan_cache_stats();
         let _ = plan_for(&spec, &sp);
         let (h1, _, _) = plan_cache_stats();
         assert_eq!(h1, h0 + 1);
-        set_plan_cache_capacity(old_cap);
     }
 
     #[test]

@@ -36,17 +36,13 @@ pub mod integrals;
 pub mod kernels;
 pub mod nest;
 
-pub use bufpool::{
-    bufpool_len, bufpool_retained_elements, bufpool_shard_stats, bufpool_stats,
-    set_bufpool_capacity,
-};
+pub use bufpool::{bufpool_retained_elements, bufpool_stats};
 pub use contract::{contract_naive, reduce_exclusive, BinaryContraction, ExclusiveReduction};
 pub use dense::Tensor;
 pub use einsum::EinsumSpec;
 pub use gett::{
-    contract_gett, contract_gett_with_variant, plan_cache_len, plan_cache_shard_stats,
-    plan_cache_shards, plan_cache_stats, plan_for, plan_for_strided, plan_for_variant,
-    set_plan_cache_capacity, ContractionPlan, SliceOverrun,
+    contract_gett, contract_gett_with_variant, plan_cache_shard_stats, plan_cache_shards,
+    plan_cache_stats, plan_for, plan_for_strided, plan_for_variant, ContractionPlan, SliceOverrun,
 };
 pub use integrals::IntegralFn;
 pub use kernels::{BlockSizes, CacheInfo, KernelConfig, KernelVariant};

@@ -801,7 +801,7 @@ fn fused_and_sequential_sums_agree() {
 }
 
 #[test]
-fn graph_schedule_cli_matches_sequential_sums() {
+fn thread_count_leaves_cli_sums_unchanged() {
     // The thread count is purely a performance knob — every walk runs in
     // order and hands its kernels the threads: `--execute --threads 1/2/4`
     // print the default run's sums exactly.  The retired `--schedule` flag

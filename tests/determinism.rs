@@ -18,10 +18,10 @@ use tce_core::{synthesize, SynthesisConfig};
 
 const THREADS: [usize; 3] = [2, 3, 7];
 
-/// Worker counts for the task-graph sweep against the one-thread walk: at
-/// `w` workers a walk may take up to `w` slots (1 runs inline, the rest
-/// exercise the concurrent ready-queue wherever the work fills them).
-const GRAPH_WORKERS: [usize; 4] = [1, 2, 4, 8];
+/// Worker counts for the sweep against the one-thread run: every walk
+/// runs its nodes in order, and at `w` workers its kernels split their
+/// loops over up to `w` threads (1 runs everything inline).
+const WORKERS: [usize; 4] = [1, 2, 4, 8];
 
 #[test]
 fn a3a_scenario_tree_is_bitwise_deterministic() {
@@ -70,11 +70,10 @@ fn section2_pipeline_is_bitwise_deterministic() {
 }
 
 #[test]
-fn a3a_graph_schedule_is_bitwise_deterministic() {
-    // The dependency-aware task graph over the A3A operator tree must
-    // reproduce the sequential walk bit for bit at every worker count:
-    // scheduling reorders WHEN nodes contract, never the arithmetic
-    // inside a node.
+fn a3a_walk_is_bitwise_deterministic_at_every_worker_count() {
+    // The walk over the A3A operator tree must reproduce the one-thread
+    // run bit for bit at every worker count: workers split a kernel's
+    // loops, never the order of the sums inside a node.
     let sc = A3AScenario::new(10, 4, 25);
     let amp = sc.amplitudes(77);
     let funcs = sc.functions();
@@ -82,7 +81,7 @@ fn a3a_graph_schedule_is_bitwise_deterministic() {
     let mut inputs = HashMap::new();
     inputs.insert(t_id, &amp);
     let seq = execute_tree(&sc.tree, &sc.space, &inputs, &funcs, 1).unwrap();
-    for workers in GRAPH_WORKERS {
+    for workers in WORKERS {
         let opts = ExecOptions::with_threads(workers);
         let got = execute_tree_opts(&sc.tree, &sc.space, &inputs, &funcs, &opts).unwrap();
         assert_eq!(seq, got, "changed bits at {workers} workers");
@@ -90,10 +89,10 @@ fn a3a_graph_schedule_is_bitwise_deterministic() {
 }
 
 #[test]
-fn multi_statement_graph_schedule_is_bitwise_deterministic() {
+fn multi_statement_walk_is_bitwise_deterministic_at_every_worker_count() {
     // A statement sequence with independent chains and a diamond join:
-    // T and U depend only on inputs (they may run concurrently on the
-    // task graph), S joins them, and the accumulate extends S's chain.
+    // T and U depend only on inputs, S joins them, and the accumulate
+    // extends S's chain.  Statements run in source order.
     let src = "
         range N = 6;
         index i, j, k, l : N;
@@ -114,7 +113,7 @@ fn multi_statement_graph_schedule_is_bitwise_deterministic() {
     let seq = syn
         .execute_opts(&ext, &funcs, &ExecOptions::serial())
         .unwrap();
-    for workers in GRAPH_WORKERS {
+    for workers in WORKERS {
         let opts = ExecOptions::with_threads(workers);
         let got = syn.execute_opts(&ext, &funcs, &opts).unwrap();
         assert_eq!(seq.len(), got.len());
@@ -135,8 +134,8 @@ fn accumulate_onto_externally_bound_target_starts_from_zeros_on_every_path() {
     // binding; the `+=` has no prior writer.  The oracle's rule — a `+=`
     // starts from the last *computed* value of its target, else zeros,
     // never from an external binding — must hold at every thread count and
-    // on every executor (the graph statement walker used to accumulate
-    // onto the bound value).
+    // on every executor (a statement scheduler, since deleted, used to
+    // accumulate onto the bound value).
     let n = 5;
     let src = "
         range N = 5;
@@ -178,9 +177,9 @@ fn accumulate_onto_externally_bound_target_starts_from_zeros_on_every_path() {
     assert!(seq[&id("S")].approx_eq(&matmul(&ta, &tb), 1e-10));
     assert!(seq[&id("R")].approx_eq(&matmul(&ts, &tb), 1e-10));
 
-    for workers in GRAPH_WORKERS {
+    for workers in WORKERS {
         let opts = ExecOptions::with_threads(workers);
-        let graph = syn.execute_opts(&ext, &funcs, &opts).unwrap();
+        let tree = syn.execute_opts(&ext, &funcs, &opts).unwrap();
         let fused = syn.execute_fused_opts(&ext, &funcs, &opts).unwrap().outputs;
         let dist = syn
             .execute_distributed_opts(&ext, &funcs, &opts)
@@ -189,7 +188,7 @@ fn accumulate_onto_externally_bound_target_starts_from_zeros_on_every_path() {
         for (tensor, want) in &seq {
             let name = &syn.program.tensors.get(*tensor).name;
             assert_eq!(
-                &graph[tensor], want,
+                &tree[tensor], want,
                 "`{name}` differs between 1 and {workers} workers"
             );
             assert!(fused[tensor].approx_eq(want, 1e-10), "fused `{name}`");
@@ -199,7 +198,7 @@ fn accumulate_onto_externally_bound_target_starts_from_zeros_on_every_path() {
 }
 
 #[test]
-fn section2_graph_schedule_is_bitwise_deterministic() {
+fn section2_walk_is_bitwise_deterministic_at_every_worker_count() {
     let syn = synthesize(&section2_source(5), &SynthesisConfig::default()).unwrap();
     let shape = [5usize; 4];
     let ta = Tensor::random(&shape, 1);
@@ -214,7 +213,7 @@ fn section2_graph_schedule_is_bitwise_deterministic() {
     let seq = syn
         .execute_opts(&ext, &funcs, &ExecOptions::serial())
         .unwrap();
-    for workers in GRAPH_WORKERS {
+    for workers in WORKERS {
         let opts = ExecOptions::with_threads(workers);
         let got = syn.execute_opts(&ext, &funcs, &opts).unwrap();
         for (id, t) in &seq {

@@ -265,11 +265,11 @@ fn dp_plans_agree_with_simulator_and_cost_model() {
 }
 
 #[test]
-fn graph_schedule_matches_sequential_walk_bitwise_with_exact_counters() {
-    // Task-graph scheduling only changes *when* independent subtrees run,
-    // never what each node computes: results must be bit-identical to the
-    // one-thread (one-slot, sequential) walk and every measured/predicted
-    // counter must agree, for every worker count.
+fn sharded_walk_is_bitwise_and_counter_exact_at_every_thread_count() {
+    // The sharded walk runs its nodes in postorder, and threads only split
+    // each rank-local kernel: results must be bit-identical to the
+    // one-thread walk and every measured/predicted counter must agree, for
+    // every thread count.
     for (name, (tree, space, owned, funcs)) in
         [("section2", section2_fixture()), ("a3a", a3a_fixture())]
     {
@@ -289,7 +289,7 @@ fn graph_schedule_matches_sequential_walk_bitwise_with_exact_counters() {
                     .expect("plan covers tree");
                     assert_eq!(
                         g.result, seq.result,
-                        "{name} grid {dims:?} threads {threads}: graph result changed bits"
+                        "{name} grid {dims:?} threads {threads}: result changed bits"
                     );
                     assert_eq!(g.moved_elements, seq.moved_elements, "{name} {dims:?}");
                     assert_eq!(

@@ -661,7 +661,7 @@ fn traced_peak_elements(
 #[test]
 fn traced_high_water_is_the_schedules_static_peak() {
     // Arrays live by the schedule's lifetimes, so the *real* high-water
-    // mark is a static property of the schedule: on one slot the traced
+    // mark is a static property of the schedule: at one thread the traced
     // peak equals `FusionSchedule::sequential_peak`, never more than all
     // arrays at once (`temp_memory` + the root).
     let _exclusive = TRACED_MEMORY.write().unwrap_or_else(|e| e.into_inner());
@@ -677,17 +677,18 @@ fn traced_high_water_is_the_schedules_static_peak() {
         let elements = |n| space.iteration_points(arrays.array_indices(tree, n));
         let static_peak = fusion_schedule(tree, lowering).sequential_peak(elements);
         let all = arrays.temp_memory(tree, space) + elements(tree.root);
-        let one_slot = traced_peak_elements(tree, space, lowering, inputs, funcs, &serial);
+        let serial_peak = traced_peak_elements(tree, space, lowering, inputs, funcs, &serial);
         let labels = &lowering.chain_labels().fused;
-        assert_eq!(one_slot, static_peak, "labels {labels:?}");
+        assert_eq!(serial_peak, static_peak, "labels {labels:?}");
         assert!(static_peak <= all);
-        let four_slots = traced_peak_elements(tree, space, lowering, inputs, funcs, &four);
-        assert!(four_slots <= all, "{four_slots} > {all}");
-        (static_peak, four_slots)
+        let four_peak = traced_peak_elements(tree, space, lowering, inputs, funcs, &four);
+        assert!(four_peak <= all, "{four_peak} > {all}");
+        (static_peak, four_peak)
     };
 
     // Every legal fusion configuration of the §2 tree, unfused included.
-    // Its steps form a chain, so more slots change nothing at all.
+    // Steps run in order whatever the thread count, so four threads change
+    // nothing at all.
     let n = 3usize;
     let syn = synthesize(&section2_source(n), &SynthesisConfig::default()).unwrap();
     let (tree, space) = (&syn.plans[0].tree, &syn.program.space);
@@ -697,8 +698,8 @@ fn traced_high_water_is_the_schedules_static_peak() {
     assert!(configs.len() > 10);
     for (config, _) in &configs {
         let lowering = config.lowering(tree).unwrap();
-        let (static_peak, four_slots) = check(tree, space, &lowering, &inputs, &HashMap::new());
-        assert_eq!(four_slots, static_peak);
+        let (static_peak, four_peak) = check(tree, space, &lowering, &inputs, &HashMap::new());
+        assert_eq!(four_peak, static_peak);
         if *config == FusionConfig::unfused(tree) {
             // T1 + T2, then T2 + S: two full arrays, and no input copies.
             assert_eq!(static_peak, 2 * (n as u128).pow(4));

@@ -11,6 +11,7 @@ use tce_core::fusion::{
     fusable_set, memmin_bruteforce, memmin_dp, FusionConfig, Illegal, Lowering,
 };
 use tce_core::locality::MemoryHierarchy;
+use tce_core::opmin::optimize_assignment;
 use tce_core::par::ProcessorGrid;
 use tce_core::scenarios::{section2_source, A3AScenario};
 use tce_core::spacetime::{search_tiles, spacetime_dp, tiled_memory, tiled_ops, SpaceTimeConfig};
@@ -338,8 +339,7 @@ fn section3_six_spin_terms_share_intermediates() {
     ";
     let syn = synthesize(src, &SynthesisConfig::default()).unwrap();
     assert_eq!(syn.plans.len(), 6);
-    assert_eq!(syn.cse.len(), 1);
-    let c = &syn.cse[0];
+    let c = optimize_assignment(&syn.program.stmts[0], &syn.program.space).unwrap();
     assert_eq!(c.total_intermediates, 18);
     assert_eq!(c.unique_intermediates, 7);
     assert!(c.ops_with_cse * 2 < c.ops_independent);

@@ -1,20 +1,14 @@
-//! Multi-threaded stress of the sharded GETT plan cache: N threads
-//! hammering contractions with mixed signatures against a capacity-2
-//! sharded LRU must not deadlock, must keep the eviction counters
-//! consistent with the entry count, and must produce bitwise-identical
-//! results to a single-threaded run.
-//!
-//! The plan cache is process-global, so this file holds exactly one
-//! test — parallel tests in the same binary would race on the capacity.
+//! Multi-threaded stress of the sharded LRU behind the GETT plan cache:
+//! N threads fetching real contraction plans with mixed signatures from a
+//! capacity-2 cache split over 8 shards must not deadlock, must keep the
+//! eviction counters consistent with the entry count, and must produce
+//! bitwise-identical results to a single-threaded run.
 
 use tce_core::ir::IndexSpace;
-use tce_core::tensor::{
-    contract_gett, plan_cache_len, plan_cache_shard_stats, plan_cache_stats,
-    set_plan_cache_capacity, BinaryContraction, Tensor,
-};
+use tce_core::par::ShardedLru;
+use tce_core::tensor::{contract_gett, BinaryContraction, ContractionPlan, Tensor};
 
-/// A family of distinct plan signatures: matmul at several extents plus a
-/// transpose-flavored contraction, each a distinct `PlanKey`.
+/// A family of distinct plan signatures: matmul at several extents.
 fn cases() -> Vec<(BinaryContraction, IndexSpace, Tensor, Tensor)> {
     let mut out = Vec::new();
     for (ni, nj, nk) in [
@@ -48,31 +42,30 @@ fn cases() -> Vec<(BinaryContraction, IndexSpace, Tensor, Tensor)> {
 
 #[test]
 fn capacity_two_sharded_cache_under_contention() {
-    let old_cap = set_plan_cache_capacity(2);
+    // Capacity 2 over 8 shards: six shards retain nothing and two keep one
+    // plan each, so the 8 signatures keep missing and evicting.
+    let cache: ShardedLru<usize, ContractionPlan> = ShardedLru::new(2, 8);
     let work = cases();
-
-    // Single-threaded reference results (also warms nothing: capacity 2
-    // over 8 signatures keeps evicting).
     let reference: Vec<Tensor> = work
         .iter()
         .map(|(spec, sp, a, b)| contract_gett(spec, sp, a, b, 1))
         .collect();
 
-    let before = plan_cache_stats();
     let rounds = 30;
     let threads = 8;
     let all_match = std::sync::atomic::AtomicBool::new(true);
     std::thread::scope(|s| {
         for t in 0..threads {
-            let (work, reference, all_match) = (&work, &reference, &all_match);
+            let (cache, work, reference, all_match) = (&cache, &work, &reference, &all_match);
             s.spawn(move || {
                 for r in 0..rounds {
                     // Every thread walks the signatures in a different
                     // order so shard locks interleave.
                     let idx = (t + r) % work.len();
                     let (spec, sp, a, b) = &work[idx];
-                    let got = contract_gett(spec, sp, a, b, 1);
-                    if got != reference[idx] {
+                    let (plan, _) =
+                        cache.get_or_insert_with(&idx, || ContractionPlan::new(spec, sp));
+                    if plan.execute(a, b, 1) != reference[idx] {
                         all_match.store(false, std::sync::atomic::Ordering::SeqCst);
                     }
                 }
@@ -86,29 +79,20 @@ fn capacity_two_sharded_cache_under_contention() {
 
     // Counter consistency: every lookup was a hit or a miss, and the
     // entries that survived are exactly the misses minus the evictions.
-    let after = plan_cache_stats();
-    let (d_hits, d_misses) = (after.0 - before.0, after.1 - before.1);
+    let stats = cache.stats();
     assert_eq!(
-        d_hits + d_misses,
+        stats.hits + stats.misses,
         (threads * rounds) as u64,
         "every concurrent lookup must be counted exactly once"
     );
     assert_eq!(
-        after.1 - after.2,
-        plan_cache_len() as u64,
+        stats.misses - stats.evictions,
+        cache.len() as u64,
         "misses - evictions must equal the live entry count"
     );
     assert!(
-        plan_cache_len() <= 2,
+        cache.len() <= 2,
         "capacity-2 cache holds {} entries",
-        plan_cache_len()
+        cache.len()
     );
-    // Per-shard counters sum to the globals.
-    let per_shard = plan_cache_shard_stats();
-    let sums = per_shard
-        .iter()
-        .fold((0, 0, 0), |a, s| (a.0 + s.0, a.1 + s.1, a.2 + s.2));
-    assert_eq!(sums, after, "shard counters disagree with the global sums");
-
-    set_plan_cache_capacity(old_cap);
 }

@@ -140,8 +140,10 @@ fn crate_sources() -> Vec<PathBuf> {
 
 #[test]
 fn one_fusion_legality_rule_and_no_retired_knobs() {
-    // `tce_fusion::Lowering::new` is the only legality rule; the memory
-    // knobs are constants and `TCE_KERNEL` is the one way to pin a kernel.
+    // `tce_fusion::Lowering::new` is the only legality rule and
+    // `tce_fusion::lowered_program` the only builder of loop programs; the
+    // cache sizes are constants with no setter, synthesis counts no sharing
+    // it does not run, and `TCE_KERNEL` is the one way to pin a kernel.
     assert_absent(
         "a second legality rule or a retired knob",
         &crate_sources(),
@@ -149,8 +151,13 @@ fn one_fusion_legality_rule_and_no_retired_knobs() {
             "FusionGraph",
             "FusionEdge",
             "check_chainwise",
+            "unfused_program",
+            "CseSummary",
+            "SharedCounter",
             "plan_cache_env_requested",
+            "set_plan_cache_capacity",
             "bufpool_env_requested",
+            "set_bufpool_capacity",
             "\"--kernel\"",
         ],
     );
